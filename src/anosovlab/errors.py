@@ -22,7 +22,9 @@ class ObstructionNonzero(AnosovLabError):
 
 
 class TruncationInsufficient(AnosovLabError):
-    """Coboundary residual does not improve when the frequency cutoff doubles."""
+    """A truncation missed its certificate: a certified series ran past its
+    term cap, or a coboundary residual did not improve when the frequency
+    cutoff doubled."""
 
 
 class OffLeaf(AnosovLabError):
@@ -38,7 +40,7 @@ class DegenerateGradients(AnosovLabError):
 
 
 class ChartExit(AnosovLabError):
-    """Return-series bookkeeping hit the horizon before converging."""
+    """A stable-graph point lies outside the section chart box."""
 
 
 class ResidualBelowNoise(AnosovLabError):

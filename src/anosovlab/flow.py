@@ -9,18 +9,62 @@ with geometric tail control.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
-from .errors import OffLeaf
+from . import intlinalg
+from .errors import OffLeaf, TruncationInsufficient
 from .roof import RoofFunction
 from .spectral import IntegerMatrix, SpectralData, spectral_data
 
-_TERM_BOUND = 1e-14      # truncation threshold for adjustment series
 _LEAF_TOL = 1e-10        # transverse-component tolerance before OffLeaf
-_MAX_TERMS = 5000
+
+# Tail thresholds of the certified series (absolute bound on what is left
+# out of the returned sum), and the term cap they all share.
+VALUE_TOL = 1e-14      # leaf adjustments and graph times: ~50 ulps of an O(1) fiber time
+GRADIENT_TOL = 1e-15   # gradient series: a decade lower, as they feed 1e-9 rank cutoffs and Newton
+RETURN_TOL = 1e-13     # bump return series: a decade under the 1e-12 noise floor of the kappa fit
+MAX_TERMS = 5000       # the bundled configs need at most ~260 terms
+
+
+def certified_sum(pairs, tol: float, total=0.0):
+    """Sum (term, tail_bound) pairs left to right, up to the first tail_bound < tol.
+
+    Each tail_bound bounds everything after its term. Raises
+    TruncationInsufficient when MAX_TERMS pairs pass without meeting tol.
+    `total` is the running sum to continue, so two-sided series keep one
+    left-to-right accumulation.
+    """
+    for term, tail in islice(pairs, MAX_TERMS):
+        total = total + term
+        if tail < tol:
+            return total
+    raise TruncationInsufficient(
+        f"series did not meet its tail bound {tol:g} within {MAX_TERMS} terms"
+    )
+
+
+def affine_orbit(entries, offset, start, centred: bool = False):
+    """Exact orbit of start under x -> A x + c mod 1, as tuples of floats.
+
+    A point is held as integer numerators over one common denominator D
+    (the lcm of the start's and the offset's denominators), so a step is
+    n <- (A n + D c) mod D on Python ints, with no gcd. Each point is
+    yielded as n / D, which Python rounds correctly, so every float equals
+    float() of the rational point. The start is yielded as given; later
+    points are reduced into [0, 1), or into [-1/2, 1/2) when centred.
+    """
+    den = math.lcm(*(v.denominator for v in (*start, *offset)))
+    lo = den // 2 if centred else 0
+    nums = [v.numerator * (den // v.denominator) for v in start]
+    shift = [v.numerator * (den // v.denominator) + lo for v in offset]
+    while True:
+        yield tuple(v / den for v in nums)
+        nums = [(v + c) % den - lo for v, c in zip(intlinalg.mat_vec(entries, nums), shift)]
 
 
 def wrap_unit(v: np.ndarray) -> np.ndarray:
@@ -65,10 +109,14 @@ class SuspensionFlow:
             else tuple(Fraction(0) for _ in range(base.dim))
         )
         self.spectral: SpectralData = spectral_data(base)
-        self._lin = base.as_array()
-        self._inv_entries = base.inverse_entries()
-        self._lin_inv = np.array(self._inv_entries, dtype=float)
+        self.lin = base.as_array()
+        self.inv_entries = base.inverse_entries()
+        self.lin_inv = np.array(self.inv_entries, dtype=float)
         self._trans = np.array([float(v) for v in self.translation])
+        # F^-1 x = L^-1 x - L^-1 c, so the backward orbit is affine as well
+        self._inv_translation = tuple(
+            -v % 1 for v in intlinalg.mat_vec(self.inv_entries, self.translation)
+        )
         frame = np.hstack([self.spectral.unstable_basis, self.spectral.stable_basis])
         if frame.shape[1] != base.dim:
             raise ValueError("spectral splitting is not a full frame")
@@ -76,8 +124,8 @@ class SuspensionFlow:
         self._frame_inv = np.linalg.inv(frame)
         self._n_u = self.spectral.unstable_basis.shape[1]
         nu = self._n_u
-        self._proj_u = frame[:, :nu] @ self._frame_inv[:nu, :]
-        self._proj_s = frame[:, nu:] @ self._frame_inv[nu:, :]
+        self.proj_u = frame[:, :nu] @ self._frame_inv[:nu, :]
+        self.proj_s = frame[:, nu:] @ self._frame_inv[nu:, :]
 
     # -- base-map plumbing ---------------------------------------------------
 
@@ -96,16 +144,17 @@ class SuspensionFlow:
         return self.spectral.stable_basis.copy()
 
     def base_apply(self, x: np.ndarray) -> np.ndarray:
-        return (self._lin @ np.asarray(x, dtype=float) + self._trans) % 1.0
+        return (self.lin @ np.asarray(x, dtype=float) + self._trans) % 1.0
 
     def base_apply_inv(self, x: np.ndarray) -> np.ndarray:
-        return (self._lin_inv @ (np.asarray(x, dtype=float) - self._trans)) % 1.0
+        return (self.lin_inv @ (np.asarray(x, dtype=float) - self._trans)) % 1.0
 
     # Exact rational orbit iteration. Floating-point orbits of a hyperbolic
     # map amplify rounding noise exponentially (forward in the unstable
     # directions, backward in the stable one), which would poison long
     # adjustment series; rationalized points iterate exactly and their
-    # denominators never grow because the matrix is integral.
+    # denominators never grow because the matrix is integral. Every series
+    # walks `exact_orbit`; the Fraction maps below are its reference.
 
     @staticmethod
     def rationalize(x) -> tuple[Fraction, ...]:
@@ -114,19 +163,22 @@ class SuspensionFlow:
         )
 
     def base_apply_exact(self, pt: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        ent = self.base.entries
-        return tuple(
-            (sum(ent[i][j] * pt[j] for j in range(self.dim)) + self.translation[i]) % 1
-            for i in range(self.dim)
-        )
+        image = intlinalg.mat_vec(self.base.entries, pt)
+        return tuple((v + c) % 1 for v, c in zip(image, self.translation))
 
     def base_apply_inv_exact(self, pt: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        inv = self._inv_entries
-        shifted = tuple(pt[j] - self.translation[j] for j in range(self.dim))
-        return tuple(
-            sum(inv[i][j] * shifted[j] for j in range(self.dim)) % 1
-            for i in range(self.dim)
-        )
+        shifted = [v - c for v, c in zip(pt, self.translation)]
+        return tuple(v % 1 for v in intlinalg.mat_vec(self.inv_entries, shifted))
+
+    def exact_orbit(self, start: tuple[Fraction, ...], backward: bool = False):
+        """Float points of the exact orbit of a rational start.
+
+        Forward: start, F start, F^2 start, ... Backward: F^-1 start,
+        F^-2 start, ... (the start left out, as in every backward series).
+        """
+        if not backward:
+            return affine_orbit(self.base.entries, self.translation, start)
+        return islice(affine_orbit(self.inv_entries, self._inv_translation, start), 1, None)
 
     def birkhoff_exact(self, x, n: int, backward: bool = False) -> float:
         """Roof Birkhoff sum along the exact rational orbit of x.
@@ -134,16 +186,9 @@ class SuspensionFlow:
         Forward: sum_{k=0}^{n-1} roof(F^k x). Backward: sum_{k=1}^{n}
         roof(F^-k x).
         """
-        pt = self.rationalize(x)
         total = 0.0
-        if backward:
-            for _ in range(n):
-                pt = self.base_apply_inv_exact(pt)
-                total += self.roof(pt)
-        else:
-            for _ in range(n):
-                total += self.roof(pt)
-                pt = self.base_apply_exact(pt)
+        for pt in islice(self.exact_orbit(self.rationalize(x), backward), n):
+            total += self.roof(pt)
         return total
 
     def split_displacement(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,34 +294,26 @@ class SuspensionFlow:
         lip = poly.lipschitz_bound()
         moduli = self.spectral.moduli
         if direction == "stable":
-            step = self._lin
-            proj = self._proj_s
+            step, proj, sign = self.lin, self.proj_s, 1.0
             rate = max(m for m in moduli if m < 1.0)
-            point = self.rationalize(xa)
-            advance = self.base_apply_exact
-            sign = 1.0
         else:
-            step = self._lin_inv
-            proj = self._proj_u
+            step, proj, sign = self.lin_inv, self.proj_u, -1.0
             rate = 1.0 / min(m for m in moduli if m > 1.0)
-            point = self.base_apply_inv_exact(self.rationalize(xa))
             delta = proj @ (step @ delta)
-            advance = self.base_apply_inv_exact
-            sign = -1.0
-        delta = proj @ delta
-        total = 0.0
-        for n in range(_MAX_TERMS):
-            total += sign * poly.eval_diff(point, delta)
-            point = advance(point)
-            # re-project each step: the leaf displacement is invariant under
-            # the base map, and projection stops float noise in the
-            # complementary (expanding) subspace from compounding
-            delta = proj @ (step @ delta)
-            gap = float(np.linalg.norm(delta))
-            # geometric tail certificate: remaining terms sum below threshold
-            if lip * gap / max(1.0 - rate, 1e-12) < _TERM_BOUND:
-                return total
-        raise ArithmeticError("adjustment series did not meet its term bound")
+        orbit = self.exact_orbit(self.rationalize(xa), backward=direction == "unstable")
+
+        def pairs(delta):
+            for point in orbit:
+                term = sign * poly.eval_diff(point, delta)
+                # re-project each step: the leaf displacement is invariant
+                # under the base map, and projection stops float noise in the
+                # complementary (expanding) subspace from compounding
+                delta = proj @ (step @ delta)
+                gap = float(np.linalg.norm(delta))
+                # geometric tail certificate
+                yield term, lip * gap / max(1.0 - rate, 1e-12)
+
+        return certified_sum(pairs(proj @ delta), VALUE_TOL)
 
     def strong_manifold_point(self, p: FlowPoint, v) -> FlowPoint:
         """Point of W^s(p) or W^u(p) displaced by the base vector v."""
@@ -300,6 +337,3 @@ class SuspensionFlow:
             rows.append([float(t), *[float(c) for c in q.x], float(q.s)])
         return rows
 
-
-def trajectory_csv_header(dim: int) -> list[str]:
-    return ["t", *[f"x{i + 1}" for i in range(dim)], "s"]

@@ -107,16 +107,6 @@ class MPSplitting:
                 out.append(Fraction(int(mp.nint(x * scale)), scale))
         return tuple(out)
 
-    def stable_direction_floats(self):
-        """Unit stable eigenvector as floats (codimension-one use)."""
-        with mp.workdps(_DPS):
-            lam = min(self.roots, key=lambda z: abs(z))
-            v = _eigvec(self.matrix, lam)
-            re = [mp.re(x) for x in v]
-            norm = mp.sqrt(sum(x * x for x in re))
-            re = [x / norm for x in re]
-            return [float(x) for x in re], float(mp.re(lam))
-
 
 _cache: dict[tuple, MPSplitting] = {}
 

@@ -23,7 +23,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DegenerateGradients, NoIntersection, OffLeaf
-from .flow import FlowPoint, SuspensionFlow, wrap_unit
+from .flow import (
+    GRADIENT_TOL, FlowPoint, SuspensionFlow, affine_orbit, certified_sum, wrap_unit,
+)
 from .roof import RoofFunction
 from . import mpspec, util
 
@@ -319,62 +321,38 @@ def pcf_gradient(
         return np.zeros(flow.dim_unstable)
     hess = poly.gradient_lipschitz_bound()
     lip = poly.lipschitz_bound()
-    lin = flow.base.as_array()
-    lin_inv = np.array(flow.base.inverse_entries(), dtype=float)
-    z0 = a.base() + u
-
+    lin, lin_inv = flow.lin, flow.lin_inv
+    z0 = flow.rationalize(a.base() + u)
     u_frame = flow.unstable_frame()
-    total = np.zeros(u_frame.shape[1])
 
     # forward side: points F^n(z), gaps L^n w (projected); the weight L^n is
     # applied to the unstable frame only, where it grows like xi_max^n and
     # the paired gradient difference shrinks like lambda^n
-    point = flow.rationalize(z0)
-    delta = flow._proj_s @ w
-    weight = u_frame.copy()
-    for n in range(4000):
-        gd = poly.gradient_diff(point, delta)
-        total += weight.T @ gd
-        point = flow.base_apply_exact(point)
-        delta = flow._proj_s @ (lin @ delta)
-        weight = lin @ weight
-        bound = hess * np.linalg.norm(delta) * np.linalg.norm(weight, 2)
-        if bound * q_fwd / (1.0 - q_fwd) < 1e-15:
-            break
-    else:
-        raise ArithmeticError("forward gradient series did not converge")
+    def forward(delta, weight):
+        for point in flow.exact_orbit(z0):
+            term = weight.T @ poly.gradient_diff(point, delta)
+            delta = flow.proj_s @ (lin @ delta)
+            weight = lin @ weight
+            bound = hess * np.linalg.norm(delta) * np.linalg.norm(weight, 2)
+            yield term, bound * q_fwd / (1.0 - q_fwd)
 
     # backward side: points F^-n(z), gaps L^-n w mod 1 (exact, wrapped); the
     # restricted weights L^-n U contract and bound the unpaired gradients,
     # with per-step projection stopping stable float contamination
-    point = flow.base_apply_inv_exact(flow.rationalize(z0))
-    delta_fr = tuple((Fraction(float(v))) for v in w)
-    inv_entries = flow.base.inverse_entries()
+    def backward(weight):
+        gaps = affine_orbit(flow.inv_entries, (0,) * flow.dim,
+                            [Fraction(v) for v in w], centred=True)
+        next(gaps)
+        for point, gap in zip(flow.exact_orbit(z0, backward=True), gaps):
+            term = weight.T @ poly.gradient_diff(point, gap)
+            weight = flow.proj_u @ (lin_inv @ weight)
+            bound = 2.0 * lip * np.linalg.norm(weight, 2)
+            yield term, bound * q_bwd / (1.0 - q_bwd)
 
-    def inv_wrap(vec):
-        out = []
-        for i in range(flow.dim):
-            val = sum(inv_entries[i][j] * vec[j] for j in range(flow.dim))
-            val = val - round(val)
-            out.append(val)
-        return tuple(out)
-
-    delta_fr = inv_wrap(delta_fr)
-    weight = flow._proj_u @ (lin_inv @ u_frame)
-    for n in range(4000):
-        gd = poly.gradient_diff(point, [float(v) for v in delta_fr])
-        total += weight.T @ gd
-        point = flow.base_apply_inv_exact(point)
-        delta_fr = inv_wrap(delta_fr)
-        weight = flow._proj_u @ (lin_inv @ weight)
-        wnorm = np.linalg.norm(weight, 2)
-        bound = 2.0 * lip * wnorm
-        if bound * q_bwd / (1.0 - q_bwd) < 1e-15:
-            break
-    else:
-        raise ArithmeticError("backward gradient series did not converge")
-
-    return total
+    total = certified_sum(forward(flow.proj_s @ w, u_frame), GRADIENT_TOL)
+    return certified_sum(
+        backward(flow.proj_u @ (lin_inv @ u_frame)), GRADIENT_TOL, total
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,11 @@ import numpy as np
 
 from . import mpspec, util
 from .errors import ChartExit, ResidualBelowNoise
-from .flow import SuspensionFlow, wrap_unit
+from .flow import (
+    GRADIENT_TOL, RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sum, wrap_unit,
+)
 from .roof import PeriodicOrbitRecord, periodic_points
 from .spectral import InvariantSubspaceCatalog
-
-_TERM_TOL = 1e-13
-_MAX_RETURNS = 1000
-_MAX_STEPS = 40000
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +54,8 @@ class SectionChart:
         self.s_unit = flow.stable_frame()[:, 0]
         self.lam = flow.spectral.stable_eigenvalue
         self._frame = np.hstack([self.u_frame, self.s_unit[:, None]])
-        self._finv = np.linalg.inv(self._frame)
-        lin = flow.base.as_array()
-        block = self._finv @ lin @ self._frame
+        self.finv = np.linalg.inv(self._frame)
+        block = self.finv @ flow.lin @ self._frame
         self.a_u = block[: flow.dim_unstable, : flow.dim_unstable].copy()
         self.split = mpspec.splitting(flow.base)
 
@@ -74,7 +71,7 @@ class SectionChart:
     def coords(self, v) -> tuple[np.ndarray, float]:
         """Chart coordinates of a wrapped base displacement."""
         w = wrap_unit(np.asarray([float(c) for c in v], dtype=float))
-        co = self._finv @ w
+        co = self.finv @ w
         return co[: self.dim_unstable].copy(), float(co[-1])
 
     def embed(self, x, y: float) -> np.ndarray:
@@ -101,47 +98,45 @@ class SectionChart:
         poly = self.flow.roof.poly
         if poly.is_constant() or float(y) == 0.0 or not np.any(x):
             return 0.0
-        w_fr = self.stable_fraction_vector(y)
-        z = self.flow.rationalize(self.embed(x, 0.0))
-        origin = tuple(Fraction(0) for _ in range(self.flow.dim))
-        delta = np.array([float(c) for c in w_fr])
-        lin = self.flow.base.as_array()
+        flow = self.flow
+        z = flow.rationalize(self.embed(x, 0.0))
+        origin = np.zeros(flow.dim)
         lip = poly.lipschitz_bound()
         lam_abs = abs(self.lam)
-        total = 0.0
-        for _ in range(4000):
-            total += poly.eval_diff(z, delta) - poly.eval_diff(origin, delta)
-            z = self.flow.base_apply_exact(z)
-            delta = self.flow._proj_s @ (lin @ delta)
-            if 2.0 * lip * np.linalg.norm(delta) / (1.0 - lam_abs) < 1e-14:
-                return total
-        raise ArithmeticError("stable graph series did not converge")
+
+        def pairs(delta):
+            for point in flow.exact_orbit(z):
+                term = poly.eval_diff(point, delta) - poly.eval_diff(origin, delta)
+                delta = flow.proj_s @ (flow.lin @ delta)
+                yield term, 2.0 * lip * np.linalg.norm(delta) / (1.0 - lam_abs)
+
+        w_fr = self.stable_fraction_vector(y)
+        return certified_sum(pairs(np.array([float(c) for c in w_fr])), VALUE_TOL)
 
     def t_gradient_at_zero(self, y: float) -> np.ndarray:
         """D_x T(0, y): paired gradient series along the stable axis orbit."""
         poly = self.flow.roof.poly
         if poly.is_constant() or float(y) == 0.0:
             return np.zeros(self.dim_unstable)
-        w_fr = self.stable_fraction_vector(y)
-        delta = np.array([float(c) for c in w_fr])
-        lin = self.flow.base.as_array()
-        origin = tuple(Fraction(0) for _ in range(self.flow.dim))
-        weight = self.u_frame.copy()
+        flow = self.flow
+        origin = np.zeros(flow.dim)
         hess = poly.gradient_lipschitz_bound()
-        mods = self.flow.spectral.moduli
+        mods = flow.spectral.moduli
         q = mods[0] * max(mods)
         if q >= 0.98:
             raise ValueError("stable-graph gradient needs bunching lambda*xi_max < 1")
-        total = np.zeros(self.dim_unstable)
-        for _ in range(4000):
-            gd = poly.gradient_diff(origin, delta)
-            total += weight.T @ gd
-            delta = self.flow._proj_s @ (lin @ delta)
-            weight = lin @ weight
-            bound = hess * np.linalg.norm(delta) * np.linalg.norm(weight, 2)
-            if bound * q / (1.0 - q) < 1e-15:
-                return total
-        raise ArithmeticError("stable graph gradient series did not converge")
+
+        def pairs(delta, weight):
+            while True:
+                term = weight.T @ poly.gradient_diff(origin, delta)
+                delta = flow.proj_s @ (flow.lin @ delta)
+                weight = flow.lin @ weight
+                bound = hess * np.linalg.norm(delta) * np.linalg.norm(weight, 2)
+                yield term, bound * q / (1.0 - q)
+
+        w_fr = self.stable_fraction_vector(y)
+        delta = np.array([float(c) for c in w_fr])
+        return certified_sum(pairs(delta, self.u_frame), GRADIENT_TOL)
 
     def unstable_slope(self, y: float) -> np.ndarray:
         """Tangent slope of the unstable-leaf graph through (0, y) in the
@@ -149,24 +144,21 @@ class SectionChart:
         poly = self.flow.roof.poly
         if poly.is_constant() or float(y) == 0.0:
             return np.zeros(self.dim_unstable)
-        r_fr = self.stable_fraction_vector(y)
-        point = self.flow.base_apply_inv_exact(self.flow.rationalize(r_fr))
-        origin = tuple(Fraction(0) for _ in range(self.flow.dim))
-        lin_inv = np.array(self.flow.base.inverse_entries(), dtype=float)
-        weight = self.flow._proj_u @ (lin_inv @ self.u_frame)
+        flow = self.flow
+        r = flow.rationalize(self.stable_fraction_vector(y))
+        # the origin is fixed (no translation), so its gradient is too
+        grad_origin = poly.gradient(np.zeros(flow.dim))
         lip = poly.lipschitz_bound()
-        mods = self.flow.spectral.moduli
+        mods = flow.spectral.moduli
         q = 1.0 / min(m for m in mods if m > 1.0)
-        total = np.zeros(self.dim_unstable)
-        for _ in range(4000):
-            diff = poly.gradient(origin) - poly.gradient(point)
-            total += weight.T @ diff
-            point = self.flow.base_apply_inv_exact(point)
-            origin = self.flow.base_apply_inv_exact(origin)
-            weight = self.flow._proj_u @ (lin_inv @ weight)
-            if 2.0 * lip * np.linalg.norm(weight, 2) * q / (1.0 - q) < 1e-15:
-                return total
-        raise ArithmeticError("unstable slope series did not converge")
+
+        def pairs(weight):
+            for point in flow.exact_orbit(r, backward=True):
+                term = weight.T @ (grad_origin - poly.gradient(point))
+                weight = flow.proj_u @ (flow.lin_inv @ weight)
+                yield term, 2.0 * lip * np.linalg.norm(weight, 2) * q / (1.0 - q)
+
+        return certified_sum(pairs(flow.proj_u @ (flow.lin_inv @ self.u_frame)), GRADIENT_TOL)
 
     # -- bent-section roof, for inspection and positivity ---------------------
 
@@ -218,9 +210,6 @@ class HeteroclinicDatum:
     r_base: tuple[float, ...]
     backward_distance: float | None = None
 
-    def q_point(self) -> tuple[Fraction, ...]:
-        return self.q_orbit.base_points[self.q_index]
-
 
 def make_heteroclinic_datum(
     chart: SectionChart,
@@ -265,9 +254,8 @@ def _verify_backward_approach(chart, target, q_orbit, steps: int) -> float:
     backward orbit must approach the orbit of q at the unstable contraction
     rate; float iteration would destroy this beyond ~40 steps.
     """
-    matrix = chart.flow.base
-    inv = matrix.inverse_entries()
-    d = matrix.dim
+    inv = chart.flow.inv_entries
+    d = chart.flow.dim
     with mp.workdps(60):
         proj = chart.split.stable_proj
         vec = [mp.mpf(t.numerator) / mp.mpf(t.denominator) for t in target]
@@ -318,7 +306,7 @@ def find_heteroclinic_data(
         for idx in range(len(orbit.base_points)):
             qv = np.array([float(c) for c in orbit.base_points[idx]])
             for off in product(range(-offset_bound, offset_bound + 1), repeat=chart.flow.dim):
-                y_r = float(chart._finv[-1] @ (qv + np.array(off)))
+                y_r = float(chart.finv[-1] @ (qv + np.array(off)))
                 if not (y_range[0] <= abs(y_r) <= y_range[1]):
                     continue
                 if verify:
@@ -374,18 +362,9 @@ class Bump:
             - lin * 4.0 * (1.0 - s) ** 3 * 2.0 * x / self.radius**2
         )
 
-    def gradient_at_center(self) -> np.ndarray:
-        return self.amplitude * np.asarray(self.direction, dtype=float)
-
     def lipschitz_bound(self) -> float:
         # |grad| <= amplitude * (1 + 8 |<g,x>| |x| / radius^2) <= 9 * amplitude
         return 9.0 * abs(self.amplitude)
-
-    def value_torus(self, chart: SectionChart, v) -> float:
-        x, y = chart.coords(v)
-        if not chart.in_box(x, y, slack=1.5):
-            return 0.0
-        return self.value_chart(x, y)
 
 
 def make_bump(
@@ -448,53 +427,43 @@ class ReturnLedger:
 
 def return_series(
     chart: SectionChart, bump: Bump | None, x, y: float,
-    term_tol: float = _TERM_TOL,
+    term_tol: float = RETURN_TOL,
 ) -> ReturnLedger:
     """Corrections sum_n bump(F^n(x, y)) - bump(F^n(x, 0)) over exact orbits.
 
     The orbit pair shares its unstable part, so consecutive gaps contract
     by exactly |lambda| and the geometric tail certificate terminates the
-    sum; the hard caps raise ChartExit on pathological configurations.
+    sum. Only iterates near the bump or with a nonzero term are recorded.
     """
     if bump is None:
         return ReturnLedger(steps=(), gaps=(), terms=(), in_hat=(), total=0.0)
-    z0 = chart.flow.rationalize(chart.embed(x, 0.0))
+    flow = chart.flow
+    z0 = flow.rationalize(chart.embed(x, 0.0))
     w_fr = chart.stable_fraction_vector(y)
     z1 = tuple(a + b for a, b in zip(z0, w_fr))
     lam_abs = abs(chart.lam)
     lip = bump.lipschitz_bound()
     hat_radius = 1.25 * bump.radius
-    gap = float(np.linalg.norm(np.array([float(v) for v in w_fr])))
-
     steps, gaps, terms, in_hat = [], [], [], []
-    total = 0.0
-    returns = 0
-    n = 0
-    while True:
-        if lip * gap / (1.0 - lam_abs) < term_tol:
-            break
-        if returns >= _MAX_RETURNS or n >= _MAX_STEPS:
-            raise ChartExit(
-                f"return bookkeeping passed {returns} returns / {n} steps "
-                "without meeting the tail certificate"
-            )
-        x1, y1 = chart.coords([float(v) for v in z1])
-        x0c, y0c = chart.coords([float(v) for v in z0])
-        d1 = math.hypot(float(np.linalg.norm(x1)), y1 - bump.center_y)
-        d0 = math.hypot(float(np.linalg.norm(x0c)), y0c - bump.center_y)
-        hat = bool(min(d0, d1) <= hat_radius)
-        term = bump.value_chart(x1, y1) - bump.value_chart(x0c, y0c)
-        if hat or term != 0.0:
-            steps.append(n)
-            gaps.append(gap)
-            terms.append(term)
-            in_hat.append(hat)
-            returns += 1
-            total += term
-        z0 = chart.flow.base_apply_exact(z0)
-        z1 = chart.flow.base_apply_exact(z1)
-        gap *= lam_abs
-        n += 1
+
+    def pairs(gap):
+        yield 0.0, lip * gap / (1.0 - lam_abs)   # the whole series may already be below tol
+        for n, (p0, p1) in enumerate(zip(flow.exact_orbit(z0), flow.exact_orbit(z1))):
+            x1, y1 = chart.coords(p1)
+            x0c, y0c = chart.coords(p0)
+            d1 = math.hypot(float(np.linalg.norm(x1)), y1 - bump.center_y)
+            d0 = math.hypot(float(np.linalg.norm(x0c)), y0c - bump.center_y)
+            hat = bool(min(d0, d1) <= hat_radius)
+            term = bump.value_chart(x1, y1) - bump.value_chart(x0c, y0c)
+            if hat or term != 0.0:
+                steps.append(n)
+                gaps.append(gap)
+                terms.append(term)
+                in_hat.append(hat)
+            gap *= lam_abs
+            yield term, lip * gap / (1.0 - lam_abs)
+
+    total = certified_sum(pairs(float(np.linalg.norm([float(v) for v in w_fr]))), term_tol)
     return ReturnLedger(
         steps=tuple(steps), gaps=tuple(gaps), terms=tuple(terms),
         in_hat=tuple(in_hat), total=total,
@@ -503,7 +472,7 @@ def return_series(
 
 def stable_graph_time(
     chart: SectionChart, bump: Bump | None, x, y: float,
-    term_tol: float = _TERM_TOL,
+    term_tol: float = RETURN_TOL,
 ) -> float:
     """Perturbed stable graph time T^rho(x, y).
 
@@ -512,7 +481,7 @@ def stable_graph_time(
     axis and the unperturbed return time is constant along it.
     """
     x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) > chart.radius_x or abs(y) > chart.radius_y:
+    if not chart.in_box(x, y):
         raise ChartExit("graph point outside the chart box")
     base = chart.t_series(x, y)
     ledger = return_series(chart, bump, x, y, term_tol=term_tol)
@@ -758,7 +727,7 @@ def kappa_experiment(
     """
     chart = SectionChart(flow)
     lam = chart.lam
-    finv = chart._finv
+    finv = chart.finv
 
     homo = []
     for m in product(range(-3, 4), repeat=flow.dim):

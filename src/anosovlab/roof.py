@@ -323,16 +323,16 @@ def periodic_points(
         )
 
     orbits = []
-    remaining = set(points)
-    while remaining:
-        start = min(remaining)
+    visited = set()
+    for start in sorted(points):
+        if start in visited:
+            continue
         cycle = [start]
         nxt = _apply_mod1(matrix, start)
         while nxt != start:
             cycle.append(nxt)
             nxt = _apply_mod1(matrix, nxt)
-        for p in cycle:
-            remaining.discard(p)
+        visited.update(cycle)
         flow = None
         if roof is not None:
             flow = float(sum(roof(p) for p in cycle))
@@ -487,12 +487,13 @@ def solve_coboundary(
     c = roof.mean()
     resid = _independent_residual(u, poly, matrix, c)
     if resid > 1e-9:
-        terms2 = _telescope_terms(poly, matrix, 2 * trunc)
-        resid2 = _independent_residual(TrigPolynomial(poly.dim, terms2), poly, matrix, c)
+        u2 = TrigPolynomial(poly.dim, _telescope_terms(poly, matrix, 2 * trunc))
+        resid2 = _independent_residual(u2, poly, matrix, c)
         if resid2 > 0.5 * resid:
             raise TruncationInsufficient(
                 f"residual {resid:.3g} does not improve with doubled cutoff ({resid2:.3g})"
             )
+        u, resid = u2, resid2
     return CoboundarySolution(
         constant_c=c,
         transfer_u=u,
@@ -505,7 +506,6 @@ def _telescope_terms(poly: TrigPolynomial, matrix: IntegerMatrix, trunc: int) ->
     tmat = tuple(zip(*matrix.entries))
     tmat_inv = tuple(zip(*matrix.inverse_entries()))
     tdata = spectral_data(IntegerMatrix(tmat))
-    d = poly.dim
     basis = np.hstack([tdata.stable_basis, tdata.unstable_basis])
     binv = np.linalg.inv(basis)
     n_s = tdata.stable_basis.shape[1]
@@ -540,7 +540,6 @@ def _telescope_terms(poly: TrigPolynomial, matrix: IntegerMatrix, trunc: int) ->
             val = -acc
             if val != 0 and max(abs(v) for v in k) <= trunc:
                 solution[k] = solution.get(k, 0.0 + 0.0j) + val
-    _ = d
     return solution
 
 

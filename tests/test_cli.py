@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from anosovlab.cli import main
-from anosovlab.errors import ConfigInvalid
+from anosovlab import flow as flow_module
+from anosovlab.errors import ConfigInvalid, ExperimentFailed, TruncationInsufficient
 from anosovlab.experiments import (
     ExperimentConfig,
     build_roof,
@@ -97,6 +98,15 @@ class TestCliExitCodes:
             "subbundle", "--config", str(bad), "--out", str(tmp_path / "out"),
         ])
         assert result.exit_code == 1
+
+    def test_series_cap_is_experiment_failure(self, tmp_path, monkeypatch):
+        # a certified series that cannot meet its tail bound is a module
+        # error (exit 1), not an invalid config
+        monkeypatch.setattr(flow_module, "MAX_TERMS", 1)
+        cfg = load_config(CONFIGS / "pcf_companion3.json")
+        with pytest.raises(ExperimentFailed, match="tail bound") as info:
+            run_experiment(cfg, tmp_path / "out")
+        assert isinstance(info.value.__cause__, TruncationInsufficient)
 
     def test_missing_config_exit_two(self, tmp_path):
         result = run_cli([

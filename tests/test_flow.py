@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import distance_mp, evolve_mp
 
-from anosovlab import mpspec
+from anosovlab import mpspec, pcf
 from anosovlab.errors import OffLeaf
-from anosovlab.flow import SuspensionFlow, wrap_unit
+from anosovlab.flow import SuspensionFlow, affine_orbit, wrap_unit
 from anosovlab.roof import RoofFunction, birkhoff_sum
 
 
@@ -206,6 +208,46 @@ class TestExactOrbits:
         x = (0.37, 0.91)
         direct = birkhoff_sum(cat_flow.roof, cat_map, x, 10)
         assert cat_flow.birkhoff_exact(x, 10) == pytest.approx(direct, abs=1e-11)
+
+
+@pytest.fixture(scope="module")
+def translated3(companion3_flow):
+    # the x7 denominators of the planted subbundle translation
+    flow, _ = pcf.translate_flow(
+        companion3_flow, [Fraction(1, 7), Fraction(2, 7), Fraction(3, 7)]
+    )
+    return flow
+
+
+# float starts as the series rationalize them, and dyadic 2^-160 starts off
+# the unit cube as the refined leaf vectors are
+_starts = st.one_of(
+    st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3).map(SuspensionFlow.rationalize),
+    st.tuples(*[st.integers(-(2**161), 2**161)] * 3).map(
+        lambda t: tuple(Fraction(v, 2**160) for v in t)
+    ),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_starts, st.tuples(*[st.floats(-0.05, 0.05)] * 3))
+def test_exact_orbit_matches_fraction_maps(translated3, start, w):
+    # every yielded float is float() of the Fraction reference, bit for bit;
+    # w is a pcf_gradient backward gap: L^-n w reduced into [-1/2, 1/2)
+    inv = translated3.inv_entries
+    fwd = translated3.exact_orbit(start)
+    bwd = translated3.exact_orbit(start, backward=True)
+    gap = tuple(Fraction(v) for v in w)
+    walk = affine_orbit(inv, (0, 0, 0), gap, centred=True)
+    ahead = behind = start
+    for _ in range(300):
+        assert next(fwd) == tuple(float(v) for v in ahead)
+        assert next(walk) == tuple(float(v) for v in gap)
+        ahead = translated3.base_apply_exact(ahead)
+        behind = translated3.base_apply_inv_exact(behind)
+        assert next(bwd) == tuple(float(v) for v in behind)
+        image = [sum(inv[i][j] * gap[j] for j in range(3)) for i in range(3)]
+        gap = tuple(v - round(v) for v in image)
 
 
 def test_trajectory_rows(cat_flow):

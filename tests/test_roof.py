@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import kahan_birkhoff
 
+from anosovlab import roof as roof_module
 from anosovlab.errors import NonHyperbolicPeriod, ObstructionNonzero
 from anosovlab.roof import (
     OBSTRUCTION_CSV_HEADER,
@@ -258,6 +259,24 @@ class TestSolveCoboundary:
             )
             finer = float(np.max(np.abs(vals)))
             assert finer <= max(2.0 * sol.residual_sup, 1e-12)
+
+    def test_refined_cutoff_is_returned(self, cat_map, monkeypatch):
+        # the first cutoff loses one +-k pair, the doubled one is complete:
+        # the solver must hand back the refined solution and its residual
+        roof, _ = planted_coboundary_roof(cat_map)
+        full = roof_module._telescope_terms
+
+        def lossy(poly, matrix, trunc):
+            terms = full(poly, matrix, trunc)
+            if trunc == 8:
+                k = next(iter(terms))
+                del terms[k], terms[tuple(-v for v in k)]
+            return terms
+
+        monkeypatch.setattr(roof_module, "_telescope_terms", lossy)
+        sol = solve_coboundary(roof, cat_map, trunc=8)
+        assert sol.residual_sup <= 1e-9
+        assert sol.transfer_u.terms == TrigPolynomial(2, full(roof.poly, cat_map, 16)).terms
 
     def test_high_frequency_plant(self, companion3):
         roof, u = planted_coboundary_roof(companion3, amplitude=0.03, freq=(1, 1, 0))
