@@ -174,7 +174,7 @@ def _run_livshits(cfg, out, workers):
     try:
         sol = roof.solve_coboundary(roof_fn, matrix, p["trunc"],
                                     obstruction_tol=p["tol"],
-                                    obstruction_n_max=p["n_max"])
+                                    obstructions=report)
         payload.update({
             "solved": True,
             "constant_c": sol.constant_c,

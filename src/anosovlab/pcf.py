@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DegenerateGradients, NoIntersection, OffLeaf
+from .errors import DegenerateGradients, NoIntersection, OffLeaf, TruncationInsufficient
 from .flow import (
     GRADIENT_TOL, FlowPoint, SuspensionFlow, affine_orbit, certified_sum, wrap_unit,
 )
@@ -122,25 +122,32 @@ def _stable_coordinate(flow: SuspensionFlow, v: np.ndarray) -> float:
     return float(s_frame[:, 0] @ vs / (s_frame[:, 0] @ s_frame[:, 0]))
 
 
-def _forward_horizon(flow: SuspensionFlow, scale: float, target: float) -> int:
-    lam = max(m for m in flow.spectral.moduli if m < 1.0)
-    lip = flow.roof.poly.lipschitz_bound()
-    if lip == 0.0 or scale == 0.0:
-        return 1
-    need = target * (1.0 - lam) / (lip * scale)
-    n = int(np.ceil(np.log(need) / np.log(lam))) + 2
-    return int(np.clip(n, 8, 500))
+# Longest Birkhoff difference the geometric route will walk; a tail that
+# needs more terms is refused instead of cut short.
+MAX_HORIZON = 500
 
 
-def _backward_horizon(flow: SuspensionFlow, scale: float, target: float) -> int:
-    xi1 = min(m for m in flow.spectral.moduli if m > 1.0)
-    rate = 1.0 / xi1
+def _horizon(flow: SuspensionFlow, rate: float, scale: float, target: float) -> int:
     lip = flow.roof.poly.lipschitz_bound()
     if lip == 0.0 or scale == 0.0:
         return 1
     need = target * (1.0 - rate) / (lip * scale)
     n = int(np.ceil(np.log(need) / np.log(rate))) + 2
-    return int(np.clip(n, 8, 500))
+    if n > MAX_HORIZON:
+        raise TruncationInsufficient(
+            f"geometric route needs a horizon of {n} steps, above the cap {MAX_HORIZON}"
+        )
+    return max(n, 8)
+
+
+def _forward_horizon(flow: SuspensionFlow, scale: float, target: float) -> int:
+    lam = max(m for m in flow.spectral.moduli if m < 1.0)
+    return _horizon(flow, lam, scale, target)
+
+
+def _backward_horizon(flow: SuspensionFlow, scale: float, target: float) -> int:
+    xi1 = min(m for m in flow.spectral.moduli if m > 1.0)
+    return _horizon(flow, 1.0 / xi1, scale, target)
 
 
 def temporal_distance_geometric(
@@ -153,7 +160,8 @@ def temporal_distance_geometric(
     orbits (forward for stable graphs, backward for unstable ones), with
     horizons chosen so tails sit well under tol. The stable slide is
     root-solved on the leaf parameterization; the unstable-leaf match is a
-    frame solve. Raises NoIntersection when the data leave the chart.
+    frame solve. Raises NoIntersection when the data leave the chart, and
+    TruncationInsufficient when a horizon would pass MAX_HORIZON.
     """
     if tol < 1e-10:
         raise ValueError("tol must be at least 1e-10")

@@ -214,29 +214,81 @@ class TrigPolynomial:
 # certified-positive roofs
 
 
-def _grid_axes(dim: int) -> list[np.ndarray]:
-    sizes = [256 if i < 2 else 32 for i in range(dim)]
-    return [np.arange(n) / n for n in sizes]
+# Branch-and-bound fallback: cells per axis of the first uniform grid, and
+# the most cell centres one certificate may evaluate before it refuses.
+BNB_COARSE_CELLS = 8
+BNB_MAX_CELLS = 1 << 20
+
+
+def _wiener_margin(poly: TrigPolynomial) -> float:
+    """Re c_0 - sum_{k != 0} |c_k|, a lower bound on min p, rounded down.
+
+    Each |c_k| is rounded up and the exact sum of the floats rounded down,
+    so float rounding cannot lift the result above the true bound.
+    """
+    zero = (0,) * poly.dim
+    parts = [poly.terms.get(zero, 0.0).real]
+    parts += [-math.nextafter(abs(c), math.inf) for k, c in poly.terms.items() if k != zero]
+    return math.nextafter(math.fsum(parts), -math.inf)
+
+
+def _branch_and_bound_margin(poly: TrigPolynomial) -> float:
+    """Lower bound on min p by adaptive Lipschitz branch-and-bound.
+
+    Cubes of half-width h get the leaf bound p(centre) - L h sqrt(d) - err,
+    with L bounding |grad p| and err the float error of one evaluation;
+    only cubes whose bound is <= 0 are split, into 2^d halves. Raises
+    ValueError when a centre is <= 0 or BNB_MAX_CELLS is reached.
+    """
+    dim = poly.dim
+    lip = poly.lipschitz_bound()
+    l1 = sum(abs(c) for c in poly.terms.values())
+    max_freq = max(sum(abs(v) for v in k) for k in poly.terms)
+    # each phase 2 pi k.x is off by about (d + 2) |k|_1 2 pi eps, the complex
+    # products and the sum over terms add a few eps per term
+    err = 8.0 * math.ulp(1.0) * l1 * (len(poly.terms) + TWO_PI * (dim + 2) * max_freq)
+    signs = 2.0 * np.indices((2,) * dim).reshape(dim, -1).T - 1.0
+    centres = (np.indices((BNB_COARSE_CELLS,) * dim).reshape(dim, -1).T + 0.5) / BNB_COARSE_CELLS
+    half = 0.5 / BNB_COARSE_CELLS
+    margin = math.inf
+    evaluated = 0
+    while len(centres):
+        evaluated += len(centres)
+        if evaluated > BNB_MAX_CELLS:
+            raise ValueError(
+                f"roof not certified positive (margin unresolved after {BNB_MAX_CELLS} cells)"
+            )
+        values = poly.evaluate_many(centres)
+        if values.min() <= 0:
+            raise ValueError(f"roof not certified positive (margin {values.min():.3g})")
+        bounds = values - lip * half * math.sqrt(dim) - err
+        leaves = bounds > 0
+        if leaves.any():
+            margin = min(margin, float(bounds[leaves].min()))
+        half *= 0.5
+        centres = (centres[~leaves][:, None, :] + half * signs[None, :, :]).reshape(-1, dim)
+    return margin
 
 
 @dataclass(frozen=True)
 class RoofFunction:
-    """Positive trig polynomial; positivity certified by grid + Lipschitz slack."""
+    """Positive trig polynomial with a proven lower bound on its minimum.
+
+    `positivity_margin` is the Wiener bound Re c_0 - sum_{k != 0} |c_k| when
+    that is positive, and otherwise the margin of an adaptive Lipschitz
+    branch-and-bound over the torus.
+    """
 
     poly: TrigPolynomial
     positivity_margin: float
 
     def __init__(self, poly: TrigPolynomial):
         if poly.is_constant():
-            value = float(sum(c.real for c in poly.terms.values()))
-            margin = value
+            margin = float(sum(c.real for c in poly.terms.values()))
         else:
-            axes = _grid_axes(poly.dim)
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=1)
-            gmin = float(poly.evaluate_many(pts).min())
-            half_diag = 0.5 * math.sqrt(sum((1.0 / len(ax)) ** 2 for ax in axes))
-            margin = gmin - poly.lipschitz_bound() * half_diag
+            margin = _wiener_margin(poly)
+            if margin <= 0:
+                margin = _branch_and_bound_margin(poly)
         if margin <= 0:
             raise ValueError(f"roof not certified positive (margin {margin:.3g})")
         object.__setattr__(self, "poly", poly)
@@ -464,7 +516,7 @@ def solve_coboundary(
     matrix: IntegerMatrix,
     trunc: int,
     obstruction_tol: float = 1e-8,
-    obstruction_n_max: int = 6,
+    obstructions: ObstructionReport | None = None,
 ) -> CoboundarySolution:
     """Solve u o M - u = roof - c in frequency space.
 
@@ -472,11 +524,15 @@ def solve_coboundary(
     M^T carries a telescoping one-sided sum; truncation keeps frequencies
     with max-norm <= trunc. The residual is re-evaluated on an independent
     equidistributed grid, never taken from the solver's own bookkeeping.
+    `obstructions` is the caller's periodic_obstructions report for this
+    roof and matrix; without one, orbits of period <= 6 are enumerated.
     """
     poly = roof.poly
     if trunc < poly.max_abs_freq:
         raise ValueError("trunc must cover the roof's frequency support")
-    report = periodic_obstructions(roof, matrix, obstruction_n_max)
+    report = obstructions
+    if report is None:
+        report = periodic_obstructions(roof, matrix, 6)
     if report.spread > obstruction_tol:
         raise ObstructionNonzero(
             f"periodic averages spread {report.spread:.3g} exceeds {obstruction_tol:.1g}"

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from anosovlab import pcf
-from anosovlab.errors import DegenerateGradients, NoIntersection, OffLeaf
+from anosovlab.errors import (
+    DegenerateGradients, NoIntersection, OffLeaf, TruncationInsufficient,
+)
 from anosovlab.flow import SuspensionFlow
 from anosovlab.roof import RoofFunction, TrigPolynomial
 
@@ -116,6 +118,19 @@ class TestTemporalDistanceGeometric:
         quad = pcf.sample_quadrilaterals(companion3_flow, 1, seed=1)[0]
         with pytest.raises(ValueError):
             pcf.temporal_distance_geometric(companion3_flow, quad, tol=1e-12)
+
+    def test_horizon_cap_refuses(self, companion3_flow, monkeypatch):
+        flow = companion3_flow
+        assert pcf._forward_horizon(flow, 1e-6, 1.0) == 8
+        for horizon in (pcf._forward_horizon, pcf._backward_horizon):
+            with pytest.raises(TruncationInsufficient, match="horizon"):
+                horizon(flow, 0.02, 1e-300)
+        # the backward horizon here is about 145 steps: under a lower cap the
+        # route must refuse instead of returning an uncertified tail
+        quad = pcf.sample_quadrilaterals(flow, 1, seed=1)[0]
+        monkeypatch.setattr(pcf, "MAX_HORIZON", 100)
+        with pytest.raises(TruncationInsufficient):
+            pcf.temporal_distance_geometric(flow, quad)
 
 
 class TestPcfGradient:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import kahan_birkhoff
@@ -121,6 +121,70 @@ class TestRoofFunction:
         roof = RoofFunction.constant(2.5, 4)
         assert roof.positivity_margin == 2.5
         assert roof.mean() == 2.5
+
+    def test_only_fallback_certifies(self):
+        # Wiener bound 1 - 0.6 - 0.6 = -0.2, true minimum 0.325 at cos = -1/4
+        poly = (
+            TrigPolynomial.constant(1.0, 2)
+            + TrigPolynomial.cosine(0.6, (1, 0), 2)
+            + TrigPolynomial.cosine(0.6, (2, 0), 2)
+        )
+        assert roof_module._wiener_margin(poly) == pytest.approx(-0.2)
+        assert 0.0 < RoofFunction(poly).positivity_margin <= 0.325
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_high_dimensional_margin_is_wiener_bound(self, dim):
+        poly = TrigPolynomial.constant(1.0, dim) + TrigPolynomial.cosine(
+            0.1, (1,) * dim, dim
+        )
+        margin = RoofFunction(poly).positivity_margin
+        assert margin == roof_module._wiener_margin(poly)
+        assert margin == pytest.approx(0.9, abs=1e-15)
+
+
+def _dense_grid_min(poly: TrigPolynomial, n: int = 256) -> float:
+    axis = np.arange(n) / n
+    mesh = np.meshgrid(axis, axis, indexing="ij")
+    return float(poly.evaluate_many(np.stack([m.ravel() for m in mesh], axis=1)).min())
+
+
+_roof_terms = st.lists(
+    st.tuples(
+        st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 0), (1, -2)]),
+        st.floats(-0.5, 0.5),
+        st.floats(-0.5, 0.5),
+    ),
+    min_size=2,
+    max_size=4,
+    unique_by=lambda term: term[0],
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_roof_terms, st.floats(0.01, 0.3))
+@example([((1, 0), 0.05, 0.0)], 0.5)
+@example([((1, 0), 0.3, 0.0), ((2, 0), 0.3, 0.0)], 0.2)
+def test_margin_is_a_lower_bound(terms, lift):
+    # the constant sits lift * sum |c_k| above the grid minimum of the
+    # oscillating part, so both the Wiener path and the fallback occur
+    wave = TrigPolynomial.constant(0.0, 2)
+    for k, re, im in terms:
+        neg = tuple(-v for v in k)
+        wave = wave + TrigPolynomial(2, {k: complex(re, im), neg: complex(re, -im)})
+    if wave.is_constant():
+        return
+    l1 = sum(abs(c) for c in wave.terms.values())
+    poly = wave + TrigPolynomial.constant(lift * l1 - _dense_grid_min(wave), 2)
+    path = "wiener" if roof_module._wiener_margin(poly) > 0 else "fallback"
+    try:
+        margin = RoofFunction(poly).positivity_margin
+    except ValueError:
+        event(f"{path} refused")
+        return
+    event(f"{path} accepted")
+    # the grid minimum bounds the true minimum from above, up to its own
+    # float evaluation error
+    assert 0.0 < margin <= _dense_grid_min(poly) + 1e-12
 
 
 class TestPeriodicPoints:
