@@ -51,20 +51,17 @@ def certified_sum(pairs, tol: float, total=0.0):
 def affine_orbit(entries, offset, start, centred: bool = False):
     """Exact orbit of start under x -> A x + c mod 1, as tuples of floats.
 
-    A point is held as integer numerators over one common denominator D
-    (the lcm of the start's and the offset's denominators), so a step is
-    n <- (A n + D c) mod D on Python ints, with no gcd. Each point is
-    yielded as n / D, which Python rounds correctly, so every float equals
-    float() of the rational point. The start is yielded as given; later
-    points are reduced into [0, 1), or into [-1/2, 1/2) when centred.
+    The points of `intlinalg.orbit_numerators` over one common denominator
+    D (the lcm of the start's and the offset's denominators), each yielded
+    as n / D, which Python rounds correctly, so every float equals float()
+    of the rational point. The start is yielded as given; later points are
+    reduced into [0, 1), or into [-1/2, 1/2) when centred.
     """
     den = math.lcm(*(v.denominator for v in (*start, *offset)))
-    lo = den // 2 if centred else 0
     nums = [v.numerator * (den // v.denominator) for v in start]
-    shift = [v.numerator * (den // v.denominator) + lo for v in offset]
-    while True:
-        yield tuple(v / den for v in nums)
-        nums = [(v + c) % den - lo for v, c in zip(intlinalg.mat_vec(entries, nums), shift)]
+    shift = [v.numerator * (den // v.denominator) for v in offset]
+    for point in intlinalg.orbit_numerators(entries, shift, nums, den, centred):
+        yield tuple(v / den for v in point)
 
 
 def wrap_unit(v: np.ndarray) -> np.ndarray:

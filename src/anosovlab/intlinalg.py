@@ -6,6 +6,7 @@ exact regardless of entry growth under matrix powers.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -51,7 +52,23 @@ def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
 
 
 def mat_vec(a: IntMatrix, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+    return tuple(sum(map(operator.mul, row, v)) for row in a)
+
+
+def orbit_numerators(a: IntMatrix, offset, start, den: int, centred: bool = False):
+    """Exact orbit of start / den under x -> A x + offset / den mod 1.
+
+    Points are integer numerators over the fixed denominator den, so a
+    step is n <- (A n + offset) mod den, with no gcd. The start is yielded
+    as given; later points are reduced into [0, den), or into
+    [-den/2, den/2) when centred.
+    """
+    lo = den // 2 if centred else 0
+    shift = [c + lo for c in offset]
+    nums = tuple(start)
+    while True:
+        yield nums
+        nums = tuple([(v + c) % den - lo for v, c in zip(mat_vec(a, nums), shift)])
 
 
 def det(a: IntMatrix) -> int:

@@ -27,7 +27,7 @@ from .flow import (
     GRADIENT_TOL, FlowPoint, SuspensionFlow, affine_orbit, certified_sum, wrap_unit,
 )
 from .roof import RoofFunction
-from . import mpspec, util
+from . import intlinalg, mpspec, util
 
 _MEMBERSHIP_TOL = 1e-12
 
@@ -477,10 +477,8 @@ def translate_flow(flow: SuspensionFlow, v) -> tuple[SuspensionFlow, Translation
     roof(x - v), so h(x, s) = (x + v, s) intertwines the flows exactly.
     """
     vfr = tuple(Fraction(c) for c in v)
-    ent = flow.base.entries
-    d = flow.dim
-    lv = tuple(sum(ent[i][j] * vfr[j] for j in range(d)) for i in range(d))
-    translation = tuple((vfr[i] - lv[i] + flow.translation[i]) % 1 for i in range(d))
+    lv = intlinalg.mat_vec(flow.base.entries, vfr)
+    translation = tuple((a - b + c) % 1 for a, b, c in zip(vfr, lv, flow.translation))
     shifted = RoofFunction(flow.roof.poly.shift([float(c) for c in vfr]))
     pushed = SuspensionFlow(
         flow.base, shifted, translation=translation, chart_radius=flow.chart_radius

@@ -20,7 +20,7 @@ from itertools import product
 import mpmath as mp
 import numpy as np
 
-from . import mpspec, util
+from . import intlinalg, mpspec, util
 from .errors import ChartExit, ResidualBelowNoise
 from .flow import (
     GRADIENT_TOL, RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sum, wrap_unit,
@@ -267,10 +267,7 @@ def _verify_backward_approach(chart, target, q_orbit, steps: int) -> float:
         point = [mp.fmod(c, 1) for c in r]
         dist = mp.mpf(1)
         for _ in range(steps):
-            point = [
-                mp.fmod(sum(inv[i][j] * point[j] for j in range(d)), 1)
-                for i in range(d)
-            ]
+            point = [mp.fmod(c, 1) for c in intlinalg.mat_vec(inv, point)]
             dist = min(
                 min(
                     mp.sqrt(

@@ -3,13 +3,14 @@
 Roofs are real trigonometric polynomials on the d-torus. Keeping them in
 closed form gives exact gradients, exact frequency bookkeeping under the
 base map, and honest truncation control in the frequency-space coboundary
-solver. Periodic points of the base automorphism are enumerated exactly in
-rational arithmetic, so orbit averages of the roof (the periodic
-obstructions) carry no enumeration error.
+solver. Periodic points of the base automorphism are enumerated exactly, as
+integer numerators over one denominator, so orbit averages of the roof
+(the periodic obstructions) carry no enumeration error.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -237,9 +238,13 @@ def _branch_and_bound_margin(poly: TrigPolynomial) -> float:
 
     Cubes of half-width h get the leaf bound p(centre) - L h sqrt(d) - err,
     with L bounding |grad p| and err the float error of one evaluation;
-    only cubes whose bound is <= 0 are split, into 2^d halves. Raises
-    ValueError when a centre is <= 0 or BNB_MAX_CELLS is reached.
+    only cubes whose bound is <= 0 are split, into 2^d halves. The search
+    runs over the axes some frequency uses, as p is constant along the
+    others. Raises ValueError when a centre is <= 0 or BNB_MAX_CELLS is
+    reached.
     """
+    axes = [i for i in range(poly.dim) if any(k[i] for k in poly.terms)]
+    poly = TrigPolynomial(len(axes), {tuple(k[i] for i in axes): c for k, c in poly.terms.items()})
     dim = poly.dim
     lip = poly.lipschitz_bound()
     l1 = sum(abs(c) for c in poly.terms.values())
@@ -325,13 +330,14 @@ class PeriodicOrbitRecord:
         return min(self.base_points)
 
 
-def _mod1(fr: Fraction) -> Fraction:
-    return fr - (fr.numerator // fr.denominator)
+# Largest enumeration of periodic points one call may make: 2^20 points
+# take about 35 s, and a hyperbolic count grows exponentially in the period.
+MAX_PERIODIC_POINTS = 1 << 20
 
 
-def _apply_mod1(matrix: IntegerMatrix, point: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    image = intlinalg.mat_vec(matrix.entries, point)
-    return tuple(_mod1(Fraction(v)) for v in image)
+def _fix_matrix(matrix: IntegerMatrix, n: int) -> intlinalg.IntMatrix:
+    """M^n - I; |det| of it counts the points with M^n x = x on the torus."""
+    return intlinalg.mat_sub(matrix.power(n), intlinalg.identity(matrix.dim))
 
 
 def periodic_points(
@@ -340,35 +346,32 @@ def periodic_points(
     """All orbits through points with M^n x = x on the torus.
 
     Solves (M^n - I) x in Z^d by unimodular diagonalization, so the points
-    are exact rationals and their count is |det(M^n - I)|. Orbits are
-    sorted by (period, representative); when a roof is supplied each record
-    carries the orbit's flow period (Birkhoff sum of the roof).
+    are exact rationals (integer numerators over the lcm of the diagonal)
+    and their count is |det(M^n - I)|, refused past MAX_PERIODIC_POINTS.
+    Orbits start at their representative and are sorted by (period,
+    representative); when a roof is supplied each record carries the
+    orbit's flow period (Birkhoff sum of the roof).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    dmat = intlinalg.mat_sub(matrix.power(n), intlinalg.identity(matrix.dim))
+    dmat = _fix_matrix(matrix, n)
     count = abs(intlinalg.det(dmat))
     if count == 0:
         raise NonHyperbolicPeriod(f"det(M^{n} - I) = 0")
+    if count > MAX_PERIODIC_POINTS:
+        raise ValueError(
+            f"period {n} has {count} periodic points, more than "
+            f"MAX_PERIODIC_POINTS = {MAX_PERIODIC_POINTS}"
+        )
     _, s, v = intlinalg.unimodular_diagonalize(dmat)
     diag = [s[i][i] for i in range(matrix.dim)]
-
-    points = set()
-    idx = [0] * matrix.dim
-    while True:
-        w = [Fraction(idx[i], diag[i]) for i in range(matrix.dim)]
-        x = tuple(
-            _mod1(sum(Fraction(v[i][j]) * w[j] for j in range(matrix.dim)))
-            for i in range(matrix.dim)
-        )
-        points.add(x)
-        for pos in range(matrix.dim):
-            idx[pos] += 1
-            if idx[pos] < diag[pos]:
-                break
-            idx[pos] = 0
-        else:
-            break
+    den = math.lcm(*diag)
+    # x = V w with w_j in (1/s_j) Z / Z, as numerators over den
+    scaled = tuple(tuple(row[j] * (den // diag[j]) for j in range(matrix.dim)) for row in v)
+    points = {
+        tuple(c % den for c in intlinalg.mat_vec(scaled, w))
+        for w in itertools.product(*(range(s_j) for s_j in diag))
+    }
     if len(points) != count:
         raise ArithmeticError(
             f"enumerated {len(points)} points but |det(M^n - I)| = {count}"
@@ -379,23 +382,19 @@ def periodic_points(
     for start in sorted(points):
         if start in visited:
             continue
-        cycle = [start]
-        nxt = _apply_mod1(matrix, start)
-        while nxt != start:
-            cycle.append(nxt)
-            nxt = _apply_mod1(matrix, nxt)
+        walk = intlinalg.orbit_numerators(matrix.entries, (0,) * matrix.dim, start, den)
+        cycle = [next(walk)]
+        cycle.extend(itertools.takewhile(lambda p: p != start, walk))
         visited.update(cycle)
         flow = None
         if roof is not None:
-            flow = float(sum(roof(p) for p in cycle))
+            flow = float(sum(roof(tuple(c / den for c in p)) for p in cycle))
             if flow <= 0:
                 raise ArithmeticError("flow period must be positive")
-        orbits.append(
-            PeriodicOrbitRecord(
-                base_points=tuple(cycle), period_n=len(cycle), flow_period=flow
-            )
-        )
-    orbits.sort(key=lambda o: (o.period_n, o.representative()))
+        base = tuple(tuple(Fraction(c, den) for c in p) for p in cycle)
+        orbits.append(PeriodicOrbitRecord(base_points=base, period_n=len(cycle), flow_period=flow))
+    # found in order of representative; the stable sort keeps it per period
+    orbits.sort(key=lambda o: o.period_n)
     return orbits
 
 
@@ -403,16 +402,19 @@ def birkhoff_sum(roof: RoofFunction, matrix: IntegerMatrix, x, n: int) -> float:
     """sum_{k<n} roof(M^k x), evaluated along the exact or float orbit."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    exact = all(isinstance(v, Fraction) for v in x)
     total = 0.0
+    if all(isinstance(v, Fraction) for v in x):
+        den = math.lcm(*(v.denominator for v in x))
+        start = [v.numerator * (den // v.denominator) for v in x]
+        orbit = intlinalg.orbit_numerators(matrix.entries, (0,) * len(start), start, den)
+        for point in itertools.islice(orbit, n):
+            total += roof(tuple(c / den for c in point))
+        return total
     point = tuple(x)
     for _ in range(n):
         total += roof(point)
-        if exact:
-            point = _apply_mod1(matrix, point)
-        else:
-            arr = np.asarray([float(v) for v in point])
-            point = tuple((np.array(matrix.entries, dtype=float) @ arr) % 1.0)
+        arr = np.asarray([float(v) for v in point])
+        point = tuple((np.array(matrix.entries, dtype=float) @ arr) % 1.0)
     return total
 
 
@@ -437,13 +439,17 @@ def periodic_obstructions(
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    seen: dict[tuple, PeriodicOrbitRecord] = {}
-    for n in range(1, n_max + 1):
-        for rec in periodic_points(matrix, n, roof=roof):
-            key = rec.representative()
-            if key not in seen:
-                seen[key] = rec
-    orbits = sorted(seen.values(), key=lambda o: (o.period_n, o.representative()))
+    levels = range(1, n_max + 1)
+    totals = itertools.accumulate(abs(intlinalg.det(_fix_matrix(matrix, n))) for n in levels)
+    if any(total > MAX_PERIODIC_POINTS for total in totals):
+        raise ValueError(
+            f"periods <= {n_max} have more than MAX_PERIODIC_POINTS = {MAX_PERIODIC_POINTS} points"
+        )
+    # an orbit of period m was already kept at level m, so level n keeps
+    # only period n; the list stays sorted by (period, representative)
+    orbits = [
+        rec for n in levels for rec in periodic_points(matrix, n, roof=roof) if rec.period_n == n
+    ]
     averages = tuple(o.flow_period / o.period_n for o in orbits)
     spread = float(max(averages) - min(averages)) if averages else 0.0
     return ObstructionReport(orbits=tuple(orbits), averages=averages, spread=spread)

@@ -1,5 +1,6 @@
 import json
 import hashlib
+import time
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,19 @@ class TestCliExitCodes:
         with pytest.raises(ExperimentFailed, match="tail bound") as info:
             run_experiment(cfg, tmp_path / "out")
         assert isinstance(info.value.__cause__, TruncationInsufficient)
+
+    def test_unbounded_periodic_enumeration_exit_two(self, tmp_path):
+        # n_max 30 on the cat map asks for about 3.46e12 periodic points
+        bad = tmp_path / "huge.json"
+        payload = json.loads((CONFIGS / "livshits_obstructed.json").read_text())
+        payload["params"]["n_max"] = 30
+        bad.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        result = run_cli([
+            "livshits", "--config", str(bad), "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2
+        assert time.perf_counter() - start < 1.0
 
     def test_missing_config_exit_two(self, tmp_path):
         result = run_cli([

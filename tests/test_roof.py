@@ -122,12 +122,15 @@ class TestRoofFunction:
         assert roof.positivity_margin == 2.5
         assert roof.mean() == 2.5
 
-    def test_only_fallback_certifies(self):
-        # Wiener bound 1 - 0.6 - 0.6 = -0.2, true minimum 0.325 at cos = -1/4
+    @pytest.mark.parametrize("dim", [2, 1, 3, 4])
+    def test_only_fallback_certifies(self, dim):
+        # Wiener bound 1 - 0.6 - 0.6 = -0.2, true minimum 0.325 at cos = -1/4;
+        # the roof depends on x1 alone, so every dimension searches one axis
+        e1 = (1,) + (0,) * (dim - 1)
         poly = (
-            TrigPolynomial.constant(1.0, 2)
-            + TrigPolynomial.cosine(0.6, (1, 0), 2)
-            + TrigPolynomial.cosine(0.6, (2, 0), 2)
+            TrigPolynomial.constant(1.0, dim)
+            + TrigPolynomial.cosine(0.6, e1, dim)
+            + TrigPolynomial.cosine(0.6, tuple(2 * v for v in e1), dim)
         )
         assert roof_module._wiener_margin(poly) == pytest.approx(-0.2)
         assert 0.0 < RoofFunction(poly).positivity_margin <= 0.325
@@ -187,6 +190,13 @@ def test_margin_is_a_lower_bound(terms, lift):
     assert 0.0 < margin <= _dense_grid_min(poly) + 1e-12
 
 
+@pytest.fixture
+def non_chain():
+    # x^3 - 3x^2 - 2x - 1: at n = 4 the diagonal [1, 3, 65] of M^4 - I is
+    # no divisibility chain, so its 195 points need the lcm 195, not 65
+    return IntegerMatrix.companion([-1, -2, -3, 1])
+
+
 class TestPeriodicPoints:
     def test_cat_map_fixed_point(self, cat_map):
         orbits = periodic_points(cat_map, 1)
@@ -208,15 +218,33 @@ class TestPeriodicPoints:
                 count = sum(o.period_n for o in periodic_points(matrix, n))
                 assert count == oracle
 
-    def test_orbits_cycle_exactly(self, cat_map):
-        for orbit in periodic_points(cat_map, 4):
+    @pytest.mark.parametrize(
+        "name,n",
+        [("cat_map", 4), ("companion3", 4), ("quartic_real", 3), ("non_chain", 4)],
+    )
+    def test_orbits_cycle_exactly(self, request, name, n):
+        # quartic_real at n = 3: 61 points, diagonal [1, 1, 1, 61]
+        matrix = request.getfixturevalue(name)
+        orbits = periodic_points(matrix, n)
+        d = matrix.dim
+        for orbit in orbits:
             pts = orbit.base_points
+            assert pts[0] == orbit.representative()
             for i, p in enumerate(pts):
                 image = tuple(
-                    (sum(Fraction(cat_map.entries[r][c]) * p[c] for c in range(2))) % 1
-                    for r in range(2)
+                    (sum(Fraction(matrix.entries[r][c]) * p[c] for c in range(d))) % 1
+                    for r in range(d)
                 )
                 assert image == pts[(i + 1) % len(pts)]
+        keys = [(o.period_n, o.representative()) for o in orbits]
+        assert keys == sorted(keys)
+
+    def test_unbounded_enumeration_refused(self, cat_map):
+        # |det(M^30 - I)| = 3.46e12 points
+        with pytest.raises(ValueError, match="MAX_PERIODIC_POINTS"):
+            periodic_points(cat_map, 30)
+        with pytest.raises(ValueError, match="MAX_PERIODIC_POINTS"):
+            periodic_obstructions(RoofFunction.constant(1.0, 2), cat_map, 30)
 
     def test_root_of_unity_raises(self):
         rot = IntegerMatrix([[0, -1], [1, 0]])
