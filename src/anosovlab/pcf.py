@@ -16,6 +16,7 @@ Their agreement is the package's central dual oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +25,8 @@ from scipy.optimize import brentq
 
 from .errors import DegenerateGradients, NoIntersection, OffLeaf, TruncationInsufficient
 from .flow import (
-    GRADIENT_TOL, FlowPoint, SuspensionFlow, affine_orbit, certified_sum, wrap_unit,
+    GRADIENT_TOL, FlowPoint, SuspensionFlow, affine_orbit, certified_sum, segments,
+    wrap_unit,
 )
 from .roof import RoofFunction
 from . import intlinalg, mpspec, util
@@ -337,12 +339,17 @@ def pcf_gradient(
     # applied to the unstable frame only, where it grows like xi_max^n and
     # the paired gradient difference shrinks like lambda^n
     def forward(delta, weight):
-        for point in flow.exact_orbit(z0):
-            term = weight.T @ poly.gradient_diff(point, delta)
-            delta = flow.proj_s @ (lin @ delta)
-            weight = lin @ weight
-            bound = hess * np.linalg.norm(delta) * np.linalg.norm(weight, 2)
-            yield term, bound * q_fwd / (1.0 - q_fwd)
+        for points in segments(flow.exact_orbit(z0)):
+            deltas, weights, bounds = [], [], []
+            for _ in points:
+                deltas.append(delta)
+                weights.append(weight)
+                delta = flow.proj_s @ (lin @ delta)
+                weight = lin @ weight
+                bounds.append(hess * math.sqrt(delta @ delta) * np.linalg.norm(weight, 2))
+            grads = poly.gradient_diff_rows(points, deltas)
+            for start, grad, bound in zip(weights, grads, bounds):
+                yield start.T @ grad, bound * q_fwd / (1.0 - q_fwd)
 
     # backward side: points F^-n(z), gaps L^-n w mod 1 (exact, wrapped); the
     # restricted weights L^-n U contract and bound the unpaired gradients,
@@ -351,11 +358,15 @@ def pcf_gradient(
         gaps = affine_orbit(flow.inv_entries, (0,) * flow.dim,
                             [Fraction(v) for v in w], centred=True)
         next(gaps)
-        for point, gap in zip(flow.exact_orbit(z0, backward=True), gaps):
-            term = weight.T @ poly.gradient_diff(point, gap)
-            weight = flow.proj_u @ (lin_inv @ weight)
-            bound = 2.0 * lip * np.linalg.norm(weight, 2)
-            yield term, bound * q_bwd / (1.0 - q_bwd)
+        for block in segments(zip(flow.exact_orbit(z0, backward=True), gaps)):
+            weights, bounds = [], []
+            for _ in block:
+                weights.append(weight)
+                weight = flow.proj_u @ (lin_inv @ weight)
+                bounds.append(2.0 * lip * np.linalg.norm(weight, 2))
+            grads = poly.gradient_diff_rows(*zip(*block))
+            for start, grad, bound in zip(weights, grads, bounds):
+                yield start.T @ grad, bound * q_bwd / (1.0 - q_bwd)
 
     total = certified_sum(forward(flow.proj_s @ w, u_frame), GRADIENT_TOL)
     return certified_sum(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 import mpmath as mp
 import numpy as np
@@ -23,7 +23,8 @@ import numpy as np
 from . import intlinalg, mpspec, util
 from .errors import ChartExit, ResidualBelowNoise
 from .flow import (
-    GRADIENT_TOL, RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sum, wrap_unit,
+    GRADIENT_TOL, RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sum, segments,
+    wrap_unit,
 )
 from .roof import PeriodicOrbitRecord, periodic_points
 from .spectral import InvariantSubspaceCatalog
@@ -105,10 +106,16 @@ class SectionChart:
         lam_abs = abs(self.lam)
 
         def pairs(delta):
-            for point in flow.exact_orbit(z):
-                term = poly.eval_diff(point, delta) - poly.eval_diff(origin, delta)
-                delta = flow.proj_s @ (flow.lin @ delta)
-                yield term, 2.0 * lip * np.linalg.norm(delta) / (1.0 - lam_abs)
+            for points in segments(flow.exact_orbit(z)):
+                deltas, gaps = [], []
+                for _ in points:
+                    deltas.append(delta)
+                    delta = flow.proj_s @ (flow.lin @ delta)
+                    gaps.append(math.sqrt(delta @ delta))
+                moved = poly.eval_diff_rows(points, deltas)
+                fixed = poly.eval_diff_rows([origin] * len(points), deltas)
+                for term, base, gap in zip(moved, fixed, gaps):
+                    yield term - base, 2.0 * lip * gap / (1.0 - lam_abs)
 
         w_fr = self.stable_fraction_vector(y)
         return certified_sum(pairs(np.array([float(c) for c in w_fr])), VALUE_TOL)
@@ -127,12 +134,18 @@ class SectionChart:
             raise ValueError("stable-graph gradient needs bunching lambda*xi_max < 1")
 
         def pairs(delta, weight):
-            while True:
-                term = weight.T @ poly.gradient_diff(origin, delta)
-                delta = flow.proj_s @ (flow.lin @ delta)
-                weight = flow.lin @ weight
-                bound = hess * np.linalg.norm(delta) * np.linalg.norm(weight, 2)
-                yield term, bound * q / (1.0 - q)
+            # the origin is fixed, so its orbit repeats it
+            for points in segments(repeat(origin)):
+                deltas, weights, bounds = [], [], []
+                for _ in points:
+                    deltas.append(delta)
+                    weights.append(weight)
+                    delta = flow.proj_s @ (flow.lin @ delta)
+                    weight = flow.lin @ weight
+                    bounds.append(hess * math.sqrt(delta @ delta) * np.linalg.norm(weight, 2))
+                grads = poly.gradient_diff_rows(points, deltas)
+                for start, grad, bound in zip(weights, grads, bounds):
+                    yield start.T @ grad, bound * q / (1.0 - q)
 
         w_fr = self.stable_fraction_vector(y)
         delta = np.array([float(c) for c in w_fr])
@@ -153,10 +166,15 @@ class SectionChart:
         q = 1.0 / min(m for m in mods if m > 1.0)
 
         def pairs(weight):
-            for point in flow.exact_orbit(r, backward=True):
-                term = weight.T @ (grad_origin - poly.gradient(point))
-                weight = flow.proj_u @ (flow.lin_inv @ weight)
-                yield term, 2.0 * lip * np.linalg.norm(weight, 2) * q / (1.0 - q)
+            for points in segments(flow.exact_orbit(r, backward=True)):
+                weights, bounds = [], []
+                for _ in points:
+                    weights.append(weight)
+                    weight = flow.proj_u @ (flow.lin_inv @ weight)
+                    bounds.append(2.0 * lip * np.linalg.norm(weight, 2) * q / (1.0 - q))
+                grads = poly.gradient_rows(points)
+                for start, grad, bound in zip(weights, grads, bounds):
+                    yield start.T @ (grad_origin - grad), bound
 
         return certified_sum(pairs(flow.proj_u @ (flow.lin_inv @ self.u_frame)), GRADIENT_TOL)
 

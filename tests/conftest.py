@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anosovlab import flow as flow_module
 from anosovlab.flow import SuspensionFlow
 from anosovlab.roof import RoofFunction, TrigPolynomial
 from anosovlab.spectral import IntegerMatrix
@@ -28,6 +29,43 @@ def cos_roof(dim: int, amplitude: float = 0.1) -> RoofFunction:
         TrigPolynomial.constant(1.0, dim)
         + TrigPolynomial.cosine(amplitude, (1,) + (0,) * (dim - 1), dim)
     )
+
+
+def seven_term_roof() -> RoofFunction:
+    # three frequency pairs off the axes: the case where one gemm over a
+    # segment does not reproduce the per-point dot products
+    poly = TrigPolynomial.constant(1.0, 3)
+    for amplitude, k in ((0.02, (1, 1, 0)), (0.03, (0, 2, 1)), (0.01, (1, -1, 1))):
+        poly = poly + TrigPolynomial.cosine(amplitude, k, 3)
+    return RoofFunction(poly)
+
+
+@pytest.fixture(scope="session", params=["bundled", "seven_term"])
+def segment_flow(request, companion3):
+    """companion3 under the bundled pcf roof or a 7-term roof."""
+    if request.param == "bundled":
+        return SuspensionFlow(companion3, cos_roof(3, amplitude=0.05))
+    return SuspensionFlow(companion3, seven_term_roof())
+
+
+@pytest.fixture
+def per_point_series(monkeypatch):
+    """Run a computation with every roof series walked one point at a time.
+
+    SEGMENT is 1 and each row method of TrigPolynomial is a loop over its
+    per-point method: the series as they were before segment batching.
+    """
+    def run(compute):
+        with monkeypatch.context() as patch:
+            patch.setattr(flow_module, "SEGMENT", 1)
+            for point in ("evaluate", "gradient", "eval_diff", "gradient_diff"):
+                method = getattr(TrigPolynomial, point)
+                patch.setattr(TrigPolynomial, f"{point}_rows", lambda self, *arrays, f=method: [
+                    f(self, *row) for row in zip(*arrays)
+                ])
+            return compute()
+
+    return run
 
 
 @pytest.fixture(scope="session")

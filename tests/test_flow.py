@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from oracles import distance_mp, evolve_mp
 
+from anosovlab import flow as flow_module
 from anosovlab import mpspec, pcf
-from anosovlab.errors import OffLeaf
+from anosovlab.errors import OffLeaf, TruncationInsufficient
 from anosovlab.flow import SuspensionFlow, affine_orbit, wrap_unit
 from anosovlab.roof import RoofFunction, birkhoff_sum
 
@@ -208,6 +209,56 @@ class TestExactOrbits:
         x = (0.37, 0.91)
         direct = birkhoff_sum(cat_flow.roof, cat_map, x, 10)
         assert cat_flow.birkhoff_exact(x, 10) == pytest.approx(direct, abs=1e-11)
+
+
+# segment sizes of the batched series: one point, a small size that ends
+# most series mid-segment, and the default
+SEGMENTS = [1, 7, flow_module.SEGMENT]
+
+
+class TestSegments:
+    """Each batched series equals its one-point-at-a-time walk, bit for bit."""
+
+    @pytest.mark.parametrize("segment", SEGMENTS)
+    def test_time_adjustment(self, segment_flow, per_point_series, monkeypatch, segment):
+        quads = pcf.sample_quadrilaterals(segment_flow, 3, seed=17)
+
+        def adjustments():
+            out = []
+            for q in quads:
+                a = q.a.base()
+                out.append(segment_flow.time_adjustment(a, a + q.s_disp, "stable"))
+                out.append(segment_flow.time_adjustment(a, a + q.u_disp, "unstable"))
+            return out
+
+        expected = per_point_series(adjustments)
+        monkeypatch.setattr(flow_module, "SEGMENT", segment)
+        assert adjustments() == expected
+
+    @pytest.mark.parametrize("segment", SEGMENTS)
+    def test_birkhoff_exact(self, segment_flow, per_point_series, monkeypatch, segment):
+        x = (0.37, 0.91, 0.18)
+
+        def sums():
+            return [segment_flow.birkhoff_exact(x, n, backward=backward)
+                    for n in (1, 45, 77) for backward in (False, True)]
+
+        expected = per_point_series(sums)
+        monkeypatch.setattr(flow_module, "SEGMENT", segment)
+        assert sums() == expected
+
+    @pytest.mark.parametrize("direction", ["stable", "unstable"])
+    def test_cap_across_segment_boundary(self, companion3_flow, monkeypatch, direction):
+        # one term past the first segment: the cap counts terms, not segments
+        x = np.array([0.21, 0.47, 0.83])
+        frame = companion3_flow.stable_frame() if direction == "stable" else (
+            companion3_flow.unstable_frame())
+        y = x + frame @ np.full(frame.shape[1], 0.02)
+        assert np.isfinite(companion3_flow.time_adjustment(x, y, direction))
+        cap = flow_module.SEGMENT + 1
+        monkeypatch.setattr(flow_module, "MAX_TERMS", cap)
+        with pytest.raises(TruncationInsufficient, match=f"within {cap} terms"):
+            companion3_flow.time_adjustment(x, y, direction)
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from anosovlab import flow as flow_module
 from anosovlab import pcf
 from anosovlab.errors import (
     DegenerateGradients, NoIntersection, OffLeaf, TruncationInsufficient,
@@ -177,6 +178,20 @@ class TestPcfGradient:
             if np.linalg.norm(pcf.pcf_gradient(flow, a, w, u)) > 1e-4:
                 return
         pytest.fail("no nonzero gradient within 20 draws")
+
+    @pytest.mark.parametrize("segment", [1, 7, flow_module.SEGMENT])
+    def test_segments_bit_identical(self, segment_flow, per_point_series, monkeypatch, segment):
+        # both sides of the two-sided sum, batched, against the
+        # one-point-at-a-time walk
+        quads = pcf.sample_quadrilaterals(segment_flow, 3, seed=23)
+
+        def gradients():
+            return [pcf.pcf_gradient(segment_flow, q.a, q.s_disp, q.u_disp).tolist()
+                    for q in quads]
+
+        expected = per_point_series(gradients)
+        monkeypatch.setattr(flow_module, "SEGMENT", segment)
+        assert gradients() == expected
 
     def test_cat_map_rejected(self, cat_flow):
         a = cat_flow.make_point([0.3, 0.5], 0.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from anosovlab import flow as flow_module
 from anosovlab import perturb
 from anosovlab.errors import ChartExit, ResidualBelowNoise
 from anosovlab.flow import SuspensionFlow
@@ -81,6 +82,25 @@ class TestSectionChart:
             e[j] = h
             fd = (chart.t_series(e, y) - chart.t_series(-e, y)) / (2 * h)
             assert fd == pytest.approx(grad[j], abs=1e-7)
+
+    @pytest.mark.parametrize("segment", [1, 7, flow_module.SEGMENT])
+    def test_segments_bit_identical(self, segment_flow, per_point_series, monkeypatch, segment):
+        # the three leaf-graph series, batched, against the
+        # one-point-at-a-time walk
+        chart = perturb.SectionChart(segment_flow)
+        points = [(np.array([0.04, -0.03]), 0.21), (np.array([-0.11, 0.07]), -0.33)]
+
+        def series():
+            out = []
+            for x, y in points:
+                out.append(chart.t_series(x, y))
+                out.append(chart.t_gradient_at_zero(y).tolist())
+                out.append(chart.unstable_slope(y).tolist())
+            return out
+
+        expected = per_point_series(series)
+        monkeypatch.setattr(flow_module, "SEGMENT", segment)
+        assert series() == expected
 
     def test_section_roof_constant_on_axes(self, cos_chart):
         # the bent section makes the return time constant on both local

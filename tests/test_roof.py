@@ -6,6 +6,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import seven_term_roof
 from oracles import kahan_birkhoff
 
 from anosovlab import roof as roof_module
@@ -68,6 +69,28 @@ class TestTrigPolynomial:
         delta = np.array([1e-3, -2e-3])
         direct = p.evaluate(x + delta) - p.evaluate(x)
         assert p.eval_diff(x, delta) == pytest.approx(direct, abs=1e-14)
+
+    @pytest.mark.parametrize("poly", [
+        TrigPolynomial.constant(1.0, 3) + TrigPolynomial.cosine(0.05, (1, 0, 0), 3),
+        seven_term_roof().poly,
+        # frequencies 3, 5 and 7: their products with a point round, so one
+        # gemm over the rows would not reproduce the per-point phases either
+        TrigPolynomial.constant(1.0, 3) + TrigPolynomial.cosine(0.02, (3, 1, 0), 3)
+        + TrigPolynomial.sine(0.03, (0, 5, -3), 3) + TrigPolynomial.cosine(0.01, (7, -1, 2), 3),
+    ], ids=["bundled", "seven_term", "odd_frequencies"])
+    def test_row_methods_equal_per_point_methods(self, poly):
+        rng = np.random.default_rng(5)
+        points = rng.random((300, 3))
+        # stable gaps from 1e-16 to 1e-1, the range a leaf series walks
+        deltas = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-16, -1, (300, 1))
+        assert poly.evaluate_rows(points) == [poly.evaluate(x) for x in points]
+        assert poly.eval_diff_rows(points, deltas) == [
+            poly.eval_diff(x, d) for x, d in zip(points, deltas)
+        ]
+        assert np.array_equal(poly.gradient_rows(points),
+                              [poly.gradient(x) for x in points])
+        assert np.array_equal(poly.gradient_diff_rows(points, deltas),
+                              [poly.gradient_diff(x, d) for x, d in zip(points, deltas)])
 
     def test_compose_matrix_pushes_frequencies(self, cat_map):
         p = TrigPolynomial.cosine(1.0, (1, 0), 2)
