@@ -25,12 +25,12 @@ _LEAF_TOL = 1e-10        # transverse-component tolerance before OffLeaf
 
 # Tail thresholds of the certified series (absolute bound on what is left
 # out of the returned sum), the term cap they all share, and the length of
-# the orbit segments the roof series evaluate in one batch.
+# the orbit segments that are walked and evaluated in one batch.
 VALUE_TOL = 1e-14      # leaf adjustments and graph times: ~50 ulps of an O(1) fiber time
 GRADIENT_TOL = 1e-15   # gradient series: a decade lower, as they feed 1e-9 rank cutoffs and Newton
 RETURN_TOL = 1e-13     # bump return series: a decade under the 1e-12 noise floor of the kappa fit
 MAX_TERMS = 5000       # the bundled configs need at most ~260 terms
-SEGMENT = 32           # points per batched roof evaluation: amortizes numpy calls; overshoot < 32
+SEGMENT = 32           # points per orbit matmul and roof evaluation: amortizes numpy calls; overshoot < 32
 
 
 def certified_sum(pairs, tol: float, total=0.0):
@@ -50,27 +50,36 @@ def certified_sum(pairs, tol: float, total=0.0):
     )
 
 
-def segments(items):
-    """Consecutive runs of up to SEGMENT items, as lists, left to right."""
-    items = iter(items)
-    while block := list(islice(items, SEGMENT)):
-        yield block
+def affine_orbit(entries, offset, start, centred: bool = False, skip: int = 0):
+    """Exact orbit of start under x -> A x + c mod 1, SEGMENT points at a time.
 
-
-def affine_orbit(entries, offset, start, centred: bool = False):
-    """Exact orbit of start under x -> A x + c mod 1, as tuples of floats.
-
-    The points of `intlinalg.orbit_numerators` over one common denominator
-    D (the lcm of the start's and the offset's denominators), each yielded
-    as n / D, which Python rounds correctly, so every float equals float()
-    of the rational point. The start is yielded as given; later points are
-    reduced into [0, 1), or into [-1/2, 1/2) when centred.
+    The points of `intlinalg.orbit_segments` over one common denominator
+    D (the lcm of the start's and the offset's denominators), yielded as
+    (SEGMENT, d) float arrays of n / D, so every float equals float() of
+    the rational point. For D = 2^k that is the uint64 numerator cast to
+    float (correctly rounded) times 2^-k (exact). The start is yielded as
+    given; later points are reduced into [0, 1), or into [-1/2, 1/2) when
+    centred. The first `skip` points are left out.
     """
     den = math.lcm(*(v.denominator for v in (*start, *offset)))
     nums = [v.numerator * (den // v.denominator) for v in start]
     shift = [v.numerator * (den // v.denominator) for v in offset]
-    for point in intlinalg.orbit_numerators(entries, shift, nums, den, centred):
-        yield tuple(v / den for v in point)
+    if skip:
+        walk = intlinalg.orbit_numerators(entries, shift, nums, den, centred)
+        nums = next(islice(walk, skip, None))
+    scale = 2.0 ** (1 - den.bit_length())
+
+    def as_floats(block):
+        if block.dtype == object:
+            return (block / den).astype(float)
+        return block.astype(float) * scale
+
+    blocks = intlinalg.orbit_segments(entries, shift, nums, den, SEGMENT, centred)
+    points = as_floats(next(blocks))
+    points[0] = [v / den for v in nums]   # the start as given, not reduced
+    yield points
+    for block in blocks:
+        yield as_floats(block)
 
 
 def wrap_unit(v: np.ndarray) -> np.ndarray:
@@ -181,10 +190,11 @@ class SuspensionFlow:
 
         Forward: start, F start, F^2 start, ... Backward: F^-1 start,
         F^-2 start, ... (the start left out, as in every backward series).
+        Yields (SEGMENT, d) arrays, one orbit segment each.
         """
         if not backward:
             return affine_orbit(self.base.entries, self.translation, start)
-        return islice(affine_orbit(self.inv_entries, self._inv_translation, start), 1, None)
+        return affine_orbit(self.inv_entries, self._inv_translation, start, skip=1)
 
     def birkhoff_exact(self, x, n: int, backward: bool = False) -> float:
         """Roof Birkhoff sum along the exact rational orbit of x.
@@ -193,10 +203,12 @@ class SuspensionFlow:
         roof(F^-k x).
         """
         total = 0.0
-        orbit = islice(self.exact_orbit(self.rationalize(x), backward), n)
-        for points in segments(orbit):
-            for value in self.roof.poly.evaluate_rows(points):
+        for points in self.exact_orbit(self.rationalize(x), backward):
+            if n <= 0:
+                break
+            for value in self.roof.poly.evaluate_rows(points[:n]):
                 total += value
+            n -= len(points)
         return total
 
     def split_displacement(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +323,7 @@ class SuspensionFlow:
         orbit = self.exact_orbit(self.rationalize(xa), backward=direction == "unstable")
 
         def pairs(delta):
-            for points in segments(orbit):
+            for points in orbit:
                 deltas, gaps = [], []
                 for _ in points:
                     deltas.append(delta)

@@ -1,13 +1,18 @@
 """Exact integer matrix arithmetic: determinants, powers, lattice diagonalization.
 
-Everything here works on tuples of tuples of Python ints, so results are
-exact regardless of entry growth under matrix powers.
+Matrices are tuples of tuples of Python ints, so results are exact
+regardless of entry growth under matrix powers. The one numpy routine,
+`orbit_segments`, stays exact too: it runs on uint64 only where its
+modulus divides 2^64, and on arrays of Python ints otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
+
+import numpy as np
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -69,6 +74,61 @@ def orbit_numerators(a: IntMatrix, offset, start, den: int, centred: bool = Fals
     while True:
         yield nums
         nums = tuple([(v + c) % den - lo for v, c in zip(mat_vec(a, nums), shift)])
+
+
+@functools.lru_cache(maxsize=None)
+def _segment_stack(a: IntMatrix, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """[A^j | sum_{i<j} A^i] for j = 0..length, stacked into one array.
+
+    Row block j maps [n; offset] to the j-th orbit point of n before
+    reduction. Returned with Python-int entries (object) and with their
+    residues mod 2^64 (uint64), both read-only as every caller shares them.
+    """
+    n = len(a)
+    power, partial = identity(n), tuple((0,) * n for _ in range(n))
+    rows = []
+    for _ in range(length + 1):
+        rows.extend(p + s for p, s in zip(power, partial))
+        partial = tuple(tuple(map(operator.add, s, p)) for s, p in zip(partial, power))
+        power = mat_mul(a, power)
+    exact = np.array(rows, dtype=object)
+    wrapped = np.array([[v % 2**64 for v in row] for row in rows], dtype=np.uint64)
+    exact.flags.writeable = wrapped.flags.writeable = False
+    return exact, wrapped
+
+
+def orbit_segments(a: IntMatrix, offset, start, den: int, length: int, centred: bool = False):
+    """The orbit of `orbit_numerators`, `length` points at a time.
+
+    Yields (length, d) arrays of numerators, every row reduced as the later
+    points of `orbit_numerators` are (so row 0 is the start reduced). Each
+    segment is one matmul of the stacked `_segment_stack` with [n; offset],
+    whose last row starts the next segment. When den divides 2^64 the
+    matmul runs on uint64: wrap-around mod 2^64 is exact mod den, and the
+    rows come back as uint64, or int64 when centred. Any other den runs
+    the same matmul on Python ints, in an object array.
+    """
+    exact, wrapped = _segment_stack(a, length)
+    d = len(a)
+    if den & (den - 1) or den > 2**64:
+        lo = den // 2 if centred else 0
+        vec = np.array([*start, *offset], dtype=object)
+        while True:
+            block = ((exact @ vec + lo) % den - lo).reshape(length + 1, d)
+            vec[:d] = block[length]
+            yield block[:length]
+    mask = np.uint64(den - 1)
+    vec = np.array([v % 2**64 for v in (*start, *offset)], dtype=np.uint64)
+    while True:
+        block = (wrapped @ vec).reshape(length + 1, d) & mask
+        vec[:d] = block[length]
+        if not centred:
+            yield block[:length]
+        elif den == 2**64:
+            yield block[:length].view(np.int64)
+        else:
+            half = den // 2
+            yield ((block[:length] + np.uint64(half)) & mask).astype(np.int64) - half
 
 
 def det(a: IntMatrix) -> int:

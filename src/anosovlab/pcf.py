@@ -25,8 +25,7 @@ from scipy.optimize import brentq
 
 from .errors import DegenerateGradients, NoIntersection, OffLeaf, TruncationInsufficient
 from .flow import (
-    GRADIENT_TOL, FlowPoint, SuspensionFlow, affine_orbit, certified_sum, segments,
-    wrap_unit,
+    GRADIENT_TOL, FlowPoint, SuspensionFlow, affine_orbit, certified_sum, wrap_unit,
 )
 from .roof import RoofFunction
 from . import intlinalg, mpspec, util
@@ -339,14 +338,14 @@ def pcf_gradient(
     # applied to the unstable frame only, where it grows like xi_max^n and
     # the paired gradient difference shrinks like lambda^n
     def forward(delta, weight):
-        for points in segments(flow.exact_orbit(z0)):
+        for points in flow.exact_orbit(z0):
             deltas, weights, bounds = [], [], []
             for _ in points:
                 deltas.append(delta)
                 weights.append(weight)
                 delta = flow.proj_s @ (lin @ delta)
                 weight = lin @ weight
-                bounds.append(hess * math.sqrt(delta @ delta) * np.linalg.norm(weight, 2))
+                bounds.append(hess * math.sqrt(delta @ delta) * util.spectral_norm(weight))
             grads = poly.gradient_diff_rows(points, deltas)
             for start, grad, bound in zip(weights, grads, bounds):
                 yield start.T @ grad, bound * q_fwd / (1.0 - q_fwd)
@@ -356,15 +355,14 @@ def pcf_gradient(
     # with per-step projection stopping stable float contamination
     def backward(weight):
         gaps = affine_orbit(flow.inv_entries, (0,) * flow.dim,
-                            [Fraction(v) for v in w], centred=True)
-        next(gaps)
-        for block in segments(zip(flow.exact_orbit(z0, backward=True), gaps)):
+                            [Fraction(v) for v in w], centred=True, skip=1)
+        for points, deltas in zip(flow.exact_orbit(z0, backward=True), gaps):
             weights, bounds = [], []
-            for _ in block:
+            for _ in points:
                 weights.append(weight)
                 weight = flow.proj_u @ (lin_inv @ weight)
-                bounds.append(2.0 * lip * np.linalg.norm(weight, 2))
-            grads = poly.gradient_diff_rows(*zip(*block))
+                bounds.append(2.0 * lip * util.spectral_norm(weight))
+            grads = poly.gradient_diff_rows(points, deltas)
             for start, grad, bound in zip(weights, grads, bounds):
                 yield start.T @ grad, bound * q_bwd / (1.0 - q_bwd)
 

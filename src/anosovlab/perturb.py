@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import chain, product
 
 import mpmath as mp
 import numpy as np
@@ -23,8 +23,7 @@ import numpy as np
 from . import intlinalg, mpspec, util
 from .errors import ChartExit, ResidualBelowNoise
 from .flow import (
-    GRADIENT_TOL, RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sum, segments,
-    wrap_unit,
+    GRADIENT_TOL, RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sum, wrap_unit,
 )
 from .roof import PeriodicOrbitRecord, periodic_points
 from .spectral import InvariantSubspaceCatalog
@@ -106,7 +105,7 @@ class SectionChart:
         lam_abs = abs(self.lam)
 
         def pairs(delta):
-            for points in segments(flow.exact_orbit(z)):
+            for points in flow.exact_orbit(z):
                 deltas, gaps = [], []
                 for _ in points:
                     deltas.append(delta)
@@ -126,7 +125,7 @@ class SectionChart:
         if poly.is_constant() or float(y) == 0.0:
             return np.zeros(self.dim_unstable)
         flow = self.flow
-        origin = np.zeros(flow.dim)
+        origin = tuple(Fraction(0) for _ in range(flow.dim))
         hess = poly.gradient_lipschitz_bound()
         mods = flow.spectral.moduli
         q = mods[0] * max(mods)
@@ -135,14 +134,14 @@ class SectionChart:
 
         def pairs(delta, weight):
             # the origin is fixed, so its orbit repeats it
-            for points in segments(repeat(origin)):
+            for points in flow.exact_orbit(origin):
                 deltas, weights, bounds = [], [], []
                 for _ in points:
                     deltas.append(delta)
                     weights.append(weight)
                     delta = flow.proj_s @ (flow.lin @ delta)
                     weight = flow.lin @ weight
-                    bounds.append(hess * math.sqrt(delta @ delta) * np.linalg.norm(weight, 2))
+                    bounds.append(hess * math.sqrt(delta @ delta) * util.spectral_norm(weight))
                 grads = poly.gradient_diff_rows(points, deltas)
                 for start, grad, bound in zip(weights, grads, bounds):
                     yield start.T @ grad, bound * q / (1.0 - q)
@@ -166,12 +165,12 @@ class SectionChart:
         q = 1.0 / min(m for m in mods if m > 1.0)
 
         def pairs(weight):
-            for points in segments(flow.exact_orbit(r, backward=True)):
+            for points in flow.exact_orbit(r, backward=True):
                 weights, bounds = [], []
                 for _ in points:
                     weights.append(weight)
                     weight = flow.proj_u @ (flow.lin_inv @ weight)
-                    bounds.append(2.0 * lip * np.linalg.norm(weight, 2) * q / (1.0 - q))
+                    bounds.append(2.0 * lip * util.spectral_norm(weight) * q / (1.0 - q))
                 grads = poly.gradient_rows(points)
                 for start, grad, bound in zip(weights, grads, bounds):
                     yield start.T @ (grad_origin - grad), bound
@@ -463,7 +462,9 @@ def return_series(
 
     def pairs(gap):
         yield 0.0, lip * gap / (1.0 - lam_abs)   # the whole series may already be below tol
-        for n, (p0, p1) in enumerate(zip(flow.exact_orbit(z0), flow.exact_orbit(z1))):
+        orbit0 = chain.from_iterable(flow.exact_orbit(z0))
+        orbit1 = chain.from_iterable(flow.exact_orbit(z1))
+        for n, (p0, p1) in enumerate(zip(orbit0, orbit1)):
             x1, y1 = chart.coords(p1)
             x0c, y0c = chart.coords(p0)
             d1 = math.hypot(float(np.linalg.norm(x1)), y1 - bump.center_y)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain, islice
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import distance_mp, evolve_mp
 
 from anosovlab import flow as flow_module
-from anosovlab import mpspec, pcf
+from anosovlab import intlinalg, mpspec, pcf
 from anosovlab.errors import OffLeaf, TruncationInsufficient
 from anosovlab.flow import SuspensionFlow, affine_orbit, wrap_unit
 from anosovlab.roof import RoofFunction, birkhoff_sum
@@ -270,35 +271,107 @@ def translated3(companion3_flow):
     return flow
 
 
-# float starts as the series rationalize them, and dyadic 2^-160 starts off
-# the unit cube as the refined leaf vectors are
+# the denominators the kernel has to handle: uint64 paths at 2^53 and at
+# 2^64 (where wrap-around is the reduction), Python-int paths just past it,
+# with the x7 of the planted translations and at the 2^160 of mpspec
+DENOMINATORS = [2**53, 2**64, 2**65, 7 * 2**53, 2**160]
+
+
+def _starts_over(den):
+    # off the unit cube; the first numerator is prime to den, so den is the
+    # exact common denominator
+    return st.tuples(*[st.integers(-2 * den, 2 * den)] * 3).map(
+        lambda t: (Fraction(14 * (t[0] // 14) + 1, den), *(Fraction(v, den) for v in t[1:]))
+    )
+
+
+# float starts as the series rationalize them, and starts over each of the
+# denominators above, as the refined leaf vectors are
 _starts = st.one_of(
     st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3).map(SuspensionFlow.rationalize),
-    st.tuples(*[st.integers(-(2**161), 2**161)] * 3).map(
-        lambda t: tuple(Fraction(v, 2**160) for v in t)
-    ),
+    st.sampled_from(DENOMINATORS).flatmap(_starts_over),
 )
 
 
 @settings(max_examples=20, deadline=None)
 @given(_starts, st.tuples(*[st.floats(-0.05, 0.05)] * 3))
-def test_exact_orbit_matches_fraction_maps(translated3, start, w):
-    # every yielded float is float() of the Fraction reference, bit for bit;
-    # w is a pcf_gradient backward gap: L^-n w reduced into [-1/2, 1/2)
-    inv = translated3.inv_entries
-    fwd = translated3.exact_orbit(start)
-    bwd = translated3.exact_orbit(start, backward=True)
-    gap = tuple(Fraction(v) for v in w)
-    walk = affine_orbit(inv, (0, 0, 0), gap, centred=True)
-    ahead = behind = start
-    for _ in range(300):
-        assert next(fwd) == tuple(float(v) for v in ahead)
-        assert next(walk) == tuple(float(v) for v in gap)
-        ahead = translated3.base_apply_exact(ahead)
-        behind = translated3.base_apply_inv_exact(behind)
-        assert next(bwd) == tuple(float(v) for v in behind)
-        image = [sum(inv[i][j] * gap[j] for j in range(3)) for i in range(3)]
-        gap = tuple(v - round(v) for v in image)
+def test_exact_orbit_matches_fraction_maps(companion3_flow, translated3, start, w):
+    # every yielded float is float() of the Fraction reference, bit for bit,
+    # at each segment length; w is a pcf_gradient backward gap: L^-n w
+    # reduced into [-1/2, 1/2). The x7 of the translated flow puts its
+    # orbits on the Python-int path
+    for flow in (companion3_flow, translated3):
+        inv = flow.inv_entries
+        ahead, behind, gaps = [start], [start], [tuple(Fraction(v) for v in w)]
+        for _ in range(300):
+            ahead.append(flow.base_apply_exact(ahead[-1]))
+            behind.append(flow.base_apply_inv_exact(behind[-1]))
+            image = [sum(inv[i][j] * gaps[-1][j] for j in range(3)) for i in range(3)]
+            gaps.append(tuple(v - round(v) for v in image))
+        for segment in SEGMENTS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(flow_module, "SEGMENT", segment)
+                fwd = chain.from_iterable(flow.exact_orbit(start))
+                bwd = chain.from_iterable(flow.exact_orbit(start, backward=True))
+                walk = chain.from_iterable(affine_orbit(inv, (0, 0, 0), gaps[0], centred=True))
+                for n in range(300):
+                    assert tuple(next(fwd)) == tuple(float(v) for v in ahead[n])
+                    assert tuple(next(walk)) == tuple(float(v) for v in gaps[n])
+                    assert tuple(next(bwd)) == tuple(float(v) for v in behind[n + 1])
+
+
+@pytest.mark.parametrize("centred", [False, True])
+@pytest.mark.parametrize("den", DENOMINATORS)
+@settings(max_examples=10, deadline=None)
+@given(length=st.sampled_from(SEGMENTS), inverse=st.booleans(), data=st.data())
+def test_orbit_segments_match_orbit_numerators(companion3, den, centred, length, inverse, data):
+    # forward, backward and centred walks against the one-step reference;
+    # row 0 is the start reduced, every later row as orbit_numerators has it
+    entries = companion3.inverse_entries() if inverse else companion3.entries
+    start = data.draw(st.tuples(*[st.integers(-2 * den, 2 * den)] * 3))
+    offset = data.draw(st.tuples(*[st.integers(0, den - 1)] * 3))
+    lo = den // 2 if centred else 0
+    expected = list(islice(intlinalg.orbit_numerators(entries, offset, start, den, centred), 100))
+    expected[0] = tuple((v + lo) % den - lo for v in start)
+    blocks = intlinalg.orbit_segments(entries, offset, start, den, length, centred)
+    got = [tuple(int(v) for v in row) for row in islice(chain.from_iterable(blocks), 100)]
+    assert got == expected
+
+
+def test_centred_walk_at_two_to_the_64(companion3):
+    # D = 2^64: the centred value is the int64 view of the wrapped uint64
+    # numerators, as D/2 does not fit an int64
+    den = 2**64
+    inv = companion3.inverse_entries()
+    start = (den // 2 - 1, -(den // 2), 12345)
+    blocks = intlinalg.orbit_segments(inv, (0, 0, 0), start, den, 7, centred=True)
+    first = next(blocks)
+    assert first.dtype == np.int64
+    expected = list(islice(intlinalg.orbit_numerators(inv, (0, 0, 0), start, den, True), 70))
+    got = [tuple(int(v) for v in row) for row in islice(chain(first, chain.from_iterable(blocks)), 70)]
+    assert got == expected
+    assert all(-den // 2 <= v < den // 2 for nums in got for v in nums)
+    points = chain.from_iterable(affine_orbit(inv, (0, 0, 0),
+                                              [Fraction(v, den) for v in start], centred=True))
+    assert [tuple(p) for p in islice(points, 70)] == [
+        tuple(v / den for v in nums) for nums in expected
+    ]
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_birkhoff_exact_ends_mid_segment(segment_flow, backward):
+    # 45 terms: the second segment is cut after 13 of its points
+    n = 45
+    assert n % flow_module.SEGMENT
+    point = segment_flow.rationalize((0.37, 0.91, 0.18))
+    expected = 0.0
+    for _ in range(n):
+        if backward:
+            point = segment_flow.base_apply_inv_exact(point)
+        expected += segment_flow.roof.poly.evaluate([float(v) for v in point])
+        if not backward:
+            point = segment_flow.base_apply_exact(point)
+    assert segment_flow.birkhoff_exact((0.37, 0.91, 0.18), n, backward=backward) == expected
 
 
 def test_trajectory_rows(cat_flow):
