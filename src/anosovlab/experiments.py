@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import pcf, perturb, regularity, roof, spectral, util
 from .errors import AnosovLabError, ConfigInvalid, ExperimentFailed
@@ -284,7 +285,7 @@ def _run_sweep(cfg, out, workers):
     datum = perturb.make_heteroclinic_datum(
         chart, cands[0].q_orbit, cands[0].q_index, cands[0].offset
     )
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     dirs = rng.normal(size=(p["n_directions"], chart.dim_unstable))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     grid = [a * d for d in dirs for a in (float(x) for x in p["amplitudes"])]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.random import default_rng
 
 from .errors import DegenerateGradients, NoIntersection, OffLeaf, TruncationInsufficient
 from .flow import (
@@ -72,7 +72,7 @@ def sample_quadrilaterals(
     s_scale: float = 0.02, u_scale: float = 0.02,
 ) -> list[Quadrilateral]:
     """Deterministic random quadrilaterals with displacements in the frames."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     s_frame = flow.stable_frame()
     u_frame = flow.unstable_frame()
     quads = []
@@ -160,9 +160,9 @@ def temporal_distance_geometric(
     Leaf fibers come from finite Birkhoff differences along exact rational
     orbits (forward for stable graphs, backward for unstable ones), with
     horizons chosen so tails sit well under tol. The stable slide is
-    root-solved on the leaf parameterization; the unstable-leaf match is a
-    frame solve. Raises NoIntersection when the data leave the chart, and
-    TruncationInsufficient when a horizon would pass MAX_HORIZON.
+    solved in closed form on the leaf parameterization; the unstable-leaf
+    match is a frame solve. Raises NoIntersection when the data leave the
+    chart, and TruncationInsufficient when a horizon would pass MAX_HORIZON.
     """
     if tol < 1e-10:
         raise ValueError("tol must be at least 1e-10")
@@ -205,22 +205,12 @@ def temporal_distance_geometric(
     fiber_x = backward_diff(alpha_fr, zeta_fr)
 
     # Hol_{a,b}(x): slide x along its stable leaf until the base point lies
-    # on beta + E^u; root-solve the stable coordinate along the slide.
+    # on beta + E^u; the stable coordinate is affine along the slide.
     s_unit = flow.stable_frame()[:, 0]
-
-    def stable_coord_after(tau: float) -> float:
-        return _stable_coordinate(flow, zeta + tau * s_unit - beta)
-
-    bracket = 4.0 * radius
-    f_lo, f_hi = stable_coord_after(-bracket), stable_coord_after(bracket)
-    if f_lo == 0.0:
-        tau_star = -bracket
-    elif f_hi == 0.0:
-        tau_star = bracket
-    elif np.sign(f_lo) == np.sign(f_hi):
+    slope = _stable_coordinate(flow, s_unit)
+    tau_star = -_stable_coordinate(flow, zeta - beta) / slope if slope != 0.0 else math.inf
+    if not abs(tau_star) <= 4.0 * radius:
         raise NoIntersection("stable slide does not cross the unstable transversal")
-    else:
-        tau_star = brentq(stable_coord_after, -bracket, bracket, xtol=1e-15)
     hol_base = zeta + tau_star * s_unit
     if np.linalg.norm(hol_base - alpha) > 4.0 * radius:
         raise NoIntersection("holonomy image left the chart")
@@ -433,7 +423,7 @@ def find_independent_pairs(
     (smallest singular value relative to the largest above the cutoff).
     Raises DegenerateGradients when the budget is exhausted.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     u_frame = flow.unstable_frame()
     s_frame = flow.stable_frame()
     chosen: list[tuple[FlowPoint, tuple]] = []

@@ -274,6 +274,7 @@ def _verify_backward_approach(chart, target, q_orbit, steps: int) -> float:
     inv = chart.flow.inv_entries
     d = chart.flow.dim
     with mp.workdps(60):
+        half = mp.mpf("0.5")
         proj = chart.split.stable_proj
         vec = [mp.mpf(t.numerator) / mp.mpf(t.denominator) for t in target]
         r = [sum(proj[i, j] * vec[j] for j in range(d)) for i in range(d)]
@@ -289,7 +290,7 @@ def _verify_backward_approach(chart, target, q_orbit, steps: int) -> float:
                 min(
                     mp.sqrt(
                         sum(
-                            (mp.fmod(point[i] - qp[i] + mp.mpf("0.5"), 1) - mp.mpf("0.5")) ** 2
+                            (mp.fmod(point[i] - qp[i] + half, 1) - half) ** 2
                             for i in range(d)
                         )
                     )

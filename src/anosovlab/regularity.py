@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import NotCodimensionOne
 from .spectral import SpectralData
@@ -120,7 +121,7 @@ def sampled_stable_sup(
     def adapted_norm(v: np.ndarray) -> float:
         return float(np.linalg.norm(frame_inv @ v))
 
-    rng = np.random.default_rng(12345)
+    rng = default_rng(12345)
     best = 0.0
     for _ in range(n_samples):
         vs = data.stable_basis @ rng.normal(size=n_s)

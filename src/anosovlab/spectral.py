@@ -15,6 +15,7 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial.polynomial import polyroots
 
 from . import intlinalg, util
 from .errors import NotCodimensionOne, NotHyperbolic
@@ -138,7 +139,7 @@ def _refine_roots(coeffs) -> list[tuple[complex, float]]:
     """
     deg = len(coeffs) - 1
     cf = [float(c) for c in coeffs]
-    comp = np.polynomial.polynomial.polyroots(cf)
+    comp = polyroots(cf)
     deriv = [c * k for k, c in enumerate(coeffs)][1:]
     out = []
     for z0 in sorted(comp, key=lambda z: (round(abs(z), 12), z.real, z.imag)):

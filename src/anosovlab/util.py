@@ -7,21 +7,32 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
+
+
+def _svd(a: np.ndarray, **kwargs):
+    """np.linalg.svd, refusing NaN and inf: gesdd would return NaN singular values."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return np.linalg.svd(a, **kwargs)
 
 
 def orthonormalize(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) for the column span of `basis`."""
-    q = scipy.linalg.orth(np.asarray(basis, dtype=float))
-    return q
+    """Orthonormal basis (columns) for the column span of `basis`.
+
+    Rank counts singular values above eps * max(M, N) * s.max(). The basis is
+    Fortran-ordered as LAPACK writes it: layout sets the digits of products with it.
+    """
+    a = np.asarray(basis, dtype=float)
+    u, s, _ = _svd(a, full_matrices=False)
+    tol = np.amax(s, initial=0.0) * (np.finfo(float).eps * max(a.shape))
+    return np.asfortranarray(u[:, : np.sum(s > tol, dtype=int)])
 
 
 def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
     """Principal angles (radians, ascending) between two column-span subspaces."""
     qa = orthonormalize(basis_a)
     qb = orthonormalize(basis_b)
-    sv = scipy.linalg.svd(qa.T @ qb, compute_uv=False)
-    sv = np.clip(sv, -1.0, 1.0)
+    sv = np.clip(_svd(qa.T @ qb, compute_uv=False), -1.0, 1.0)
     return np.sort(np.arccos(sv))
 
 
@@ -60,14 +71,9 @@ def kernel_basis(rows: np.ndarray, rel_cutoff: float = 1e-9) -> np.ndarray:
     Rank is decided by singular values relative to the largest one; an
     all-zero stack has full-dimensional kernel.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    n = rows.shape[1]
-    _, sv, vt = scipy.linalg.svd(rows)
-    if sv.size == 0 or sv[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sv > rel_cutoff * sv[0]))
-    return vt[rank:].T.copy() if rank < n else np.zeros((n, 0))
+    _, sv, vt = _svd(np.atleast_2d(np.asarray(rows, dtype=float)))
+    rank = np.sum(sv > rel_cutoff * sv.max(initial=0.0))
+    return vt[rank:].T.copy()
 
 
 def parallel_map(fn, items, workers: int = 1) -> list:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,11 +77,10 @@ class TestSpectralData:
             spectral_data(IntegerMatrix([[0, -1], [1, 0]]))
 
     def test_companion3_moduli_against_root_oracle(self, companion3):
-        # real root by bisection on the exact polynomial, pair modulus from
+        # real root of the exact polynomial at 40 digits, pair modulus from
         # the unit determinant
-        from scipy.optimize import brentq
-
-        root = brentq(lambda x: x**3 + x**2 - 1, 0.5, 1.0, xtol=1e-15)
+        with mpmath.workdps(40):
+            root = float(mpmath.findroot(lambda x: x**3 + x**2 - 1, mpmath.mpf("0.75")))
         data = spectral_data(companion3)
         assert data.moduli[0] == pytest.approx(root, abs=1e-13)
         assert data.moduli[1] == pytest.approx(math.sqrt(1 / root), abs=1e-13)
