@@ -3,9 +3,17 @@
 These deliberately avoid the package's series machinery. The flow oracle
 iterates roof crossings in 50-digit arithmetic, so hyperbolic error
 amplification stays far below every asserted tolerance.
+
+`series_pins` is the one exception: it runs the package's leaf-graph and
+PCF series on three roofs, and `tests/test_series_pins.py` holds its
+output as float.hex literals, so a refactor of the series must keep every
+bit. Print the literals with
+
+    PYTHONPATH=src python tests/oracles.py
 """
 
 from fractions import Fraction
+from pprint import pprint
 
 import mpmath as mp
 
@@ -87,3 +95,70 @@ def kahan_birkhoff(roof, matrix, x, n):
         total = t
         point = (arr @ point) % 1.0
     return total
+
+
+def pin_flows():
+    """The three pinned roofs: name -> flow.
+
+    companion3 (x^3 + x^2 - 1) under 1 + 0.1 cos(2 pi x1) and under a
+    7-term roof off the axes, and the totally real quartic
+    x^4 - x^3 - 4x^2 + 4x + 1 under 1 + 0.01 cos(2 pi x1).
+    """
+    from anosovlab.flow import SuspensionFlow
+    from anosovlab.roof import RoofFunction, TrigPolynomial
+    from anosovlab.spectral import IntegerMatrix
+
+    def roof(dim, terms):
+        poly = TrigPolynomial.constant(1.0, dim)
+        for amplitude, k in terms:
+            poly = poly + TrigPolynomial.cosine(amplitude, k, dim)
+        return RoofFunction(poly)
+
+    companion3 = IntegerMatrix.companion([-1, 0, 1, 1])
+    quartic = IntegerMatrix.companion([1, 4, -4, -1, 1])
+    seven = [(0.02, (1, 1, 0)), (0.03, (0, 2, 1)), (0.01, (1, -1, 1))]
+    return {
+        "companion3_cos": SuspensionFlow(companion3, roof(3, [(0.1, (1, 0, 0))])),
+        "companion3_seven_term": SuspensionFlow(companion3, roof(3, seven)),
+        "quartic_cos": SuspensionFlow(quartic, roof(4, [(0.01, (1, 0, 0, 0))])),
+    }
+
+
+# two chart points (x, y) per unstable dimension
+PIN_CHART_POINTS = {
+    2: [((0.04, -0.03), 0.21), ((-0.11, 0.07), -0.33)],
+    3: [((0.04, -0.03, 0.02), 0.21), ((-0.11, 0.07, 0.05), -0.33)],
+}
+
+
+def series_pins() -> dict:
+    """float.hex of the leaf-graph series at 2 chart points and of the
+    temporal distance and PCF gradient at 4 quadrilaterals, per roof."""
+    import numpy as np
+
+    from anosovlab import pcf, perturb
+
+    def hexed(value):
+        return [float(v).hex() for v in value] if np.ndim(value) else float(value).hex()
+
+    out = {}
+    for name, flow in pin_flows().items():
+        chart = perturb.SectionChart(flow)
+        points = [(np.array(x), y) for x, y in PIN_CHART_POINTS[flow.dim_unstable]]
+        quads = pcf.sample_quadrilaterals(flow, 4, seed=29)
+        out[name] = {
+            "t_series": [hexed(chart.t_series(x, y)) for x, y in points],
+            "t_gradient_at_zero": [hexed(chart.t_gradient_at_zero(y)) for _, y in points],
+            "unstable_slope": [hexed(chart.unstable_slope(y)) for _, y in points],
+            "temporal_distance_series": [
+                hexed(pcf.temporal_distance_series(flow, q)) for q in quads
+            ],
+            "pcf_gradient": [
+                hexed(pcf.pcf_gradient(flow, q.a, q.s_disp, q.u_disp)) for q in quads
+            ],
+        }
+    return out
+
+
+if __name__ == "__main__":
+    pprint(series_pins(), width=92, sort_dicts=False)
