@@ -219,12 +219,12 @@ def _run_subbundle(cfg, out, workers):
     matrix = build_matrix(cfg.matrix)
     flow = SuspensionFlow(matrix, build_roof(cfg.roof, matrix.dim))
     bp = flow.make_point([float(v) for v in p["base_point"]], 0.0)
+    translation = tuple(_parse_fraction(v) for v in p["translation"])
+    flow2, conj = pcf.translate_flow(flow, translation)
     pairs = pcf.find_independent_pairs(
         flow, bp, count=p["n_pairs"], seed=cfg.seed, budget=p["budget"]
     )
     kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
-    translation = tuple(_parse_fraction(v) for v in p["translation"])
-    flow2, conj = pcf.translate_flow(flow, translation)
     rec = pcf.reconstruct_conjugacy_patch(
         flow, flow2, conj, bp, pairs,
         patch_radius=p["patch_radius"], grid_n=p["grid_n"],

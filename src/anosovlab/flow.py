@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import intlinalg
+from . import intlinalg, util
 from .errors import OffLeaf, TruncationInsufficient
 from .roof import RoofFunction
 from .spectral import IntegerMatrix, SpectralData, spectral_data
@@ -48,6 +48,22 @@ def certified_sum(pairs, tol: float, total=0.0):
     raise TruncationInsufficient(
         f"series did not meet its tail bound {tol:g} within {MAX_TERMS} terms"
     )
+
+
+def carried(orbit, state, step):
+    """Walk orbit segments carrying a state: (points, states, nexts) per segment.
+
+    Point i of a segment sees states[i], and nexts[i] = step(states[i]) is
+    the state point i + 1 sees, across segment boundaries too; a series
+    reads its tail bound after term i from nexts[i].
+    """
+    for points in orbit:
+        states, nexts = [], []
+        for _ in points:
+            states.append(state)
+            state = step(state)
+            nexts.append(state)
+        yield points, states, nexts
 
 
 def affine_orbit(entries, offset, start, centred: bool = False, skip: int = 0):
@@ -115,14 +131,15 @@ class SuspensionFlow:
     ):
         if roof.dim != base.dim:
             raise ValueError("roof dimension does not match the base map")
+        translation = (0,) * base.dim if translation is None else tuple(translation)
+        if len(translation) != base.dim:
+            raise ValueError(
+                f"translation has {len(translation)} entries, the base map needs {base.dim}"
+            )
         self.base = base
         self.roof = roof
         self.chart_radius = float(chart_radius)
-        self.translation = (
-            tuple(Fraction(v) for v in translation)
-            if translation is not None
-            else tuple(Fraction(0) for _ in range(base.dim))
-        )
+        self.translation = tuple(Fraction(v) for v in translation)
         self.spectral: SpectralData = spectral_data(base)
         self.lin = base.as_array()
         self.inv_entries = base.inverse_entries()
@@ -321,22 +338,78 @@ class SuspensionFlow:
             rate = 1.0 / min(m for m in moduli if m > 1.0)
             delta = proj @ (step @ delta)
         orbit = self.exact_orbit(self.rationalize(xa), backward=direction == "unstable")
+        contraction = max(1.0 - rate, 1e-12)
+        # re-project each step: the leaf displacement is invariant under the
+        # base map, and projection stops float noise in the complementary
+        # (expanding) subspace from compounding; the tail is geometric
+        return certified_sum(
+            (
+                (sign * term, lip * math.sqrt(d @ d) / contraction)
+                for points, deltas, nexts in carried(
+                    orbit, proj @ delta, lambda d: proj @ (step @ d))
+                for term, d in zip(poly.eval_diff_rows(points, deltas), nexts)
+            ),
+            VALUE_TOL,
+        )
 
-        def pairs(delta):
-            for points in orbit:
-                deltas, gaps = [], []
-                for _ in points:
-                    deltas.append(delta)
-                    # re-project each step: the leaf displacement is invariant
-                    # under the base map, and projection stops float noise in
-                    # the complementary (expanding) subspace from compounding
-                    delta = proj @ (step @ delta)
-                    gaps.append(math.sqrt(delta @ delta))
-                for term, gap in zip(poly.eval_diff_rows(points, deltas), gaps):
-                    # geometric tail certificate
-                    yield sign * term, lip * gap / max(1.0 - rate, 1e-12)
+    def bunching_ratios(self) -> tuple[float, float]:
+        """Rates of the two gradient halves: (lambda * xi_max, 1 / xi_min)."""
+        lam = max(m for m in self.spectral.moduli if m < 1.0)
+        xis = [m for m in self.spectral.moduli if m > 1.0]
+        return lam * max(xis), 1.0 / min(xis)
 
-        return certified_sum(pairs(proj @ delta), VALUE_TOL)
+    def stable_gradient(self, start, delta, q: float) -> np.ndarray:
+        """Forward half of a PCF gradient, in unstable-frame coordinates.
+
+        sum_{n>=0} (L^n U)^T [grad roof(F^n z + L^n w) - grad roof(F^n z)]
+        over the exact orbit of the rational start z, with delta = w on the
+        stable subspace and U the unstable frame. The weight L^n U grows
+        like xi_max^n while the paired difference shrinks like lambda^n, so
+        the tail is geometric at q = lambda * xi_max.
+        """
+        poly = self.roof.poly
+        hess = poly.gradient_lipschitz_bound()
+        lin, proj = self.lin, self.proj_s
+
+        def step(state):
+            delta, weight = state
+            return proj @ (lin @ delta), lin @ weight
+
+        return certified_sum(
+            (
+                (weight.T @ grad,
+                 hess * math.sqrt(d @ d) * util.spectral_norm(w) * q / (1.0 - q))
+                for points, states, nexts in carried(
+                    self.exact_orbit(start), (delta, self.unstable_frame()), step)
+                for (_, weight), grad, (d, w) in zip(
+                    states, poly.gradient_diff_rows(points, [d for d, _ in states]), nexts)
+            ),
+            GRADIENT_TOL,
+        )
+
+    def unstable_gradient(self, start, grads, q: float, total: float) -> np.ndarray:
+        """Backward half of a PCF gradient, in unstable-frame coordinates.
+
+        sum_{n>=1} (L^-n U)^T g_n along the exact backward orbit of the
+        rational start, where grads(points) returns the rows g_n of one
+        segment, each a roof gradient difference (bounded by 2 lip). The
+        weights L^-n U contract at q = 1 / xi_min, re-projected onto E^u
+        each step so stable float contamination does not grow. `total` is
+        the running sum to continue: the forward half, or 0.0.
+        """
+        lip = self.roof.poly.lipschitz_bound()
+        lin_inv, proj = self.lin_inv, self.proj_u
+        return certified_sum(
+            (
+                (weight.T @ grad, 2.0 * lip * util.spectral_norm(w) * q / (1.0 - q))
+                for points, weights, nexts in carried(
+                    self.exact_orbit(start, backward=True),
+                    proj @ (lin_inv @ self.unstable_frame()),
+                    lambda weight: proj @ (lin_inv @ weight))
+                for weight, grad, w in zip(weights, grads(points), nexts)
+            ),
+            GRADIENT_TOL, total,
+        )
 
     def strong_manifold_point(self, p: FlowPoint, v) -> FlowPoint:
         """Point of W^s(p) or W^u(p) displaced by the base vector v."""

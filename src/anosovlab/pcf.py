@@ -24,13 +24,13 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import DegenerateGradients, NoIntersection, OffLeaf, TruncationInsufficient
-from .flow import (
-    GRADIENT_TOL, FlowPoint, SuspensionFlow, affine_orbit, certified_sum, wrap_unit,
-)
+from .flow import FlowPoint, SuspensionFlow, affine_orbit, wrap_unit
 from .roof import RoofFunction
 from . import intlinalg, mpspec, util
 
 _MEMBERSHIP_TOL = 1e-12
+INDEPENDENCE_CUTOFF = 0.05  # least sv / largest sv a new pair must keep: a well-posed Newton
+NEWTON_TOL = 1e-12          # patch Newton stops here, 100x the VALUE_TOL of each PCF value
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +282,6 @@ def sample_csv_header(dim: int) -> list[str]:
 # PCF gradients in the unstable parameter
 
 
-def _bunching_ratios(flow: SuspensionFlow) -> tuple[float, float]:
-    lam = max(m for m in flow.spectral.moduli if m < 1.0)
-    xis = [m for m in flow.spectral.moduli if m > 1.0]
-    return lam * max(xis), 1.0 / min(xis)
-
-
 def pcf_gradient(
     flow: SuspensionFlow, a: FlowPoint, s_disp, u_disp
 ) -> np.ndarray:
@@ -296,7 +290,8 @@ def pcf_gradient(
     Returns the covector components with respect to the columns of the
     unstable frame, evaluated at the quadrilateral point x = a + u_disp.
     Term-wise differentiation of the series route gives a two-sided sum of
-    paired gradient differences; the forward side converges only under the
+    paired gradient differences: `SuspensionFlow.stable_gradient` forward,
+    `unstable_gradient` backward. The forward side converges only under the
     bunching condition lambda * xi_max < 1, which holds automatically for
     volume-preserving codimension-one data with dim E^u >= 2.
     """
@@ -309,7 +304,7 @@ def pcf_gradient(
     if np.linalg.norm(vs) > _MEMBERSHIP_TOL:
         raise OffLeaf("u_disp must lie in the unstable subspace")
 
-    q_fwd, q_bwd = _bunching_ratios(flow)
+    q_fwd, q_bwd = flow.bunching_ratios()
     if q_fwd >= 0.98:
         raise ValueError(
             "gradient series requires the bunching ratio lambda*xi_max < 1 "
@@ -318,47 +313,13 @@ def pcf_gradient(
     poly = flow.roof.poly
     if poly.is_constant():
         return np.zeros(flow.dim_unstable)
-    hess = poly.gradient_lipschitz_bound()
-    lip = poly.lipschitz_bound()
-    lin, lin_inv = flow.lin, flow.lin_inv
     z0 = flow.rationalize(a.base() + u)
-    u_frame = flow.unstable_frame()
-
-    # forward side: points F^n(z), gaps L^n w (projected); the weight L^n is
-    # applied to the unstable frame only, where it grows like xi_max^n and
-    # the paired gradient difference shrinks like lambda^n
-    def forward(delta, weight):
-        for points in flow.exact_orbit(z0):
-            deltas, weights, bounds = [], [], []
-            for _ in points:
-                deltas.append(delta)
-                weights.append(weight)
-                delta = flow.proj_s @ (lin @ delta)
-                weight = lin @ weight
-                bounds.append(hess * math.sqrt(delta @ delta) * util.spectral_norm(weight))
-            grads = poly.gradient_diff_rows(points, deltas)
-            for start, grad, bound in zip(weights, grads, bounds):
-                yield start.T @ grad, bound * q_fwd / (1.0 - q_fwd)
-
-    # backward side: points F^-n(z), gaps L^-n w mod 1 (exact, wrapped); the
-    # restricted weights L^-n U contract and bound the unpaired gradients,
-    # with per-step projection stopping stable float contamination
-    def backward(weight):
-        gaps = affine_orbit(flow.inv_entries, (0,) * flow.dim,
-                            [Fraction(v) for v in w], centred=True, skip=1)
-        for points, deltas in zip(flow.exact_orbit(z0, backward=True), gaps):
-            weights, bounds = [], []
-            for _ in points:
-                weights.append(weight)
-                weight = flow.proj_u @ (lin_inv @ weight)
-                bounds.append(2.0 * lip * util.spectral_norm(weight))
-            grads = poly.gradient_diff_rows(points, deltas)
-            for start, grad, bound in zip(weights, grads, bounds):
-                yield start.T @ grad, bound * q_bwd / (1.0 - q_bwd)
-
-    total = certified_sum(forward(flow.proj_s @ w, u_frame), GRADIENT_TOL)
-    return certified_sum(
-        backward(flow.proj_u @ (lin_inv @ u_frame)), GRADIENT_TOL, total
+    total = flow.stable_gradient(z0, flow.proj_s @ w, q_fwd)
+    # backward gaps L^-n w mod 1, exact and wrapped, one segment per call
+    gaps = affine_orbit(flow.inv_entries, (0,) * flow.dim,
+                        [Fraction(v) for v in w], centred=True, skip=1)
+    return flow.unstable_gradient(
+        z0, lambda points: poly.gradient_diff_rows(points, next(gaps)), q_bwd, total
     )
 
 
@@ -414,7 +375,6 @@ def find_independent_pairs(
     budget: int = 200,
     s_scale: float = 0.02,
     u_scale: float = 0.02,
-    independence_cutoff: float = 0.05,
 ) -> list[tuple[FlowPoint, tuple]]:
     """Seeded random search for PCF pairs with independent gradients.
 
@@ -436,7 +396,7 @@ def find_independent_pairs(
         grad = pcf_gradient(flow, a, s_disp, u_frame @ c)
         cand = rows + [grad]
         sv = np.linalg.svd(np.array(cand), compute_uv=False)
-        if sv[-1] > independence_cutoff * sv[0] and sv[0] > 1e-12:
+        if sv[-1] > INDEPENDENCE_CUTOFF * sv[0] and sv[0] > 1e-12:
             rows.append(grad)
             chosen.append((a, tuple(float(v) for v in s_disp)))
             if len(chosen) == count:
@@ -476,6 +436,8 @@ def translate_flow(flow: SuspensionFlow, v) -> tuple[SuspensionFlow, Translation
     roof(x - v), so h(x, s) = (x + v, s) intertwines the flows exactly.
     """
     vfr = tuple(Fraction(c) for c in v)
+    if len(vfr) != flow.dim:
+        raise ValueError(f"translation has {len(vfr)} entries, the base map needs {flow.dim}")
     lv = intlinalg.mat_vec(flow.base.entries, vfr)
     translation = tuple((a - b + c) % 1 for a, b, c in zip(vfr, lv, flow.translation))
     shifted = RoofFunction(flow.roof.poly.shift([float(c) for c in vfr]))
@@ -535,7 +497,6 @@ def reconstruct_conjugacy_patch(
     pairs: list[tuple[FlowPoint, tuple]],
     patch_radius: float = 0.01,
     grid_n: int = 3,
-    newton_tol: float = 1e-12,
 ) -> PatchReconstruction:
     """Invert the PCF chart to recover the conjugacy on an unstable patch.
 
@@ -579,7 +540,7 @@ def reconstruct_conjugacy_patch(
         for _ in range(60):
             current = (base_point.base() + u_frame @ coef) % 1.0
             resid = _pcf_map(flow1, pairs, current) - values2
-            if np.linalg.norm(resid) < newton_tol:
+            if np.linalg.norm(resid) < NEWTON_TOL:
                 break
             coef = coef - np.linalg.solve(jac, resid)
         recovered.append((base_point.base() + u_frame @ coef) % 1.0)

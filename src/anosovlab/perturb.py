@@ -22,11 +22,18 @@ import numpy as np
 
 from . import intlinalg, mpspec, util
 from .errors import ChartExit, ResidualBelowNoise
-from .flow import (
-    GRADIENT_TOL, RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sum, wrap_unit,
-)
+from .flow import RETURN_TOL, VALUE_TOL, SuspensionFlow, carried, certified_sum, wrap_unit
 from .roof import PeriodicOrbitRecord, periodic_points
 from .spectral import InvariantSubspaceCatalog
+
+# Fixed choices of the section chart, the heteroclinic search and the fits.
+CHART_RADIUS_X = 0.2    # unstable half-width of the chart box and of the bent-section cutoff
+CHART_RADIUS_Y = 0.45   # stable half-width, short of the torus half-period 1/2
+HETEROCLINIC_OFFSET_BOUND = 2        # translates q + m tried, m in [-2, 2]^d: 5^d per point
+HETEROCLINIC_Y_RANGE = (0.12, 0.45)  # |y_r| of a datum: off the fixed point, inside the box
+VERIFY_STEPS = 170      # backward steps of the 60-digit check that a datum approaches q
+CONTAINMENT_TOL = 1e-8  # sweep subspace containment: the same 1e-8 as its E^u membership check
+FIT_FLOOR = 1e-14       # errors at or under this are rounding noise, left out of order fits
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +49,12 @@ class SectionChart:
     stable graph time T(x, y) vanish on them.
     """
 
-    def __init__(self, flow: SuspensionFlow, radius_x: float = 0.2, radius_y: float = 0.45):
+    def __init__(self, flow: SuspensionFlow):
         if any(t != 0 for t in flow.translation):
             raise ValueError("section charts require a fixed point at the origin")
         if not flow.spectral.codimension_one:
             raise ValueError("section charts assume a one-dimensional stable bundle")
         self.flow = flow
-        self.radius_x = float(radius_x)
-        self.radius_y = float(radius_y)
         self.u_frame = flow.unstable_frame()
         self.s_unit = flow.stable_frame()[:, 0]
         self.lam = flow.spectral.stable_eigenvalue
@@ -77,11 +82,8 @@ class SectionChart:
     def embed(self, x, y: float) -> np.ndarray:
         return self.u_frame @ np.asarray(x, dtype=float) + float(y) * self.s_unit
 
-    def in_box(self, x, y: float, slack: float = 1.0) -> bool:
-        return (
-            np.linalg.norm(x) <= self.radius_x * slack
-            and abs(y) <= self.radius_y * slack
-        )
+    def in_box(self, x, y: float) -> bool:
+        return np.linalg.norm(x) <= CHART_RADIUS_X and abs(y) <= CHART_RADIUS_Y
 
     # -- leaf-graph series -------------------------------------------------
 
@@ -103,56 +105,39 @@ class SectionChart:
         origin = np.zeros(flow.dim)
         lip = poly.lipschitz_bound()
         lam_abs = abs(self.lam)
-
-        def pairs(delta):
-            for points in flow.exact_orbit(z):
-                deltas, gaps = [], []
-                for _ in points:
-                    deltas.append(delta)
-                    delta = flow.proj_s @ (flow.lin @ delta)
-                    gaps.append(math.sqrt(delta @ delta))
-                moved = poly.eval_diff_rows(points, deltas)
-                fixed = poly.eval_diff_rows([origin] * len(points), deltas)
-                for term, base, gap in zip(moved, fixed, gaps):
-                    yield term - base, 2.0 * lip * gap / (1.0 - lam_abs)
-
-        w_fr = self.stable_fraction_vector(y)
-        return certified_sum(pairs(np.array([float(c) for c in w_fr])), VALUE_TOL)
+        w = np.array([float(c) for c in self.stable_fraction_vector(y)])
+        return certified_sum(
+            (
+                (term - base, 2.0 * lip * math.sqrt(d @ d) / (1.0 - lam_abs))
+                for points, deltas, nexts in carried(
+                    flow.exact_orbit(z), w, lambda d: flow.proj_s @ (flow.lin @ d))
+                for term, base, d in zip(
+                    poly.eval_diff_rows(points, deltas),
+                    poly.eval_diff_rows([origin] * len(points), deltas),
+                    nexts,
+                )
+            ),
+            VALUE_TOL,
+        )
 
     def t_gradient_at_zero(self, y: float) -> np.ndarray:
-        """D_x T(0, y): paired gradient series along the stable axis orbit."""
+        """D_x T(0, y): the forward PCF gradient half along the stable axis orbit."""
         poly = self.flow.roof.poly
         if poly.is_constant() or float(y) == 0.0:
             return np.zeros(self.dim_unstable)
         flow = self.flow
-        origin = tuple(Fraction(0) for _ in range(flow.dim))
-        hess = poly.gradient_lipschitz_bound()
-        mods = flow.spectral.moduli
-        q = mods[0] * max(mods)
+        q, _ = flow.bunching_ratios()
         if q >= 0.98:
             raise ValueError("stable-graph gradient needs bunching lambda*xi_max < 1")
-
-        def pairs(delta, weight):
-            # the origin is fixed, so its orbit repeats it
-            for points in flow.exact_orbit(origin):
-                deltas, weights, bounds = [], [], []
-                for _ in points:
-                    deltas.append(delta)
-                    weights.append(weight)
-                    delta = flow.proj_s @ (flow.lin @ delta)
-                    weight = flow.lin @ weight
-                    bounds.append(hess * math.sqrt(delta @ delta) * util.spectral_norm(weight))
-                grads = poly.gradient_diff_rows(points, deltas)
-                for start, grad, bound in zip(weights, grads, bounds):
-                    yield start.T @ grad, bound * q / (1.0 - q)
-
-        w_fr = self.stable_fraction_vector(y)
-        delta = np.array([float(c) for c in w_fr])
-        return certified_sum(pairs(delta, self.u_frame), GRADIENT_TOL)
+        # the origin is fixed, so its orbit repeats it
+        origin = tuple(Fraction(0) for _ in range(flow.dim))
+        w = np.array([float(c) for c in self.stable_fraction_vector(y)])
+        return flow.stable_gradient(origin, w, q)
 
     def unstable_slope(self, y: float) -> np.ndarray:
         """Tangent slope of the unstable-leaf graph through (0, y) in the
-        section time coordinate; zero for constant roofs."""
+        section time coordinate; zero for constant roofs. The backward PCF
+        gradient half, with gradients paired against the fixed origin."""
         poly = self.flow.roof.poly
         if poly.is_constant() or float(y) == 0.0:
             return np.zeros(self.dim_unstable)
@@ -160,22 +145,10 @@ class SectionChart:
         r = flow.rationalize(self.stable_fraction_vector(y))
         # the origin is fixed (no translation), so its gradient is too
         grad_origin = poly.gradient(np.zeros(flow.dim))
-        lip = poly.lipschitz_bound()
-        mods = flow.spectral.moduli
-        q = 1.0 / min(m for m in mods if m > 1.0)
-
-        def pairs(weight):
-            for points in flow.exact_orbit(r, backward=True):
-                weights, bounds = [], []
-                for _ in points:
-                    weights.append(weight)
-                    weight = flow.proj_u @ (flow.lin_inv @ weight)
-                    bounds.append(2.0 * lip * util.spectral_norm(weight) * q / (1.0 - q))
-                grads = poly.gradient_rows(points)
-                for start, grad, bound in zip(weights, grads, bounds):
-                    yield start.T @ (grad_origin - grad), bound
-
-        return certified_sum(pairs(flow.proj_u @ (flow.lin_inv @ self.u_frame)), GRADIENT_TOL)
+        _, q = flow.bunching_ratios()
+        return flow.unstable_gradient(
+            r, lambda pts: grad_origin - poly.gradient_rows(pts), q, 0.0
+        )
 
     # -- bent-section roof, for inspection and positivity ---------------------
 
@@ -197,7 +170,7 @@ class SectionChart:
 
         def tau(v):
             xx, yy = self.coords(v)
-            s = max(np.linalg.norm(xx) / self.radius_x, abs(yy) / self.radius_y)
+            s = max(np.linalg.norm(xx) / CHART_RADIUS_X, abs(yy) / CHART_RADIUS_Y)
             chi = _cutoff(s)
             if chi == 0.0:
                 return 0.0
@@ -233,7 +206,6 @@ def make_heteroclinic_datum(
     q_orbit: PeriodicOrbitRecord,
     q_index: int,
     offset,
-    verify_steps: int = 170,
 ) -> HeteroclinicDatum:
     """Intersect W^s_loc(p) with the weak-unstable leaf of q.
 
@@ -249,7 +221,7 @@ def make_heteroclinic_datum(
     )
     r_float = np.array([float(c) for c in r_fr])
     y_r = float(r_float @ chart.s_unit / (chart.s_unit @ chart.s_unit))
-    dist = _verify_backward_approach(chart, target, q_orbit, verify_steps)
+    dist = _verify_backward_approach(chart, target, q_orbit, VERIFY_STEPS)
     if dist > 1e-8:
         raise ArithmeticError(
             f"backward orbit only approached q to {dist:.3g}; datum rejected"
@@ -301,41 +273,33 @@ def _verify_backward_approach(chart, target, q_orbit, steps: int) -> float:
         return float(dist)
 
 
-def find_heteroclinic_data(
-    chart: SectionChart,
-    q_period: int,
-    offset_bound: int = 2,
-    y_range: tuple[float, float] = (0.12, 0.45),
-    verify: bool = False,
-) -> list[HeteroclinicDatum]:
+def find_heteroclinic_data(chart: SectionChart, q_period: int) -> list[HeteroclinicDatum]:
     """All candidate data from orbits of the given period, sorted by |y_r|.
 
-    Candidates are built without the extended-precision verification (pass
-    verify=True or call make_heteroclinic_datum on a chosen one for that).
+    Candidates are built without the extended-precision verification; call
+    make_heteroclinic_datum on a chosen one for that.
     """
     orbits = [o for o in periodic_points(chart.flow.base, q_period) if o.period_n == q_period]
     if not orbits:
         raise ValueError(f"no orbit of period {q_period}")
+    low, high = HETEROCLINIC_Y_RANGE
+    offsets = range(-HETEROCLINIC_OFFSET_BOUND, HETEROCLINIC_OFFSET_BOUND + 1)
     out = []
     for orbit in orbits:
         for idx in range(len(orbit.base_points)):
             qv = np.array([float(c) for c in orbit.base_points[idx]])
-            for off in product(range(-offset_bound, offset_bound + 1), repeat=chart.flow.dim):
+            for off in product(offsets, repeat=chart.flow.dim):
                 y_r = float(chart.finv[-1] @ (qv + np.array(off)))
-                if not (y_range[0] <= abs(y_r) <= y_range[1]):
+                if not (low <= abs(y_r) <= high):
                     continue
-                if verify:
-                    out.append(make_heteroclinic_datum(chart, orbit, idx, off))
-                else:
-                    r_float = chart.s_unit * y_r
-                    out.append(
-                        HeteroclinicDatum(
-                            q_orbit=orbit, q_index=idx,
-                            offset=tuple(int(v) for v in off),
-                            y_r=y_r,
-                            r_base=tuple(float(v % 1.0) for v in r_float),
-                        )
+                out.append(
+                    HeteroclinicDatum(
+                        q_orbit=orbit, q_index=idx,
+                        offset=tuple(int(v) for v in off),
+                        y_r=y_r,
+                        r_base=tuple(float(v % 1.0) for v in chart.s_unit * y_r),
                     )
+                )
     out.sort(key=lambda d: (-abs(d.y_r), d.q_index, d.offset))
     return out
 
@@ -568,8 +532,8 @@ def claim44_check(
     )
 
 
-def _fit_order(xs, ys, floor: float = 1e-14) -> float:
-    pairs = [(math.log(x), math.log(max(y, floor))) for x, y in zip(xs, ys) if y > floor]
+def _fit_order(xs, ys) -> float:
+    pairs = [(math.log(x), math.log(y)) for x, y in zip(xs, ys) if y > FIT_FLOOR]
     if len(pairs) < 2:
         return float("inf")
     lx = np.array([p[0] for p in pairs])
@@ -654,7 +618,6 @@ def grassmannian_sweep(
     datum: HeteroclinicDatum,
     gradient_grid,
     catalog: InvariantSubspaceCatalog,
-    containment_tol: float = 1e-8,
 ) -> SweepReport:
     """Sweep bump gradients and test invariant-subspace containment.
 
@@ -690,7 +653,7 @@ def grassmannian_sweep(
         contained = []
         for idx, coords in enumerate(f_coords):
             emb = np.vstack([coords, np.zeros((1, coords.shape[1]))])
-            if util.contains_subspace(graph, emb, tol=containment_tol):
+            if util.contains_subspace(graph, emb, tol=CONTAINMENT_TOL):
                 contained.append(idx)
         entries.append(
             SweepEntry(

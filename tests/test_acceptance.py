@@ -5,6 +5,7 @@ complete. Every tolerance is pinned here; nothing is deferred to later
 calibration.
 """
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from anosovlab.spectral import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REFERENCE_DIGESTS = CONFIGS.parent / "bench" / "reference_digests.json"
 SEED = 20260808
 
 
@@ -223,6 +225,10 @@ def test_10_grassmannian_sweep(companion3, quartic_real):
 
 
 def test_11_bundled_config_determinism(tmp_path):
+    # the first run of each config must also match the stored reference
+    # digests, so a change in any report digit fails here, not only in the
+    # benchmark
+    reference = json.loads(REFERENCE_DIGESTS.read_text())
     mismatches = []
     for config_path in sorted(CONFIGS.glob("*.json")):
         cfg = load_config(config_path)
@@ -234,6 +240,11 @@ def test_11_bundled_config_determinism(tmp_path):
             for p in sorted((base / "run1").iterdir()):
                 if (base / other / p.name).read_bytes() != p.read_bytes():
                     mismatches.append(f"{config_path.stem}/{other}/{p.name}")
+        manifest = json.loads((base / "run1" / "manifest.json").read_text())
+        digests = {r["name"]: r["sha256"] for r in manifest["reports"]}
+        if digests != reference.get(config_path.stem):
+            mismatches.append(f"{config_path.stem}/run1 digests differ from the reference")
     _report(11, "bundled configs deterministic", not mismatches,
             f"{len(list(CONFIGS.glob('*.json')))} configs x (rerun, 4 workers) "
-            f"byte-identical" if not mismatches else f"mismatches: {mismatches}")
+            f"byte-identical, digests as in {REFERENCE_DIGESTS.name}"
+            if not mismatches else f"mismatches: {mismatches}")

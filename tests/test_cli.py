@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from anosovlab.cli import main
 from anosovlab import flow as flow_module
+from anosovlab import pcf
 from anosovlab.errors import ConfigInvalid, ExperimentFailed, TruncationInsufficient
 from anosovlab.experiments import (
     ExperimentConfig,
@@ -54,6 +55,18 @@ class TestConfigValidation:
         bad.write_text(json.dumps({"kind": "nope", "params": {}}))
         with pytest.raises(ConfigInvalid, match="kind"):
             load_config(bad)
+
+    def test_short_translation_rejected_before_pair_search(self, tmp_path, monkeypatch):
+        payload = json.loads((CONFIGS / "subbundle_companion3.json").read_text())
+        payload["params"]["translation"] = ["1/7", "2/7"]
+        cfg = ExperimentConfig.from_dict(payload)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("pair search ran before the translation was checked")
+
+        monkeypatch.setattr(pcf, "find_independent_pairs", no_search)
+        with pytest.raises(ConfigInvalid, match="translation has 2 entries"):
+            run_experiment(cfg, tmp_path / "out")
 
     def test_negative_roof_constant_rejected(self):
         with pytest.raises(ConfigInvalid, match="positive"):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import distance_mp, evolve_mp
 
 from anosovlab import flow as flow_module
-from anosovlab import intlinalg, mpspec, pcf
+from anosovlab import intlinalg, mpspec, pcf, perturb
 from anosovlab.errors import OffLeaf, TruncationInsufficient
 from anosovlab.flow import SuspensionFlow, affine_orbit, wrap_unit
 from anosovlab.roof import RoofFunction, birkhoff_sum
@@ -190,6 +190,20 @@ class TestStrongManifoldPoint:
         assert cat_flow.distance(lhs, rhs) <= 1e-8
 
 
+class TestTranslation:
+    # lengths d - 1 and d + 1 on a d = 3 base: zip would truncate either one
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_length_checked(self, companion3, length):
+        translation = (Fraction(1, 5),) + (0,) * (length - 1)
+        with pytest.raises(ValueError, match=f"translation has {length} entries"):
+            SuspensionFlow(companion3, RoofFunction.constant(1.0, 3), translation=translation)
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_translate_flow_length_checked(self, companion3_flow, length):
+        with pytest.raises(ValueError, match=f"translation has {length} entries"):
+            pcf.translate_flow(companion3_flow, (Fraction(1, 7),) * length)
+
+
 class TestExactOrbits:
     def test_rational_orbit_matches_float(self, companion3_flow):
         pt = companion3_flow.rationalize([0.3, 0.6, 0.1])
@@ -248,18 +262,59 @@ class TestSegments:
         monkeypatch.setattr(flow_module, "SEGMENT", segment)
         assert sums() == expected
 
-    @pytest.mark.parametrize("direction", ["stable", "unstable"])
-    def test_cap_across_segment_boundary(self, companion3_flow, monkeypatch, direction):
-        # one term past the first segment: the cap counts terms, not segments
+    @pytest.mark.parametrize("segment", SEGMENTS)
+    def test_carried_states_line_up(self, segment):
+        # a toy orbit of consecutive integers in segments, carrying a state
+        # that is not a function of the point: point i sees states[i], and
+        # nexts[i] is the state of point i + 1, across segment boundaries
+        orbit = (np.arange(k, k + segment) for k in range(0, 3 * segment + 1, segment))
+
+        def step(state):
+            return (3 * state + 1) % 1009
+
+        points, states, nexts = [], [], []
+        for pts, sts, nxt in flow_module.carried(orbit, 5, step):
+            assert len(pts) == len(sts) == len(nxt)
+            points.extend(pts)
+            states.extend(sts)
+            nexts.extend(nxt)
+        assert points == list(range(4 * segment))
+        expected = [5]
+        while len(expected) <= len(points):
+            expected.append(step(expected[-1]))
+        assert states == expected[:-1]
+        assert nexts == expected[1:]
+
+    # the cap counts terms, not segments: one term past the first segment
+    # must raise. Here the leaf adjustments and t_series need 105-212 terms,
+    # and pcf_gradient, whose forward rate is lambda * xi_max ~ 0.87, 261.
+    @pytest.mark.parametrize("series", ["stable", "unstable", "pcf_gradient", "t_series"])
+    def test_cap_across_segment_boundary(self, companion3_flow, monkeypatch, series):
+        flow = companion3_flow
         x = np.array([0.21, 0.47, 0.83])
-        frame = companion3_flow.stable_frame() if direction == "stable" else (
-            companion3_flow.unstable_frame())
-        y = x + frame @ np.full(frame.shape[1], 0.02)
-        assert np.isfinite(companion3_flow.time_adjustment(x, y, direction))
+        if series == "pcf_gradient":
+            a = flow.make_point(x, 0.0)
+            w = flow.stable_frame() @ np.full(1, 0.02)
+            u = flow.unstable_frame() @ np.full(2, 0.02)
+
+            def compute():
+                return pcf.pcf_gradient(flow, a, w, u)
+        elif series == "t_series":
+            chart = perturb.SectionChart(flow)
+
+            def compute():
+                return chart.t_series(np.array([0.04, -0.03]), 0.21)
+        else:
+            frame = flow.stable_frame() if series == "stable" else flow.unstable_frame()
+            y = x + frame @ np.full(frame.shape[1], 0.02)
+
+            def compute():
+                return flow.time_adjustment(x, y, series)
+        assert np.all(np.isfinite(compute()))
         cap = flow_module.SEGMENT + 1
         monkeypatch.setattr(flow_module, "MAX_TERMS", cap)
         with pytest.raises(TruncationInsufficient, match=f"within {cap} terms"):
-            companion3_flow.time_adjustment(x, y, direction)
+            compute()
 
 
 @pytest.fixture(scope="module")
