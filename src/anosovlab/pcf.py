@@ -31,6 +31,7 @@ from . import intlinalg, mpspec, util
 _MEMBERSHIP_TOL = 1e-12
 INDEPENDENCE_CUTOFF = 0.05  # least sv / largest sv a new pair must keep: a well-posed Newton
 NEWTON_TOL = 1e-12          # patch Newton stops here, 100x the VALUE_TOL of each PCF value
+PAIR_SCALE = 0.02           # pair-search displacement scale: sample_quadrilaterals' default
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +374,6 @@ def find_independent_pairs(
     count: int = 2,
     seed: int = 0,
     budget: int = 200,
-    s_scale: float = 0.02,
-    u_scale: float = 0.02,
 ) -> list[tuple[FlowPoint, tuple]]:
     """Seeded random search for PCF pairs with independent gradients.
 
@@ -389,8 +388,8 @@ def find_independent_pairs(
     chosen: list[tuple[FlowPoint, tuple]] = []
     rows: list[np.ndarray] = []
     for _ in range(budget):
-        c = rng.uniform(-1.0, 1.0, u_frame.shape[1]) * u_scale
-        s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * s_scale
+        c = rng.uniform(-1.0, 1.0, u_frame.shape[1]) * PAIR_SCALE
+        s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * PAIR_SCALE
         a = flow.make_point(base_point.base() - u_frame @ c, base_point.s)
         s_disp = s_frame @ s_coef
         grad = pcf_gradient(flow, a, s_disp, u_frame @ c)

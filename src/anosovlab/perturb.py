@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 
 import mpmath as mp
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import intlinalg, mpspec, util
 from .errors import ChartExit, ResidualBelowNoise
 from .flow import RETURN_TOL, VALUE_TOL, SuspensionFlow, carried, certified_sum, wrap_unit
-from .roof import PeriodicOrbitRecord, periodic_points
+from .roof import PeriodicOrbitRecord, periodic_points, row_products
 from .spectral import InvariantSubspaceCatalog
 
 # Fixed choices of the section chart, the heteroclinic search and the fits.
@@ -34,6 +34,8 @@ HETEROCLINIC_Y_RANGE = (0.12, 0.45)  # |y_r| of a datum: off the fixed point, in
 VERIFY_STEPS = 170      # backward steps of the 60-digit check that a datum approaches q
 CONTAINMENT_TOL = 1e-8  # sweep subspace containment: the same 1e-8 as its E^u membership check
 FIT_FLOOR = 1e-14       # errors at or under this are rounding noise, left out of order fits
+HAT_FACTOR = 1.25       # return-series rows within this many bump radii are recorded
+SCREEN_SLACK = 1e-9     # relative slack of the squared-distance screen over the scalar hypot
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +80,13 @@ class SectionChart:
         w = wrap_unit(np.asarray([float(c) for c in v], dtype=float))
         co = self.finv @ w
         return co[: self.dim_unstable].copy(), float(co[-1])
+
+    def coords_rows(self, points) -> np.ndarray:
+        """Chart coordinates (x, y) of each row of an (N, d) array, as (N, d) rows.
+
+        Row i equals coords(points[i]) bit for bit.
+        """
+        return row_products(self.finv, wrap_unit(points))
 
     def embed(self, x, y: float) -> np.ndarray:
         return self.u_frame @ np.asarray(x, dtype=float) + float(y) * self.s_unit
@@ -255,22 +264,22 @@ def _verify_backward_approach(chart, target, q_orbit, steps: int) -> float:
             for pt in q_orbit.base_points
         ]
         point = [mp.fmod(c, 1) for c in r]
-        dist = mp.mpf(1)
+        # sqrt is correctly rounded and monotone, so the root of the least
+        # square is the least root
+        dist_sq = mp.mpf(1)
         for _ in range(steps):
             point = [mp.fmod(c, 1) for c in intlinalg.mat_vec(inv, point)]
-            dist = min(
+            dist_sq = min(
                 min(
-                    mp.sqrt(
-                        sum(
-                            (mp.fmod(point[i] - qp[i] + half, 1) - half) ** 2
-                            for i in range(d)
-                        )
+                    sum(
+                        (mp.fmod(point[i] - qp[i] + half, 1) - half) ** 2
+                        for i in range(d)
                     )
                     for qp in q_pts
                 ),
-                dist,
+                dist_sq,
             )
-        return float(dist)
+        return float(mp.sqrt(dist_sq))
 
 
 def find_heteroclinic_data(chart: SectionChart, q_period: int) -> list[HeteroclinicDatum]:
@@ -395,7 +404,6 @@ class ReturnLedger:
     steps: tuple[int, ...]
     gaps: tuple[float, ...]
     terms: tuple[float, ...]
-    in_hat: tuple[bool, ...]
     total: float
 
     def correction(self, from_step: int = 0) -> float:
@@ -412,42 +420,57 @@ def return_series(
 
     The orbit pair shares its unstable part, so consecutive gaps contract
     by exactly |lambda| and the geometric tail certificate terminates the
-    sum. Only iterates near the bump or with a nonzero term are recorded.
+    sum. Only iterates in the hat (within HAT_FACTOR radii of the bump
+    centre) or with a nonzero term are recorded.
+
+    Each pair of orbit segments is screened in one array pass. A row whose
+    two points both lie outside the hat, with SCREEN_SLACK to spare, has
+    term exactly 0.0, since the bump vanishes from one radius on, and is not
+    recorded; only the other rows run the per-point code.
     """
     if bump is None:
-        return ReturnLedger(steps=(), gaps=(), terms=(), in_hat=(), total=0.0)
+        return ReturnLedger(steps=(), gaps=(), terms=(), total=0.0)
     flow = chart.flow
     z0 = flow.rationalize(chart.embed(x, 0.0))
     w_fr = chart.stable_fraction_vector(y)
     z1 = tuple(a + b for a, b in zip(z0, w_fr))
     lam_abs = abs(chart.lam)
     lip = bump.lipschitz_bound()
-    hat_radius = 1.25 * bump.radius
-    steps, gaps, terms, in_hat = [], [], [], []
+    hat_radius = HAT_FACTOR * bump.radius
+    screen_sq = hat_radius**2 * (1.0 + SCREEN_SLACK)
+    centre = np.zeros(chart.dim_unstable + 1)
+    centre[-1] = bump.center_y
+    steps, gaps, terms = [], [], []
+
+    def near(segment) -> np.ndarray:
+        off = chart.coords_rows(segment) - centre
+        return np.einsum("ij,ij->i", off, off) <= screen_sq
+
+    def screened():
+        for seg0, seg1 in zip(flow.exact_orbit(z0), flow.exact_orbit(z1)):
+            yield from zip(seg0, seg1, (near(seg0) | near(seg1)).tolist())
 
     def pairs(gap):
         yield 0.0, lip * gap / (1.0 - lam_abs)   # the whole series may already be below tol
-        orbit0 = chain.from_iterable(flow.exact_orbit(z0))
-        orbit1 = chain.from_iterable(flow.exact_orbit(z1))
-        for n, (p0, p1) in enumerate(zip(orbit0, orbit1)):
-            x1, y1 = chart.coords(p1)
-            x0c, y0c = chart.coords(p0)
-            d1 = math.hypot(float(np.linalg.norm(x1)), y1 - bump.center_y)
-            d0 = math.hypot(float(np.linalg.norm(x0c)), y0c - bump.center_y)
-            hat = bool(min(d0, d1) <= hat_radius)
-            term = bump.value_chart(x1, y1) - bump.value_chart(x0c, y0c)
-            if hat or term != 0.0:
-                steps.append(n)
-                gaps.append(gap)
-                terms.append(term)
-                in_hat.append(hat)
+        for n, (p0, p1, candidate) in enumerate(screened()):
+            term = 0.0
+            if candidate:
+                x1, y1 = chart.coords(p1)
+                x0c, y0c = chart.coords(p0)
+                d1 = math.hypot(float(np.linalg.norm(x1)), y1 - bump.center_y)
+                d0 = math.hypot(float(np.linalg.norm(x0c)), y0c - bump.center_y)
+                hat = min(d0, d1) <= hat_radius
+                term = bump.value_chart(x1, y1) - bump.value_chart(x0c, y0c)
+                if hat or term != 0.0:
+                    steps.append(n)
+                    gaps.append(gap)
+                    terms.append(term)
             gap *= lam_abs
             yield term, lip * gap / (1.0 - lam_abs)
 
     total = certified_sum(pairs(float(np.linalg.norm([float(v) for v in w_fr]))), term_tol)
     return ReturnLedger(
-        steps=tuple(steps), gaps=tuple(gaps), terms=tuple(terms),
-        in_hat=tuple(in_hat), total=total,
+        steps=tuple(steps), gaps=tuple(gaps), terms=tuple(terms), total=total,
     )
 
 
@@ -558,8 +581,8 @@ def remainder_exponent(
     """Fit |T^rho - T - rho(f(x, y_r))| against |x| on a log-log scale.
 
     The first-return bump value is excluded, so the residual is exactly the
-    second-and-later return series; noise-floor entries are dropped and an
-    all-noise sequence raises ResidualBelowNoise.
+    second-and-later return series; noise-floor entries are dropped, and
+    fewer than two distinct norms left to fit raise ResidualBelowNoise.
     """
     norms, residuals = [], []
     for x in x_sequence:
@@ -569,9 +592,10 @@ def remainder_exponent(
         if resid >= 1e-12:
             norms.append(float(np.linalg.norm(x)))
             residuals.append(resid)
-    if not norms:
+    if len(set(norms)) < 2:
         raise ResidualBelowNoise(
-            "all second-return corrections sit below 1e-12; exponent unbounded"
+            f"second-return corrections clear 1e-12 at {len(set(norms))} distinct "
+            "norms; the exponent fit needs two"
         )
     slope = _fit_order(norms, residuals)
     return RemainderFit(
@@ -705,6 +729,12 @@ def kappa_experiment(
     return to the ball at step j with gap lambda^j y_r, realizing the
     kappa-power law measurably at every scale.
     """
+    norm_min, norm_max = norm_range
+    if n_points < 2 or not 0.0 < norm_min < norm_max:
+        raise ValueError(
+            f"kappa fit needs n_points >= 2 and 0 < norm_min < norm_max, "
+            f"got n_points {n_points}, norm range {norm_range}"
+        )
     chart = SectionChart(flow)
     lam = chart.lam
     finv = chart.finv
@@ -744,7 +774,7 @@ def kappa_experiment(
     a_inv = np.linalg.inv(chart.a_u)
     xi = max(flow.spectral.moduli)
     xs = []
-    for nrm in np.geomspace(norm_range[1], norm_range[0], n_points):
+    for nrm in np.geomspace(norm_max, norm_min, n_points):
         j = int(round(math.log(np.linalg.norm(target) / nrm) / math.log(xi)))
         j = max(j, 1)
         x = np.linalg.matrix_power(a_inv, j) @ target

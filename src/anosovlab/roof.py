@@ -24,7 +24,7 @@ from .spectral import IntegerMatrix, spectral_data
 TWO_PI = 2.0 * math.pi
 
 
-def _row_products(matrix, rows: np.ndarray) -> np.ndarray:
+def row_products(matrix, rows: np.ndarray) -> np.ndarray:
     """matrix @ row for each row of a 2-D array.
 
     A stacked matmul makes the same BLAS call per row as `matrix @ row`
@@ -179,7 +179,7 @@ class TrigPolynomial:
     # -- orbit segments --------------------------------------------------------
     # The phase work (theta, beta, sin, exp) of a whole segment of orbit
     # points runs as one numpy call per stage. Every dot product stays the
-    # per-point BLAS call, made once per row by `_row_products`: one gemm
+    # per-point BLAS call, made once per row by `row_products`: one gemm
     # over the segment accumulates in another order and with other FMA
     # contractions, so it is not bit-identical to the methods above. Row i
     # of each result equals the per-point method at row i, bit for bit.
@@ -187,32 +187,32 @@ class TrigPolynomial:
     def evaluate_rows(self, points) -> list[float]:
         """evaluate() at each row of an (N, d) array."""
         pts = np.asarray(points, dtype=float) % 1.0
-        phases = np.exp(1j * TWO_PI * _row_products(self._freqs, pts))
-        return np.real(_row_products(self._coeffs, phases)).tolist()
+        phases = np.exp(1j * TWO_PI * row_products(self._freqs, pts))
+        return np.real(row_products(self._coeffs, phases)).tolist()
 
     def gradient_rows(self, points) -> np.ndarray:
         """gradient() at each row of an (N, d) array."""
         pts = np.asarray(points, dtype=float) % 1.0
-        phases = np.exp(1j * TWO_PI * _row_products(self._freqs, pts))
-        return np.real(_row_products(1j * TWO_PI * self._freqs.T, self._coeffs * phases))
+        phases = np.exp(1j * TWO_PI * row_products(self._freqs, pts))
+        return np.real(row_products(1j * TWO_PI * self._freqs.T, self._coeffs * phases))
 
     def _diff_phases(self, points, deltas) -> tuple[np.ndarray, np.ndarray]:
         pts = np.asarray(points, dtype=float) % 1.0
-        theta = TWO_PI * _row_products(self._freqs, pts)
-        beta = TWO_PI * _row_products(self._freqs, np.asarray(deltas, dtype=float))
+        theta = TWO_PI * row_products(self._freqs, pts)
+        beta = TWO_PI * row_products(self._freqs, np.asarray(deltas, dtype=float))
         expm1 = -2.0 * np.sin(0.5 * beta) ** 2 + 1j * np.sin(beta)
         return np.exp(1j * theta), expm1
 
     def eval_diff_rows(self, points, deltas) -> list[float]:
         """eval_diff() at each row pair of two (N, d) arrays."""
         rotation, expm1 = self._diff_phases(points, deltas)
-        return np.real(_row_products(self._coeffs, rotation * expm1)).tolist()
+        return np.real(row_products(self._coeffs, rotation * expm1)).tolist()
 
     def gradient_diff_rows(self, points, deltas) -> np.ndarray:
         """gradient_diff() at each row pair of two (N, d) arrays."""
         rotation, expm1 = self._diff_phases(points, deltas)
         weights = self._coeffs * rotation * expm1
-        return np.real(_row_products(1j * TWO_PI * self._freqs.T, weights))
+        return np.real(row_products(1j * TWO_PI * self._freqs.T, weights))
 
     # -- bounds and bookkeeping ----------------------------------------------
 

@@ -4,15 +4,19 @@ These deliberately avoid the package's series machinery. The flow oracle
 iterates roof crossings in 50-digit arithmetic, so hyperbolic error
 amplification stays far below every asserted tolerance.
 
-`series_pins` is the one exception: it runs the package's leaf-graph and
-PCF series on three roofs, and `tests/test_series_pins.py` holds its
-output as float.hex literals, so a refactor of the series must keep every
-bit. Print the literals with
+`series_pins` and `return_pins` are the exceptions: they run the
+package's leaf-graph, PCF and bump return series, and
+`tests/test_series_pins.py` holds their output as float.hex literals, so
+a refactor of the series must keep every bit. `return_series_reference`
+is the per-point loop that `perturb.return_series` replaced, kept as the
+reference it must equal. Print the literals with
 
     PYTHONPATH=src python tests/oracles.py
 """
 
+import math
 from fractions import Fraction
+from itertools import chain
 from pprint import pprint
 
 import mpmath as mp
@@ -160,5 +164,100 @@ def series_pins() -> dict:
     return out
 
 
+def return_series_reference(chart, bump, x, y):
+    """The per-point bump return series: (steps, gaps, terms, total).
+
+    Every orbit point goes through `chart.coords`, the hat test and
+    `Bump.value_chart`; a step is recorded when it lies in the hat of
+    radius 1.25 * bump.radius or has a nonzero term.
+    """
+    import numpy as np
+
+    from anosovlab.flow import RETURN_TOL, certified_sum
+
+    flow = chart.flow
+    z0 = flow.rationalize(chart.embed(x, 0.0))
+    w_fr = chart.stable_fraction_vector(y)
+    z1 = tuple(a + b for a, b in zip(z0, w_fr))
+    lam_abs = abs(chart.lam)
+    lip = bump.lipschitz_bound()
+    hat_radius = 1.25 * bump.radius
+    steps, gaps, terms = [], [], []
+
+    def pairs(gap):
+        yield 0.0, lip * gap / (1.0 - lam_abs)
+        orbit0 = chain.from_iterable(flow.exact_orbit(z0))
+        orbit1 = chain.from_iterable(flow.exact_orbit(z1))
+        for n, (p0, p1) in enumerate(zip(orbit0, orbit1)):
+            x1, y1 = chart.coords(p1)
+            x0c, y0c = chart.coords(p0)
+            d1 = math.hypot(float(np.linalg.norm(x1)), y1 - bump.center_y)
+            d0 = math.hypot(float(np.linalg.norm(x0c)), y0c - bump.center_y)
+            hat = bool(min(d0, d1) <= hat_radius)
+            term = bump.value_chart(x1, y1) - bump.value_chart(x0c, y0c)
+            if hat or term != 0.0:
+                steps.append(n)
+                gaps.append(gap)
+                terms.append(term)
+            gap *= lam_abs
+            yield term, lip * gap / (1.0 - lam_abs)
+
+    total = certified_sum(pairs(float(np.linalg.norm([float(v) for v in w_fr]))), RETURN_TOL)
+    return tuple(steps), tuple(gaps), tuple(terms), total
+
+
+def return_pin_setups():
+    """kappa_experiment setups on companion3: roof name -> KappaSetup.
+
+    The constant roof is the bundled claim44 config's; the cos roof checks
+    that nothing in the return series reads the roof.
+    """
+    from anosovlab import perturb
+    from anosovlab.flow import SuspensionFlow
+    from anosovlab.roof import RoofFunction, TrigPolynomial
+    from anosovlab.spectral import IntegerMatrix
+
+    companion3 = IntegerMatrix.companion([-1, 0, 1, 1])
+    cos = TrigPolynomial.constant(1.0, 3) + TrigPolynomial.cosine(0.05, (1, 0, 0), 3)
+    return {
+        "constant": perturb.kappa_experiment(
+            SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))),
+        "cos": perturb.kappa_experiment(SuspensionFlow(companion3, RoofFunction(cos))),
+    }
+
+
+# x_sequence entries pinned per setup. Their recorded steps are (20, 21),
+# (1, 32, 33), (1, 63, 64) and (1, 69, 70): the last three straddle
+# multiples of the 32-point orbit segment.
+RETURN_PIN_ENTRIES = (0, 6, 21, 24)
+
+
+def return_pins() -> dict:
+    """float.hex of the return-series ledgers at the pinned x_sequence
+    entries, and of the datum's backward distance, per roof."""
+    import numpy as np
+
+    from anosovlab import perturb
+
+    out = {}
+    for name, setup in return_pin_setups().items():
+        ledgers = []
+        for i in RETURN_PIN_ENTRIES:
+            ledger = perturb.return_series(
+                setup.chart, setup.bump, np.array(setup.x_sequence[i]), setup.datum.y_r)
+            ledgers.append({
+                "steps": list(ledger.steps),
+                "gaps": [g.hex() for g in ledger.gaps],
+                "terms": [t.hex() for t in ledger.terms],
+                "total": ledger.total.hex(),
+            })
+        out[name] = {
+            "ledgers": ledgers,
+            "backward_distance": setup.datum.backward_distance.hex(),
+        }
+    return out
+
+
 if __name__ == "__main__":
     pprint(series_pins(), width=92, sort_dicts=False)
+    pprint(return_pins(), width=92, sort_dicts=False)

@@ -68,6 +68,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="translation has 2 entries"):
             run_experiment(cfg, tmp_path / "out")
 
+    @pytest.mark.parametrize("params", [
+        {"n_points": 1},
+        {"norm_min": 0.1, "norm_max": 0.1},
+        {"norm_min": 0.2, "norm_max": 0.1},
+        {"norm_min": 0.0},
+    ])
+    def test_degenerate_kappa_fit_rejected(self, tmp_path, params):
+        # kappa_experiment's ValueError, before any orbit work
+        payload = json.loads((CONFIGS / "claim44_companion3.json").read_text())
+        payload["params"] = params
+        cfg = ExperimentConfig.from_dict(payload)
+        with pytest.raises(ConfigInvalid, match="kappa fit"):
+            run_experiment(cfg, tmp_path / "out")
+
     def test_negative_roof_constant_rejected(self):
         with pytest.raises(ConfigInvalid, match="positive"):
             build_roof({"constant": -1.0}, 2)

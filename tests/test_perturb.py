@@ -206,6 +206,36 @@ class TestStableGraphTime:
 
 
 class TestReturnSeries:
+    def test_coords_rows_match_coords(self, kappa_setup):
+        chart = kappa_setup.chart
+        rows = np.random.default_rng(3).uniform(-2.0, 2.0, (40, 3))
+        for row, co in zip(rows, chart.coords_rows(rows)):
+            x, y = chart.coords(row)
+            assert [v.hex() for v in co] == [float(v).hex() for v in (*x, y)]
+
+    def test_coords_only_on_screened_rows(self, companion3, monkeypatch):
+        # the per-point path runs on rows the segment screen lets through:
+        # two coords calls per recorded step, where a call per orbit point
+        # would make about 12 800 on this sequence
+        flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
+        setup = perturb.kappa_experiment(flow, n_points=60)
+        calls = 0
+        coords = perturb.SectionChart.coords
+
+        def counted(self, v):
+            nonlocal calls
+            calls += 1
+            return coords(self, v)
+
+        monkeypatch.setattr(perturb.SectionChart, "coords", counted)
+        recorded = sum(
+            len(perturb.return_series(setup.chart, setup.bump, np.array(x),
+                                      setup.datum.y_r).steps)
+            for x in setup.x_sequence
+        )
+        assert recorded > 0
+        assert calls <= 4 * recorded
+
     def test_gaps_contract_at_stable_rate(self, kappa_setup):
         chart, datum, bump = kappa_setup.chart, kappa_setup.datum, kappa_setup.bump
         x = np.array(kappa_setup.x_sequence[5])
@@ -289,6 +319,14 @@ class TestRemainderExponent:
         c_fit = math.exp(sum(logs) / len(logs))
         for n, r in zip(fit.norms, fit.residuals):
             assert r <= 5.0 * c_fit * n**1.8
+
+    def test_one_distinct_norm_below_noise(self, kappa_setup):
+        # a fit through repeated abscissae has no slope to find
+        x = kappa_setup.x_sequence[5]
+        with pytest.raises(ResidualBelowNoise, match="distinct"):
+            perturb.remainder_exponent(
+                kappa_setup.chart, kappa_setup.datum, kappa_setup.bump, [x, x, x]
+            )
 
     def test_small_support_means_no_second_return(self, kappa_setup):
         chart, datum = kappa_setup.chart, kappa_setup.datum

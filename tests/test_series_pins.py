@@ -4,10 +4,17 @@ The bundled configs run the SectionChart series only on constant roofs and
 pcf_gradient only in d=3, so their digests cannot see a change in these
 series' last bits. The literals below are float.hex values printed by
 `tests/oracles.py` (see `series_pins` there): three roofs, two chart
-points and four quadrilaterals each.
+points and four quadrilaterals each. `RETURN_PINS` holds the bump return
+series ledgers and the heteroclinic datum's backward distance on the kappa
+setup (see `return_pins`), and the reference test holds
+`perturb.return_series` to the per-point loop it replaced.
 """
 
-from oracles import series_pins
+import numpy as np
+import pytest
+from oracles import return_pin_setups, return_pins, return_series_reference, series_pins
+
+from anosovlab import perturb
 
 PINS = {'companion3_cos': {'t_series': ['0x1.01d9d23aa5a2bp-12', '0x1.26b6589d2a429p-6'],
                            't_gradient_at_zero': [['0x1.59f38d53e1631p-4', '0x1.277ac500780d1p-3'],
@@ -75,5 +82,65 @@ PINS = {'companion3_cos': {'t_series': ['0x1.01d9d23aa5a2bp-12', '0x1.26b6589d2a
                                           '-0x1.2e9a45da65e7fp-9']]}}
 
 
+# The return series reads no roof, so both roofs pin the same ledgers.
+RETURN_LEDGERS = {'ledgers': [{'steps': [20, 21],
+                               'gaps': ['0x1.21f71735b6003p-10', '0x1.b5c6c8f383bddp-11'],
+                               'terms': ['-0x1.5d7e6f61da7a0p-15', '0x0.0p+0'],
+                               'total': '-0x1.5d7e6f61da7a0p-15'},
+                              {'steps': [1, 32, 33],
+                               'gaps': ['0x1.d9acefb325a62p-3',
+                                        '0x1.3db2be2666760p-15',
+                                        '0x1.dfa585c8f9057p-16'],
+                               'terms': ['0x1.a81550e39555cp-11',
+                                         '-0x1.7973f7a37fc00p-20',
+                                         '0x0.0p+0'],
+                               'total': '0x1.a75896e7c395ep-11'},
+                              {'steps': [1, 63, 64],
+                               'gaps': ['0x1.d9acefb325a62p-3',
+                                        '0x1.aa2a7199284e2p-28',
+                                        '0x1.41b3fa85cb7ffp-28'],
+                               'terms': ['0x1.9ecfd7636eb25p-16',
+                                         '-0x1.fa065a5800000p-33',
+                                         '0x0.0p+0'],
+                               'total': '0x1.9eceda6041865p-16'},
+                              {'steps': [1, 69, 70],
+                               'gaps': ['0x1.d9acefb325a62p-3',
+                                        '0x1.3b6d28a04a81fp-30',
+                                        '0x1.dc3779124b873p-31'],
+                               'terms': ['-0x1.1847c599c2f82p-17',
+                                         '-0x1.7688ad3000000p-35',
+                                         '0x0.0p+0'],
+                               'total': '-0x1.1848233bee442p-17'}],
+                  'backward_distance': '0x1.ff9a7c4053dccp-34'}
+RETURN_PINS = {'constant': RETURN_LEDGERS, 'cos': RETURN_LEDGERS}
+
+
 def test_series_pins():
     assert series_pins() == PINS
+
+
+def test_return_pins():
+    assert return_pins() == RETURN_PINS
+
+
+@pytest.fixture(scope="module")
+def pin_setups():
+    return return_pin_setups()
+
+
+@pytest.mark.parametrize("roof", ["constant", "cos"])
+def test_return_series_matches_reference(pin_setups, roof):
+    # every x_sequence entry and every +-h step of claim44_check
+    setup = pin_setups[roof]
+    chart, bump, y_r = setup.chart, setup.bump, setup.datum.y_r
+    dirs = np.eye(chart.dim_unstable)
+    points = [np.array(x) for x in setup.x_sequence]
+    points += [sign * h * e for h in setup.claim_steps for e in dirs for sign in (1, -1)]
+
+    def hexed(steps, gaps, terms, total):
+        return steps, [g.hex() for g in gaps], [t.hex() for t in terms], total.hex()
+
+    for x in points:
+        ledger = perturb.return_series(chart, bump, x, y_r)
+        assert hexed(ledger.steps, ledger.gaps, ledger.terms, ledger.total) == \
+            hexed(*return_series_reference(chart, bump, x, y_r))
