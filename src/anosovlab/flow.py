@@ -31,6 +31,7 @@ GRADIENT_TOL = 1e-15   # gradient series: a decade lower, as they feed 1e-9 rank
 RETURN_TOL = 1e-13     # bump return series: a decade under the 1e-12 noise floor of the kappa fit
 MAX_TERMS = 5000       # the bundled configs need at most ~260 terms
 SEGMENT = 32           # points per orbit matmul and roof evaluation: amortizes numpy calls; overshoot < 32
+CHART_RADIUS = 0.05    # largest leaf displacement accepted: strong_manifold_point and quadrilaterals
 
 
 def certified_sum(pairs, tol: float, total=0.0):
@@ -127,7 +128,6 @@ class SuspensionFlow:
         base: IntegerMatrix,
         roof: RoofFunction,
         translation=None,
-        chart_radius: float = 0.05,
     ):
         if roof.dim != base.dim:
             raise ValueError("roof dimension does not match the base map")
@@ -138,7 +138,6 @@ class SuspensionFlow:
             )
         self.base = base
         self.roof = roof
-        self.chart_radius = float(chart_radius)
         self.translation = tuple(Fraction(v) for v in translation)
         self.spectral: SpectralData = spectral_data(base)
         self.lin = base.as_array()
@@ -414,7 +413,7 @@ class SuspensionFlow:
     def strong_manifold_point(self, p: FlowPoint, v) -> FlowPoint:
         """Point of W^s(p) or W^u(p) displaced by the base vector v."""
         varr = np.asarray([float(c) for c in v], dtype=float)
-        if np.linalg.norm(varr) > self.chart_radius + 1e-12:
+        if np.linalg.norm(varr) > CHART_RADIUS + 1e-12:
             raise OffLeaf(
                 f"displacement norm {np.linalg.norm(varr):.3g} exceeds chart radius"
             )

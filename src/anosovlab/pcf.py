@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import DegenerateGradients, NoIntersection, OffLeaf, TruncationInsufficient
-from .flow import FlowPoint, SuspensionFlow, affine_orbit, wrap_unit
+from .flow import CHART_RADIUS, FlowPoint, SuspensionFlow, affine_orbit, wrap_unit
 from .roof import RoofFunction
 from . import intlinalg, mpspec, util
 
@@ -47,12 +47,8 @@ class Quadrilateral:
     u_disp: tuple[float, ...]
 
     @staticmethod
-    def build(
-        flow: SuspensionFlow, a: FlowPoint, s_disp, u_disp,
-        chart_radius: float | None = None,
-    ) -> "Quadrilateral":
+    def build(flow: SuspensionFlow, a: FlowPoint, s_disp, u_disp) -> "Quadrilateral":
         """Validate displacements against the flow's splitting and chart."""
-        radius = flow.chart_radius if chart_radius is None else chart_radius
         s_arr = np.asarray([float(v) for v in s_disp], dtype=float)
         u_arr = np.asarray([float(v) for v in u_disp], dtype=float)
         for arr, sub in ((s_arr, "stable"), (u_arr, "unstable")):
@@ -60,10 +56,10 @@ class Quadrilateral:
             bad = np.linalg.norm(vu if sub == "stable" else vs)
             if bad > _MEMBERSHIP_TOL:
                 raise OffLeaf(f"{sub} displacement has transverse part {bad:.2e}")
-            if np.linalg.norm(arr) > radius + 1e-12:
+            if np.linalg.norm(arr) > CHART_RADIUS + 1e-12:
                 raise NoIntersection(
                     f"{sub} displacement norm {np.linalg.norm(arr):.3g} exceeds "
-                    f"chart radius {radius:.3g}"
+                    f"chart radius {CHART_RADIUS:.3g}"
                 )
         return Quadrilateral(a=a, s_disp=tuple(s_arr), u_disp=tuple(u_arr))
 
@@ -154,7 +150,6 @@ def _backward_horizon(flow: SuspensionFlow, scale: float, target: float) -> int:
 
 def temporal_distance_geometric(
     flow: SuspensionFlow, quad: Quadrilateral, tol: float = 1e-8,
-    chart_radius: float | None = None,
 ) -> float:
     """Construct Hol_{a,b}(x) and y explicitly and return their fiber gap.
 
@@ -167,11 +162,10 @@ def temporal_distance_geometric(
     """
     if tol < 1e-10:
         raise ValueError("tol must be at least 1e-10")
-    radius = flow.chart_radius if chart_radius is None else chart_radius
     alpha = quad.a.base()
     w = np.asarray(quad.s_disp)
     u = np.asarray(quad.u_disp)
-    if np.linalg.norm(w) > radius or np.linalg.norm(u) > radius:
+    if np.linalg.norm(w) > CHART_RADIUS or np.linalg.norm(u) > CHART_RADIUS:
         raise NoIntersection("quadrilateral displacements exceed the chart radius")
 
     target = 0.02 * tol
@@ -210,10 +204,10 @@ def temporal_distance_geometric(
     s_unit = flow.stable_frame()[:, 0]
     slope = _stable_coordinate(flow, s_unit)
     tau_star = -_stable_coordinate(flow, zeta - beta) / slope if slope != 0.0 else math.inf
-    if not abs(tau_star) <= 4.0 * radius:
+    if not abs(tau_star) <= 4.0 * CHART_RADIUS:
         raise NoIntersection("stable slide does not cross the unstable transversal")
     hol_base = zeta + tau_star * s_unit
-    if np.linalg.norm(hol_base - alpha) > 4.0 * radius:
+    if np.linalg.norm(hol_base - alpha) > 4.0 * CHART_RADIUS:
         raise NoIntersection("holonomy image left the chart")
     # the slide equals the refined stable displacement; assemble it exactly
     hol_fr = tuple(a + b for a, b in zip(zeta_fr, w_fr))
@@ -340,7 +334,6 @@ def matching_kernel_dimension(
     flow: SuspensionFlow,
     base_point: FlowPoint,
     pairs: list[tuple[FlowPoint, tuple]],
-    rel_cutoff: float = 1e-9,
 ) -> MatchingKernelReport:
     """Common kernel of the PCF differentials at base_point.
 
@@ -357,7 +350,7 @@ def matching_kernel_dimension(
             raise OffLeaf("base_point is not on the unstable leaf of a pair corner")
         rows.append(pcf_gradient(flow, a, s_disp, vu))
     grad_rows = np.array(rows)
-    kern = util.kernel_basis(grad_rows, rel_cutoff=rel_cutoff)
+    kern = util.kernel_basis(grad_rows)
     kernel_dim = kern.shape[1]
     ambient = flow.unstable_frame() @ kern if kernel_dim else np.zeros((flow.dim, 0))
     return MatchingKernelReport(
@@ -440,9 +433,7 @@ def translate_flow(flow: SuspensionFlow, v) -> tuple[SuspensionFlow, Translation
     lv = intlinalg.mat_vec(flow.base.entries, vfr)
     translation = tuple((a - b + c) % 1 for a, b, c in zip(vfr, lv, flow.translation))
     shifted = RoofFunction(flow.roof.poly.shift([float(c) for c in vfr]))
-    pushed = SuspensionFlow(
-        flow.base, shifted, translation=translation, chart_radius=flow.chart_radius
-    )
+    pushed = SuspensionFlow(flow.base, shifted, translation=translation)
     return pushed, TranslationConjugacy(v=vfr)
 
 

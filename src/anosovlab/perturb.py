@@ -223,8 +223,9 @@ def make_heteroclinic_datum(
     backward in extended precision and measuring the approach to the orbit
     of q.
     """
-    qv = [Fraction(c) for c in q_orbit.base_points[q_index]]
-    target = [qv[i] + int(offset[i]) for i in range(len(qv))]
+    target = [
+        Fraction(c, q_orbit.den) + int(m) for c, m in zip(q_orbit.numerators[q_index], offset)
+    ]
     r_fr = chart.split.project_fractions(
         [float(t) for t in target], "stable"
     )
@@ -259,10 +260,8 @@ def _verify_backward_approach(chart, target, q_orbit, steps: int) -> float:
         proj = chart.split.stable_proj
         vec = [mp.mpf(t.numerator) / mp.mpf(t.denominator) for t in target]
         r = [sum(proj[i, j] * vec[j] for j in range(d)) for i in range(d)]
-        q_pts = [
-            [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in pt]
-            for pt in q_orbit.base_points
-        ]
+        den = mp.mpf(q_orbit.den)
+        q_pts = [[mp.mpf(c) / den for c in pt] for pt in q_orbit.numerators]
         point = [mp.fmod(c, 1) for c in r]
         # sqrt is correctly rounded and monotone, so the root of the least
         # square is the least root
@@ -295,8 +294,8 @@ def find_heteroclinic_data(chart: SectionChart, q_period: int) -> list[Heterocli
     offsets = range(-HETEROCLINIC_OFFSET_BOUND, HETEROCLINIC_OFFSET_BOUND + 1)
     out = []
     for orbit in orbits:
-        for idx in range(len(orbit.base_points)):
-            qv = np.array([float(c) for c in orbit.base_points[idx]])
+        for idx, point in enumerate(orbit.numerators):
+            qv = np.array(point) / orbit.den
             for off in product(offsets, repeat=chart.flow.dim):
                 y_r = float(chart.finv[-1] @ (qv + np.array(off)))
                 if not (low <= abs(y_r) <= high):
@@ -727,7 +726,9 @@ def kappa_experiment(
     m with small stable coordinate marks a chart point (x_m, -y_m) close to
     the bump center, and the co-rotated displacements A^-j (x_m + delta)
     return to the ball at step j with gap lambda^j y_r, realizing the
-    kappa-power law measurably at every scale.
+    kappa-power law measurably at every scale. The steps j come from
+    n_points norms log-spaced over norm_range, so x_sequence holds at most
+    n_points distinct entries, in first-occurrence order.
     """
     norm_min, norm_max = norm_range
     if n_points < 2 or not 0.0 < norm_min < norm_max:
@@ -773,12 +774,12 @@ def kappa_experiment(
     target = x_m + delta
     a_inv = np.linalg.inv(chart.a_u)
     xi = max(flow.spectral.moduli)
-    xs = []
-    for nrm in np.geomspace(norm_max, norm_min, n_points):
-        j = int(round(math.log(np.linalg.norm(target) / nrm) / math.log(xi)))
-        j = max(j, 1)
-        x = np.linalg.matrix_power(a_inv, j) @ target
-        xs.append(tuple(float(v) for v in x))
+    # norms that round to the same step j give the same x, which is kept once
+    steps = dict.fromkeys(
+        max(int(round(math.log(np.linalg.norm(target) / nrm) / math.log(xi))), 1)
+        for nrm in np.geomspace(norm_max, norm_min, n_points)
+    )
+    xs = [tuple(float(v) for v in np.linalg.matrix_power(a_inv, j) @ target) for j in steps]
     claim_steps = tuple(float(h) for h in (1e-2, 5e-3, 2e-3, 1e-3, 5e-4, 2e-4, 1e-4))
     return KappaSetup(
         chart=chart,

@@ -368,14 +368,16 @@ class RoofFunction:
 
 @dataclass(frozen=True)
 class PeriodicOrbitRecord:
-    """One orbit of the base automorphism, exact rational base points."""
+    """One orbit of the base automorphism; point i is numerators[i] / den."""
 
-    base_points: tuple[tuple[Fraction, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
+    den: int
     period_n: int
     flow_period: float | None = None
 
-    def representative(self) -> tuple[Fraction, ...]:
-        return min(self.base_points)
+    def representative(self) -> tuple[int, ...]:
+        """Numerators of the least point, where the orbit starts."""
+        return min(self.numerators)
 
 
 # Largest enumeration of periodic points one call may make: 2^20 points
@@ -394,11 +396,11 @@ def periodic_points(
     """All orbits through points with M^n x = x on the torus.
 
     Solves (M^n - I) x in Z^d by unimodular diagonalization, so the points
-    are exact rationals (integer numerators over the lcm of the diagonal)
-    and their count is |det(M^n - I)|, refused past MAX_PERIODIC_POINTS.
-    Orbits start at their representative and are sorted by (period,
-    representative); when a roof is supplied each record carries the
-    orbit's flow period (Birkhoff sum of the roof).
+    are exact rationals, integer numerators over den, the lcm of the
+    diagonal, and their count is |det(M^n - I)|, refused past
+    MAX_PERIODIC_POINTS. Orbits start at their representative and are
+    sorted by (period, representative); when a roof is supplied each record
+    carries the orbit's flow period (Birkhoff sum of the roof).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -436,34 +438,14 @@ def periodic_points(
         visited.update(cycle)
         flow = None
         if roof is not None:
-            flow = float(sum(roof(tuple(c / den for c in p)) for p in cycle))
+            # den <= MAX_PERIODIC_POINTS, so the int64 quotient rounds as c / den
+            flow = float(sum(roof.poly.evaluate_rows(np.array(cycle) / den)))
             if flow <= 0:
                 raise ArithmeticError("flow period must be positive")
-        base = tuple(tuple(Fraction(c, den) for c in p) for p in cycle)
-        orbits.append(PeriodicOrbitRecord(base_points=base, period_n=len(cycle), flow_period=flow))
+        orbits.append(PeriodicOrbitRecord(tuple(cycle), den, len(cycle), flow))
     # found in order of representative; the stable sort keeps it per period
     orbits.sort(key=lambda o: o.period_n)
     return orbits
-
-
-def birkhoff_sum(roof: RoofFunction, matrix: IntegerMatrix, x, n: int) -> float:
-    """sum_{k<n} roof(M^k x), evaluated along the exact or float orbit."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    total = 0.0
-    if all(isinstance(v, Fraction) for v in x):
-        den = math.lcm(*(v.denominator for v in x))
-        start = [v.numerator * (den // v.denominator) for v in x]
-        orbit = intlinalg.orbit_numerators(matrix.entries, (0,) * len(start), start, den)
-        for point in itertools.islice(orbit, n):
-            total += roof(tuple(c / den for c in point))
-        return total
-    point = tuple(x)
-    for _ in range(n):
-        total += roof(point)
-        arr = np.asarray([float(v) for v in point])
-        point = tuple((np.array(matrix.entries, dtype=float) @ arr) % 1.0)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +488,8 @@ def periodic_obstructions(
 def obstruction_csv_rows(report: ObstructionReport) -> list[list]:
     rows = []
     for orbit, avg in zip(report.orbits, report.averages):
-        repr_str = ";".join(
-            "/".join([str(fr.numerator), str(fr.denominator)])
-            for fr in orbit.representative()
-        )
+        point = (Fraction(c, orbit.den) for c in orbit.representative())
+        repr_str = ";".join(f"{fr.numerator}/{fr.denominator}" for fr in point)
         rows.append([orbit.period_n, repr_str, float(avg)])
     return rows
 
@@ -660,10 +640,3 @@ def _independent_residual(
     um = u.compose_matrix(matrix)
     vals = um.evaluate_many(pts) - u.evaluate_many(pts) - (roof_poly.evaluate_many(pts) - c)
     return float(np.max(np.abs(vals)))
-
-
-def is_constant_roof_equivalent(
-    roof: RoofFunction, matrix: IntegerMatrix, n_max: int = 6, tol: float = 1e-8
-) -> bool:
-    """True when every periodic orbit average agrees to within tol."""
-    return periodic_obstructions(roof, matrix, n_max).spread <= tol

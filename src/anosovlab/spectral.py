@@ -21,6 +21,8 @@ from . import intlinalg, util
 from .errors import NotCodimensionOne, NotHyperbolic
 
 _CERTIFY_FACTOR = 10.0  # hyperbolicity requires |modulus - 1| > factor * root error
+ROOT_TOL = 1e-9         # largest a posteriori root error spectral_data accepts
+NULL_CUTOFF = 1e-8      # _null_dim: singular values at or under this share of the largest are zero
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +204,7 @@ class SpectralBlock:
 class SpectralData:
     """Eigenvalues, certified moduli, and real stable/unstable bases."""
 
-    matrix: IntegerMatrix | None
+    matrix: IntegerMatrix
     eigenvalues: tuple[complex, ...]        # with multiplicity
     moduli: tuple[float, ...]               # sorted ascending, with multiplicity
     blocks: tuple[SpectralBlock, ...]
@@ -283,7 +285,7 @@ def _root_subspace_basis(arr: np.ndarray, lam: complex, pair: bool, mult: int) -
     return _complex_null_basis(m, (2 if pair else 1) * mult, pair)
 
 
-def spectral_data(matrix: IntegerMatrix, tol: float = 1e-12) -> SpectralData:
+def spectral_data(matrix: IntegerMatrix) -> SpectralData:
     """Classify the spectrum of an integer unimodular matrix.
 
     Roots are Newton-polished on the exact characteristic polynomial and
@@ -291,12 +293,10 @@ def spectral_data(matrix: IntegerMatrix, tol: float = 1e-12) -> SpectralData:
     every modulus clears 1 by ten times its bound, otherwise NotHyperbolic
     is raised.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     coeffs = characteristic_polynomial(matrix)
     roots = _root_multiplicities(coeffs)
     for z, bound, _ in roots:
-        if not (bound < tol or bound < 1e-9):
+        if bound >= ROOT_TOL:
             raise ArithmeticError(f"root {z} certified only to {bound}")
     gap = min(abs(abs(z) - 1.0) - b for z, b, _ in roots)
     for z, bound, _ in roots:
@@ -375,20 +375,16 @@ class SpectralGapReport:
     satisfied: bool
 
 
-def spectral_gap_condition(data: SpectralData, log_base: float | None = None) -> SpectralGapReport:
-    """Evaluate the gap inequality; the verdict is base-independent."""
+def spectral_gap_condition(data: SpectralData) -> SpectralGapReport:
+    """Evaluate the gap inequality in natural logarithms."""
     if not data.codimension_one:
         raise NotCodimensionOne("gap condition needs exactly one contracting eigenvalue")
-    scale = 1.0 if log_base is None else float(np.log(log_base))
-
-    def _log(x: float) -> float:
-        return float(np.log(x)) / (scale if log_base is not None else 1.0)
-
     mu = 1.0 / data.moduli[0]
     unstable = data.unstable_moduli
     xi_1, xi_l = min(unstable), max(unstable)
-    lhs = _log(mu) ** 2 - _log(xi_l) ** 2
-    rhs = _log(mu) * (_log(xi_l) - _log(xi_1))
+    log_mu, log_1, log_l = (float(np.log(v)) for v in (mu, xi_1, xi_l))
+    lhs = log_mu ** 2 - log_l ** 2
+    rhs = log_mu * (log_l - log_1)
     return SpectralGapReport(
         mu=mu, xi_1=xi_1, xi_l=xi_l, lhs=lhs, rhs=rhs, satisfied=bool(lhs > rhs)
     )
@@ -414,7 +410,7 @@ def invariant_unstable_subspaces(data: SpectralData) -> InvariantSubspaceCatalog
     if not data.hyperbolic:
         raise NotHyperbolic("catalog requires a hyperbolic spectrum")
     ublocks = data.unstable_blocks()
-    arr = data.matrix.as_array() if data.matrix is not None else None
+    arr = data.matrix.as_array()
 
     # options per block: increasing chain of invariant subspaces inside the
     # block's generalized eigenspace (plus the empty choice)
@@ -423,15 +419,6 @@ def invariant_unstable_subspaces(data: SpectralData) -> InvariantSubspaceCatalog
         if b.multiplicity == 1:
             options.append([b.basis])
             continue
-        if arr is None:
-            return InvariantSubspaceCatalog(
-                finite=False,
-                subspaces=(),
-                cause_of_infinitude=(
-                    f"repeated eigenvalue {b.eigenvalue} with multiplicity "
-                    f"{b.multiplicity} (no matrix to resolve Jordan structure)"
-                ),
-            )
         width = 2 if b.is_complex_pair else 1
         m = arr.astype(complex) - b.eigenvalue * np.eye(arr.shape[0])
         geo = _null_dim(m)
@@ -463,20 +450,18 @@ def invariant_unstable_subspaces(data: SpectralData) -> InvariantSubspaceCatalog
             continue
         subspaces.append(basis)
     subspaces.sort(key=lambda b: (b.shape[1], tuple(np.round(b.flatten(), 9))))
-    if arr is not None:
-        for sub in subspaces:
-            image = arr @ sub
-            if not util.contains_subspace(sub, image, tol=1e-10):
-                raise ArithmeticError("catalog subspace failed the invariance residual")
+    for sub in subspaces:
+        if not util.contains_subspace(sub, arr @ sub, tol=1e-10):
+            raise ArithmeticError("catalog subspace failed the invariance residual")
     return InvariantSubspaceCatalog(finite=True, subspaces=tuple(subspaces))
 
 
-def _null_dim(m: np.ndarray, rel: float = 1e-8) -> int:
+def _null_dim(m: np.ndarray) -> int:
     sv = np.linalg.svd(m, compute_uv=False)
     top = sv[0] if sv.size else 0.0
     if top == 0.0:
         return m.shape[1]
-    return int(np.sum(sv <= rel * top))
+    return int(np.sum(sv <= NULL_CUTOFF * top))
 
 
 def _complex_null_basis(m: np.ndarray, expect: int, realify: bool) -> np.ndarray:

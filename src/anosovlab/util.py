@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+KERNEL_CUTOFF = 1e-9   # kernel_basis: singular values at or under this share of the largest are zero
+
 
 def _svd(a: np.ndarray, **kwargs):
     """np.linalg.svd, refusing NaN and inf: gesdd would return NaN singular values."""
@@ -65,14 +67,14 @@ def contains_subspace(big: np.ndarray, small: np.ndarray, tol: float = 1e-8) -> 
     return True
 
 
-def kernel_basis(rows: np.ndarray, rel_cutoff: float = 1e-9) -> np.ndarray:
+def kernel_basis(rows: np.ndarray) -> np.ndarray:
     """Null-space basis (columns) of a stack of row covectors.
 
-    Rank is decided by singular values relative to the largest one; an
-    all-zero stack has full-dimensional kernel.
+    Rank counts singular values above KERNEL_CUTOFF times the largest one;
+    an all-zero stack has full-dimensional kernel.
     """
     _, sv, vt = _svd(np.atleast_2d(np.asarray(rows, dtype=float)))
-    rank = np.sum(sv > rel_cutoff * sv.max(initial=0.0))
+    rank = np.sum(sv > KERNEL_CUTOFF * sv.max(initial=0.0))
     return vt[rank:].T.copy()
 
 

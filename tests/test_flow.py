@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import distance_mp, evolve_mp
+from oracles import distance_mp, evolve_mp, kahan_birkhoff
 
 from anosovlab import flow as flow_module
 from anosovlab import intlinalg, mpspec, pcf, perturb
 from anosovlab.errors import OffLeaf, TruncationInsufficient
 from anosovlab.flow import SuspensionFlow, affine_orbit, wrap_unit
-from anosovlab.roof import RoofFunction, birkhoff_sum
+from anosovlab.roof import RoofFunction
 
 
 class TestEvolve:
@@ -55,7 +55,7 @@ class TestEvolve:
     def test_roof_crossing_consistency(self, cat_flow, cat_map):
         x0 = np.array([0.123, 0.456])
         for n in range(1, 21):
-            t = birkhoff_sum(cat_flow.roof, cat_map, tuple(x0), n)
+            t = kahan_birkhoff(cat_flow.roof, cat_map, tuple(x0), n)
             q = cat_flow.evolve(cat_flow.make_point(x0, 0.0), t)
             xn = x0.copy()
             for _ in range(n):
@@ -177,7 +177,7 @@ class TestStrongManifoldPoint:
         x0 = np.array([0.123, 0.456])
         v = 0.01 * cat_flow.stable_frame()[:, 0]
         n = 3
-        t = birkhoff_sum(cat_flow.roof, cat_map, tuple(x0), n)
+        t = kahan_birkhoff(cat_flow.roof, cat_map, tuple(x0), n)
         p = cat_flow.make_point(x0, 0.0)
         lhs = cat_flow.evolve(cat_flow.strong_manifold_point(p, v), t)
         xn = x0.copy()
@@ -222,7 +222,7 @@ class TestExactOrbits:
         # the float orbit drifts from the exact one at the Lyapunov rate, so
         # the horizon stays short of the double-precision shadowing limit
         x = (0.37, 0.91)
-        direct = birkhoff_sum(cat_flow.roof, cat_map, x, 10)
+        direct = kahan_birkhoff(cat_flow.roof, cat_map, x, 10)
         assert cat_flow.birkhoff_exact(x, 10) == pytest.approx(direct, abs=1e-11)
 
 

@@ -109,9 +109,9 @@ class TestTemporalDistanceGeometric:
     def test_oversized_displacement_raises(self, companion3_flow):
         a = companion3_flow.make_point([0.3, 0.4, 0.5], 0.0)
         big = 0.4 * companion3_flow.stable_frame()[:, 0]
-        quad = pcf.Quadrilateral.build(
-            companion3_flow, a, big, np.zeros(3), chart_radius=0.5
-        )
+        # the constructor skips build's chart check, so the geometric route
+        # is the one to refuse
+        quad = pcf.Quadrilateral(a=a, s_disp=tuple(big), u_disp=(0.0, 0.0, 0.0))
         with pytest.raises(NoIntersection):
             pcf.temporal_distance_geometric(companion3_flow, quad)
 

@@ -419,6 +419,12 @@ class TestKappaExperimentSetup:
         assert again.bump == kappa_setup.bump
         assert again.x_sequence == kappa_setup.x_sequence
 
+    def test_x_sequence_distinct(self, companion3):
+        # at 60 log-spaced norms, 10 round to a step j already taken
+        flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
+        xs = perturb.kappa_experiment(flow, n_points=60).x_sequence
+        assert len(set(xs)) == len(xs) == 50
+
     def test_norm_range(self, kappa_setup):
         norms = [np.linalg.norm(x) for x in kappa_setup.x_sequence]
         assert 0.05 <= norms[0] <= 0.2

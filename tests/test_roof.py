@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,16 +8,14 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import seven_term_roof
-from oracles import kahan_birkhoff
 
 from anosovlab import roof as roof_module
 from anosovlab.errors import NonHyperbolicPeriod, ObstructionNonzero
+from anosovlab.flow import SuspensionFlow
 from anosovlab.roof import (
     OBSTRUCTION_CSV_HEADER,
     RoofFunction,
     TrigPolynomial,
-    birkhoff_sum,
-    is_constant_roof_equivalent,
     obstruction_csv_rows,
     periodic_obstructions,
     periodic_points,
@@ -30,6 +29,15 @@ def planted_coboundary_roof(matrix, amplitude=0.05, freq=None):
     u = TrigPolynomial.sine(amplitude, freq, matrix.dim)
     poly = TrigPolynomial.constant(1.0, matrix.dim) + u.compose_matrix(matrix) - u
     return RoofFunction(poly), u
+
+
+def three_term_roof(dim):
+    # 1.3 + 0.12 cos(2 pi x1) + 0.07 sin(2 pi (x1 + ... + xd))
+    return RoofFunction(
+        TrigPolynomial.constant(1.3, dim)
+        + TrigPolynomial.cosine(0.12, (1,) + (0,) * (dim - 1), dim)
+        + TrigPolynomial.sine(0.07, (1,) * dim, dim)
+    )
 
 
 class TestTrigPolynomial:
@@ -224,7 +232,7 @@ class TestPeriodicPoints:
     def test_cat_map_fixed_point(self, cat_map):
         orbits = periodic_points(cat_map, 1)
         assert len(orbits) == 1
-        assert orbits[0].base_points == ((Fraction(0), Fraction(0)),)
+        assert orbits[0].numerators == ((0, 0),)
 
     def test_cat_map_period_two_count(self, cat_map):
         orbits = periodic_points(cat_map, 2)
@@ -251,8 +259,8 @@ class TestPeriodicPoints:
         orbits = periodic_points(matrix, n)
         d = matrix.dim
         for orbit in orbits:
-            pts = orbit.base_points
-            assert pts[0] == orbit.representative()
+            assert orbit.numerators[0] == orbit.representative()
+            pts = [tuple(Fraction(c, orbit.den) for c in p) for p in orbit.numerators]
             for i, p in enumerate(pts):
                 image = tuple(
                     (sum(Fraction(matrix.entries[r][c]) * p[c] for c in range(d))) % 1
@@ -279,31 +287,42 @@ class TestPeriodicPoints:
         for orbit in periodic_points(cat_map, 3, roof=roof):
             assert orbit.flow_period > 0
 
+    @pytest.mark.parametrize("name,n_max", [("cat_map", 8), ("companion3", 4)])
+    def test_flow_periods_equal_per_point_sum(self, request, name, n_max):
+        # one row evaluation per cycle keeps every bit of the sum of
+        # per-point roof values at the float points c / den
+        matrix = request.getfixturevalue(name)
+        roof = three_term_roof(matrix.dim)
+        for n in range(1, n_max + 1):
+            for orbit in periodic_points(matrix, n, roof=roof):
+                den = orbit.den
+                per_point = sum(roof(tuple(c / den for c in p)) for p in orbit.numerators)
+                assert orbit.flow_period.hex() == float(per_point).hex()
+
 
 class TestBirkhoffSums:
     def test_constant_roof(self, cat_map):
-        roof = RoofFunction.constant(2.5, 2)
-        assert birkhoff_sum(roof, cat_map, (0.3, 0.7), 4) == pytest.approx(10.0)
+        flow = SuspensionFlow(cat_map, RoofFunction.constant(2.5, 2))
+        assert flow.birkhoff_exact((0.3, 0.7), 4) == pytest.approx(10.0)
 
     def test_telescoping_on_periodic_orbits(self, cat_map):
         roof, _ = planted_coboundary_roof(cat_map)
-        for orbit in periodic_points(cat_map, 5):
-            total = birkhoff_sum(roof, cat_map, orbit.base_points[0], orbit.period_n)
-            assert total == pytest.approx(orbit.period_n * 1.0, abs=1e-12)
+        for orbit in periodic_points(cat_map, 5, roof=roof):
+            assert orbit.flow_period == pytest.approx(orbit.period_n * 1.0, abs=1e-12)
 
     def test_against_compensated_summation(self, cat_map):
-        roof = RoofFunction(
-            TrigPolynomial.constant(1.3, 2)
-            + TrigPolynomial.cosine(0.12, (1, 0), 2)
-            + TrigPolynomial.sine(0.07, (1, 1), 2)
-        )
+        # birkhoff_exact against the correctly rounded sum over the orbit
+        # walked in Fractions, one point at a time
+        flow = SuspensionFlow(cat_map, three_term_roof(2))
         rng = np.random.default_rng(7)
         for _ in range(10):
             x = tuple(rng.random(2))
             n = int(rng.integers(1, 40))
-            assert birkhoff_sum(roof, cat_map, x, n) == pytest.approx(
-                kahan_birkhoff(roof, cat_map, x, n), abs=1e-11
-            )
+            point, values = flow.rationalize(x), []
+            for _ in range(n):
+                values.append(flow.roof(tuple(float(c) for c in point)))
+                point = flow.base_apply_exact(point)
+            assert flow.birkhoff_exact(x, n) == pytest.approx(math.fsum(values), abs=1e-11)
 
 
 class TestObstructions:
@@ -328,6 +347,21 @@ class TestObstructions:
         rows = obstruction_csv_rows(report)
         assert len(rows) == len(report.orbits)
         assert len(OBSTRUCTION_CSV_HEADER) == len(rows[0])
+        # period-3 points sit over den 4; (0, 2/4) is written reduced
+        assert [row[1] for row in rows] == [
+            "0/1;0/1", "1/5;2/5", "2/5;4/5",
+            "0/1;1/4", "0/1;1/2", "0/1;3/4", "1/4;0/1", "1/2;3/4",
+        ]
+
+    @pytest.mark.parametrize("name,n_max", [("cat_map", 5), ("non_chain", 4)])
+    def test_csv_representative_is_least_reduced_point(self, request, name, n_max):
+        # the orbit_repr text is the least point of the orbit as reduced
+        # fractions n/d, even where d is 1 or divides the common denominator
+        matrix = request.getfixturevalue(name)
+        report = periodic_obstructions(RoofFunction.constant(1.0, matrix.dim), matrix, n_max)
+        for orbit, row in zip(report.orbits, obstruction_csv_rows(report)):
+            least = min(tuple(Fraction(c, orbit.den) for c in p) for p in orbit.numerators)
+            assert row[1] == ";".join(f"{v.numerator}/{v.denominator}" for v in least)
 
 
 class TestSolveCoboundary:
@@ -400,18 +434,24 @@ class TestSolveCoboundary:
 
 
 class TestConstantEquivalence:
+    """The livshits verdict: all periodic orbit averages agree to 1e-8."""
+
+    @staticmethod
+    def equivalent(roof, matrix, n_max=6):
+        return periodic_obstructions(roof, matrix, n_max).spread <= 1e-8
+
     def test_constant_roof(self, cat_map):
-        assert is_constant_roof_equivalent(RoofFunction.constant(1.0, 2), cat_map)
+        assert self.equivalent(RoofFunction.constant(1.0, 2), cat_map)
 
     def test_planted_coboundary(self, cat_map):
         roof, _ = planted_coboundary_roof(cat_map)
-        assert is_constant_roof_equivalent(roof, cat_map)
+        assert self.equivalent(roof, cat_map)
 
     def test_cos_roof_is_not(self, cat_map):
         roof = RoofFunction(
             TrigPolynomial.constant(1.0, 2) + TrigPolynomial.cosine(0.1, (1, 0), 2)
         )
-        assert not is_constant_roof_equivalent(roof, cat_map)
+        assert not self.equivalent(roof, cat_map)
 
     def test_invariant_under_adding_coboundary(self, cat_map):
         base = RoofFunction(
@@ -420,6 +460,10 @@ class TestConstantEquivalence:
         u = TrigPolynomial.sine(0.04, (0, 1), 2)
         shifted = RoofFunction(base.poly + u.compose_matrix(cat_map) - u)
         for n_max in (4, 6):
-            assert is_constant_roof_equivalent(
+            assert self.equivalent(
                 base, cat_map, n_max=n_max
-            ) == is_constant_roof_equivalent(shifted, cat_map, n_max=n_max)
+            ) == self.equivalent(shifted, cat_map, n_max=n_max)
+            # a coboundary leaves every orbit average as it was
+            assert periodic_obstructions(shifted, cat_map, n_max).averages == pytest.approx(
+                periodic_obstructions(base, cat_map, n_max).averages, abs=1e-12
+            )

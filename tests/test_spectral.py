@@ -129,13 +129,6 @@ class TestSpectralGap:
         assert report.rhs == 0.0
         assert report.satisfied
 
-    def test_scale_consistency_base2(self, companion3, quartic_real):
-        for matrix in (companion3, quartic_real):
-            data = spectral_data(matrix)
-            natural = spectral_gap_condition(data)
-            base2 = spectral_gap_condition(data, log_base=2.0)
-            assert natural.satisfied == base2.satisfied
-
     def test_equal_unstable_moduli_gives_zero_rhs(self, companion3):
         report = spectral_gap_condition(spectral_data(companion3))
         assert report.rhs == 0.0 and report.lhs > 0.0
