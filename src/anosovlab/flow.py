@@ -31,7 +31,7 @@ GRADIENT_TOL = 1e-15   # gradient series: a decade lower, as they feed 1e-9 rank
 RETURN_TOL = 1e-13     # bump return series: a decade under the 1e-12 noise floor of the kappa fit
 MAX_TERMS = 5000       # the bundled configs need at most ~260 terms
 SEGMENT = 32           # points per orbit matmul and roof evaluation: amortizes numpy calls; overshoot < 32
-CHART_RADIUS = 0.05    # largest leaf displacement accepted: strong_manifold_point and quadrilaterals
+CHART_RADIUS = 0.05    # largest leaf displacement a quadrilateral accepts
 
 
 def certified_sum(pairs, tol: float, total=0.0):
@@ -151,12 +151,13 @@ class SuspensionFlow:
         frame = np.hstack([self.spectral.unstable_basis, self.spectral.stable_basis])
         if frame.shape[1] != base.dim:
             raise ValueError("spectral splitting is not a full frame")
-        self._frame = frame
-        self._frame_inv = np.linalg.inv(frame)
+        # block-adapted frame (unstable columns, then stable) and its inverse
+        self.frame = frame
+        self.frame_inv = np.linalg.inv(frame)
         self._n_u = self.spectral.unstable_basis.shape[1]
         nu = self._n_u
-        self.proj_u = frame[:, :nu] @ self._frame_inv[:nu, :]
-        self.proj_s = frame[:, nu:] @ self._frame_inv[nu:, :]
+        self.proj_u = frame[:, :nu] @ self.frame_inv[:nu, :]
+        self.proj_s = frame[:, nu:] @ self.frame_inv[nu:, :]
 
     # -- base-map plumbing ---------------------------------------------------
 
@@ -229,15 +230,18 @@ class SuspensionFlow:
 
     def split_displacement(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decompose a base displacement into (unstable part, stable part)."""
-        coords = self._frame_inv @ np.asarray(v, dtype=float)
-        vu = self._frame[:, : self._n_u] @ coords[: self._n_u]
-        vs = self._frame[:, self._n_u:] @ coords[self._n_u:]
+        coords = self.frame_inv @ np.asarray(v, dtype=float)
+        vu = self.frame[:, : self._n_u] @ coords[: self._n_u]
+        vs = self.frame[:, self._n_u:] @ coords[self._n_u:]
         return vu, vs
 
     # -- points and the flow ---------------------------------------------------
 
     def make_point(self, x, s: float = 0.0) -> FlowPoint:
-        """Normalize (x, s) into the fundamental domain."""
+        """Normalize (x, s) into the fundamental domain.
+
+        make_point(x, s + t) is the point (x, s) flowed for time t.
+        """
         xa = np.asarray([float(v) for v in x], dtype=float) % 1.0
         s = float(s)
         r = self.roof(xa)
@@ -258,49 +262,7 @@ class SuspensionFlow:
                 raise ArithmeticError("normalization did not terminate")
         return FlowPoint(x=tuple(xa), s=s)
 
-    def evolve(self, p: FlowPoint, t: float) -> FlowPoint:
-        """Flow for time t, crossing the roof as often as needed."""
-        if abs(t) > 1e6:
-            raise ValueError("|t| must be at most 1e6")
-        return self.make_point(p.x, p.s + t)
-
-    def distance(self, p: FlowPoint, q: FlowPoint) -> float:
-        """Fundamental-domain metric: max of base torus distance and fiber gap.
-
-        Both points are also compared through one roof crossing either way,
-        so points straddling the identification measure as close.
-        """
-        def variants(pt: FlowPoint):
-            x = pt.base()
-            yield x, pt.s
-            yield self.base_apply(x), pt.s - self.roof(x)
-            xb = self.base_apply_inv(x)
-            yield xb, pt.s + self.roof(xb)
-
-        best = np.inf
-        for xa, sa in variants(p):
-            for xb, sb in variants(q):
-                d = max(
-                    float(np.linalg.norm(wrap_unit(xa - xb))),
-                    abs(sa - sb),
-                )
-                best = min(best, d)
-        return best
-
     # -- leaf machinery ----------------------------------------------------------
-
-    def _leaf_direction(self, v: np.ndarray) -> str:
-        vu, vs = self.split_displacement(v)
-        nu, ns = np.linalg.norm(vu), np.linalg.norm(vs)
-        if nu <= _LEAF_TOL and ns <= _LEAF_TOL:
-            return "zero"
-        if nu <= _LEAF_TOL:
-            return "stable"
-        if ns <= _LEAF_TOL:
-            return "unstable"
-        raise OffLeaf(
-            f"displacement has unstable part {nu:.2e} and stable part {ns:.2e}"
-        )
 
     def time_adjustment(self, x, y, direction: str) -> float:
         """Fiber offset putting (y, offset) on the strong leaf of (x, 0).
@@ -409,26 +371,3 @@ class SuspensionFlow:
             ),
             GRADIENT_TOL, total,
         )
-
-    def strong_manifold_point(self, p: FlowPoint, v) -> FlowPoint:
-        """Point of W^s(p) or W^u(p) displaced by the base vector v."""
-        varr = np.asarray([float(c) for c in v], dtype=float)
-        if np.linalg.norm(varr) > CHART_RADIUS + 1e-12:
-            raise OffLeaf(
-                f"displacement norm {np.linalg.norm(varr):.3g} exceeds chart radius"
-            )
-        direction = self._leaf_direction(varr)
-        if direction == "zero":
-            return p
-        offset = self.time_adjustment(p.base(), p.base() + varr, direction)
-        return self.make_point(p.base() + varr, p.s + offset)
-
-    # -- exports -----------------------------------------------------------------
-
-    def trajectory_rows(self, p: FlowPoint, times) -> list[list]:
-        rows = []
-        for t in times:
-            q = self.evolve(p, float(t))
-            rows.append([float(t), *[float(c) for c in q.x], float(q.s)])
-        return rows
-

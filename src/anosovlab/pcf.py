@@ -7,8 +7,8 @@ on the orbit of Hol_{a,b}(x). Two independent computations are provided:
 
 * a closed four-term combination of leaf time adjustments around the
   quadrilateral (series route), and
-* an explicit construction of the holonomy image and of y on parameterized
-  leaves, with fibers obtained from long finite Birkhoff differences along
+* the fibers of Hol_{a,b}(x) and y over their common base point, built
+  from exact rational corners, as long finite Birkhoff differences along
   exact rational orbits (geometric route).
 
 Their agreement is the package's central dual oracle.
@@ -16,14 +16,15 @@ Their agreement is the package's central dual oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 from numpy.random import default_rng
 
-from .errors import DegenerateGradients, NoIntersection, OffLeaf, TruncationInsufficient
+from .errors import (
+    DegenerateGradients, NoIntersection, NotCodimensionOne, OffLeaf, TruncationInsufficient,
+)
 from .flow import CHART_RADIUS, FlowPoint, SuspensionFlow, affine_orbit, wrap_unit
 from .roof import RoofFunction
 from . import intlinalg, mpspec, util
@@ -114,12 +115,6 @@ def temporal_distance_series(flow: SuspensionFlow, quad: Quadrilateral) -> float
 # temporal distance, geometric route
 
 
-def _stable_coordinate(flow: SuspensionFlow, v: np.ndarray) -> float:
-    vu, vs = flow.split_displacement(v)
-    s_frame = flow.stable_frame()
-    return float(s_frame[:, 0] @ vs / (s_frame[:, 0] @ s_frame[:, 0]))
-
-
 # Longest Birkhoff difference the geometric route will walk; a tail that
 # needs more terms is refused instead of cut short.
 MAX_HORIZON = 500
@@ -151,15 +146,21 @@ def _backward_horizon(flow: SuspensionFlow, scale: float, target: float) -> int:
 def temporal_distance_geometric(
     flow: SuspensionFlow, quad: Quadrilateral, tol: float = 1e-8,
 ) -> float:
-    """Construct Hol_{a,b}(x) and y explicitly and return their fiber gap.
+    """Fiber gap between Hol_{a,b}(x) and y, from exact rational corners.
 
-    Leaf fibers come from finite Birkhoff differences along exact rational
-    orbits (forward for stable graphs, backward for unstable ones), with
-    horizons chosen so tails sit well under tol. The stable slide is
-    solved in closed form on the leaf parameterization; the unstable-leaf
-    match is a frame solve. Raises NoIntersection when the data leave the
-    chart, and TruncationInsufficient when a horizon would pass MAX_HORIZON.
+    The displacements w and u are refined onto E^s and E^u in extended
+    precision and rationalized, so the base corners b = a + w, x = a + u and
+    Hol_{a,b}(x) = x + w = b + u = y are exact rationals; the last two are
+    one point. Leaf fibers come from finite Birkhoff differences along
+    exact rational orbits (forward for stable leaves, backward for unstable
+    ones), with horizons chosen so tails sit well under tol. The forward
+    horizon takes |L^n w| = lambda^n |w|, which holds when dim E^s = 1;
+    otherwise NotCodimensionOne is raised. Raises NoIntersection when the
+    data leave the chart, and TruncationInsufficient when a horizon would
+    pass MAX_HORIZON.
     """
+    if not flow.spectral.codimension_one:
+        raise NotCodimensionOne("the geometric route needs a one-dimensional stable bundle")
     if tol < 1e-10:
         raise ValueError("tol must be at least 1e-10")
     alpha = quad.a.base()
@@ -191,43 +192,14 @@ def temporal_distance_geometric(
             z1, n_bwd, backward=True
         )
 
-    # corner points of the quadrilateral in the base
     beta_fr = tuple(a + b for a, b in zip(alpha_fr, w_fr))    # base of b on W^s(a)
     zeta_fr = tuple(a + b for a, b in zip(alpha_fr, u_fr))    # base of x on W^u(a)
-    beta = np.array([float(v) for v in beta_fr])
-    zeta = np.array([float(v) for v in zeta_fr])
+    # base of Hol_{a,b}(x) on W^s(x), and of y on W^u(b): x + w = b + u
+    hol_fr = tuple(a + b for a, b in zip(zeta_fr, w_fr))
     fiber_b = forward_diff(alpha_fr, beta_fr)
     fiber_x = backward_diff(alpha_fr, zeta_fr)
-
-    # Hol_{a,b}(x): slide x along its stable leaf until the base point lies
-    # on beta + E^u; the stable coordinate is affine along the slide.
-    s_unit = flow.stable_frame()[:, 0]
-    slope = _stable_coordinate(flow, s_unit)
-    tau_star = -_stable_coordinate(flow, zeta - beta) / slope if slope != 0.0 else math.inf
-    if not abs(tau_star) <= 4.0 * CHART_RADIUS:
-        raise NoIntersection("stable slide does not cross the unstable transversal")
-    hol_base = zeta + tau_star * s_unit
-    if np.linalg.norm(hol_base - alpha) > 4.0 * CHART_RADIUS:
-        raise NoIntersection("holonomy image left the chart")
-    # the slide equals the refined stable displacement; assemble it exactly
-    hol_fr = tuple(a + b for a, b in zip(zeta_fr, w_fr))
-    if np.linalg.norm(hol_base - np.array([float(v) for v in hol_fr])) > 1e-9:
-        raise NoIntersection("root-solved slide disagrees with the leaf geometry")
     fiber_hol = fiber_x + forward_diff(zeta_fr, hol_fr)
-
-    # y = W^u(b) intersect the orbit of Hol(x): match base points through the
-    # unstable frame at b
-    frame = np.hstack([flow.unstable_frame(), flow.stable_frame()])
-    coords = np.linalg.solve(frame, hol_base - beta)
-    n_u = flow.dim_unstable
-    if np.max(np.abs(coords[n_u:])) > 1e-9:
-        raise NoIntersection("orbit of the holonomy image misses the unstable leaf")
-    y_fr = tuple(a + b for a, b in zip(beta_fr, u_fr))
-    y_base = np.array([float(v) for v in y_fr])
-    fiber_y = fiber_b + backward_diff(beta_fr, y_fr)
-
-    if np.linalg.norm(wrap_unit(y_base - hol_base)) > 1e-9:
-        raise NoIntersection("intersection bases failed to match")
+    fiber_y = fiber_b + backward_diff(beta_fr, hol_fr)
     return float(fiber_hol - fiber_y)
 
 

@@ -27,7 +27,7 @@ from .roof import PeriodicOrbitRecord, periodic_points, row_products
 from .spectral import InvariantSubspaceCatalog
 
 # Fixed choices of the section chart, the heteroclinic search and the fits.
-CHART_RADIUS_X = 0.2    # unstable half-width of the chart box and of the bent-section cutoff
+CHART_RADIUS_X = 0.2    # unstable half-width of the chart box
 CHART_RADIUS_Y = 0.45   # stable half-width, short of the torus half-period 1/2
 HETEROCLINIC_OFFSET_BOUND = 2        # translates q + m tried, m in [-2, 2]^d: 5^d per point
 HETEROCLINIC_Y_RANGE = (0.12, 0.45)  # |y_r| of a datum: off the fixed point, inside the box
@@ -60,9 +60,8 @@ class SectionChart:
         self.u_frame = flow.unstable_frame()
         self.s_unit = flow.stable_frame()[:, 0]
         self.lam = flow.spectral.stable_eigenvalue
-        self._frame = np.hstack([self.u_frame, self.s_unit[:, None]])
-        self.finv = np.linalg.inv(self._frame)
-        block = self.finv @ flow.lin @ self._frame
+        # flow.frame is [u_frame | s_unit], so the last chart coordinate is y
+        block = flow.frame_inv @ flow.lin @ flow.frame
         self.a_u = block[: flow.dim_unstable, : flow.dim_unstable].copy()
         self.split = mpspec.splitting(flow.base)
 
@@ -78,7 +77,7 @@ class SectionChart:
     def coords(self, v) -> tuple[np.ndarray, float]:
         """Chart coordinates of a wrapped base displacement."""
         w = wrap_unit(np.asarray([float(c) for c in v], dtype=float))
-        co = self.finv @ w
+        co = self.flow.frame_inv @ w
         return co[: self.dim_unstable].copy(), float(co[-1])
 
     def coords_rows(self, points) -> np.ndarray:
@@ -86,7 +85,7 @@ class SectionChart:
 
         Row i equals coords(points[i]) bit for bit.
         """
-        return row_products(self.finv, wrap_unit(points))
+        return row_products(self.flow.frame_inv, wrap_unit(points))
 
     def embed(self, x, y: float) -> np.ndarray:
         return self.u_frame @ np.asarray(x, dtype=float) + float(y) * self.s_unit
@@ -158,40 +157,6 @@ class SectionChart:
         return flow.unstable_gradient(
             r, lambda pts: grad_origin - poly.gradient_rows(pts), q, 0.0
         )
-
-    # -- bent-section roof, for inspection and positivity ---------------------
-
-    def theta_stable(self, y: float) -> float:
-        """Fiber of the stable leaf of p over the stable axis point y."""
-        return self.flow.time_adjustment(
-            np.zeros(self.flow.dim), self.s_unit * float(y), "stable"
-        )
-
-    def theta_unstable(self, x) -> float:
-        return self.flow.time_adjustment(
-            np.zeros(self.flow.dim), self.u_frame @ np.asarray(x, dtype=float),
-            "unstable",
-        )
-
-    def section_roof(self, x, y: float) -> float:
-        """Return time of the bent section at chart point (x, y)."""
-        z = self.embed(x, y)
-
-        def tau(v):
-            xx, yy = self.coords(v)
-            s = max(np.linalg.norm(xx) / CHART_RADIUS_X, abs(yy) / CHART_RADIUS_Y)
-            chi = _cutoff(s)
-            if chi == 0.0:
-                return 0.0
-            return chi * (self.theta_unstable(xx) + self.theta_stable(yy))
-
-        return self.flow.roof(z) + tau(self.flow.base_apply(z)) - tau(z)
-
-
-def _cutoff(s: float) -> float:
-    # 1 on [0, 1/2], 0 from 1 on, C^3 join
-    t = min(max(2.0 * s - 1.0, 0.0), 1.0)
-    return (1.0 - t * t) ** 4 if t < 1.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +262,7 @@ def find_heteroclinic_data(chart: SectionChart, q_period: int) -> list[Heterocli
         for idx, point in enumerate(orbit.numerators):
             qv = np.array(point) / orbit.den
             for off in product(offsets, repeat=chart.flow.dim):
-                y_r = float(chart.finv[-1] @ (qv + np.array(off)))
+                y_r = float(chart.flow.frame_inv[-1] @ (qv + np.array(off)))
                 if not (low <= abs(y_r) <= high):
                     continue
                 out.append(
@@ -411,10 +376,7 @@ class ReturnLedger:
         )
 
 
-def return_series(
-    chart: SectionChart, bump: Bump | None, x, y: float,
-    term_tol: float = RETURN_TOL,
-) -> ReturnLedger:
+def return_series(chart: SectionChart, bump: Bump | None, x, y: float) -> ReturnLedger:
     """Corrections sum_n bump(F^n(x, y)) - bump(F^n(x, 0)) over exact orbits.
 
     The orbit pair shares its unstable part, so consecutive gaps contract
@@ -467,16 +429,13 @@ def return_series(
             gap *= lam_abs
             yield term, lip * gap / (1.0 - lam_abs)
 
-    total = certified_sum(pairs(float(np.linalg.norm([float(v) for v in w_fr]))), term_tol)
+    total = certified_sum(pairs(float(np.linalg.norm([float(v) for v in w_fr]))), RETURN_TOL)
     return ReturnLedger(
         steps=tuple(steps), gaps=tuple(gaps), terms=tuple(terms), total=total,
     )
 
 
-def stable_graph_time(
-    chart: SectionChart, bump: Bump | None, x, y: float,
-    term_tol: float = RETURN_TOL,
-) -> float:
+def stable_graph_time(chart: SectionChart, bump: Bump | None, x, y: float) -> float:
     """Perturbed stable graph time T^rho(x, y).
 
     Equals the unperturbed graph time plus the bump return series; vanishes
@@ -487,7 +446,7 @@ def stable_graph_time(
     if not chart.in_box(x, y):
         raise ChartExit("graph point outside the chart box")
     base = chart.t_series(x, y)
-    ledger = return_series(chart, bump, x, y, term_tol=term_tol)
+    ledger = return_series(chart, bump, x, y)
     return base + ledger.total
 
 
@@ -510,7 +469,9 @@ def holonomy_corner(chart: SectionChart, datum: HeteroclinicDatum, bump: Bump | 
 
     The bump gradient is taken at the first-return point f(r) = (0, lam y_r)
     in closed form; for the standard construction that point is the bump
-    center and the gradient is amplitude * direction exactly.
+    center and the gradient is amplitude * direction exactly. The perturbed
+    stable holonomy's derivative on (x, t) coordinates of the weak-unstable
+    leaf is [[Id, 0], [corner, 1]].
     """
     corner = chart.t_gradient_at_zero(datum.y_r)
     if bump is not None:
@@ -600,20 +561,6 @@ def remainder_exponent(
     return RemainderFit(
         norms=tuple(norms), residuals=tuple(residuals), exponent=slope
     )
-
-
-def holonomy_derivative(
-    chart: SectionChart, datum: HeteroclinicDatum, bump: Bump | None
-) -> np.ndarray:
-    """Block lower-triangular derivative of the perturbed stable holonomy.
-
-    [[Id, 0], [D_x T^rho(0, y_r), 1]] acting on (x, t) coordinates of the
-    weak-unstable leaf; the corner row is the analytic claim formula.
-    """
-    n_u = chart.dim_unstable
-    out = np.eye(n_u + 1)
-    out[n_u, :n_u] = holonomy_corner(chart, datum, bump)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +685,7 @@ def kappa_experiment(
         )
     chart = SectionChart(flow)
     lam = chart.lam
-    finv = chart.finv
+    finv = flow.frame_inv
 
     homo = []
     for m in product(range(-3, 4), repeat=flow.dim):

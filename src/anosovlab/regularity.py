@@ -4,8 +4,8 @@ For a suspension of a linear automorphism, the flow derivative restricted
 to the invariant subbundles is diagonal in the spectral blocks, so the
 sup-products controlling C^nu regularity of the stable and weak-stable
 distributions are attained on eigendirections and evaluate in closed form
-from the moduli. A quasi-random sphere-sampling fallback validates the
-closed forms.
+from the moduli. The tests check the closed forms against quasi-random
+sphere sampling.
 """
 
 from __future__ import annotations
@@ -13,14 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import NotCodimensionOne
 from .spectral import SpectralData
 
 # bunching exponents nu = 0, 0.1, ..., 4 at which bunching_report evaluates
 NU_GRID = tuple(np.round(np.arange(0.0, 4.0 + 1e-9, 0.1), 10))
-SPHERE_SAMPLES = 1000   # sampled vector pairs: lands within 10% of the closed form in d = 3 and 4
 
 
 @dataclass(frozen=True)
@@ -98,37 +96,6 @@ def bunching_report(
         nu_max_stable=grid_max(strong),
         volume_product=volume_product,
     )
-
-
-def sampled_stable_sup(
-    data: SpectralData, roof_mean: float, t: float, nu: float,
-) -> float:
-    """Sphere-sampling validation of stable_sup on the base-return lattice.
-
-    Samples quasi-random unit vectors of E^s and E^u and measures growth in
-    the block-adapted metric (coordinates with respect to the spectral
-    frame), where complex pairs act as exact rotation-scalings. A lower
-    bound for the closed-form sup, converging as the sampling refines.
-    """
-    steps = int(round(t / roof_mean))
-    arr = np.linalg.matrix_power(data.matrix.as_array(), steps)
-    frame = np.hstack([data.stable_basis, data.unstable_basis])
-    frame_inv = np.linalg.inv(frame)
-    n_s = data.stable_basis.shape[1]
-
-    def adapted_norm(v: np.ndarray) -> float:
-        return float(np.linalg.norm(frame_inv @ v))
-
-    rng = default_rng(12345)
-    best = 0.0
-    for _ in range(SPHERE_SAMPLES):
-        vs = data.stable_basis @ rng.normal(size=n_s)
-        vu = data.unstable_basis @ rng.normal(size=data.unstable_basis.shape[1])
-        vs /= adapted_norm(vs)
-        vu /= adapted_norm(vu)
-        val = adapted_norm(arr @ vs) * adapted_norm(arr @ vu) ** nu
-        best = max(best, float(val))
-    return best
 
 
 BUNCHING_CSV_HEADER = ["t", "nu", "weak_sup", "stable_sup"]

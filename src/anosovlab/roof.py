@@ -248,13 +248,6 @@ class TrigPolynomial:
             ],
         }
 
-    @staticmethod
-    def from_json_dict(payload: dict) -> "TrigPolynomial":
-        terms = {
-            tuple(t["k"]): complex(t["re"], t["im"]) for t in payload["terms"]
-        }
-        return TrigPolynomial(int(payload["dim"]), terms)
-
     def __repr__(self) -> str:
         return f"TrigPolynomial(dim={self.dim}, n_terms={len(self.terms)})"
 

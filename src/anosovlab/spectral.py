@@ -48,10 +48,6 @@ class IntegerMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    @property
-    def determinant(self) -> int:
-        return intlinalg.det(self.entries)
-
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=float)
 
@@ -211,7 +207,6 @@ class SpectralData:
     stable_basis: np.ndarray                # d x dim E^s
     unstable_basis: np.ndarray              # d x dim E^u
     certified_gap: float
-    hyperbolic: bool
     codimension_one: bool
     complex_unstable_pair: bool
 
@@ -348,7 +343,6 @@ def spectral_data(matrix: IntegerMatrix) -> SpectralData:
         stable_basis=stable_basis,
         unstable_basis=unstable_basis,
         certified_gap=float(gap),
-        hyperbolic=True,
         codimension_one=codim_one,
         complex_unstable_pair=complex_unstable,
     )
@@ -407,8 +401,6 @@ def invariant_unstable_subspaces(data: SpectralData) -> InvariantSubspaceCatalog
     repeated eigenvalue with a single eigenvector contributes its Krylov
     flag chain instead of a single block.
     """
-    if not data.hyperbolic:
-        raise NotHyperbolic("catalog requires a hyperbolic spectrum")
     ublocks = data.unstable_blocks()
     arr = data.matrix.as_array()
 

@@ -2,12 +2,16 @@
 
 These deliberately avoid the package's series machinery. The flow oracle
 iterates roof crossings in 50-digit arithmetic, so hyperbolic error
-amplification stays far below every asserted tolerance.
+amplification stays far below every asserted tolerance, and
+`sampled_stable_sup` samples the sup-product that
+`regularity.bunching_report` gives in closed form.
 
-`series_pins` and `return_pins` are the exceptions: they run the
-package's leaf-graph, PCF and bump return series, and
-`tests/test_series_pins.py` holds their output as float.hex literals, so
-a refactor of the series must keep every bit. `return_series_reference`
+The exceptions run package series. `section_roof` builds the
+bent-section return time, which `SectionChart` takes to be constant on
+both axes, from the package's time adjustments. `series_pins` and
+`return_pins` run the package's leaf-graph, PCF and bump return series,
+and `tests/test_series_pins.py` holds their output as float.hex literals,
+so a refactor of the series must keep every bit. `return_series_reference`
 is the per-point loop that `perturb.return_series` replaced, kept as the
 reference it must equal. Print the literals with
 
@@ -33,41 +37,51 @@ def roof_mp(poly, x):
 def _to_mp(v):
     if isinstance(v, Fraction):
         return mp.mpf(v.numerator) / mp.mpf(v.denominator)
+    if isinstance(v, mp.mpf):
+        return v
     return mp.mpf(float(v))
+
+
+def _step_mp(flow, pt, backward=False):
+    """One step of the base map x -> L x + c mod 1, or of its inverse."""
+    d = flow.dim
+    c = [_to_mp(v) for v in flow.translation]
+    if backward:
+        inv = flow.inv_entries
+        shifted = [pt[j] - c[j] for j in range(d)]
+        return [mp.fmod(sum(inv[i][j] * shifted[j] for j in range(d)), 1) for i in range(d)]
+    ent = flow.base.entries
+    return [mp.fmod(sum(ent[i][j] * pt[j] for j in range(d)) + c[i], 1) for i in range(d)]
 
 
 def evolve_mp(flow, x, s, t):
     """Flow the point (x, s) by time t with exact integer base maps."""
-    ent = flow.base.entries
-    inv = flow.base.inverse_entries()
-    d = flow.dim
     with mp.workdps(50):
         pt = [_to_mp(v) for v in x]
         fiber = _to_mp(s) + _to_mp(t)
         r = roof_mp(flow.roof.poly, pt)
         while fiber >= r:
             fiber -= r
-            pt = [mp.fmod(sum(ent[i][j] * pt[j] for j in range(d)), 1) for i in range(d)]
+            pt = _step_mp(flow, pt)
             r = roof_mp(flow.roof.poly, pt)
         while fiber < 0:
-            pt = [mp.fmod(sum(inv[i][j] * pt[j] for j in range(d)), 1) for i in range(d)]
+            pt = _step_mp(flow, pt, backward=True)
             r = roof_mp(flow.roof.poly, pt)
             fiber += r
         return pt, fiber
 
 
 def distance_mp(flow, a, b):
-    """Fundamental-domain metric matching SuspensionFlow.distance."""
-    ent = flow.base.entries
-    inv = flow.base.inverse_entries()
-    d = flow.dim
+    """Fundamental-domain metric: max of base torus distance and fiber gap.
 
+    Both points are also compared through one roof crossing either way, so
+    points straddling the identification measure as close.
+    """
     def variants(pt, fiber):
-        yield pt, fiber
-        r = roof_mp(flow.roof.poly, pt)
-        fwd = [mp.fmod(sum(ent[i][j] * pt[j] for j in range(d)), 1) for i in range(d)]
-        yield fwd, fiber - r
-        bwd = [mp.fmod(sum(inv[i][j] * pt[j] for j in range(d)), 1) for i in range(d)]
+        pt = [_to_mp(v) for v in pt]
+        yield pt, _to_mp(fiber)
+        yield _step_mp(flow, pt), fiber - roof_mp(flow.roof.poly, pt)
+        bwd = _step_mp(flow, pt, backward=True)
         yield bwd, fiber + roof_mp(flow.roof.poly, bwd)
 
     with mp.workdps(50):
@@ -99,6 +113,70 @@ def kahan_birkhoff(roof, matrix, x, n):
         total = t
         point = (arr @ point) % 1.0
     return total
+
+
+def _cutoff(s):
+    # 1 on [0, 1/2], 0 from 1 on, C^3 join
+    t = min(max(2.0 * s - 1.0, 0.0), 1.0)
+    return (1.0 - t * t) ** 4 if t < 1.0 else 0.0
+
+
+def section_roof(chart, x, y):
+    """Return time of the bent section at chart point (x, y).
+
+    The section through the fixed point p is lifted over the chart box by
+    the fibers of the local stable and unstable leaves of p (time
+    adjustments from the origin), cut off smoothly towards the box edge.
+    """
+    import numpy as np
+
+    from anosovlab.perturb import CHART_RADIUS_X, CHART_RADIUS_Y
+
+    flow = chart.flow
+    origin = np.zeros(flow.dim)
+    z = chart.embed(x, y)
+
+    def tau(v):
+        xx, yy = chart.coords(v)
+        chi = _cutoff(max(np.linalg.norm(xx) / CHART_RADIUS_X, abs(yy) / CHART_RADIUS_Y))
+        if chi == 0.0:
+            return 0.0
+        theta_u = flow.time_adjustment(origin, chart.u_frame @ xx, "unstable")
+        theta_s = flow.time_adjustment(origin, chart.s_unit * yy, "stable")
+        return chi * (theta_u + theta_s)
+
+    return flow.roof(z) + tau(flow.base_apply(z)) - tau(z)
+
+
+SPHERE_SAMPLES = 1000   # sampled vector pairs: lands within 10% of the closed form in d = 3 and 4
+
+
+def sampled_stable_sup(data, roof_mean, t, nu):
+    """Sphere-sampling estimate of BunchingReport.stable_sup on the base-return lattice.
+
+    Samples quasi-random unit vectors of E^s and E^u and measures growth in
+    the block-adapted metric (coordinates with respect to the spectral
+    frame), where complex pairs act as exact rotation-scalings. A lower
+    bound for the closed-form sup, converging as the sampling refines.
+    """
+    import numpy as np
+
+    steps = int(round(t / roof_mean))
+    arr = np.linalg.matrix_power(data.matrix.as_array(), steps)
+    frame_inv = np.linalg.inv(np.hstack([data.stable_basis, data.unstable_basis]))
+
+    def adapted_norm(v):
+        return float(np.linalg.norm(frame_inv @ v))
+
+    rng = np.random.default_rng(12345)
+    best = 0.0
+    for _ in range(SPHERE_SAMPLES):
+        vs = data.stable_basis @ rng.normal(size=data.stable_basis.shape[1])
+        vu = data.unstable_basis @ rng.normal(size=data.unstable_basis.shape[1])
+        vs /= adapted_norm(vs)
+        vu /= adapted_norm(vu)
+        best = max(best, adapted_norm(arr @ vs) * adapted_norm(arr @ vu) ** nu)
+    return best
 
 
 def pin_flows():

@@ -9,7 +9,9 @@ from click.testing import CliRunner
 from anosovlab.cli import main
 from anosovlab import flow as flow_module
 from anosovlab import pcf
-from anosovlab.errors import ConfigInvalid, ExperimentFailed, TruncationInsufficient
+from anosovlab.errors import (
+    ConfigInvalid, ExperimentFailed, NotCodimensionOne, TruncationInsufficient,
+)
 from anosovlab.experiments import (
     ExperimentConfig,
     build_roof,
@@ -135,6 +137,22 @@ class TestCliExitCodes:
         with pytest.raises(ExperimentFailed, match="tail bound") as info:
             run_experiment(cfg, tmp_path / "out")
         assert isinstance(info.value.__cause__, TruncationInsufficient)
+
+    def test_two_dimensional_stable_bundle_is_experiment_failure(self, tmp_path):
+        # the geometric route refuses dim E^s = 2: a module error, exit 1
+        payload = {
+            "kind": "pcf",
+            "matrix": {"poly": [1, -3, -3, 3, 1]},
+            "roof": {"constant": 1.0, "terms": [{"k": [1, 0, 0, 0], "re": 0.05}]},
+            "params": {"n_samples": 2},
+        }
+        with pytest.raises(ExperimentFailed) as info:
+            run_experiment(ExperimentConfig.from_dict(payload), tmp_path / "out")
+        assert isinstance(info.value.__cause__, NotCodimensionOne)
+        config = tmp_path / "pcf_codim2.json"
+        config.write_text(json.dumps(payload))
+        result = run_cli(["pcf", "--config", str(config), "--out", str(tmp_path / "cli")])
+        assert result.exit_code == 1
 
     def test_unbounded_periodic_enumeration_exit_two(self, tmp_path):
         # n_max 30 on the cat map asks for about 3.46e12 periodic points

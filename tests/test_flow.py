@@ -15,15 +15,20 @@ from anosovlab.flow import SuspensionFlow, affine_orbit, wrap_unit
 from anosovlab.roof import RoofFunction
 
 
+def _point(p):
+    # a FlowPoint as the (base, fiber) pair the mpmath oracles take
+    return p.x, p.s
+
+
 class TestEvolve:
+    # make_point(x, s + t) is the flow for time t
     def test_time_zero_is_identity(self, cat_flow):
         p = cat_flow.make_point([0.3, 0.55], 0.2)
-        assert cat_flow.distance(cat_flow.evolve(p, 0.0), p) == 0.0
+        assert distance_mp(cat_flow, _point(cat_flow.make_point(p.x, p.s)), _point(p)) == 0.0
 
     def test_constant_roof_single_crossing(self, cat_map):
         flow = SuspensionFlow(cat_map, RoofFunction.constant(1.0, 2))
-        p = flow.make_point([0.3, 0.7], 0.0)
-        q = flow.evolve(p, 1.0)
+        q = flow.make_point([0.3, 0.7], 1.0)
         expected = flow.base_apply(np.array([0.3, 0.7]))
         assert np.allclose(q.base(), expected, atol=1e-14)
         assert q.s == pytest.approx(0.0, abs=1e-14)
@@ -34,9 +39,10 @@ class TestEvolve:
         for _ in range(100):
             p = cat_flow.make_point(rng.random(2), 0.0)
             t1, t2 = rng.uniform(0.0, 100.0, 2)
-            a = cat_flow.evolve(cat_flow.evolve(p, t1), t2)
-            b = cat_flow.evolve(p, t1 + t2)
-            worst = max(worst, cat_flow.distance(a, b))
+            a1 = cat_flow.make_point(p.x, p.s + t1)
+            a = cat_flow.make_point(a1.x, a1.s + t2)
+            b = cat_flow.make_point(p.x, p.s + t1 + t2)
+            worst = max(worst, distance_mp(cat_flow, _point(a), _point(b)))
         assert worst <= 1e-9
 
     def test_additivity_shallow_mixed_signs(self, cat_flow):
@@ -47,24 +53,21 @@ class TestEvolve:
         for _ in range(100):
             p = cat_flow.make_point(rng.random(2), 0.0)
             t1, t2 = rng.uniform(-8.0, 8.0, 2)
-            a = cat_flow.evolve(cat_flow.evolve(p, t1), t2)
-            b = cat_flow.evolve(p, t1 + t2)
-            worst = max(worst, cat_flow.distance(a, b))
+            a1 = cat_flow.make_point(p.x, p.s + t1)
+            a = cat_flow.make_point(a1.x, a1.s + t2)
+            b = cat_flow.make_point(p.x, p.s + t1 + t2)
+            worst = max(worst, distance_mp(cat_flow, _point(a), _point(b)))
         assert worst <= 1e-9
 
     def test_roof_crossing_consistency(self, cat_flow, cat_map):
         x0 = np.array([0.123, 0.456])
         for n in range(1, 21):
             t = kahan_birkhoff(cat_flow.roof, cat_map, tuple(x0), n)
-            q = cat_flow.evolve(cat_flow.make_point(x0, 0.0), t)
+            q = cat_flow.make_point(x0, t)
             xn = x0.copy()
             for _ in range(n):
                 xn = cat_flow.base_apply(xn)
-            assert cat_flow.distance(q, cat_flow.make_point(xn, 0.0)) <= 1e-8
-
-    def test_rejects_huge_time(self, cat_flow):
-        with pytest.raises(ValueError):
-            cat_flow.evolve(cat_flow.make_point([0.1, 0.1], 0.0), 2e6)
+            assert distance_mp(cat_flow, _point(q), (xn, 0.0)) <= 1e-8
 
 
 class TestDistance:
@@ -72,8 +75,8 @@ class TestDistance:
         x = np.array([0.37, 0.21])
         r = cat_flow.roof(x)
         below = cat_flow.make_point(x, r - 1e-6)
-        above = cat_flow.evolve(below, 2e-6)
-        assert cat_flow.distance(below, above) <= 1e-5
+        above = cat_flow.make_point(below.x, below.s + 2e-6)
+        assert distance_mp(cat_flow, _point(below), _point(above)) <= 1e-5
 
 
 class TestTimeAdjustment:
@@ -131,15 +134,13 @@ class TestTimeAdjustment:
 
 
 class TestStrongManifoldPoint:
-    def test_zero_displacement(self, cat_flow):
-        p = cat_flow.make_point([0.3, 0.55], 0.1)
-        assert cat_flow.strong_manifold_point(p, np.zeros(2)) == p
-
+    # the point of W^s((x, s)) over x + v is (x + v, s + time_adjustment(x, x + v))
     def test_constant_roof_keeps_fiber(self, cat_map):
         flow = SuspensionFlow(cat_map, RoofFunction.constant(1.0, 2))
         p = flow.make_point([0.3, 0.55], 0.4)
         v = 0.03 * flow.stable_frame()[:, 0]
-        q = flow.strong_manifold_point(p, v)
+        q = flow.make_point(
+            p.base() + v, p.s + flow.time_adjustment(p.base(), p.base() + v, "stable"))
         assert np.allclose(q.base(), (p.base() + v) % 1.0, atol=1e-14)
         assert q.s == pytest.approx(0.4, abs=1e-14)
 
@@ -148,10 +149,9 @@ class TestStrongManifoldPoint:
         x = [Fraction(3, 10), Fraction(11, 20)]
         w_fr = split.project_fractions(0.04 * cat_flow.stable_frame()[:, 0], "stable")
         y_fr = [a + b for a, b in zip(x, w_fr)]
-        q = cat_flow.strong_manifold_point(
-            cat_flow.make_point([float(v) for v in x], 0.0),
-            np.array([float(v) for v in w_fr]),
-        )
+        y = [float(v) for v in y_fr]
+        q = cat_flow.make_point(
+            y, cat_flow.time_adjustment([float(v) for v in x], y, "stable"))
         dists = [
             distance_mp(
                 cat_flow, evolve_mp(cat_flow, x, 0.0, t), evolve_mp(cat_flow, y_fr, q.s, t)
@@ -160,34 +160,29 @@ class TestStrongManifoldPoint:
         ]
         assert dists[0] > dists[1] > dists[2]
 
-    def test_off_leaf(self, cat_flow):
-        p = cat_flow.make_point([0.3, 0.55], 0.0)
-        with pytest.raises(OffLeaf):
-            cat_flow.strong_manifold_point(p, np.array([0.01, 0.013]))
-
-    def test_chart_radius_enforced(self, cat_flow):
-        p = cat_flow.make_point([0.3, 0.55], 0.0)
-        with pytest.raises(OffLeaf, match="chart"):
-            cat_flow.strong_manifold_point(p, 0.2 * cat_flow.stable_frame()[:, 0])
-
     def test_weak_leaf_consistency(self, cat_flow, cat_map):
         # flowing then displacing along the image leaf agrees with
         # displacing first and flowing, once displacements are matched by
         # the base derivative
+        def leaf_point(p, v):
+            offset = cat_flow.time_adjustment(p.base(), p.base() + v, "stable")
+            return cat_flow.make_point(p.base() + v, p.s + offset)
+
         x0 = np.array([0.123, 0.456])
         v = 0.01 * cat_flow.stable_frame()[:, 0]
         n = 3
         t = kahan_birkhoff(cat_flow.roof, cat_map, tuple(x0), n)
         p = cat_flow.make_point(x0, 0.0)
-        lhs = cat_flow.evolve(cat_flow.strong_manifold_point(p, v), t)
+        moved = leaf_point(p, v)
+        lhs = cat_flow.make_point(moved.x, moved.s + t)
         xn = x0.copy()
         vn = v.copy()
         lin = cat_map.as_array()
         for _ in range(n):
             xn = cat_flow.base_apply(xn)
             vn = lin @ vn
-        rhs = cat_flow.strong_manifold_point(cat_flow.evolve(p, t), vn)
-        assert cat_flow.distance(lhs, rhs) <= 1e-8
+        rhs = leaf_point(cat_flow.make_point(p.x, p.s + t), vn)
+        assert distance_mp(cat_flow, _point(lhs), _point(rhs)) <= 1e-8
 
 
 class TestTranslation:
@@ -427,13 +422,6 @@ def test_birkhoff_exact_ends_mid_segment(segment_flow, backward):
         if not backward:
             point = segment_flow.base_apply_exact(point)
     assert segment_flow.birkhoff_exact((0.37, 0.91, 0.18), n, backward=backward) == expected
-
-
-def test_trajectory_rows(cat_flow):
-    p = cat_flow.make_point([0.2, 0.8], 0.0)
-    rows = cat_flow.trajectory_rows(p, [0.0, 0.5, 1.0])
-    assert len(rows) == 3 and len(rows[0]) == 4
-    assert rows[0][0] == 0.0
 
 
 def test_wrap_unit():

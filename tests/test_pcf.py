@@ -1,15 +1,20 @@
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+
+from conftest import cos_roof
+from oracles import distance_mp, evolve_mp
 
 from anosovlab import flow as flow_module
 from anosovlab import pcf
 from anosovlab.errors import (
-    DegenerateGradients, NoIntersection, OffLeaf, TruncationInsufficient,
+    DegenerateGradients, NoIntersection, NotCodimensionOne, OffLeaf, TruncationInsufficient,
 )
 from anosovlab.flow import SuspensionFlow
 from anosovlab.roof import RoofFunction, TrigPolynomial
+from anosovlab.spectral import IntegerMatrix
 
 SEED = 20260808
 
@@ -114,6 +119,13 @@ class TestTemporalDistanceGeometric:
         quad = pcf.Quadrilateral(a=a, s_disp=tuple(big), u_disp=(0.0, 0.0, 0.0))
         with pytest.raises(NoIntersection):
             pcf.temporal_distance_geometric(companion3_flow, quad)
+
+    def test_two_dimensional_stable_bundle_refused(self):
+        # companion(1, -3, -3, 3, 1) has two contracting eigenvalues
+        flow = SuspensionFlow(IntegerMatrix.companion([1, -3, -3, 3, 1]), cos_roof(4))
+        quad = pcf.sample_quadrilaterals(flow, 1, seed=1)[0]
+        with pytest.raises(NotCodimensionOne):
+            pcf.temporal_distance_geometric(flow, quad)
 
     def test_tol_floor(self, companion3_flow):
         quad = pcf.sample_quadrilaterals(companion3_flow, 1, seed=1)[0]
@@ -255,10 +267,12 @@ class TestConjugacy:
             companion3_flow, (Fraction(1, 7), Fraction(2, 7), Fraction(3, 7))
         )
         p = companion3_flow.make_point([0.21, 0.84, 0.37], 0.2)
+        image = conj.apply(flow2, p)
         for t in (0.7, 3.3):
-            lhs = conj.apply(flow2, companion3_flow.evolve(p, t))
-            rhs = flow2.evolve(conj.apply(flow2, p), t)
-            assert flow2.distance(lhs, rhs) <= 1e-10
+            x, s = evolve_mp(companion3_flow, p.x, p.s, t)
+            lhs = [c + mp.mpf(v.numerator) / v.denominator for c, v in zip(x, conj.v)], s
+            rhs = evolve_mp(flow2, image.x, image.s, t)
+            assert distance_mp(flow2, lhs, rhs) <= 1e-10
 
     def test_identity_conjugacy_exact(self, companion3_flow):
         flow2, conj = pcf.translate_flow(companion3_flow, (0, 0, 0))
@@ -294,8 +308,9 @@ class TestConjugacy:
             u = flow.unstable_frame() @ (rng.uniform(-1, 1, 2) * 0.02)
             quad = pcf.Quadrilateral.build(flow, a, w, u)
             rho1 = pcf.temporal_distance_series(flow, quad)
+            image = conj.apply(flow2, quad.a)
             moved = pcf.Quadrilateral(
-                a=flow2.evolve(conj.apply(flow2, quad.a), t0),
+                a=flow2.make_point(image.x, image.s + t0),
                 s_disp=quad.s_disp,
                 u_disp=quad.u_disp,
             )

@@ -1,12 +1,9 @@
 import pytest
 
+from oracles import sampled_stable_sup
+
 from anosovlab.errors import NotCodimensionOne
-from anosovlab.regularity import (
-    BUNCHING_CSV_HEADER,
-    bunching_csv_rows,
-    bunching_report,
-    sampled_stable_sup,
-)
+from anosovlab.regularity import BUNCHING_CSV_HEADER, bunching_csv_rows, bunching_report
 from anosovlab.spectral import IntegerMatrix, spectral_data
 
 
