@@ -26,6 +26,10 @@ from .spectral import IntegerMatrix
 
 KINDS = ("catalog", "livshits", "pcf", "subbundle", "claim44", "sweep", "bunching")
 
+# Acceptance bounds a run must meet before its manifest is written.
+MAX_DISCREPANCY_BOUND = 1e-6    # pcf: worst |series - geometric| of the two PCF routes
+RECONSTRUCTION_BOUND = 1e-4     # subbundle: sup error of the recovered conjugacy patch
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -137,6 +141,12 @@ def _parse_fraction(text) -> Fraction:
 # experiment runners
 
 
+def _check_bound(kind: str, quantity: str, value: float, bound: float) -> None:
+    """Refuse a run whose reported quantity misses its bound (NaN included)."""
+    if not value <= bound:
+        raise ExperimentFailed(f"{kind}: {quantity} {value:.3g} exceeds its bound {bound:g}")
+
+
 def _run_catalog(cfg, out, workers):
     p = _take(cfg.params, {"d": int, "coeff_bound": int})
     entries = spectral.enumerate_catalog(p["d"], p["coeff_bound"])
@@ -203,11 +213,13 @@ def _run_pcf(cfg, out, workers):
     )
     util.write_csv(out / "samples.csv", pcf.sample_csv_header(matrix.dim),
                    pcf.sample_csv_rows(samples))
+    max_discrepancy = max((s.discrepancy for s in samples), default=0.0)
     util.write_json(out / "pcf_summary.json", {
         "n_samples": len(samples),
         "max_abs_series": max((abs(s.value_series) for s in samples), default=0.0),
-        "max_discrepancy": max((s.discrepancy for s in samples), default=0.0),
+        "max_discrepancy": max_discrepancy,
     })
+    _check_bound("pcf", "max_discrepancy", max_discrepancy, MAX_DISCREPANCY_BOUND)
     return ["samples.csv", "pcf_summary.json"]
 
 
@@ -226,7 +238,7 @@ def _run_subbundle(cfg, out, workers):
     )
     kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
     rec = pcf.reconstruct_conjugacy_patch(
-        flow, flow2, conj, bp, pairs,
+        flow, flow2, conj, kernel, pairs,
         patch_radius=p["patch_radius"], grid_n=p["grid_n"],
     )
     util.write_json(out / "subbundle.json", {
@@ -235,6 +247,7 @@ def _run_subbundle(cfg, out, workers):
         "reconstruction_sup_error": rec.sup_error,
         "n_grid": int(rec.grid_offsets.shape[0]),
     })
+    _check_bound("subbundle", "reconstruction_sup_error", rec.sup_error, RECONSTRUCTION_BOUND)
     return ["subbundle.json"]
 
 
@@ -369,15 +382,15 @@ def run_experiment(
     """Dispatch one experiment; returns the written report paths.
 
     Raises ConfigInvalid for bad configs and ExperimentFailed when a module
-    operation aborts; reports plus a manifest with content hashes land in
-    out_dir either way on success.
+    operation aborts or a reported quantity misses its acceptance bound; the
+    manifest with content hashes is written only on success.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner = _RUNNERS[config.kind]
     try:
         names = runner(config, out, workers)
-    except ConfigInvalid:
+    except (ConfigInvalid, ExperimentFailed):
         raise
     except AnosovLabError as err:
         raise ExperimentFailed(f"{config.kind}: {err}") from err

@@ -32,6 +32,7 @@ RETURN_TOL = 1e-13     # bump return series: a decade under the 1e-12 noise floo
 MAX_TERMS = 5000       # the bundled configs need at most ~260 terms
 SEGMENT = 32           # points per orbit matmul and roof evaluation: amortizes numpy calls; overshoot < 32
 CHART_RADIUS = 0.05    # largest leaf displacement a quadrilateral accepts
+BUNCHING_CAP = 0.98    # largest forward gradient rate lambda * xi_max: keeps 1 / (1 - q) <= 50
 
 
 def certified_sum(pairs, tol: float, total=0.0):
@@ -120,7 +121,8 @@ class SuspensionFlow:
 
     The base map may carry a rational translation part (x -> Lx + c mod 1),
     which is how pushforwards under torus translations are represented; the
-    linear part alone drives all spectral data.
+    linear part alone drives all spectral data. A linear part with dim E^s
+    other than 1 raises NotCodimensionOne here, before any series runs.
     """
 
     def __init__(
@@ -140,6 +142,10 @@ class SuspensionFlow:
         self.roof = roof
         self.translation = tuple(Fraction(v) for v in translation)
         self.spectral: SpectralData = spectral_data(base)
+        # geometric rates: lambda * xi_max for the forward gradient half, and
+        # 1 / xi_min for every backward series (unstable leaves, gradient half)
+        self._q_stable = self.spectral.lam * self.spectral.xi_max
+        self._q_unstable = 1.0 / self.spectral.xi_min
         self.lin = base.as_array()
         self.inv_entries = base.inverse_entries()
         self.lin_inv = np.array(self.inv_entries, dtype=float)
@@ -290,13 +296,12 @@ class SuspensionFlow:
         if poly.is_constant():
             return 0.0
         lip = poly.lipschitz_bound()
-        moduli = self.spectral.moduli
         if direction == "stable":
             step, proj, sign = self.lin, self.proj_s, 1.0
-            rate = max(m for m in moduli if m < 1.0)
+            rate = self.spectral.lam
         else:
             step, proj, sign = self.lin_inv, self.proj_u, -1.0
-            rate = 1.0 / min(m for m in moduli if m > 1.0)
+            rate = self._q_unstable
             delta = proj @ (step @ delta)
         orbit = self.exact_orbit(self.rationalize(xa), backward=direction == "unstable")
         contraction = max(1.0 - rate, 1e-12)
@@ -313,21 +318,22 @@ class SuspensionFlow:
             VALUE_TOL,
         )
 
-    def bunching_ratios(self) -> tuple[float, float]:
-        """Rates of the two gradient halves: (lambda * xi_max, 1 / xi_min)."""
-        lam = max(m for m in self.spectral.moduli if m < 1.0)
-        xis = [m for m in self.spectral.moduli if m > 1.0]
-        return lam * max(xis), 1.0 / min(xis)
-
-    def stable_gradient(self, start, delta, q: float) -> np.ndarray:
+    def stable_gradient(self, start, delta) -> np.ndarray:
         """Forward half of a PCF gradient, in unstable-frame coordinates.
 
         sum_{n>=0} (L^n U)^T [grad roof(F^n z + L^n w) - grad roof(F^n z)]
         over the exact orbit of the rational start z, with delta = w on the
         stable subspace and U the unstable frame. The weight L^n U grows
         like xi_max^n while the paired difference shrinks like lambda^n, so
-        the tail is geometric at q = lambda * xi_max.
+        the tail is geometric at q = lambda * xi_max. Raises ValueError when
+        q >= BUNCHING_CAP, as for every 2-dimensional base (q = 1).
         """
+        q = self._q_stable
+        if q >= BUNCHING_CAP:
+            raise ValueError(
+                "the forward gradient series needs the bunching ratio "
+                f"lambda*xi_max < {BUNCHING_CAP}, got {q:.3f}"
+            )
         poly = self.roof.poly
         hess = poly.gradient_lipschitz_bound()
         lin, proj = self.lin, self.proj_s
@@ -348,7 +354,7 @@ class SuspensionFlow:
             GRADIENT_TOL,
         )
 
-    def unstable_gradient(self, start, grads, q: float, total: float) -> np.ndarray:
+    def unstable_gradient(self, start, grads, total: float) -> np.ndarray:
         """Backward half of a PCF gradient, in unstable-frame coordinates.
 
         sum_{n>=1} (L^-n U)^T g_n along the exact backward orbit of the
@@ -359,7 +365,7 @@ class SuspensionFlow:
         the running sum to continue: the forward half, or 0.0.
         """
         lip = self.roof.poly.lipschitz_bound()
-        lin_inv, proj = self.lin_inv, self.proj_u
+        lin_inv, proj, q = self.lin_inv, self.proj_u, self._q_unstable
         return certified_sum(
             (
                 (weight.T @ grad, 2.0 * lip * util.spectral_norm(w) * q / (1.0 - q))

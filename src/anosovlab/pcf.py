@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import (
-    DegenerateGradients, NoIntersection, NotCodimensionOne, OffLeaf, TruncationInsufficient,
+    DegenerateGradients, NoIntersection, OffLeaf, TruncationInsufficient,
 )
 from .flow import CHART_RADIUS, FlowPoint, SuspensionFlow, affine_orbit, wrap_unit
 from .roof import RoofFunction
@@ -133,16 +133,6 @@ def _horizon(flow: SuspensionFlow, rate: float, scale: float, target: float) -> 
     return max(n, 8)
 
 
-def _forward_horizon(flow: SuspensionFlow, scale: float, target: float) -> int:
-    lam = max(m for m in flow.spectral.moduli if m < 1.0)
-    return _horizon(flow, lam, scale, target)
-
-
-def _backward_horizon(flow: SuspensionFlow, scale: float, target: float) -> int:
-    xi1 = min(m for m in flow.spectral.moduli if m > 1.0)
-    return _horizon(flow, 1.0 / xi1, scale, target)
-
-
 def temporal_distance_geometric(
     flow: SuspensionFlow, quad: Quadrilateral, tol: float = 1e-8,
 ) -> float:
@@ -154,13 +144,10 @@ def temporal_distance_geometric(
     one point. Leaf fibers come from finite Birkhoff differences along
     exact rational orbits (forward for stable leaves, backward for unstable
     ones), with horizons chosen so tails sit well under tol. The forward
-    horizon takes |L^n w| = lambda^n |w|, which holds when dim E^s = 1;
-    otherwise NotCodimensionOne is raised. Raises NoIntersection when the
-    data leave the chart, and TruncationInsufficient when a horizon would
-    pass MAX_HORIZON.
+    horizon takes |L^n w| = lambda^n |w|, which holds because every flow
+    has dim E^s = 1. Raises NoIntersection when the data leave the chart,
+    and TruncationInsufficient when a horizon would pass MAX_HORIZON.
     """
-    if not flow.spectral.codimension_one:
-        raise NotCodimensionOne("the geometric route needs a one-dimensional stable bundle")
     if tol < 1e-10:
         raise ValueError("tol must be at least 1e-10")
     alpha = quad.a.base()
@@ -170,8 +157,8 @@ def temporal_distance_geometric(
         raise NoIntersection("quadrilateral displacements exceed the chart radius")
 
     target = 0.02 * tol
-    n_fwd = _forward_horizon(flow, max(np.linalg.norm(w), 1e-6), target)
-    n_bwd = _backward_horizon(flow, max(np.linalg.norm(u), 1e-6), target)
+    n_fwd = _horizon(flow, flow.spectral.lam, max(np.linalg.norm(w), 1e-6), target)
+    n_bwd = _horizon(flow, 1.0 / flow.spectral.xi_min, max(np.linalg.norm(u), 1e-6), target)
 
     # Exact hyperbolic orbits amplify any off-leaf defect of the inputs by
     # lambda^-n backward; refine the displacements onto their subspaces in
@@ -260,7 +247,8 @@ def pcf_gradient(
     paired gradient differences: `SuspensionFlow.stable_gradient` forward,
     `unstable_gradient` backward. The forward side converges only under the
     bunching condition lambda * xi_max < 1, which holds automatically for
-    volume-preserving codimension-one data with dim E^u >= 2.
+    volume-preserving codimension-one data with dim E^u >= 2; a constant
+    roof has the zero gradient whatever the bunching.
     """
     w = np.asarray([float(v) for v in s_disp], dtype=float)
     u = np.asarray([float(v) for v in u_disp], dtype=float)
@@ -271,22 +259,16 @@ def pcf_gradient(
     if np.linalg.norm(vs) > _MEMBERSHIP_TOL:
         raise OffLeaf("u_disp must lie in the unstable subspace")
 
-    q_fwd, q_bwd = flow.bunching_ratios()
-    if q_fwd >= 0.98:
-        raise ValueError(
-            "gradient series requires the bunching ratio lambda*xi_max < 1 "
-            f"(got {q_fwd:.3f}); it diverges for 2-dimensional base maps"
-        )
     poly = flow.roof.poly
     if poly.is_constant():
         return np.zeros(flow.dim_unstable)
     z0 = flow.rationalize(a.base() + u)
-    total = flow.stable_gradient(z0, flow.proj_s @ w, q_fwd)
+    total = flow.stable_gradient(z0, flow.proj_s @ w)
     # backward gaps L^-n w mod 1, exact and wrapped, one segment per call
     gaps = affine_orbit(flow.inv_entries, (0,) * flow.dim,
                         [Fraction(v) for v in w], centred=True, skip=1)
     return flow.unstable_gradient(
-        z0, lambda points: poly.gradient_diff_rows(points, next(gaps)), q_bwd, total
+        z0, lambda points: poly.gradient_diff_rows(points, next(gaps)), total
     )
 
 
@@ -455,27 +437,25 @@ def reconstruct_conjugacy_patch(
     flow1: SuspensionFlow,
     flow2: SuspensionFlow,
     conjugacy: TranslationConjugacy,
-    base_point: FlowPoint,
+    kernel: MatchingKernelReport,
     pairs: list[tuple[FlowPoint, tuple]],
     patch_radius: float = 0.01,
     grid_n: int = 3,
 ) -> PatchReconstruction:
     """Invert the PCF chart to recover the conjugacy on an unstable patch.
 
-    With P1 = (rho^1_1, rho^1_2) built from two independent pairs at
-    base_point and P2 the matched chart for the conjugated flow, the map
-    P1^{-1} o P2 is evaluated on a grid of the unstable patch through
-    h(base_point) and compared against the known inverse translation.
+    With P1 = (rho^1_1, rho^1_2) built from two independent pairs at the
+    kernel report's base point and P2 the matched chart for the conjugated
+    flow, the map P1^{-1} o P2 is evaluated on a grid of the unstable patch
+    through h(base_point) and compared against the known inverse
+    translation. The Newton Jacobian is the report's gradient rows, so the
+    report must come from flow1 and the same pairs.
     """
     n_u = flow1.dim_unstable
     if len(pairs) < n_u:
         raise DegenerateGradients(f"need {n_u} pairs for a {n_u}-dimensional patch")
-    jac_rows = []
-    for a, s_disp in pairs:
-        offset = wrap_unit(base_point.base() - a.base())
-        vu, _ = flow1.split_displacement(offset)
-        jac_rows.append(pcf_gradient(flow1, a, s_disp, vu))
-    jac = np.array(jac_rows)
+    base_point = kernel.base_point
+    jac = np.array(kernel.gradients)
     sv = np.linalg.svd(jac, compute_uv=False)
     if sv[-1] <= 1e-9 * max(sv[0], 1e-30) or sv[0] < 1e-12:
         raise DegenerateGradients(

@@ -45,8 +45,8 @@ SCREEN_SLACK = 1e-9     # relative slack of the squared-distance screen over the
 class SectionChart:
     """Section coordinates (x, y) at the base fixed point of a suspension.
 
-    Valid for codimension-one suspensions whose base map fixes the origin
-    (no translation part). The section is bent along the local leaves of p,
+    Valid for suspensions whose base map fixes the origin (no translation
+    part). The section is bent along the local leaves of p,
     which makes the unperturbed return time constant on both axes and the
     stable graph time T(x, y) vanish on them.
     """
@@ -54,8 +54,6 @@ class SectionChart:
     def __init__(self, flow: SuspensionFlow):
         if any(t != 0 for t in flow.translation):
             raise ValueError("section charts require a fixed point at the origin")
-        if not flow.spectral.codimension_one:
-            raise ValueError("section charts assume a one-dimensional stable bundle")
         self.flow = flow
         self.u_frame = flow.unstable_frame()
         self.s_unit = flow.stable_frame()[:, 0]
@@ -71,8 +69,8 @@ class SectionChart:
 
     @property
     def kappa(self) -> float:
-        mods = self.flow.spectral.moduli
-        return -math.log(mods[0]) / math.log(max(mods))
+        spectral = self.flow.spectral
+        return -math.log(spectral.lam) / math.log(spectral.xi_max)
 
     def coords(self, v) -> tuple[np.ndarray, float]:
         """Chart coordinates of a wrapped base displacement."""
@@ -134,13 +132,10 @@ class SectionChart:
         if poly.is_constant() or float(y) == 0.0:
             return np.zeros(self.dim_unstable)
         flow = self.flow
-        q, _ = flow.bunching_ratios()
-        if q >= 0.98:
-            raise ValueError("stable-graph gradient needs bunching lambda*xi_max < 1")
         # the origin is fixed, so its orbit repeats it
         origin = tuple(Fraction(0) for _ in range(flow.dim))
         w = np.array([float(c) for c in self.stable_fraction_vector(y)])
-        return flow.stable_gradient(origin, w, q)
+        return flow.stable_gradient(origin, w)
 
     def unstable_slope(self, y: float) -> np.ndarray:
         """Tangent slope of the unstable-leaf graph through (0, y) in the
@@ -153,9 +148,8 @@ class SectionChart:
         r = flow.rationalize(self.stable_fraction_vector(y))
         # the origin is fixed (no translation), so its gradient is too
         grad_origin = poly.gradient(np.zeros(flow.dim))
-        _, q = flow.bunching_ratios()
         return flow.unstable_gradient(
-            r, lambda pts: grad_origin - poly.gradient_rows(pts), q, 0.0
+            r, lambda pts: grad_origin - poly.gradient_rows(pts), 0.0
         )
 
 
@@ -675,7 +669,8 @@ def kappa_experiment(
     return to the ball at step j with gap lambda^j y_r, realizing the
     kappa-power law measurably at every scale. The steps j come from
     n_points norms log-spaced over norm_range, so x_sequence holds at most
-    n_points distinct entries, in first-occurrence order.
+    n_points distinct entries, in first-occurrence order. kappa is read off
+    one unstable rate, so a non-conformal E^u (xi_min < xi_max) is refused.
     """
     norm_min, norm_max = norm_range
     if n_points < 2 or not 0.0 < norm_min < norm_max:
@@ -683,6 +678,9 @@ def kappa_experiment(
             f"kappa fit needs n_points >= 2 and 0 < norm_min < norm_max, "
             f"got n_points {n_points}, norm range {norm_range}"
         )
+    xi_min, xi = flow.spectral.xi_min, flow.spectral.xi_max
+    if xi_min != xi:
+        raise ValueError(f"kappa needs a conformal E^u, unstable moduli {xi_min:.6g} to {xi:.6g}")
     chart = SectionChart(flow)
     lam = chart.lam
     finv = flow.frame_inv
@@ -720,7 +718,6 @@ def kappa_experiment(
     delta = 0.45 * radius * direction
     target = x_m + delta
     a_inv = np.linalg.inv(chart.a_u)
-    xi = max(flow.spectral.moduli)
     # norms that round to the same step j give the same x, which is kept once
     steps = dict.fromkeys(
         max(int(round(math.log(np.linalg.norm(target) / nrm) / math.log(xi))), 1)

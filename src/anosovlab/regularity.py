@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCodimensionOne
 from .spectral import SpectralData
 
 # bunching exponents nu = 0, 0.1, ..., 4 at which bunching_report evaluates
@@ -57,20 +56,15 @@ def bunching_report(
     Over flow time t the base map acts t / roof_mean times, so rates are
     moduli raised to that exponent. Extremes over unit vectors sit on the
     weakest/strongest spectral blocks; complex pairs are exact
-    rotation-scalings, contributing their modulus.
+    rotation-scalings, contributing their modulus. The volume identity
+    J^s J^u = 1 needs dim E^s = 1, so other bases raise NotCodimensionOne.
     """
     if roof_mean <= 0:
         raise ValueError("roof_mean must be positive")
     if t < roof_mean:
         raise ValueError("t must cover at least one base return")
-    if not data.codimension_one:
-        raise NotCodimensionOne(
-            "volume identity J^s J^u = 1 needs a one-dimensional stable bundle"
-        )
     steps = t / roof_mean
-    lam_max = max(data.stable_moduli)        # weakest stable contraction
-    xi_min = min(data.unstable_moduli)
-    xi_max = max(data.unstable_moduli)
+    lam_max, xi_min, xi_max = data.lam, data.xi_min, data.xi_max
 
     weak, strong = [], []
     for nu in NU_GRID:
@@ -84,9 +78,7 @@ def bunching_report(
                 best = nu
         return best
 
-    volume_product = float(
-        np.prod([m for m in data.moduli])
-    )
+    volume_product = float(np.prod(data.moduli))
     return BunchingReport(
         t=float(t),
         nu_grid=tuple(float(nu) for nu in NU_GRID),

@@ -9,6 +9,7 @@ spectra, and enumerate the invariant subspaces of the unstable restriction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -215,22 +216,31 @@ class SpectralData:
         return len(self.moduli)
 
     @property
-    def stable_moduli(self) -> list[float]:
-        return [m for m in self.moduli if m < 1.0]
+    def lam(self) -> float:
+        """The stable modulus lambda. The package's one codimension-one gate:
+        a stable bundle of any other dimension raises NotCodimensionOne."""
+        if not self.codimension_one:
+            n_stable = sum(1 for m in self.moduli if m < 1.0)
+            raise NotCodimensionOne(
+                f"needs a one-dimensional stable bundle, got dim E^s = {n_stable}"
+            )
+        return self.moduli[0]
 
     @property
-    def unstable_moduli(self) -> list[float]:
-        return [m for m in self.moduli if m > 1.0]
+    def xi_min(self) -> float:
+        """Weakest unstable modulus."""
+        return min(m for m in self.moduli if m > 1.0)
+
+    @property
+    def xi_max(self) -> float:
+        """Strongest unstable modulus."""
+        return self.moduli[-1]
 
     @property
     def stable_eigenvalue(self) -> float:
-        """Signed stable eigenvalue; requires a codimension-one spectrum."""
-        if not self.codimension_one:
-            raise NotCodimensionOne("stable eigenvalue is only scalar in codimension one")
-        for b in self.blocks:
-            if b.is_stable:
-                return float(b.eigenvalue.real)
-        raise NotCodimensionOne("no stable block found")
+        """Signed stable eigenvalue, +-lam."""
+        stable = next(b for b in self.blocks if b.is_stable)
+        return math.copysign(self.lam, stable.eigenvalue.real)
 
     def unstable_blocks(self) -> list[SpectralBlock]:
         return [b for b in self.blocks if not b.is_stable]
@@ -371,11 +381,8 @@ class SpectralGapReport:
 
 def spectral_gap_condition(data: SpectralData) -> SpectralGapReport:
     """Evaluate the gap inequality in natural logarithms."""
-    if not data.codimension_one:
-        raise NotCodimensionOne("gap condition needs exactly one contracting eigenvalue")
-    mu = 1.0 / data.moduli[0]
-    unstable = data.unstable_moduli
-    xi_1, xi_l = min(unstable), max(unstable)
+    mu = 1.0 / data.lam
+    xi_1, xi_l = data.xi_min, data.xi_max
     log_mu, log_1, log_l = (float(np.log(v)) for v in (mu, xi_1, xi_l))
     lhs = log_mu ** 2 - log_l ** 2
     rhs = log_mu * (log_l - log_1)

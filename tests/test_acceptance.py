@@ -180,7 +180,7 @@ def test_09_matching_kernels_and_reconstruction(companion3):
         flow, (Fraction(1, 7), Fraction(2, 7), Fraction(3, 7))
     )
     rec = pcf.reconstruct_conjugacy_patch(
-        flow, flow2, conj, bp, pairs, patch_radius=0.008, grid_n=3
+        flow, flow2, conj, kern, pairs, patch_radius=0.008, grid_n=3
     )
     ok = (
         full.kernel_dim == const_flow.dim_unstable == 2

@@ -138,21 +138,76 @@ class TestCliExitCodes:
             run_experiment(cfg, tmp_path / "out")
         assert isinstance(info.value.__cause__, TruncationInsufficient)
 
-    def test_two_dimensional_stable_bundle_is_experiment_failure(self, tmp_path):
-        # the geometric route refuses dim E^s = 2: a module error, exit 1
+    CODIM2_PARAMS = {
+        "pcf": {"n_samples": 2},
+        "subbundle": {"base_point": [0.37, 0.61, 0.22, 0.37],
+                      "translation": ["1/7", "2/7", "3/7", "0"]},
+        "claim44": {},
+        "sweep": {"q_period": 4},
+        "bunching": {},
+    }
+
+    @pytest.mark.parametrize("kind", list(CODIM2_PARAMS))
+    def test_two_dimensional_stable_bundle_is_experiment_failure(self, tmp_path, kind):
+        # every flow kind refuses dim E^s = 2 where the spectrum is read: a
+        # module error, exit 1
         payload = {
-            "kind": "pcf",
+            "kind": kind,
             "matrix": {"poly": [1, -3, -3, 3, 1]},
             "roof": {"constant": 1.0, "terms": [{"k": [1, 0, 0, 0], "re": 0.05}]},
-            "params": {"n_samples": 2},
+            "params": self.CODIM2_PARAMS[kind],
         }
         with pytest.raises(ExperimentFailed) as info:
             run_experiment(ExperimentConfig.from_dict(payload), tmp_path / "out")
         assert isinstance(info.value.__cause__, NotCodimensionOne)
-        config = tmp_path / "pcf_codim2.json"
+        config = tmp_path / f"{kind}_codim2.json"
         config.write_text(json.dumps(payload))
-        result = run_cli(["pcf", "--config", str(config), "--out", str(tmp_path / "cli")])
+        result = run_cli([kind, "--config", str(config), "--out", str(tmp_path / "cli")])
         assert result.exit_code == 1
+
+    # The quartic companion(1, 4, -4, -1, 1): its two PCF routes disagree
+    # (ROADMAP item 1), so a run misses its acceptance bound and must not
+    # write a manifest.
+    QUARTIC = {
+        "matrix": {"poly": [1, 4, -4, -1, 1]},
+        "roof": {"constant": 1.0, "terms": [{"k": [1, 0, 0, 0], "re": 0.05}]},
+    }
+
+    def test_quartic_pcf_misses_discrepancy_bound(self, tmp_path):
+        # exits 0 with max_discrepancy 1.2e-2 without the bound; item 1
+        # (exact corners and a bit budget) flips it to exit 0
+        config = tmp_path / "pcf_quartic.json"
+        config.write_text(json.dumps(
+            {"kind": "pcf", "seed": 0, **self.QUARTIC, "params": {"n_samples": 10}}))
+        result = run_cli(["pcf", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert "max_discrepancy" in result.stderr and "bound 1e-06" in result.stderr
+        assert (tmp_path / "out" / "pcf_summary.json").exists()
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_quartic_subbundle_misses_reconstruction_bound(self, tmp_path):
+        # exits 0 with reconstruction_sup_error 3.7e-4 without the bound;
+        # item 1 flips it to exit 0
+        config = tmp_path / "subbundle_quartic.json"
+        config.write_text(json.dumps({
+            "kind": "subbundle", "seed": 5, **self.QUARTIC,
+            "params": {"base_point": [0.37, 0.61, 0.22, 0.37],
+                       "translation": ["1/7", "2/7", "3/7", "0"], "n_pairs": 3},
+        }))
+        result = run_cli(["subbundle", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert "reconstruction_sup_error" in result.stderr
+        assert "bound 0.0001" in result.stderr
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_quartic_claim44_non_conformal_exit_two(self, tmp_path):
+        # three distinct unstable moduli: kappa = -log lambda / log xi_max
+        # does not describe the remainder, so the config is refused
+        config = tmp_path / "claim44_quartic.json"
+        config.write_text(json.dumps({"kind": "claim44", **self.QUARTIC, "params": {}}))
+        result = run_cli(["claim44", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "conformal" in result.stderr
 
     def test_unbounded_periodic_enumeration_exit_two(self, tmp_path):
         # n_max 30 on the cat map asks for about 3.46e12 periodic points

@@ -8,7 +8,7 @@ from conftest import cos_roof
 from oracles import distance_mp, evolve_mp
 
 from anosovlab import flow as flow_module
-from anosovlab import pcf
+from anosovlab import pcf, perturb
 from anosovlab.errors import (
     DegenerateGradients, NoIntersection, NotCodimensionOne, OffLeaf, TruncationInsufficient,
 )
@@ -121,11 +121,10 @@ class TestTemporalDistanceGeometric:
             pcf.temporal_distance_geometric(companion3_flow, quad)
 
     def test_two_dimensional_stable_bundle_refused(self):
-        # companion(1, -3, -3, 3, 1) has two contracting eigenvalues
-        flow = SuspensionFlow(IntegerMatrix.companion([1, -3, -3, 3, 1]), cos_roof(4))
-        quad = pcf.sample_quadrilaterals(flow, 1, seed=1)[0]
-        with pytest.raises(NotCodimensionOne):
-            pcf.temporal_distance_geometric(flow, quad)
+        # companion(1, -3, -3, 3, 1) has two contracting eigenvalues: no
+        # flow is built, so neither route can run on it
+        with pytest.raises(NotCodimensionOne, match="dim E\\^s = 2"):
+            SuspensionFlow(IntegerMatrix.companion([1, -3, -3, 3, 1]), cos_roof(4))
 
     def test_tol_floor(self, companion3_flow):
         quad = pcf.sample_quadrilaterals(companion3_flow, 1, seed=1)[0]
@@ -134,10 +133,11 @@ class TestTemporalDistanceGeometric:
 
     def test_horizon_cap_refuses(self, companion3_flow, monkeypatch):
         flow = companion3_flow
-        assert pcf._forward_horizon(flow, 1e-6, 1.0) == 8
-        for horizon in (pcf._forward_horizon, pcf._backward_horizon):
+        forward, backward = flow.spectral.lam, 1.0 / flow.spectral.xi_min
+        assert pcf._horizon(flow, forward, 1e-6, 1.0) == 8
+        for rate in (forward, backward):
             with pytest.raises(TruncationInsufficient, match="horizon"):
-                horizon(flow, 0.02, 1e-300)
+                pcf._horizon(flow, rate, 0.02, 1e-300)
         # the backward horizon here is about 145 steps: under a lower cap the
         # route must refuse instead of returning an uncertified tail
         quad = pcf.sample_quadrilaterals(flow, 1, seed=1)[0]
@@ -206,12 +206,27 @@ class TestPcfGradient:
         assert gradients() == expected
 
     def test_cat_map_rejected(self, cat_flow):
+        # lambda * xi_max = 1 on the cat map: pcf_gradient and the section
+        # chart's stable-graph gradient both meet stable_gradient's refusal
+        refusal = r"bunching ratio lambda\*xi_max < 0\.98, got 1\.000"
         a = cat_flow.make_point([0.3, 0.5], 0.0)
-        with pytest.raises(ValueError, match="bunching"):
+        with pytest.raises(ValueError, match=refusal):
             pcf.pcf_gradient(
                 cat_flow, a, 0.01 * cat_flow.stable_frame()[:, 0],
                 0.01 * cat_flow.unstable_frame()[:, 0],
             )
+        with pytest.raises(ValueError, match=refusal):
+            perturb.SectionChart(cat_flow).t_gradient_at_zero(0.1)
+
+    def test_cat_map_constant_roof_zero(self, cat_map):
+        # the temporal distance of a constant roof vanishes identically, so
+        # its gradient is exactly zero even where the series would diverge
+        flow = SuspensionFlow(cat_map, RoofFunction.constant(1.0, 2))
+        a = flow.make_point([0.3, 0.5], 0.0)
+        g = pcf.pcf_gradient(
+            flow, a, 0.01 * flow.stable_frame()[:, 0], 0.01 * flow.unstable_frame()[:, 0],
+        )
+        assert g.tolist() == [0.0]
 
 
 class TestMatchingKernel:
@@ -324,9 +339,10 @@ class TestReconstruction:
         flow = companion3_flow
         bp = flow.make_point([0.37, 0.61, 0.22], 0.0)
         pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=5)
+        kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
         flow2, conj = pcf.translate_flow(flow, (0, 0, 0))
         rec = pcf.reconstruct_conjugacy_patch(
-            flow, flow2, conj, bp, pairs, patch_radius=0.008, grid_n=2
+            flow, flow2, conj, kernel, pairs, patch_radius=0.008, grid_n=2
         )
         assert rec.sup_error <= 1e-8
 
@@ -334,11 +350,12 @@ class TestReconstruction:
         flow = companion3_flow
         bp = flow.make_point([0.37, 0.61, 0.22], 0.0)
         pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=5)
+        kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
         flow2, conj = pcf.translate_flow(
             flow, (Fraction(1, 7), Fraction(2, 7), Fraction(3, 7))
         )
         rec = pcf.reconstruct_conjugacy_patch(
-            flow, flow2, conj, bp, pairs, patch_radius=0.008, grid_n=3
+            flow, flow2, conj, kernel, pairs, patch_radius=0.008, grid_n=3
         )
         assert rec.sup_error <= 1e-4
 
@@ -349,9 +366,10 @@ class TestReconstruction:
             (bp, tuple(0.01 * flow.stable_frame()[:, 0])),
             (bp, tuple(0.005 * flow.stable_frame()[:, 0])),
         ]
+        kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
         flow2, conj = pcf.translate_flow(flow, (0, 0, 0))
         with pytest.raises(DegenerateGradients):
-            pcf.reconstruct_conjugacy_patch(flow, flow2, conj, bp, pairs)
+            pcf.reconstruct_conjugacy_patch(flow, flow2, conj, kernel, pairs)
 
 
 class TestSampleExports:
