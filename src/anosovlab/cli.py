@@ -47,7 +47,9 @@ def _register(kind: str):
     @click.option("--seed", default=None, type=click.IntRange(0, 2**64 - 1),
                   help="override the config seed")
     @click.option("--workers", default=1, show_default=True,
-                  type=click.IntRange(1, 64), help="parallel sample workers")
+                  type=click.IntRange(1, 64),
+                  help="threads for the pcf geometric route (held to one core by the GIL); "
+                       "reports are identical for any count")
     def _cmd(config_path: str, out: str, seed: int | None, workers: int, _kind=kind):
         _execute(_kind, config_path, out, seed, workers)
 

@@ -207,10 +207,7 @@ def _run_pcf(cfg, out, workers):
     quads = pcf.sample_quadrilaterals(
         flow, p["n_samples"], cfg.seed, s_scale=p["s_scale"], u_scale=p["u_scale"]
     )
-    samples = util.parallel_map(
-        lambda q: pcf.temporal_distance_sample(flow, q, tol=p["tol"]), quads,
-        workers=workers,
-    )
+    samples = pcf.temporal_distance_samples(flow, quads, tol=p["tol"], workers=workers)
     util.write_csv(out / "samples.csv", pcf.sample_csv_header(matrix.dim),
                    pcf.sample_csv_rows(samples))
     max_discrepancy = max((s.discrepancy for s in samples), default=0.0)

@@ -11,7 +11,12 @@ on the orbit of Hol_{a,b}(x). Two independent computations are provided:
   from exact rational corners, as long finite Birkhoff differences along
   exact rational orbits (geometric route).
 
-Their agreement is the package's central dual oracle.
+Their agreement is the package's central dual oracle. The series route
+takes a list of quadrilaterals and sends all their leaf adjustments to
+`SuspensionFlow.time_adjustment` as one lockstep batch; each value is
+bit-identical to its series run alone. The geometric route stays one
+quadrilateral at a time. The patch reconstruction batches its chart
+values the same way and runs its grid points' Newton solves in lockstep.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from . import intlinalg, mpspec, util
 _MEMBERSHIP_TOL = 1e-12
 INDEPENDENCE_CUTOFF = 0.05  # least sv / largest sv a new pair must keep: a well-posed Newton
 NEWTON_TOL = 1e-12          # patch Newton stops here, 100x the VALUE_TOL of each PCF value
+NEWTON_MAX_STEPS = 60       # chart evaluations per grid point; the bundled grids need at most 6
 PAIR_SCALE = 0.02           # pair-search displacement scale: sample_quadrilaterals' default
 
 
@@ -90,8 +96,8 @@ def sample_quadrilaterals(
 # temporal distance, series route
 
 
-def temporal_distance_series(flow: SuspensionFlow, quad: Quadrilateral) -> float:
-    """Signed combination of four leaf time adjustments around the quadrilateral.
+def temporal_distance_series(flow: SuspensionFlow, quads) -> list[float]:
+    """Signed combination of four leaf time adjustments around each quadrilateral.
 
     With T_s(x -> y) and T_u(x -> y) the stable/unstable adjustments,
 
@@ -99,16 +105,25 @@ def temporal_distance_series(flow: SuspensionFlow, quad: Quadrilateral) -> float
 
     which is the fiber gap between Hol_{a,b}(x) and y in the defining
     equation. Vanishes identically when either displacement is zero or the
-    roof is constant.
+    roof is constant. All 4 n adjustments go to the flow as one batch; the
+    values come back one per quadrilateral, in order.
     """
-    alpha = quad.a.base()
-    w = np.asarray(quad.s_disp)
-    u = np.asarray(quad.u_disp)
-    t_u_ax = flow.time_adjustment(alpha, alpha + u, "unstable")
-    t_s_xh = flow.time_adjustment(alpha + u, alpha + u + w, "stable")
-    t_s_ab = flow.time_adjustment(alpha, alpha + w, "stable")
-    t_u_by = flow.time_adjustment(alpha + w, alpha + w + u, "unstable")
-    return (t_u_ax + t_s_xh) - (t_s_ab + t_u_by)
+    requests = []
+    for quad in quads:
+        alpha = quad.a.base()
+        w = np.asarray(quad.s_disp)
+        u = np.asarray(quad.u_disp)
+        requests += [
+            (alpha, alpha + u, "unstable"),
+            (alpha + u, alpha + u + w, "stable"),
+            (alpha, alpha + w, "stable"),
+            (alpha + w, alpha + w + u, "unstable"),
+        ]
+    values = iter(flow.time_adjustment(requests))
+    return [
+        (t_u_ax + t_s_xh) - (t_s_ab + t_u_by)
+        for t_u_ax, t_s_xh, t_s_ab, t_u_by in zip(values, values, values, values)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +216,19 @@ class TemporalDistanceSample:
         return abs(self.value_series - self.value_geometric)
 
 
-def temporal_distance_sample(
-    flow: SuspensionFlow, quad: Quadrilateral, tol: float = 1e-8
-) -> TemporalDistanceSample:
-    return TemporalDistanceSample(
-        quad=quad,
-        value_series=temporal_distance_series(flow, quad),
-        value_geometric=temporal_distance_geometric(flow, quad, tol=tol),
+def temporal_distance_samples(
+    flow: SuspensionFlow, quads: list[Quadrilateral], tol: float = 1e-8, workers: int = 1,
+) -> list[TemporalDistanceSample]:
+    """Both routes at each quadrilateral: the series route as one batch, the
+    geometric route per quadrilateral on `workers` threads."""
+    series = temporal_distance_series(flow, quads)
+    geometric = util.parallel_map(
+        lambda quad: temporal_distance_geometric(flow, quad, tol=tol), quads, workers=workers,
     )
+    return [
+        TemporalDistanceSample(quad=quad, value_series=rho_s, value_geometric=rho_g)
+        for quad, rho_s, rho_g in zip(quads, series, geometric)
+    ]
 
 
 def sample_csv_rows(samples: list[TemporalDistanceSample]) -> list[list]:
@@ -398,15 +418,13 @@ def conjugacy_invariance_check(
     quads: list[Quadrilateral],
 ) -> float:
     """Max |rho_1(quad) - rho_2(image quad)| over the supplied quadrilaterals."""
+    images = [
+        Quadrilateral(a=conjugacy.apply(flow2, quad.a), s_disp=quad.s_disp, u_disp=quad.u_disp)
+        for quad in quads
+    ]
     worst = 0.0
-    for quad in quads:
-        rho1 = temporal_distance_series(flow1, quad)
-        image = Quadrilateral(
-            a=conjugacy.apply(flow2, quad.a),
-            s_disp=quad.s_disp,
-            u_disp=quad.u_disp,
-        )
-        rho2 = temporal_distance_series(flow2, image)
+    for rho1, rho2 in zip(temporal_distance_series(flow1, quads),
+                          temporal_distance_series(flow2, images)):
         worst = max(worst, abs(rho1 - rho2))
     return worst
 
@@ -423,14 +441,15 @@ class PatchReconstruction:
     sup_error: float
 
 
-def _pcf_map(flow, pairs, point_base) -> np.ndarray:
-    values = []
-    for a, s_disp in pairs:
-        offset = wrap_unit(point_base - a.base())
-        vu, vs = flow.split_displacement(offset)
-        quad = Quadrilateral(a=a, s_disp=tuple(s_disp), u_disp=tuple(vu))
-        values.append(temporal_distance_series(flow, quad))
-    return np.array(values)
+def _pcf_map(flow, pairs, point_bases) -> np.ndarray:
+    """(points, pairs) array of the PCF chart at each base point, in one batch."""
+    quads = []
+    for point_base in point_bases:
+        for a, s_disp in pairs:
+            offset = wrap_unit(point_base - a.base())
+            vu, vs = flow.split_displacement(offset)
+            quads.append(Quadrilateral(a=a, s_disp=tuple(s_disp), u_disp=tuple(vu)))
+    return np.reshape(temporal_distance_series(flow, quads), (len(point_bases), len(pairs)))
 
 
 def reconstruct_conjugacy_patch(
@@ -450,6 +469,12 @@ def reconstruct_conjugacy_patch(
     through h(base_point) and compared against the known inverse
     translation. The Newton Jacobian is the report's gradient rows, so the
     report must come from flow1 and the same pairs.
+
+    The grid points' Newton solves run in lockstep: each iteration
+    evaluates the chart at every point still moving in one batch, and each
+    point keeps its own iterates, stop test and solve. A point whose
+    residual stays at or above NEWTON_TOL for NEWTON_MAX_STEPS evaluations
+    raises TruncationInsufficient.
     """
     n_u = flow1.dim_unstable
     if len(pairs) < n_u:
@@ -472,23 +497,34 @@ def reconstruct_conjugacy_patch(
     mesh = np.meshgrid(*axes, indexing="ij")
     offsets = np.stack([m.ravel() for m in mesh], axis=1)
 
-    recovered = []
-    expected = []
-    for c in offsets:
-        target_base2 = (base2 + u_frame @ c) % 1.0
-        values2 = _pcf_map(flow2, pairs2, target_base2)
-        # Newton with the frozen Jacobian: the chart is near-affine on the patch
-        coef = np.zeros(n_u)
-        for _ in range(60):
-            current = (base_point.base() + u_frame @ coef) % 1.0
-            resid = _pcf_map(flow1, pairs, current) - values2
-            if np.linalg.norm(resid) < NEWTON_TOL:
-                break
-            coef = coef - np.linalg.solve(jac, resid)
-        recovered.append((base_point.base() + u_frame @ coef) % 1.0)
-        expected.append(conjugacy.invert_base(target_base2))
-    recovered = np.array(recovered)
-    expected = np.array(expected)
+    origin = base_point.base()
+    targets = [(base2 + u_frame @ c) % 1.0 for c in offsets]
+    values2 = _pcf_map(flow2, pairs2, targets)
+    # Newton with the frozen Jacobian: the chart is near-affine on the patch
+    coefs = np.zeros((len(offsets), n_u))
+    residuals = np.zeros(len(offsets))
+    moving = list(range(len(offsets)))
+    for _ in range(NEWTON_MAX_STEPS):
+        values = _pcf_map(flow1, pairs, [(origin + u_frame @ coefs[k]) % 1.0 for k in moving])
+        still = []
+        for k, row in zip(moving, values):
+            resid = row - values2[k]
+            residuals[k] = np.linalg.norm(resid)
+            if residuals[k] < NEWTON_TOL:
+                continue
+            coefs[k] = coefs[k] - np.linalg.solve(jac, resid)
+            still.append(k)
+        moving = still
+        if not moving:
+            break
+    if moving:
+        k = moving[0]
+        raise TruncationInsufficient(
+            f"patch Newton at grid offset {offsets[k].tolist()} did not reach "
+            f"{NEWTON_TOL:g} within {NEWTON_MAX_STEPS} steps; last residual {residuals[k]:.3g}"
+        )
+    recovered = np.array([(origin + u_frame @ coef) % 1.0 for coef in coefs])
+    expected = np.array([conjugacy.invert_base(target) for target in targets])
     sup_error = float(
         max(
             np.linalg.norm(wrap_unit(r - e))

@@ -13,7 +13,10 @@ both axes, from the package's time adjustments. `series_pins` and
 and `tests/test_series_pins.py` holds their output as float.hex literals,
 so a refactor of the series must keep every bit. `return_series_reference`
 is the per-point loop that `perturb.return_series` replaced, kept as the
-reference it must equal. Print the literals with
+reference it must equal; `time_adjustment_reference` and
+`patch_newton_reference` are likewise the one-request leaf series and the
+one-grid-point patch Newton that the lockstep batches replaced. Print the
+literals with
 
     PYTHONPATH=src python tests/oracles.py
 """
@@ -141,8 +144,10 @@ def section_roof(chart, x, y):
         chi = _cutoff(max(np.linalg.norm(xx) / CHART_RADIUS_X, abs(yy) / CHART_RADIUS_Y))
         if chi == 0.0:
             return 0.0
-        theta_u = flow.time_adjustment(origin, chart.u_frame @ xx, "unstable")
-        theta_s = flow.time_adjustment(origin, chart.s_unit * yy, "stable")
+        theta_u, theta_s = flow.time_adjustment([
+            (origin, chart.u_frame @ xx, "unstable"),
+            (origin, chart.s_unit * yy, "stable"),
+        ])
         return chi * (theta_u + theta_s)
 
     return flow.roof(z) + tau(flow.base_apply(z)) - tau(z)
@@ -233,7 +238,7 @@ def series_pins() -> dict:
             "t_gradient_at_zero": [hexed(chart.t_gradient_at_zero(y)) for _, y in points],
             "unstable_slope": [hexed(chart.unstable_slope(y)) for _, y in points],
             "temporal_distance_series": [
-                hexed(pcf.temporal_distance_series(flow, q)) for q in quads
+                hexed(rho) for rho in pcf.temporal_distance_series(flow, quads)
             ],
             "pcf_gradient": [
                 hexed(pcf.pcf_gradient(flow, q.a, q.s_disp, q.u_disp)) for q in quads
@@ -282,6 +287,93 @@ def return_series_reference(chart, bump, x, y):
 
     total = certified_sum(pairs(float(np.linalg.norm([float(v) for v in w_fr]))), RETURN_TOL)
     return tuple(steps), tuple(gaps), tuple(terms), total
+
+
+def time_adjustment_reference(flow, x, y, direction):
+    """One leaf time adjustment, its series walked alone.
+
+    The per-request loop that the batched `SuspensionFlow.time_adjustment`
+    replaced, kept as the reference each of its values must equal bit for
+    bit: the gap advances as `proj @ (step @ d)` along `flow.carried`, and
+    `flow.certified_sum` adds the terms.
+    """
+    import numpy as np
+
+    from anosovlab.errors import OffLeaf
+    from anosovlab.flow import VALUE_TOL, carried, certified_sum, wrap_unit
+
+    xa = np.asarray([float(v) for v in x], dtype=float) % 1.0
+    ya = np.asarray([float(v) for v in y], dtype=float) % 1.0
+    delta = wrap_unit(ya - xa)
+    if direction not in ("stable", "unstable"):
+        raise ValueError("direction must be 'stable' or 'unstable'")
+    vu, vs = flow.split_displacement(delta)
+    transverse = np.linalg.norm(vu if direction == "stable" else vs)
+    if transverse > 1e-10:
+        raise OffLeaf(f"transverse part {transverse:.2e}")
+    poly = flow.roof.poly
+    if np.linalg.norm(delta) == 0.0 or poly.is_constant():
+        return 0.0
+    lip = poly.lipschitz_bound()
+    if direction == "stable":
+        step, proj, sign = flow.lin, flow.proj_s, 1.0
+        rate = flow.spectral.lam
+    else:
+        step, proj, sign = flow.lin_inv, flow.proj_u, -1.0
+        rate = 1.0 / flow.spectral.xi_min
+        delta = proj @ (step @ delta)
+    orbit = flow.exact_orbit(flow.rationalize(xa), backward=direction == "unstable")
+    contraction = max(1.0 - rate, 1e-12)
+    return certified_sum(
+        (
+            (sign * term, lip * math.sqrt(d @ d) / contraction)
+            for points, deltas, nexts in carried(
+                orbit, proj @ delta, lambda d: proj @ (step @ d))
+            for term, d in zip(poly.eval_diff_rows(points, deltas), nexts)
+        ),
+        VALUE_TOL,
+    )
+
+
+def patch_newton_reference(flow1, flow2, conjugacy, kernel, pairs, patch_radius, grid_n):
+    """Recovered points of the conjugacy patch, one grid point at a time.
+
+    The per-point loop that the lockstep Newton of
+    `pcf.reconstruct_conjugacy_patch` replaced: each chart value is its own
+    one-quadrilateral series, and each grid point runs its Newton to the
+    end before the next starts. Returns the (n, d) recovered base points.
+    """
+    import numpy as np
+
+    from anosovlab import pcf
+    from anosovlab.flow import wrap_unit
+
+    def chart(flow, chart_pairs, point_base):
+        values = []
+        for a, s_disp in chart_pairs:
+            vu, _ = flow.split_displacement(wrap_unit(point_base - a.base()))
+            quad = pcf.Quadrilateral(a=a, s_disp=tuple(s_disp), u_disp=tuple(vu))
+            values.extend(pcf.temporal_distance_series(flow, [quad]))
+        return np.array(values)
+
+    n_u = flow1.dim_unstable
+    jac = np.array(kernel.gradients)
+    pairs2 = [(conjugacy.apply(flow2, a), s_disp) for a, s_disp in pairs]
+    u_frame = flow1.unstable_frame()
+    origin = kernel.base_point.base()
+    base2 = conjugacy.apply_base(origin)
+    mesh = np.meshgrid(*[np.linspace(-patch_radius, patch_radius, grid_n)] * n_u, indexing="ij")
+    recovered = []
+    for c in np.stack([m.ravel() for m in mesh], axis=1):
+        values2 = chart(flow2, pairs2, (base2 + u_frame @ c) % 1.0)
+        coef = np.zeros(n_u)
+        for _ in range(pcf.NEWTON_MAX_STEPS):
+            resid = chart(flow1, pairs, (origin + u_frame @ coef) % 1.0) - values2
+            if np.linalg.norm(resid) < pcf.NEWTON_TOL:
+                break
+            coef = coef - np.linalg.solve(jac, resid)
+        recovered.append((origin + u_frame @ coef) % 1.0)
+    return np.array(recovered)
 
 
 def return_pin_setups():

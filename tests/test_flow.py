@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import distance_mp, evolve_mp, kahan_birkhoff
+from conftest import cos_roof
+from oracles import distance_mp, evolve_mp, kahan_birkhoff, time_adjustment_reference
 
 from anosovlab import flow as flow_module
 from anosovlab import intlinalg, mpspec, pcf, perturb
@@ -84,17 +85,16 @@ class TestTimeAdjustment:
         flow = SuspensionFlow(cat_map, RoofFunction.constant(1.0, 2))
         sdir = flow.stable_frame()[:, 0]
         x = np.array([0.3, 0.55])
-        assert flow.time_adjustment(x, x + 0.03 * sdir, "stable") == 0.0
+        assert flow.time_adjustment([(x, x + 0.03 * sdir, "stable")]) == [0.0]
 
     def test_same_point_vanishes(self, cat_flow):
         x = np.array([0.3, 0.55])
-        assert cat_flow.time_adjustment(x, x, "stable") == 0.0
-        assert cat_flow.time_adjustment(x, x, "unstable") == 0.0
+        assert cat_flow.time_adjustment([(x, x, "stable"), (x, x, "unstable")]) == [0.0, 0.0]
 
     def test_off_leaf_rejection(self, cat_flow):
         x = np.array([0.3, 0.55])
         with pytest.raises(OffLeaf):
-            cat_flow.time_adjustment(x, x + np.array([0.01, 0.0]), "stable")
+            cat_flow.time_adjustment([(x, x + np.array([0.01, 0.0]), "stable")])
 
     def test_defining_property_stable(self, cat_flow, cat_map):
         # the adjusted point must track (x, 0) forward in time: distance at
@@ -103,8 +103,8 @@ class TestTimeAdjustment:
         x = [Fraction(3, 10), Fraction(11, 20)]
         w_fr = split.project_fractions(0.04 * cat_flow.stable_frame()[:, 0], "stable")
         y_fr = [a + b for a, b in zip(x, w_fr)]
-        delta = cat_flow.time_adjustment(
-            [float(v) for v in x], [float(v) for v in y_fr], "stable"
+        [delta] = cat_flow.time_adjustment(
+            [([float(v) for v in x], [float(v) for v in y_fr], "stable")]
         )
         a30 = evolve_mp(cat_flow, x, 0.0, 30.0)
         b30 = evolve_mp(cat_flow, y_fr, delta, 30.0)
@@ -119,8 +119,8 @@ class TestTimeAdjustment:
             0.04 * cat_flow.unstable_frame()[:, 0], "unstable"
         )
         y_fr = [a + b for a, b in zip(x, u_fr)]
-        delta = cat_flow.time_adjustment(
-            [float(v) for v in x], [float(v) for v in y_fr], "unstable"
+        [delta] = cat_flow.time_adjustment(
+            [([float(v) for v in x], [float(v) for v in y_fr], "unstable")]
         )
         a = evolve_mp(cat_flow, x, 0.0, -30.0)
         b = evolve_mp(cat_flow, y_fr, delta, -30.0)
@@ -129,8 +129,86 @@ class TestTimeAdjustment:
     def test_companion3_unstable_series_converges(self, companion3_flow):
         x = np.array([0.21, 0.47, 0.83])
         u = companion3_flow.unstable_frame() @ np.array([0.02, 0.013])
-        value = companion3_flow.time_adjustment(x, x + u, "unstable")
+        [value] = companion3_flow.time_adjustment([(x, x + u, "unstable")])
         assert np.isfinite(value) and abs(value) < 0.1
+
+
+def _request_pool(flow, seed):
+    """Leaf requests of both directions around sampled quadrilaterals, with
+    zero displacements and a repeat among them."""
+    pool = []
+    for q in pcf.sample_quadrilaterals(flow, 3, seed=seed):
+        a = q.a.base()
+        pool += [(a, a + q.s_disp, "stable"), (a, a + q.u_disp, "unstable"),
+                 (a + q.u_disp, a + q.u_disp + q.s_disp, "stable"), (a, a, "unstable")]
+    return pool + [pool[0], (pool[1][0], pool[1][0], "stable")]
+
+
+@pytest.fixture(scope="module")
+def batch_cases(companion3_flow, companion3_const_flow, quartic_real):
+    """name -> (flow, request pool, float.hex of each request run alone)."""
+    flows = {
+        "companion3": companion3_flow,
+        "quartic": SuspensionFlow(quartic_real, cos_roof(4, amplitude=0.01)),
+        "constant": companion3_const_flow,
+    }
+    cases = {}
+    for seed, (name, flow) in enumerate(flows.items()):
+        pool = _request_pool(flow, seed)
+        cases[name] = flow, pool, [time_adjustment_reference(flow, *r).hex() for r in pool]
+    return cases
+
+
+class TestBatch:
+    """The batched leaf series equal the one-request reference, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["companion3", "quartic", "constant"])
+    def test_pool_matches_reference(self, batch_cases, name):
+        flow, pool, expected = batch_cases[name]
+        assert [v.hex() for v in flow.time_adjustment(pool)] == expected
+        assert flow.time_adjustment([]) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(["companion3", "quartic"]), data=st.data())
+    def test_value_independent_of_batch(self, batch_cases, name, data):
+        # any sub-batch, in any order and with repeats, gives each request
+        # the value it has alone
+        flow, pool, expected = batch_cases[name]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10))
+        values = flow.time_adjustment([pool[i] for i in picks])
+        assert [v.hex() for v in values] == [expected[i] for i in picks]
+
+    def test_off_leaf_request_refuses_batch(self, companion3_flow):
+        flow = companion3_flow
+        x = np.array([0.21, 0.47, 0.83])
+        with pytest.raises(OffLeaf):
+            flow.time_adjustment([
+                (x, x + flow.stable_frame() @ [0.02], "stable"),
+                (x, x + np.array([0.01, 0.0, 0.0]), "unstable"),
+                (x, x + flow.unstable_frame() @ [0.02, 0.01], "unstable"),
+            ])
+
+    # the stable series below need 69 and 105 terms, the unstable one 212:
+    # under each cap the first request finishes alone, the second does not
+    @pytest.mark.parametrize("cap, short, long", [
+        (80, ("stable", [1e-6]), ("stable", [0.02])),
+        (150, ("stable", [0.02]), ("unstable", [0.02, 0.02])),
+    ])
+    def test_series_past_cap_refuses_batch(self, companion3_flow, monkeypatch, cap, short, long):
+        flow = companion3_flow
+        x = np.array([0.21, 0.47, 0.83])
+
+        def request(direction, coef):
+            frame = flow.stable_frame() if direction == "stable" else flow.unstable_frame()
+            return x, x + frame @ coef, direction
+
+        alone = flow.time_adjustment([request(*short)])
+        monkeypatch.setattr(flow_module, "MAX_TERMS", cap)
+        assert flow.time_adjustment([request(*short)]) == alone
+        with pytest.raises(TruncationInsufficient, match=f"within {cap} terms"):
+            flow.time_adjustment([request(*long)])
+        with pytest.raises(TruncationInsufficient, match=f"within {cap} terms"):
+            flow.time_adjustment([request(*short), request(*long), request(*short)])
 
 
 class TestStrongManifoldPoint:
@@ -140,7 +218,7 @@ class TestStrongManifoldPoint:
         p = flow.make_point([0.3, 0.55], 0.4)
         v = 0.03 * flow.stable_frame()[:, 0]
         q = flow.make_point(
-            p.base() + v, p.s + flow.time_adjustment(p.base(), p.base() + v, "stable"))
+            p.base() + v, p.s + flow.time_adjustment([(p.base(), p.base() + v, "stable")])[0])
         assert np.allclose(q.base(), (p.base() + v) % 1.0, atol=1e-14)
         assert q.s == pytest.approx(0.4, abs=1e-14)
 
@@ -151,7 +229,7 @@ class TestStrongManifoldPoint:
         y_fr = [a + b for a, b in zip(x, w_fr)]
         y = [float(v) for v in y_fr]
         q = cat_flow.make_point(
-            y, cat_flow.time_adjustment([float(v) for v in x], y, "stable"))
+            y, cat_flow.time_adjustment([([float(v) for v in x], y, "stable")])[0])
         dists = [
             distance_mp(
                 cat_flow, evolve_mp(cat_flow, x, 0.0, t), evolve_mp(cat_flow, y_fr, q.s, t)
@@ -165,7 +243,7 @@ class TestStrongManifoldPoint:
         # displacing first and flowing, once displacements are matched by
         # the base derivative
         def leaf_point(p, v):
-            offset = cat_flow.time_adjustment(p.base(), p.base() + v, "stable")
+            [offset] = cat_flow.time_adjustment([(p.base(), p.base() + v, "stable")])
             return cat_flow.make_point(p.base() + v, p.s + offset)
 
         x0 = np.array([0.123, 0.456])
@@ -234,12 +312,11 @@ class TestSegments:
         quads = pcf.sample_quadrilaterals(segment_flow, 3, seed=17)
 
         def adjustments():
-            out = []
-            for q in quads:
-                a = q.a.base()
-                out.append(segment_flow.time_adjustment(a, a + q.s_disp, "stable"))
-                out.append(segment_flow.time_adjustment(a, a + q.u_disp, "unstable"))
-            return out
+            return segment_flow.time_adjustment([
+                (q.a.base(), q.a.base() + disp, direction)
+                for q in quads
+                for disp, direction in ((q.s_disp, "stable"), (q.u_disp, "unstable"))
+            ])
 
         expected = per_point_series(adjustments)
         monkeypatch.setattr(flow_module, "SEGMENT", segment)
@@ -304,7 +381,7 @@ class TestSegments:
             y = x + frame @ np.full(frame.shape[1], 0.02)
 
             def compute():
-                return flow.time_adjustment(x, y, series)
+                return flow.time_adjustment([(x, y, series)])
         assert np.all(np.isfinite(compute()))
         cap = flow_module.SEGMENT + 1
         monkeypatch.setattr(flow_module, "MAX_TERMS", cap)

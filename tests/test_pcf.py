@@ -1,14 +1,15 @@
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import cos_roof
-from oracles import distance_mp, evolve_mp
+from oracles import distance_mp, evolve_mp, patch_newton_reference
 
 from anosovlab import flow as flow_module
-from anosovlab import pcf, perturb
+from anosovlab import experiments, pcf, perturb
 from anosovlab.errors import (
     DegenerateGradients, NoIntersection, NotCodimensionOne, OffLeaf, TruncationInsufficient,
 )
@@ -33,7 +34,7 @@ class TestTemporalDistanceSeries:
     def test_constant_roof_vanishes(self, companion3_const_flow):
         quads = pcf.sample_quadrilaterals(companion3_const_flow, 25, seed=SEED)
         worst = max(
-            abs(pcf.temporal_distance_series(companion3_const_flow, q)) for q in quads
+            abs(rho) for rho in pcf.temporal_distance_series(companion3_const_flow, quads)
         )
         assert worst <= 1e-10
 
@@ -41,13 +42,13 @@ class TestTemporalDistanceSeries:
         a = companion3_flow.make_point([0.3, 0.4, 0.5], 0.1)
         w = 0.02 * companion3_flow.stable_frame()[:, 0]
         quad = pcf.Quadrilateral.build(companion3_flow, a, w, np.zeros(3))
-        assert pcf.temporal_distance_series(companion3_flow, quad) == 0.0
+        assert pcf.temporal_distance_series(companion3_flow, [quad]) == [0.0]
 
     def test_zero_stable_displacement(self, companion3_flow):
         a = companion3_flow.make_point([0.3, 0.4, 0.5], 0.1)
         u = companion3_flow.unstable_frame() @ np.array([0.015, -0.01])
         quad = pcf.Quadrilateral.build(companion3_flow, a, np.zeros(3), u)
-        assert pcf.temporal_distance_series(companion3_flow, quad) == 0.0
+        assert pcf.temporal_distance_series(companion3_flow, [quad]) == [0.0]
 
     def test_antisymmetry_under_corner_exchange(self, companion3_flow):
         # moving the corner to b and negating the stable displacement
@@ -59,22 +60,20 @@ class TestTemporalDistanceSeries:
             w = flow.stable_frame() @ (rng.uniform(-1, 1, 1) * 0.02)
             u = flow.unstable_frame() @ (rng.uniform(-1, 1, 2) * 0.015)
             quad = pcf.Quadrilateral.build(flow, a, w, u)
-            value = pcf.temporal_distance_series(flow, quad)
             b = flow.make_point((a.base() + w) % 1.0, 0.0)
             mirrored = pcf.Quadrilateral.build(flow, b, -w, u)
-            assert pcf.temporal_distance_series(flow, mirrored) == pytest.approx(
-                -value, abs=1e-8
-            )
+            value, flipped = pcf.temporal_distance_series(flow, [quad, mirrored])
+            assert flipped == pytest.approx(-value, abs=1e-8)
 
     def test_independent_of_corner_fiber(self, companion3_flow):
         flow = companion3_flow
         w = flow.stable_frame() @ [0.02]
         u = flow.unstable_frame() @ [0.015, -0.01]
-        values = []
-        for fiber in (0.0, 0.3, 0.8):
-            a = flow.make_point([0.3, 0.4, 0.5], fiber)
-            quad = pcf.Quadrilateral.build(flow, a, w, u)
-            values.append(pcf.temporal_distance_series(flow, quad))
+        quads = [
+            pcf.Quadrilateral.build(flow, flow.make_point([0.3, 0.4, 0.5], fiber), w, u)
+            for fiber in (0.0, 0.3, 0.8)
+        ]
+        values = pcf.temporal_distance_series(flow, quads)
         assert max(values) - min(values) <= 1e-12
 
 
@@ -105,10 +104,7 @@ class TestTemporalDistanceGeometric:
 
     def test_dual_oracle_agreement(self, companion3_flow):
         quads = pcf.sample_quadrilaterals(companion3_flow, 25, seed=SEED)
-        worst = 0.0
-        for quad in quads:
-            sample = pcf.temporal_distance_sample(companion3_flow, quad)
-            worst = max(worst, sample.discrepancy)
+        worst = max(s.discrepancy for s in pcf.temporal_distance_samples(companion3_flow, quads))
         assert worst <= 1e-6
 
     def test_oversized_displacement_raises(self, companion3_flow):
@@ -165,7 +161,7 @@ class TestPcfGradient:
 
         def rho(a, w, c):
             quad = pcf.Quadrilateral.build(flow, a, w, u_frame @ c)
-            return pcf.temporal_distance_series(flow, quad)
+            return pcf.temporal_distance_series(flow, [quad])[0]
 
         worst = 0.0
         for _ in range(50):
@@ -322,14 +318,14 @@ class TestConjugacy:
             w = flow.stable_frame() @ (rng.uniform(-1, 1, 1) * 0.02)
             u = flow.unstable_frame() @ (rng.uniform(-1, 1, 2) * 0.02)
             quad = pcf.Quadrilateral.build(flow, a, w, u)
-            rho1 = pcf.temporal_distance_series(flow, quad)
+            [rho1] = pcf.temporal_distance_series(flow, [quad])
             image = conj.apply(flow2, quad.a)
             moved = pcf.Quadrilateral(
                 a=flow2.make_point(image.x, image.s + t0),
                 s_disp=quad.s_disp,
                 u_disp=quad.u_disp,
             )
-            rho2 = pcf.temporal_distance_series(flow2, moved)
+            [rho2] = pcf.temporal_distance_series(flow2, [moved])
             worst = max(worst, abs(rho1 - rho2))
         assert worst <= 1e-6
 
@@ -359,6 +355,40 @@ class TestReconstruction:
         )
         assert rec.sup_error <= 1e-4
 
+    def test_newton_out_of_steps_raises(self, companion3_flow, monkeypatch):
+        # one chart evaluation per grid point: only the centre can converge
+        flow = companion3_flow
+        bp = flow.make_point([0.37, 0.61, 0.22], 0.0)
+        pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=5)
+        kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
+        flow2, conj = pcf.translate_flow(
+            flow, (Fraction(1, 7), Fraction(2, 7), Fraction(3, 7))
+        )
+        monkeypatch.setattr(pcf, "NEWTON_MAX_STEPS", 1)
+        with pytest.raises(TruncationInsufficient, match=r"grid offset \[-0.008, -0.008\].*last residual"):
+            pcf.reconstruct_conjugacy_patch(
+                flow, flow2, conj, kernel, pairs, patch_radius=0.008, grid_n=3
+            )
+
+    def test_lockstep_matches_per_point_newton(self):
+        # the bundled subbundle config, as _run_subbundle runs it; its report
+        # keeps only sup_error, so the recovered points are compared here
+        cfg = experiments.load_config(
+            Path(__file__).resolve().parents[1] / "configs" / "subbundle_companion3.json")
+        matrix = experiments.build_matrix(cfg.matrix)
+        flow = SuspensionFlow(matrix, experiments.build_roof(cfg.roof, matrix.dim))
+        bp = flow.make_point(cfg.params["base_point"], 0.0)
+        flow2, conj = pcf.translate_flow(flow, [Fraction(v) for v in cfg.params["translation"]])
+        pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=cfg.seed)
+        kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
+        rec = pcf.reconstruct_conjugacy_patch(
+            flow, flow2, conj, kernel, pairs, patch_radius=0.008, grid_n=3
+        )
+        expected = patch_newton_reference(flow, flow2, conj, kernel, pairs, 0.008, 3)
+        assert [[v.hex() for v in row] for row in rec.recovered.tolist()] == [
+            [v.hex() for v in row] for row in expected.tolist()
+        ]
+
     def test_constant_roof_degenerate(self, companion3_const_flow):
         flow = companion3_const_flow
         bp = flow.make_point([0.37, 0.61, 0.22], 0.0)
@@ -375,7 +405,7 @@ class TestReconstruction:
 class TestSampleExports:
     def test_csv_shapes(self, companion3_flow):
         quads = pcf.sample_quadrilaterals(companion3_flow, 3, seed=0)
-        samples = [pcf.temporal_distance_sample(companion3_flow, q) for q in quads]
+        samples = pcf.temporal_distance_samples(companion3_flow, quads)
         header = pcf.sample_csv_header(3)
         rows = pcf.sample_csv_rows(samples)
         assert len(rows) == 3

@@ -63,11 +63,11 @@ class TestSectionChart:
         y = 0.21
         direct = chart.t_series(x, y)
         base = chart.embed(x, 0.0)
-        oracle = flow.time_adjustment(
-            base, base + y * chart.s_unit, "stable"
-        ) - flow.time_adjustment(
-            np.zeros(3), y * chart.s_unit, "stable"
-        )
+        moved, origin = flow.time_adjustment([
+            (base, base + y * chart.s_unit, "stable"),
+            (np.zeros(3), y * chart.s_unit, "stable"),
+        ])
+        oracle = moved - origin
         assert direct == pytest.approx(oracle, abs=1e-12)
 
     def test_t_vanishes_on_axes(self, cos_chart):
