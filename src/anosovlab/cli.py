@@ -48,8 +48,8 @@ def _register(kind: str):
                   help="override the config seed")
     @click.option("--workers", default=1, show_default=True,
                   type=click.IntRange(1, 64),
-                  help="threads for the pcf geometric route (held to one core by the GIL); "
-                       "reports are identical for any count")
+                  help="accepted for compatibility; changes nothing, as every run "
+                       "is one thread")
     def _cmd(config_path: str, out: str, seed: int | None, workers: int, _kind=kind):
         _execute(_kind, config_path, out, seed, workers)
 

@@ -147,7 +147,7 @@ def _check_bound(kind: str, quantity: str, value: float, bound: float) -> None:
         raise ExperimentFailed(f"{kind}: {quantity} {value:.3g} exceeds its bound {bound:g}")
 
 
-def _run_catalog(cfg, out, workers):
+def _run_catalog(cfg, out):
     p = _take(cfg.params, {"d": int, "coeff_bound": int})
     entries = spectral.enumerate_catalog(p["d"], p["coeff_bound"])
     spectral.export_catalog_csv(entries, out / "catalog.csv")
@@ -159,7 +159,7 @@ def _run_catalog(cfg, out, workers):
     return ["catalog.csv", "catalog_summary.json"]
 
 
-def _run_livshits(cfg, out, workers):
+def _run_livshits(cfg, out):
     p = _take(cfg.params, {
         "trunc": int, "n_max": int, "tol": float,
         "plant_coboundary": (dict, type(None)),
@@ -198,7 +198,7 @@ def _run_livshits(cfg, out, workers):
     return ["obstructions.csv", "livshits.json"]
 
 
-def _run_pcf(cfg, out, workers):
+def _run_pcf(cfg, out):
     p = _take(cfg.params, {
         "n_samples": int, "s_scale": float, "u_scale": float, "tol": float,
     }, optional={"s_scale": 0.02, "u_scale": 0.02, "tol": 1e-8})
@@ -207,7 +207,7 @@ def _run_pcf(cfg, out, workers):
     quads = pcf.sample_quadrilaterals(
         flow, p["n_samples"], cfg.seed, s_scale=p["s_scale"], u_scale=p["u_scale"]
     )
-    samples = pcf.temporal_distance_samples(flow, quads, tol=p["tol"], workers=workers)
+    samples = pcf.temporal_distance_samples(flow, quads, tol=p["tol"])
     util.write_csv(out / "samples.csv", pcf.sample_csv_header(matrix.dim),
                    pcf.sample_csv_rows(samples))
     max_discrepancy = max((s.discrepancy for s in samples), default=0.0)
@@ -220,7 +220,7 @@ def _run_pcf(cfg, out, workers):
     return ["samples.csv", "pcf_summary.json"]
 
 
-def _run_subbundle(cfg, out, workers):
+def _run_subbundle(cfg, out):
     p = _take(cfg.params, {
         "base_point": list, "n_pairs": int, "budget": int,
         "translation": list, "patch_radius": float, "grid_n": int,
@@ -248,7 +248,7 @@ def _run_subbundle(cfg, out, workers):
     return ["subbundle.json"]
 
 
-def _run_claim44(cfg, out, workers):
+def _run_claim44(cfg, out):
     p = _take(cfg.params, {
         "q_period": int, "amplitude": float, "n_points": int,
         "norm_min": float, "norm_max": float,
@@ -282,7 +282,7 @@ def _run_claim44(cfg, out, workers):
     return ["claim44_residuals.csv", "claim44.json"]
 
 
-def _run_sweep(cfg, out, workers):
+def _run_sweep(cfg, out):
     p = _take(cfg.params, {
         "q_period": int, "n_directions": int, "amplitudes": list,
     }, optional={"n_directions": 8, "amplitudes": [0.01, 0.05, 0.1]})
@@ -317,7 +317,7 @@ def _run_sweep(cfg, out, workers):
     return ["sweep.json"]
 
 
-def _run_bunching(cfg, out, workers):
+def _run_bunching(cfg, out):
     p = _take(cfg.params, {
         "roof_mean": float, "t_multiples": list,
     }, optional={"roof_mean": 1.0, "t_multiples": [1, 2, 4]})
@@ -380,13 +380,15 @@ def run_experiment(
 
     Raises ConfigInvalid for bad configs and ExperimentFailed when a module
     operation aborts or a reported quantity misses its acceptance bound; the
-    manifest with content hashes is written only on success.
+    manifest with content hashes is written only on success. `workers` is
+    accepted for existing callers and changes nothing: every run is one
+    thread, and its reports depend on the config alone.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner = _RUNNERS[config.kind]
     try:
-        names = runner(config, out, workers)
+        names = runner(config, out)
     except (ConfigInvalid, ExperimentFailed):
         raise
     except AnosovLabError as err:

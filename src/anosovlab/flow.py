@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -72,36 +72,30 @@ def carried(orbit, state, step):
         yield points, states, nexts
 
 
-def affine_orbit(entries, offset, start, centred: bool = False, skip: int = 0):
-    """Exact orbit of start under x -> A x + c mod 1, SEGMENT points at a time.
+def affine_orbit(entries, offset, starts, centred: bool = False, skip: int = 0):
+    """Exact orbits of m rational starts under x -> A x + c mod 1, in lockstep.
 
     The points of `intlinalg.orbit_segments` over one common denominator
-    D (the lcm of the start's and the offset's denominators), yielded as
-    (SEGMENT, d) float arrays of n / D, so every float equals float() of
-    the rational point. For D = 2^k that is the uint64 numerator cast to
-    float (correctly rounded) times 2^-k (exact). The start is yielded as
-    given; later points are reduced into [0, 1), or into [-1/2, 1/2) when
-    centred. The first `skip` points are left out.
+    D (the lcm of every start's and the offset's denominators), yielded as
+    (m, SEGMENT, d) float arrays of n / D, so every float equals float() of
+    the rational point, whatever else is in the batch. Each start is
+    yielded as given; later points are reduced into [0, 1), or into
+    [-1/2, 1/2) when centred. The first `skip` points are left out.
     """
-    den = math.lcm(*(v.denominator for v in (*start, *offset)))
-    nums = [v.numerator * (den // v.denominator) for v in start]
+    den = math.lcm(*(v.denominator for v in chain(offset, *starts)))
+    nums = [[v.numerator * (den // v.denominator) for v in start] for start in starts]
     shift = [v.numerator * (den // v.denominator) for v in offset]
     if skip:
-        walk = intlinalg.orbit_numerators(entries, shift, nums, den, centred)
-        nums = next(islice(walk, skip, None))
-    scale = 2.0 ** (1 - den.bit_length())
-
-    def as_floats(block):
-        if block.dtype == object:
-            return (block / den).astype(float)
-        return block.astype(float) * scale
-
+        nums = [
+            next(islice(intlinalg.orbit_numerators(entries, shift, n, den, centred), skip, None))
+            for n in nums
+        ]
     blocks = intlinalg.orbit_segments(entries, shift, nums, den, SEGMENT, centred)
-    points = as_floats(next(blocks))
-    points[0] = [v / den for v in nums]   # the start as given, not reduced
+    points = intlinalg.segment_floats(next(blocks), den)
+    points[:, 0] = [[v / den for v in n] for n in nums]   # the starts as given, not reduced
     yield points
     for block in blocks:
-        yield as_floats(block)
+        yield intlinalg.segment_floats(block, den)
 
 
 def wrap_unit(v: np.ndarray) -> np.ndarray:
@@ -212,31 +206,37 @@ class SuspensionFlow:
         shifted = [v - c for v, c in zip(pt, self.translation)]
         return tuple(v % 1 for v in intlinalg.mat_vec(self.inv_entries, shifted))
 
-    def exact_orbit(self, start: tuple[Fraction, ...], backward: bool = False):
-        """Float points of the exact orbit of a rational start.
+    def exact_orbit(self, starts, backward: bool = False):
+        """Float points of the exact orbits of rational starts, in lockstep.
 
-        Forward: start, F start, F^2 start, ... Backward: F^-1 start,
-        F^-2 start, ... (the start left out, as in every backward series).
-        Yields (SEGMENT, d) arrays, one orbit segment each.
+        Forward: x, F x, F^2 x, ... Backward: F^-1 x, F^-2 x, ... (the
+        start left out, as in every backward series). Yields (m, SEGMENT, d)
+        arrays, one orbit segment of each of the m starts.
         """
         if not backward:
-            return affine_orbit(self.base.entries, self.translation, start)
-        return affine_orbit(self.inv_entries, self._inv_translation, start, skip=1)
+            return affine_orbit(self.base.entries, self.translation, starts)
+        return affine_orbit(self.inv_entries, self._inv_translation, starts, skip=1)
 
-    def birkhoff_exact(self, x, n: int, backward: bool = False) -> float:
-        """Roof Birkhoff sum along the exact rational orbit of x.
+    def birkhoff_exact(self, starts, n: int, backward: bool = False) -> list[float]:
+        """Roof Birkhoff sums along the exact rational orbits of a batch of starts.
 
-        Forward: sum_{k=0}^{n-1} roof(F^k x). Backward: sum_{k=1}^{n}
-        roof(F^-k x).
+        One n-term sum per start, in order, each added left to right:
+        forward sum_{k=0}^{n-1} roof(F^k x), backward sum_{k=1}^{n}
+        roof(F^-k x). The orbits are walked in lockstep and evaluated in one
+        call per segment, so each sum is bit-identical whatever else is in
+        the batch and in what order.
         """
-        total = 0.0
-        for points in self.exact_orbit(self.rationalize(x), backward):
-            if n <= 0:
-                break
-            for value in self.roof.poly.evaluate_rows(points[:n]):
-                total += value
-            n -= len(points)
-        return total
+        totals = [0.0] * len(starts)
+        orbit = self.exact_orbit([self.rationalize(x) for x in starts], backward)
+        while n > 0:
+            rows = next(orbit)[:, :n]
+            width = rows.shape[1]
+            values = self.roof.poly.evaluate_rows(rows.reshape(-1, self.dim))
+            for k in range(len(totals)):
+                for value in values[k * width:(k + 1) * width]:
+                    totals[k] += value
+            n -= width
+        return totals
 
     def split_displacement(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decompose a base displacement into (unstable part, stable part)."""
@@ -343,13 +343,13 @@ class SuspensionFlow:
         lip = poly.lipschitz_bound()
         contraction = max(1.0 - rate, 1e-12)
         backward = direction == "unstable"
-        orbits = [self.exact_orbit(self.rationalize(x), backward) for x in starts]
+        orbits = [self.exact_orbit([self.rationalize(x)], backward) for x in starts]
         gap = np.array([proj @ g for g in gaps])
         totals = [0.0] * len(starts)
         active = list(range(len(starts)))
         used = 0
         while active:
-            points = np.stack([next(orbits[k]) for k in active])
+            points = np.concatenate([next(orbits[k]) for k in active])
             m, length, d = points.shape
             states = np.empty((m, length, d))
             nexts = np.empty((m, length, d))
@@ -407,7 +407,8 @@ class SuspensionFlow:
                 (weight.T @ grad,
                  hess * math.sqrt(d @ d) * util.spectral_norm(w) * q / (1.0 - q))
                 for points, states, nexts in carried(
-                    self.exact_orbit(start), (delta, self.unstable_frame()), step)
+                    (block[0] for block in self.exact_orbit([start])),
+                    (delta, self.unstable_frame()), step)
                 for (_, weight), grad, (d, w) in zip(
                     states, poly.gradient_diff_rows(points, [d for d, _ in states]), nexts)
             ),
@@ -430,7 +431,7 @@ class SuspensionFlow:
             (
                 (weight.T @ grad, 2.0 * lip * util.spectral_norm(w) * q / (1.0 - q))
                 for points, weights, nexts in carried(
-                    self.exact_orbit(start, backward=True),
+                    (block[0] for block in self.exact_orbit([start], backward=True)),
                     proj @ (lin_inv @ self.unstable_frame()),
                     lambda weight: proj @ (lin_inv @ weight))
                 for weight, grad, w in zip(weights, grads(points), nexts)

@@ -2,8 +2,11 @@
 
 Matrices are tuples of tuples of Python ints, so results are exact
 regardless of entry growth under matrix powers. The one numpy routine,
-`orbit_segments`, stays exact too: it runs on uint64 only where its
-modulus divides 2^64, and on arrays of Python ints otherwise.
+`orbit_segments`, stays exact too. It walks a batch of orbits over one
+denominator D on one of three branches: uint64 where D divides 2^64,
+int64 limbs of LIMB_BITS bits where D = 2^k with k > 64, and arrays of
+Python ints for every other D. The limb branch never wraps: its stack is
+checked, when built, to keep every limb sum under 2^62.
 """
 
 from __future__ import annotations
@@ -76,13 +79,34 @@ def orbit_numerators(a: IntMatrix, offset, start, den: int, centred: bool = Fals
         nums = tuple([(v + c) % den - lo for v, c in zip(mat_vec(a, nums), shift)])
 
 
+# Limb width of the exact walks over 2^k > 2^64. A limb product is under
+# 2^(2W - 1) and a segment sums 2d of them per stack limb, so a limb sum
+# stays near 2^46 for d = 4, far inside int64 (`_segment_stack` checks the
+# bound); three limbs make one 63-bit window for the float conversion.
+LIMB_BITS = 21
+_LIMB_MASK = (1 << LIMB_BITS) - 1
+_LIMB_HALF = 1 << (LIMB_BITS - 1)
+
+
+def _signed_limbs(value: int) -> list[int]:
+    """value = sum_t limb_t 2^(W t), each limb in [-2^(W-1), 2^(W-1))."""
+    limbs = []
+    while value:
+        low = ((value + _LIMB_HALF) & _LIMB_MASK) - _LIMB_HALF
+        limbs.append(low)
+        value = (value - low) >> LIMB_BITS
+    return limbs
+
+
 @functools.lru_cache(maxsize=None)
-def _segment_stack(a: IntMatrix, length: int) -> tuple[np.ndarray, np.ndarray]:
+def _segment_stack(a: IntMatrix, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """[A^j | sum_{i<j} A^i] for j = 0..length, stacked into one array.
 
     Row block j maps [n; offset] to the j-th orbit point of n before
-    reduction. Returned with Python-int entries (object) and with their
-    residues mod 2^64 (uint64), both read-only as every caller shares them.
+    reduction. Returned three ways, all read-only as every caller shares
+    them: with Python-int entries (object), with their residues mod 2^64
+    (uint64), and as signed LIMB_BITS-bit limbs, one (rows, 2d) int64 layer
+    per limb. Raises OverflowError when a limb walk could wrap int64.
     """
     n = len(a)
     power, partial = identity(n), tuple((0,) * n for _ in range(n))
@@ -93,42 +117,143 @@ def _segment_stack(a: IntMatrix, length: int) -> tuple[np.ndarray, np.ndarray]:
         power = mat_mul(a, power)
     exact = np.array(rows, dtype=object)
     wrapped = np.array([[v % 2**64 for v in row] for row in rows], dtype=np.uint64)
-    exact.flags.writeable = wrapped.flags.writeable = False
-    return exact, wrapped
+    split = [[_signed_limbs(v) for v in row] for row in rows]
+    depth = max(1, *(len(limbs) for row in split for limbs in row))
+    limbs = np.array([[[(limbs[t] if t < len(limbs) else 0) for limbs in row] for row in split]
+                      for t in range(depth)], dtype=np.int64)
+    # a limb of the sum gathers |stack limb| * (2^W - 1) over every layer and
+    # column; the carry it takes in adds under half as much again
+    bound = int(np.abs(limbs).sum(axis=(0, 2)).max()) * _LIMB_MASK
+    if 2 * bound + 2 >= 2**63:
+        raise OverflowError(f"limb sums of this orbit stack could reach 2^{bound.bit_length()}")
+    for array in (exact, wrapped, limbs):
+        array.flags.writeable = False
+    return exact, wrapped, limbs
 
 
-def orbit_segments(a: IntMatrix, offset, start, den: int, length: int, centred: bool = False):
-    """The orbit of `orbit_numerators`, `length` points at a time.
+def orbit_segments(a: IntMatrix, offset, starts, den: int, length: int, centred: bool = False):
+    """The orbits of `orbit_numerators` from m starts, `length` points at a time.
 
-    Yields (length, d) arrays of numerators, every row reduced as the later
-    points of `orbit_numerators` are (so row 0 is the start reduced). Each
-    segment is one matmul of the stacked `_segment_stack` with [n; offset],
-    whose last row starts the next segment. When den divides 2^64 the
-    matmul runs on uint64: wrap-around mod 2^64 is exact mod den, and the
-    rows come back as uint64, or int64 when centred. Any other den runs
-    the same matmul on Python ints, in an object array.
+    Walks the m orbits in lockstep and yields one block per segment, row j
+    of start i at [i, j]. Every row is reduced as the later points of
+    `orbit_numerators` are (so row 0 is the start reduced). A segment is the
+    stacked `_segment_stack` times [n; offset], whose last row starts the
+    next segment. The numerators come in one of three forms, by den:
+
+    * den divides 2^64: an (m, length, d) uint64 array, or int64 when
+      centred. The matmul runs on uint64, and wrap-around mod 2^64 is exact
+      mod den.
+    * den = 2^k with k > 64: an (L, m, length, d) int64 array, the L
+      limbs of W = LIMB_BITS bits of n 2^(K - k), least significant first,
+      for K = L W the least multiple of W from k on. Scaling by 2^(K - k)
+      commutes with the map, so the walk runs mod 2^K: one int64 matmul per
+      limb layer of the stack, a carry pass by arithmetic shift, and a mask
+      on the top limb. Every limb is in [0, 2^W) except the top one when
+      centred, which is in [-2^(W-1), 2^(W-1)). `_segment_stack` checks
+      that no limb sum can wrap int64.
+    * any other den: an (m, length, d) object array of Python ints.
+
+    `segment_floats` turns each form into the floats n / den.
     """
-    exact, wrapped = _segment_stack(a, length)
-    d = len(a)
-    if den & (den - 1) or den > 2**64:
+    exact, wrapped, limbs = _segment_stack(a, length)
+    d, m = len(a), len(starts)
+    if den & (den - 1):
         lo = den // 2 if centred else 0
-        vec = np.array([*start, *offset], dtype=object)
+        vec = np.array([[*start, *offset] for start in starts], dtype=object)
         while True:
-            block = ((exact @ vec + lo) % den - lo).reshape(length + 1, d)
-            vec[:d] = block[length]
-            yield block[:length]
+            block = ((vec @ exact.T + lo) % den - lo).reshape(m, length + 1, d)
+            vec[:, :d] = block[:, length]
+            yield block[:, :length]
+    if den > 2**64:
+        yield from _limb_segments(limbs, offset, starts, den.bit_length() - 1, length, centred)
     mask = np.uint64(den - 1)
-    vec = np.array([v % 2**64 for v in (*start, *offset)], dtype=np.uint64)
+    vec = np.array([[v % 2**64 for v in (*start, *offset)] for start in starts], dtype=np.uint64)
     while True:
-        block = (wrapped @ vec).reshape(length + 1, d) & mask
-        vec[:d] = block[length]
+        block = ((vec @ wrapped.T) & mask).reshape(m, length + 1, d)
+        vec[:, :d] = block[:, length]
+        points = block[:, :length]
         if not centred:
-            yield block[:length]
+            yield points
         elif den == 2**64:
-            yield block[:length].view(np.int64)
+            yield points.view(np.int64)
         else:
             half = den // 2
-            yield ((block[:length] + np.uint64(half)) & mask).astype(np.int64) - half
+            yield ((points + np.uint64(half)) & mask).astype(np.int64) - half
+
+
+def _limb_segments(limbs, offset, starts, bits: int, length: int, centred: bool):
+    """The limb form of `orbit_segments` for den = 2^bits."""
+    count = -(-bits // LIMB_BITS)
+    total = count * LIMB_BITS
+    d, m = len(offset), len(starts)
+    layers = limbs.transpose(0, 2, 1)   # (depth, 2d, rows), so that [n; offset] @ layer
+
+    def split(rows):
+        # (count, len(rows), k) limbs of the k-entry rows, scaled to 2^total
+        scaled = [[(v << (total - bits)) % (1 << total) for v in row] for row in rows]
+        return np.array([[[(v >> (LIMB_BITS * t)) & _LIMB_MASK for v in row] for row in scaled]
+                         for t in range(count)], dtype=np.int64)
+
+    def convolve(vec, columns):
+        # the truncated product: stack limb t moves state limb s to s + t < count
+        acc = np.matmul(vec, layers[0, columns])
+        for t in range(1, min(len(layers), count)):
+            acc[t:] += np.matmul(vec[: count - t], layers[t, columns])
+        return acc
+
+    vec = split(starts)
+    # the offset's share of every segment is the same, so it is made once
+    constant = convolve(split([offset]), slice(d, None))
+    top = count - 1
+    while True:
+        acc = convolve(vec, slice(d)) + constant
+        for t in range(top):
+            acc[t + 1] += acc[t] >> LIMB_BITS
+        acc &= _LIMB_MASK
+        if centred:
+            acc[top] = ((acc[top] + _LIMB_HALF) & _LIMB_MASK) - _LIMB_HALF
+        acc = acc.reshape(count, m, length + 1, d)
+        vec = acc[:, :, length]
+        yield acc[:, :, :length]
+
+
+def segment_floats(block: np.ndarray, den: int) -> np.ndarray:
+    """The floats n / den of an `orbit_segments` block, each correctly rounded.
+
+    Returns a C-contiguous float array of shape (m, length, d).
+    """
+    if den & (den - 1):
+        return (block / den).astype(float, order="C")
+    if den <= 2**64:
+        # the cast rounds correctly and the power-of-two scale is exact
+        return block.astype(float, order="C") * 2.0 ** (1 - den.bit_length())
+    return _limb_floats(block)
+
+
+def _limb_floats(block: np.ndarray) -> np.ndarray:
+    """n / 2^K of limb numerators, correctly rounded.
+
+    The top three limbs form a 63-bit window w with n / 2^K = (w + f) 2^-63,
+    f in [0, 1) from the lower limbs. Rounding |w + f| needs only |w| and a
+    sticky bit for f > 0: 2|w| + sticky has a bit below the rounding point
+    once |w| >= 2^53, and the uint64 -> float64 cast then rounds it
+    correctly. Smaller elements (|n / 2^K| < 2^-10) go through Python ints.
+    """
+    w = LIMB_BITS
+    window = (block[-1] << (2 * w)) + (block[-2] << w) + block[-3]
+    sticky = block[:-3].any(axis=0)
+    negative = window < 0
+    # -(w + f) = (-w - 1) + (1 - f) with 1 - f in (0, 1) when f > 0
+    magnitude = np.abs(window) - (negative & sticky)
+    doubled = (magnitude.astype(np.uint64) << np.uint64(1)) | sticky
+    out = doubled.astype(float, order="C") * 2.0**-64
+    np.negative(out, out=out, where=negative)
+    small = magnitude < 2**53
+    if small.any():
+        scale = 1 << (w * len(block))
+        out[small] = [sum(v << (w * t) for t, v in enumerate(limbs)) / scale
+                      for limbs in block[:, small].T.tolist()]
+    return out
 
 
 def det(a: IntMatrix) -> int:

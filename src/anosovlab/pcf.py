@@ -11,12 +11,14 @@ on the orbit of Hol_{a,b}(x). Two independent computations are provided:
   from exact rational corners, as long finite Birkhoff differences along
   exact rational orbits (geometric route).
 
-Their agreement is the package's central dual oracle. The series route
-takes a list of quadrilaterals and sends all their leaf adjustments to
-`SuspensionFlow.time_adjustment` as one lockstep batch; each value is
-bit-identical to its series run alone. The geometric route stays one
-quadrilateral at a time. The patch reconstruction batches its chart
-values the same way and runs its grid points' Newton solves in lockstep.
+Their agreement is the package's central dual oracle. Both routes take a
+list of quadrilaterals and run it as lockstep batches, and each value is
+bit-identical to its quadrilateral run alone. The series route sends all
+the leaf adjustments to `SuspensionFlow.time_adjustment` at once. The
+geometric route sends its Birkhoff walks to
+`SuspensionFlow.birkhoff_exact`, one batch per direction and horizon. The
+patch reconstruction batches its chart values the same way and runs its
+grid points' Newton solves in lockstep.
 """
 
 from __future__ import annotations
@@ -148,10 +150,8 @@ def _horizon(flow: SuspensionFlow, rate: float, scale: float, target: float) -> 
     return max(n, 8)
 
 
-def temporal_distance_geometric(
-    flow: SuspensionFlow, quad: Quadrilateral, tol: float = 1e-8,
-) -> float:
-    """Fiber gap between Hol_{a,b}(x) and y, from exact rational corners.
+def temporal_distance_geometric(flow: SuspensionFlow, quads, tol: float = 1e-8) -> list[float]:
+    """Fiber gap between Hol_{a,b}(x) and y for each quadrilateral, from exact rational corners.
 
     The displacements w and u are refined onto E^s and E^u in extended
     precision and rationalized, so the base corners b = a + w, x = a + u and
@@ -160,49 +160,69 @@ def temporal_distance_geometric(
     exact rational orbits (forward for stable leaves, backward for unstable
     ones), with horizons chosen so tails sit well under tol. The forward
     horizon takes |L^n w| = lambda^n |w|, which holds because every flow
-    has dim E^s = 1. Raises NoIntersection when the data leave the chart,
-    and TruncationInsufficient when a horizon would pass MAX_HORIZON.
+    has dim E^s = 1.
+
+    Every quadrilateral is checked before any orbit is walked: one whose
+    data leave the chart raises NoIntersection, and one whose horizon would
+    pass MAX_HORIZON raises TruncationInsufficient, for the whole batch.
+    The walks of all quadrilaterals that share a direction and a horizon
+    run as one `birkhoff_exact` batch, so each value is bit-identical to the
+    quadrilateral's walks run alone. Returns one value per quadrilateral.
     """
     if tol < 1e-10:
         raise ValueError("tol must be at least 1e-10")
-    alpha = quad.a.base()
-    w = np.asarray(quad.s_disp)
-    u = np.asarray(quad.u_disp)
-    if np.linalg.norm(w) > CHART_RADIUS or np.linalg.norm(u) > CHART_RADIUS:
-        raise NoIntersection("quadrilateral displacements exceed the chart radius")
-
     target = 0.02 * tol
-    n_fwd = _horizon(flow, flow.spectral.lam, max(np.linalg.norm(w), 1e-6), target)
-    n_bwd = _horizon(flow, 1.0 / flow.spectral.xi_min, max(np.linalg.norm(u), 1e-6), target)
-
-    # Exact hyperbolic orbits amplify any off-leaf defect of the inputs by
-    # lambda^-n backward; refine the displacements onto their subspaces in
-    # extended precision before rationalizing, so corner points share leaves
-    # to ~1e-48 and the long Birkhoff differences stay clean.
     split = mpspec.splitting(flow.base)
-    w_fr = split.project_fractions(w, "stable")
-    u_fr = split.project_fractions(u, "unstable")
-    alpha_fr = flow.rationalize(alpha)
+    groups: dict[tuple[bool, int], list] = {}   # (backward, horizon) -> starts
 
-    def forward_diff(z0, z1) -> float:
-        # sum_{k<N} roof(F^k z1) - roof(F^k z0), exact orbits
-        return flow.birkhoff_exact(z1, n_fwd) - flow.birkhoff_exact(z0, n_fwd)
+    def walk(backward: bool, n: int, start) -> tuple[tuple[bool, int], int]:
+        group = groups.setdefault((backward, n), [])
+        group.append(start)
+        return (backward, n), len(group) - 1
 
-    def backward_diff(z0, z1) -> float:
-        # sum_{k=1..N} roof(F^-k z0) - roof(F^-k z1)
-        return flow.birkhoff_exact(z0, n_bwd, backward=True) - flow.birkhoff_exact(
-            z1, n_bwd, backward=True
+    plans = []
+    for quad in quads:
+        alpha = quad.a.base()
+        w = np.asarray(quad.s_disp)
+        u = np.asarray(quad.u_disp)
+        if np.linalg.norm(w) > CHART_RADIUS or np.linalg.norm(u) > CHART_RADIUS:
+            raise NoIntersection("quadrilateral displacements exceed the chart radius")
+        n_fwd = _horizon(flow, flow.spectral.lam, max(np.linalg.norm(w), 1e-6), target)
+        n_bwd = _horizon(flow, 1.0 / flow.spectral.xi_min, max(np.linalg.norm(u), 1e-6), target)
+
+        # Exact hyperbolic orbits amplify any off-leaf defect of the inputs by
+        # lambda^-n backward; refine the displacements onto their subspaces in
+        # extended precision before rationalizing, so corner points share leaves
+        # to ~1e-48 and the long Birkhoff differences stay clean.
+        w_fr = split.project_fractions(w, "stable")
+        u_fr = split.project_fractions(u, "unstable")
+        alpha_fr = flow.rationalize(alpha)
+        beta_fr = tuple(a + b for a, b in zip(alpha_fr, w_fr))    # base of b on W^s(a)
+        zeta_fr = tuple(a + b for a, b in zip(alpha_fr, u_fr))    # base of x on W^u(a)
+        # base of Hol_{a,b}(x) on W^s(x), and of y on W^u(b): x + w = b + u
+        hol_fr = tuple(a + b for a, b in zip(zeta_fr, w_fr))
+        # forward sums over k < n_fwd, backward sums over k = 1..n_bwd
+        plans.append((
+            walk(False, n_fwd, beta_fr), walk(False, n_fwd, alpha_fr),
+            walk(True, n_bwd, alpha_fr), walk(True, n_bwd, zeta_fr),
+            walk(False, n_fwd, hol_fr), walk(False, n_fwd, zeta_fr),
+            walk(True, n_bwd, beta_fr), walk(True, n_bwd, hol_fr),
+        ))
+    sums = {
+        (backward, n): flow.birkhoff_exact(starts, n, backward=backward)
+        for (backward, n), starts in groups.items()
+    }
+    values = []
+    for plan in plans:
+        fwd_b, fwd_a, bwd_a, bwd_x, fwd_hol, fwd_x, bwd_b, bwd_hol = (
+            sums[key][index] for key, index in plan
         )
-
-    beta_fr = tuple(a + b for a, b in zip(alpha_fr, w_fr))    # base of b on W^s(a)
-    zeta_fr = tuple(a + b for a, b in zip(alpha_fr, u_fr))    # base of x on W^u(a)
-    # base of Hol_{a,b}(x) on W^s(x), and of y on W^u(b): x + w = b + u
-    hol_fr = tuple(a + b for a, b in zip(zeta_fr, w_fr))
-    fiber_b = forward_diff(alpha_fr, beta_fr)
-    fiber_x = backward_diff(alpha_fr, zeta_fr)
-    fiber_hol = fiber_x + forward_diff(zeta_fr, hol_fr)
-    fiber_y = fiber_b + backward_diff(beta_fr, hol_fr)
-    return float(fiber_hol - fiber_y)
+        fiber_b = fwd_b - fwd_a
+        fiber_x = bwd_a - bwd_x
+        fiber_hol = fiber_x + (fwd_hol - fwd_x)
+        fiber_y = fiber_b + (bwd_b - bwd_hol)
+        values.append(float(fiber_hol - fiber_y))
+    return values
 
 
 @dataclass(frozen=True)
@@ -217,14 +237,11 @@ class TemporalDistanceSample:
 
 
 def temporal_distance_samples(
-    flow: SuspensionFlow, quads: list[Quadrilateral], tol: float = 1e-8, workers: int = 1,
+    flow: SuspensionFlow, quads: list[Quadrilateral], tol: float = 1e-8,
 ) -> list[TemporalDistanceSample]:
-    """Both routes at each quadrilateral: the series route as one batch, the
-    geometric route per quadrilateral on `workers` threads."""
+    """Both routes at each quadrilateral, each route as one batch."""
     series = temporal_distance_series(flow, quads)
-    geometric = util.parallel_map(
-        lambda quad: temporal_distance_geometric(flow, quad, tol=tol), quads, workers=workers,
-    )
+    geometric = temporal_distance_geometric(flow, quads, tol=tol)
     return [
         TemporalDistanceSample(quad=quad, value_series=rho_s, value_geometric=rho_g)
         for quad, rho_s, rho_g in zip(quads, series, geometric)
@@ -286,9 +303,9 @@ def pcf_gradient(
     total = flow.stable_gradient(z0, flow.proj_s @ w)
     # backward gaps L^-n w mod 1, exact and wrapped, one segment per call
     gaps = affine_orbit(flow.inv_entries, (0,) * flow.dim,
-                        [Fraction(v) for v in w], centred=True, skip=1)
+                        [[Fraction(v) for v in w]], centred=True, skip=1)
     return flow.unstable_gradient(
-        z0, lambda points: poly.gradient_diff_rows(points, next(gaps)), total
+        z0, lambda points: poly.gradient_diff_rows(points, next(gaps)[0]), total
     )
 
 

@@ -116,7 +116,8 @@ class SectionChart:
             (
                 (term - base, 2.0 * lip * math.sqrt(d @ d) / (1.0 - lam_abs))
                 for points, deltas, nexts in carried(
-                    flow.exact_orbit(z), w, lambda d: flow.proj_s @ (flow.lin @ d))
+                    (block[0] for block in flow.exact_orbit([z])), w,
+                    lambda d: flow.proj_s @ (flow.lin @ d))
                 for term, base, d in zip(
                     poly.eval_diff_rows(points, deltas),
                     poly.eval_diff_rows([origin] * len(points), deltas),
@@ -402,7 +403,7 @@ def return_series(chart: SectionChart, bump: Bump | None, x, y: float) -> Return
         return np.einsum("ij,ij->i", off, off) <= screen_sq
 
     def screened():
-        for seg0, seg1 in zip(flow.exact_orbit(z0), flow.exact_orbit(z1)):
+        for seg0, seg1 in flow.exact_orbit([z0, z1]):
             yield from zip(seg0, seg1, (near(seg0) | near(seg1)).tolist())
 
     def pairs(gap):

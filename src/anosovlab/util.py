@@ -1,9 +1,8 @@
-"""Small shared numerics: subspace geometry, deterministic parallel map, report IO."""
+"""Small shared numerics: subspace geometry and report IO."""
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -76,15 +75,6 @@ def kernel_basis(rows: np.ndarray) -> np.ndarray:
     _, sv, vt = _svd(np.atleast_2d(np.asarray(rows, dtype=float)))
     rank = np.sum(sv > KERNEL_CUTOFF * sv.max(initial=0.0))
     return vt[rank:].T.copy()
-
-
-def parallel_map(fn, items, workers: int = 1) -> list:
-    """Map preserving input order; results are identical for any worker count."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def format_float(x: float) -> str:

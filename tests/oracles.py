@@ -15,8 +15,12 @@ so a refactor of the series must keep every bit. `return_series_reference`
 is the per-point loop that `perturb.return_series` replaced, kept as the
 reference it must equal; `time_adjustment_reference` and
 `patch_newton_reference` are likewise the one-request leaf series and the
-one-grid-point patch Newton that the lockstep batches replaced. Print the
-literals with
+one-grid-point patch Newton that the lockstep batches replaced, and
+`temporal_distance_geometric_reference` the one-quadrilateral geometric
+route. `python_int_segments` is the orbit walk on Python ints that the
+int64 limb branch of `intlinalg.orbit_segments` replaced for 2^k > 2^64,
+and `limb_numerators` reads that branch's limbs back as Python ints. Print
+the literals with
 
     PYTHONPATH=src python tests/oracles.py
 """
@@ -269,8 +273,8 @@ def return_series_reference(chart, bump, x, y):
 
     def pairs(gap):
         yield 0.0, lip * gap / (1.0 - lam_abs)
-        orbit0 = chain.from_iterable(flow.exact_orbit(z0))
-        orbit1 = chain.from_iterable(flow.exact_orbit(z1))
+        orbit0 = chain.from_iterable(block[0] for block in flow.exact_orbit([z0]))
+        orbit1 = chain.from_iterable(block[0] for block in flow.exact_orbit([z1]))
         for n, (p0, p1) in enumerate(zip(orbit0, orbit1)):
             x1, y1 = chart.coords(p1)
             x0c, y0c = chart.coords(p0)
@@ -322,7 +326,8 @@ def time_adjustment_reference(flow, x, y, direction):
         step, proj, sign = flow.lin_inv, flow.proj_u, -1.0
         rate = 1.0 / flow.spectral.xi_min
         delta = proj @ (step @ delta)
-    orbit = flow.exact_orbit(flow.rationalize(xa), backward=direction == "unstable")
+    orbit = (block[0] for block in flow.exact_orbit(
+        [flow.rationalize(xa)], backward=direction == "unstable"))
     contraction = max(1.0 - rate, 1e-12)
     return certified_sum(
         (
@@ -374,6 +379,88 @@ def patch_newton_reference(flow1, flow2, conjugacy, kernel, pairs, patch_radius,
             coef = coef - np.linalg.solve(jac, resid)
         recovered.append((origin + u_frame @ coef) % 1.0)
     return np.array(recovered)
+
+
+def python_int_segments(a, offset, start, den, length, centred=False):
+    """One exact orbit, `length` numerator rows at a time, on Python ints.
+
+    The walk `intlinalg.orbit_segments` ran for every den past 2^64 before
+    its limb branch: one object-array matmul of [A^j | sum_{i<j} A^i] with
+    [n; offset] per segment, reduced mod den (into [-den/2, den/2) when
+    centred). Yields lists of `length` tuples; row 0 is the start reduced.
+    """
+    import numpy as np
+
+    from anosovlab import intlinalg
+
+    d = len(a)
+    power, partial = intlinalg.identity(d), ((0,) * d,) * d
+    rows = []
+    for _ in range(length + 1):
+        rows.extend(p + q for p, q in zip(power, partial))
+        partial = tuple(tuple(x + y for x, y in zip(q, p)) for q, p in zip(partial, power))
+        power = intlinalg.mat_mul(a, power)
+    stack = np.array(rows, dtype=object)
+    lo = den // 2 if centred else 0
+    vec = np.array([*start, *offset], dtype=object)
+    while True:
+        block = ((stack @ vec + lo) % den - lo).reshape(length + 1, d)
+        vec[:d] = block[length]
+        yield [tuple(int(v) for v in row) for row in block[:length]]
+
+
+def limb_numerators(block, den):
+    """Numerators over den = 2^k of an (L, m, length, d) limb block, as
+    nested lists of Python-int tuples, one list per start."""
+    import numpy as np
+
+    from anosovlab.intlinalg import LIMB_BITS
+
+    drop = LIMB_BITS * len(block) - (den.bit_length() - 1)
+    return [
+        [tuple(sum(int(v) << (LIMB_BITS * t) for t, v in enumerate(limbs)) >> drop
+               for limbs in row) for row in rows]
+        for rows in np.moveaxis(block, 0, -1)
+    ]
+
+
+def temporal_distance_geometric_reference(flow, quad, tol=1e-8):
+    """One quadrilateral's geometric temporal distance, its eight walks run alone.
+
+    The per-quadrilateral route that the batched
+    `pcf.temporal_distance_geometric` replaced: the same refined corners
+    and horizons, with each Birkhoff sum a one-start `birkhoff_exact`.
+    """
+    import numpy as np
+
+    from anosovlab import mpspec, pcf
+
+    alpha = quad.a.base()
+    w = np.asarray(quad.s_disp)
+    u = np.asarray(quad.u_disp)
+    target = 0.02 * tol
+    n_fwd = pcf._horizon(flow, flow.spectral.lam, max(np.linalg.norm(w), 1e-6), target)
+    n_bwd = pcf._horizon(flow, 1.0 / flow.spectral.xi_min, max(np.linalg.norm(u), 1e-6), target)
+    split = mpspec.splitting(flow.base)
+    w_fr = split.project_fractions(w, "stable")
+    u_fr = split.project_fractions(u, "unstable")
+    alpha_fr = flow.rationalize(alpha)
+
+    def forward_diff(z0, z1):
+        return flow.birkhoff_exact([z1], n_fwd)[0] - flow.birkhoff_exact([z0], n_fwd)[0]
+
+    def backward_diff(z0, z1):
+        return (flow.birkhoff_exact([z0], n_bwd, backward=True)[0]
+                - flow.birkhoff_exact([z1], n_bwd, backward=True)[0])
+
+    beta_fr = tuple(a + b for a, b in zip(alpha_fr, w_fr))
+    zeta_fr = tuple(a + b for a, b in zip(alpha_fr, u_fr))
+    hol_fr = tuple(a + b for a, b in zip(zeta_fr, w_fr))
+    fiber_b = forward_diff(alpha_fr, beta_fr)
+    fiber_x = backward_diff(alpha_fr, zeta_fr)
+    fiber_hol = fiber_x + forward_diff(zeta_fr, hol_fr)
+    fiber_y = fiber_b + backward_diff(beta_fr, hol_fr)
+    return float(fiber_hol - fiber_y)
 
 
 def return_pin_setups():

@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cos_roof
-from oracles import distance_mp, evolve_mp, kahan_birkhoff, time_adjustment_reference
+from oracles import (
+    distance_mp, evolve_mp, kahan_birkhoff, limb_numerators, python_int_segments,
+    time_adjustment_reference,
+)
 
 from anosovlab import flow as flow_module
 from anosovlab import intlinalg, mpspec, pcf, perturb
 from anosovlab.errors import OffLeaf, TruncationInsufficient
 from anosovlab.flow import SuspensionFlow, affine_orbit, wrap_unit
 from anosovlab.roof import RoofFunction
+from anosovlab.spectral import IntegerMatrix
 
 
 def _point(p):
@@ -296,7 +300,7 @@ class TestExactOrbits:
         # the horizon stays short of the double-precision shadowing limit
         x = (0.37, 0.91)
         direct = kahan_birkhoff(cat_flow.roof, cat_map, x, 10)
-        assert cat_flow.birkhoff_exact(x, 10) == pytest.approx(direct, abs=1e-11)
+        assert cat_flow.birkhoff_exact([x], 10)[0] == pytest.approx(direct, abs=1e-11)
 
 
 # segment sizes of the batched series: one point, a small size that ends
@@ -327,7 +331,7 @@ class TestSegments:
         x = (0.37, 0.91, 0.18)
 
         def sums():
-            return [segment_flow.birkhoff_exact(x, n, backward=backward)
+            return [segment_flow.birkhoff_exact([x], n, backward=backward)[0]
                     for n in (1, 45, 77) for backward in (False, True)]
 
         expected = per_point_series(sums)
@@ -438,13 +442,30 @@ def test_exact_orbit_matches_fraction_maps(companion3_flow, translated3, start, 
         for segment in SEGMENTS:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(flow_module, "SEGMENT", segment)
-                fwd = chain.from_iterable(flow.exact_orbit(start))
-                bwd = chain.from_iterable(flow.exact_orbit(start, backward=True))
-                walk = chain.from_iterable(affine_orbit(inv, (0, 0, 0), gaps[0], centred=True))
+                fwd = chain.from_iterable(b[0] for b in flow.exact_orbit([start]))
+                bwd = chain.from_iterable(b[0] for b in flow.exact_orbit([start], backward=True))
+                walk = chain.from_iterable(
+                    b[0] for b in affine_orbit(inv, (0, 0, 0), [gaps[0]], centred=True))
                 for n in range(300):
                     assert tuple(next(fwd)) == tuple(float(v) for v in ahead[n])
                     assert tuple(next(walk)) == tuple(float(v) for v in gaps[n])
                     assert tuple(next(bwd)) == tuple(float(v) for v in behind[n + 1])
+
+
+def _numerators(block, den):
+    # an orbit_segments block as one list of Python-int rows per start
+    if den > 2**64 and not den & (den - 1):
+        return limb_numerators(block, den)
+    return [[tuple(int(v) for v in row) for row in rows] for rows in block]
+
+
+def _walks(blocks, den, count, points):
+    # the first `points` rows of each of `count` lockstep walks
+    walks = [[] for _ in range(count)]
+    while len(walks[0]) < points:
+        for walk, rows in zip(walks, _numerators(next(blocks), den)):
+            walk.extend(rows)
+    return [walk[:points] for walk in walks]
 
 
 @pytest.mark.parametrize("centred", [False, True])
@@ -452,17 +473,97 @@ def test_exact_orbit_matches_fraction_maps(companion3_flow, translated3, start, 
 @settings(max_examples=10, deadline=None)
 @given(length=st.sampled_from(SEGMENTS), inverse=st.booleans(), data=st.data())
 def test_orbit_segments_match_orbit_numerators(companion3, den, centred, length, inverse, data):
-    # forward, backward and centred walks against the one-step reference;
-    # row 0 is the start reduced, every later row as orbit_numerators has it
+    # forward, backward and centred walks of a batch against the one-step
+    # reference; row 0 is the start reduced, every later row as
+    # orbit_numerators has it
     entries = companion3.inverse_entries() if inverse else companion3.entries
-    start = data.draw(st.tuples(*[st.integers(-2 * den, 2 * den)] * 3))
+    starts = data.draw(st.lists(st.tuples(*[st.integers(-2 * den, 2 * den)] * 3),
+                                min_size=1, max_size=3))
     offset = data.draw(st.tuples(*[st.integers(0, den - 1)] * 3))
     lo = den // 2 if centred else 0
-    expected = list(islice(intlinalg.orbit_numerators(entries, offset, start, den, centred), 100))
-    expected[0] = tuple((v + lo) % den - lo for v in start)
-    blocks = intlinalg.orbit_segments(entries, offset, start, den, length, centred)
-    got = [tuple(int(v) for v in row) for row in islice(chain.from_iterable(blocks), 100)]
-    assert got == expected
+    blocks = intlinalg.orbit_segments(entries, offset, starts, den, length, centred)
+    for start, got in zip(starts, _walks(blocks, den, len(starts), 100)):
+        expected = list(islice(intlinalg.orbit_numerators(entries, offset, start, den, centred), 100))
+        expected[0] = tuple((v + lo) % den - lo for v in start)
+        assert got == expected
+
+
+# the limb branch: just past 2^64, at the 2^160 of mpspec and at the 2^416
+# that per-call corner bits reach on the quartic
+LIMB_DENOMINATORS = [2**65, 2**160, 2**416]
+LIMB_MATRICES = {
+    "companion3": IntegerMatrix.companion([-1, 0, 1, 1]),
+    "quartic": IntegerMatrix.companion([1, 4, -4, -1, 1]),
+}
+
+
+def _assert_limb_walks(matrix, inverse, den, starts, offset, length, centred, points):
+    # numerators against the Python-int walk, floats against exact division
+    entries = matrix.inverse_entries() if inverse else matrix.entries
+    blocks = intlinalg.orbit_segments(entries, offset, starts, den, length, centred)
+    first = next(blocks)
+    assert first.dtype == np.int64 and first.shape[1:] == (len(starts), length, matrix.dim)
+    floats = [[] for _ in starts]
+    walks = [[] for _ in starts]
+    for block in chain([first], blocks):
+        for walk, rows in zip(walks, limb_numerators(block, den)):
+            walk.extend(rows)
+        for out, rows in zip(floats, intlinalg.segment_floats(block, den)):
+            out.extend(tuple(row) for row in rows)
+        if len(walks[0]) >= points:
+            break
+    for start, walk, out in zip(starts, walks, floats):
+        expected = list(islice(chain.from_iterable(
+            python_int_segments(entries, offset, start, den, length, centred)), points))
+        assert walk[:points] == expected
+        assert [tuple(v.hex() for v in row) for row in out[:points]] == [
+            tuple((v / den).hex() for v in row) for row in expected]
+    return floats
+
+
+@pytest.mark.parametrize("name", sorted(LIMB_MATRICES))
+@pytest.mark.parametrize("den", LIMB_DENOMINATORS)
+@settings(max_examples=8, deadline=None)
+@given(inverse=st.booleans(), centred=st.booleans(), length=st.sampled_from(SEGMENTS),
+       data=st.data())
+def test_limb_walk_matches_python_ints(name, den, inverse, centred, length, data):
+    # negative and unreduced starts, any offset, forward and inverse, plain
+    # and centred: every numerator and every float of the limb walk
+    matrix = LIMB_MATRICES[name]
+    d = matrix.dim
+    starts = data.draw(st.lists(st.tuples(*[st.integers(-2 * den, 2 * den)] * d),
+                                min_size=1, max_size=4))
+    offset = data.draw(st.tuples(*[st.integers(0, den - 1)] * d))
+    _assert_limb_walks(matrix, inverse, den, starts, offset, length, centred, 100)
+
+
+@pytest.mark.parametrize("name", sorted(LIMB_MATRICES))
+@pytest.mark.parametrize("den", LIMB_DENOMINATORS)
+@pytest.mark.parametrize("centred", [False, True])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_limb_walk_below_the_float_window(name, den, centred, inverse):
+    # starts within 2^-30 of the fixed point 0 keep their coordinates under
+    # 2^-10 for dozens of steps, the range the 63-bit float window leaves to
+    # exact division; a zero start and starts one numerator unit from 0 too
+    matrix = LIMB_MATRICES[name]
+    d = matrix.dim
+    starts = [
+        tuple((-1) ** i * (den >> (30 + i)) + i for i in range(d)),
+        (0,) * d,
+        (1,) + (0,) * (d - 2) + (-1,),
+    ]
+    floats = _assert_limb_walks(matrix, inverse, den, starts, (0,) * d, flow_module.SEGMENT,
+                                centred, 64)
+    small = [v for out in floats for row in out for v in row if 0 < abs(v) < 2.0**-10]
+    assert len(small) > 20
+
+
+def test_limb_stack_refuses_a_width_that_could_wrap(companion3, monkeypatch):
+    # 56-bit limbs would let a companion3 segment's limb sums pass 2^62
+    for name, value in (("LIMB_BITS", 56), ("_LIMB_MASK", 2**56 - 1), ("_LIMB_HALF", 2**55)):
+        monkeypatch.setattr(intlinalg, name, value)
+    with pytest.raises(OverflowError, match="limb sums"):
+        intlinalg._segment_stack.__wrapped__(companion3.entries, flow_module.SEGMENT)
 
 
 def test_centred_walk_at_two_to_the_64(companion3):
@@ -471,15 +572,16 @@ def test_centred_walk_at_two_to_the_64(companion3):
     den = 2**64
     inv = companion3.inverse_entries()
     start = (den // 2 - 1, -(den // 2), 12345)
-    blocks = intlinalg.orbit_segments(inv, (0, 0, 0), start, den, 7, centred=True)
+    blocks = intlinalg.orbit_segments(inv, (0, 0, 0), [start], den, 7, centred=True)
     first = next(blocks)
     assert first.dtype == np.int64
     expected = list(islice(intlinalg.orbit_numerators(inv, (0, 0, 0), start, den, True), 70))
-    got = [tuple(int(v) for v in row) for row in islice(chain(first, chain.from_iterable(blocks)), 70)]
+    rows = chain(first[0], chain.from_iterable(b[0] for b in blocks))
+    got = [tuple(int(v) for v in row) for row in islice(rows, 70)]
     assert got == expected
     assert all(-den // 2 <= v < den // 2 for nums in got for v in nums)
-    points = chain.from_iterable(affine_orbit(inv, (0, 0, 0),
-                                              [Fraction(v, den) for v in start], centred=True))
+    points = chain.from_iterable(b[0] for b in affine_orbit(
+        inv, (0, 0, 0), [[Fraction(v, den) for v in start]], centred=True))
     assert [tuple(p) for p in islice(points, 70)] == [
         tuple(v / den for v in nums) for nums in expected
     ]
@@ -498,7 +600,27 @@ def test_birkhoff_exact_ends_mid_segment(segment_flow, backward):
         expected += segment_flow.roof.poly.evaluate([float(v) for v in point])
         if not backward:
             point = segment_flow.base_apply_exact(point)
-    assert segment_flow.birkhoff_exact((0.37, 0.91, 0.18), n, backward=backward) == expected
+    assert segment_flow.birkhoff_exact([(0.37, 0.91, 0.18)], n, backward=backward) == [expected]
+
+
+@pytest.mark.parametrize("translated", [False, True])
+@pytest.mark.parametrize("backward", [False, True])
+def test_birkhoff_exact_batch_matches_single_starts(companion3_flow, translated3,
+                                                    translated, backward):
+    # float starts, which walk on uint64 alone, and refined 2^160 corners
+    # share one limb walk in a batch (a Python-int walk on the x7 flow);
+    # each sum equals its start walked alone, in either order
+    flow = translated3 if translated else companion3_flow
+    w = mpspec.splitting(flow.base).project_fractions(0.02 * flow.stable_frame()[:, 0], "stable")
+    alpha = flow.rationalize((0.37, 0.91, 0.18))
+    starts = [
+        (0.37, 0.91, 0.18), (-0.3, 1.25, 1e-5),
+        tuple(a + b for a, b in zip(alpha, w)), tuple(a - b for a, b in zip(alpha, w)),
+    ]
+    n = 77
+    singles = [flow.birkhoff_exact([x], n, backward=backward)[0] for x in starts]
+    assert flow.birkhoff_exact(starts, n, backward=backward) == singles
+    assert flow.birkhoff_exact(starts[::-1], n, backward=backward) == singles[::-1]
 
 
 def test_wrap_unit():

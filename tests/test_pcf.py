@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import cos_roof
-from oracles import distance_mp, evolve_mp, patch_newton_reference
+from oracles import (
+    distance_mp, evolve_mp, patch_newton_reference, temporal_distance_geometric_reference,
+)
 
 from anosovlab import flow as flow_module
 from anosovlab import experiments, pcf, perturb
@@ -97,15 +99,28 @@ class TestQuadrilateral:
 class TestTemporalDistanceGeometric:
     def test_constant_roof(self, companion3_const_flow):
         quads = pcf.sample_quadrilaterals(companion3_const_flow, 5, seed=3)
-        for quad in quads:
-            assert abs(
-                pcf.temporal_distance_geometric(companion3_const_flow, quad)
-            ) <= 1e-8
+        for value in pcf.temporal_distance_geometric(companion3_const_flow, quads):
+            assert abs(value) <= 1e-8
 
     def test_dual_oracle_agreement(self, companion3_flow):
         quads = pcf.sample_quadrilaterals(companion3_flow, 25, seed=SEED)
         worst = max(s.discrepancy for s in pcf.temporal_distance_samples(companion3_flow, quads))
         assert worst <= 1e-6
+
+    @pytest.mark.parametrize("name", ["companion3", "quartic"])
+    def test_batch_matches_reference(self, companion3_flow, quartic_real, name):
+        # each value equals its quadrilateral's walks run alone, bit for bit,
+        # and depends neither on the rest of the batch nor on its order
+        if name == "companion3":
+            flow = companion3_flow
+        else:
+            flow = SuspensionFlow(quartic_real, cos_roof(4, amplitude=0.01))
+        quads = pcf.sample_quadrilaterals(flow, 6, seed=31)
+        expected = [temporal_distance_geometric_reference(flow, q).hex() for q in quads]
+        assert [v.hex() for v in pcf.temporal_distance_geometric(flow, quads)] == expected
+        reverse = pcf.temporal_distance_geometric(flow, quads[::-1])
+        assert [v.hex() for v in reverse] == expected[::-1]
+        assert [v.hex() for v in pcf.temporal_distance_geometric(flow, quads[2:4])] == expected[2:4]
 
     def test_oversized_displacement_raises(self, companion3_flow):
         a = companion3_flow.make_point([0.3, 0.4, 0.5], 0.0)
@@ -114,7 +129,11 @@ class TestTemporalDistanceGeometric:
         # is the one to refuse
         quad = pcf.Quadrilateral(a=a, s_disp=tuple(big), u_disp=(0.0, 0.0, 0.0))
         with pytest.raises(NoIntersection):
-            pcf.temporal_distance_geometric(companion3_flow, quad)
+            pcf.temporal_distance_geometric(companion3_flow, [quad])
+        # one such quadrilateral refuses the whole batch
+        good = pcf.sample_quadrilaterals(companion3_flow, 3, seed=5)
+        with pytest.raises(NoIntersection):
+            pcf.temporal_distance_geometric(companion3_flow, [*good[:2], quad, good[2]])
 
     def test_two_dimensional_stable_bundle_refused(self):
         # companion(1, -3, -3, 3, 1) has two contracting eigenvalues: no
@@ -125,7 +144,7 @@ class TestTemporalDistanceGeometric:
     def test_tol_floor(self, companion3_flow):
         quad = pcf.sample_quadrilaterals(companion3_flow, 1, seed=1)[0]
         with pytest.raises(ValueError):
-            pcf.temporal_distance_geometric(companion3_flow, quad, tol=1e-12)
+            pcf.temporal_distance_geometric(companion3_flow, [quad], tol=1e-12)
 
     def test_horizon_cap_refuses(self, companion3_flow, monkeypatch):
         flow = companion3_flow
@@ -139,7 +158,24 @@ class TestTemporalDistanceGeometric:
         quad = pcf.sample_quadrilaterals(flow, 1, seed=1)[0]
         monkeypatch.setattr(pcf, "MAX_HORIZON", 100)
         with pytest.raises(TruncationInsufficient):
-            pcf.temporal_distance_geometric(flow, quad)
+            pcf.temporal_distance_geometric(flow, [quad])
+
+    def test_one_long_horizon_refuses_the_batch(self, companion3_flow, monkeypatch):
+        # a quadrilateral with a tiny unstable displacement keeps its
+        # backward horizon under the cap; one with the usual 0.02 scale
+        # passes it, and the batch is refused before any walk
+        flow = companion3_flow
+        quads = pcf.sample_quadrilaterals(flow, 4, seed=1)
+        short = [pcf.Quadrilateral(a=q.a, s_disp=q.s_disp, u_disp=tuple(1e-3 * np.asarray(q.u_disp)))
+                 for q in quads]
+        monkeypatch.setattr(pcf, "MAX_HORIZON", 120)
+        assert len(pcf.temporal_distance_geometric(flow, short)) == 4
+        calls = []
+        monkeypatch.setattr(SuspensionFlow, "birkhoff_exact",
+                            lambda self, *args, **kwargs: calls.append(args))
+        with pytest.raises(TruncationInsufficient, match="horizon"):
+            pcf.temporal_distance_geometric(flow, [*short[:3], quads[3]])
+        assert calls == []
 
 
 class TestPcfGradient:
