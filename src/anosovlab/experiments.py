@@ -55,7 +55,7 @@ class ExperimentConfig:
         if kind not in KINDS:
             raise ConfigInvalid(f"kind must be one of {KINDS}, got {kind!r}")
         seed = payload.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
             raise ConfigInvalid("seed must be an unsigned 64-bit integer")
         matrix = payload.get("matrix")
         if matrix is not None:
@@ -168,11 +168,9 @@ def _run_livshits(cfg, out):
     roof_fn = build_roof(cfg.roof, matrix.dim)
     plant = p["plant_coboundary"]
     if plant is not None:
-        unknown = set(plant) - {"amplitude", "freq"}
-        if unknown:
-            raise ConfigInvalid(f"unknown plant fields: {sorted(unknown)}")
-        u = TrigPolynomial.sine(float(plant["amplitude"]),
-                                tuple(int(v) for v in plant["freq"]), matrix.dim)
+        plant = _take(plant, {"amplitude": float, "freq": list})
+        u = TrigPolynomial.sine(plant["amplitude"],
+                                tuple(int(v) for v in _numbers("freq", plant["freq"])), matrix.dim)
         roof_fn = RoofFunction(roof_fn.poly + u.compose_matrix(matrix) - u)
     report = roof.periodic_obstructions(roof_fn, matrix, p["n_max"])
     util.write_csv(out / "obstructions.csv", roof.OBSTRUCTION_CSV_HEADER,
@@ -227,7 +225,7 @@ def _run_subbundle(cfg, out):
     }, optional={"n_pairs": 2, "budget": 200, "patch_radius": 0.008, "grid_n": 3})
     matrix = build_matrix(cfg.matrix)
     flow = SuspensionFlow(matrix, build_roof(cfg.roof, matrix.dim))
-    bp = flow.make_point([float(v) for v in p["base_point"]], 0.0)
+    bp = flow.make_point(_numbers("base_point", p["base_point"]), 0.0)
     translation = tuple(_parse_fraction(v) for v in p["translation"])
     flow2, conj = pcf.translate_flow(flow, translation)
     pairs = pcf.find_independent_pairs(
@@ -298,7 +296,7 @@ def _run_sweep(cfg, out):
     rng = default_rng(cfg.seed)
     dirs = rng.normal(size=(p["n_directions"], chart.dim_unstable))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    grid = [a * d for d in dirs for a in (float(x) for x in p["amplitudes"])]
+    grid = [a * d for d in dirs for a in _numbers("amplitudes", p["amplitudes"])]
     report = perturb.grassmannian_sweep(chart, datum, grid, catalog)
     util.write_json(out / "sweep.json", {
         "n_subspaces": len(catalog.subspaces),
@@ -324,8 +322,8 @@ def _run_bunching(cfg, out):
     matrix = build_matrix(cfg.matrix)
     data = spectral.spectral_data(matrix)
     reports = [
-        regularity.bunching_report(data, p["roof_mean"], float(m) * p["roof_mean"])
-        for m in p["t_multiples"]
+        regularity.bunching_report(data, p["roof_mean"], m * p["roof_mean"])
+        for m in _numbers("t_multiples", p["t_multiples"])
     ]
     util.write_csv(out / "bunching.csv", regularity.BUNCHING_CSV_HEADER,
                    regularity.bunching_csv_rows(reports))
@@ -371,6 +369,13 @@ def _take(params: dict, schema: dict, optional: dict | None = None) -> dict:
         else:
             raise ConfigInvalid(f"missing param {key}")
     return out
+
+
+def _numbers(key: str, values: list) -> list[float]:
+    """A non-empty list param as floats; bools and non-numbers are refused."""
+    if values and all(type(v) in (int, float) for v in values):
+        return [float(v) for v in values]
+    raise ConfigInvalid(f"param {key} must be a non-empty list of numbers")
 
 
 def run_experiment(

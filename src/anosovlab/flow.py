@@ -4,7 +4,9 @@ The mapping torus is represented by its fundamental domain
 {(x, s): 0 <= s < roof(x)} with the identification (x, roof(x)+s) ~ (Lx, s).
 Strong stable/unstable leaves through a point are graphs over the base
 subspaces; their fiber offsets come from convergent time-adjustment series
-with geometric tail control.
+with geometric tail control. Every tail-certified series of the package sums
+through `certified_sums`, which walks a batch of exact orbits in lockstep
+and holds the one term cap.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from . import intlinalg, util
+from . import intlinalg
 from .errors import OffLeaf, TruncationInsufficient
 from .roof import RoofFunction, row_products
 from .spectral import IntegerMatrix, SpectralData, spectral_data
@@ -35,41 +37,58 @@ CHART_RADIUS = 0.05    # largest leaf displacement a quadrilateral accepts
 BUNCHING_CAP = 0.98    # largest forward gradient rate lambda * xi_max: keeps 1 / (1 - q) <= 50
 
 
-def certified_sum(pairs, tol: float, total=0.0):
-    """Sum (term, tail_bound) pairs left to right, up to the first tail_bound < tol.
+def certified_sums(orbits, segment_terms, tol: float, totals) -> tuple[list, list[int]]:
+    """Sum tail-certified series in lockstep, one exact-orbit segment of each per round.
 
-    Each tail_bound bounds everything after its term. Raises
-    TruncationInsufficient when MAX_TERMS pairs pass without meeting tol.
-    `total` is the running sum to continue, so two-sided series keep one
-    left-to-right accumulation.
+    orbits[k] yields the segments of series k; totals[k] is the running sum
+    it continues (0.0, or the forward half of a two-sided series). Each
+    round concatenates the next segment of every open series and calls
+    segment_terms(points, active), active being their indices in order,
+    which returns one row of terms and one row of tail bounds (each bounding
+    all that follows its term) per open series. Series k adds its terms left
+    to right, up to its first tail under tol, then leaves the batch; one
+    still open after MAX_TERMS terms raises TruncationInsufficient. Returns
+    the totals and the number of terms each series took.
     """
-    for term, tail in islice(pairs, MAX_TERMS):
-        total = total + term
-        if tail < tol:
-            return total
-    raise _truncation(tol)
+    totals, counts = list(totals), [0] * len(orbits)
+    active = list(range(len(orbits)))
+    used = 0
+    while active:
+        terms, tails = segment_terms(np.concatenate([next(orbits[k]) for k in active]), active)
+        limit = min(len(tails[0]), MAX_TERMS - used)
+        still = []
+        for row, k in enumerate(active):
+            total = totals[k]
+            for n, (term, tail) in enumerate(zip(terms[row], tails[row][:limit]), 1):
+                total = total + term
+                if tail < tol:
+                    counts[k] = used + n
+                    break
+            else:
+                still.append(k)
+            totals[k] = total
+        used += limit
+        if still and used >= MAX_TERMS:
+            raise TruncationInsufficient(
+                f"series did not meet its tail bound {tol:g} within {MAX_TERMS} terms")
+        active = still
+    return totals, counts
 
 
-def _truncation(tol: float) -> TruncationInsufficient:
-    return TruncationInsufficient(
-        f"series did not meet its tail bound {tol:g} within {MAX_TERMS} terms"
-    )
+def walk_states(state, step, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """A stacked recurrence over one segment, one row per series: (states, nexts).
 
-
-def carried(orbit, state, step):
-    """Walk orbit segments carrying a state: (points, states, nexts) per segment.
-
-    Point i of a segment sees states[i], and nexts[i] = step(states[i]) is
-    the state point i + 1 sees, across segment boundaries too; a series
-    reads its tail bound after term i from nexts[i].
+    Point j sees states[:, j], and nexts[:, j] = step(states[:, j]) is the
+    state of point j + 1, so the tail after term j reads nexts[:, j] and
+    nexts[:, -1] starts the next segment.
     """
-    for points in orbit:
-        states, nexts = [], []
-        for _ in points:
-            states.append(state)
-            state = step(state)
-            nexts.append(state)
-        yield points, states, nexts
+    states = np.empty((len(state), length, *state.shape[1:]))
+    nexts = np.empty_like(states)
+    for j in range(length):
+        states[:, j] = state
+        state = step(state)
+        nexts[:, j] = state
+    return states, nexts
 
 
 def affine_orbit(entries, offset, starts, centred: bool = False, skip: int = 0):
@@ -322,17 +341,14 @@ class SuspensionFlow:
         return values
 
     def _leaf_series(self, direction: str, starts, gaps) -> list[float]:
-        """The leaf series of one direction, one orbit segment of each per round.
+        """The leaf series of one direction, summed in lockstep by `certified_sums`.
 
-        A round takes the next `exact_orbit` segment of every open series,
-        advances all their gaps with one `row_products` pair per step (the
-        gemv per row of `proj @ (step @ d)`, so bit-identical to it), and
-        evaluates every row in one `eval_diff_rows` call. Each series is
-        summed left to right, stops at its first tail under VALUE_TOL and
-        raises TruncationInsufficient after MAX_TERMS terms; finished series
-        leave the batch. The tail after a term is geometric in the next gap:
-        the leaf displacement is invariant under the base map, and
-        re-projecting each step stops float noise in the complementary
+        Each round advances the gaps of all open series with one
+        `row_products` pair per step (the gemv per row of
+        `proj @ (step @ d)`, so bit-identical to it) and evaluates every row
+        in one `eval_diff_rows` call. The tail after a term is geometric in
+        the next gap: the leaf displacement is invariant under the base map,
+        and re-projecting each step stops float noise in the complementary
         (expanding) subspace from compounding.
         """
         if direction == "stable":
@@ -342,41 +358,22 @@ class SuspensionFlow:
         poly = self.roof.poly
         lip = poly.lipschitz_bound()
         contraction = max(1.0 - rate, 1e-12)
-        backward = direction == "unstable"
-        orbits = [self.exact_orbit([self.rationalize(x)], backward) for x in starts]
         gap = np.array([proj @ g for g in gaps])
-        totals = [0.0] * len(starts)
-        active = list(range(len(starts)))
-        used = 0
-        while active:
-            points = np.concatenate([next(orbits[k]) for k in active])
+
+        def segment(points, active):
             m, length, d = points.shape
-            states = np.empty((m, length, d))
-            nexts = np.empty((m, length, d))
-            for j in range(length):
-                states[:, j] = gap
-                gap = row_products(proj, row_products(step, gap))
-                nexts[:, j] = gap
-            terms = np.reshape(poly.eval_diff_rows(
-                points.reshape(-1, d), states.reshape(-1, d)), (m, length))
+            states, nexts = walk_states(
+                gap[active], lambda g: row_products(proj, row_products(step, g)), length)
+            gap[active] = nexts[:, -1]
+            terms = poly.eval_diff_rows(points.reshape(-1, d), states.reshape(-1, d))
             # the squared norm d @ d of each next gap, one ddot per row as well
             squares = np.matmul(nexts[..., None, :], nexts[..., :, None])[..., 0, 0]
-            tails = lip * np.sqrt(squares) / contraction
-            limit = min(length, MAX_TERMS - used)
-            still = []
-            for row, k in enumerate(active):
-                for term, tail in zip(terms[row, :limit].tolist(), tails[row, :limit].tolist()):
-                    totals[k] = totals[k] + sign * term
-                    if tail < VALUE_TOL:
-                        break
-                else:
-                    still.append(row)
-            used += limit
-            if still and used >= MAX_TERMS:
-                raise _truncation(VALUE_TOL)
-            active = [active[row] for row in still]
-            gap = gap[still]
-        return totals
+            return ((sign * np.reshape(terms, (m, length))).tolist(),
+                    (lip * np.sqrt(squares) / contraction).tolist())
+
+        backward = direction == "unstable"
+        orbits = [self.exact_orbit([self.rationalize(x)], backward) for x in starts]
+        return certified_sums(orbits, segment, VALUE_TOL, [0.0] * len(starts))[0]
 
     def stable_gradient(self, start, delta) -> np.ndarray:
         """Forward half of a PCF gradient, in unstable-frame coordinates.
@@ -397,23 +394,22 @@ class SuspensionFlow:
         poly = self.roof.poly
         hess = poly.gradient_lipschitz_bound()
         lin, proj = self.lin, self.proj_s
+        gap, weight = np.array([delta]), self.unstable_frame()[None]
 
-        def step(state):
-            delta, weight = state
-            return proj @ (lin @ delta), lin @ weight
+        def segment(points, active):
+            nonlocal gap, weight
+            length, d = points.shape[1:]
+            deltas, nexts = walk_states(
+                gap, lambda g: row_products(proj, row_products(lin, g)), length)
+            weights, ahead = walk_states(weight, lambda w: np.matmul(lin, w), length)
+            gap, weight = nexts[:, -1], ahead[:, -1]
+            grads = poly.gradient_diff_rows(points.reshape(-1, d), deltas.reshape(-1, d))
+            terms = np.matmul(weights.swapaxes(-1, -2), np.reshape(grads, (*deltas.shape, 1)))
+            squares = np.matmul(nexts[..., None, :], nexts[..., :, None])[..., 0, 0]
+            norms = np.linalg.svd(ahead, compute_uv=False).max(axis=-1)
+            return terms[..., 0], (hess * np.sqrt(squares) * norms * q / (1.0 - q)).tolist()
 
-        return certified_sum(
-            (
-                (weight.T @ grad,
-                 hess * math.sqrt(d @ d) * util.spectral_norm(w) * q / (1.0 - q))
-                for points, states, nexts in carried(
-                    (block[0] for block in self.exact_orbit([start])),
-                    (delta, self.unstable_frame()), step)
-                for (_, weight), grad, (d, w) in zip(
-                    states, poly.gradient_diff_rows(points, [d for d, _ in states]), nexts)
-            ),
-            GRADIENT_TOL,
-        )
+        return certified_sums([self.exact_orbit([start])], segment, GRADIENT_TOL, [0.0])[0][0]
 
     def unstable_gradient(self, start, grads, total: float) -> np.ndarray:
         """Backward half of a PCF gradient, in unstable-frame coordinates.
@@ -427,14 +423,17 @@ class SuspensionFlow:
         """
         lip = self.roof.poly.lipschitz_bound()
         lin_inv, proj, q = self.lin_inv, self.proj_u, self._q_unstable
-        return certified_sum(
-            (
-                (weight.T @ grad, 2.0 * lip * util.spectral_norm(w) * q / (1.0 - q))
-                for points, weights, nexts in carried(
-                    (block[0] for block in self.exact_orbit([start], backward=True)),
-                    proj @ (lin_inv @ self.unstable_frame()),
-                    lambda weight: proj @ (lin_inv @ weight))
-                for weight, grad, w in zip(weights, grads(points), nexts)
-            ),
-            GRADIENT_TOL, total,
-        )
+        weight = (proj @ (lin_inv @ self.unstable_frame()))[None]
+
+        def segment(points, active):
+            nonlocal weight
+            weights, nexts = walk_states(
+                weight, lambda w: np.matmul(proj, np.matmul(lin_inv, w)), points.shape[1])
+            weight = nexts[:, -1]
+            rows = np.reshape(grads(points.reshape(-1, points.shape[-1])), points.shape)
+            norms = np.linalg.svd(nexts, compute_uv=False).max(axis=-1)
+            return (np.matmul(weights.swapaxes(-1, -2), rows[..., None])[..., 0],
+                    (2.0 * lip * norms * q / (1.0 - q)).tolist())
+
+        orbit = self.exact_orbit([start], backward=True)
+        return certified_sums([orbit], segment, GRADIENT_TOL, [total])[0][0]

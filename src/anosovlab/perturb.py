@@ -6,8 +6,9 @@ that contains both local invariant leaves of p, with coordinates
 block map f(x, y) = (A x, lambda y). A compactly supported bump added to
 the section roof vanishes on the stable axis, so W^s_loc(p) survives the
 reparametrization; the bump's effect on stable-graph times is a return
-series over the exact base orbit, and its derivative at the heteroclinic
-stable coordinate is the corner entry of the perturbed holonomy matrix.
+series over the exact base orbit, summed like the graph-time series by
+`flow.certified_sums`, and its derivative at the heteroclinic stable
+coordinate is the corner entry of the perturbed holonomy matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import intlinalg, mpspec, util
 from .errors import ChartExit, ResidualBelowNoise
-from .flow import RETURN_TOL, VALUE_TOL, SuspensionFlow, carried, certified_sum, wrap_unit
+from .flow import RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sums, walk_states, wrap_unit
 from .roof import PeriodicOrbitRecord, periodic_points, row_products
 from .spectral import InvariantSubspaceCatalog
 
@@ -108,24 +109,24 @@ class SectionChart:
             return 0.0
         flow = self.flow
         z = flow.rationalize(self.embed(x, 0.0))
-        origin = np.zeros(flow.dim)
         lip = poly.lipschitz_bound()
         lam_abs = abs(self.lam)
-        w = np.array([float(c) for c in self.stable_fraction_vector(y)])
-        return certified_sum(
-            (
-                (term - base, 2.0 * lip * math.sqrt(d @ d) / (1.0 - lam_abs))
-                for points, deltas, nexts in carried(
-                    (block[0] for block in flow.exact_orbit([z])), w,
-                    lambda d: flow.proj_s @ (flow.lin @ d))
-                for term, base, d in zip(
-                    poly.eval_diff_rows(points, deltas),
-                    poly.eval_diff_rows([origin] * len(points), deltas),
-                    nexts,
-                )
-            ),
-            VALUE_TOL,
-        )
+        gap = np.array([[float(c) for c in self.stable_fraction_vector(y)]])
+
+        def segment(points, active):
+            nonlocal gap
+            length, d = points.shape[1:]
+            deltas, nexts = walk_states(
+                gap, lambda g: row_products(flow.proj_s, row_products(flow.lin, g)), length)
+            gap = nexts[:, -1]
+            rows = deltas.reshape(-1, d)
+            terms = np.subtract(poly.eval_diff_rows(points.reshape(-1, d), rows),
+                                poly.eval_diff_rows(np.zeros_like(rows), rows))
+            squares = np.matmul(nexts[..., None, :], nexts[..., :, None])[..., 0, 0]
+            return ([terms.tolist()],
+                    (2.0 * lip * np.sqrt(squares) / (1.0 - lam_abs)).tolist())
+
+        return certified_sums([flow.exact_orbit([z])], segment, VALUE_TOL, [0.0])[0][0]
 
     def t_gradient_at_zero(self, y: float) -> np.ndarray:
         """D_x T(0, y): the forward PCF gradient half along the stable axis orbit."""
@@ -396,38 +397,38 @@ def return_series(chart: SectionChart, bump: Bump | None, x, y: float) -> Return
     screen_sq = hat_radius**2 * (1.0 + SCREEN_SLACK)
     centre = np.zeros(chart.dim_unstable + 1)
     centre[-1] = bump.center_y
+    gap = float(np.linalg.norm([float(v) for v in w_fr]))
+    if lip * gap / (1.0 - lam_abs) < RETURN_TOL:   # the whole series is already below tol
+        return ReturnLedger(steps=(), gaps=(), terms=(), total=0.0)
     steps, gaps, terms = [], [], []
+    walked = 0   # orbit points before the current segment
 
     def near(segment) -> np.ndarray:
         off = chart.coords_rows(segment) - centre
         return np.einsum("ij,ij->i", off, off) <= screen_sq
 
-    def screened():
-        for seg0, seg1 in flow.exact_orbit([z0, z1]):
-            yield from zip(seg0, seg1, (near(seg0) | near(seg1)).tolist())
+    def segment(points, active):
+        nonlocal gap, walked
+        seg0, seg1 = points
+        # the gap at each point and after the segment, multiplied in turn
+        ahead = np.multiply.accumulate([gap] + [lam_abs] * len(seg0))
+        row = [0.0] * len(seg0)
+        for j in np.flatnonzero(near(seg0) | near(seg1)).tolist():
+            x1, y1 = chart.coords(seg1[j])
+            x0c, y0c = chart.coords(seg0[j])
+            d1 = math.hypot(float(np.linalg.norm(x1)), y1 - bump.center_y)
+            d0 = math.hypot(float(np.linalg.norm(x0c)), y0c - bump.center_y)
+            row[j] = bump.value_chart(x1, y1) - bump.value_chart(x0c, y0c)
+            if min(d0, d1) <= hat_radius or row[j] != 0.0:
+                steps.append(walked + j)
+                gaps.append(float(ahead[j]))
+                terms.append(row[j])
+        gap, walked = float(ahead[-1]), walked + len(seg0)
+        return [row], [(lip * ahead[1:] / (1.0 - lam_abs)).tolist()]
 
-    def pairs(gap):
-        yield 0.0, lip * gap / (1.0 - lam_abs)   # the whole series may already be below tol
-        for n, (p0, p1, candidate) in enumerate(screened()):
-            term = 0.0
-            if candidate:
-                x1, y1 = chart.coords(p1)
-                x0c, y0c = chart.coords(p0)
-                d1 = math.hypot(float(np.linalg.norm(x1)), y1 - bump.center_y)
-                d0 = math.hypot(float(np.linalg.norm(x0c)), y0c - bump.center_y)
-                hat = min(d0, d1) <= hat_radius
-                term = bump.value_chart(x1, y1) - bump.value_chart(x0c, y0c)
-                if hat or term != 0.0:
-                    steps.append(n)
-                    gaps.append(gap)
-                    terms.append(term)
-            gap *= lam_abs
-            yield term, lip * gap / (1.0 - lam_abs)
-
-    total = certified_sum(pairs(float(np.linalg.norm([float(v) for v in w_fr]))), RETURN_TOL)
-    return ReturnLedger(
-        steps=tuple(steps), gaps=tuple(gaps), terms=tuple(terms), total=total,
-    )
+    (total,), (count,) = certified_sums([flow.exact_orbit([z0, z1])], segment, RETURN_TOL, [0.0])
+    kept = sum(1 for n in steps if n < count)   # no step past the stop
+    return ReturnLedger(tuple(steps[:kept]), tuple(gaps[:kept]), tuple(terms[:kept]), total)
 
 
 def stable_graph_time(chart: SectionChart, bump: Bump | None, x, y: float) -> float:

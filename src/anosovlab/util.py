@@ -42,15 +42,6 @@ def subspace_distance(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     return float(principal_angles(basis_a, basis_b).max(initial=0.0))
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value of a 2-D float array.
-
-    The value of np.linalg.norm(m, 2), bit for bit (the same SVD, then
-    its maximum), without that function's axis handling.
-    """
-    return np.linalg.svd(m, compute_uv=False).max()
-
-
 def contains_subspace(big: np.ndarray, small: np.ndarray, tol: float = 1e-8) -> bool:
     """True when every column of `small` lies within `tol` of span(big).
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from anosovlab import flow as flow_module
+from anosovlab import perturb
 from anosovlab.flow import SuspensionFlow
 from anosovlab.roof import RoofFunction, TrigPolynomial
 from anosovlab.spectral import IntegerMatrix
@@ -66,6 +67,12 @@ def per_point_series(monkeypatch):
             return compute()
 
     return run
+
+
+@pytest.fixture(scope="session")
+def kappa_setup(companion3):
+    flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
+    return perturb.kappa_experiment(flow)
 
 
 @pytest.fixture(scope="session")

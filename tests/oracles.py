@@ -11,9 +11,11 @@ bent-section return time, which `SectionChart` takes to be constant on
 both axes, from the package's time adjustments. `series_pins` and
 `return_pins` run the package's leaf-graph, PCF and bump return series,
 and `tests/test_series_pins.py` holds their output as float.hex literals,
-so a refactor of the series must keep every bit. `return_series_reference`
-is the per-point loop that `perturb.return_series` replaced, kept as the
-reference it must equal; `time_adjustment_reference` and
+so a refactor of the series must keep every bit. `certified_sum` and
+`carried` are the one-series loop and state walk that the lockstep
+`flow.certified_sums` replaced. `return_series_reference` is the per-point
+loop that `perturb.return_series` replaced, kept on them as the reference
+it must equal; `time_adjustment_reference` and
 `patch_newton_reference` are likewise the one-request leaf series and the
 one-grid-point patch Newton that the lockstep batches replaced, and
 `temporal_distance_geometric_reference` the one-quadrilateral geometric
@@ -27,7 +29,7 @@ the literals with
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from pprint import pprint
 
 import mpmath as mp
@@ -251,6 +253,40 @@ def series_pins() -> dict:
     return out
 
 
+def certified_sum(pairs, tol, total=0.0):
+    """Sum (term, tail_bound) pairs left to right, up to the first tail_bound < tol.
+
+    One series alone: each tail_bound bounds everything after its term,
+    and `flow.MAX_TERMS` pairs without meeting tol raise
+    TruncationInsufficient. `total` is the running sum to continue.
+    """
+    from anosovlab import flow
+    from anosovlab.errors import TruncationInsufficient
+
+    for term, tail in islice(pairs, flow.MAX_TERMS):
+        total = total + term
+        if tail < tol:
+            return total
+    raise TruncationInsufficient(
+        f"series did not meet its tail bound {tol:g} within {flow.MAX_TERMS} terms"
+    )
+
+
+def carried(orbit, state, step):
+    """Walk orbit segments carrying a state: (points, states, nexts) per segment.
+
+    Point i of a segment sees states[i], and nexts[i] = step(states[i]) is
+    the state point i + 1 sees, across segment boundaries too.
+    """
+    for points in orbit:
+        states, nexts = [], []
+        for _ in points:
+            states.append(state)
+            state = step(state)
+            nexts.append(state)
+        yield points, states, nexts
+
+
 def return_series_reference(chart, bump, x, y):
     """The per-point bump return series: (steps, gaps, terms, total).
 
@@ -260,7 +296,7 @@ def return_series_reference(chart, bump, x, y):
     """
     import numpy as np
 
-    from anosovlab.flow import RETURN_TOL, certified_sum
+    from anosovlab.flow import RETURN_TOL
 
     flow = chart.flow
     z0 = flow.rationalize(chart.embed(x, 0.0))
@@ -298,13 +334,13 @@ def time_adjustment_reference(flow, x, y, direction):
 
     The per-request loop that the batched `SuspensionFlow.time_adjustment`
     replaced, kept as the reference each of its values must equal bit for
-    bit: the gap advances as `proj @ (step @ d)` along `flow.carried`, and
-    `flow.certified_sum` adds the terms.
+    bit: the gap advances as `proj @ (step @ d)` along `carried`, and
+    `certified_sum` adds the terms.
     """
     import numpy as np
 
     from anosovlab.errors import OffLeaf
-    from anosovlab.flow import VALUE_TOL, carried, certified_sum, wrap_unit
+    from anosovlab.flow import VALUE_TOL, wrap_unit
 
     xa = np.asarray([float(v) for v in x], dtype=float) % 1.0
     ya = np.asarray([float(v) for v in y], dtype=float) % 1.0

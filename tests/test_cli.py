@@ -84,6 +84,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="kappa fit"):
             run_experiment(cfg, tmp_path / "out")
 
+    def test_boolean_seed_rejected(self):
+        # bool is an int in Python; true must not pass as seed 1
+        with pytest.raises(ConfigInvalid, match="seed"):
+            ExperimentConfig.from_dict({"kind": "catalog", "seed": True, "params": {}})
+
     def test_negative_roof_constant_rejected(self):
         with pytest.raises(ConfigInvalid, match="positive"):
             build_roof({"constant": -1.0}, 2)
@@ -221,6 +226,22 @@ class TestCliExitCodes:
         ])
         assert result.exit_code == 2
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("name, params", [
+        ("bunching_companion3.json", {"t_multiples": []}),
+        ("bunching_companion3.json", {"t_multiples": [None]}),
+        ("sweep_quartic.json", {"amplitudes": [None]}),
+        ("subbundle_companion3.json", {"base_point": [[0.37], 0.61, 0.22]}),
+        ("livshits_planted.json", {"plant_coboundary": {"amplitude": 0.05}}),
+    ])
+    def test_malformed_nested_param_exit_two(self, tmp_path, name, params):
+        payload = json.loads((CONFIGS / name).read_text())
+        payload["params"].update(params)
+        bad = tmp_path / name
+        bad.write_text(json.dumps(payload))
+        result = run_cli([payload["kind"], "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("config invalid")
 
     def test_missing_config_exit_two(self, tmp_path):
         result = run_cli([

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import cos_roof
 from oracles import (
-    distance_mp, evolve_mp, kahan_birkhoff, limb_numerators, python_int_segments,
-    time_adjustment_reference,
+    certified_sum, distance_mp, evolve_mp, kahan_birkhoff, limb_numerators,
+    python_int_segments, time_adjustment_reference,
 )
 
 from anosovlab import flow as flow_module
@@ -339,36 +339,74 @@ class TestSegments:
         assert sums() == expected
 
     @pytest.mark.parametrize("segment", SEGMENTS)
-    def test_carried_states_line_up(self, segment):
-        # a toy orbit of consecutive integers in segments, carrying a state
-        # that is not a function of the point: point i sees states[i], and
-        # nexts[i] is the state of point i + 1, across segment boundaries
-        orbit = (np.arange(k, k + segment) for k in range(0, 3 * segment + 1, segment))
+    def test_lockstep_sums_match_one_series_sums(self, monkeypatch, segment):
+        # toy series in lockstep: term n of series k is g_n (n % 3 - 1), with
+        # g_{n+1} = r_k g_n carried by walk_states and the tail
+        # g_{n+1} / (1 - r_k) after it. The rates stop the series after 18,
+        # 31, 104 and 223 terms, so in different rounds and at different
+        # offsets inside a segment; the two series at rate 0.5 stop together
+        rates = np.array([0.5, 0.8, 0.3, 0.9, 0.5])
+        starts = np.array([1.0, 2.0, 0.7, 1.5, 1.0])
+        tol = 1e-9
 
-        def step(state):
-            return (3 * state + 1) % 1009
+        def one_series(k):
+            g, pairs = starts[k], []
+            while not pairs or pairs[-1][1] >= tol:
+                following = rates[k] * g
+                pairs.append((g * (len(pairs) % 3 - 1.0), following / (1.0 - rates[k])))
+                g = following
+            return pairs
 
-        points, states, nexts = [], [], []
-        for pts, sts, nxt in flow_module.carried(orbit, 5, step):
-            assert len(pts) == len(sts) == len(nxt)
-            points.extend(pts)
-            states.extend(sts)
-            nexts.extend(nxt)
-        assert points == list(range(4 * segment))
-        expected = [5]
-        while len(expected) <= len(points):
-            expected.append(step(expected[-1]))
-        assert states == expected[:-1]
-        assert nexts == expected[1:]
+        series = [one_series(k) for k in range(len(rates))]
+        expected = [certified_sum(iter(pairs), tol) for pairs in series]
+        counts = [len(pairs) for pairs in series]
+        assert sorted(set(counts)) == [18, 31, 104, 223]
+
+        def lockstep():
+            gap = starts[:, None].copy()
+
+            def segment_terms(points, active):
+                rate = rates[active][:, None]
+                states, nexts = flow_module.walk_states(
+                    gap[active], lambda g: rate * g, points.shape[1])
+                gap[active] = nexts[:, -1]
+                return ((states[..., 0] * (points[..., 0] % 3 - 1.0)).tolist(),
+                        (nexts[..., 0] / (1.0 - rate)).tolist())
+
+            length = flow_module.SEGMENT
+            orbits = [
+                (np.arange(n, n + length, dtype=float)[None, :, None]
+                 for n in range(0, 10**6, length))
+                for _ in rates
+            ]
+            return flow_module.certified_sums(orbits, segment_terms, tol, [0.0] * len(rates))
+
+        monkeypatch.setattr(flow_module, "SEGMENT", segment)
+        assert lockstep() == (expected, counts)
+        # the cap counts terms exactly: the longest series just fits, one
+        # term less refuses the batch
+        monkeypatch.setattr(flow_module, "MAX_TERMS", max(counts))
+        assert lockstep() == (expected, counts)
+        monkeypatch.setattr(flow_module, "MAX_TERMS", max(counts) - 1)
+        with pytest.raises(TruncationInsufficient, match=f"within {max(counts) - 1} terms"):
+            lockstep()
 
     # the cap counts terms, not segments: one term past the first segment
     # must raise. Here the leaf adjustments and t_series need 105-212 terms,
-    # and pcf_gradient, whose forward rate is lambda * xi_max ~ 0.87, 261.
-    @pytest.mark.parametrize("series", ["stable", "unstable", "pcf_gradient", "t_series"])
-    def test_cap_across_segment_boundary(self, companion3_flow, monkeypatch, series):
+    # pcf_gradient, whose forward rate is lambda * xi_max ~ 0.87, 261, and
+    # the return series of the kappa setup over 100
+    @pytest.mark.parametrize(
+        "series", ["stable", "unstable", "pcf_gradient", "t_series", "return_series"])
+    def test_cap_across_segment_boundary(self, companion3_flow, kappa_setup, monkeypatch, series):
         flow = companion3_flow
         x = np.array([0.21, 0.47, 0.83])
-        if series == "pcf_gradient":
+        if series == "return_series":
+            setup = kappa_setup
+
+            def compute():
+                return perturb.return_series(
+                    setup.chart, setup.bump, np.array(setup.x_sequence[0]), setup.datum.y_r).total
+        elif series == "pcf_gradient":
             a = flow.make_point(x, 0.0)
             w = flow.stable_frame() @ np.full(1, 0.02)
             u = flow.unstable_frame() @ np.full(2, 0.02)

@@ -14,12 +14,6 @@ from anosovlab.spectral import invariant_unstable_subspaces, spectral_data
 
 
 @pytest.fixture(scope="module")
-def kappa_setup(companion3):
-    flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
-    return perturb.kappa_experiment(flow)
-
-
-@pytest.fixture(scope="module")
 def cos_chart(companion3):
     flow = SuspensionFlow(
         companion3,
