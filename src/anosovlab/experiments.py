@@ -200,6 +200,8 @@ def _run_pcf(cfg, out):
     p = _take(cfg.params, {
         "n_samples": int, "s_scale": float, "u_scale": float, "tol": float,
     }, optional={"s_scale": 0.02, "u_scale": 0.02, "tol": 1e-8})
+    if p["n_samples"] < 1:
+        raise ConfigInvalid("param n_samples must be at least 1")
     matrix = build_matrix(cfg.matrix)
     flow = SuspensionFlow(matrix, build_roof(cfg.roof, matrix.dim))
     quads = pcf.sample_quadrilaterals(
@@ -208,10 +210,10 @@ def _run_pcf(cfg, out):
     samples = pcf.temporal_distance_samples(flow, quads, tol=p["tol"])
     util.write_csv(out / "samples.csv", pcf.sample_csv_header(matrix.dim),
                    pcf.sample_csv_rows(samples))
-    max_discrepancy = max((s.discrepancy for s in samples), default=0.0)
+    max_discrepancy = max(s.discrepancy for s in samples)
     util.write_json(out / "pcf_summary.json", {
         "n_samples": len(samples),
-        "max_abs_series": max((abs(s.value_series) for s in samples), default=0.0),
+        "max_abs_series": max(abs(s.value_series) for s in samples),
         "max_discrepancy": max_discrepancy,
     })
     _check_bound("pcf", "max_discrepancy", max_discrepancy, MAX_DISCREPANCY_BOUND)
@@ -284,6 +286,8 @@ def _run_sweep(cfg, out):
     p = _take(cfg.params, {
         "q_period": int, "n_directions": int, "amplitudes": list,
     }, optional={"n_directions": 8, "amplitudes": [0.01, 0.05, 0.1]})
+    if p["n_directions"] < 1:
+        raise ConfigInvalid("param n_directions must be at least 1")
     matrix = build_matrix(cfg.matrix)
     data = spectral.spectral_data(matrix)
     catalog = spectral.invariant_unstable_subspaces(data)

@@ -12,6 +12,7 @@ checked, when built, to keep every limb sum under 2^62.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from fractions import Fraction
 
@@ -61,6 +62,27 @@ def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
 
 def mat_vec(a: IntMatrix, v):
     return tuple(sum(map(operator.mul, row, v)) for row in a)
+
+
+def round_shift(x: int, shift: int) -> int:
+    """x / 2^shift rounded to the nearest integer, ties to even."""
+    q, rest = divmod(x, 1 << shift)
+    return q + (2 * rest > 1 << shift or (2 * rest == 1 << shift and q & 1))
+
+
+def sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) correctly rounded to a float, for num >= 0 and den > 0.
+
+    The integer root of num / den scaled by 4^s keeps at least 59 bits; an
+    inexact root gains a sticky last bit, so the one float rounding of
+    root / 2^s is the rounding of the exact value.
+    """
+    s = max(0, (120 - num.bit_length() + den.bit_length()) // 2)
+    scaled, rest = divmod(num << (2 * s), den)
+    root = math.isqrt(scaled)
+    if rest or root * root != scaled:
+        root, s = 2 * root + 1, s + 1
+    return math.ldexp(float(root), -s)
 
 
 def orbit_numerators(a: IntMatrix, offset, start, den: int, centred: bool = False):

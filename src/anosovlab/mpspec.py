@@ -1,118 +1,98 @@
-"""Extended-precision spectral splittings via mpmath.
+"""The exact stable projector of a codimension-one toral automorphism.
 
 Double-precision eigenvectors leave displacements off their leaf by about
 1e-17, which exact hyperbolic orbit iteration amplifies exponentially.
-These helpers recompute the stable/unstable splitting to arbitrary
-precision from the exact characteristic polynomial, so inputs can be
-projected onto a leaf to far below any horizon's amplification.
+Every flow has dim E^s = 1, so with p the characteristic polynomial and
+lambda its one stable root, the projector onto E^s along E^u is
+P_s = r(A) / p'(lambda), where r(x) = p(x) / (x - lambda). lambda is
+bisected on p in integers to K bits, and P_s is kept as the integer
+matrix N = round(2^K P_s). A projection is one exact integer product,
+rounded once to a multiple of 2^-_DYADIC_BITS, far below any horizon's
+amplification.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
-import mpmath as mp
+from .intlinalg import char_poly, mat_pow, mat_vec, round_shift
+from .spectral import ROOT_TOL, IntegerMatrix, poly_deriv, poly_divmod, spectral_data
 
-from .intlinalg import char_poly
-from .spectral import IntegerMatrix
-
-_DPS = 60
-_DYADIC_BITS = 160
+K = 320            # bits of lambda and of the projector numerators N / 2^K
+_DYADIC_BITS = 160  # a projection is rounded to a multiple of 2^-_DYADIC_BITS
 
 
-def _roots(matrix: IntegerMatrix):
-    coeffs = char_poly(matrix.entries)
-    with mp.workdps(_DPS):
-        roots = mp.polyroots(
-            [mp.mpf(c) for c in reversed(coeffs)], maxsteps=400, extraprec=300
-        )
-    return roots
+def _sign_at(coeffs: list[int], num: int) -> int:
+    """Sign of p(num / 2^K), from the integer 2^(K deg p) p(num / 2^K)."""
+    deg = len(coeffs) - 1
+    acc = 0
+    for k in range(deg, -1, -1):
+        acc = acc * num + (coeffs[k] << (K * (deg - k)))
+    return (acc > 0) - (acc < 0)
 
 
-def _eigvec(matrix: IntegerMatrix, lam):
-    """Null vector of (M - lam I) by solving with one coordinate pinned."""
-    d = matrix.dim
-    a = [[mp.mpc(matrix.entries[i][j]) - (lam if i == j else 0) for j in range(d)]
-         for i in range(d)]
-    last_err = None
-    for free in range(d - 1, -1, -1):
-        rows = [i for i in range(d) if i != free]
-        cols = [j for j in range(d) if j != free]
-        sub = mp.matrix([[a[i][j] for j in cols] for i in rows])
-        rhs = mp.matrix([-a[i][free] for i in rows])
-        try:
-            sol = mp.lu_solve(sub, rhs)
-        except (ZeroDivisionError, ValueError) as err:
-            last_err = err
-            continue
-        v = [mp.mpc(0)] * d
-        v[free] = mp.mpc(1)
-        for idx, j in enumerate(cols):
-            v[j] = sol[idx]
-        norm = mp.sqrt(sum(abs(x) ** 2 for x in v))
-        return [x / norm for x in v]
-    raise ArithmeticError(f"could not solve eigenvector system: {last_err}")
+def _stable_root(coeffs: list[int], lam: float) -> int:
+    """The stable root of p as an integer numerator over 2^K, by bisection
+    from the enclosure lam +- ROOT_TOL that spectral_data certifies."""
+    lo, hi = (math.floor(Fraction(x) * (1 << K)) for x in (lam - ROOT_TOL, lam + ROOT_TOL))
+    sign_lo = _sign_at(coeffs, lo)
+    if sign_lo * _sign_at(coeffs, hi) >= 0:
+        raise ArithmeticError(f"p shows no sign change on the enclosure of {lam!r}")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _sign_at(coeffs, mid) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class MPSplitting:
-    """Stable/unstable projections of an integer matrix at high precision."""
+    """The stable projector of an integer matrix as numerators over 2^K."""
 
     def __init__(self, matrix: IntegerMatrix):
-        self.matrix = matrix
-        d = matrix.dim
-        with mp.workdps(_DPS):
-            roots = _roots(matrix)
-            vecs = [_eigvec(matrix, lam) for lam in roots]
-            frame = mp.matrix(d, d)
-            for j, v in enumerate(vecs):
-                for i in range(d):
-                    frame[i, j] = v[i]
-            frame_inv = frame ** -1
-            p_stable = mp.matrix(d, d)
-            for j, lam in enumerate(roots):
-                if abs(lam) < 1:
-                    for i in range(d):
-                        for k in range(d):
-                            p_stable[i, k] += frame[i, j] * frame_inv[j, k]
-            self.stable_proj = mp.matrix(d, d)
-            for i in range(d):
-                for k in range(d):
-                    val = p_stable[i, k]
-                    if abs(mp.im(val)) > mp.mpf(10) ** (-_DPS + 12):
-                        raise ArithmeticError("stable projection came out non-real")
-                    self.stable_proj[i, k] = mp.re(val)
-            self.roots = roots
+        coeffs = char_poly(matrix.entries)
+        # stable_eigenvalue is the codimension-one gate: one simple real stable root
+        lam = Fraction(_stable_root(coeffs, spectral_data(matrix).stable_eigenvalue), 1 << K)
+        p, linear = [Fraction(c) for c in coeffs], [-lam, Fraction(1)]
+        r, _ = poly_divmod(p, linear)
+        _, (slope,) = poly_divmod(poly_deriv(p), linear)   # p'(lambda), the remainder
+        powers = [mat_pow(matrix.entries, k) for k in range(len(r))]
+        self.numerators = tuple(   # round(2^K r(A) / p'(lambda)), entry by entry
+            tuple(round(sum(c * a[i][j] for c, a in zip(r, powers)) * (1 << K) / slope)
+                  for j in range(matrix.dim))
+            for i in range(matrix.dim)
+        )
 
-    def project(self, v, direction: str):
-        """High-precision projection of a float vector onto E^s or E^u."""
-        d = self.matrix.dim
-        with mp.workdps(_DPS):
-            vv = mp.matrix([mp.mpf(float(c)) for c in v])
-            sv = self.stable_proj * vv
-            if direction == "stable":
-                out = sv
-            elif direction == "unstable":
-                out = vv - sv
-            else:
-                raise ValueError("direction must be 'stable' or 'unstable'")
-            return [out[i] for i in range(d)]
+    def stable_numerators(self, nums, den: int) -> tuple[list[int], int]:
+        """P_s (nums / den) as numerators over D = lcm(2^K, den), and D. The
+        one rounding, to nearest with ties to even, is exact when den is odd."""
+        shift = min((den & -den).bit_length() - 1, K)   # 2^shift = gcd(2^K, den)
+        out = [round_shift(s, shift) for s in mat_vec(self.numerators, nums)]
+        return out, (den >> shift) << K
 
     def project_fractions(self, v, direction: str) -> tuple[Fraction, ...]:
-        """Leaf projection rationalized dyadically (exact past any horizon)."""
-        vals = self.project(v, direction)
-        scale = 1 << _DYADIC_BITS
-        out = []
-        with mp.workdps(_DPS):
-            for x in vals:
-                out.append(Fraction(int(mp.nint(x * scale)), scale))
-        return tuple(out)
+        """Projection of a float vector onto E^s or E^u, rounded to 2^-_DYADIC_BITS.
+
+        Each float is its exact mantissa over a power of two, so the
+        product with N is exact and the one rounding is to nearest, ties
+        to even.
+        """
+        ratios = [float(c).as_integer_ratio() for c in v]
+        den = max(q for _, q in ratios)   # every q is a power of two
+        nums = [p * (den // q) for p, q in ratios]
+        out = mat_vec(self.numerators, nums)
+        if direction == "unstable":
+            out = [(n << K) - s for n, s in zip(nums, out)]
+        elif direction != "stable":
+            raise ValueError("direction must be 'stable' or 'unstable'")
+        shift = K + den.bit_length() - 1 - _DYADIC_BITS
+        return tuple(Fraction(round_shift(s, shift), 1 << _DYADIC_BITS) for s in out)
 
 
-_cache: dict[tuple, MPSplitting] = {}
-
-
+@functools.cache
 def splitting(matrix: IntegerMatrix) -> MPSplitting:
-    key = matrix.entries
-    if key not in _cache:
-        _cache[key] = MPSplitting(matrix)
-    return _cache[key]
+    """The projector of a matrix, built once per process."""
+    return MPSplitting(matrix)

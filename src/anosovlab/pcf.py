@@ -153,14 +153,14 @@ def _horizon(flow: SuspensionFlow, rate: float, scale: float, target: float) -> 
 def temporal_distance_geometric(flow: SuspensionFlow, quads, tol: float = 1e-8) -> list[float]:
     """Fiber gap between Hol_{a,b}(x) and y for each quadrilateral, from exact rational corners.
 
-    The displacements w and u are refined onto E^s and E^u in extended
-    precision and rationalized, so the base corners b = a + w, x = a + u and
-    Hol_{a,b}(x) = x + w = b + u = y are exact rationals; the last two are
-    one point. Leaf fibers come from finite Birkhoff differences along
-    exact rational orbits (forward for stable leaves, backward for unstable
-    ones), with horizons chosen so tails sit well under tol. The forward
-    horizon takes |L^n w| = lambda^n |w|, which holds because every flow
-    has dim E^s = 1.
+    The displacements w and u are projected onto E^s and E^u by the exact
+    integer projector of `mpspec` and rounded to 2^-160, so the base
+    corners b = a + w, x = a + u and Hol_{a,b}(x) = x + w = b + u = y are
+    exact rationals; the last two are one point. Leaf fibers come from
+    finite Birkhoff differences along exact rational orbits (forward for
+    stable leaves, backward for unstable ones), with horizons chosen so
+    tails sit well under tol. The forward horizon takes
+    |L^n w| = lambda^n |w|, which holds because every flow has dim E^s = 1.
 
     Every quadrilateral is checked before any orbit is walked: one whose
     data leave the chart raises NoIntersection, and one whose horizon would
@@ -191,9 +191,9 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads, tol: float = 1e-8) 
         n_bwd = _horizon(flow, 1.0 / flow.spectral.xi_min, max(np.linalg.norm(u), 1e-6), target)
 
         # Exact hyperbolic orbits amplify any off-leaf defect of the inputs by
-        # lambda^-n backward; refine the displacements onto their subspaces in
-        # extended precision before rationalizing, so corner points share leaves
-        # to ~1e-48 and the long Birkhoff differences stay clean.
+        # lambda^-n backward; project the displacements onto their subspaces
+        # with the exact integer projector, rounded to 2^-160, so corner points
+        # share leaves to ~1e-48 and the long Birkhoff differences stay clean.
         w_fr = split.project_fractions(w, "stable")
         u_fr = split.project_fractions(u, "unstable")
         alpha_fr = flow.rationalize(alpha)

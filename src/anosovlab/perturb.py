@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
-import mpmath as mp
 import numpy as np
 
 from . import intlinalg, mpspec, util
@@ -32,7 +31,7 @@ CHART_RADIUS_X = 0.2    # unstable half-width of the chart box
 CHART_RADIUS_Y = 0.45   # stable half-width, short of the torus half-period 1/2
 HETEROCLINIC_OFFSET_BOUND = 2        # translates q + m tried, m in [-2, 2]^d: 5^d per point
 HETEROCLINIC_Y_RANGE = (0.12, 0.45)  # |y_r| of a datum: off the fixed point, inside the box
-VERIFY_STEPS = 170      # backward steps of the 60-digit check that a datum approaches q
+VERIFY_STEPS = 170      # backward steps of the exact integer check that a datum approaches q
 CONTAINMENT_TOL = 1e-8  # sweep subspace containment: the same 1e-8 as its E^u membership check
 FIT_FLOOR = 1e-14       # errors at or under this are rounding noise, left out of order fits
 HAT_FACTOR = 1.25       # return-series rows within this many bump radii are recorded
@@ -180,16 +179,13 @@ def make_heteroclinic_datum(
     """Intersect W^s_loc(p) with the weak-unstable leaf of q.
 
     The stable line hits q + offset + E^u exactly at the stable coordinate
-    of q + offset; the datum is verified by iterating the exact inverse map
-    backward in extended precision and measuring the approach to the orbit
-    of q.
+    of q + offset; the datum is verified by walking the exact backward
+    orbit of the projected point on integer numerators and measuring its
+    least distance to the orbit of q.
     """
-    target = [
-        Fraction(c, q_orbit.den) + int(m) for c, m in zip(q_orbit.numerators[q_index], offset)
-    ]
-    r_fr = chart.split.project_fractions(
-        [float(t) for t in target], "stable"
-    )
+    den = q_orbit.den
+    target = [c + int(m) * den for c, m in zip(q_orbit.numerators[q_index], offset)]
+    r_fr = chart.split.project_fractions([t / den for t in target], "stable")
     r_float = np.array([float(c) for c in r_fr])
     y_r = float(r_float @ chart.s_unit / (chart.s_unit @ chart.s_unit))
     dist = _verify_backward_approach(chart, target, q_orbit, VERIFY_STEPS)
@@ -208,44 +204,32 @@ def make_heteroclinic_datum(
 
 
 def _verify_backward_approach(chart, target, q_orbit, steps: int) -> float:
-    """Backward-asymptotics check in extended precision.
+    """Least distance from the backward orbit of r = P_s(q + m) to the orbit of q.
 
-    r = P_s(q + m) differs from q + m by an unstable vector, so its exact
-    backward orbit must approach the orbit of q at the unstable contraction
-    rate; float iteration would destroy this beyond ~40 steps.
+    r differs from q + m by an unstable vector, so its exact backward orbit
+    must approach the orbit of q at the unstable contraction rate; float
+    iteration would destroy this beyond ~40 steps. target holds the
+    numerators of q + m over q.den; `stable_numerators` gives r over
+    D = lcm(2^K, q.den), and the walk runs on integers for `steps`
+    backward steps. The squared torus distances and their minimum are
+    exact; only the square root rounds, once, correctly.
     """
-    inv = chart.flow.inv_entries
-    d = chart.flow.dim
-    with mp.workdps(60):
-        half = mp.mpf("0.5")
-        proj = chart.split.stable_proj
-        vec = [mp.mpf(t.numerator) / mp.mpf(t.denominator) for t in target]
-        r = [sum(proj[i, j] * vec[j] for j in range(d)) for i in range(d)]
-        den = mp.mpf(q_orbit.den)
-        q_pts = [[mp.mpf(c) / den for c in pt] for pt in q_orbit.numerators]
-        point = [mp.fmod(c, 1) for c in r]
-        # sqrt is correctly rounded and monotone, so the root of the least
-        # square is the least root
-        dist_sq = mp.mpf(1)
-        for _ in range(steps):
-            point = [mp.fmod(c, 1) for c in intlinalg.mat_vec(inv, point)]
-            dist_sq = min(
-                min(
-                    sum(
-                        (mp.fmod(point[i] - qp[i] + half, 1) - half) ** 2
-                        for i in range(d)
-                    )
-                    for qp in q_pts
-                ),
-                dist_sq,
-            )
-        return float(mp.sqrt(dist_sq))
+    den = q_orbit.den
+    start, big = chart.split.stable_numerators(target, den)
+    lift, half = big // den, big // 2
+    q_pts = [[c * lift for c in pt] for pt in q_orbit.numerators]
+    orbit = intlinalg.orbit_numerators(chart.flow.inv_entries, (0,) * chart.flow.dim, start, big)
+    dist_sq = min(
+        sum(((p - q + half) % big - half) ** 2 for p, q in zip(point, qp))
+        for point in islice(orbit, 1, steps + 1) for qp in q_pts
+    )
+    return intlinalg.sqrt_ratio(dist_sq, big * big)
 
 
 def find_heteroclinic_data(chart: SectionChart, q_period: int) -> list[HeteroclinicDatum]:
     """All candidate data from orbits of the given period, sorted by |y_r|.
 
-    Candidates are built without the extended-precision verification; call
+    Candidates are built without the exact backward verification; call
     make_heteroclinic_datum on a chosen one for that.
     """
     orbits = [o for o in periodic_points(chart.flow.base, q_period) if o.period_n == q_period]

@@ -79,11 +79,11 @@ def _poly_trim(p):
     return p
 
 
-def _poly_deriv(p):
+def poly_deriv(p):
     return _poly_trim([p[k] * k for k in range(1, len(p))]) if len(p) > 1 else [Fraction(0)]
 
 
-def _poly_divmod(a, b):
+def poly_divmod(a, b):
     a = list(a)
     b = _poly_trim(list(b))
     q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
@@ -104,7 +104,7 @@ def _poly_gcd(a, b):
     a = _poly_trim([Fraction(x) for x in a])
     b = _poly_trim([Fraction(x) for x in b])
     while len(b) > 1 or b[0] != 0:
-        _, r = _poly_divmod(a, b)
+        _, r = poly_divmod(a, b)
         a, b = b, r
     lead = a[-1]
     return [c / lead for c in a]
@@ -113,10 +113,10 @@ def _poly_gcd(a, b):
 def _square_free_part(coeffs: list[int]):
     """Monic square-free polynomial with the same distinct roots."""
     p = [Fraction(c) for c in coeffs]
-    g = _poly_gcd(p, _poly_deriv(p))
+    g = _poly_gcd(p, poly_deriv(p))
     if len(g) == 1:
         return p
-    q, r = _poly_divmod(p, g)
+    q, r = poly_divmod(p, g)
     if any(r):
         raise ArithmeticError("inexact square-free division")
     lead = q[-1]
@@ -174,7 +174,7 @@ def _root_multiplicities(coeffs: list[int]) -> list[tuple[complex, float, int]]:
             if abs(_poly_eval(p, z)) > 1e-6 * max(1.0, abs(z)) ** (len(p) - 1):
                 break
             mult += 1
-            p = _poly_deriv(p)
+            p = poly_deriv(p)
         out.append((z, b, max(mult, 1)))
     if sum(m for _, _, m in out) != total:
         raise ArithmeticError("root multiplicities do not sum to the degree")

@@ -21,8 +21,10 @@ one-grid-point patch Newton that the lockstep batches replaced, and
 `temporal_distance_geometric_reference` the one-quadrilateral geometric
 route. `python_int_segments` is the orbit walk on Python ints that the
 int64 limb branch of `intlinalg.orbit_segments` replaced for 2^k > 2^64,
-and `limb_numerators` reads that branch's limbs back as Python ints. Print
-the literals with
+and `limb_numerators` reads that branch's limbs back as Python ints.
+`MPSplittingReference` is the 60-digit mpmath splitting that the exact
+integer projector of `mpspec` replaced, and `tests/test_mpspec.py` holds
+the projector's roundings to it bit for bit. Print the literals with
 
     PYTHONPATH=src python tests/oracles.py
 """
@@ -497,6 +499,78 @@ def temporal_distance_geometric_reference(flow, quad, tol=1e-8):
     fiber_hol = fiber_x + forward_diff(zeta_fr, hol_fr)
     fiber_y = fiber_b + backward_diff(beta_fr, hol_fr)
     return float(fiber_hol - fiber_y)
+
+
+class MPSplittingReference:
+    """The 60-digit splitting that the integer projector of `mpspec` replaced.
+
+    Finds every root of the characteristic polynomial with `mp.polyroots`,
+    solves for each eigenvector by LU, inverts the eigenvector frame and
+    sums the stable rank-one projectors; `project_fractions` rounds the
+    60-digit projection of a float vector to a multiple of 2^-160.
+    """
+
+    DPS = 60
+    DYADIC_BITS = 160
+
+    def __init__(self, matrix):
+        from anosovlab.intlinalg import char_poly
+
+        self.matrix = matrix
+        d = matrix.dim
+        with mp.workdps(self.DPS):
+            roots = mp.polyroots(
+                [mp.mpf(c) for c in reversed(char_poly(matrix.entries))],
+                maxsteps=400, extraprec=300,
+            )
+            frame = mp.matrix(d, d)
+            for j, lam in enumerate(roots):
+                for i, x in enumerate(self._eigvec(lam)):
+                    frame[i, j] = x
+            frame_inv = frame ** -1
+            p_stable = mp.matrix(d, d)
+            for j, lam in enumerate(roots):
+                if abs(lam) < 1:
+                    for i in range(d):
+                        for k in range(d):
+                            p_stable[i, k] += frame[i, j] * frame_inv[j, k]
+            self.stable_proj = mp.matrix(d, d)
+            for i in range(d):
+                for k in range(d):
+                    val = p_stable[i, k]
+                    if abs(mp.im(val)) > mp.mpf(10) ** (-self.DPS + 12):
+                        raise ArithmeticError("stable projection came out non-real")
+                    self.stable_proj[i, k] = mp.re(val)
+
+    def _eigvec(self, lam):
+        """Null vector of (M - lam I) by solving with one coordinate pinned."""
+        d = self.matrix.dim
+        a = [[mp.mpc(self.matrix.entries[i][j]) - (lam if i == j else 0) for j in range(d)]
+             for i in range(d)]
+        for free in range(d - 1, -1, -1):
+            rows = [i for i in range(d) if i != free]
+            sub = mp.matrix([[a[i][j] for j in rows] for i in rows])
+            rhs = mp.matrix([-a[i][free] for i in rows])
+            try:
+                sol = mp.lu_solve(sub, rhs)
+            except (ZeroDivisionError, ValueError):
+                continue
+            v = [mp.mpc(0)] * d
+            v[free] = mp.mpc(1)
+            for idx, j in enumerate(rows):
+                v[j] = sol[idx]
+            norm = mp.sqrt(sum(abs(x) ** 2 for x in v))
+            return [x / norm for x in v]
+        raise ArithmeticError("could not solve eigenvector system")
+
+    def project_fractions(self, v, direction):
+        d = self.matrix.dim
+        scale = 1 << self.DYADIC_BITS
+        with mp.workdps(self.DPS):
+            vv = mp.matrix([mp.mpf(float(c)) for c in v])
+            sv = self.stable_proj * vv
+            out = sv if direction == "stable" else vv - sv
+            return tuple(Fraction(int(mp.nint(out[i] * scale)), scale) for i in range(d))
 
 
 def return_pin_setups():

@@ -243,6 +243,21 @@ class TestCliExitCodes:
         assert result.exit_code == 2
         assert result.stderr.startswith("config invalid")
 
+    @pytest.mark.parametrize("name, params", [
+        ("pcf_companion3.json", {"n_samples": 0}),
+        ("sweep_quartic.json", {"n_directions": 0}),
+    ])
+    def test_zero_count_exit_two(self, tmp_path, name, params):
+        # no samples or no directions would pass the acceptance check vacuously
+        payload = json.loads((CONFIGS / name).read_text())
+        payload["params"].update(params)
+        bad = tmp_path / name
+        bad.write_text(json.dumps(payload))
+        result = run_cli([payload["kind"], "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "must be at least 1" in result.stderr
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_missing_config_exit_two(self, tmp_path):
         result = run_cli([
             "catalog", "--config", str(tmp_path / "absent.json"),
