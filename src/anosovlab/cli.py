@@ -16,7 +16,7 @@ def main():
     """Numerical experiments on suspension flows over toral automorphisms."""
 
 
-def _execute(kind: str, config_path: str, out: str, seed: int | None, workers: int):
+def _execute(kind: str, config_path: str, out: str, seed: int | None):
     try:
         cfg = load_config(Path(config_path))
         if cfg.kind != kind:
@@ -26,7 +26,7 @@ def _execute(kind: str, config_path: str, out: str, seed: int | None, workers: i
         if seed is not None:
             cfg = type(cfg)(kind=cfg.kind, seed=seed, matrix=cfg.matrix,
                             roof=cfg.roof, params=cfg.params)
-        paths = run_experiment(cfg, Path(out), workers=workers)
+        paths = run_experiment(cfg, Path(out))
     except ConfigInvalid as err:
         click.echo(f"config invalid: {err}", err=True)
         sys.exit(2)
@@ -46,12 +46,8 @@ def _register(kind: str):
                   type=click.Path(), help="report output directory")
     @click.option("--seed", default=None, type=click.IntRange(0, 2**64 - 1),
                   help="override the config seed")
-    @click.option("--workers", default=1, show_default=True,
-                  type=click.IntRange(1, 64),
-                  help="accepted for compatibility; changes nothing, as every run "
-                       "is one thread")
-    def _cmd(config_path: str, out: str, seed: int | None, workers: int, _kind=kind):
-        _execute(_kind, config_path, out, seed, workers)
+    def _cmd(config_path: str, out: str, seed: int | None, _kind=kind):
+        _execute(_kind, config_path, out, seed)
 
     return _cmd
 

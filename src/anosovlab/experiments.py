@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -114,13 +115,14 @@ def build_roof(spec: dict | None, dim: int) -> RoofFunction:
     if spec is None:
         raise ConfigInvalid("this experiment needs a roof spec")
     try:
-        poly = TrigPolynomial.constant(float(spec.get("constant", 0.0)), dim)
+        poly = TrigPolynomial.constant(_finite("roof constant", spec.get("constant", 0.0)), dim)
         for term in spec.get("terms", []):
             unknown = set(term) - {"k", "re", "im"}
             if unknown:
                 raise ConfigInvalid(f"unknown roof term fields: {sorted(unknown)}")
             k = tuple(int(v) for v in term["k"])
-            coeff = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
+            coeff = complex(_finite("roof term re", term.get("re", 0.0)),
+                            _finite("roof term im", term.get("im", 0.0)))
             neg = tuple(-v for v in k)
             poly = poly + TrigPolynomial(dim, {k: coeff, neg: coeff.conjugate()})
         return RoofFunction(poly)
@@ -128,6 +130,13 @@ def build_roof(spec: dict | None, dim: int) -> RoofFunction:
         raise
     except (ValueError, TypeError, KeyError) as err:
         raise ConfigInvalid(f"invalid roof spec: {err}") from err
+
+
+def _finite(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigInvalid(f"{name} must be a finite number, got {value}")
+    return value
 
 
 def _parse_fraction(text) -> Fraction:
@@ -367,6 +376,8 @@ def _take(params: dict, schema: dict, optional: dict | None = None) -> dict:
                 value = float(value)
             if not isinstance(value, types) or isinstance(value, bool):
                 raise ConfigInvalid(f"param {key} has wrong type")
+            if isinstance(value, float):
+                _finite(f"param {key}", value)
             out[key] = value
         elif key in optional:
             out[key] = optional[key]
@@ -376,9 +387,9 @@ def _take(params: dict, schema: dict, optional: dict | None = None) -> dict:
 
 
 def _numbers(key: str, values: list) -> list[float]:
-    """A non-empty list param as floats; bools and non-numbers are refused."""
+    """A non-empty list param as finite floats; bools and non-numbers are refused."""
     if values and all(type(v) in (int, float) for v in values):
-        return [float(v) for v in values]
+        return [_finite(f"param {key}", v) for v in values]
     raise ConfigInvalid(f"param {key} must be a non-empty list of numbers")
 
 

@@ -5,8 +5,8 @@ The mapping torus is represented by its fundamental domain
 Strong stable/unstable leaves through a point are graphs over the base
 subspaces; their fiber offsets come from convergent time-adjustment series
 with geometric tail control. Every tail-certified series of the package sums
-through `certified_sums`, which walks a batch of exact orbits in lockstep
-and holds the one term cap.
+through `certified_sums`, which walks one lockstep orbit of a batch of
+starts and holds the one term cap.
 """
 
 from __future__ import annotations
@@ -37,24 +37,26 @@ CHART_RADIUS = 0.05    # largest leaf displacement a quadrilateral accepts
 BUNCHING_CAP = 0.98    # largest forward gradient rate lambda * xi_max: keeps 1 / (1 - q) <= 50
 
 
-def certified_sums(orbits, segment_terms, tol: float, totals) -> tuple[list, list[int]]:
-    """Sum tail-certified series in lockstep, one exact-orbit segment of each per round.
+def certified_sums(orbit, segment_terms, tol: float, totals) -> tuple[list, list[int]]:
+    """Sum tail-certified series in lockstep, one segment of one orbit per round.
 
-    orbits[k] yields the segments of series k; totals[k] is the running sum
-    it continues (0.0, or the forward half of a two-sided series). Each
-    round concatenates the next segment of every open series and calls
-    segment_terms(points, active), active being their indices in order,
-    which returns one row of terms and one row of tail bounds (each bounding
-    all that follows its term) per open series. Series k adds its terms left
-    to right, up to its first tail under tol, then leaves the batch; one
-    still open after MAX_TERMS terms raises TruncationInsufficient. Returns
-    the totals and the number of terms each series took.
+    Each block the orbit yields has one row per series on its leading axis,
+    so row k belongs to the series that continues totals[k] (0.0, or the
+    forward half of a two-sided series). A row is one start's exact-orbit
+    segment, or a group of points walked together, as the orbit pair of
+    `perturb.return_series`. Each round calls segment_terms(block[active],
+    active), active being the open series in order, which returns one row
+    of terms and one row of tail bounds (each bounding all that follows its
+    term) per open series. Series k adds its terms left to right, up to its
+    first tail under tol, then leaves the batch; one still open after
+    MAX_TERMS terms raises TruncationInsufficient. Returns the totals and
+    the number of terms each series took.
     """
-    totals, counts = list(totals), [0] * len(orbits)
-    active = list(range(len(orbits)))
+    totals, counts = list(totals), [0] * len(totals)
+    active = list(range(len(totals)))
     used = 0
     while active:
-        terms, tails = segment_terms(np.concatenate([next(orbits[k]) for k in active]), active)
+        terms, tails = segment_terms(next(orbit)[active], active)
         limit = min(len(tails[0]), MAX_TERMS - used)
         still = []
         for row, k in enumerate(active):
@@ -341,7 +343,7 @@ class SuspensionFlow:
         return values
 
     def _leaf_series(self, direction: str, starts, gaps) -> list[float]:
-        """The leaf series of one direction, summed in lockstep by `certified_sums`.
+        """The leaf series of one direction, summed by `certified_sums` over one orbit.
 
         Each round advances the gaps of all open series with one
         `row_products` pair per step (the gemv per row of
@@ -371,9 +373,8 @@ class SuspensionFlow:
             return ((sign * np.reshape(terms, (m, length))).tolist(),
                     (lip * np.sqrt(squares) / contraction).tolist())
 
-        backward = direction == "unstable"
-        orbits = [self.exact_orbit([self.rationalize(x)], backward) for x in starts]
-        return certified_sums(orbits, segment, VALUE_TOL, [0.0] * len(starts))[0]
+        orbit = self.exact_orbit([self.rationalize(x) for x in starts], direction == "unstable")
+        return certified_sums(orbit, segment, VALUE_TOL, [0.0] * len(starts))[0]
 
     def stable_gradient(self, start, delta) -> np.ndarray:
         """Forward half of a PCF gradient, in unstable-frame coordinates.
@@ -409,7 +410,7 @@ class SuspensionFlow:
             norms = np.linalg.svd(ahead, compute_uv=False).max(axis=-1)
             return terms[..., 0], (hess * np.sqrt(squares) * norms * q / (1.0 - q)).tolist()
 
-        return certified_sums([self.exact_orbit([start])], segment, GRADIENT_TOL, [0.0])[0][0]
+        return certified_sums(self.exact_orbit([start]), segment, GRADIENT_TOL, [0.0])[0][0]
 
     def unstable_gradient(self, start, grads, total: float) -> np.ndarray:
         """Backward half of a PCF gradient, in unstable-frame coordinates.
@@ -436,4 +437,4 @@ class SuspensionFlow:
                     (2.0 * lip * norms * q / (1.0 - q)).tolist())
 
         orbit = self.exact_orbit([start], backward=True)
-        return certified_sums([orbit], segment, GRADIENT_TOL, [total])[0][0]
+        return certified_sums(orbit, segment, GRADIENT_TOL, [total])[0][0]

@@ -125,7 +125,7 @@ class SectionChart:
             return ([terms.tolist()],
                     (2.0 * lip * np.sqrt(squares) / (1.0 - lam_abs)).tolist())
 
-        return certified_sums([flow.exact_orbit([z])], segment, VALUE_TOL, [0.0])[0][0]
+        return certified_sums(flow.exact_orbit([z]), segment, VALUE_TOL, [0.0])[0][0]
 
     def t_gradient_at_zero(self, y: float) -> np.ndarray:
         """D_x T(0, y): the forward PCF gradient half along the stable axis orbit."""
@@ -393,7 +393,7 @@ def return_series(chart: SectionChart, bump: Bump | None, x, y: float) -> Return
 
     def segment(points, active):
         nonlocal gap, walked
-        seg0, seg1 = points
+        seg0, seg1 = points[0]
         # the gap at each point and after the segment, multiplied in turn
         ahead = np.multiply.accumulate([gap] + [lam_abs] * len(seg0))
         row = [0.0] * len(seg0)
@@ -410,7 +410,8 @@ def return_series(chart: SectionChart, bump: Bump | None, x, y: float) -> Return
         gap, walked = float(ahead[-1]), walked + len(seg0)
         return [row], [(lip * ahead[1:] / (1.0 - lam_abs)).tolist()]
 
-    (total,), (count,) = certified_sums([flow.exact_orbit([z0, z1])], segment, RETURN_TOL, [0.0])
+    pair = (block[None] for block in flow.exact_orbit([z0, z1]))   # one series, two points a row
+    (total,), (count,) = certified_sums(pair, segment, RETURN_TOL, [0.0])
     kept = sum(1 for n in steps if n < count)   # no step past the stop
     return ReturnLedger(tuple(steps[:kept]), tuple(gaps[:kept]), tuple(terms[:kept]), total)
 

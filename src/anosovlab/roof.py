@@ -305,7 +305,7 @@ def _branch_and_bound_margin(poly: TrigPolynomial) -> float:
                 f"roof not certified positive (margin unresolved after {BNB_MAX_CELLS} cells)"
             )
         values = poly.evaluate_many(centres)
-        if values.min() <= 0:
+        if not values.min() > 0:
             raise ValueError(f"roof not certified positive (margin {values.min():.3g})")
         bounds = values - lip * half * math.sqrt(dim) - err
         leaves = bounds > 0
@@ -333,9 +333,9 @@ class RoofFunction:
             margin = float(sum(c.real for c in poly.terms.values()))
         else:
             margin = _wiener_margin(poly)
-            if margin <= 0:
+            if not margin > 0:   # NaN fails closed, as in every margin test
                 margin = _branch_and_bound_margin(poly)
-        if margin <= 0:
+        if not margin > 0:
             raise ValueError(f"roof not certified positive (margin {margin:.3g})")
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "positivity_margin", float(margin))

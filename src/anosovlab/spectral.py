@@ -23,7 +23,7 @@ from .errors import NotCodimensionOne, NotHyperbolic
 
 _CERTIFY_FACTOR = 10.0  # hyperbolicity requires |modulus - 1| > factor * root error
 ROOT_TOL = 1e-9         # largest a posteriori root error spectral_data accepts
-NULL_CUTOFF = 1e-8      # _null_dim: singular values at or under this share of the largest are zero
+NULL_CUTOFF = 1e-8      # null dimensions: singular values at or under this share of the largest are zero
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +466,7 @@ def _null_dim(m: np.ndarray) -> int:
 def _complex_null_basis(m: np.ndarray, expect: int, realify: bool) -> np.ndarray:
     _, sv, vh = np.linalg.svd(m)
     top = sv[0] if sv.size else 0.0
-    nd = m.shape[1] if top == 0.0 else int(np.sum(sv <= 1e-8 * top))
+    nd = m.shape[1] if top == 0.0 else int(np.sum(sv <= NULL_CUTOFF * top))
     vecs = vh[m.shape[1] - nd:].conj().T
     if realify:
         cols = []

@@ -258,6 +258,23 @@ class TestCliExitCodes:
         assert "must be at least 1" in result.stderr
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("name, section, update", [
+        ("livshits_obstructed.json", "roof", {"terms": [{"k": [1, 0], "re": float("nan")}]}),
+        ("livshits_obstructed.json", "roof", {"constant": float("inf")}),
+        ("bunching_companion3.json", "params", {"t_multiples": [float("inf")]}),
+        ("bunching_companion3.json", "params", {"roof_mean": float("nan")}),
+    ])
+    def test_non_finite_number_exit_two(self, tmp_path, name, section, update):
+        # json reads NaN, Infinity and 1e400; a NaN roof once passed as certified
+        payload = json.loads((CONFIGS / name).read_text())
+        payload[section].update(update)
+        bad = tmp_path / name
+        bad.write_text(json.dumps(payload))
+        result = run_cli([payload["kind"], "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "must be a finite number" in result.stderr
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_missing_config_exit_two(self, tmp_path):
         result = run_cli([
             "catalog", "--config", str(tmp_path / "absent.json"),

@@ -182,6 +182,52 @@ class TestBatch:
         values = flow.time_adjustment([pool[i] for i in picks])
         assert [v.hex() for v in values] == [expected[i] for i in picks]
 
+    def test_mixed_denominators_match_alone(self, companion3_flow, monkeypatch):
+        # a batch walks over the lcm of its starts' denominators, so the one
+        # start with a coordinate under 2^-12 moves every row of both
+        # directions off uint64 and onto the limb kernel
+        flow = companion3_flow
+        rng = np.random.default_rng(17)
+        starts = [rng.random(3) for _ in range(11)] + [np.array([3e-9, 0.41, 0.77])]
+        requests = [(x, x + flow.stable_frame() @ rng.uniform(-0.02, 0.02, 1), "stable")
+                    for x in starts]
+        requests += [(x, x + flow.unstable_frame() @ rng.uniform(-0.02, 0.02, 2), "unstable")
+                     for x in starts]
+        alone = [flow.time_adjustment([r])[0].hex() for r in requests]
+        dens = []
+        walk = intlinalg.orbit_segments
+
+        def recording(a, offset, starts, den, *args, **kwargs):
+            dens.append(den)
+            return walk(a, offset, starts, den, *args, **kwargs)
+
+        monkeypatch.setattr(intlinalg, "orbit_segments", recording)
+        assert [v.hex() for v in flow.time_adjustment(requests)] == alone
+        assert len(dens) == 2 and min(dens) > 2**64
+        dens.clear()
+        flow.time_adjustment(requests[:11] + requests[12:23])
+        assert len(dens) == 2 and max(dens) <= 2**64
+
+    def test_one_orbit_walk_per_direction(self, companion3_flow, monkeypatch):
+        # a batch of several series per direction walks one lockstep orbit
+        # per direction, not one orbit per series
+        flow = companion3_flow
+        x = np.array([0.21, 0.47, 0.83])
+        requests = [(x + shift, x + shift + flow.stable_frame() @ [0.02], "stable")
+                    for shift in (0.0, 0.1, 0.2)]
+        requests += [(x + shift, x + shift + flow.unstable_frame() @ [0.02, 0.01], "unstable")
+                     for shift in (0.0, 0.1, 0.2)]
+        calls = []
+        walk = intlinalg.orbit_segments
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[2]))
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(intlinalg, "orbit_segments", counting)
+        flow.time_adjustment(requests)
+        assert calls == [3, 3]
+
     def test_off_leaf_request_refuses_batch(self, companion3_flow):
         flow = companion3_flow
         x = np.array([0.21, 0.47, 0.83])
@@ -373,13 +419,13 @@ class TestSegments:
                 return ((states[..., 0] * (points[..., 0] % 3 - 1.0)).tolist(),
                         (nexts[..., 0] / (1.0 - rate)).tolist())
 
+            # one synthetic orbit whose rows are the series: point n of every
+            # row is n, so a row's term pattern is n % 3 - 1 as alone
             length = flow_module.SEGMENT
-            orbits = [
-                (np.arange(n, n + length, dtype=float)[None, :, None]
-                 for n in range(0, 10**6, length))
-                for _ in rates
-            ]
-            return flow_module.certified_sums(orbits, segment_terms, tol, [0.0] * len(rates))
+            orbit = (np.broadcast_to(np.arange(n, n + length, dtype=float)[None, :, None],
+                                     (len(rates), length, 1))
+                     for n in range(0, 10**6, length))
+            return flow_module.certified_sums(orbit, segment_terms, tol, [0.0] * len(rates))
 
         monkeypatch.setattr(flow_module, "SEGMENT", segment)
         assert lockstep() == (expected, counts)

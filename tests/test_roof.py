@@ -149,6 +149,15 @@ class TestRoofFunction:
                 TrigPolynomial.constant(0.1, 2) + TrigPolynomial.cosine(0.5, (1, 0), 2)
             )
 
+    def test_rejects_nan(self):
+        # NaN compares false both ways, so a margin test must fail closed
+        with pytest.raises(ValueError, match="positive"):
+            RoofFunction(TrigPolynomial.constant(math.nan, 2))
+        with pytest.raises(ValueError, match="positive"):
+            RoofFunction(
+                TrigPolynomial.constant(1.0, 2) + TrigPolynomial.cosine(math.nan, (1, 0), 2)
+            )
+
     def test_constant_short_circuit(self):
         roof = RoofFunction.constant(2.5, 4)
         assert roof.positivity_margin == 2.5
