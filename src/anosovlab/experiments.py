@@ -173,13 +173,19 @@ def _run_livshits(cfg, out):
         "trunc": int, "n_max": int, "tol": float,
         "plant_coboundary": (dict, type(None)),
     }, optional={"plant_coboundary": None, "tol": 1e-8, "n_max": 6})
+    if not p["tol"] > 0:
+        # a spread is never below a tolerance <= 0, so every roof would be rejected
+        raise ConfigInvalid(f"param tol must be positive, got {p['tol']}")
     matrix = build_matrix(cfg.matrix)
     roof_fn = build_roof(cfg.roof, matrix.dim)
     plant = p["plant_coboundary"]
     if plant is not None:
         plant = _take(plant, {"amplitude": float, "freq": list})
-        u = TrigPolynomial.sine(plant["amplitude"],
-                                tuple(int(v) for v in _numbers("freq", plant["freq"])), matrix.dim)
+        freq = tuple(int(v) for v in _numbers("freq", plant["freq"]))
+        # sin of frequency 0, or of amplitude 0, plants nothing: a vacuous pass
+        if not any(freq) or plant["amplitude"] == 0:
+            raise ConfigInvalid("plant_coboundary needs a nonzero amplitude and frequency")
+        u = TrigPolynomial.sine(plant["amplitude"], freq, matrix.dim)
         roof_fn = RoofFunction(roof_fn.poly + u.compose_matrix(matrix) - u)
     report = roof.periodic_obstructions(roof_fn, matrix, p["n_max"])
     util.write_csv(out / "obstructions.csv", roof.OBSTRUCTION_CSV_HEADER,

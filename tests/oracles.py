@@ -22,6 +22,8 @@ one-grid-point patch Newton that the lockstep batches replaced, and
 route. `python_int_segments` is the orbit walk on Python ints that the
 int64 limb branch of `intlinalg.orbit_segments` replaced for 2^k > 2^64,
 and `limb_numerators` reads that branch's limbs back as Python ints.
+`periodic_points_reference` is the Python-int enumeration and orbit walk
+that the int64 arrays of `roof.periodic_points` replaced.
 `MPSplittingReference` is the 60-digit mpmath splitting that the exact
 integer projector of `mpspec` replaced, and `tests/test_mpspec.py` holds
 the projector's roundings to it bit for bit. Print the literals with
@@ -460,6 +462,50 @@ def limb_numerators(block, den):
                for limbs in row) for row in rows]
         for rows in np.moveaxis(block, 0, -1)
     ]
+
+
+def periodic_points_reference(matrix, n, roof=None):
+    """`roof.periodic_points` as it was on Python ints, one orbit at a time.
+
+    Every point of Fix(M^n) is one `intlinalg.mat_vec` of the scaled V with
+    a lattice step, reduced mod den into a set; each orbit is walked from
+    its least point with `intlinalg.orbit_numerators`, and its flow period
+    is the `sum()` of one row evaluation of the cycle. The refusals are the
+    package's.
+    """
+    import itertools
+
+    import numpy as np
+
+    from anosovlab import intlinalg
+    from anosovlab.roof import PeriodicOrbitRecord
+
+    d = matrix.dim
+    dmat = intlinalg.mat_sub(matrix.power(n), intlinalg.identity(d))
+    count = abs(intlinalg.det(dmat))
+    _, s, v = intlinalg.unimodular_diagonalize(dmat)
+    diag = [s[i][i] for i in range(d)]
+    den = math.lcm(*diag)
+    scaled = tuple(tuple(row[j] * (den // diag[j]) for j in range(d)) for row in v)
+    points = {
+        tuple(c % den for c in intlinalg.mat_vec(scaled, w))
+        for w in itertools.product(*(range(s_j) for s_j in diag))
+    }
+    assert len(points) == count
+    orbits, visited = [], set()
+    for start in sorted(points):
+        if start in visited:
+            continue
+        walk = intlinalg.orbit_numerators(matrix.entries, (0,) * d, start, den)
+        cycle = [next(walk)]
+        cycle.extend(itertools.takewhile(lambda p: p != start, walk))
+        visited.update(cycle)
+        flow = None
+        if roof is not None:
+            flow = float(sum(roof.poly.evaluate_rows(np.array(cycle) / den)))
+        orbits.append(PeriodicOrbitRecord(tuple(cycle), den, len(cycle), flow))
+    orbits.sort(key=lambda o: o.period_n)
+    return orbits
 
 
 def temporal_distance_geometric_reference(flow, quad, tol=1e-8):

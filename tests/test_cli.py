@@ -258,6 +258,24 @@ class TestCliExitCodes:
         assert "must be at least 1" in result.stderr
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("params, message", [
+        ({"tol": -1.0}, "tol must be positive"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"plant_coboundary": {"amplitude": 0.05, "freq": [0, 0]}}, "nonzero amplitude"),
+        ({"plant_coboundary": {"amplitude": 0.0, "freq": [1, 0]}}, "nonzero amplitude"),
+    ])
+    def test_vacuous_livshits_exit_two(self, tmp_path, params, message):
+        # a tol <= 0 rejects every roof, and a plant of frequency or
+        # amplitude 0 adds nothing, so the constant roof would pass
+        payload = json.loads((CONFIGS / "livshits_planted.json").read_text())
+        payload["params"].update(params)
+        bad = tmp_path / "livshits.json"
+        bad.write_text(json.dumps(payload))
+        result = run_cli(["livshits", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     @pytest.mark.parametrize("name, section, update", [
         ("livshits_obstructed.json", "roof", {"terms": [{"k": [1, 0], "re": float("nan")}]}),
         ("livshits_obstructed.json", "roof", {"constant": float("inf")}),

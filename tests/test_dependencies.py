@@ -4,7 +4,9 @@ The package's exact arithmetic is integer and `Fraction` arithmetic; the
 extended-precision oracles in `tests/oracles.py` are the only mpmath
 users. Every module under `src/anosovlab` is scanned for an `mpmath`
 import, and a fresh interpreter checks that importing the CLI does not
-load it through some other module.
+load it through some other module. A periodic-orbit enumeration must not
+load `numpy.ma` either: `np.unique` imports it, at about 1 MB of RSS and
+10 ms per process.
 """
 
 import ast
@@ -34,10 +36,25 @@ def test_no_module_imports_mpmath():
     assert offences == []
 
 
-def test_importing_the_cli_leaves_mpmath_unloaded():
-    code = "import sys, anosovlab.cli; print('mpmath' in sys.modules)"
+def _fresh_interpreter(code):
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    assert _fresh_interpreter("import sys, anosovlab.cli; print('mpmath' in sys.modules)") == "False"
+
+
+def test_periodic_obstructions_leave_numpy_ma_unloaded():
+    code = (
+        "import sys\n"
+        "from anosovlab.roof import RoofFunction, TrigPolynomial, periodic_obstructions\n"
+        "from anosovlab.spectral import IntegerMatrix\n"
+        "poly = TrigPolynomial.constant(1.0, 2) + TrigPolynomial.cosine(0.1, (1, 0), 2)\n"
+        "periodic_obstructions(RoofFunction(poly), IntegerMatrix([[2, 1], [1, 1]]), 6)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    assert _fresh_interpreter(code) == "False"

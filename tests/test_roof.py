@@ -8,6 +8,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import seven_term_roof
+from oracles import periodic_points_reference
 
 from anosovlab import roof as roof_module
 from anosovlab.errors import NonHyperbolicPeriod, ObstructionNonzero
@@ -231,6 +232,30 @@ def test_margin_is_a_lower_bound(terms, lift):
     assert 0.0 < margin <= _dense_grid_min(poly) + 1e-12
 
 
+def seeded_trig_roof(dim, seed):
+    # 1 + three random cosine and sine terms of total amplitude < 0.3
+    rng = np.random.default_rng(seed)
+    poly = TrigPolynomial.constant(1.0, dim)
+    for term in (TrigPolynomial.cosine, TrigPolynomial.sine, TrigPolynomial.cosine):
+        freq = tuple(int(v) for v in rng.integers(-2, 3, size=dim))
+        poly = poly + term(float(rng.uniform(0.01, 0.1)), freq, dim)
+    return RoofFunction(poly)
+
+
+def _record_keys(orbits):
+    return [
+        (o.numerators, o.den, o.period_n, None if o.flow_period is None else o.flow_period.hex())
+        for o in orbits
+    ]
+
+
+@pytest.fixture
+def wide_v():
+    # at n = 3, M^3 - I has 76 points over den 76, and the V of its
+    # unimodular diagonalization has the entry -224, beyond den
+    return IntegerMatrix([[5, -1], [4, -1]])
+
+
 @pytest.fixture
 def non_chain():
     # x^3 - 3x^2 - 2x - 1: at n = 4 the diagonal [1, 3, 65] of M^4 - I is
@@ -308,6 +333,40 @@ class TestPeriodicPoints:
                 den = orbit.den
                 per_point = sum(roof(tuple(c / den for c in p)) for p in orbit.numerators)
                 assert orbit.flow_period.hex() == float(per_point).hex()
+
+    @pytest.mark.parametrize("name,levels", [
+        ("cat_map", range(1, 9)), ("companion3", range(1, 6)), ("quartic_real", range(1, 4)),
+        ("non_chain", [4]), ("wide_v", range(1, 5)),
+    ])
+    def test_records_equal_python_int_enumeration(self, request, name, levels):
+        # numerators, den, period and every bit of the flow period, in order
+        matrix = request.getfixturevalue(name)
+        for n in levels:
+            roof = seeded_trig_roof(matrix.dim, seed=n)
+            assert _record_keys(periodic_points(matrix, n, roof=roof)) == _record_keys(
+                periodic_points_reference(matrix, n, roof=roof))
+            assert _record_keys(periodic_points(matrix, n)) == _record_keys(
+                periodic_points_reference(matrix, n))
+
+    def test_wide_v_exceeds_den(self, wide_v):
+        # so the records test above feeds periodic_points V entries to reduce mod den
+        from anosovlab import intlinalg
+
+        _, s, v = intlinalg.unimodular_diagonalize(roof_module._fix_matrix(wide_v, 3))
+        den = math.lcm(s[0][0], s[1][1])
+        assert max(abs(x) for row in v for x in row) > den
+
+    @pytest.mark.parametrize("name,n_max", [("cat_map", 8), ("companion3", 5)])
+    def test_obstruction_averages_equal_python_int_enumeration(self, request, name, n_max):
+        matrix = request.getfixturevalue(name)
+        roof = seeded_trig_roof(matrix.dim, seed=11)
+        expected = [
+            (o.flow_period / o.period_n).hex()
+            for n in range(1, n_max + 1)
+            for o in periodic_points_reference(matrix, n, roof=roof) if o.period_n == n
+        ]
+        report = periodic_obstructions(roof, matrix, n_max)
+        assert [a.hex() for a in report.averages] == expected
 
 
 class TestBirkhoffSums:
