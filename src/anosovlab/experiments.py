@@ -105,8 +105,8 @@ def build_matrix(spec: dict | None) -> IntegerMatrix:
         raise ConfigInvalid("this experiment needs a matrix spec")
     try:
         if "poly" in spec:
-            return IntegerMatrix.companion([int(c) for c in spec["poly"]])
-        return IntegerMatrix([[int(v) for v in row] for row in spec["entries"]])
+            return IntegerMatrix.companion(_integers("matrix poly", spec["poly"]))
+        return IntegerMatrix([_integers("matrix entries row", row) for row in spec["entries"]])
     except (ValueError, TypeError) as err:
         raise ConfigInvalid(f"invalid matrix spec: {err}") from err
 
@@ -120,7 +120,7 @@ def build_roof(spec: dict | None, dim: int) -> RoofFunction:
             unknown = set(term) - {"k", "re", "im"}
             if unknown:
                 raise ConfigInvalid(f"unknown roof term fields: {sorted(unknown)}")
-            k = tuple(int(v) for v in term["k"])
+            k = tuple(_integers("roof term k", term["k"]))
             coeff = complex(_finite("roof term re", term.get("re", 0.0)),
                             _finite("roof term im", term.get("im", 0.0)))
             neg = tuple(-v for v in k)
@@ -181,7 +181,7 @@ def _run_livshits(cfg, out):
     plant = p["plant_coboundary"]
     if plant is not None:
         plant = _take(plant, {"amplitude": float, "freq": list})
-        freq = tuple(int(v) for v in _numbers("freq", plant["freq"]))
+        freq = tuple(_integers("param freq", plant["freq"]))
         # sin of frequency 0, or of amplitude 0, plants nothing: a vacuous pass
         if not any(freq) or plant["amplitude"] == 0:
             raise ConfigInvalid("plant_coboundary needs a nonzero amplitude and frequency")
@@ -397,6 +397,13 @@ def _numbers(key: str, values: list) -> list[float]:
     if values and all(type(v) in (int, float) for v in values):
         return [_finite(f"param {key}", v) for v in values]
     raise ConfigInvalid(f"param {key} must be a non-empty list of numbers")
+
+
+def _integers(name: str, values) -> list[int]:
+    """A non-empty list of integers; floats, booleans and non-numbers are refused."""
+    if isinstance(values, list) and values and all(type(v) is int for v in values):
+        return values
+    raise ConfigInvalid(f"{name} must be a non-empty list of integers")
 
 
 def run_experiment(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -93,18 +93,31 @@ def walk_states(state, step, length: int) -> tuple[np.ndarray, np.ndarray]:
     return states, nexts
 
 
-def affine_orbit(entries, offset, starts, centred: bool = False, skip: int = 0):
-    """Exact orbits of m rational starts under x -> A x + c mod 1, in lockstep.
+def exact_points(rows) -> tuple[list[tuple[int, ...]], int]:
+    """Float points as exact numerator rows over one den, reduced into [0, 1).
 
-    The points of `intlinalg.orbit_segments` over one common denominator
-    D (the lcm of every start's and the offset's denominators), yielded as
-    (m, SEGMENT, d) float arrays of n / D, so every float equals float() of
-    the rational point, whatever else is in the batch. Each start is
-    yielded as given; later points are reduced into [0, 1), or into
-    [-1/2, 1/2) when centred. The first `skip` points are left out.
+    The starts of every exact orbit that begins at a float point: the
+    numerators of `intlinalg.dyadic`, each taken mod den. den stays the
+    least power of two that holds every float of the batch.
     """
-    den = math.lcm(*(v.denominator for v in chain(offset, *starts)))
-    nums = [[v.numerator * (den // v.denominator) for v in start] for start in starts]
+    nums, den = intlinalg.dyadic(rows)
+    return [tuple(v % den for v in row) for row in nums], den
+
+
+def affine_orbit(entries, offset, starts, den: int, centred: bool = False, skip: int = 0):
+    """Exact orbits of m starts under x -> A x + c mod 1, in lockstep.
+
+    The starts are numerator rows over den and c is rational. The points
+    of `intlinalg.orbit_segments` over D, the lcm of den and the offset's
+    denominators, are yielded as (m, SEGMENT, d) float arrays of n / D, so
+    every float is the correctly rounded rational point, whatever else is
+    in the batch. Each start is yielded as given; later points are reduced
+    into [0, 1), or into [-1/2, 1/2) when centred. The first `skip` points
+    are left out.
+    """
+    lift = math.lcm(den, *(v.denominator for v in offset)) // den
+    nums = [[v * lift for v in start] for start in starts]
+    den *= lift   # now D, the common denominator
     shift = [v.numerator * (den // v.denominator) for v in offset]
     if skip:
         nums = [
@@ -209,15 +222,10 @@ class SuspensionFlow:
     # Exact rational orbit iteration. Floating-point orbits of a hyperbolic
     # map amplify rounding noise exponentially (forward in the unstable
     # directions, backward in the stable one), which would poison long
-    # adjustment series; rationalized points iterate exactly and their
-    # denominators never grow because the matrix is integral. Every series
-    # walks `exact_orbit`; the Fraction maps below are its reference.
-
-    @staticmethod
-    def rationalize(x) -> tuple[Fraction, ...]:
-        return tuple(
-            (v if isinstance(v, Fraction) else Fraction(float(v))) % 1 for v in x
-        )
+    # adjustment series; exact points (numerators over one den) iterate
+    # exactly and their denominators never grow because the matrix is
+    # integral. Every series walks `exact_orbit`; the Fraction maps below
+    # are its reference.
 
     def base_apply_exact(self, pt: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         image = intlinalg.mat_vec(self.base.entries, pt)
@@ -227,28 +235,29 @@ class SuspensionFlow:
         shifted = [v - c for v, c in zip(pt, self.translation)]
         return tuple(v % 1 for v in intlinalg.mat_vec(self.inv_entries, shifted))
 
-    def exact_orbit(self, starts, backward: bool = False):
-        """Float points of the exact orbits of rational starts, in lockstep.
+    def exact_orbit(self, starts, den: int, backward: bool = False):
+        """Float points of the exact orbits of m starts over den, in lockstep.
 
         Forward: x, F x, F^2 x, ... Backward: F^-1 x, F^-2 x, ... (the
         start left out, as in every backward series). Yields (m, SEGMENT, d)
         arrays, one orbit segment of each of the m starts.
         """
         if not backward:
-            return affine_orbit(self.base.entries, self.translation, starts)
-        return affine_orbit(self.inv_entries, self._inv_translation, starts, skip=1)
+            return affine_orbit(self.base.entries, self.translation, starts, den)
+        return affine_orbit(self.inv_entries, self._inv_translation, starts, den, skip=1)
 
-    def birkhoff_exact(self, starts, n: int, backward: bool = False) -> list[float]:
-        """Roof Birkhoff sums along the exact rational orbits of a batch of starts.
+    def birkhoff_exact(self, starts, den: int, n: int, backward: bool = False) -> list[float]:
+        """Roof Birkhoff sums along the exact orbits of a batch of starts over den.
 
         One n-term sum per start, in order, each added left to right:
         forward sum_{k=0}^{n-1} roof(F^k x), backward sum_{k=1}^{n}
-        roof(F^-k x). The orbits are walked in lockstep and evaluated in one
-        call per segment, so each sum is bit-identical whatever else is in
-        the batch and in what order.
+        roof(F^-k x), with each start first reduced into [0, 1). The orbits
+        are walked in lockstep and evaluated in one call per segment, so
+        each sum is bit-identical whatever else is in the batch and in what
+        order.
         """
         totals = [0.0] * len(starts)
-        orbit = self.exact_orbit([self.rationalize(x) for x in starts], backward)
+        orbit = self.exact_orbit([[v % den for v in x] for x in starts], den, backward)
         while n > 0:
             rows = next(orbit)[:, :n]
             width = rows.shape[1]
@@ -373,18 +382,19 @@ class SuspensionFlow:
             return ((sign * np.reshape(terms, (m, length))).tolist(),
                     (lip * np.sqrt(squares) / contraction).tolist())
 
-        orbit = self.exact_orbit([self.rationalize(x) for x in starts], direction == "unstable")
+        orbit = self.exact_orbit(*exact_points(starts), direction == "unstable")
         return certified_sums(orbit, segment, VALUE_TOL, [0.0] * len(starts))[0]
 
-    def stable_gradient(self, start, delta) -> np.ndarray:
+    def stable_gradient(self, start, den: int, delta) -> np.ndarray:
         """Forward half of a PCF gradient, in unstable-frame coordinates.
 
         sum_{n>=0} (L^n U)^T [grad roof(F^n z + L^n w) - grad roof(F^n z)]
-        over the exact orbit of the rational start z, with delta = w on the
-        stable subspace and U the unstable frame. The weight L^n U grows
-        like xi_max^n while the paired difference shrinks like lambda^n, so
-        the tail is geometric at q = lambda * xi_max. Raises ValueError when
-        q >= BUNCHING_CAP, as for every 2-dimensional base (q = 1).
+        over the exact orbit of the start z (a numerator row over den),
+        with delta = w on the stable subspace and U the unstable frame. The
+        weight L^n U grows like xi_max^n while the paired difference
+        shrinks like lambda^n, so the tail is geometric at
+        q = lambda * xi_max. Raises ValueError when q >= BUNCHING_CAP, as
+        for every 2-dimensional base (q = 1).
         """
         q = self._q_stable
         if q >= BUNCHING_CAP:
@@ -410,17 +420,18 @@ class SuspensionFlow:
             norms = np.linalg.svd(ahead, compute_uv=False).max(axis=-1)
             return terms[..., 0], (hess * np.sqrt(squares) * norms * q / (1.0 - q)).tolist()
 
-        return certified_sums(self.exact_orbit([start]), segment, GRADIENT_TOL, [0.0])[0][0]
+        return certified_sums(self.exact_orbit([start], den), segment, GRADIENT_TOL, [0.0])[0][0]
 
-    def unstable_gradient(self, start, grads, total: float) -> np.ndarray:
+    def unstable_gradient(self, start, den: int, grads, total: float) -> np.ndarray:
         """Backward half of a PCF gradient, in unstable-frame coordinates.
 
         sum_{n>=1} (L^-n U)^T g_n along the exact backward orbit of the
-        rational start, where grads(points) returns the rows g_n of one
-        segment, each a roof gradient difference (bounded by 2 lip). The
-        weights L^-n U contract at q = 1 / xi_min, re-projected onto E^u
-        each step so stable float contamination does not grow. `total` is
-        the running sum to continue: the forward half, or 0.0.
+        start (a numerator row over den), where grads(points) returns the
+        rows g_n of one segment, each a roof gradient difference (bounded
+        by 2 lip). The weights L^-n U contract at q = 1 / xi_min,
+        re-projected onto E^u each step so stable float contamination does
+        not grow. `total` is the running sum to continue: the forward half,
+        or 0.0.
         """
         lip = self.roof.poly.lipschitz_bound()
         lin_inv, proj, q = self.lin_inv, self.proj_u, self._q_unstable
@@ -436,5 +447,5 @@ class SuspensionFlow:
             return (np.matmul(weights.swapaxes(-1, -2), rows[..., None])[..., 0],
                     (2.0 * lip * norms * q / (1.0 - q)).tolist())
 
-        orbit = self.exact_orbit([start], backward=True)
+        orbit = self.exact_orbit([start], den, backward=True)
         return certified_sums(orbit, segment, GRADIENT_TOL, [total])[0][0]

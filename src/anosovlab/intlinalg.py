@@ -64,6 +64,19 @@ def mat_vec(a: IntMatrix, v):
     return tuple(sum(map(operator.mul, row, v)) for row in a)
 
 
+def dyadic(values) -> tuple[list[tuple[int, ...]], int]:
+    """Rows of floats as exact integer numerators over one denominator.
+
+    The package's one float-to-exact conversion. Each float is its
+    mantissa over a power of two, in lowest terms, so den, the largest of
+    those powers, is the least common denominator of every value, and each
+    numerator is the value times den exactly. Nothing is reduced mod 1.
+    """
+    ratios = [[float(v).as_integer_ratio() for v in row] for row in values]
+    den = max((q for row in ratios for _, q in row), default=1)
+    return [tuple(p * (den // q) for p, q in row) for row in ratios], den
+
+
 def round_shift(x: int, shift: int) -> int:
     """x / 2^shift rounded to the nearest integer, ties to even."""
     q, rest = divmod(x, 1 << shift)

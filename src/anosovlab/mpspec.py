@@ -7,21 +7,20 @@ lambda its one stable root, the projector onto E^s along E^u is
 P_s = r(A) / p'(lambda), where r(x) = p(x) / (x - lambda). lambda is
 bisected on p in integers to K bits, and P_s is kept as the integer
 matrix N = round(2^K P_s). A projection is one exact integer product,
-rounded once to a multiple of 2^-_DYADIC_BITS, far below any horizon's
+rounded once to a multiple of 1 / DYADIC_DEN, far below any horizon's
 amplification.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 
-from .intlinalg import char_poly, mat_pow, mat_vec, round_shift
+from .intlinalg import dyadic, mat_pow, mat_vec, round_shift
 from .spectral import ROOT_TOL, IntegerMatrix, poly_deriv, poly_divmod, spectral_data
 
-K = 320            # bits of lambda and of the projector numerators N / 2^K
-_DYADIC_BITS = 160  # a projection is rounded to a multiple of 2^-_DYADIC_BITS
+K = 320                 # bits of lambda and of the projector numerators N / 2^K
+DYADIC_DEN = 1 << 160   # a projection is integer numerators over this power of two
 
 
 def _sign_at(coeffs: list[int], num: int) -> int:
@@ -36,7 +35,8 @@ def _sign_at(coeffs: list[int], num: int) -> int:
 def _stable_root(coeffs: list[int], lam: float) -> int:
     """The stable root of p as an integer numerator over 2^K, by bisection
     from the enclosure lam +- ROOT_TOL that spectral_data certifies."""
-    lo, hi = (math.floor(Fraction(x) * (1 << K)) for x in (lam - ROOT_TOL, lam + ROOT_TOL))
+    [ends], den = dyadic([(lam - ROOT_TOL, lam + ROOT_TOL)])
+    lo, hi = ((v << K) // den for v in ends)   # floor(x 2^K), exactly
     sign_lo = _sign_at(coeffs, lo)
     if sign_lo * _sign_at(coeffs, hi) >= 0:
         raise ArithmeticError(f"p shows no sign change on the enclosure of {lam!r}")
@@ -53,10 +53,10 @@ class MPSplitting:
     """The stable projector of an integer matrix as numerators over 2^K."""
 
     def __init__(self, matrix: IntegerMatrix):
-        coeffs = char_poly(matrix.entries)
+        data = spectral_data(matrix)
         # stable_eigenvalue is the codimension-one gate: one simple real stable root
-        lam = Fraction(_stable_root(coeffs, spectral_data(matrix).stable_eigenvalue), 1 << K)
-        p, linear = [Fraction(c) for c in coeffs], [-lam, Fraction(1)]
+        lam = Fraction(_stable_root(data.char_poly, data.stable_eigenvalue), 1 << K)
+        p, linear = [Fraction(c) for c in data.char_poly], [-lam, Fraction(1)]
         r, _ = poly_divmod(p, linear)
         _, (slope,) = poly_divmod(poly_deriv(p), linear)   # p'(lambda), the remainder
         powers = [mat_pow(matrix.entries, k) for k in range(len(r))]
@@ -73,23 +73,21 @@ class MPSplitting:
         out = [round_shift(s, shift) for s in mat_vec(self.numerators, nums)]
         return out, (den >> shift) << K
 
-    def project_fractions(self, v, direction: str) -> tuple[Fraction, ...]:
-        """Projection of a float vector onto E^s or E^u, rounded to 2^-_DYADIC_BITS.
+    def project(self, v, direction: str) -> tuple[list[int], int]:
+        """Projection of a float vector onto E^s or E^u, as numerators over DYADIC_DEN.
 
-        Each float is its exact mantissa over a power of two, so the
+        `dyadic` makes the floats exact over a power of two, so the
         product with N is exact and the one rounding is to nearest, ties
         to even.
         """
-        ratios = [float(c).as_integer_ratio() for c in v]
-        den = max(q for _, q in ratios)   # every q is a power of two
-        nums = [p * (den // q) for p, q in ratios]
+        [nums], den = dyadic([v])
         out = mat_vec(self.numerators, nums)
         if direction == "unstable":
             out = [(n << K) - s for n, s in zip(nums, out)]
         elif direction != "stable":
             raise ValueError("direction must be 'stable' or 'unstable'")
-        shift = K + den.bit_length() - 1 - _DYADIC_BITS
-        return tuple(Fraction(round_shift(s, shift), 1 << _DYADIC_BITS) for s in out)
+        shift = K + den.bit_length() - DYADIC_DEN.bit_length()
+        return [round_shift(s, shift) for s in out], DYADIC_DEN
 
 
 @functools.cache

@@ -32,7 +32,7 @@ from numpy.random import default_rng
 from .errors import (
     DegenerateGradients, NoIntersection, OffLeaf, TruncationInsufficient,
 )
-from .flow import CHART_RADIUS, FlowPoint, SuspensionFlow, affine_orbit, wrap_unit
+from .flow import CHART_RADIUS, FlowPoint, SuspensionFlow, affine_orbit, exact_points, wrap_unit
 from .roof import RoofFunction
 from . import intlinalg, mpspec, util
 
@@ -151,12 +151,13 @@ def _horizon(flow: SuspensionFlow, rate: float, scale: float, target: float) -> 
 
 
 def temporal_distance_geometric(flow: SuspensionFlow, quads, tol: float = 1e-8) -> list[float]:
-    """Fiber gap between Hol_{a,b}(x) and y for each quadrilateral, from exact rational corners.
+    """Fiber gap between Hol_{a,b}(x) and y for each quadrilateral, from exact corners.
 
     The displacements w and u are projected onto E^s and E^u by the exact
     integer projector of `mpspec` and rounded to 2^-160, so the base
     corners b = a + w, x = a + u and Hol_{a,b}(x) = x + w = b + u = y are
-    exact rationals; the last two are one point. Leaf fibers come from
+    integer numerators over one den, the larger of 2^160 and that of the
+    floats a; the last two are one point. Leaf fibers come from
     finite Birkhoff differences along exact rational orbits (forward for
     stable leaves, backward for unstable ones), with horizons chosen so
     tails sit well under tol. The forward horizon takes
@@ -173,16 +174,20 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads, tol: float = 1e-8) 
         raise ValueError("tol must be at least 1e-10")
     target = 0.02 * tol
     split = mpspec.splitting(flow.base)
-    groups: dict[tuple[bool, int], list] = {}   # (backward, horizon) -> starts
+    alphas, den = exact_points([quad.a.base() for quad in quads])
+    big = max(den, mpspec.DYADIC_DEN)   # both powers of two, so their lcm
+    groups: dict[tuple[bool, int], list] = {}   # (backward, horizon) -> starts over big
 
     def walk(backward: bool, n: int, start) -> tuple[tuple[bool, int], int]:
         group = groups.setdefault((backward, n), [])
         group.append(start)
         return (backward, n), len(group) - 1
 
+    def lifted(nums, over: int) -> list[int]:
+        return [v * (big // over) for v in nums]
+
     plans = []
-    for quad in quads:
-        alpha = quad.a.base()
+    for quad, alpha in zip(quads, alphas):
         w = np.asarray(quad.s_disp)
         u = np.asarray(quad.u_disp)
         if np.linalg.norm(w) > CHART_RADIUS or np.linalg.norm(u) > CHART_RADIUS:
@@ -194,22 +199,22 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads, tol: float = 1e-8) 
         # lambda^-n backward; project the displacements onto their subspaces
         # with the exact integer projector, rounded to 2^-160, so corner points
         # share leaves to ~1e-48 and the long Birkhoff differences stay clean.
-        w_fr = split.project_fractions(w, "stable")
-        u_fr = split.project_fractions(u, "unstable")
-        alpha_fr = flow.rationalize(alpha)
-        beta_fr = tuple(a + b for a, b in zip(alpha_fr, w_fr))    # base of b on W^s(a)
-        zeta_fr = tuple(a + b for a, b in zip(alpha_fr, u_fr))    # base of x on W^u(a)
+        w_ex = lifted(*split.project(w, "stable"))
+        u_ex = lifted(*split.project(u, "unstable"))
+        alpha = lifted(alpha, den)
+        beta = [a + b for a, b in zip(alpha, w_ex)]    # base of b on W^s(a)
+        zeta = [a + b for a, b in zip(alpha, u_ex)]    # base of x on W^u(a)
         # base of Hol_{a,b}(x) on W^s(x), and of y on W^u(b): x + w = b + u
-        hol_fr = tuple(a + b for a, b in zip(zeta_fr, w_fr))
+        hol = [a + b for a, b in zip(zeta, w_ex)]
         # forward sums over k < n_fwd, backward sums over k = 1..n_bwd
         plans.append((
-            walk(False, n_fwd, beta_fr), walk(False, n_fwd, alpha_fr),
-            walk(True, n_bwd, alpha_fr), walk(True, n_bwd, zeta_fr),
-            walk(False, n_fwd, hol_fr), walk(False, n_fwd, zeta_fr),
-            walk(True, n_bwd, beta_fr), walk(True, n_bwd, hol_fr),
+            walk(False, n_fwd, beta), walk(False, n_fwd, alpha),
+            walk(True, n_bwd, alpha), walk(True, n_bwd, zeta),
+            walk(False, n_fwd, hol), walk(False, n_fwd, zeta),
+            walk(True, n_bwd, beta), walk(True, n_bwd, hol),
         ))
     sums = {
-        (backward, n): flow.birkhoff_exact(starts, n, backward=backward)
+        (backward, n): flow.birkhoff_exact(starts, big, n, backward=backward)
         for (backward, n), starts in groups.items()
     }
     values = []
@@ -299,13 +304,13 @@ def pcf_gradient(
     poly = flow.roof.poly
     if poly.is_constant():
         return np.zeros(flow.dim_unstable)
-    z0 = flow.rationalize(a.base() + u)
-    total = flow.stable_gradient(z0, flow.proj_s @ w)
+    [z0], den = exact_points([a.base() + u])
+    total = flow.stable_gradient(z0, den, flow.proj_s @ w)
     # backward gaps L^-n w mod 1, exact and wrapped, one segment per call
-    gaps = affine_orbit(flow.inv_entries, (0,) * flow.dim,
-                        [[Fraction(v) for v in w]], centred=True, skip=1)
+    gaps = affine_orbit(flow.inv_entries, (0,) * flow.dim, *intlinalg.dyadic([w]),
+                        centred=True, skip=1)
     return flow.unstable_gradient(
-        z0, lambda points: poly.gradient_diff_rows(points, next(gaps)[0]), total
+        z0, den, lambda points: poly.gradient_diff_rows(points, next(gaps)[0]), total
     )
 
 

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice, product
 
 import numpy as np
 
 from . import intlinalg, mpspec, util
 from .errors import ChartExit, ResidualBelowNoise
-from .flow import RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sums, walk_states, wrap_unit
+from .flow import (
+    RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sums, exact_points, walk_states, wrap_unit,
+)
 from .roof import PeriodicOrbitRecord, periodic_points, row_products
 from .spectral import InvariantSubspaceCatalog
 
@@ -93,9 +94,6 @@ class SectionChart:
 
     # -- leaf-graph series -------------------------------------------------
 
-    def stable_fraction_vector(self, y: float) -> tuple[Fraction, ...]:
-        return self.split.project_fractions(self.s_unit * float(y), "stable")
-
     def t_series(self, x, y: float) -> float:
         """Unperturbed stable graph time T(x, y); zero on both axes.
 
@@ -107,10 +105,11 @@ class SectionChart:
         if poly.is_constant() or float(y) == 0.0 or not np.any(x):
             return 0.0
         flow = self.flow
-        z = flow.rationalize(self.embed(x, 0.0))
+        z, z_den = exact_points([self.embed(x, 0.0)])
         lip = poly.lipschitz_bound()
         lam_abs = abs(self.lam)
-        gap = np.array([[float(c) for c in self.stable_fraction_vector(y)]])
+        w, den = self.split.project(self.s_unit * float(y), "stable")
+        gap = np.array([[v / den for v in w]])
 
         def segment(points, active):
             nonlocal gap
@@ -125,18 +124,16 @@ class SectionChart:
             return ([terms.tolist()],
                     (2.0 * lip * np.sqrt(squares) / (1.0 - lam_abs)).tolist())
 
-        return certified_sums(flow.exact_orbit([z]), segment, VALUE_TOL, [0.0])[0][0]
+        return certified_sums(flow.exact_orbit(z, z_den), segment, VALUE_TOL, [0.0])[0][0]
 
     def t_gradient_at_zero(self, y: float) -> np.ndarray:
         """D_x T(0, y): the forward PCF gradient half along the stable axis orbit."""
         poly = self.flow.roof.poly
         if poly.is_constant() or float(y) == 0.0:
             return np.zeros(self.dim_unstable)
-        flow = self.flow
+        w, den = self.split.project(self.s_unit * float(y), "stable")
         # the origin is fixed, so its orbit repeats it
-        origin = tuple(Fraction(0) for _ in range(flow.dim))
-        w = np.array([float(c) for c in self.stable_fraction_vector(y)])
-        return flow.stable_gradient(origin, w)
+        return self.flow.stable_gradient((0,) * self.flow.dim, 1, np.array([v / den for v in w]))
 
     def unstable_slope(self, y: float) -> np.ndarray:
         """Tangent slope of the unstable-leaf graph through (0, y) in the
@@ -146,11 +143,11 @@ class SectionChart:
         if poly.is_constant() or float(y) == 0.0:
             return np.zeros(self.dim_unstable)
         flow = self.flow
-        r = flow.rationalize(self.stable_fraction_vector(y))
+        r, den = self.split.project(self.s_unit * float(y), "stable")
         # the origin is fixed (no translation), so its gradient is too
         grad_origin = poly.gradient(np.zeros(flow.dim))
         return flow.unstable_gradient(
-            r, lambda pts: grad_origin - poly.gradient_rows(pts), 0.0
+            r, den, lambda pts: grad_origin - poly.gradient_rows(pts), 0.0
         )
 
 
@@ -185,8 +182,8 @@ def make_heteroclinic_datum(
     """
     den = q_orbit.den
     target = [c + int(m) * den for c, m in zip(q_orbit.numerators[q_index], offset)]
-    r_fr = chart.split.project_fractions([t / den for t in target], "stable")
-    r_float = np.array([float(c) for c in r_fr])
+    r, r_den = chart.split.project([t / den for t in target], "stable")
+    r_float = np.array([v / r_den for v in r])
     y_r = float(r_float @ chart.s_unit / (chart.s_unit @ chart.s_unit))
     dist = _verify_backward_approach(chart, target, q_orbit, VERIFY_STEPS)
     if dist > 1e-8:
@@ -198,7 +195,7 @@ def make_heteroclinic_datum(
         q_index=q_index,
         offset=tuple(int(v) for v in offset),
         y_r=y_r,
-        r_base=tuple(float(v % 1) for v in r_fr),
+        r_base=tuple((v % r_den) / r_den for v in r),
         backward_distance=dist,
     )
 
@@ -372,16 +369,18 @@ def return_series(chart: SectionChart, bump: Bump | None, x, y: float) -> Return
     if bump is None:
         return ReturnLedger(steps=(), gaps=(), terms=(), total=0.0)
     flow = chart.flow
-    z0 = flow.rationalize(chart.embed(x, 0.0))
-    w_fr = chart.stable_fraction_vector(y)
-    z1 = tuple(a + b for a, b in zip(z0, w_fr))
+    [z0], z_den = exact_points([chart.embed(x, 0.0)])
+    w, w_den = chart.split.project(chart.s_unit * float(y), "stable")
+    den = max(z_den, w_den)   # both powers of two, so their lcm
+    z0 = [v * (den // z_den) for v in z0]
+    z1 = [a + b * (den // w_den) for a, b in zip(z0, w)]   # left unreduced
     lam_abs = abs(chart.lam)
     lip = bump.lipschitz_bound()
     hat_radius = HAT_FACTOR * bump.radius
     screen_sq = hat_radius**2 * (1.0 + SCREEN_SLACK)
     centre = np.zeros(chart.dim_unstable + 1)
     centre[-1] = bump.center_y
-    gap = float(np.linalg.norm([float(v) for v in w_fr]))
+    gap = float(np.linalg.norm([v / w_den for v in w]))
     if lip * gap / (1.0 - lam_abs) < RETURN_TOL:   # the whole series is already below tol
         return ReturnLedger(steps=(), gaps=(), terms=(), total=0.0)
     steps, gaps, terms = [], [], []
@@ -410,7 +409,8 @@ def return_series(chart: SectionChart, bump: Bump | None, x, y: float) -> Return
         gap, walked = float(ahead[-1]), walked + len(seg0)
         return [row], [(lip * ahead[1:] / (1.0 - lam_abs)).tolist()]
 
-    pair = (block[None] for block in flow.exact_orbit([z0, z1]))   # one series, two points a row
+    # one series, two points a row
+    pair = (block[None] for block in flow.exact_orbit([z0, z1], den))
     (total,), (count,) = certified_sums(pair, segment, RETURN_TOL, [0.0])
     kept = sum(1 for n in steps if n < count)   # no step past the stop
     return ReturnLedger(tuple(steps[:kept]), tuple(gaps[:kept]), tuple(terms[:kept]), total)
@@ -579,8 +579,6 @@ def grassmannian_sweep(
     kernel of (A - c'). The report records which gradients avoid every F
     and the principal-angle diameter of the swept graphs.
     """
-    if not catalog.finite:
-        raise ValueError("sweep needs a finite invariant-subspace catalog")
     n_u = chart.dim_unstable
     slope = chart.unstable_slope(datum.y_r)
     base_grad = chart.t_gradient_at_zero(datum.y_r)

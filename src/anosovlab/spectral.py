@@ -9,10 +9,11 @@ spectra, and enumerate the invariant subspaces of the unstable restriction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,7 @@ class SpectralData:
     """Eigenvalues, certified moduli, and real stable/unstable bases."""
 
     matrix: IntegerMatrix
+    char_poly: tuple[int, ...]              # monic, ascending coefficients
     eigenvalues: tuple[complex, ...]        # with multiplicity
     moduli: tuple[float, ...]               # sorted ascending, with multiplicity
     blocks: tuple[SpectralBlock, ...]
@@ -290,13 +292,16 @@ def _root_subspace_basis(arr: np.ndarray, lam: complex, pair: bool, mult: int) -
     return _complex_null_basis(m, (2 if pair else 1) * mult, pair)
 
 
+@functools.lru_cache(maxsize=64)
 def spectral_data(matrix: IntegerMatrix) -> SpectralData:
     """Classify the spectrum of an integer unimodular matrix.
 
     Roots are Newton-polished on the exact characteristic polynomial and
     carry a posteriori error bounds; hyperbolicity is certified only when
     every modulus clears 1 by ten times its bound, otherwise NotHyperbolic
-    is raised.
+    is raised. A matrix is classified once per process and every caller
+    shares the result, so its arrays are read-only; the cache is bounded so
+    that `enumerate_catalog` does not keep every polynomial it tries.
     """
     coeffs = characteristic_polynomial(matrix)
     roots = _root_multiplicities(coeffs)
@@ -342,11 +347,14 @@ def spectral_data(matrix: IntegerMatrix) -> SpectralData:
     stable_basis = np.hstack(stable_cols) if stable_cols else np.zeros((matrix.dim, 0))
     unstable_basis = np.hstack(unstable_cols) if unstable_cols else np.zeros((matrix.dim, 0))
 
+    for array in (stable_basis, unstable_basis, *(b.basis for b in blocks)):
+        array.flags.writeable = False
     n_stable = sum(1 for m in moduli if m < 1.0)
     codim_one = n_stable == 1
     complex_unstable = any(b.is_complex_pair and not b.is_stable for b in blocks)
     return SpectralData(
         matrix=matrix,
+        char_poly=tuple(coeffs),
         eigenvalues=tuple(eigenvalues),
         moduli=moduli,
         blocks=tuple(blocks),
@@ -395,72 +403,31 @@ def spectral_gap_condition(data: SpectralData) -> SpectralGapReport:
 class InvariantSubspaceCatalog:
     """Proper nontrivial invariant subspaces of the unstable restriction."""
 
-    finite: bool
     subspaces: tuple[np.ndarray, ...]      # each d x k column basis
-    cause_of_infinitude: str | None = None
 
 
 def invariant_unstable_subspaces(data: SpectralData) -> InvariantSubspaceCatalog:
-    """All sums of distinct unstable root blocks, or finite=False.
+    """All sums of distinct unstable blocks but E^u itself; a finite catalog.
 
-    A repeated eigenvalue with two independent eigenvectors makes every
-    line in its eigenspace invariant, so the catalog is infinite. A
-    repeated eigenvalue with a single eigenvector contributes its Krylov
-    flag chain instead of a single block.
+    Only codimension-one bases are taken (reading data.lam refuses the
+    rest), and their spectrum is simple: every monic integer factor of p
+    has constant term +-1, so it has a root inside the unit circle, and
+    only one root lies there, so p is irreducible. The invariant subspaces
+    of E^u are then exactly the sums of its eigenlines and complex-pair
+    planes.
     """
-    ublocks = data.unstable_blocks()
+    data.lam   # the codimension-one gate
+    ublocks = [b.basis for b in data.unstable_blocks()]
     arr = data.matrix.as_array()
-
-    # options per block: increasing chain of invariant subspaces inside the
-    # block's generalized eigenspace (plus the empty choice)
-    options: list[list[np.ndarray]] = []
-    for b in ublocks:
-        if b.multiplicity == 1:
-            options.append([b.basis])
-            continue
-        width = 2 if b.is_complex_pair else 1
-        m = arr.astype(complex) - b.eigenvalue * np.eye(arr.shape[0])
-        geo = _null_dim(m)
-        if geo >= 2:
-            return InvariantSubspaceCatalog(
-                finite=False,
-                subspaces=(),
-                cause_of_infinitude=(
-                    f"eigenvalue {b.eigenvalue} repeats with {geo} independent "
-                    "eigenvectors; every line in the eigenspace is invariant"
-                ),
-            )
-        chain = []
-        mk = np.eye(arr.shape[0], dtype=complex)
-        for j in range(1, b.multiplicity + 1):
-            mk = mk @ m
-            basis = _complex_null_basis(mk, width * j, b.is_complex_pair)
-            chain.append(basis)
-        options.append(chain)
-
-    subspaces = []
-    # choices: pick nothing or one chain element per block; drop 0 and full
-    for picks in product(*[[None, *range(len(ch))] for ch in options]):
-        chosen = [options[i][p] for i, p in enumerate(picks) if p is not None]
-        if not chosen:
-            continue
-        basis = np.hstack(chosen)
-        if basis.shape[1] >= data.unstable_basis.shape[1]:
-            continue
-        subspaces.append(basis)
+    subspaces = [
+        np.hstack(chosen)
+        for k in range(1, len(ublocks)) for chosen in combinations(ublocks, k)
+    ]
     subspaces.sort(key=lambda b: (b.shape[1], tuple(np.round(b.flatten(), 9))))
     for sub in subspaces:
         if not util.contains_subspace(sub, arr @ sub, tol=1e-10):
             raise ArithmeticError("catalog subspace failed the invariance residual")
-    return InvariantSubspaceCatalog(finite=True, subspaces=tuple(subspaces))
-
-
-def _null_dim(m: np.ndarray) -> int:
-    sv = np.linalg.svd(m, compute_uv=False)
-    top = sv[0] if sv.size else 0.0
-    if top == 0.0:
-        return m.shape[1]
-    return int(np.sum(sv <= NULL_CUTOFF * top))
+    return InvariantSubspaceCatalog(subspaces=tuple(subspaces))
 
 
 def _complex_null_basis(m: np.ndarray, expect: int, realify: bool) -> np.ndarray:

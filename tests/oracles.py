@@ -26,7 +26,11 @@ and `limb_numerators` reads that branch's limbs back as Python ints.
 that the int64 arrays of `roof.periodic_points` replaced.
 `MPSplittingReference` is the 60-digit mpmath splitting that the exact
 integer projector of `mpspec` replaced, and `tests/test_mpspec.py` holds
-the projector's roundings to it bit for bit. Print the literals with
+the projector's roundings to it bit for bit. `rationalize` is the
+Fraction form of the orbit starts that `flow.exact_points` replaced, and
+the references above build their corners with it and Fraction sums;
+`numerators` hands such points to the package's exact orbits as integer
+numerators over their lcm. Print the literals with
 
     PYTHONPATH=src python tests/oracles.py
 """
@@ -37,6 +41,23 @@ from itertools import chain, islice
 from pprint import pprint
 
 import mpmath as mp
+
+
+def rationalize(x):
+    """A float point as exact Fractions reduced into [0, 1)."""
+    return tuple(Fraction(float(v)) % 1 for v in x)
+
+
+def numerators(points):
+    """Rows of Fractions as (numerator rows, den), den the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for row in points for v in row))
+    return [tuple(v.numerator * (den // v.denominator) for v in row) for row in points], den
+
+
+def projected(split, v, direction):
+    """`MPSplitting.project` of a float vector as a tuple of Fractions."""
+    nums, den = split.project(v, direction)
+    return tuple(Fraction(n, den) for n in nums)
 
 
 def roof_mp(poly, x):
@@ -303,8 +324,8 @@ def return_series_reference(chart, bump, x, y):
     from anosovlab.flow import RETURN_TOL
 
     flow = chart.flow
-    z0 = flow.rationalize(chart.embed(x, 0.0))
-    w_fr = chart.stable_fraction_vector(y)
+    z0 = rationalize(chart.embed(x, 0.0))
+    w_fr = projected(chart.split, chart.s_unit * float(y), "stable")
     z1 = tuple(a + b for a, b in zip(z0, w_fr))
     lam_abs = abs(chart.lam)
     lip = bump.lipschitz_bound()
@@ -313,8 +334,8 @@ def return_series_reference(chart, bump, x, y):
 
     def pairs(gap):
         yield 0.0, lip * gap / (1.0 - lam_abs)
-        orbit0 = chain.from_iterable(block[0] for block in flow.exact_orbit([z0]))
-        orbit1 = chain.from_iterable(block[0] for block in flow.exact_orbit([z1]))
+        orbit0 = chain.from_iterable(block[0] for block in flow.exact_orbit(*numerators([z0])))
+        orbit1 = chain.from_iterable(block[0] for block in flow.exact_orbit(*numerators([z1])))
         for n, (p0, p1) in enumerate(zip(orbit0, orbit1)):
             x1, y1 = chart.coords(p1)
             x0c, y0c = chart.coords(p0)
@@ -367,7 +388,7 @@ def time_adjustment_reference(flow, x, y, direction):
         rate = 1.0 / flow.spectral.xi_min
         delta = proj @ (step @ delta)
     orbit = (block[0] for block in flow.exact_orbit(
-        [flow.rationalize(xa)], backward=direction == "unstable"))
+        *numerators([rationalize(xa)]), backward=direction == "unstable"))
     contraction = max(1.0 - rate, 1e-12)
     return certified_sum(
         (
@@ -526,16 +547,18 @@ def temporal_distance_geometric_reference(flow, quad, tol=1e-8):
     n_fwd = pcf._horizon(flow, flow.spectral.lam, max(np.linalg.norm(w), 1e-6), target)
     n_bwd = pcf._horizon(flow, 1.0 / flow.spectral.xi_min, max(np.linalg.norm(u), 1e-6), target)
     split = mpspec.splitting(flow.base)
-    w_fr = split.project_fractions(w, "stable")
-    u_fr = split.project_fractions(u, "unstable")
-    alpha_fr = flow.rationalize(alpha)
+    w_fr = projected(split, w, "stable")
+    u_fr = projected(split, u, "unstable")
+    alpha_fr = rationalize(alpha)
+
+    def birkhoff(z, n, backward=False):
+        return flow.birkhoff_exact(*numerators([z]), n, backward=backward)[0]
 
     def forward_diff(z0, z1):
-        return flow.birkhoff_exact([z1], n_fwd)[0] - flow.birkhoff_exact([z0], n_fwd)[0]
+        return birkhoff(z1, n_fwd) - birkhoff(z0, n_fwd)
 
     def backward_diff(z0, z1):
-        return (flow.birkhoff_exact([z0], n_bwd, backward=True)[0]
-                - flow.birkhoff_exact([z1], n_bwd, backward=True)[0])
+        return birkhoff(z0, n_bwd, backward=True) - birkhoff(z1, n_bwd, backward=True)
 
     beta_fr = tuple(a + b for a, b in zip(alpha_fr, w_fr))
     zeta_fr = tuple(a + b for a, b in zip(alpha_fr, u_fr))
@@ -552,8 +575,8 @@ class MPSplittingReference:
 
     Finds every root of the characteristic polynomial with `mp.polyroots`,
     solves for each eigenvector by LU, inverts the eigenvector frame and
-    sums the stable rank-one projectors; `project_fractions` rounds the
-    60-digit projection of a float vector to a multiple of 2^-160.
+    sums the stable rank-one projectors; `project` rounds the 60-digit
+    projection of a float vector to numerators over 2^160.
     """
 
     DPS = 60
@@ -609,14 +632,14 @@ class MPSplittingReference:
             return [x / norm for x in v]
         raise ArithmeticError("could not solve eigenvector system")
 
-    def project_fractions(self, v, direction):
+    def project(self, v, direction):
         d = self.matrix.dim
         scale = 1 << self.DYADIC_BITS
         with mp.workdps(self.DPS):
             vv = mp.matrix([mp.mpf(float(c)) for c in v])
             sv = self.stable_proj * vv
             out = sv if direction == "stable" else vv - sv
-            return tuple(Fraction(int(mp.nint(out[i] * scale)), scale) for i in range(d))
+            return [int(mp.nint(out[i] * scale)) for i in range(d)], scale
 
 
 def return_pin_setups():

@@ -293,6 +293,25 @@ class TestCliExitCodes:
         assert "must be a finite number" in result.stderr
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("name, section, update", [
+        ("bunching_companion3.json", "matrix", {"poly": [-1, 0, 1.2, 1]}),
+        ("bunching_companion3.json", "matrix", {"poly": [-1, 0, True, 1]}),
+        ("livshits_obstructed.json", "matrix", {"entries": [[2.9, 1], [1, True]]}),
+        ("livshits_obstructed.json", "roof", {"terms": [{"k": [1.7, 0], "re": 0.05}]}),
+        ("livshits_planted.json", "params",
+         {"plant_coboundary": {"amplitude": 0.05, "freq": [1.7, 0]}}),
+    ])
+    def test_non_integer_integers_exit_two(self, tmp_path, name, section, update):
+        # int() once truncated these to a valid matrix, frequency or plant
+        payload = json.loads((CONFIGS / name).read_text())
+        payload[section].update(update)
+        bad = tmp_path / name
+        bad.write_text(json.dumps(payload))
+        result = run_cli([payload["kind"], "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "must be a non-empty list of integers" in result.stderr
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_missing_config_exit_two(self, tmp_path):
         result = run_cli([
             "catalog", "--config", str(tmp_path / "absent.json"),

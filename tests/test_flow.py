@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import cos_roof
 from oracles import (
-    certified_sum, distance_mp, evolve_mp, kahan_birkhoff, limb_numerators,
-    python_int_segments, time_adjustment_reference,
+    certified_sum, distance_mp, evolve_mp, kahan_birkhoff, limb_numerators, numerators,
+    projected, python_int_segments, rationalize, time_adjustment_reference,
 )
 
 from anosovlab import flow as flow_module
 from anosovlab import intlinalg, mpspec, pcf, perturb
 from anosovlab.errors import OffLeaf, TruncationInsufficient
-from anosovlab.flow import SuspensionFlow, affine_orbit, wrap_unit
+from anosovlab.flow import SuspensionFlow, affine_orbit, exact_points, wrap_unit
 from anosovlab.roof import RoofFunction
 from anosovlab.spectral import IntegerMatrix
 
@@ -105,7 +105,7 @@ class TestTimeAdjustment:
         # t = 30 below 1e-6 with the adjustment, above 1e-2 without
         split = mpspec.splitting(cat_map)
         x = [Fraction(3, 10), Fraction(11, 20)]
-        w_fr = split.project_fractions(0.04 * cat_flow.stable_frame()[:, 0], "stable")
+        w_fr = projected(split, 0.04 * cat_flow.stable_frame()[:, 0], "stable")
         y_fr = [a + b for a, b in zip(x, w_fr)]
         [delta] = cat_flow.time_adjustment(
             [([float(v) for v in x], [float(v) for v in y_fr], "stable")]
@@ -119,9 +119,7 @@ class TestTimeAdjustment:
     def test_defining_property_unstable(self, cat_flow, cat_map):
         split = mpspec.splitting(cat_map)
         x = [Fraction(3, 10), Fraction(11, 20)]
-        u_fr = split.project_fractions(
-            0.04 * cat_flow.unstable_frame()[:, 0], "unstable"
-        )
+        u_fr = projected(split, 0.04 * cat_flow.unstable_frame()[:, 0], "unstable")
         y_fr = [a + b for a, b in zip(x, u_fr)]
         [delta] = cat_flow.time_adjustment(
             [([float(v) for v in x], [float(v) for v in y_fr], "unstable")]
@@ -275,7 +273,7 @@ class TestStrongManifoldPoint:
     def test_asymptotic_contraction_monotone(self, cat_flow, cat_map):
         split = mpspec.splitting(cat_map)
         x = [Fraction(3, 10), Fraction(11, 20)]
-        w_fr = split.project_fractions(0.04 * cat_flow.stable_frame()[:, 0], "stable")
+        w_fr = projected(split, 0.04 * cat_flow.stable_frame()[:, 0], "stable")
         y_fr = [a + b for a, b in zip(x, w_fr)]
         y = [float(v) for v in y_fr]
         q = cat_flow.make_point(
@@ -329,13 +327,13 @@ class TestTranslation:
 
 class TestExactOrbits:
     def test_rational_orbit_matches_float(self, companion3_flow):
-        pt = companion3_flow.rationalize([0.3, 0.6, 0.1])
+        pt = rationalize([0.3, 0.6, 0.1])
         exact = companion3_flow.base_apply_exact(pt)
         floats = companion3_flow.base_apply(np.array([0.3, 0.6, 0.1]))
         assert np.allclose([float(v) for v in exact], floats, atol=1e-14)
 
     def test_inverse_round_trip(self, companion3_flow):
-        pt = companion3_flow.rationalize([0.31, 0.62, 0.13])
+        pt = rationalize([0.31, 0.62, 0.13])
         back = companion3_flow.base_apply_inv_exact(
             companion3_flow.base_apply_exact(pt)
         )
@@ -346,7 +344,8 @@ class TestExactOrbits:
         # the horizon stays short of the double-precision shadowing limit
         x = (0.37, 0.91)
         direct = kahan_birkhoff(cat_flow.roof, cat_map, x, 10)
-        assert cat_flow.birkhoff_exact([x], 10)[0] == pytest.approx(direct, abs=1e-11)
+        assert cat_flow.birkhoff_exact(*exact_points([x]), 10)[0] == pytest.approx(
+            direct, abs=1e-11)
 
 
 # segment sizes of the batched series: one point, a small size that ends
@@ -377,7 +376,7 @@ class TestSegments:
         x = (0.37, 0.91, 0.18)
 
         def sums():
-            return [segment_flow.birkhoff_exact([x], n, backward=backward)[0]
+            return [segment_flow.birkhoff_exact(*exact_points([x]), n, backward=backward)[0]
                     for n in (1, 45, 77) for backward in (False, True)]
 
         expected = per_point_series(sums)
@@ -500,10 +499,10 @@ def _starts_over(den):
     )
 
 
-# float starts as the series rationalize them, and starts over each of the
+# float starts as the series take them, and starts over each of the
 # denominators above, as the refined leaf vectors are
 _starts = st.one_of(
-    st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3).map(SuspensionFlow.rationalize),
+    st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3).map(rationalize),
     st.sampled_from(DENOMINATORS).flatmap(_starts_over),
 )
 
@@ -526,10 +525,12 @@ def test_exact_orbit_matches_fraction_maps(companion3_flow, translated3, start, 
         for segment in SEGMENTS:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(flow_module, "SEGMENT", segment)
-                fwd = chain.from_iterable(b[0] for b in flow.exact_orbit([start]))
-                bwd = chain.from_iterable(b[0] for b in flow.exact_orbit([start], backward=True))
-                walk = chain.from_iterable(
-                    b[0] for b in affine_orbit(inv, (0, 0, 0), [gaps[0]], centred=True))
+                nums, den = numerators([start])
+                fwd = chain.from_iterable(b[0] for b in flow.exact_orbit(nums, den))
+                bwd = chain.from_iterable(
+                    b[0] for b in flow.exact_orbit(nums, den, backward=True))
+                walk = chain.from_iterable(b[0] for b in affine_orbit(
+                    inv, (0, 0, 0), *numerators([gaps[0]]), centred=True))
                 for n in range(300):
                     assert tuple(next(fwd)) == tuple(float(v) for v in ahead[n])
                     assert tuple(next(walk)) == tuple(float(v) for v in gaps[n])
@@ -665,7 +666,7 @@ def test_centred_walk_at_two_to_the_64(companion3):
     assert got == expected
     assert all(-den // 2 <= v < den // 2 for nums in got for v in nums)
     points = chain.from_iterable(b[0] for b in affine_orbit(
-        inv, (0, 0, 0), [[Fraction(v, den) for v in start]], centred=True))
+        inv, (0, 0, 0), [start], den, centred=True))
     assert [tuple(p) for p in islice(points, 70)] == [
         tuple(v / den for v in nums) for nums in expected
     ]
@@ -676,7 +677,7 @@ def test_birkhoff_exact_ends_mid_segment(segment_flow, backward):
     # 45 terms: the second segment is cut after 13 of its points
     n = 45
     assert n % flow_module.SEGMENT
-    point = segment_flow.rationalize((0.37, 0.91, 0.18))
+    point = rationalize((0.37, 0.91, 0.18))
     expected = 0.0
     for _ in range(n):
         if backward:
@@ -684,7 +685,8 @@ def test_birkhoff_exact_ends_mid_segment(segment_flow, backward):
         expected += segment_flow.roof.poly.evaluate([float(v) for v in point])
         if not backward:
             point = segment_flow.base_apply_exact(point)
-    assert segment_flow.birkhoff_exact([(0.37, 0.91, 0.18)], n, backward=backward) == [expected]
+    assert segment_flow.birkhoff_exact(
+        *exact_points([(0.37, 0.91, 0.18)]), n, backward=backward) == [expected]
 
 
 @pytest.mark.parametrize("translated", [False, True])
@@ -695,16 +697,17 @@ def test_birkhoff_exact_batch_matches_single_starts(companion3_flow, translated3
     # share one limb walk in a batch (a Python-int walk on the x7 flow);
     # each sum equals its start walked alone, in either order
     flow = translated3 if translated else companion3_flow
-    w = mpspec.splitting(flow.base).project_fractions(0.02 * flow.stable_frame()[:, 0], "stable")
-    alpha = flow.rationalize((0.37, 0.91, 0.18))
+    w = projected(mpspec.splitting(flow.base), 0.02 * flow.stable_frame()[:, 0], "stable")
+    alpha = rationalize((0.37, 0.91, 0.18))
     starts = [
-        (0.37, 0.91, 0.18), (-0.3, 1.25, 1e-5),
+        alpha, rationalize((-0.3, 1.25, 1e-5)),
         tuple(a + b for a, b in zip(alpha, w)), tuple(a - b for a, b in zip(alpha, w)),
     ]
     n = 77
-    singles = [flow.birkhoff_exact([x], n, backward=backward)[0] for x in starts]
-    assert flow.birkhoff_exact(starts, n, backward=backward) == singles
-    assert flow.birkhoff_exact(starts[::-1], n, backward=backward) == singles[::-1]
+    singles = [flow.birkhoff_exact(*numerators([x]), n, backward=backward)[0] for x in starts]
+    nums, den = numerators(starts)
+    assert flow.birkhoff_exact(nums, den, n, backward=backward) == singles
+    assert flow.birkhoff_exact(nums[::-1], den, n, backward=backward) == singles[::-1]
 
 
 def test_wrap_unit():

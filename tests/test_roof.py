@@ -8,11 +8,11 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import seven_term_roof
-from oracles import periodic_points_reference
+from oracles import periodic_points_reference, rationalize
 
 from anosovlab import roof as roof_module
 from anosovlab.errors import NonHyperbolicPeriod, ObstructionNonzero
-from anosovlab.flow import SuspensionFlow
+from anosovlab.flow import SuspensionFlow, exact_points
 from anosovlab.roof import (
     OBSTRUCTION_CSV_HEADER,
     RoofFunction,
@@ -372,7 +372,7 @@ class TestPeriodicPoints:
 class TestBirkhoffSums:
     def test_constant_roof(self, cat_map):
         flow = SuspensionFlow(cat_map, RoofFunction.constant(2.5, 2))
-        assert flow.birkhoff_exact([(0.3, 0.7)], 4) == [pytest.approx(10.0)]
+        assert flow.birkhoff_exact(*exact_points([(0.3, 0.7)]), 4) == [pytest.approx(10.0)]
 
     def test_telescoping_on_periodic_orbits(self, cat_map):
         roof, _ = planted_coboundary_roof(cat_map)
@@ -387,11 +387,12 @@ class TestBirkhoffSums:
         for _ in range(10):
             x = tuple(rng.random(2))
             n = int(rng.integers(1, 40))
-            point, values = flow.rationalize(x), []
+            point, values = rationalize(x), []
             for _ in range(n):
                 values.append(flow.roof(tuple(float(c) for c in point)))
                 point = flow.base_apply_exact(point)
-            assert flow.birkhoff_exact([x], n)[0] == pytest.approx(math.fsum(values), abs=1e-11)
+            assert flow.birkhoff_exact(*exact_points([x]), n)[0] == pytest.approx(
+                math.fsum(values), abs=1e-11)
 
 
 class TestObstructions:

@@ -149,11 +149,10 @@ class TestSpectralGap:
 class TestInvariantSubspaces:
     def test_complex_pair_has_none(self, companion3):
         catalog = invariant_unstable_subspaces(spectral_data(companion3))
-        assert catalog.finite and len(catalog.subspaces) == 0
+        assert len(catalog.subspaces) == 0
 
     def test_three_real_lines_give_six(self, quartic_real):
         catalog = invariant_unstable_subspaces(spectral_data(quartic_real))
-        assert catalog.finite
         dims = sorted(b.shape[1] for b in catalog.subspaces)
         assert dims == [1, 1, 1, 2, 2, 2]
 
@@ -164,11 +163,20 @@ class TestInvariantSubspaces:
             catalog = invariant_unstable_subspaces(data)
             assert len(catalog.subspaces) == 2**k - 2
 
-    def test_repeated_eigenvalue_with_plane_is_infinite(self):
+    def test_cat_plus_cat_is_refused(self):
+        # a repeated eigenvalue with a plane of eigenvectors would make the
+        # catalog infinite; it takes two stable roots, so it is never codim one
         m = IntegerMatrix([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]])
-        catalog = invariant_unstable_subspaces(spectral_data(m))
-        assert not catalog.finite
-        assert "independent eigenvectors" in catalog.cause_of_infinitude
+        with pytest.raises(NotCodimensionOne):
+            invariant_unstable_subspaces(spectral_data(m))
+
+    @pytest.mark.parametrize("d, coeff_bound", [(3, 3), (4, 2), (5, 1)])
+    def test_codimension_one_spectra_are_simple(self, d, coeff_bound):
+        # the catalog sums single blocks because no codimension-one base
+        # has a repeated root
+        entries = enumerate_catalog(d, coeff_bound)
+        assert entries
+        assert all(b.multiplicity == 1 for e in entries for b in e.data.blocks)
 
     def test_invariance_residuals(self, quartic_real):
         data = spectral_data(quartic_real)
