@@ -196,9 +196,8 @@ def _run_livshits(cfg, out):
         "constant_equivalent": bool(report.spread <= p["tol"]),
     }
     try:
-        sol = roof.solve_coboundary(roof_fn, matrix, p["trunc"],
-                                    obstruction_tol=p["tol"],
-                                    obstructions=report)
+        sol = roof.solve_coboundary(roof_fn, matrix, p["trunc"], report,
+                                    obstruction_tol=p["tol"])
         payload.update({
             "solved": True,
             "constant_c": sol.constant_c,
@@ -217,6 +216,10 @@ def _run_pcf(cfg, out):
     }, optional={"s_scale": 0.02, "u_scale": 0.02, "tol": 1e-8})
     if p["n_samples"] < 1:
         raise ConfigInvalid("param n_samples must be at least 1")
+    for key in ("s_scale", "u_scale"):
+        # a zero displacement gives temporal distance 0 on both routes: a vacuous pass
+        if not p[key] > 0:
+            raise ConfigInvalid(f"param {key} must be positive, got {p[key]}")
     matrix = build_matrix(cfg.matrix)
     flow = SuspensionFlow(matrix, build_roof(cfg.roof, matrix.dim))
     quads = pcf.sample_quadrilaterals(
@@ -237,16 +240,20 @@ def _run_pcf(cfg, out):
 
 def _run_subbundle(cfg, out):
     p = _take(cfg.params, {
-        "base_point": list, "n_pairs": int, "budget": int,
+        "base_point": list, "budget": int,
         "translation": list, "patch_radius": float, "grid_n": int,
-    }, optional={"n_pairs": 2, "budget": 200, "patch_radius": 0.008, "grid_n": 3})
+    }, optional={"budget": 200, "patch_radius": 0.008, "grid_n": 3})
+    for key in ("budget", "grid_n"):
+        if p[key] < 1:
+            raise ConfigInvalid(f"param {key} must be at least 1")
     matrix = build_matrix(cfg.matrix)
     flow = SuspensionFlow(matrix, build_roof(cfg.roof, matrix.dim))
     bp = flow.make_point(_numbers("base_point", p["base_point"]), 0.0)
     translation = tuple(_parse_fraction(v) for v in p["translation"])
     flow2, conj = pcf.translate_flow(flow, translation)
+    # the patch Newton solve needs a square Jacobian: one pair per unstable direction
     pairs = pcf.find_independent_pairs(
-        flow, bp, count=p["n_pairs"], seed=cfg.seed, budget=p["budget"]
+        flow, bp, count=flow.dim_unstable, seed=cfg.seed, budget=p["budget"]
     )
     kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
     rec = pcf.reconstruct_conjugacy_patch(

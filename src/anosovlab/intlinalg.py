@@ -432,21 +432,3 @@ def unimodular_diagonalize(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatri
         tuple(tuple(row) for row in v),
     )
 
-
-def inverse_rational(a: IntMatrix) -> list[list[Fraction]]:
-    """Exact inverse over the rationals (raises on singular input)."""
-    n = len(a)
-    m = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]

@@ -459,7 +459,6 @@ def conjugacy_invariance_check(
 class PatchReconstruction:
     grid_offsets: np.ndarray        # (n, dim_u) coordinates in the unstable frame
     recovered: np.ndarray           # (n, d) recovered h^{-1} images (base points)
-    expected: np.ndarray            # (n, d) true h^{-1} images
     sup_error: float
 
 
@@ -554,6 +553,5 @@ def reconstruct_conjugacy_patch(
         )
     )
     return PatchReconstruction(
-        grid_offsets=offsets, recovered=recovered, expected=expected,
-        sup_error=sup_error,
+        grid_offsets=offsets, recovered=recovered, sup_error=sup_error,
     )

@@ -73,16 +73,10 @@ class SectionChart:
         spectral = self.flow.spectral
         return -math.log(spectral.lam) / math.log(spectral.xi_max)
 
-    def coords(self, v) -> tuple[np.ndarray, float]:
-        """Chart coordinates of a wrapped base displacement."""
-        w = wrap_unit(np.asarray([float(c) for c in v], dtype=float))
-        co = self.flow.frame_inv @ w
-        return co[: self.dim_unstable].copy(), float(co[-1])
-
     def coords_rows(self, points) -> np.ndarray:
-        """Chart coordinates (x, y) of each row of an (N, d) array, as (N, d) rows.
+        """Chart coordinates (x, y) of each wrapped row of an (N, d) array, as (N, d) rows.
 
-        Row i equals coords(points[i]) bit for bit.
+        The unstable x is the first dim_unstable columns and the stable y the last.
         """
         return row_products(self.flow.frame_inv, wrap_unit(points))
 
@@ -364,7 +358,8 @@ def return_series(chart: SectionChart, bump: Bump | None, x, y: float) -> Return
     Each pair of orbit segments is screened in one array pass. A row whose
     two points both lie outside the hat, with SCREEN_SLACK to spare, has
     term exactly 0.0, since the bump vanishes from one radius on, and is not
-    recorded; only the other rows run the per-point code.
+    recorded; only the other rows run the hat test and `Bump.value_chart`,
+    on the chart coordinates the screen already holds.
     """
     if bump is None:
         return ReturnLedger(steps=(), gaps=(), terms=(), total=0.0)
@@ -386,19 +381,19 @@ def return_series(chart: SectionChart, bump: Bump | None, x, y: float) -> Return
     steps, gaps, terms = [], [], []
     walked = 0   # orbit points before the current segment
 
-    def near(segment) -> np.ndarray:
-        off = chart.coords_rows(segment) - centre
+    def near(co) -> np.ndarray:
+        off = co - centre
         return np.einsum("ij,ij->i", off, off) <= screen_sq
 
     def segment(points, active):
         nonlocal gap, walked
-        seg0, seg1 = points[0]
+        co0, co1 = (chart.coords_rows(seg) for seg in points[0])
         # the gap at each point and after the segment, multiplied in turn
-        ahead = np.multiply.accumulate([gap] + [lam_abs] * len(seg0))
-        row = [0.0] * len(seg0)
-        for j in np.flatnonzero(near(seg0) | near(seg1)).tolist():
-            x1, y1 = chart.coords(seg1[j])
-            x0c, y0c = chart.coords(seg0[j])
+        ahead = np.multiply.accumulate([gap] + [lam_abs] * len(co0))
+        row = [0.0] * len(co0)
+        for j in np.flatnonzero(near(co0) | near(co1)).tolist():
+            x1, y1 = co1[j, :-1], float(co1[j, -1])
+            x0c, y0c = co0[j, :-1], float(co0[j, -1])
             d1 = math.hypot(float(np.linalg.norm(x1)), y1 - bump.center_y)
             d0 = math.hypot(float(np.linalg.norm(x0c)), y0c - bump.center_y)
             row[j] = bump.value_chart(x1, y1) - bump.value_chart(x0c, y0c)
@@ -406,7 +401,7 @@ def return_series(chart: SectionChart, bump: Bump | None, x, y: float) -> Return
                 steps.append(walked + j)
                 gaps.append(float(ahead[j]))
                 terms.append(row[j])
-        gap, walked = float(ahead[-1]), walked + len(seg0)
+        gap, walked = float(ahead[-1]), walked + len(co0)
         return [row], [(lip * ahead[1:] / (1.0 - lam_abs)).tolist()]
 
     # one series, two points a row
@@ -551,7 +546,6 @@ def remainder_exponent(
 @dataclass(frozen=True)
 class SweepEntry:
     gradient: tuple[float, ...]
-    corner: tuple[float, ...]
     contained_indices: tuple[int, ...]
     avoids_all: bool
 
@@ -607,7 +601,6 @@ def grassmannian_sweep(
         entries.append(
             SweepEntry(
                 gradient=tuple(float(v) for v in g),
-                corner=tuple(float(v) for v in corner),
                 contained_indices=tuple(contained),
                 avoids_all=not contained,
             )

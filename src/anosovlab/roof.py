@@ -132,9 +132,18 @@ class TrigPolynomial:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x) -> float:
-        xarr = np.asarray([float(v) for v in x], dtype=float) % 1.0
-        phases = np.exp(1j * TWO_PI * (self._freqs @ xarr))
-        return float(np.real(self._coeffs @ phases))
+        return self.evaluate_rows([x])[0]
+
+    def gradient(self, x) -> np.ndarray:
+        return self.gradient_rows([x])[0]
+
+    def eval_diff(self, x, delta) -> float:
+        """p(x + delta) - p(x), accurate to machine precision in the gap."""
+        return self.eval_diff_rows([x], [delta])[0]
+
+    def gradient_diff(self, x, delta) -> np.ndarray:
+        """grad p(x + delta) - grad p(x), accurate like eval_diff."""
+        return self.gradient_diff_rows([x], [delta])[0]
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (N, d) array of points."""
@@ -146,42 +155,14 @@ class TrigPolynomial:
             out[sl] = np.real(phases @ self._coeffs)
         return out
 
-    def gradient(self, x) -> np.ndarray:
-        xarr = np.asarray([float(v) for v in x], dtype=float) % 1.0
-        phases = np.exp(1j * TWO_PI * (self._freqs @ xarr))
-        return np.real((1j * TWO_PI * self._freqs.T) @ (self._coeffs * phases))
-
-    def eval_diff(self, x, delta) -> float:
-        """p(x + delta) - p(x), accurate to machine precision in the gap.
-
-        Uses e^{i a}(e^{i b} - 1) with the small factor computed from
-        sin/cos of b directly, so tiny stable-leaf gaps do not cancel.
-        """
-        xarr = np.asarray([float(v) for v in x], dtype=float) % 1.0
-        darr = np.asarray([float(v) for v in delta], dtype=float)
-        theta = TWO_PI * (self._freqs @ xarr)
-        beta = TWO_PI * (self._freqs @ darr)
-        expm1 = -2.0 * np.sin(0.5 * beta) ** 2 + 1j * np.sin(beta)
-        phases = np.exp(1j * theta) * expm1
-        return float(np.real(self._coeffs @ phases))
-
-    def gradient_diff(self, x, delta) -> np.ndarray:
-        """grad p(x + delta) - grad p(x) with the same pairing trick."""
-        xarr = np.asarray([float(v) for v in x], dtype=float) % 1.0
-        darr = np.asarray([float(v) for v in delta], dtype=float)
-        theta = TWO_PI * (self._freqs @ xarr)
-        beta = TWO_PI * (self._freqs @ darr)
-        expm1 = -2.0 * np.sin(0.5 * beta) ** 2 + 1j * np.sin(beta)
-        weights = self._coeffs * np.exp(1j * theta) * expm1
-        return np.real((1j * TWO_PI * self._freqs.T) @ weights)
-
-    # -- orbit segments --------------------------------------------------------
-    # The phase work (theta, beta, sin, exp) of a whole segment of orbit
-    # points runs as one numpy call per stage. Every dot product stays the
-    # per-point BLAS call, made once per row by `row_products`: one gemm
-    # over the segment accumulates in another order and with other FMA
-    # contractions, so it is not bit-identical to the methods above. Row i
-    # of each result equals the per-point method at row i, bit for bit.
+    # -- row kernels -----------------------------------------------------------
+    # The methods above are one-row calls of these kernels, which every
+    # series runs on a whole segment of orbit points. The phase work (theta,
+    # beta, sin, exp) runs as one numpy call per stage. Every dot product is
+    # one BLAS call per row, made by `row_products`: one gemm over the
+    # segment accumulates in another order and with other FMA contractions,
+    # so row i of each result would not equal the one-row call at row i bit
+    # for bit, as it does here.
 
     def evaluate_rows(self, points) -> list[float]:
         """evaluate() at each row of an (N, d) array."""
@@ -203,12 +184,16 @@ class TrigPolynomial:
         return np.exp(1j * theta), expm1
 
     def eval_diff_rows(self, points, deltas) -> list[float]:
-        """eval_diff() at each row pair of two (N, d) arrays."""
+        """eval_diff() at each row pair of two (N, d) arrays.
+
+        Uses e^{i a}(e^{i b} - 1) with the small factor computed from
+        sin/cos of b directly, so tiny stable-leaf gaps do not cancel.
+        """
         rotation, expm1 = self._diff_phases(points, deltas)
         return np.real(row_products(self._coeffs, rotation * expm1)).tolist()
 
     def gradient_diff_rows(self, points, deltas) -> np.ndarray:
-        """gradient_diff() at each row pair of two (N, d) arrays."""
+        """gradient_diff() at each row pair of two (N, d) arrays, paired the same way."""
         rotation, expm1 = self._diff_phases(points, deltas)
         weights = self._coeffs * rotation * expm1
         return np.real(row_products(1j * TWO_PI * self._freqs.T, weights))
@@ -585,8 +570,8 @@ def solve_coboundary(
     roof: RoofFunction,
     matrix: IntegerMatrix,
     trunc: int,
+    obstructions: ObstructionReport,
     obstruction_tol: float = 1e-8,
-    obstructions: ObstructionReport | None = None,
 ) -> CoboundarySolution:
     """Solve u o M - u = roof - c in frequency space.
 
@@ -595,17 +580,14 @@ def solve_coboundary(
     with max-norm <= trunc. The residual is re-evaluated on an independent
     equidistributed grid, never taken from the solver's own bookkeeping.
     `obstructions` is the caller's periodic_obstructions report for this
-    roof and matrix; without one, orbits of period <= 6 are enumerated.
+    roof and matrix; a spread over obstruction_tol refuses the roof.
     """
     poly = roof.poly
     if trunc < poly.max_abs_freq:
         raise ValueError("trunc must cover the roof's frequency support")
-    report = obstructions
-    if report is None:
-        report = periodic_obstructions(roof, matrix, 6)
-    if report.spread > obstruction_tol:
+    if obstructions.spread > obstruction_tol:
         raise ObstructionNonzero(
-            f"periodic averages spread {report.spread:.3g} exceeds {obstruction_tol:.1g}"
+            f"periodic averages spread {obstructions.spread:.3g} exceeds {obstruction_tol:.1g}"
         )
 
     solution_terms = _telescope_terms(poly, matrix, trunc)
@@ -624,7 +606,7 @@ def solve_coboundary(
         constant_c=c,
         transfer_u=u,
         residual_sup=resid,
-        obstruction_spread=report.spread,
+        obstruction_spread=obstructions.spread,
     )
 
 

@@ -57,17 +57,13 @@ class IntegerMatrix:
         return intlinalg.mat_pow(self.entries, n)
 
     def inverse_entries(self) -> intlinalg.IntMatrix:
-        inv = intlinalg.inverse_rational(self.entries)
-        return tuple(tuple(int(x) for x in row) for row in inv)
+        """V U, for U A V = I from the unimodular diagonalization of A."""
+        u, _, v = intlinalg.unimodular_diagonalize(self.entries)
+        return intlinalg.mat_mul(v, u)
 
     @staticmethod
     def companion(coeffs) -> "IntegerMatrix":
         return IntegerMatrix(intlinalg.companion(coeffs))
-
-
-def characteristic_polynomial(matrix: IntegerMatrix) -> list[int]:
-    """Monic integer characteristic polynomial, ascending coefficients."""
-    return intlinalg.char_poly(matrix.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +205,6 @@ class SpectralData:
     blocks: tuple[SpectralBlock, ...]
     stable_basis: np.ndarray                # d x dim E^s
     unstable_basis: np.ndarray              # d x dim E^u
-    certified_gap: float
     codimension_one: bool
     complex_unstable_pair: bool
 
@@ -303,12 +298,11 @@ def spectral_data(matrix: IntegerMatrix) -> SpectralData:
     shares the result, so its arrays are read-only; the cache is bounded so
     that `enumerate_catalog` does not keep every polynomial it tries.
     """
-    coeffs = characteristic_polynomial(matrix)
+    coeffs = intlinalg.char_poly(matrix.entries)
     roots = _root_multiplicities(coeffs)
     for z, bound, _ in roots:
         if bound >= ROOT_TOL:
             raise ArithmeticError(f"root {z} certified only to {bound}")
-    gap = min(abs(abs(z) - 1.0) - b for z, b, _ in roots)
     for z, bound, _ in roots:
         if abs(abs(z) - 1.0) <= _CERTIFY_FACTOR * max(bound, np.finfo(float).eps):
             raise NotHyperbolic(
@@ -360,7 +354,6 @@ def spectral_data(matrix: IntegerMatrix) -> SpectralData:
         blocks=tuple(blocks),
         stable_basis=stable_basis,
         unstable_basis=unstable_basis,
-        certified_gap=float(gap),
         codimension_one=codim_one,
         complex_unstable_pair=complex_unstable,
     )
@@ -468,8 +461,8 @@ def enumerate_catalog(d: int, coeff_bound: int) -> list[CatalogEntry]:
     """
     if d not in (2, 3, 4, 5):
         raise ValueError("d must be one of 2, 3, 4, 5")
-    if coeff_bound > 10:
-        raise ValueError("coeff_bound must be at most 10")
+    if not 0 <= coeff_bound <= 10:
+        raise ValueError(f"coeff_bound must be in [0, 10], got {coeff_bound}")
     entries = []
     mid_range = range(-coeff_bound, coeff_bound + 1)
     for const in (-1, 1):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from anosovlab import flow as flow_module
 from anosovlab import perturb
 from anosovlab.flow import SuspensionFlow
@@ -54,13 +55,14 @@ def per_point_series(monkeypatch):
     """Run a computation with every roof series walked one point at a time.
 
     SEGMENT is 1 and each row method of TrigPolynomial is a loop over its
-    per-point method: the series as they were before segment batching.
+    per-point reference in `oracles`: the series as they were before
+    segment batching.
     """
     def run(compute):
         with monkeypatch.context() as patch:
             patch.setattr(flow_module, "SEGMENT", 1)
             for point in ("evaluate", "gradient", "eval_diff", "gradient_diff"):
-                method = getattr(TrigPolynomial, point)
+                method = getattr(oracles, point)
                 patch.setattr(TrigPolynomial, f"{point}_rows", lambda self, *arrays, f=method: [
                     f(self, *row) for row in zip(*arrays)
                 ])

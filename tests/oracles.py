@@ -30,7 +30,13 @@ the projector's roundings to it bit for bit. `rationalize` is the
 Fraction form of the orbit starts that `flow.exact_points` replaced, and
 the references above build their corners with it and Fraction sums;
 `numerators` hands such points to the package's exact orbits as integer
-numerators over their lcm. Print the literals with
+numerators over their lcm. `evaluate`, `gradient`, `eval_diff`,
+`gradient_diff` and `coords` are the per-point roof and chart code that
+the row kernels of `TrigPolynomial` and `SectionChart.coords_rows`
+replaced, each dot product one BLAS call per point; the package's rows
+must equal them bit for bit. `inverse_rational` is the Gauss-Jordan
+inverse over Q that `IntegerMatrix.inverse_entries`, now V U from the
+unimodular diagonalization, replaced. Print the literals with
 
     PYTHONPATH=src python tests/oracles.py
 """
@@ -58,6 +64,85 @@ def projected(split, v, direction):
     """`MPSplitting.project` of a float vector as a tuple of Fractions."""
     nums, den = split.project(v, direction)
     return tuple(Fraction(n, den) for n in nums)
+
+
+TWO_PI = 2.0 * math.pi
+
+
+def evaluate(poly, x):
+    """The per-point `TrigPolynomial.evaluate` that became a one-row call."""
+    import numpy as np
+
+    xarr = np.asarray([float(v) for v in x], dtype=float) % 1.0
+    phases = np.exp(1j * TWO_PI * (poly._freqs @ xarr))
+    return float(np.real(poly._coeffs @ phases))
+
+
+def gradient(poly, x):
+    """The per-point `TrigPolynomial.gradient` that became a one-row call."""
+    import numpy as np
+
+    xarr = np.asarray([float(v) for v in x], dtype=float) % 1.0
+    phases = np.exp(1j * TWO_PI * (poly._freqs @ xarr))
+    return np.real((1j * TWO_PI * poly._freqs.T) @ (poly._coeffs * phases))
+
+
+def eval_diff(poly, x, delta):
+    """The per-point `TrigPolynomial.eval_diff` that became a one-row call."""
+    import numpy as np
+
+    xarr = np.asarray([float(v) for v in x], dtype=float) % 1.0
+    darr = np.asarray([float(v) for v in delta], dtype=float)
+    theta = TWO_PI * (poly._freqs @ xarr)
+    beta = TWO_PI * (poly._freqs @ darr)
+    expm1 = -2.0 * np.sin(0.5 * beta) ** 2 + 1j * np.sin(beta)
+    phases = np.exp(1j * theta) * expm1
+    return float(np.real(poly._coeffs @ phases))
+
+
+def gradient_diff(poly, x, delta):
+    """The per-point `TrigPolynomial.gradient_diff` that became a one-row call."""
+    import numpy as np
+
+    xarr = np.asarray([float(v) for v in x], dtype=float) % 1.0
+    darr = np.asarray([float(v) for v in delta], dtype=float)
+    theta = TWO_PI * (poly._freqs @ xarr)
+    beta = TWO_PI * (poly._freqs @ darr)
+    expm1 = -2.0 * np.sin(0.5 * beta) ** 2 + 1j * np.sin(beta)
+    weights = poly._coeffs * np.exp(1j * theta) * expm1
+    return np.real((1j * TWO_PI * poly._freqs.T) @ weights)
+
+
+def coords(chart, v):
+    """Chart coordinates (x, y) of one wrapped base displacement, the
+    per-point `SectionChart.coords` that `coords_rows` replaced."""
+    import numpy as np
+
+    from anosovlab.flow import wrap_unit
+
+    w = wrap_unit(np.asarray([float(c) for c in v], dtype=float))
+    co = chart.flow.frame_inv @ w
+    return co[: chart.dim_unstable].copy(), float(co[-1])
+
+
+def inverse_rational(a):
+    """Exact inverse of a square integer matrix by Gauss-Jordan over the
+    rationals (raises on singular input)."""
+    n = len(a)
+    m = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
 
 
 def roof_mp(poly, x):
@@ -171,7 +256,7 @@ def section_roof(chart, x, y):
     z = chart.embed(x, y)
 
     def tau(v):
-        xx, yy = chart.coords(v)
+        xx, yy = coords(chart, v)
         chi = _cutoff(max(np.linalg.norm(xx) / CHART_RADIUS_X, abs(yy) / CHART_RADIUS_Y))
         if chi == 0.0:
             return 0.0
@@ -315,7 +400,7 @@ def carried(orbit, state, step):
 def return_series_reference(chart, bump, x, y):
     """The per-point bump return series: (steps, gaps, terms, total).
 
-    Every orbit point goes through `chart.coords`, the hat test and
+    Every orbit point goes through `coords`, the hat test and
     `Bump.value_chart`; a step is recorded when it lies in the hat of
     radius 1.25 * bump.radius or has a nonzero term.
     """
@@ -337,8 +422,8 @@ def return_series_reference(chart, bump, x, y):
         orbit0 = chain.from_iterable(block[0] for block in flow.exact_orbit(*numerators([z0])))
         orbit1 = chain.from_iterable(block[0] for block in flow.exact_orbit(*numerators([z1])))
         for n, (p0, p1) in enumerate(zip(orbit0, orbit1)):
-            x1, y1 = chart.coords(p1)
-            x0c, y0c = chart.coords(p0)
+            x1, y1 = coords(chart, p1)
+            x0c, y0c = coords(chart, p0)
             d1 = math.hypot(float(np.linalg.norm(x1)), y1 - bump.center_y)
             d0 = math.hypot(float(np.linalg.norm(x0c)), y0c - bump.center_y)
             hat = bool(min(d0, d1) <= hat_radius)

@@ -84,14 +84,15 @@ def test_04_livshits_criterion(cat_map):
     planted = RoofFunction(
         TrigPolynomial.constant(1.0, 2) + u.compose_matrix(cat_map) - u
     )
-    sol = solve_coboundary(planted, cat_map, trunc=8)
+    sol = solve_coboundary(planted, cat_map, 8, periodic_obstructions(planted, cat_map, 6))
     recovered = sol.residual_sup <= 1e-9 and sol.obstruction_spread <= 1e-12
 
     obstructed = cos_roof(2)
-    spread = periodic_obstructions(obstructed, cat_map, 6).spread
+    report = periodic_obstructions(obstructed, cat_map, 6)
+    spread = report.spread
     rejected = False
     try:
-        solve_coboundary(obstructed, cat_map, trunc=8)
+        solve_coboundary(obstructed, cat_map, 8, report)
     except ObstructionNonzero:
         rejected = True
     ok = recovered and rejected and spread > 1e-3

@@ -197,7 +197,7 @@ class TestCliExitCodes:
         config.write_text(json.dumps({
             "kind": "subbundle", "seed": 5, **self.QUARTIC,
             "params": {"base_point": [0.37, 0.61, 0.22, 0.37],
-                       "translation": ["1/7", "2/7", "3/7", "0"], "n_pairs": 3},
+                       "translation": ["1/7", "2/7", "3/7", "0"]},
         }))
         result = run_cli(["subbundle", "--config", str(config), "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
@@ -246,9 +246,16 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("name, params", [
         ("pcf_companion3.json", {"n_samples": 0}),
         ("sweep_quartic.json", {"n_directions": 0}),
+        ("subbundle_companion3.json", {"budget": 0}),
+        ("subbundle_companion3.json", {"grid_n": 0}),
     ])
-    def test_zero_count_exit_two(self, tmp_path, name, params):
-        # no samples or no directions would pass the acceptance check vacuously
+    def test_zero_count_exit_two(self, tmp_path, monkeypatch, name, params):
+        # no samples or no directions would pass the acceptance check
+        # vacuously; a zero budget or grid is refused before the pair search
+        def no_search(*args, **kwargs):
+            raise AssertionError("pair search ran before the params were checked")
+
+        monkeypatch.setattr(pcf, "find_independent_pairs", no_search)
         payload = json.loads((CONFIGS / name).read_text())
         payload["params"].update(params)
         bad = tmp_path / name
@@ -256,6 +263,26 @@ class TestCliExitCodes:
         result = run_cli([payload["kind"], "--config", str(bad), "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "must be at least 1" in result.stderr
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("name, params, message", [
+        # a zero displacement makes every temporal distance 0 on both
+        # routes, a vacuous pass of the discrepancy bound
+        ("pcf_companion3.json", {"s_scale": 0.0}, "s_scale must be positive"),
+        ("pcf_companion3.json", {"u_scale": 0}, "u_scale must be positive"),
+        # subbundle draws dim E^u pairs, the square system its Newton solve needs
+        ("subbundle_companion3.json", {"n_pairs": 2}, "unknown params"),
+        # a negative bound enumerates nothing and reported count 0
+        ("catalog_d3.json", {"coeff_bound": -1}, "coeff_bound must be in [0, 10]"),
+    ])
+    def test_refused_param_exit_two(self, tmp_path, name, params, message):
+        payload = json.loads((CONFIGS / name).read_text())
+        payload["params"].update(params)
+        bad = tmp_path / name
+        bad.write_text(json.dumps(payload))
+        result = run_cli([payload["kind"], "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert message in result.stderr
         assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize("params, message", [

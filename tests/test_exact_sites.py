@@ -19,8 +19,6 @@ ALLOWED = {
         "the one float-to-exact conversion: a float is its mantissa over a power of two",
     ("intlinalg.char_poly", "Fraction"):
         "Faddeev-LeVerrier divides traces by k, exact polynomial code",
-    ("intlinalg.inverse_rational", "Fraction"):
-        "Gauss-Jordan elimination over Q, the exact inverse of the base matrix",
     ("spectral.poly_deriv", "Fraction"): "exact polynomial code: the zero polynomial",
     ("spectral.poly_divmod", "Fraction"): "exact polynomial code: quotient coefficients",
     ("spectral._poly_gcd", "Fraction"): "exact polynomial code: Euclid over Q",

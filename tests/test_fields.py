@@ -1,0 +1,65 @@
+"""Every dataclass field in the package is read outside tests.
+
+A field counts as read when its name appears as a loaded attribute in
+`src/anosovlab` or `bench/`. A field that is written but never read is
+unread data: it goes, or it sits on the allowlist below with the reason a
+test reads it.
+"""
+
+import ast
+
+from test_callers import PACKAGE, ROOT, _trees
+
+# fields kept although only tests read them, one reason each
+ALLOWED = {
+    "PatchReconstruction.recovered":
+        "the recovered h^-1 images, which the patch Newton pin compares bit for bit",
+    "HeteroclinicDatum.r_base": "the base point of the datum, checked to lie on W^s_loc(p)",
+    "HeteroclinicDatum.backward_distance":
+        "the integer-check distance to the orbit of q, bounded by a datum test and pinned",
+    "ReturnLedger.gaps":
+        "the stable gaps, checked to contract at the stable rate and pinned by the return pins",
+    "CoboundarySolution.obstruction_spread": "the planted spread the livshits acceptance bounds",
+    "SpectralBlock.multiplicity":
+        "the algebraic multiplicity, checked to be 1 on codimension-one catalog spectra",
+    "SpectralData.eigenvalues":
+        "the eigenvalues with multiplicity, checked as roots of the characteristic polynomial",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _fields():
+    """(Class.field, field) of each annotated field of each dataclass in the package."""
+    for _, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for member in node.body:
+                    if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                        yield f"{node.name}.{member.target.id}", member.target.id
+
+
+def _read_attributes() -> set[str]:
+    return {
+        node.attr
+        for _, tree in _trees(PACKAGE, ROOT / "bench")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_field_is_read():
+    read = _read_attributes()
+    assert [key for key, name in _fields() if name not in read and key not in ALLOWED] == []
+
+
+def test_allowlist_entries_exist_and_are_unread():
+    read = _read_attributes()
+    fields = dict(_fields())
+    assert [key for key in ALLOWED if key not in fields or fields[key] in read] == []

@@ -17,7 +17,7 @@ from anosovlab.errors import (
 )
 from anosovlab.flow import SuspensionFlow
 from anosovlab.roof import RoofFunction, TrigPolynomial
-from anosovlab.spectral import IntegerMatrix
+from anosovlab.spectral import IntegerMatrix, enumerate_catalog
 
 SEED = 20260808
 
@@ -176,6 +176,45 @@ class TestTemporalDistanceGeometric:
         with pytest.raises(TruncationInsufficient, match="horizon"):
             pcf.temporal_distance_geometric(flow, [*short[:3], quads[3]])
         assert calls == []
+
+
+# phi for the coboundary invariance: r and r + phi o A - phi have the same
+# temporal distance, since phi telescopes around every su-cycle
+COBOUNDARY_PHIS = {
+    "cos_x2": TrigPolynomial.cosine(0.01, (0, 1, 0), 3),
+    "sin_x1_minus_x3": TrigPolynomial.sine(0.01, (1, 0, -1), 3),
+    "cos_x2_sin_x1_plus_x2": TrigPolynomial.cosine(0.01, (0, 1, 0), 3)
+    + TrigPolynomial.sine(0.005, (1, 1, 0), 3),
+}
+
+
+class TestCoboundaryInvariance:
+    """The six d=3 catalog bases at coeff_bound 1 under r = 1 + 0.1 cos(2 pi x1)."""
+
+    @pytest.fixture(scope="class")
+    def routes(self):
+        # per base: the flow under r, 10 seeded quadrilaterals, both routes' values
+        out = {}
+        for entry in enumerate_catalog(3, 1):
+            flow = SuspensionFlow(entry.matrix, cos_roof(3))
+            quads = pcf.sample_quadrilaterals(flow, 10, seed=SEED)
+            out[entry.coeffs] = (flow, quads, pcf.temporal_distance_series(flow, quads),
+                                 pcf.temporal_distance_geometric(flow, quads))
+        return out
+
+    @pytest.mark.parametrize("phi", list(COBOUNDARY_PHIS))
+    def test_coboundary_leaves_temporal_distance(self, routes, phi):
+        poly = COBOUNDARY_PHIS[phi]
+        assert len(routes) == 6
+        for flow, quads, series, geometric in routes.values():
+            # the distances are of order 1e-3, so the identity is not met by zeros
+            assert max(abs(v) for v in series) > 1e-4
+            shifted = SuspensionFlow(flow.base, RoofFunction(
+                flow.roof.poly + poly.compose_matrix(flow.base) - poly))
+            series2 = pcf.temporal_distance_series(shifted, quads)
+            geometric2 = pcf.temporal_distance_geometric(shifted, quads)
+            assert max(abs(a - b) for a, b in zip(series, series2)) <= 1e-13
+            assert max(abs(a - b) for a, b in zip(geometric, geometric2)) <= 1e-9
 
 
 class TestPcfGradient:

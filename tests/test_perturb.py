@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import section_roof
+from oracles import coords, section_roof
 
 from anosovlab import flow as flow_module
 from anosovlab import perturb
@@ -41,7 +41,7 @@ class TestSectionChart:
         x = np.array([0.01, -0.02])
         y = 0.11
         image = chart.flow.base_apply(chart.embed(x, y))
-        ix, iy = chart.coords(image)
+        ix, iy = coords(chart, image)
         assert np.allclose(ix, chart.a_u @ x, atol=1e-12)
         assert iy == pytest.approx(chart.lam * y, abs=1e-12)
 
@@ -206,24 +206,24 @@ class TestReturnSeries:
         chart = kappa_setup.chart
         rows = np.random.default_rng(3).uniform(-2.0, 2.0, (40, 3))
         for row, co in zip(rows, chart.coords_rows(rows)):
-            x, y = chart.coords(row)
+            x, y = coords(chart, row)
             assert [v.hex() for v in co] == [float(v).hex() for v in (*x, y)]
 
-    def test_coords_only_on_screened_rows(self, companion3, monkeypatch):
+    def test_bump_only_on_screened_rows(self, companion3, monkeypatch):
         # the per-point path runs on rows the segment screen lets through:
-        # two coords calls per recorded step, where a call per orbit point
+        # two bump evaluations per recorded step, where one per orbit point
         # would make about 12 800 on this sequence
         flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
         setup = perturb.kappa_experiment(flow, n_points=60)
         calls = 0
-        coords = perturb.SectionChart.coords
+        value_chart = perturb.Bump.value_chart
 
-        def counted(self, v):
+        def counted(self, x, y):
             nonlocal calls
             calls += 1
-            return coords(self, v)
+            return value_chart(self, x, y)
 
-        monkeypatch.setattr(perturb.SectionChart, "coords", counted)
+        monkeypatch.setattr(perturb.Bump, "value_chart", counted)
         recorded = sum(
             len(perturb.return_series(setup.chart, setup.bump, np.array(x),
                                       setup.datum.y_r).steps)

@@ -8,6 +8,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import seven_term_roof
+import oracles
 from oracles import periodic_points_reference, rationalize
 
 from anosovlab import roof as roof_module
@@ -92,14 +93,20 @@ class TestTrigPolynomial:
         points = rng.random((300, 3))
         # stable gaps from 1e-16 to 1e-1, the range a leaf series walks
         deltas = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-16, -1, (300, 1))
-        assert poly.evaluate_rows(points) == [poly.evaluate(x) for x in points]
-        assert poly.eval_diff_rows(points, deltas) == [
+        # the per-point references and the package's one-row calls both
+        values = [oracles.evaluate(poly, x) for x in points]
+        assert poly.evaluate_rows(points) == values == [poly.evaluate(x) for x in points]
+        diffs = [oracles.eval_diff(poly, x, d) for x, d in zip(points, deltas)]
+        assert poly.eval_diff_rows(points, deltas) == diffs == [
             poly.eval_diff(x, d) for x, d in zip(points, deltas)
         ]
-        assert np.array_equal(poly.gradient_rows(points),
-                              [poly.gradient(x) for x in points])
-        assert np.array_equal(poly.gradient_diff_rows(points, deltas),
-                              [poly.gradient_diff(x, d) for x, d in zip(points, deltas)])
+        grads = [oracles.gradient(poly, x) for x in points]
+        assert np.array_equal(poly.gradient_rows(points), grads)
+        assert np.array_equal([poly.gradient(x) for x in points], grads)
+        grad_diffs = [oracles.gradient_diff(poly, x, d) for x, d in zip(points, deltas)]
+        assert np.array_equal(poly.gradient_diff_rows(points, deltas), grad_diffs)
+        assert np.array_equal([poly.gradient_diff(x, d) for x, d in zip(points, deltas)],
+                              grad_diffs)
 
     def test_compose_matrix_pushes_frequencies(self, cat_map):
         p = TrigPolynomial.cosine(1.0, (1, 0), 2)
@@ -434,10 +441,15 @@ class TestObstructions:
             assert row[1] == ";".join(f"{v.numerator}/{v.denominator}" for v in least)
 
 
+def solve(roof, matrix, trunc):
+    """solve_coboundary with the obstructions of the orbits of period <= 6."""
+    return solve_coboundary(roof, matrix, trunc, periodic_obstructions(roof, matrix, 6))
+
+
 class TestSolveCoboundary:
     def test_recovers_planted_transfer(self, cat_map):
         roof, u = planted_coboundary_roof(cat_map)
-        sol = solve_coboundary(roof, cat_map, trunc=8)
+        sol = solve(roof, cat_map, 8)
         assert sol.constant_c == pytest.approx(1.0, abs=1e-12)
         assert sol.residual_sup <= 1e-9
         assert sol.obstruction_spread <= 1e-12
@@ -446,7 +458,7 @@ class TestSolveCoboundary:
             assert sol.transfer_u.terms.get(k, 0.0) == pytest.approx(c, abs=1e-12)
 
     def test_constant_roof(self, cat_map):
-        sol = solve_coboundary(RoofFunction.constant(1.0, 2), cat_map, trunc=1)
+        sol = solve(RoofFunction.constant(1.0, 2), cat_map, 1)
         assert sol.constant_c == 1.0
         assert len(sol.transfer_u.terms) == 0
         assert sol.residual_sup == 0.0
@@ -456,17 +468,17 @@ class TestSolveCoboundary:
             TrigPolynomial.constant(1.0, 2) + TrigPolynomial.cosine(0.1, (1, 0), 2)
         )
         with pytest.raises(ObstructionNonzero):
-            solve_coboundary(roof, cat_map, trunc=8)
+            solve(roof, cat_map, 8)
 
     def test_trunc_must_cover_support(self, cat_map):
         roof, _ = planted_coboundary_roof(cat_map)  # support reaches (2, 1)
         with pytest.raises(ValueError, match="trunc"):
-            solve_coboundary(roof, cat_map, trunc=1)
+            solve(roof, cat_map, 1)
 
     def test_residual_consistent_on_finer_grid(self, cat_map, companion3):
         for matrix in (cat_map, companion3):
             roof, _ = planted_coboundary_roof(matrix)
-            sol = solve_coboundary(roof, matrix, trunc=10)
+            sol = solve(roof, matrix, 10)
             # independent finer grid
             rng = np.random.default_rng(13)
             pts = rng.random((16384, matrix.dim))
@@ -493,13 +505,13 @@ class TestSolveCoboundary:
             return terms
 
         monkeypatch.setattr(roof_module, "_telescope_terms", lossy)
-        sol = solve_coboundary(roof, cat_map, trunc=8)
+        sol = solve(roof, cat_map, 8)
         assert sol.residual_sup <= 1e-9
         assert sol.transfer_u.terms == TrigPolynomial(2, full(roof.poly, cat_map, 16)).terms
 
     def test_high_frequency_plant(self, companion3):
         roof, u = planted_coboundary_roof(companion3, amplitude=0.03, freq=(1, 1, 0))
-        sol = solve_coboundary(roof, companion3, trunc=12)
+        sol = solve(roof, companion3, 12)
         assert sol.residual_sup <= 1e-9
 
 

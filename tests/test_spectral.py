@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import inverse_rational
+from test_mpspec import BASES
+
 from anosovlab import intlinalg
 from anosovlab.errors import NotCodimensionOne, NotHyperbolic
 from anosovlab.spectral import (
     CATALOG_CSV_HEADER,
     IntegerMatrix,
     catalog_csv_rows,
-    characteristic_polynomial,
     enumerate_catalog,
     export_catalog_csv,
     invariant_unstable_subspaces,
@@ -31,21 +33,21 @@ def cofactor_charpoly_2x2(m):
 
 class TestCharacteristicPolynomial:
     def test_cat_map_matches_cofactor_oracle(self, cat_map):
-        assert characteristic_polynomial(cat_map) == cofactor_charpoly_2x2(
+        assert intlinalg.char_poly(cat_map.entries) == cofactor_charpoly_2x2(
             [[2, 1], [1, 1]]
         )
-        assert characteristic_polynomial(cat_map) == [1, -3, 1]
+        assert intlinalg.char_poly(cat_map.entries) == [1, -3, 1]
 
     def test_identity(self):
         ident = IntegerMatrix([[1, 0], [0, 1]])
-        assert characteristic_polynomial(ident) == [1, -2, 1]
+        assert intlinalg.char_poly(ident.entries) == [1, -2, 1]
 
     def test_companion_reproduces_its_polynomial(self):
         coeffs = [-1, 0, 1, 1]
-        assert characteristic_polynomial(IntegerMatrix.companion(coeffs)) == coeffs
+        assert intlinalg.char_poly(IntegerMatrix.companion(coeffs).entries) == coeffs
 
     def test_constant_term_is_signed_determinant(self, quartic_real):
-        coeffs = characteristic_polynomial(quartic_real)
+        coeffs = intlinalg.char_poly(quartic_real.entries)
         d = quartic_real.dim
         assert coeffs[0] == (-1) ** d * intlinalg.det(quartic_real.entries)
 
@@ -58,6 +60,13 @@ class TestIntegerMatrix:
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError):
             IntegerMatrix([[1]])
+
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_inverse_entries_match_gauss_jordan(self, name):
+        matrix = BASES[name]
+        inverse = matrix.inverse_entries()
+        assert [list(row) for row in inverse] == inverse_rational(matrix.entries)
+        assert intlinalg.mat_mul(matrix.entries, inverse) == intlinalg.identity(matrix.dim)
 
 
 class TestSpectralData:
@@ -91,7 +100,7 @@ class TestSpectralData:
     def test_eigen_residuals(self, companion3, quartic_real):
         for matrix in (companion3, quartic_real):
             data = spectral_data(matrix)
-            coeffs = characteristic_polynomial(matrix)
+            coeffs = intlinalg.char_poly(matrix.entries)
             for z in data.eigenvalues:
                 val = sum(c * z**k for k, c in enumerate(coeffs))
                 assert abs(val) <= 1e-10
