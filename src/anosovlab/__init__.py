@@ -24,7 +24,7 @@ from .errors import (
     ResidualBelowNoise,
     TruncationInsufficient,
 )
-from .flow import FlowPoint, SuspensionFlow
+from .flow import SuspensionFlow
 from .pcf import Quadrilateral, TemporalDistanceSample, TranslationConjugacy
 from .roof import PeriodicOrbitRecord, RoofFunction, TrigPolynomial
 from .spectral import IntegerMatrix, SpectralData, spectral_data
@@ -35,7 +35,6 @@ __all__ = [
     "ConfigInvalid",
     "DegenerateGradients",
     "ExperimentFailed",
-    "FlowPoint",
     "IntegerMatrix",
     "NoIntersection",
     "NonHyperbolicPeriod",

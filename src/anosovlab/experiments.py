@@ -150,6 +150,16 @@ def _parse_fraction(text) -> Fraction:
 # experiment runners
 
 
+def _require(p: dict, counts=(), positive=()) -> None:
+    """Refuse count params under 1 and positive params at or under 0, NaN included."""
+    for key in counts:
+        if p[key] < 1:
+            raise ConfigInvalid(f"param {key} must be at least 1")
+    for key in positive:
+        if not p[key] > 0:
+            raise ConfigInvalid(f"param {key} must be positive, got {p[key]}")
+
+
 def _check_bound(kind: str, quantity: str, value: float, bound: float) -> None:
     """Refuse a run whose reported quantity misses its bound (NaN included)."""
     if not value <= bound:
@@ -173,9 +183,8 @@ def _run_livshits(cfg, out):
         "trunc": int, "n_max": int, "tol": float,
         "plant_coboundary": (dict, type(None)),
     }, optional={"plant_coboundary": None, "tol": 1e-8, "n_max": 6})
-    if not p["tol"] > 0:
-        # a spread is never below a tolerance <= 0, so every roof would be rejected
-        raise ConfigInvalid(f"param tol must be positive, got {p['tol']}")
+    # a spread is never below a tolerance <= 0, so every roof would be rejected
+    _require(p, positive=["tol"])
     matrix = build_matrix(cfg.matrix)
     roof_fn = build_roof(cfg.roof, matrix.dim)
     plant = p["plant_coboundary"]
@@ -188,8 +197,6 @@ def _run_livshits(cfg, out):
         u = TrigPolynomial.sine(plant["amplitude"], freq, matrix.dim)
         roof_fn = RoofFunction(roof_fn.poly + u.compose_matrix(matrix) - u)
     report = roof.periodic_obstructions(roof_fn, matrix, p["n_max"])
-    util.write_csv(out / "obstructions.csv", roof.OBSTRUCTION_CSV_HEADER,
-                   roof.obstruction_csv_rows(report))
     payload = {
         "spread": report.spread,
         "n_orbits": len(report.orbits),
@@ -206,6 +213,9 @@ def _run_livshits(cfg, out):
         })
     except roof.ObstructionNonzero as err:
         payload.update({"solved": False, "rejection": str(err)})
+    # written only now, so a refused trunc leaves no report
+    util.write_csv(out / "obstructions.csv", roof.OBSTRUCTION_CSV_HEADER,
+                   roof.obstruction_csv_rows(report))
     util.write_json(out / "livshits.json", payload)
     return ["obstructions.csv", "livshits.json"]
 
@@ -214,12 +224,9 @@ def _run_pcf(cfg, out):
     p = _take(cfg.params, {
         "n_samples": int, "s_scale": float, "u_scale": float, "tol": float,
     }, optional={"s_scale": 0.02, "u_scale": 0.02, "tol": 1e-8})
-    if p["n_samples"] < 1:
-        raise ConfigInvalid("param n_samples must be at least 1")
-    for key in ("s_scale", "u_scale"):
-        # a zero displacement gives temporal distance 0 on both routes: a vacuous pass
-        if not p[key] > 0:
-            raise ConfigInvalid(f"param {key} must be positive, got {p[key]}")
+    # no samples, or a zero displacement (temporal distance 0 on both
+    # routes), would pass the discrepancy bound vacuously
+    _require(p, counts=["n_samples"], positive=["s_scale", "u_scale"])
     matrix = build_matrix(cfg.matrix)
     flow = SuspensionFlow(matrix, build_roof(cfg.roof, matrix.dim))
     quads = pcf.sample_quadrilaterals(
@@ -243,12 +250,14 @@ def _run_subbundle(cfg, out):
         "base_point": list, "budget": int,
         "translation": list, "patch_radius": float, "grid_n": int,
     }, optional={"budget": 200, "patch_radius": 0.008, "grid_n": 3})
-    for key in ("budget", "grid_n"):
-        if p[key] < 1:
-            raise ConfigInvalid(f"param {key} must be at least 1")
+    # a radius <= 0 makes a grid of one point, or a mirrored one
+    _require(p, counts=["budget", "grid_n"], positive=["patch_radius"])
     matrix = build_matrix(cfg.matrix)
+    bp = np.array(_numbers("base_point", p["base_point"])) % 1.0
+    if len(bp) != matrix.dim:
+        raise ConfigInvalid(
+            f"param base_point has {len(bp)} entries, the base map needs {matrix.dim}")
     flow = SuspensionFlow(matrix, build_roof(cfg.roof, matrix.dim))
-    bp = flow.make_point(_numbers("base_point", p["base_point"]), 0.0)
     translation = tuple(_parse_fraction(v) for v in p["translation"])
     flow2, conj = pcf.translate_flow(flow, translation)
     # the patch Newton solve needs a square Jacobian: one pair per unstable direction
@@ -276,6 +285,7 @@ def _run_claim44(cfg, out):
         "norm_min": float, "norm_max": float,
     }, optional={"q_period": 4, "amplitude": 0.1, "n_points": 25,
                  "norm_min": 1e-4, "norm_max": 1e-1})
+    _require(p, counts=["q_period"])
     matrix = build_matrix(cfg.matrix)
     flow = SuspensionFlow(matrix, build_roof(cfg.roof, matrix.dim))
     setup = perturb.kappa_experiment(
@@ -308,8 +318,7 @@ def _run_sweep(cfg, out):
     p = _take(cfg.params, {
         "q_period": int, "n_directions": int, "amplitudes": list,
     }, optional={"n_directions": 8, "amplitudes": [0.01, 0.05, 0.1]})
-    if p["n_directions"] < 1:
-        raise ConfigInvalid("param n_directions must be at least 1")
+    _require(p, counts=["q_period", "n_directions"])
     matrix = build_matrix(cfg.matrix)
     data = spectral.spectral_data(matrix)
     catalog = spectral.invariant_unstable_subspaces(data)

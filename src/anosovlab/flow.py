@@ -2,6 +2,7 @@
 
 The mapping torus is represented by its fundamental domain
 {(x, s): 0 <= s < roof(x)} with the identification (x, roof(x)+s) ~ (Lx, s).
+Points are base points: a leaf's fiber offset does not depend on the fiber.
 Strong stable/unstable leaves through a point are graphs over the base
 subspaces; their fiber offsets come from convergent time-adjustment series
 with geometric tail control. Every tail-certified series of the package sums
@@ -12,7 +13,6 @@ starts and holds the one term cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -137,17 +137,6 @@ def wrap_unit(v: np.ndarray) -> np.ndarray:
     return (np.asarray(v, dtype=float) + 0.5) % 1.0 - 0.5
 
 
-@dataclass(frozen=True)
-class FlowPoint:
-    """Point of the mapping torus: base x in [0,1)^d, fiber 0 <= s < roof(x)."""
-
-    x: tuple[float, ...]
-    s: float
-
-    def base(self) -> np.ndarray:
-        return np.asarray(self.x, dtype=float)
-
-
 class SuspensionFlow:
     """Suspension of a hyperbolic toral automorphism under a positive roof.
 
@@ -181,7 +170,6 @@ class SuspensionFlow:
         self.lin = base.as_array()
         self.inv_entries = base.inverse_entries()
         self.lin_inv = np.array(self.inv_entries, dtype=float)
-        self._trans = np.array([float(v) for v in self.translation])
         # F^-1 x = L^-1 x - L^-1 c, so the backward orbit is affine as well
         self._inv_translation = tuple(
             -v % 1 for v in intlinalg.mat_vec(self.inv_entries, self.translation)
@@ -212,12 +200,6 @@ class SuspensionFlow:
 
     def stable_frame(self) -> np.ndarray:
         return self.spectral.stable_basis.copy()
-
-    def base_apply(self, x: np.ndarray) -> np.ndarray:
-        return (self.lin @ np.asarray(x, dtype=float) + self._trans) % 1.0
-
-    def base_apply_inv(self, x: np.ndarray) -> np.ndarray:
-        return (self.lin_inv @ (np.asarray(x, dtype=float) - self._trans)) % 1.0
 
     # Exact rational orbit iteration. Floating-point orbits of a hyperbolic
     # map amplify rounding noise exponentially (forward in the unstable
@@ -274,33 +256,6 @@ class SuspensionFlow:
         vu = self.frame[:, : self._n_u] @ coords[: self._n_u]
         vs = self.frame[:, self._n_u:] @ coords[self._n_u:]
         return vu, vs
-
-    # -- points and the flow ---------------------------------------------------
-
-    def make_point(self, x, s: float = 0.0) -> FlowPoint:
-        """Normalize (x, s) into the fundamental domain.
-
-        make_point(x, s + t) is the point (x, s) flowed for time t.
-        """
-        xa = np.asarray([float(v) for v in x], dtype=float) % 1.0
-        s = float(s)
-        r = self.roof(xa)
-        guard = 0
-        while s >= r:
-            s -= r
-            xa = self.base_apply(xa)
-            r = self.roof(xa)
-            guard += 1
-            if guard > 10**7:
-                raise ArithmeticError("normalization did not terminate")
-        while s < 0.0:
-            xa = self.base_apply_inv(xa)
-            r = self.roof(xa)
-            s += r
-            guard += 1
-            if guard > 10**7:
-                raise ArithmeticError("normalization did not terminate")
-        return FlowPoint(x=tuple(xa), s=s)
 
     # -- leaf machinery ----------------------------------------------------------
 

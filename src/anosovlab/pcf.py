@@ -23,7 +23,7 @@ grid points' Newton solves in lockstep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +32,7 @@ from numpy.random import default_rng
 from .errors import (
     DegenerateGradients, NoIntersection, OffLeaf, TruncationInsufficient,
 )
-from .flow import CHART_RADIUS, FlowPoint, SuspensionFlow, affine_orbit, exact_points, wrap_unit
+from .flow import CHART_RADIUS, SuspensionFlow, affine_orbit, exact_points, wrap_unit
 from .roof import RoofFunction
 from . import intlinalg, mpspec, util
 
@@ -49,14 +49,20 @@ PAIR_SCALE = 0.02           # pair-search displacement scale: sample_quadrilater
 
 @dataclass(frozen=True)
 class Quadrilateral:
-    """PCF input data: corner a, stable displacement, unstable displacement."""
+    """PCF input data: base corner a, stable displacement, unstable displacement.
 
-    a: FlowPoint
+    `fiber` is the corner's height above a. No route reads it, since a
+    temporal distance is invariant along the flow; it is the `as` column
+    of the sample CSV.
+    """
+
+    a: tuple[float, ...]
     s_disp: tuple[float, ...]
     u_disp: tuple[float, ...]
+    fiber: float = 0.0
 
     @staticmethod
-    def build(flow: SuspensionFlow, a: FlowPoint, s_disp, u_disp) -> "Quadrilateral":
+    def build(flow: SuspensionFlow, a, s_disp, u_disp) -> "Quadrilateral":
         """Validate displacements against the flow's splitting and chart."""
         s_arr = np.asarray([float(v) for v in s_disp], dtype=float)
         u_arr = np.asarray([float(v) for v in u_disp], dtype=float)
@@ -70,6 +76,7 @@ class Quadrilateral:
                     f"{sub} displacement norm {np.linalg.norm(arr):.3g} exceeds "
                     f"chart radius {CHART_RADIUS:.3g}"
                 )
+        a = tuple(float(v) for v in a)
         return Quadrilateral(a=a, s_disp=tuple(s_arr), u_disp=tuple(u_arr))
 
 
@@ -84,13 +91,11 @@ def sample_quadrilaterals(
     quads = []
     for _ in range(n):
         base = rng.random(flow.dim)
-        fiber = rng.uniform(0.0, flow.roof(base))
-        a = flow.make_point(base, fiber)
+        fiber = float(rng.uniform(0.0, flow.roof(base)))
         s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * s_scale
         u_coef = rng.uniform(-1.0, 1.0, u_frame.shape[1]) * u_scale
-        quads.append(
-            Quadrilateral.build(flow, a, s_frame @ s_coef, u_frame @ u_coef)
-        )
+        quad = Quadrilateral.build(flow, base, s_frame @ s_coef, u_frame @ u_coef)
+        quads.append(replace(quad, fiber=fiber))
     return quads
 
 
@@ -112,7 +117,7 @@ def temporal_distance_series(flow: SuspensionFlow, quads) -> list[float]:
     """
     requests = []
     for quad in quads:
-        alpha = quad.a.base()
+        alpha = np.asarray(quad.a)
         w = np.asarray(quad.s_disp)
         u = np.asarray(quad.u_disp)
         requests += [
@@ -174,7 +179,7 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads, tol: float = 1e-8) 
         raise ValueError("tol must be at least 1e-10")
     target = 0.02 * tol
     split = mpspec.splitting(flow.base)
-    alphas, den = exact_points([quad.a.base() for quad in quads])
+    alphas, den = exact_points([quad.a for quad in quads])
     big = max(den, mpspec.DYADIC_DEN)   # both powers of two, so their lcm
     groups: dict[tuple[bool, int], list] = {}   # (backward, horizon) -> starts over big
 
@@ -257,7 +262,7 @@ def sample_csv_rows(samples: list[TemporalDistanceSample]) -> list[list]:
     rows = []
     for s in samples:
         rows.append([
-            *[float(c) for c in s.quad.a.x], float(s.quad.a.s),
+            *[float(c) for c in s.quad.a], float(s.quad.fiber),
             *[float(c) for c in s.quad.s_disp],
             *[float(c) for c in s.quad.u_disp],
             float(s.value_series), float(s.value_geometric), float(s.discrepancy),
@@ -278,13 +283,12 @@ def sample_csv_header(dim: int) -> list[str]:
 # PCF gradients in the unstable parameter
 
 
-def pcf_gradient(
-    flow: SuspensionFlow, a: FlowPoint, s_disp, u_disp
-) -> np.ndarray:
+def pcf_gradient(flow: SuspensionFlow, a, s_disp, u_disp) -> np.ndarray:
     """Derivative of the temporal distance in the unstable parameter.
 
     Returns the covector components with respect to the columns of the
-    unstable frame, evaluated at the quadrilateral point x = a + u_disp.
+    unstable frame, evaluated at the quadrilateral point x = a + u_disp,
+    for a base corner a.
     Term-wise differentiation of the series route gives a two-sided sum of
     paired gradient differences: `SuspensionFlow.stable_gradient` forward,
     `unstable_gradient` backward. The forward side converges only under the
@@ -304,7 +308,7 @@ def pcf_gradient(
     poly = flow.roof.poly
     if poly.is_constant():
         return np.zeros(flow.dim_unstable)
-    [z0], den = exact_points([a.base() + u])
+    [z0], den = exact_points([np.asarray(a, dtype=float) + u])
     total = flow.stable_gradient(z0, den, flow.proj_s @ w)
     # backward gaps L^-n w mod 1, exact and wrapped, one segment per call
     gaps = affine_orbit(flow.inv_entries, (0,) * flow.dim, *intlinalg.dyadic([w]),
@@ -320,7 +324,7 @@ def pcf_gradient(
 
 @dataclass(frozen=True)
 class MatchingKernelReport:
-    base_point: FlowPoint
+    base_point: tuple[float, ...]
     gradients: tuple[tuple[float, ...], ...]   # rows in unstable-frame coords
     kernel_dim: int
     kernel_basis: np.ndarray                   # ambient d x kernel_dim
@@ -328,19 +332,21 @@ class MatchingKernelReport:
 
 def matching_kernel_dimension(
     flow: SuspensionFlow,
-    base_point: FlowPoint,
-    pairs: list[tuple[FlowPoint, tuple]],
+    base_point,
+    pairs: list[tuple[tuple, tuple]],
 ) -> MatchingKernelReport:
     """Common kernel of the PCF differentials at base_point.
 
-    Each pair (a, s_disp) defines a PCF on W^u_loc(a); base_point must lie
-    on that leaf, and the gradient is taken at its unstable offset from a.
+    Each pair (a, s_disp) of a base corner and a stable displacement
+    defines a PCF on W^u_loc(a); base_point must lie on that leaf, and the
+    gradient is taken at its unstable offset from a.
     """
     if not pairs:
         raise ValueError("at least one pair is required")
+    point = np.asarray(base_point, dtype=float)
     rows = []
     for a, s_disp in pairs:
-        offset = wrap_unit(base_point.base() - a.base())
+        offset = wrap_unit(point - a)
         vu, vs = flow.split_displacement(offset)
         if np.linalg.norm(vs) > 1e-9:
             raise OffLeaf("base_point is not on the unstable leaf of a pair corner")
@@ -350,7 +356,7 @@ def matching_kernel_dimension(
     kernel_dim = kern.shape[1]
     ambient = flow.unstable_frame() @ kern if kernel_dim else np.zeros((flow.dim, 0))
     return MatchingKernelReport(
-        base_point=base_point,
+        base_point=tuple(float(v) for v in point),
         gradients=tuple(tuple(float(v) for v in row) for row in grad_rows),
         kernel_dim=kernel_dim,
         kernel_basis=ambient,
@@ -359,27 +365,29 @@ def matching_kernel_dimension(
 
 def find_independent_pairs(
     flow: SuspensionFlow,
-    base_point: FlowPoint,
+    base_point,
     count: int = 2,
     seed: int = 0,
     budget: int = 200,
-) -> list[tuple[FlowPoint, tuple]]:
+) -> list[tuple[tuple, tuple]]:
     """Seeded random search for PCF pairs with independent gradients.
 
-    Draws corners a on the unstable leaf through base_point and stable
-    displacements, keeping draws that increase the gradient stack's rank
-    (smallest singular value relative to the largest above the cutoff).
+    Draws base corners a on the unstable leaf through base_point, reduced
+    into [0, 1), and stable displacements, keeping draws that increase the
+    gradient stack's rank (smallest singular value relative to the largest
+    above the cutoff).
     Raises DegenerateGradients when the budget is exhausted.
     """
     rng = default_rng(seed)
     u_frame = flow.unstable_frame()
     s_frame = flow.stable_frame()
-    chosen: list[tuple[FlowPoint, tuple]] = []
+    point = np.asarray(base_point, dtype=float)
+    chosen: list[tuple[tuple, tuple]] = []
     rows: list[np.ndarray] = []
     for _ in range(budget):
         c = rng.uniform(-1.0, 1.0, u_frame.shape[1]) * PAIR_SCALE
         s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * PAIR_SCALE
-        a = flow.make_point(base_point.base() - u_frame @ c, base_point.s)
+        a = tuple(float(v) for v in (point - u_frame @ c) % 1.0)
         s_disp = s_frame @ s_coef
         grad = pcf_gradient(flow, a, s_disp, u_frame @ c)
         cand = rows + [grad]
@@ -413,9 +421,6 @@ class TranslationConjugacy:
     def invert_base(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.vector()) % 1.0
 
-    def apply(self, target_flow: SuspensionFlow, p: FlowPoint) -> FlowPoint:
-        return target_flow.make_point(self.apply_base(p.base()), p.s)
-
 
 def translate_flow(flow: SuspensionFlow, v) -> tuple[SuspensionFlow, TranslationConjugacy]:
     """Pushforward of the suspension under the torus translation by v.
@@ -440,10 +445,7 @@ def conjugacy_invariance_check(
     quads: list[Quadrilateral],
 ) -> float:
     """Max |rho_1(quad) - rho_2(image quad)| over the supplied quadrilaterals."""
-    images = [
-        Quadrilateral(a=conjugacy.apply(flow2, quad.a), s_disp=quad.s_disp, u_disp=quad.u_disp)
-        for quad in quads
-    ]
+    images = [replace(quad, a=tuple(conjugacy.apply_base(quad.a))) for quad in quads]
     worst = 0.0
     for rho1, rho2 in zip(temporal_distance_series(flow1, quads),
                           temporal_distance_series(flow2, images)):
@@ -467,7 +469,7 @@ def _pcf_map(flow, pairs, point_bases) -> np.ndarray:
     quads = []
     for point_base in point_bases:
         for a, s_disp in pairs:
-            offset = wrap_unit(point_base - a.base())
+            offset = wrap_unit(point_base - a)
             vu, vs = flow.split_displacement(offset)
             quads.append(Quadrilateral(a=a, s_disp=tuple(s_disp), u_disp=tuple(vu)))
     return np.reshape(temporal_distance_series(flow, quads), (len(point_bases), len(pairs)))
@@ -478,7 +480,7 @@ def reconstruct_conjugacy_patch(
     flow2: SuspensionFlow,
     conjugacy: TranslationConjugacy,
     kernel: MatchingKernelReport,
-    pairs: list[tuple[FlowPoint, tuple]],
+    pairs: list[tuple[tuple, tuple]],
     patch_radius: float = 0.01,
     grid_n: int = 3,
 ) -> PatchReconstruction:
@@ -500,7 +502,6 @@ def reconstruct_conjugacy_patch(
     n_u = flow1.dim_unstable
     if len(pairs) < n_u:
         raise DegenerateGradients(f"need {n_u} pairs for a {n_u}-dimensional patch")
-    base_point = kernel.base_point
     jac = np.array(kernel.gradients)
     sv = np.linalg.svd(jac, compute_uv=False)
     if sv[-1] <= 1e-9 * max(sv[0], 1e-30) or sv[0] < 1e-12:
@@ -508,17 +509,15 @@ def reconstruct_conjugacy_patch(
             f"PCF gradients are not independent at the base point (sv={sv})"
         )
 
-    pairs2 = [
-        (conjugacy.apply(flow2, a), s_disp) for a, s_disp in pairs
-    ]
+    pairs2 = [(tuple(conjugacy.apply_base(a)), s_disp) for a, s_disp in pairs]
     u_frame = flow1.unstable_frame()
-    base2 = conjugacy.apply_base(base_point.base())
+    origin = np.asarray(kernel.base_point)
+    base2 = conjugacy.apply_base(origin)
 
     axes = [np.linspace(-patch_radius, patch_radius, grid_n)] * n_u
     mesh = np.meshgrid(*axes, indexing="ij")
     offsets = np.stack([m.ravel() for m in mesh], axis=1)
 
-    origin = base_point.base()
     targets = [(base2 + u_frame @ c) % 1.0 for c in offsets]
     values2 = _pcf_map(flow2, pairs2, targets)
     # Newton with the frozen Jacobian: the chart is near-affine on the patch

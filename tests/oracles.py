@@ -24,6 +24,10 @@ int64 limb branch of `intlinalg.orbit_segments` replaced for 2^k > 2^64,
 and `limb_numerators` reads that branch's limbs back as Python ints.
 `periodic_points_reference` is the Python-int enumeration and orbit walk
 that the int64 arrays of `roof.periodic_points` replaced.
+`make_point` is the float normalisation into the fundamental domain, with
+the float base maps `base_apply` and `base_apply_inv` it steps with, that
+left the package when points became base points; the flow-geometry tests
+follow flow orbits with it against `evolve_mp`.
 `MPSplittingReference` is the 60-digit mpmath splitting that the exact
 integer projector of `mpspec` replaced, and `tests/test_mpspec.py` holds
 the projector's roundings to it bit for bit. `rationalize` is the
@@ -173,6 +177,51 @@ def _step_mp(flow, pt, backward=False):
     return [mp.fmod(sum(ent[i][j] * pt[j] for j in range(d)) + c[i], 1) for i in range(d)]
 
 
+def base_apply(flow, x):
+    """The float base map x -> L x + c mod 1 of `make_point`."""
+    import numpy as np
+
+    trans = np.array([float(v) for v in flow.translation])
+    return (flow.lin @ np.asarray(x, dtype=float) + trans) % 1.0
+
+
+def base_apply_inv(flow, x):
+    """The float inverse base map of `make_point`."""
+    import numpy as np
+
+    trans = np.array([float(v) for v in flow.translation])
+    return (flow.lin_inv @ (np.asarray(x, dtype=float) - trans)) % 1.0
+
+
+def make_point(flow, x, s=0.0):
+    """(x, s) normalized into the fundamental domain, as a (base tuple, fiber) pair.
+
+    make_point(flow, x, s + t) is the point (x, s) flowed for time t, in
+    floats; `evolve_mp` is the same walk in 50 digits.
+    """
+    import numpy as np
+
+    xa = np.asarray([float(v) for v in x], dtype=float) % 1.0
+    s = float(s)
+    r = flow.roof(xa)
+    guard = 0
+    while s >= r:
+        s -= r
+        xa = base_apply(flow, xa)
+        r = flow.roof(xa)
+        guard += 1
+        if guard > 10**7:
+            raise ArithmeticError("normalization did not terminate")
+    while s < 0.0:
+        xa = base_apply_inv(flow, xa)
+        r = flow.roof(xa)
+        s += r
+        guard += 1
+        if guard > 10**7:
+            raise ArithmeticError("normalization did not terminate")
+    return tuple(xa), s
+
+
 def evolve_mp(flow, x, s, t):
     """Flow the point (x, s) by time t with exact integer base maps."""
     with mp.workdps(50):
@@ -266,7 +315,7 @@ def section_roof(chart, x, y):
         ])
         return chi * (theta_u + theta_s)
 
-    return flow.roof(z) + tau(flow.base_apply(z)) - tau(z)
+    return flow.roof(z) + tau(base_apply(flow, z)) - tau(z)
 
 
 SPHERE_SAMPLES = 1000   # sampled vector pairs: lands within 10% of the closed form in d = 3 and 4
@@ -502,16 +551,16 @@ def patch_newton_reference(flow1, flow2, conjugacy, kernel, pairs, patch_radius,
     def chart(flow, chart_pairs, point_base):
         values = []
         for a, s_disp in chart_pairs:
-            vu, _ = flow.split_displacement(wrap_unit(point_base - a.base()))
+            vu, _ = flow.split_displacement(wrap_unit(point_base - a))
             quad = pcf.Quadrilateral(a=a, s_disp=tuple(s_disp), u_disp=tuple(vu))
             values.extend(pcf.temporal_distance_series(flow, [quad]))
         return np.array(values)
 
     n_u = flow1.dim_unstable
     jac = np.array(kernel.gradients)
-    pairs2 = [(conjugacy.apply(flow2, a), s_disp) for a, s_disp in pairs]
+    pairs2 = [(tuple(conjugacy.apply_base(a)), s_disp) for a, s_disp in pairs]
     u_frame = flow1.unstable_frame()
-    origin = kernel.base_point.base()
+    origin = np.asarray(kernel.base_point)
     base2 = conjugacy.apply_base(origin)
     mesh = np.meshgrid(*[np.linspace(-patch_radius, patch_radius, grid_n)] * n_u, indexing="ij")
     recovered = []
@@ -625,7 +674,7 @@ def temporal_distance_geometric_reference(flow, quad, tol=1e-8):
 
     from anosovlab import mpspec, pcf
 
-    alpha = quad.a.base()
+    alpha = np.asarray(quad.a)
     w = np.asarray(quad.s_disp)
     u = np.asarray(quad.u_disp)
     target = 0.02 * tol

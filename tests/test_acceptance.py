@@ -169,7 +169,7 @@ def test_08_claim44_and_remainder(companion3):
 
 def test_09_matching_kernels_and_reconstruction(companion3):
     const_flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
-    bp = const_flow.make_point([0.37, 0.61, 0.22], 0.0)
+    bp = (0.37, 0.61, 0.22)
     s_dir = const_flow.stable_frame()[:, 0]
     full = pcf.matching_kernel_dimension(
         const_flow, bp, [(bp, tuple(0.01 * s_dir))]

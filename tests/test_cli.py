@@ -70,6 +70,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="translation has 2 entries"):
             run_experiment(cfg, tmp_path / "out")
 
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_base_point_length_rejected_before_any_work(self, tmp_path, monkeypatch, length):
+        # a one-entry point would broadcast against the unstable frame and run
+        payload = json.loads((CONFIGS / "subbundle_companion3.json").read_text())
+        payload["params"]["base_point"] = [0.37, 0.61, 0.22, 0.37][:length]
+        cfg = ExperimentConfig.from_dict(payload)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("subbundle ran before the base point was checked")
+
+        monkeypatch.setattr(pcf, "translate_flow", no_work)
+        monkeypatch.setattr(pcf, "find_independent_pairs", no_work)
+        with pytest.raises(
+                ConfigInvalid, match=f"base_point has {length} entries, the base map needs 3"):
+            run_experiment(cfg, tmp_path / "out")
+
     @pytest.mark.parametrize("params", [
         {"n_points": 1},
         {"norm_min": 0.1, "norm_max": 0.1},
@@ -95,6 +111,12 @@ class TestConfigValidation:
 
 
 class TestCliExitCodes:
+    @staticmethod
+    def assert_refused(result, out: Path):
+        """Exit 2, and no report file left: the out directory is absent or empty."""
+        assert result.exit_code == 2
+        assert not out.exists() or not any(out.iterdir())
+
     def test_success_exit_zero(self, tmp_path):
         result = run_cli([
             "catalog", "--config", str(CONFIGS / "catalog_d3.json"),
@@ -114,14 +136,14 @@ class TestCliExitCodes:
         result = run_cli([
             "livshits", "--config", str(bad), "--out", str(tmp_path / "out"),
         ])
-        assert result.exit_code == 2
+        self.assert_refused(result, tmp_path / "out")
 
     def test_kind_mismatch_exit_two(self, tmp_path):
         result = run_cli([
             "pcf", "--config", str(CONFIGS / "catalog_d3.json"),
             "--out", str(tmp_path / "out"),
         ])
-        assert result.exit_code == 2
+        self.assert_refused(result, tmp_path / "out")
 
     def test_module_error_exit_one(self, tmp_path):
         # a 1-draw budget cannot produce two independent gradients
@@ -211,7 +233,7 @@ class TestCliExitCodes:
         config = tmp_path / "claim44_quartic.json"
         config.write_text(json.dumps({"kind": "claim44", **self.QUARTIC, "params": {}}))
         result = run_cli(["claim44", "--config", str(config), "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
+        self.assert_refused(result, tmp_path / "out")
         assert "conformal" in result.stderr
 
     def test_unbounded_periodic_enumeration_exit_two(self, tmp_path):
@@ -224,7 +246,7 @@ class TestCliExitCodes:
         result = run_cli([
             "livshits", "--config", str(bad), "--out", str(tmp_path / "out"),
         ])
-        assert result.exit_code == 2
+        self.assert_refused(result, tmp_path / "out")
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("name, params", [
@@ -240,7 +262,7 @@ class TestCliExitCodes:
         bad = tmp_path / name
         bad.write_text(json.dumps(payload))
         result = run_cli([payload["kind"], "--config", str(bad), "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
+        self.assert_refused(result, tmp_path / "out")
         assert result.stderr.startswith("config invalid")
 
     @pytest.mark.parametrize("name, params", [
@@ -261,9 +283,8 @@ class TestCliExitCodes:
         bad = tmp_path / name
         bad.write_text(json.dumps(payload))
         result = run_cli([payload["kind"], "--config", str(bad), "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
+        self.assert_refused(result, tmp_path / "out")
         assert "must be at least 1" in result.stderr
-        assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize("name, params, message", [
         # a zero displacement makes every temporal distance 0 on both
@@ -274,6 +295,12 @@ class TestCliExitCodes:
         ("subbundle_companion3.json", {"n_pairs": 2}, "unknown params"),
         # a negative bound enumerates nothing and reported count 0
         ("catalog_d3.json", {"coeff_bound": -1}, "coeff_bound must be in [0, 10]"),
+        # a zero radius makes a grid of one point, and a negative one mirrors it
+        ("subbundle_companion3.json", {"patch_radius": 0.0}, "patch_radius must be positive"),
+        ("subbundle_companion3.json", {"patch_radius": -0.008}, "patch_radius must be positive"),
+        # periodic_points would refuse period 0 without naming the config key
+        ("claim44_companion3.json", {"q_period": 0}, "param q_period must be at least 1"),
+        ("sweep_quartic.json", {"q_period": 0}, "param q_period must be at least 1"),
     ])
     def test_refused_param_exit_two(self, tmp_path, name, params, message):
         payload = json.loads((CONFIGS / name).read_text())
@@ -281,15 +308,18 @@ class TestCliExitCodes:
         bad = tmp_path / name
         bad.write_text(json.dumps(payload))
         result = run_cli([payload["kind"], "--config", str(bad), "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
+        self.assert_refused(result, tmp_path / "out")
         assert message in result.stderr
-        assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize("params, message", [
         ({"tol": -1.0}, "tol must be positive"),
         ({"tol": 0.0}, "tol must be positive"),
         ({"plant_coboundary": {"amplitude": 0.05, "freq": [0, 0]}}, "nonzero amplitude"),
         ({"plant_coboundary": {"amplitude": 0.0, "freq": [1, 0]}}, "nonzero amplitude"),
+        # solve_coboundary refuses these after the obstruction report is
+        # built, and that report must not be left behind
+        ({"trunc": -1}, "trunc must cover"),
+        ({"trunc": 0}, "trunc must cover"),
     ])
     def test_vacuous_livshits_exit_two(self, tmp_path, params, message):
         # a tol <= 0 rejects every roof, and a plant of frequency or
@@ -299,9 +329,8 @@ class TestCliExitCodes:
         bad = tmp_path / "livshits.json"
         bad.write_text(json.dumps(payload))
         result = run_cli(["livshits", "--config", str(bad), "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
+        self.assert_refused(result, tmp_path / "out")
         assert message in result.stderr
-        assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize("name, section, update", [
         ("livshits_obstructed.json", "roof", {"terms": [{"k": [1, 0], "re": float("nan")}]}),
@@ -316,9 +345,8 @@ class TestCliExitCodes:
         bad = tmp_path / name
         bad.write_text(json.dumps(payload))
         result = run_cli([payload["kind"], "--config", str(bad), "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
+        self.assert_refused(result, tmp_path / "out")
         assert "must be a finite number" in result.stderr
-        assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize("name, section, update", [
         ("bunching_companion3.json", "matrix", {"poly": [-1, 0, 1.2, 1]}),
@@ -335,16 +363,15 @@ class TestCliExitCodes:
         bad = tmp_path / name
         bad.write_text(json.dumps(payload))
         result = run_cli([payload["kind"], "--config", str(bad), "--out", str(tmp_path / "out")])
-        assert result.exit_code == 2
+        self.assert_refused(result, tmp_path / "out")
         assert "must be a non-empty list of integers" in result.stderr
-        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_missing_config_exit_two(self, tmp_path):
         result = run_cli([
             "catalog", "--config", str(tmp_path / "absent.json"),
             "--out", str(tmp_path / "out"),
         ])
-        assert result.exit_code == 2
+        self.assert_refused(result, tmp_path / "out")
 
 
 class TestReports:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import cos_roof
 from oracles import (
-    certified_sum, distance_mp, evolve_mp, kahan_birkhoff, limb_numerators, numerators,
-    projected, python_int_segments, rationalize, time_adjustment_reference,
+    base_apply, certified_sum, distance_mp, evolve_mp, kahan_birkhoff, limb_numerators,
+    make_point, numerators, projected, python_int_segments, rationalize,
+    time_adjustment_reference,
 )
 
 from anosovlab import flow as flow_module
@@ -20,34 +21,29 @@ from anosovlab.roof import RoofFunction
 from anosovlab.spectral import IntegerMatrix
 
 
-def _point(p):
-    # a FlowPoint as the (base, fiber) pair the mpmath oracles take
-    return p.x, p.s
-
-
 class TestEvolve:
-    # make_point(x, s + t) is the flow for time t
+    # the oracle's make_point(flow, x, s + t) is the flow for time t
     def test_time_zero_is_identity(self, cat_flow):
-        p = cat_flow.make_point([0.3, 0.55], 0.2)
-        assert distance_mp(cat_flow, _point(cat_flow.make_point(p.x, p.s)), _point(p)) == 0.0
+        p = make_point(cat_flow, [0.3, 0.55], 0.2)
+        assert distance_mp(cat_flow, make_point(cat_flow, *p), p) == 0.0
 
     def test_constant_roof_single_crossing(self, cat_map):
         flow = SuspensionFlow(cat_map, RoofFunction.constant(1.0, 2))
-        q = flow.make_point([0.3, 0.7], 1.0)
-        expected = flow.base_apply(np.array([0.3, 0.7]))
-        assert np.allclose(q.base(), expected, atol=1e-14)
-        assert q.s == pytest.approx(0.0, abs=1e-14)
+        x, s = make_point(flow, [0.3, 0.7], 1.0)
+        expected = base_apply(flow, np.array([0.3, 0.7]))
+        assert np.allclose(x, expected, atol=1e-14)
+        assert s == pytest.approx(0.0, abs=1e-14)
 
     def test_additivity_forward(self, cat_flow):
         rng = np.random.default_rng(42)
         worst = 0.0
         for _ in range(100):
-            p = cat_flow.make_point(rng.random(2), 0.0)
+            x, s = make_point(cat_flow, rng.random(2), 0.0)
             t1, t2 = rng.uniform(0.0, 100.0, 2)
-            a1 = cat_flow.make_point(p.x, p.s + t1)
-            a = cat_flow.make_point(a1.x, a1.s + t2)
-            b = cat_flow.make_point(p.x, p.s + t1 + t2)
-            worst = max(worst, distance_mp(cat_flow, _point(a), _point(b)))
+            x1, s1 = make_point(cat_flow, x, s + t1)
+            a = make_point(cat_flow, x1, s1 + t2)
+            b = make_point(cat_flow, x, s + t1 + t2)
+            worst = max(worst, distance_mp(cat_flow, a, b))
         assert worst <= 1e-9
 
     def test_additivity_shallow_mixed_signs(self, cat_flow):
@@ -56,32 +52,32 @@ class TestEvolve:
         rng = np.random.default_rng(43)
         worst = 0.0
         for _ in range(100):
-            p = cat_flow.make_point(rng.random(2), 0.0)
+            x, s = make_point(cat_flow, rng.random(2), 0.0)
             t1, t2 = rng.uniform(-8.0, 8.0, 2)
-            a1 = cat_flow.make_point(p.x, p.s + t1)
-            a = cat_flow.make_point(a1.x, a1.s + t2)
-            b = cat_flow.make_point(p.x, p.s + t1 + t2)
-            worst = max(worst, distance_mp(cat_flow, _point(a), _point(b)))
+            x1, s1 = make_point(cat_flow, x, s + t1)
+            a = make_point(cat_flow, x1, s1 + t2)
+            b = make_point(cat_flow, x, s + t1 + t2)
+            worst = max(worst, distance_mp(cat_flow, a, b))
         assert worst <= 1e-9
 
     def test_roof_crossing_consistency(self, cat_flow, cat_map):
         x0 = np.array([0.123, 0.456])
         for n in range(1, 21):
             t = kahan_birkhoff(cat_flow.roof, cat_map, tuple(x0), n)
-            q = cat_flow.make_point(x0, t)
+            q = make_point(cat_flow, x0, t)
             xn = x0.copy()
             for _ in range(n):
-                xn = cat_flow.base_apply(xn)
-            assert distance_mp(cat_flow, _point(q), (xn, 0.0)) <= 1e-8
+                xn = base_apply(cat_flow, xn)
+            assert distance_mp(cat_flow, q, (xn, 0.0)) <= 1e-8
 
 
 class TestDistance:
     def test_identification_straddling(self, cat_flow):
         x = np.array([0.37, 0.21])
         r = cat_flow.roof(x)
-        below = cat_flow.make_point(x, r - 1e-6)
-        above = cat_flow.make_point(below.x, below.s + 2e-6)
-        assert distance_mp(cat_flow, _point(below), _point(above)) <= 1e-5
+        below = make_point(cat_flow, x, r - 1e-6)
+        above = make_point(cat_flow, below[0], below[1] + 2e-6)
+        assert distance_mp(cat_flow, below, above) <= 1e-5
 
 
 class TestTimeAdjustment:
@@ -140,7 +136,7 @@ def _request_pool(flow, seed):
     zero displacements and a repeat among them."""
     pool = []
     for q in pcf.sample_quadrilaterals(flow, 3, seed=seed):
-        a = q.a.base()
+        a = np.asarray(q.a)
         pool += [(a, a + q.s_disp, "stable"), (a, a + q.u_disp, "unstable"),
                  (a + q.u_disp, a + q.u_disp + q.s_disp, "stable"), (a, a, "unstable")]
     return pool + [pool[0], (pool[1][0], pool[1][0], "stable")]
@@ -263,12 +259,12 @@ class TestStrongManifoldPoint:
     # the point of W^s((x, s)) over x + v is (x + v, s + time_adjustment(x, x + v))
     def test_constant_roof_keeps_fiber(self, cat_map):
         flow = SuspensionFlow(cat_map, RoofFunction.constant(1.0, 2))
-        p = flow.make_point([0.3, 0.55], 0.4)
+        x, s = make_point(flow, [0.3, 0.55], 0.4)
         v = 0.03 * flow.stable_frame()[:, 0]
-        q = flow.make_point(
-            p.base() + v, p.s + flow.time_adjustment([(p.base(), p.base() + v, "stable")])[0])
-        assert np.allclose(q.base(), (p.base() + v) % 1.0, atol=1e-14)
-        assert q.s == pytest.approx(0.4, abs=1e-14)
+        y = np.asarray(x) + v
+        qx, qs = make_point(flow, y, s + flow.time_adjustment([(x, y, "stable")])[0])
+        assert np.allclose(qx, y % 1.0, atol=1e-14)
+        assert qs == pytest.approx(0.4, abs=1e-14)
 
     def test_asymptotic_contraction_monotone(self, cat_flow, cat_map):
         split = mpspec.splitting(cat_map)
@@ -276,11 +272,11 @@ class TestStrongManifoldPoint:
         w_fr = projected(split, 0.04 * cat_flow.stable_frame()[:, 0], "stable")
         y_fr = [a + b for a, b in zip(x, w_fr)]
         y = [float(v) for v in y_fr]
-        q = cat_flow.make_point(
-            y, cat_flow.time_adjustment([([float(v) for v in x], y, "stable")])[0])
+        _, qs = make_point(
+            cat_flow, y, cat_flow.time_adjustment([([float(v) for v in x], y, "stable")])[0])
         dists = [
             distance_mp(
-                cat_flow, evolve_mp(cat_flow, x, 0.0, t), evolve_mp(cat_flow, y_fr, q.s, t)
+                cat_flow, evolve_mp(cat_flow, x, 0.0, t), evolve_mp(cat_flow, y_fr, qs, t)
             )
             for t in (10.0, 20.0, 30.0)
         ]
@@ -291,24 +287,26 @@ class TestStrongManifoldPoint:
         # displacing first and flowing, once displacements are matched by
         # the base derivative
         def leaf_point(p, v):
-            [offset] = cat_flow.time_adjustment([(p.base(), p.base() + v, "stable")])
-            return cat_flow.make_point(p.base() + v, p.s + offset)
+            x, s = p
+            y = np.asarray(x) + v
+            [offset] = cat_flow.time_adjustment([(x, y, "stable")])
+            return make_point(cat_flow, y, s + offset)
 
         x0 = np.array([0.123, 0.456])
         v = 0.01 * cat_flow.stable_frame()[:, 0]
         n = 3
         t = kahan_birkhoff(cat_flow.roof, cat_map, tuple(x0), n)
-        p = cat_flow.make_point(x0, 0.0)
-        moved = leaf_point(p, v)
-        lhs = cat_flow.make_point(moved.x, moved.s + t)
+        x, s = make_point(cat_flow, x0, 0.0)
+        mx, ms = leaf_point((x, s), v)
+        lhs = make_point(cat_flow, mx, ms + t)
         xn = x0.copy()
         vn = v.copy()
         lin = cat_map.as_array()
         for _ in range(n):
-            xn = cat_flow.base_apply(xn)
+            xn = base_apply(cat_flow, xn)
             vn = lin @ vn
-        rhs = leaf_point(cat_flow.make_point(p.x, p.s + t), vn)
-        assert distance_mp(cat_flow, _point(lhs), _point(rhs)) <= 1e-8
+        rhs = leaf_point(make_point(cat_flow, x, s + t), vn)
+        assert distance_mp(cat_flow, lhs, rhs) <= 1e-8
 
 
 class TestTranslation:
@@ -329,7 +327,7 @@ class TestExactOrbits:
     def test_rational_orbit_matches_float(self, companion3_flow):
         pt = rationalize([0.3, 0.6, 0.1])
         exact = companion3_flow.base_apply_exact(pt)
-        floats = companion3_flow.base_apply(np.array([0.3, 0.6, 0.1]))
+        floats = base_apply(companion3_flow, np.array([0.3, 0.6, 0.1]))
         assert np.allclose([float(v) for v in exact], floats, atol=1e-14)
 
     def test_inverse_round_trip(self, companion3_flow):
@@ -362,7 +360,7 @@ class TestSegments:
 
         def adjustments():
             return segment_flow.time_adjustment([
-                (q.a.base(), q.a.base() + disp, direction)
+                (q.a, np.asarray(q.a) + disp, direction)
                 for q in quads
                 for disp, direction in ((q.s_disp, "stable"), (q.u_disp, "unstable"))
             ])
@@ -452,12 +450,11 @@ class TestSegments:
                 return perturb.return_series(
                     setup.chart, setup.bump, np.array(setup.x_sequence[0]), setup.datum.y_r).total
         elif series == "pcf_gradient":
-            a = flow.make_point(x, 0.0)
             w = flow.stable_frame() @ np.full(1, 0.02)
             u = flow.unstable_frame() @ np.full(2, 0.02)
 
             def compute():
-                return pcf.pcf_gradient(flow, a, w, u)
+                return pcf.pcf_gradient(flow, x, w, u)
         elif series == "t_series":
             chart = perturb.SectionChart(flow)
 

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import cos_roof
 from oracles import (
-    distance_mp, evolve_mp, patch_newton_reference, temporal_distance_geometric_reference,
+    distance_mp, evolve_mp, make_point, patch_newton_reference,
+    temporal_distance_geometric_reference,
 )
 
 from anosovlab import flow as flow_module
@@ -20,6 +21,7 @@ from anosovlab.roof import RoofFunction, TrigPolynomial
 from anosovlab.spectral import IntegerMatrix, enumerate_catalog
 
 SEED = 20260808
+BASE_POINT = (0.37, 0.61, 0.22)
 
 
 def small_amp_flow(companion3, amplitude):
@@ -41,13 +43,13 @@ class TestTemporalDistanceSeries:
         assert worst <= 1e-10
 
     def test_zero_unstable_displacement(self, companion3_flow):
-        a = companion3_flow.make_point([0.3, 0.4, 0.5], 0.1)
+        a = (0.3, 0.4, 0.5)
         w = 0.02 * companion3_flow.stable_frame()[:, 0]
         quad = pcf.Quadrilateral.build(companion3_flow, a, w, np.zeros(3))
         assert pcf.temporal_distance_series(companion3_flow, [quad]) == [0.0]
 
     def test_zero_stable_displacement(self, companion3_flow):
-        a = companion3_flow.make_point([0.3, 0.4, 0.5], 0.1)
+        a = (0.3, 0.4, 0.5)
         u = companion3_flow.unstable_frame() @ np.array([0.015, -0.01])
         quad = pcf.Quadrilateral.build(companion3_flow, a, np.zeros(3), u)
         assert pcf.temporal_distance_series(companion3_flow, [quad]) == [0.0]
@@ -58,37 +60,26 @@ class TestTemporalDistanceSeries:
         rng = np.random.default_rng(5)
         flow = companion3_flow
         for _ in range(10):
-            a = flow.make_point(rng.random(3), 0.0)
+            a = rng.random(3)
             w = flow.stable_frame() @ (rng.uniform(-1, 1, 1) * 0.02)
             u = flow.unstable_frame() @ (rng.uniform(-1, 1, 2) * 0.015)
             quad = pcf.Quadrilateral.build(flow, a, w, u)
-            b = flow.make_point((a.base() + w) % 1.0, 0.0)
+            b = (a + w) % 1.0
             mirrored = pcf.Quadrilateral.build(flow, b, -w, u)
             value, flipped = pcf.temporal_distance_series(flow, [quad, mirrored])
             assert flipped == pytest.approx(-value, abs=1e-8)
 
-    def test_independent_of_corner_fiber(self, companion3_flow):
-        flow = companion3_flow
-        w = flow.stable_frame() @ [0.02]
-        u = flow.unstable_frame() @ [0.015, -0.01]
-        quads = [
-            pcf.Quadrilateral.build(flow, flow.make_point([0.3, 0.4, 0.5], fiber), w, u)
-            for fiber in (0.0, 0.3, 0.8)
-        ]
-        values = pcf.temporal_distance_series(flow, quads)
-        assert max(values) - min(values) <= 1e-12
-
 
 class TestQuadrilateral:
     def test_rejects_off_subspace_displacements(self, companion3_flow):
-        a = companion3_flow.make_point([0.1, 0.2, 0.3], 0.0)
+        a = (0.1, 0.2, 0.3)
         with pytest.raises(OffLeaf):
             pcf.Quadrilateral.build(
                 companion3_flow, a, np.array([0.01, 0.0, 0.0]), np.zeros(3)
             )
 
     def test_rejects_oversized(self, companion3_flow):
-        a = companion3_flow.make_point([0.1, 0.2, 0.3], 0.0)
+        a = (0.1, 0.2, 0.3)
         with pytest.raises(NoIntersection):
             pcf.Quadrilateral.build(
                 companion3_flow, a, 0.4 * companion3_flow.stable_frame()[:, 0],
@@ -123,7 +114,7 @@ class TestTemporalDistanceGeometric:
         assert [v.hex() for v in pcf.temporal_distance_geometric(flow, quads[2:4])] == expected[2:4]
 
     def test_oversized_displacement_raises(self, companion3_flow):
-        a = companion3_flow.make_point([0.3, 0.4, 0.5], 0.0)
+        a = (0.3, 0.4, 0.5)
         big = 0.4 * companion3_flow.stable_frame()[:, 0]
         # the constructor skips build's chart check, so the geometric route
         # is the one to refuse
@@ -220,7 +211,7 @@ class TestCoboundaryInvariance:
 class TestPcfGradient:
     def test_constant_roof_zero(self, companion3_const_flow):
         flow = companion3_const_flow
-        a = flow.make_point([0.1, 0.2, 0.3], 0.0)
+        a = (0.1, 0.2, 0.3)
         g = pcf.pcf_gradient(
             flow, a, 0.01 * flow.stable_frame()[:, 0],
             flow.unstable_frame() @ [0.01, 0.0],
@@ -240,7 +231,7 @@ class TestPcfGradient:
 
         worst = 0.0
         for _ in range(50):
-            a = flow.make_point(rng.random(3), 0.0)
+            a = rng.random(3)
             w = s_frame @ (rng.uniform(-1, 1, 1) * 0.006)
             c = rng.uniform(-1, 1, 2) * 0.01
             grad = pcf.pcf_gradient(flow, a, w, u_frame @ c)
@@ -255,7 +246,7 @@ class TestPcfGradient:
         rng = np.random.default_rng(2)
         flow = companion3_flow
         for draw in range(20):
-            a = flow.make_point(rng.random(3), 0.0)
+            a = rng.random(3)
             w = flow.stable_frame() @ (rng.uniform(-1, 1, 1) * 0.02)
             u = flow.unstable_frame() @ (rng.uniform(-1, 1, 2) * 0.015)
             if np.linalg.norm(pcf.pcf_gradient(flow, a, w, u)) > 1e-4:
@@ -280,7 +271,7 @@ class TestPcfGradient:
         # lambda * xi_max = 1 on the cat map: pcf_gradient and the section
         # chart's stable-graph gradient both meet stable_gradient's refusal
         refusal = r"bunching ratio lambda\*xi_max < 0\.98, got 1\.000"
-        a = cat_flow.make_point([0.3, 0.5], 0.0)
+        a = (0.3, 0.5)
         with pytest.raises(ValueError, match=refusal):
             pcf.pcf_gradient(
                 cat_flow, a, 0.01 * cat_flow.stable_frame()[:, 0],
@@ -293,7 +284,7 @@ class TestPcfGradient:
         # the temporal distance of a constant roof vanishes identically, so
         # its gradient is exactly zero even where the series would diverge
         flow = SuspensionFlow(cat_map, RoofFunction.constant(1.0, 2))
-        a = flow.make_point([0.3, 0.5], 0.0)
+        a = (0.3, 0.5)
         g = pcf.pcf_gradient(
             flow, a, 0.01 * flow.stable_frame()[:, 0], 0.01 * flow.unstable_frame()[:, 0],
         )
@@ -303,7 +294,7 @@ class TestPcfGradient:
 class TestMatchingKernel:
     def test_constant_roof_full_kernel(self, companion3_const_flow):
         flow = companion3_const_flow
-        bp = flow.make_point([0.37, 0.61, 0.22], 0.0)
+        bp = BASE_POINT
         report = pcf.matching_kernel_dimension(
             flow, bp, [(bp, tuple(0.01 * flow.stable_frame()[:, 0]))]
         )
@@ -312,7 +303,7 @@ class TestMatchingKernel:
 
     def test_single_nonzero_gradient(self, companion3_flow):
         flow = companion3_flow
-        bp = flow.make_point([0.37, 0.61, 0.22], 0.0)
+        bp = BASE_POINT
         pairs = pcf.find_independent_pairs(flow, bp, count=1, seed=5)
         report = pcf.matching_kernel_dimension(flow, bp, pairs)
         assert report.kernel_dim == flow.dim_unstable - 1 == 1
@@ -322,27 +313,25 @@ class TestMatchingKernel:
 
     def test_two_independent_gradients_kill_kernel(self, companion3_flow):
         flow = companion3_flow
-        bp = flow.make_point([0.37, 0.61, 0.22], 0.0)
+        bp = BASE_POINT
         pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=5, budget=200)
         report = pcf.matching_kernel_dimension(flow, bp, pairs)
         assert report.kernel_dim == 0
 
     def test_kernel_dim_invariant_under_stable_transport(self, companion3_flow):
         flow = companion3_flow
-        bp = flow.make_point([0.37, 0.61, 0.22], 0.0)
+        bp = BASE_POINT
         pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=5)
         before = pcf.matching_kernel_dimension(flow, bp, pairs).kernel_dim
         shift = 0.004 * flow.stable_frame()[:, 0]
-        bp2 = flow.make_point(bp.base() + shift, 0.0)
-        pairs2 = [
-            (flow.make_point(a.base() + shift, a.s), w) for a, w in pairs
-        ]
+        bp2 = (np.asarray(bp) + shift) % 1.0
+        pairs2 = [((np.asarray(a) + shift) % 1.0, w) for a, w in pairs]
         after = pcf.matching_kernel_dimension(flow, bp2, pairs2).kernel_dim
         assert before == after == 0
 
     def test_budget_exhaustion(self, companion3_const_flow):
         flow = companion3_const_flow
-        bp = flow.make_point([0.37, 0.61, 0.22], 0.0)
+        bp = BASE_POINT
         with pytest.raises(DegenerateGradients):
             pcf.find_independent_pairs(flow, bp, count=1, seed=0, budget=5)
 
@@ -352,12 +341,12 @@ class TestConjugacy:
         flow2, conj = pcf.translate_flow(
             companion3_flow, (Fraction(1, 7), Fraction(2, 7), Fraction(3, 7))
         )
-        p = companion3_flow.make_point([0.21, 0.84, 0.37], 0.2)
-        image = conj.apply(flow2, p)
+        x0, s0 = make_point(companion3_flow, [0.21, 0.84, 0.37], 0.2)
+        image = make_point(flow2, conj.apply_base(x0), s0)
         for t in (0.7, 3.3):
-            x, s = evolve_mp(companion3_flow, p.x, p.s, t)
+            x, s = evolve_mp(companion3_flow, x0, s0, t)
             lhs = [c + mp.mpf(v.numerator) / v.denominator for c, v in zip(x, conj.v)], s
-            rhs = evolve_mp(flow2, image.x, image.s, t)
+            rhs = evolve_mp(flow2, *image, t)
             assert distance_mp(flow2, lhs, rhs) <= 1e-10
 
     def test_identity_conjugacy_exact(self, companion3_flow):
@@ -377,29 +366,28 @@ class TestConjugacy:
         ) <= 1e-6
 
     def test_time_shift_invariance(self, companion3_flow):
-        # composing the conjugacy with a short flow keeps PCF values: they
-        # depend on the leaves only, not on the section. Corner fibers stay
-        # at zero and t0 below the roof floor, so no crossing remaps the
-        # displacement data.
+        # composing the conjugacy with the flow keeps PCF values: they depend
+        # on the leaves only. Flowing the image corner across the roof (the
+        # oracle's make_point) moves it to F x at fiber t0 and maps both
+        # displacements by the linear part L.
         flow = companion3_flow
         flow2, conj = pcf.translate_flow(
             flow, (Fraction(1, 7), Fraction(2, 7), Fraction(3, 7))
         )
+        lin = flow.base.as_array()
         t0 = 0.21
         rng = np.random.default_rng(10)
         worst = 0.0
         for _ in range(15):
-            a = flow.make_point(rng.random(3), 0.0)
+            a = rng.random(3)
             w = flow.stable_frame() @ (rng.uniform(-1, 1, 1) * 0.02)
             u = flow.unstable_frame() @ (rng.uniform(-1, 1, 2) * 0.02)
             quad = pcf.Quadrilateral.build(flow, a, w, u)
             [rho1] = pcf.temporal_distance_series(flow, [quad])
-            image = conj.apply(flow2, quad.a)
-            moved = pcf.Quadrilateral(
-                a=flow2.make_point(image.x, image.s + t0),
-                s_disp=quad.s_disp,
-                u_disp=quad.u_disp,
-            )
+            image = conj.apply_base(a)
+            x, s = make_point(flow2, image, flow2.roof(image) + t0)
+            assert s == pytest.approx(t0, abs=1e-12)
+            moved = pcf.Quadrilateral(a=x, s_disp=tuple(lin @ w), u_disp=tuple(lin @ u), fiber=s)
             [rho2] = pcf.temporal_distance_series(flow2, [moved])
             worst = max(worst, abs(rho1 - rho2))
         assert worst <= 1e-6
@@ -408,7 +396,7 @@ class TestConjugacy:
 class TestReconstruction:
     def test_identity_recovers_identity(self, companion3_flow):
         flow = companion3_flow
-        bp = flow.make_point([0.37, 0.61, 0.22], 0.0)
+        bp = BASE_POINT
         pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=5)
         kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
         flow2, conj = pcf.translate_flow(flow, (0, 0, 0))
@@ -419,7 +407,7 @@ class TestReconstruction:
 
     def test_translation_recovered(self, companion3_flow):
         flow = companion3_flow
-        bp = flow.make_point([0.37, 0.61, 0.22], 0.0)
+        bp = BASE_POINT
         pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=5)
         kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
         flow2, conj = pcf.translate_flow(
@@ -433,7 +421,7 @@ class TestReconstruction:
     def test_newton_out_of_steps_raises(self, companion3_flow, monkeypatch):
         # one chart evaluation per grid point: only the centre can converge
         flow = companion3_flow
-        bp = flow.make_point([0.37, 0.61, 0.22], 0.0)
+        bp = BASE_POINT
         pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=5)
         kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
         flow2, conj = pcf.translate_flow(
@@ -452,7 +440,7 @@ class TestReconstruction:
             Path(__file__).resolve().parents[1] / "configs" / "subbundle_companion3.json")
         matrix = experiments.build_matrix(cfg.matrix)
         flow = SuspensionFlow(matrix, experiments.build_roof(cfg.roof, matrix.dim))
-        bp = flow.make_point(cfg.params["base_point"], 0.0)
+        bp = np.array(cfg.params["base_point"]) % 1.0
         flow2, conj = pcf.translate_flow(flow, [Fraction(v) for v in cfg.params["translation"]])
         pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=cfg.seed)
         kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
@@ -466,7 +454,7 @@ class TestReconstruction:
 
     def test_constant_roof_degenerate(self, companion3_const_flow):
         flow = companion3_const_flow
-        bp = flow.make_point([0.37, 0.61, 0.22], 0.0)
+        bp = BASE_POINT
         pairs = [
             (bp, tuple(0.01 * flow.stable_frame()[:, 0])),
             (bp, tuple(0.005 * flow.stable_frame()[:, 0])),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import coords, section_roof
+from oracles import base_apply, coords, section_roof
 
 from anosovlab import flow as flow_module
 from anosovlab import perturb
@@ -40,7 +40,7 @@ class TestSectionChart:
         # f embeds as (A x, lam y): check on a sample chart point
         x = np.array([0.01, -0.02])
         y = 0.11
-        image = chart.flow.base_apply(chart.embed(x, y))
+        image = base_apply(chart.flow, chart.embed(x, y))
         ix, iy = coords(chart, image)
         assert np.allclose(ix, chart.a_u @ x, atol=1e-12)
         assert iy == pytest.approx(chart.lam * y, abs=1e-12)
