@@ -22,7 +22,8 @@ import numpy as np
 from . import intlinalg, mpspec, util
 from .errors import ChartExit, ResidualBelowNoise
 from .flow import (
-    RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sums, exact_points, walk_states, wrap_unit,
+    BATCH_ORBITS, RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sums, exact_points, walk_states,
+    wrap_unit,
 )
 from .roof import PeriodicOrbitRecord, periodic_points, row_products
 from .spectral import InvariantSubspaceCatalog
@@ -88,37 +89,47 @@ class SectionChart:
 
     # -- leaf-graph series -------------------------------------------------
 
-    def t_series(self, x, y: float) -> float:
-        """Unperturbed stable graph time T(x, y); zero on both axes.
+    def t_series(self, xs, y: float) -> list[float]:
+        """Unperturbed stable graph times T(x, y), one per x of xs, in order; zero on both axes.
 
         Double-paired series sum_n [roof(L^n(z + w)) - roof(L^n z)]
         - [roof(L^n w) - roof(0)] with z = Ux on the exact orbit and
-        w the refined stable vector of length y.
+        w the refined stable vector of length y. `certified_sums` takes
+        the points off the axes BATCH_ORBITS at a time, row k for point k.
+        Every row shares w, so one gap walk serves them all and they stop
+        together; each value is bit-identical whatever else is in the batch.
         """
+        values = [0.0] * len(xs)
         poly = self.flow.roof.poly
-        if poly.is_constant() or float(y) == 0.0 or not np.any(x):
-            return 0.0
+        if poly.is_constant() or float(y) == 0.0:
+            return values
         flow = self.flow
-        z, z_den = exact_points([self.embed(x, 0.0)])
+        off_axis = [i for i, x in enumerate(xs) if np.any(x)]
         lip = poly.lipschitz_bound()
         lam_abs = abs(self.lam)
         w, den = self.split.project(self.s_unit * float(y), "stable")
-        gap = np.array([[v / den for v in w]])
 
         def segment(points, active):
             nonlocal gap
-            length, d = points.shape[1:]
+            m, length, d = points.shape
             deltas, nexts = walk_states(
                 gap, lambda g: row_products(flow.proj_s, row_products(flow.lin, g)), length)
             gap = nexts[:, -1]
-            rows = deltas.reshape(-1, d)
-            terms = np.subtract(poly.eval_diff_rows(points.reshape(-1, d), rows),
-                                poly.eval_diff_rows(np.zeros_like(rows), rows))
+            at_origin = poly.eval_diff_rows(np.zeros_like(deltas[0]), deltas[0])
+            moved = poly.eval_diff_rows(points.reshape(-1, d), np.tile(deltas[0], (m, 1)))
             squares = np.matmul(nexts[..., None, :], nexts[..., :, None])[..., 0, 0]
-            return ([terms.tolist()],
-                    (2.0 * lip * np.sqrt(squares) / (1.0 - lam_abs)).tolist())
+            tails = (2.0 * lip * np.sqrt(squares[0]) / (1.0 - lam_abs)).tolist()
+            return np.subtract(np.reshape(moved, (m, length)), at_origin).tolist(), [tails] * m
 
-        return certified_sums(flow.exact_orbit(z, z_den), segment, VALUE_TOL, [0.0])[0][0]
+        for lo in range(0, len(off_axis), BATCH_ORBITS):
+            rows = off_axis[lo:lo + BATCH_ORBITS]
+            gap = np.array([[v / den for v in w]])
+            z, z_den = exact_points([self.embed(xs[i], 0.0) for i in rows])
+            totals, _ = certified_sums(flow.exact_orbit(z, z_den), segment, VALUE_TOL,
+                                       [0.0] * len(rows))
+            for i, total in zip(rows, totals):
+                values[i] = total
+        return values
 
     def t_gradient_at_zero(self, y: float) -> np.ndarray:
         """D_x T(0, y): the forward PCF gradient half along the stable axis orbit."""
@@ -347,83 +358,98 @@ class ReturnLedger:
         )
 
 
-def return_series(chart: SectionChart, bump: Bump | None, x, y: float) -> ReturnLedger:
+def return_series(chart: SectionChart, bump: Bump | None, xs, y: float) -> list[ReturnLedger]:
     """Corrections sum_n bump(F^n(x, y)) - bump(F^n(x, 0)) over exact orbits.
 
-    The orbit pair shares its unstable part, so consecutive gaps contract
-    by exactly |lambda| and the geometric tail certificate terminates the
-    sum. Only iterates in the hat (within HAT_FACTOR radii of the bump
-    centre) or with a nonzero term are recorded.
+    One ledger per x of xs, in order. Each orbit pair shares its unstable
+    part, so consecutive gaps contract by exactly |lambda| and the
+    geometric tail certificate terminates the sum. Only iterates in the hat
+    (within HAT_FACTOR radii of the bump centre) or with a nonzero term are
+    recorded.
 
-    Each pair of orbit segments is screened in one array pass. A row whose
-    two points both lie outside the hat, with SCREEN_SLACK to spare, has
-    term exactly 0.0, since the bump vanishes from one radius on, and is not
-    recorded; only the other rows run the hat test and `Bump.value_chart`,
-    on the chart coordinates the screen already holds.
+    `certified_sums` takes the pairs of BATCH_ORBITS // 2 points at a
+    time, row k the pair of point k. The gaps depend on y alone, so one gap
+    serves every row and the rows stop together; each ledger is
+    bit-identical whatever else is in the batch. Each segment is screened
+    in one array pass. A row whose two points both lie outside the hat,
+    with SCREEN_SLACK to spare, has term exactly 0.0, since the bump
+    vanishes from one radius on, and is not recorded; only the other rows
+    run the hat test and `Bump.value_chart`, on the chart coordinates the
+    screen already holds.
     """
+    empty = ReturnLedger(steps=(), gaps=(), terms=(), total=0.0)
     if bump is None:
-        return ReturnLedger(steps=(), gaps=(), terms=(), total=0.0)
+        return [empty] * len(xs)
     flow = chart.flow
-    [z0], z_den = exact_points([chart.embed(x, 0.0)])
     w, w_den = chart.split.project(chart.s_unit * float(y), "stable")
-    den = max(z_den, w_den)   # both powers of two, so their lcm
-    z0 = [v * (den // z_den) for v in z0]
-    z1 = [a + b * (den // w_den) for a, b in zip(z0, w)]   # left unreduced
     lam_abs = abs(chart.lam)
     lip = bump.lipschitz_bound()
     hat_radius = HAT_FACTOR * bump.radius
     screen_sq = hat_radius**2 * (1.0 + SCREEN_SLACK)
     centre = np.zeros(chart.dim_unstable + 1)
     centre[-1] = bump.center_y
-    gap = float(np.linalg.norm([v / w_den for v in w]))
-    if lip * gap / (1.0 - lam_abs) < RETURN_TOL:   # the whole series is already below tol
-        return ReturnLedger(steps=(), gaps=(), terms=(), total=0.0)
-    steps, gaps, terms = [], [], []
-    walked = 0   # orbit points before the current segment
-
-    def near(co) -> np.ndarray:
-        off = co - centre
-        return np.einsum("ij,ij->i", off, off) <= screen_sq
+    first_gap = float(np.linalg.norm([v / w_den for v in w]))
+    if lip * first_gap / (1.0 - lam_abs) < RETURN_TOL:   # every series is already below tol
+        return [empty] * len(xs)
 
     def segment(points, active):
         nonlocal gap, walked
-        co0, co1 = (chart.coords_rows(seg) for seg in points[0])
+        m, _, length, d = points.shape
+        co = chart.coords_rows(points.reshape(-1, d)).reshape(m, 2, length, d)
+        off = co - centre
+        near = (np.einsum("...j,...j->...", off, off) <= screen_sq).any(axis=1)
         # the gap at each point and after the segment, multiplied in turn
-        ahead = np.multiply.accumulate([gap] + [lam_abs] * len(co0))
-        row = [0.0] * len(co0)
-        for j in np.flatnonzero(near(co0) | near(co1)).tolist():
-            x1, y1 = co1[j, :-1], float(co1[j, -1])
-            x0c, y0c = co0[j, :-1], float(co0[j, -1])
+        ahead = np.multiply.accumulate([gap] + [lam_abs] * length)
+        terms = np.zeros((m, length))
+        for k, j in zip(*np.nonzero(near)):
+            (x0c, y0c), (x1, y1) = ((c[:-1], float(c[-1])) for c in co[k, :, j])
             d1 = math.hypot(float(np.linalg.norm(x1)), y1 - bump.center_y)
             d0 = math.hypot(float(np.linalg.norm(x0c)), y0c - bump.center_y)
-            row[j] = bump.value_chart(x1, y1) - bump.value_chart(x0c, y0c)
-            if min(d0, d1) <= hat_radius or row[j] != 0.0:
-                steps.append(walked + j)
+            term = bump.value_chart(x1, y1) - bump.value_chart(x0c, y0c)
+            terms[k, j] = term
+            if min(d0, d1) <= hat_radius or term != 0.0:
+                steps, gaps, row_terms = records[k]
+                steps.append(walked + int(j))
                 gaps.append(float(ahead[j]))
-                terms.append(row[j])
-        gap, walked = float(ahead[-1]), walked + len(co0)
-        return [row], [(lip * ahead[1:] / (1.0 - lam_abs)).tolist()]
+                row_terms.append(term)
+        gap, walked = float(ahead[-1]), walked + length
+        return terms.tolist(), [(lip * ahead[1:] / (1.0 - lam_abs)).tolist()] * m
 
-    # one series, two points a row
-    pair = (block[None] for block in flow.exact_orbit([z0, z1], den))
-    (total,), (count,) = certified_sums(pair, segment, RETURN_TOL, [0.0])
-    kept = sum(1 for n in steps if n < count)   # no step past the stop
-    return ReturnLedger(tuple(steps[:kept]), tuple(gaps[:kept]), tuple(terms[:kept]), total)
+    ledgers = []
+    for lo in range(0, len(xs), BATCH_ORBITS // 2):
+        batch = xs[lo:lo + BATCH_ORBITS // 2]
+        z_rows, z_den = exact_points([chart.embed(x, 0.0) for x in batch])
+        den = max(z_den, w_den)   # both powers of two, so their lcm
+        starts = []
+        for row in z_rows:
+            z0 = [v * (den // z_den) for v in row]
+            starts += [z0, [a + b * (den // w_den) for a, b in zip(z0, w)]]   # z1 left unreduced
+        gap, walked = first_gap, 0   # walked: orbit points before the current segment
+        records = [([], [], []) for _ in batch]   # steps, gaps, terms of each row
+        # two points a row, the pair of one x
+        pairs = (block.reshape(-1, 2, *block.shape[1:]) for block in flow.exact_orbit(starts, den))
+        totals, counts = certified_sums(pairs, segment, RETURN_TOL, [0.0] * len(batch))
+        for (steps, gaps, terms), total, count in zip(records, totals, counts):
+            kept = sum(1 for n in steps if n < count)   # no step past the stop
+            ledgers.append(ReturnLedger(
+                tuple(steps[:kept]), tuple(gaps[:kept]), tuple(terms[:kept]), total))
+    return ledgers
 
 
-def stable_graph_time(chart: SectionChart, bump: Bump | None, x, y: float) -> float:
-    """Perturbed stable graph time T^rho(x, y).
+def stable_graph_time(chart: SectionChart, bump: Bump | None, xs, y: float) -> list[float]:
+    """Perturbed stable graph times T^rho(x, y), one per x of xs, in order.
 
-    Equals the unperturbed graph time plus the bump return series; vanishes
-    for x = 0 whatever the bump, because the bump vanishes on the stable
-    axis and the unperturbed return time is constant along it.
+    Each equals the unperturbed graph time plus the bump return series;
+    it vanishes for x = 0 whatever the bump, because the bump vanishes on
+    the stable axis and the unperturbed return time is constant along it.
+    Every point is checked against the chart box before any series runs:
+    one outside raises ChartExit.
     """
-    x = np.asarray(x, dtype=float)
-    if not chart.in_box(x, y):
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    if not all(chart.in_box(x, y) for x in xs):
         raise ChartExit("graph point outside the chart box")
-    base = chart.t_series(x, y)
-    ledger = return_series(chart, bump, x, y)
-    return base + ledger.total
+    ledgers = return_series(chart, bump, xs, y)
+    return [base + ledger.total for base, ledger in zip(chart.t_series(xs, y), ledgers)]
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +494,14 @@ def claim44_check(
     if any(h2 >= h1 for h1, h2 in zip(steps, steps[1:])):
         raise ValueError("steps must decrease")
     n_u = chart.dim_unstable
-    dirs = np.eye(n_u)
     rhs = holonomy_corner(chart, datum, bump)
+    # T^rho at x = h e_j and at -h e_j, for every step h and direction j, in one call
+    points = [sign * h * e for h in steps for e in np.eye(n_u) for sign in (1.0, -1.0)]
+    times = np.reshape(stable_graph_time(chart, bump, points, datum.y_r), (len(steps), n_u, 2))
     lhs_rows = []
     errors = []
-    for h in steps:
-        fd = np.zeros(n_u)
-        for j in range(n_u):
-            tp = stable_graph_time(chart, bump, h * dirs[j], datum.y_r)
-            tm = stable_graph_time(chart, bump, -h * dirs[j], datum.y_r)
-            fd[j] = (tp - tm) / (2.0 * h)
+    for h, pairs in zip(steps, times):
+        fd = (pairs[:, 0] - pairs[:, 1]) / (2.0 * h)
         lhs_rows.append(tuple(float(v) for v in fd))
         errors.append(float(np.max(np.abs(fd - rhs))))
     fitted = _fit_order(steps, errors)
@@ -521,9 +545,8 @@ def remainder_exponent(
     fewer than two distinct norms left to fit raise ResidualBelowNoise.
     """
     norms, residuals = [], []
-    for x in x_sequence:
-        x = np.asarray(x, dtype=float)
-        ledger = return_series(chart, bump, x, datum.y_r)
+    xs = [np.asarray(x, dtype=float) for x in x_sequence]
+    for x, ledger in zip(xs, return_series(chart, bump, xs, datum.y_r)):
         resid = abs(ledger.correction(from_step=2))
         if resid >= 1e-12:
             norms.append(float(np.linalg.norm(x)))

@@ -399,7 +399,7 @@ def series_pins() -> dict:
         points = [(np.array(x), y) for x, y in PIN_CHART_POINTS[flow.dim_unstable]]
         quads = pcf.sample_quadrilaterals(flow, 4, seed=29)
         out[name] = {
-            "t_series": [hexed(chart.t_series(x, y)) for x, y in points],
+            "t_series": [hexed(chart.t_series([x], y)[0]) for x, y in points],
             "t_gradient_at_zero": [hexed(chart.t_gradient_at_zero(y)) for _, y in points],
             "unstable_slope": [hexed(chart.unstable_slope(y)) for _, y in points],
             "temporal_distance_series": [
@@ -811,18 +811,15 @@ def return_pins() -> dict:
 
     out = {}
     for name, setup in return_pin_setups().items():
-        ledgers = []
-        for i in RETURN_PIN_ENTRIES:
-            ledger = perturb.return_series(
-                setup.chart, setup.bump, np.array(setup.x_sequence[i]), setup.datum.y_r)
-            ledgers.append({
+        xs = [np.array(setup.x_sequence[i]) for i in RETURN_PIN_ENTRIES]
+        ledgers = perturb.return_series(setup.chart, setup.bump, xs, setup.datum.y_r)
+        out[name] = {
+            "ledgers": [{
                 "steps": list(ledger.steps),
                 "gaps": [g.hex() for g in ledger.gaps],
                 "terms": [t.hex() for t in ledger.terms],
                 "total": ledger.total.hex(),
-            })
-        out[name] = {
-            "ledgers": ledgers,
+            } for ledger in ledgers],
             "backward_distance": setup.datum.backward_distance.hex(),
         }
     return out

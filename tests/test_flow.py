@@ -447,8 +447,9 @@ class TestSegments:
             setup = kappa_setup
 
             def compute():
-                return perturb.return_series(
-                    setup.chart, setup.bump, np.array(setup.x_sequence[0]), setup.datum.y_r).total
+                [ledger] = perturb.return_series(
+                    setup.chart, setup.bump, [np.array(setup.x_sequence[0])], setup.datum.y_r)
+                return ledger.total
         elif series == "pcf_gradient":
             w = flow.stable_frame() @ np.full(1, 0.02)
             u = flow.unstable_frame() @ np.full(2, 0.02)
@@ -459,7 +460,7 @@ class TestSegments:
             chart = perturb.SectionChart(flow)
 
             def compute():
-                return chart.t_series(np.array([0.04, -0.03]), 0.21)
+                return chart.t_series([np.array([0.04, -0.03])], 0.21)
         else:
             frame = flow.stable_frame() if series == "stable" else flow.unstable_frame()
             y = x + frame @ np.full(frame.shape[1], 0.02)

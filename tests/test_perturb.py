@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from oracles import base_apply, coords, section_roof
 from anosovlab import flow as flow_module
 from anosovlab import perturb
 from anosovlab.errors import ChartExit, ResidualBelowNoise
+from anosovlab.experiments import ExperimentConfig, run_experiment
 from anosovlab.flow import SuspensionFlow
 from anosovlab.roof import RoofFunction, TrigPolynomial
 from anosovlab.spectral import invariant_unstable_subspaces, spectral_data
@@ -55,7 +58,7 @@ class TestSectionChart:
         flow = chart.flow
         x = np.array([0.04, -0.03])
         y = 0.21
-        direct = chart.t_series(x, y)
+        [direct] = chart.t_series([x], y)
         base = chart.embed(x, 0.0)
         moved, origin = flow.time_adjustment([
             (base, base + y * chart.s_unit, "stable"),
@@ -65,8 +68,11 @@ class TestSectionChart:
         assert direct == pytest.approx(oracle, abs=1e-12)
 
     def test_t_vanishes_on_axes(self, cos_chart):
-        assert cos_chart.t_series(np.zeros(2), 0.3) == 0.0
-        assert cos_chart.t_series(np.array([0.05, 0.02]), 0.0) == 0.0
+        assert cos_chart.t_series([np.zeros(2)], 0.3) == [0.0]
+        assert cos_chart.t_series([np.array([0.05, 0.02])], 0.0) == [0.0]
+        # an axis point in a batch keeps its zero
+        values = cos_chart.t_series([np.array([0.05, 0.02]), np.zeros(2)], 0.3)
+        assert values[0] != 0.0 and values[1] == 0.0
 
     def test_t_gradient_matches_finite_differences(self, cos_chart):
         chart = cos_chart
@@ -76,7 +82,8 @@ class TestSectionChart:
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd = (chart.t_series(e, y) - chart.t_series(-e, y)) / (2 * h)
+            tp, tm = chart.t_series([e, -e], y)
+            fd = (tp - tm) / (2 * h)
             assert fd == pytest.approx(grad[j], abs=1e-7)
 
     @pytest.mark.parametrize("segment", [1, 7, flow_module.SEGMENT])
@@ -89,7 +96,7 @@ class TestSectionChart:
         def series():
             out = []
             for x, y in points:
-                out.append(chart.t_series(x, y))
+                out.append(chart.t_series([x], y))
                 out.append(chart.t_gradient_at_zero(y).tolist())
                 out.append(chart.unstable_slope(y).tolist())
             return out
@@ -168,13 +175,11 @@ class TestStableGraphTime:
     def test_no_bump_reduces_to_t(self, cos_chart):
         x = np.array([0.03, -0.01])
         y = 0.15
-        assert perturb.stable_graph_time(cos_chart, None, x, y) == pytest.approx(
-            cos_chart.t_series(x, y), abs=0
-        )
+        assert perturb.stable_graph_time(cos_chart, None, [x], y) == cos_chart.t_series([x], y)
 
     def test_zero_x_is_zero_for_any_bump(self, kappa_setup):
-        value = perturb.stable_graph_time(
-            kappa_setup.chart, kappa_setup.bump, np.zeros(2), kappa_setup.datum.y_r
+        [value] = perturb.stable_graph_time(
+            kappa_setup.chart, kappa_setup.bump, [np.zeros(2)], kappa_setup.datum.y_r
         )
         assert abs(value) <= 1e-15
 
@@ -189,16 +194,33 @@ class TestStableGraphTime:
                                  direction=[1.0, 0.4])
         x = np.array([0.04, 0.03])
         monkeypatch.setattr(perturb, "RETURN_TOL", 1e-13)
-        coarse = perturb.stable_graph_time(cos_chart, bump, x, datum.y_r)
+        [coarse] = perturb.stable_graph_time(cos_chart, bump, [x], datum.y_r)
         monkeypatch.setattr(perturb, "RETURN_TOL", 1e-14)
-        fine = perturb.stable_graph_time(cos_chart, bump, x, datum.y_r)
+        [fine] = perturb.stable_graph_time(cos_chart, bump, [x], datum.y_r)
         assert abs(coarse - fine) <= 1e-10
 
     def test_chart_box_enforced(self, kappa_setup):
         with pytest.raises(ChartExit):
             perturb.stable_graph_time(
-                kappa_setup.chart, kappa_setup.bump, np.array([0.5, 0.0]), 0.1
+                kappa_setup.chart, kappa_setup.bump, [np.array([0.5, 0.0])], 0.1
             )
+
+    def test_chart_box_checked_before_any_series(self, cos_chart, kappa_setup, monkeypatch):
+        # the last point leaves the box: no series runs for the ones before it
+        datum = perturb.make_heteroclinic_datum(
+            cos_chart, kappa_setup.datum.q_orbit, kappa_setup.datum.q_index,
+            kappa_setup.datum.offset,
+        )
+        bump = perturb.make_bump(cos_chart, datum, radius=0.04, amplitude=0.05,
+                                 direction=[1.0, 0.4])
+
+        def no_series(*args):
+            raise AssertionError("a series ran before the chart-box check")
+
+        monkeypatch.setattr(perturb, "certified_sums", no_series)
+        points = [np.array([0.04, 0.03]), np.array([-0.02, 0.01]), np.array([0.5, 0.0])]
+        with pytest.raises(ChartExit):
+            perturb.stable_graph_time(cos_chart, bump, points, datum.y_r)
 
 
 class TestReturnSeries:
@@ -224,18 +246,15 @@ class TestReturnSeries:
             return value_chart(self, x, y)
 
         monkeypatch.setattr(perturb.Bump, "value_chart", counted)
-        recorded = sum(
-            len(perturb.return_series(setup.chart, setup.bump, np.array(x),
-                                      setup.datum.y_r).steps)
-            for x in setup.x_sequence
-        )
+        ledgers = perturb.return_series(setup.chart, setup.bump, setup.x_sequence, setup.datum.y_r)
+        recorded = sum(len(ledger.steps) for ledger in ledgers)
         assert recorded > 0
         assert calls <= 4 * recorded
 
     def test_gaps_contract_at_stable_rate(self, kappa_setup):
         chart, datum, bump = kappa_setup.chart, kappa_setup.datum, kappa_setup.bump
         x = np.array(kappa_setup.x_sequence[5])
-        ledger = perturb.return_series(chart, bump, x, datum.y_r)
+        [ledger] = perturb.return_series(chart, bump, [x], datum.y_r)
         gaps = ledger.gaps
         assert len(gaps) >= 2
         lam = abs(chart.lam)
@@ -247,7 +266,7 @@ class TestReturnSeries:
     def test_first_return_is_the_bump_center_image(self, kappa_setup):
         chart, datum, bump = kappa_setup.chart, kappa_setup.datum, kappa_setup.bump
         x = np.array(kappa_setup.x_sequence[-1])  # smallest displacement
-        ledger = perturb.return_series(chart, bump, x, datum.y_r)
+        [ledger] = perturb.return_series(chart, bump, [x], datum.y_r)
         assert 1 in ledger.steps
         idx = ledger.steps.index(1)
         expected = bump.value_chart(chart.a_u @ x, chart.lam * datum.y_r)
@@ -283,6 +302,25 @@ class TestClaim44:
         assert report.fitted_order >= 0.9
         assert report.errors[-1] <= 1e-4
         assert report.kappa == pytest.approx(2.0, abs=1e-9)
+
+    def test_one_return_series_call_per_stage(self, monkeypatch, tmp_path):
+        # the bundled config at n_points 60: one batched call for the
+        # finite differences of claim44_check and one for the x_sequence of
+        # remainder_exponent, where per-point calls would make 78
+        config = Path(__file__).resolve().parents[1] / "configs" / "claim44_companion3.json"
+        payload = json.loads(config.read_text())
+        payload["params"]["n_points"] = 60
+        calls = 0
+        return_series = perturb.return_series
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return return_series(*args)
+
+        monkeypatch.setattr(perturb, "return_series", counted)
+        run_experiment(ExperimentConfig.from_dict(payload), tmp_path)
+        assert calls == 2
 
     def test_steps_must_decrease(self, kappa_setup):
         with pytest.raises(ValueError):
