@@ -33,7 +33,7 @@ GRADIENT_TOL = 1e-15   # gradient series: a decade lower, as they feed 1e-9 rank
 RETURN_TOL = 1e-13     # bump return series: a decade under the 1e-12 noise floor of the kappa fit
 MAX_TERMS = 5000       # the bundled configs need at most ~260 terms
 SEGMENT = 32           # points per orbit matmul and roof evaluation: amortizes numpy calls; overshoot < 32
-BATCH_ORBITS = 32      # orbits per chart-series walk: limb walk peak RSS ~0.3 MB over a 2-orbit walk
+BATCH_ORBITS = 32      # orbits per return-series walk: limb walk peak RSS ~0.3 MB over a 2-orbit walk
 CHART_RADIUS = 0.05    # largest leaf displacement a quadrilateral accepts
 BUNCHING_CAP = 0.98    # largest forward gradient rate lambda * xi_max: keeps 1 / (1 - q) <= 50
 
@@ -48,10 +48,11 @@ def certified_sums(orbit, segment_terms, tol: float, totals) -> tuple[list, list
     each point of `perturb.return_series`. Each round calls
     segment_terms(block[active], active), active being the open series in
     order, which returns one row of terms and one row of tail bounds (each
-    bounding all that follows its term) per open series. Series k adds its terms left to right, up to its
-    first tail under tol, then leaves the batch; one still open after
-    MAX_TERMS terms raises TruncationInsufficient. Returns the totals and
-    the number of terms each series took.
+    bounding all that follows its term) per open series. Series k adds its
+    terms left to right, up to its first tail under tol, then leaves the
+    batch; one still open after MAX_TERMS terms raises
+    TruncationInsufficient. Returns the totals and the number of terms each
+    series took.
     """
     totals, counts = list(totals), [0] * len(totals)
     active = list(range(len(totals)))

@@ -89,47 +89,37 @@ class SectionChart:
 
     # -- leaf-graph series -------------------------------------------------
 
-    def t_series(self, xs, y: float) -> list[float]:
-        """Unperturbed stable graph times T(x, y), one per x of xs, in order; zero on both axes.
+    def t_series(self, x, y: float) -> float:
+        """Unperturbed stable graph time T(x, y); zero on both axes.
 
         Double-paired series sum_n [roof(L^n(z + w)) - roof(L^n z)]
         - [roof(L^n w) - roof(0)] with z = Ux on the exact orbit and
-        w the refined stable vector of length y. `certified_sums` takes
-        the points off the axes BATCH_ORBITS at a time, row k for point k.
-        Every row shares w, so one gap walk serves them all and they stop
-        together; each value is bit-identical whatever else is in the batch.
+        w the refined stable vector of length y.
         """
-        values = [0.0] * len(xs)
         poly = self.flow.roof.poly
-        if poly.is_constant() or float(y) == 0.0:
-            return values
+        if poly.is_constant() or float(y) == 0.0 or not np.any(x):
+            return 0.0
         flow = self.flow
-        off_axis = [i for i, x in enumerate(xs) if np.any(x)]
+        z, z_den = exact_points([self.embed(x, 0.0)])
         lip = poly.lipschitz_bound()
         lam_abs = abs(self.lam)
         w, den = self.split.project(self.s_unit * float(y), "stable")
+        gap = np.array([[v / den for v in w]])
 
         def segment(points, active):
             nonlocal gap
-            m, length, d = points.shape
+            length, d = points.shape[1:]
             deltas, nexts = walk_states(
                 gap, lambda g: row_products(flow.proj_s, row_products(flow.lin, g)), length)
             gap = nexts[:, -1]
-            at_origin = poly.eval_diff_rows(np.zeros_like(deltas[0]), deltas[0])
-            moved = poly.eval_diff_rows(points.reshape(-1, d), np.tile(deltas[0], (m, 1)))
+            rows = deltas.reshape(-1, d)
+            terms = np.subtract(poly.eval_diff_rows(points.reshape(-1, d), rows),
+                                poly.eval_diff_rows(np.zeros_like(rows), rows))
             squares = np.matmul(nexts[..., None, :], nexts[..., :, None])[..., 0, 0]
-            tails = (2.0 * lip * np.sqrt(squares[0]) / (1.0 - lam_abs)).tolist()
-            return np.subtract(np.reshape(moved, (m, length)), at_origin).tolist(), [tails] * m
+            return ([terms.tolist()],
+                    (2.0 * lip * np.sqrt(squares) / (1.0 - lam_abs)).tolist())
 
-        for lo in range(0, len(off_axis), BATCH_ORBITS):
-            rows = off_axis[lo:lo + BATCH_ORBITS]
-            gap = np.array([[v / den for v in w]])
-            z, z_den = exact_points([self.embed(xs[i], 0.0) for i in rows])
-            totals, _ = certified_sums(flow.exact_orbit(z, z_den), segment, VALUE_TOL,
-                                       [0.0] * len(rows))
-            for i, total in zip(rows, totals):
-                values[i] = total
-        return values
+        return certified_sums(flow.exact_orbit(z, z_den), segment, VALUE_TOL, [0.0])[0][0]
 
     def t_gradient_at_zero(self, y: float) -> np.ndarray:
         """D_x T(0, y): the forward PCF gradient half along the stable axis orbit."""
@@ -370,12 +360,13 @@ def return_series(chart: SectionChart, bump: Bump | None, xs, y: float) -> list[
     `certified_sums` takes the pairs of BATCH_ORBITS // 2 points at a
     time, row k the pair of point k. The gaps depend on y alone, so one gap
     serves every row and the rows stop together; each ledger is
-    bit-identical whatever else is in the batch. Each segment is screened
-    in one array pass. A row whose two points both lie outside the hat,
-    with SCREEN_SLACK to spare, has term exactly 0.0, since the bump
-    vanishes from one radius on, and is not recorded; only the other rows
-    run the hat test and `Bump.value_chart`, on the chart coordinates the
-    screen already holds.
+    bit-identical whatever else is in the batch. Row k of a segment
+    records into the ledger of the open series active[k]. Each segment is
+    screened in one array pass. A row whose two points both lie outside
+    the hat, with SCREEN_SLACK to spare, has term exactly 0.0, since the
+    bump vanishes from one radius on, and is not recorded; only the other
+    rows run the hat test and `Bump.value_chart`, on the chart coordinates
+    the screen already holds.
     """
     empty = ReturnLedger(steps=(), gaps=(), terms=(), total=0.0)
     if bump is None:
@@ -408,7 +399,7 @@ def return_series(chart: SectionChart, bump: Bump | None, xs, y: float) -> list[
             term = bump.value_chart(x1, y1) - bump.value_chart(x0c, y0c)
             terms[k, j] = term
             if min(d0, d1) <= hat_radius or term != 0.0:
-                steps, gaps, row_terms = records[k]
+                steps, gaps, row_terms = records[active[k]]
                 steps.append(walked + int(j))
                 gaps.append(float(ahead[j]))
                 row_terms.append(term)
@@ -449,7 +440,7 @@ def stable_graph_time(chart: SectionChart, bump: Bump | None, xs, y: float) -> l
     if not all(chart.in_box(x, y) for x in xs):
         raise ChartExit("graph point outside the chart box")
     ledgers = return_series(chart, bump, xs, y)
-    return [base + ledger.total for base, ledger in zip(chart.t_series(xs, y), ledgers)]
+    return [chart.t_series(x, y) + ledger.total for x, ledger in zip(xs, ledgers)]
 
 
 # ---------------------------------------------------------------------------

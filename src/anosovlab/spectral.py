@@ -17,6 +17,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial.polynomial import polyroots
 
 from . import intlinalg, util
 from .errors import NotCodimensionOne, NotHyperbolic
@@ -126,25 +127,6 @@ def _poly_eval(coeffs, z: complex) -> complex:
     return acc
 
 
-def _companion_roots(cf) -> np.ndarray:
-    """Sorted eigenvalues of the companion matrix of ascending float coefficients.
-
-    The matrix is numpy.polynomial's `polycompanion` (ones on the
-    subdiagonal, last column -c[:-1] / c[-1]), so the roots are those of its
-    `polyroots` bit for bit, without importing numpy.polynomial. (A linear
-    factor with root 0 would give 0.0 for its -0.0; no root of a unimodular
-    matrix is 0.)
-    """
-    cf = np.asarray(cf, dtype=float)
-    deg = len(cf) - 1
-    mat = np.zeros((deg, deg))
-    mat.reshape(-1)[deg::deg + 1] = 1
-    mat[:, -1] -= cf[:-1] / cf[-1]
-    roots = np.linalg.eigvals(mat)
-    roots.sort()
-    return roots
-
-
 def _refine_roots(coeffs) -> list[tuple[complex, float]]:
     """Newton-polish roots of a square-free polynomial; return (root, bound).
 
@@ -152,7 +134,8 @@ def _refine_roots(coeffs) -> list[tuple[complex, float]]:
     for simple roots.
     """
     deg = len(coeffs) - 1
-    comp = _companion_roots([float(c) for c in coeffs])
+    cf = [float(c) for c in coeffs]
+    comp = polyroots(cf)
     deriv = [c * k for k, c in enumerate(coeffs)][1:]
     out = []
     for z0 in sorted(comp, key=lambda z: (round(abs(z), 12), z.real, z.imag)):

@@ -399,7 +399,7 @@ def series_pins() -> dict:
         points = [(np.array(x), y) for x, y in PIN_CHART_POINTS[flow.dim_unstable]]
         quads = pcf.sample_quadrilaterals(flow, 4, seed=29)
         out[name] = {
-            "t_series": [hexed(chart.t_series([x], y)[0]) for x, y in points],
+            "t_series": [hexed(chart.t_series(x, y)) for x, y in points],
             "t_gradient_at_zero": [hexed(chart.t_gradient_at_zero(y)) for _, y in points],
             "unstable_slope": [hexed(chart.unstable_slope(y)) for _, y in points],
             "temporal_distance_series": [

@@ -6,8 +6,7 @@ users. Every module under `src/anosovlab` is scanned for an `mpmath`
 import, and a fresh interpreter checks that importing the CLI does not
 load it through some other module. A periodic-orbit enumeration must not
 load `numpy.ma` either: `np.unique` imports it, at about 1 MB of RSS and
-10 ms per process. Nor may the CLI load `numpy.polynomial`, whose import
-cost 4-11 ms of CPU per process for one `polyroots` call.
+10 ms per process.
 """
 
 import ast
@@ -47,11 +46,6 @@ def _fresh_interpreter(code):
 
 def test_importing_the_cli_leaves_mpmath_unloaded():
     assert _fresh_interpreter("import sys, anosovlab.cli; print('mpmath' in sys.modules)") == "False"
-
-
-def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
-    code = "import sys, anosovlab.cli; print('numpy.polynomial' in sys.modules)"
-    assert _fresh_interpreter(code) == "False"
 
 
 def test_periodic_obstructions_leave_numpy_ma_unloaded():

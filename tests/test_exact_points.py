@@ -95,7 +95,7 @@ def test_chart_series_build_no_fraction(companion3_flow, kappa_setup, monkeypatc
     points = [(np.array(x), y) for x, y in PIN_CHART_POINTS[2]]
     setup = kappa_setup
     counts = _fractions_built(monkeypatch, {
-        "t_series": lambda: [chart.t_series([x], y) for x, y in points],
+        "t_series": lambda: [chart.t_series(x, y) for x, y in points],
         "t_gradient_at_zero": lambda: [chart.t_gradient_at_zero(y) for _, y in points],
         "unstable_slope": lambda: [chart.unstable_slope(y) for _, y in points],
         "return_series": lambda: perturb.return_series(

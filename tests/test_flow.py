@@ -460,7 +460,7 @@ class TestSegments:
             chart = perturb.SectionChart(flow)
 
             def compute():
-                return chart.t_series([np.array([0.04, -0.03])], 0.21)
+                return chart.t_series(np.array([0.04, -0.03]), 0.21)
         else:
             frame = flow.stable_frame() if series == "stable" else flow.unstable_frame()
             y = x + frame @ np.full(frame.shape[1], 0.02)

@@ -58,7 +58,7 @@ class TestSectionChart:
         flow = chart.flow
         x = np.array([0.04, -0.03])
         y = 0.21
-        [direct] = chart.t_series([x], y)
+        direct = chart.t_series(x, y)
         base = chart.embed(x, 0.0)
         moved, origin = flow.time_adjustment([
             (base, base + y * chart.s_unit, "stable"),
@@ -68,11 +68,8 @@ class TestSectionChart:
         assert direct == pytest.approx(oracle, abs=1e-12)
 
     def test_t_vanishes_on_axes(self, cos_chart):
-        assert cos_chart.t_series([np.zeros(2)], 0.3) == [0.0]
-        assert cos_chart.t_series([np.array([0.05, 0.02])], 0.0) == [0.0]
-        # an axis point in a batch keeps its zero
-        values = cos_chart.t_series([np.array([0.05, 0.02]), np.zeros(2)], 0.3)
-        assert values[0] != 0.0 and values[1] == 0.0
+        assert cos_chart.t_series(np.zeros(2), 0.3) == 0.0
+        assert cos_chart.t_series(np.array([0.05, 0.02]), 0.0) == 0.0
 
     def test_t_gradient_matches_finite_differences(self, cos_chart):
         chart = cos_chart
@@ -82,8 +79,7 @@ class TestSectionChart:
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            tp, tm = chart.t_series([e, -e], y)
-            fd = (tp - tm) / (2 * h)
+            fd = (chart.t_series(e, y) - chart.t_series(-e, y)) / (2 * h)
             assert fd == pytest.approx(grad[j], abs=1e-7)
 
     @pytest.mark.parametrize("segment", [1, 7, flow_module.SEGMENT])
@@ -96,7 +92,7 @@ class TestSectionChart:
         def series():
             out = []
             for x, y in points:
-                out.append(chart.t_series([x], y))
+                out.append(chart.t_series(x, y))
                 out.append(chart.t_gradient_at_zero(y).tolist())
                 out.append(chart.unstable_slope(y).tolist())
             return out
@@ -175,7 +171,7 @@ class TestStableGraphTime:
     def test_no_bump_reduces_to_t(self, cos_chart):
         x = np.array([0.03, -0.01])
         y = 0.15
-        assert perturb.stable_graph_time(cos_chart, None, [x], y) == cos_chart.t_series([x], y)
+        assert perturb.stable_graph_time(cos_chart, None, [x], y) == [cos_chart.t_series(x, y)]
 
     def test_zero_x_is_zero_for_any_bump(self, kappa_setup):
         [value] = perturb.stable_graph_time(

@@ -7,18 +7,14 @@ series' last bits. The literals below are float.hex values printed by
 points and four quadrilaterals each. `RETURN_PINS` holds the bump return
 series ledgers and the heteroclinic datum's backward distance on the kappa
 setup (see `return_pins`), and the reference test holds
-`perturb.return_series` to the per-point loop it replaced. Both chart
-series take a batch of points at one stable coordinate; the batch tests
-hold every value to the same bits in one call, in reverse order and split
-across the batch bound.
+`perturb.return_series` to the per-point loop it replaced: every ledger
+keeps its bits whether its point comes in one call with all the others,
+in reverse order, or in a call split across the batch bound.
 """
 
 import numpy as np
 import pytest
-from oracles import (
-    PIN_CHART_POINTS, pin_flows, return_pin_setups, return_pins, return_series_reference,
-    series_pins,
-)
+from oracles import return_pin_setups, return_pins, return_series_reference, series_pins
 
 from anosovlab import perturb
 from anosovlab.flow import BATCH_ORBITS
@@ -135,17 +131,6 @@ def pin_setups():
     return return_pin_setups()
 
 
-def _batchings(series, points, bound):
-    """The values of series(points) from one call, from one call in reverse
-    order, and from two calls whose first crosses the batch bound."""
-    cut = bound + 1
-    return {
-        "one call": series(points),
-        "reversed": series(points[::-1])[::-1],
-        "two calls": series(points[:cut]) + series(points[cut:]),
-    }
-
-
 @pytest.mark.parametrize("roof", ["constant", "cos"])
 def test_return_series_matches_reference(pin_setups, roof):
     # every x_sequence entry and every +-h step of claim44_check
@@ -158,24 +143,16 @@ def test_return_series_matches_reference(pin_setups, roof):
     def hexed(steps, gaps, terms, total):
         return steps, [g.hex() for g in gaps], [t.hex() for t in terms], total.hex()
 
+    def series(xs):
+        return perturb.return_series(chart, bump, xs, y_r)
+
     expected = [hexed(*return_series_reference(chart, bump, x, y_r)) for x in points]
-    runs = _batchings(lambda xs: perturb.return_series(chart, bump, xs, y_r), points,
-                      BATCH_ORBITS // 2)
+    cut = BATCH_ORBITS // 2 + 1   # the first of two calls walks two batches
+    runs = {
+        "one call": series(points),
+        "reversed": series(points[::-1])[::-1],
+        "two calls": series(points[:cut]) + series(points[cut:]),
+    }
     for name, ledgers in runs.items():
         got = [hexed(ledger.steps, ledger.gaps, ledger.terms, ledger.total) for ledger in ledgers]
         assert got == expected, name
-
-
-@pytest.mark.parametrize("name", sorted(PINS))
-def test_t_series_batches_match_pins(name):
-    # each pin point among 40 scaled copies of it at its y, the axis point
-    # x = 0 among them: every value equals its one-point call, and the pin
-    # point's equals the literal
-    chart = perturb.SectionChart(pin_flows()[name])
-    for (x, y), pinned in zip(PIN_CHART_POINTS[chart.dim_unstable], PINS[name]["t_series"]):
-        points = [k / 8 * np.array(x) for k in range(-20, 21)]
-        expected = [chart.t_series([p], y)[0].hex() for p in points]
-        assert expected[28] == pinned
-        runs = _batchings(lambda xs: chart.t_series(xs, y), points, BATCH_ORBITS)
-        for label, values in runs.items():
-            assert [v.hex() for v in values] == expected, label

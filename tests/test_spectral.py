@@ -1,17 +1,15 @@
 import math
-from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.polynomial import polyroots
 
 from oracles import inverse_rational
 from test_mpspec import BASES
 
-from anosovlab import intlinalg, spectral
+from anosovlab import intlinalg
 from anosovlab.errors import NotCodimensionOne, NotHyperbolic
 from anosovlab.spectral import (
     CATALOG_CSV_HEADER,
@@ -199,17 +197,6 @@ class TestInvariantSubspaces:
 
 
 class TestCatalog:
-    @pytest.mark.parametrize("d, coeff_bound", [(2, 3), (3, 2), (4, 1), (5, 1)])
-    def test_newton_seed_is_polyroots(self, d, coeff_bound):
-        # every polynomial enumerate_catalog tries, hyperbolic or not, seeds
-        # Newton through its square-free part, as _refine_roots does
-        mids = range(-coeff_bound, coeff_bound + 1)
-        for const, *middle in product((-1, 1), *[mids] * (d - 1)):
-            coeffs = intlinalg.char_poly(IntegerMatrix.companion((const, *middle, 1)).entries)
-            cf = [float(c) for c in spectral._square_free_part(coeffs)]
-            seed, reference = spectral._companion_roots(cf), polyroots(cf)
-            assert (seed.dtype, seed.tobytes()) == (reference.dtype, reference.tobytes()), coeffs
-
     def test_d2_bound3_contains_cat_polynomial(self):
         entries = enumerate_catalog(2, 3)
         assert any(e.coeffs == (1, -3, 1) for e in entries)
