@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -24,8 +25,7 @@ def _execute(kind: str, config_path: str, out: str, seed: int | None):
                 f"config kind {cfg.kind!r} does not match subcommand {kind!r}"
             )
         if seed is not None:
-            cfg = type(cfg)(kind=cfg.kind, seed=seed, matrix=cfg.matrix,
-                            roof=cfg.roof, params=cfg.params)
+            cfg = dataclasses.replace(cfg, seed=seed)
         paths = run_experiment(cfg, Path(out))
     except ConfigInvalid as err:
         click.echo(f"config invalid: {err}", err=True)

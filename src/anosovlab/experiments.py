@@ -147,17 +147,76 @@ def _parse_fraction(text) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# parameters
+
+REQUIRED = object()  # marks a param without a default
+
+# kind -> key -> (type, default or REQUIRED, least admissible value or None).
+# run_experiment checks a config's params against its kind's table before
+# any work: an unknown or missing key, a wrong type, a non-finite float and
+# a value under its least are refused. A dict in place of a type is the
+# table of a nested object.
+PARAMS = {
+    "catalog": {
+        "d": (int, REQUIRED, None),             # enumerate_catalog takes 2 to 5
+        "coeff_bound": (int, REQUIRED, None),   # enumerate_catalog takes 0 to 10
+    },
+    "livshits": {
+        "trunc": (int, REQUIRED, None),         # must cover the roof's frequencies
+        "n_max": (int, 6, 1),                   # every orbit of period 1 to n_max
+        # adds u o M - u for u = amplitude sin(2 pi freq . x), so the roof solves
+        "plant_coboundary": ({
+            "amplitude": (float, REQUIRED, None),
+            "freq": (list, REQUIRED, None),
+        }, None, None),
+    },
+    # no samples would pass the discrepancy bound vacuously
+    "pcf": {"n_samples": (int, REQUIRED, 1)},
+    "subbundle": {
+        "base_point": (list, REQUIRED, None),   # one coordinate per base dimension
+        "translation": (list, REQUIRED, None),  # rationals, one per base dimension
+        "grid_n": (int, 3, 1),                  # grid points per unstable direction
+    },
+    "claim44": {"n_points": (int, 25, None)},   # kappa_experiment refuses under 2
+    "sweep": {"q_period": (int, REQUIRED, 1)},  # period of the heteroclinic orbit
+    "bunching": {"t_multiples": (list, (1, 2, 4), None)},  # flow times, in roof means
+}
+
+SWEEP_DIRECTIONS = 8                   # sweep: seeded random gradient directions
+SWEEP_AMPLITUDES = (0.01, 0.05, 0.1)   # sweep: gradient norms along each direction
+BUNCHING_ROOF_MEAN = 1.0               # bunching: flow time of one base step
+
+
+def _checked(params: dict, table: dict) -> dict:
+    """`params` completed from `table`'s defaults, each set value checked against it."""
+    unknown = set(params) - set(table)
+    if unknown:
+        raise ConfigInvalid(f"unknown params: {sorted(unknown)}")
+    out = {}
+    for key, (typ, default, least) in table.items():
+        value = out[key] = params.get(key, default)
+        if value is REQUIRED:
+            raise ConfigInvalid(f"missing param {key}")
+        if value is default:  # left out, or null where null is the default
+            continue
+        if isinstance(typ, dict):
+            if not isinstance(value, dict):
+                raise ConfigInvalid(f"param {key} has wrong type")
+            out[key] = _checked(value, typ)
+            continue
+        if typ is float and type(value) is int:
+            value = out[key] = float(value)
+        if type(value) is not typ:
+            raise ConfigInvalid(f"param {key} has wrong type")
+        if typ is float:
+            _finite(f"param {key}", value)
+        if least is not None and value < least:
+            raise ConfigInvalid(f"param {key} must be at least {least}")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # experiment runners
-
-
-def _require(p: dict, counts=(), positive=()) -> None:
-    """Refuse count params under 1 and positive params at or under 0, NaN included."""
-    for key in counts:
-        if p[key] < 1:
-            raise ConfigInvalid(f"param {key} must be at least 1")
-    for key in positive:
-        if not p[key] > 0:
-            raise ConfigInvalid(f"param {key} must be positive, got {p[key]}")
 
 
 def _check_bound(kind: str, quantity: str, value: float, bound: float) -> None:
@@ -166,8 +225,7 @@ def _check_bound(kind: str, quantity: str, value: float, bound: float) -> None:
         raise ExperimentFailed(f"{kind}: {quantity} {value:.3g} exceeds its bound {bound:g}")
 
 
-def _run_catalog(cfg, out):
-    p = _take(cfg.params, {"d": int, "coeff_bound": int})
+def _run_catalog(cfg, p, out):
     entries = spectral.enumerate_catalog(p["d"], p["coeff_bound"])
     spectral.export_catalog_csv(entries, out / "catalog.csv")
     util.write_json(out / "catalog_summary.json", {
@@ -178,18 +236,11 @@ def _run_catalog(cfg, out):
     return ["catalog.csv", "catalog_summary.json"]
 
 
-def _run_livshits(cfg, out):
-    p = _take(cfg.params, {
-        "trunc": int, "n_max": int, "tol": float,
-        "plant_coboundary": (dict, type(None)),
-    }, optional={"plant_coboundary": None, "tol": 1e-8, "n_max": 6})
-    # a spread is never below a tolerance <= 0, so every roof would be rejected
-    _require(p, positive=["tol"])
+def _run_livshits(cfg, p, out):
     matrix = build_matrix(cfg.matrix)
     roof_fn = build_roof(cfg.roof, matrix.dim)
     plant = p["plant_coboundary"]
     if plant is not None:
-        plant = _take(plant, {"amplitude": float, "freq": list})
         freq = tuple(_integers("param freq", plant["freq"]))
         # sin of frequency 0, or of amplitude 0, plants nothing: a vacuous pass
         if not any(freq) or plant["amplitude"] == 0:
@@ -200,11 +251,10 @@ def _run_livshits(cfg, out):
     payload = {
         "spread": report.spread,
         "n_orbits": len(report.orbits),
-        "constant_equivalent": bool(report.spread <= p["tol"]),
+        "constant_equivalent": bool(report.spread <= roof.OBSTRUCTION_TOL),
     }
     try:
-        sol = roof.solve_coboundary(roof_fn, matrix, p["trunc"], report,
-                                    obstruction_tol=p["tol"])
+        sol = roof.solve_coboundary(roof_fn, matrix, p["trunc"], report)
         payload.update({
             "solved": True,
             "constant_c": sol.constant_c,
@@ -220,19 +270,11 @@ def _run_livshits(cfg, out):
     return ["obstructions.csv", "livshits.json"]
 
 
-def _run_pcf(cfg, out):
-    p = _take(cfg.params, {
-        "n_samples": int, "s_scale": float, "u_scale": float, "tol": float,
-    }, optional={"s_scale": 0.02, "u_scale": 0.02, "tol": 1e-8})
-    # no samples, or a zero displacement (temporal distance 0 on both
-    # routes), would pass the discrepancy bound vacuously
-    _require(p, counts=["n_samples"], positive=["s_scale", "u_scale"])
+def _run_pcf(cfg, p, out):
     matrix = build_matrix(cfg.matrix)
     flow = SuspensionFlow(matrix, build_roof(cfg.roof, matrix.dim))
-    quads = pcf.sample_quadrilaterals(
-        flow, p["n_samples"], cfg.seed, s_scale=p["s_scale"], u_scale=p["u_scale"]
-    )
-    samples = pcf.temporal_distance_samples(flow, quads, tol=p["tol"])
+    quads = pcf.sample_quadrilaterals(flow, p["n_samples"], cfg.seed)
+    samples = pcf.temporal_distance_samples(flow, quads)
     util.write_csv(out / "samples.csv", pcf.sample_csv_header(matrix.dim),
                    pcf.sample_csv_rows(samples))
     max_discrepancy = max(s.discrepancy for s in samples)
@@ -245,13 +287,7 @@ def _run_pcf(cfg, out):
     return ["samples.csv", "pcf_summary.json"]
 
 
-def _run_subbundle(cfg, out):
-    p = _take(cfg.params, {
-        "base_point": list, "budget": int,
-        "translation": list, "patch_radius": float, "grid_n": int,
-    }, optional={"budget": 200, "patch_radius": 0.008, "grid_n": 3})
-    # a radius <= 0 makes a grid of one point, or a mirrored one
-    _require(p, counts=["budget", "grid_n"], positive=["patch_radius"])
+def _run_subbundle(cfg, p, out):
     matrix = build_matrix(cfg.matrix)
     bp = np.array(_numbers("base_point", p["base_point"])) % 1.0
     if len(bp) != matrix.dim:
@@ -261,14 +297,9 @@ def _run_subbundle(cfg, out):
     translation = tuple(_parse_fraction(v) for v in p["translation"])
     flow2, conj = pcf.translate_flow(flow, translation)
     # the patch Newton solve needs a square Jacobian: one pair per unstable direction
-    pairs = pcf.find_independent_pairs(
-        flow, bp, count=flow.dim_unstable, seed=cfg.seed, budget=p["budget"]
-    )
+    pairs = pcf.find_independent_pairs(flow, bp, count=flow.dim_unstable, seed=cfg.seed)
     kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
-    rec = pcf.reconstruct_conjugacy_patch(
-        flow, flow2, conj, kernel, pairs,
-        patch_radius=p["patch_radius"], grid_n=p["grid_n"],
-    )
+    rec = pcf.reconstruct_conjugacy_patch(flow, flow2, conj, kernel, pairs, grid_n=p["grid_n"])
     util.write_json(out / "subbundle.json", {
         "kernel_dim": kernel.kernel_dim,
         "gradients": [list(g) for g in kernel.gradients],
@@ -279,19 +310,10 @@ def _run_subbundle(cfg, out):
     return ["subbundle.json"]
 
 
-def _run_claim44(cfg, out):
-    p = _take(cfg.params, {
-        "q_period": int, "amplitude": float, "n_points": int,
-        "norm_min": float, "norm_max": float,
-    }, optional={"q_period": 4, "amplitude": 0.1, "n_points": 25,
-                 "norm_min": 1e-4, "norm_max": 1e-1})
-    _require(p, counts=["q_period"])
+def _run_claim44(cfg, p, out):
     matrix = build_matrix(cfg.matrix)
     flow = SuspensionFlow(matrix, build_roof(cfg.roof, matrix.dim))
-    setup = perturb.kappa_experiment(
-        flow, q_period=p["q_period"], norm_range=(p["norm_min"], p["norm_max"]),
-        n_points=p["n_points"], amplitude=p["amplitude"],
-    )
+    setup = perturb.kappa_experiment(flow, n_points=p["n_points"])
     report = perturb.claim44_check(setup.chart, setup.datum, setup.bump, setup.claim_steps)
     fit = perturb.remainder_exponent(setup.chart, setup.datum, setup.bump, setup.x_sequence)
     rows = []
@@ -314,11 +336,7 @@ def _run_claim44(cfg, out):
     return ["claim44_residuals.csv", "claim44.json"]
 
 
-def _run_sweep(cfg, out):
-    p = _take(cfg.params, {
-        "q_period": int, "n_directions": int, "amplitudes": list,
-    }, optional={"n_directions": 8, "amplitudes": [0.01, 0.05, 0.1]})
-    _require(p, counts=["q_period", "n_directions"])
+def _run_sweep(cfg, p, out):
     matrix = build_matrix(cfg.matrix)
     data = spectral.spectral_data(matrix)
     catalog = spectral.invariant_unstable_subspaces(data)
@@ -329,9 +347,9 @@ def _run_sweep(cfg, out):
         chart, cands[0].q_orbit, cands[0].q_index, cands[0].offset
     )
     rng = default_rng(cfg.seed)
-    dirs = rng.normal(size=(p["n_directions"], chart.dim_unstable))
+    dirs = rng.normal(size=(SWEEP_DIRECTIONS, chart.dim_unstable))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    grid = [a * d for d in dirs for a in _numbers("amplitudes", p["amplitudes"])]
+    grid = [a * d for d in dirs for a in SWEEP_AMPLITUDES]
     report = perturb.grassmannian_sweep(chart, datum, grid, catalog)
     util.write_json(out / "sweep.json", {
         "n_subspaces": len(catalog.subspaces),
@@ -350,14 +368,11 @@ def _run_sweep(cfg, out):
     return ["sweep.json"]
 
 
-def _run_bunching(cfg, out):
-    p = _take(cfg.params, {
-        "roof_mean": float, "t_multiples": list,
-    }, optional={"roof_mean": 1.0, "t_multiples": [1, 2, 4]})
+def _run_bunching(cfg, p, out):
     matrix = build_matrix(cfg.matrix)
     data = spectral.spectral_data(matrix)
     reports = [
-        regularity.bunching_report(data, p["roof_mean"], m * p["roof_mean"])
+        regularity.bunching_report(data, BUNCHING_ROOF_MEAN, m * BUNCHING_ROOF_MEAN)
         for m in _numbers("t_multiples", p["t_multiples"])
     ]
     util.write_csv(out / "bunching.csv", regularity.BUNCHING_CSV_HEADER,
@@ -373,6 +388,7 @@ def _run_bunching(cfg, out):
     return ["bunching.csv", "bunching.json"]
 
 
+# each runner takes the config, its checked params and the out directory
 _RUNNERS = {
     "catalog": _run_catalog,
     "livshits": _run_livshits,
@@ -382,30 +398,6 @@ _RUNNERS = {
     "sweep": _run_sweep,
     "bunching": _run_bunching,
 }
-
-
-def _take(params: dict, schema: dict, optional: dict | None = None) -> dict:
-    optional = optional or {}
-    unknown = set(params) - set(schema)
-    if unknown:
-        raise ConfigInvalid(f"unknown params: {sorted(unknown)}")
-    out = {}
-    for key, typ in schema.items():
-        if key in params:
-            value = params[key]
-            types = typ if isinstance(typ, tuple) else (typ,)
-            if float in types and isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
-            if not isinstance(value, types) or isinstance(value, bool):
-                raise ConfigInvalid(f"param {key} has wrong type")
-            if isinstance(value, float):
-                _finite(f"param {key}", value)
-            out[key] = value
-        elif key in optional:
-            out[key] = optional[key]
-        else:
-            raise ConfigInvalid(f"missing param {key}")
-    return out
 
 
 def _numbers(key: str, values: list) -> list[float]:
@@ -427,17 +419,18 @@ def run_experiment(
 ) -> list[Path]:
     """Dispatch one experiment; returns the written report paths.
 
-    Raises ConfigInvalid for bad configs and ExperimentFailed when a module
+    The params are checked against the kind's PARAMS table before any
+    work. Raises ConfigInvalid for bad configs and ExperimentFailed when a module
     operation aborts or a reported quantity misses its acceptance bound; the
     manifest with content hashes is written only on success. `workers` is
     accepted for existing callers and changes nothing: every run is one
     thread, and its reports depend on the config alone.
     """
+    params = _checked(config.params, PARAMS[config.kind])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runner = _RUNNERS[config.kind]
     try:
-        names = runner(config, out)
+        names = _RUNNERS[config.kind](config, params, out)
     except (ConfigInvalid, ExperimentFailed):
         raise
     except AnosovLabError as err:

@@ -481,7 +481,7 @@ def reconstruct_conjugacy_patch(
     conjugacy: TranslationConjugacy,
     kernel: MatchingKernelReport,
     pairs: list[tuple[tuple, tuple]],
-    patch_radius: float = 0.01,
+    patch_radius: float = 0.008,
     grid_n: int = 3,
 ) -> PatchReconstruction:
     """Invert the PCF chart to recover the conjugacy on an unstable patch.

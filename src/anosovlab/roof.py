@@ -517,6 +517,10 @@ def obstruction_csv_rows(report: ObstructionReport) -> list[list]:
 
 OBSTRUCTION_CSV_HEADER = ["period_n", "orbit_repr", "average"]
 
+# Largest spread of the periodic orbit averages that still reads as a roof
+# cohomologous to a constant.
+OBSTRUCTION_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class CoboundarySolution:
@@ -571,7 +575,7 @@ def solve_coboundary(
     matrix: IntegerMatrix,
     trunc: int,
     obstructions: ObstructionReport,
-    obstruction_tol: float = 1e-8,
+    obstruction_tol: float = OBSTRUCTION_TOL,
 ) -> CoboundarySolution:
     """Solve u o M - u = roof - c in frequency space.
 

@@ -10,7 +10,8 @@ from anosovlab.cli import main
 from anosovlab import flow as flow_module
 from anosovlab import pcf
 from anosovlab.errors import (
-    ConfigInvalid, ExperimentFailed, NotCodimensionOne, TruncationInsufficient,
+    ConfigInvalid, DegenerateGradients, ExperimentFailed, NotCodimensionOne,
+    TruncationInsufficient,
 )
 from anosovlab.experiments import (
     ExperimentConfig,
@@ -86,16 +87,10 @@ class TestConfigValidation:
                 ConfigInvalid, match=f"base_point has {length} entries, the base map needs 3"):
             run_experiment(cfg, tmp_path / "out")
 
-    @pytest.mark.parametrize("params", [
-        {"n_points": 1},
-        {"norm_min": 0.1, "norm_max": 0.1},
-        {"norm_min": 0.2, "norm_max": 0.1},
-        {"norm_min": 0.0},
-    ])
-    def test_degenerate_kappa_fit_rejected(self, tmp_path, params):
+    def test_degenerate_kappa_fit_rejected(self, tmp_path):
         # kappa_experiment's ValueError, before any orbit work
         payload = json.loads((CONFIGS / "claim44_companion3.json").read_text())
-        payload["params"] = params
+        payload["params"] = {"n_points": 1}
         cfg = ExperimentConfig.from_dict(payload)
         with pytest.raises(ConfigInvalid, match="kappa fit"):
             run_experiment(cfg, tmp_path / "out")
@@ -145,16 +140,18 @@ class TestCliExitCodes:
         ])
         self.assert_refused(result, tmp_path / "out")
 
-    def test_module_error_exit_one(self, tmp_path):
-        # a 1-draw budget cannot produce two independent gradients
-        bad = tmp_path / "starved.json"
-        payload = json.loads((CONFIGS / "subbundle_companion3.json").read_text())
-        payload["params"]["budget"] = 1
-        bad.write_text(json.dumps(payload))
+    def test_module_error_exit_one(self, tmp_path, monkeypatch):
+        # a pair search that finds no two independent gradients
+        def starved(*args, **kwargs):
+            raise DegenerateGradients("no independent pair within the budget")
+
+        monkeypatch.setattr(pcf, "find_independent_pairs", starved)
         result = run_cli([
-            "subbundle", "--config", str(bad), "--out", str(tmp_path / "out"),
+            "subbundle", "--config", str(CONFIGS / "subbundle_companion3.json"),
+            "--out", str(tmp_path / "out"),
         ])
         assert result.exit_code == 1
+        assert "experiment failed" in result.stderr
 
     def test_series_cap_is_experiment_failure(self, tmp_path, monkeypatch):
         # a certified series that cannot meet its tail bound is a module
@@ -252,7 +249,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("name, params", [
         ("bunching_companion3.json", {"t_multiples": []}),
         ("bunching_companion3.json", {"t_multiples": [None]}),
-        ("sweep_quartic.json", {"amplitudes": [None]}),
+        ("subbundle_companion3.json", {"translation": [None]}),
         ("subbundle_companion3.json", {"base_point": [[0.37], 0.61, 0.22]}),
         ("livshits_planted.json", {"plant_coboundary": {"amplitude": 0.05}}),
     ])
@@ -267,13 +264,11 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("name, params", [
         ("pcf_companion3.json", {"n_samples": 0}),
-        ("sweep_quartic.json", {"n_directions": 0}),
-        ("subbundle_companion3.json", {"budget": 0}),
         ("subbundle_companion3.json", {"grid_n": 0}),
     ])
     def test_zero_count_exit_two(self, tmp_path, monkeypatch, name, params):
-        # no samples or no directions would pass the acceptance check
-        # vacuously; a zero budget or grid is refused before the pair search
+        # no samples would pass the acceptance check vacuously; a zero grid
+        # is refused before the pair search
         def no_search(*args, **kwargs):
             raise AssertionError("pair search ran before the params were checked")
 
@@ -287,19 +282,11 @@ class TestCliExitCodes:
         assert "must be at least 1" in result.stderr
 
     @pytest.mark.parametrize("name, params, message", [
-        # a zero displacement makes every temporal distance 0 on both
-        # routes, a vacuous pass of the discrepancy bound
-        ("pcf_companion3.json", {"s_scale": 0.0}, "s_scale must be positive"),
-        ("pcf_companion3.json", {"u_scale": 0}, "u_scale must be positive"),
         # subbundle draws dim E^u pairs, the square system its Newton solve needs
         ("subbundle_companion3.json", {"n_pairs": 2}, "unknown params"),
         # a negative bound enumerates nothing and reported count 0
         ("catalog_d3.json", {"coeff_bound": -1}, "coeff_bound must be in [0, 10]"),
-        # a zero radius makes a grid of one point, and a negative one mirrors it
-        ("subbundle_companion3.json", {"patch_radius": 0.0}, "patch_radius must be positive"),
-        ("subbundle_companion3.json", {"patch_radius": -0.008}, "patch_radius must be positive"),
         # periodic_points would refuse period 0 without naming the config key
-        ("claim44_companion3.json", {"q_period": 0}, "param q_period must be at least 1"),
         ("sweep_quartic.json", {"q_period": 0}, "param q_period must be at least 1"),
     ])
     def test_refused_param_exit_two(self, tmp_path, name, params, message):
@@ -312,8 +299,6 @@ class TestCliExitCodes:
         assert message in result.stderr
 
     @pytest.mark.parametrize("params, message", [
-        ({"tol": -1.0}, "tol must be positive"),
-        ({"tol": 0.0}, "tol must be positive"),
         ({"plant_coboundary": {"amplitude": 0.05, "freq": [0, 0]}}, "nonzero amplitude"),
         ({"plant_coboundary": {"amplitude": 0.0, "freq": [1, 0]}}, "nonzero amplitude"),
         # solve_coboundary refuses these after the obstruction report is
@@ -322,8 +307,8 @@ class TestCliExitCodes:
         ({"trunc": 0}, "trunc must cover"),
     ])
     def test_vacuous_livshits_exit_two(self, tmp_path, params, message):
-        # a tol <= 0 rejects every roof, and a plant of frequency or
-        # amplitude 0 adds nothing, so the constant roof would pass
+        # a plant of frequency or amplitude 0 adds nothing, so the constant
+        # roof would pass
         payload = json.loads((CONFIGS / "livshits_planted.json").read_text())
         payload["params"].update(params)
         bad = tmp_path / "livshits.json"
@@ -332,11 +317,43 @@ class TestCliExitCodes:
         self.assert_refused(result, tmp_path / "out")
         assert message in result.stderr
 
+    @pytest.mark.parametrize("name, params", [
+        # values these keys once refused: a zero displacement, pair budget,
+        # direction count or period, a radius or tolerance <= 0, a NaN mean
+        ("pcf_companion3.json", {"s_scale": 0.0}),
+        ("pcf_companion3.json", {"u_scale": 0}),
+        ("subbundle_companion3.json", {"budget": 0}),
+        ("subbundle_companion3.json", {"patch_radius": 0.0}),
+        ("subbundle_companion3.json", {"patch_radius": -0.008}),
+        ("claim44_companion3.json", {"q_period": 0}),
+        ("sweep_quartic.json", {"n_directions": 0}),
+        ("livshits_planted.json", {"tol": -1.0}),
+        ("livshits_planted.json", {"tol": 0.0}),
+        ("bunching_companion3.json", {"roof_mean": float("nan")}),
+        # the values these keys always had: the constants that replaced them
+        ("pcf_companion3.json", {"tol": 1e-8}),
+        ("claim44_companion3.json", {"amplitude": 0.1}),
+        ("claim44_companion3.json", {"norm_min": 1e-4}),
+        ("claim44_companion3.json", {"norm_max": 1e-1}),
+        ("sweep_quartic.json", {"amplitudes": [0.01, 0.05, 0.1]}),
+    ])
+    def test_removed_param_exit_two(self, tmp_path, name, params):
+        # keys that no config set were replaced by the library default or a
+        # named constant; a config that still sets one is refused by name
+        payload = json.loads((CONFIGS / name).read_text())
+        payload["params"].update(params)
+        bad = tmp_path / name
+        bad.write_text(json.dumps(payload))
+        result = run_cli([payload["kind"], "--config", str(bad), "--out", str(tmp_path / "out")])
+        self.assert_refused(result, tmp_path / "out")
+        assert f"unknown params: {list(params)}" in result.stderr
+
     @pytest.mark.parametrize("name, section, update", [
         ("livshits_obstructed.json", "roof", {"terms": [{"k": [1, 0], "re": float("nan")}]}),
         ("livshits_obstructed.json", "roof", {"constant": float("inf")}),
         ("bunching_companion3.json", "params", {"t_multiples": [float("inf")]}),
-        ("bunching_companion3.json", "params", {"roof_mean": float("nan")}),
+        ("livshits_planted.json", "params",
+         {"plant_coboundary": {"amplitude": float("nan"), "freq": [1, 0]}}),
     ])
     def test_non_finite_number_exit_two(self, tmp_path, name, section, update):
         # json reads NaN, Infinity and 1e400; a NaN roof once passed as certified

@@ -458,3 +458,9 @@ class TestKappaExperimentSetup:
         norms = [np.linalg.norm(x) for x in kappa_setup.x_sequence]
         assert 0.05 <= norms[0] <= 0.2
         assert 5e-5 <= norms[-1] <= 2e-4
+
+    @pytest.mark.parametrize("norm_range", [(0.1, 0.1), (0.2, 0.1), (0.0, 1e-1)])
+    def test_degenerate_norm_range_rejected(self, companion3_const_flow, norm_range):
+        # an empty, reversed or zero-based range leaves no scale to fit kappa
+        with pytest.raises(ValueError, match="kappa fit"):
+            perturb.kappa_experiment(companion3_const_flow, norm_range=norm_range)
