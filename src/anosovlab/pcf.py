@@ -40,7 +40,10 @@ _MEMBERSHIP_TOL = 1e-12
 INDEPENDENCE_CUTOFF = 0.05  # least sv / largest sv a new pair must keep: a well-posed Newton
 NEWTON_TOL = 1e-12          # patch Newton stops here, 100x the VALUE_TOL of each PCF value
 NEWTON_MAX_STEPS = 60       # chart evaluations per grid point; the bundled grids need at most 6
-PAIR_SCALE = 0.02           # pair-search displacement scale: sample_quadrilaterals' default
+DISPLACEMENT_SCALE = 0.02   # largest frame coefficient of a drawn quadrilateral or pair draw
+GEOMETRIC_TOL = 1e-8        # geometric route: each Birkhoff tail is cut at 0.02 of this
+PAIR_BUDGET = 200           # draws the pair search makes before it refuses
+PATCH_RADIUS = 0.008        # half-width of the reconstruction grid along each unstable direction
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +83,7 @@ class Quadrilateral:
         return Quadrilateral(a=a, s_disp=tuple(s_arr), u_disp=tuple(u_arr))
 
 
-def sample_quadrilaterals(
-    flow: SuspensionFlow, n: int, seed: int,
-    s_scale: float = 0.02, u_scale: float = 0.02,
-) -> list[Quadrilateral]:
+def sample_quadrilaterals(flow: SuspensionFlow, n: int, seed: int) -> list[Quadrilateral]:
     """Deterministic random quadrilaterals with displacements in the frames."""
     rng = default_rng(seed)
     s_frame = flow.stable_frame()
@@ -92,8 +92,8 @@ def sample_quadrilaterals(
     for _ in range(n):
         base = rng.random(flow.dim)
         fiber = float(rng.uniform(0.0, flow.roof(base)))
-        s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * s_scale
-        u_coef = rng.uniform(-1.0, 1.0, u_frame.shape[1]) * u_scale
+        s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * DISPLACEMENT_SCALE
+        u_coef = rng.uniform(-1.0, 1.0, u_frame.shape[1]) * DISPLACEMENT_SCALE
         quad = Quadrilateral.build(flow, base, s_frame @ s_coef, u_frame @ u_coef)
         quads.append(replace(quad, fiber=fiber))
     return quads
@@ -155,7 +155,7 @@ def _horizon(flow: SuspensionFlow, rate: float, scale: float, target: float) -> 
     return max(n, 8)
 
 
-def temporal_distance_geometric(flow: SuspensionFlow, quads, tol: float = 1e-8) -> list[float]:
+def temporal_distance_geometric(flow: SuspensionFlow, quads) -> list[float]:
     """Fiber gap between Hol_{a,b}(x) and y for each quadrilateral, from exact corners.
 
     The displacements w and u are projected onto E^s and E^u by the exact
@@ -165,7 +165,7 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads, tol: float = 1e-8) 
     floats a; the last two are one point. Leaf fibers come from
     finite Birkhoff differences along exact rational orbits (forward for
     stable leaves, backward for unstable ones), with horizons chosen so
-    tails sit well under tol. The forward horizon takes
+    tails sit well under GEOMETRIC_TOL. The forward horizon takes
     |L^n w| = lambda^n |w|, which holds because every flow has dim E^s = 1.
 
     Every quadrilateral is checked before any orbit is walked: one whose
@@ -175,9 +175,7 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads, tol: float = 1e-8) 
     run as one `birkhoff_exact` batch, so each value is bit-identical to the
     quadrilateral's walks run alone. Returns one value per quadrilateral.
     """
-    if tol < 1e-10:
-        raise ValueError("tol must be at least 1e-10")
-    target = 0.02 * tol
+    target = 0.02 * GEOMETRIC_TOL
     split = mpspec.splitting(flow.base)
     alphas, den = exact_points([quad.a for quad in quads])
     big = max(den, mpspec.DYADIC_DEN)   # both powers of two, so their lcm
@@ -247,11 +245,11 @@ class TemporalDistanceSample:
 
 
 def temporal_distance_samples(
-    flow: SuspensionFlow, quads: list[Quadrilateral], tol: float = 1e-8,
+    flow: SuspensionFlow, quads: list[Quadrilateral],
 ) -> list[TemporalDistanceSample]:
     """Both routes at each quadrilateral, each route as one batch."""
     series = temporal_distance_series(flow, quads)
-    geometric = temporal_distance_geometric(flow, quads, tol=tol)
+    geometric = temporal_distance_geometric(flow, quads)
     return [
         TemporalDistanceSample(quad=quad, value_series=rho_s, value_geometric=rho_g)
         for quad, rho_s, rho_g in zip(quads, series, geometric)
@@ -366,9 +364,8 @@ def matching_kernel_dimension(
 def find_independent_pairs(
     flow: SuspensionFlow,
     base_point,
-    count: int = 2,
-    seed: int = 0,
-    budget: int = 200,
+    count: int,
+    seed: int,
 ) -> list[tuple[tuple, tuple]]:
     """Seeded random search for PCF pairs with independent gradients.
 
@@ -376,7 +373,7 @@ def find_independent_pairs(
     into [0, 1), and stable displacements, keeping draws that increase the
     gradient stack's rank (smallest singular value relative to the largest
     above the cutoff).
-    Raises DegenerateGradients when the budget is exhausted.
+    Raises DegenerateGradients when PAIR_BUDGET draws find fewer than count.
     """
     rng = default_rng(seed)
     u_frame = flow.unstable_frame()
@@ -384,9 +381,9 @@ def find_independent_pairs(
     point = np.asarray(base_point, dtype=float)
     chosen: list[tuple[tuple, tuple]] = []
     rows: list[np.ndarray] = []
-    for _ in range(budget):
-        c = rng.uniform(-1.0, 1.0, u_frame.shape[1]) * PAIR_SCALE
-        s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * PAIR_SCALE
+    for _ in range(PAIR_BUDGET):
+        c = rng.uniform(-1.0, 1.0, u_frame.shape[1]) * DISPLACEMENT_SCALE
+        s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * DISPLACEMENT_SCALE
         a = tuple(float(v) for v in (point - u_frame @ c) % 1.0)
         s_disp = s_frame @ s_coef
         grad = pcf_gradient(flow, a, s_disp, u_frame @ c)
@@ -398,7 +395,7 @@ def find_independent_pairs(
             if len(chosen) == count:
                 return chosen
     raise DegenerateGradients(
-        f"found only {len(chosen)} independent gradients within {budget} draws"
+        f"found only {len(chosen)} independent gradients within {PAIR_BUDGET} draws"
     )
 
 
@@ -481,17 +478,17 @@ def reconstruct_conjugacy_patch(
     conjugacy: TranslationConjugacy,
     kernel: MatchingKernelReport,
     pairs: list[tuple[tuple, tuple]],
-    patch_radius: float = 0.008,
-    grid_n: int = 3,
+    grid_n: int,
 ) -> PatchReconstruction:
     """Invert the PCF chart to recover the conjugacy on an unstable patch.
 
     With P1 = (rho^1_1, rho^1_2) built from two independent pairs at the
     kernel report's base point and P2 the matched chart for the conjugated
     flow, the map P1^{-1} o P2 is evaluated on a grid of the unstable patch
-    through h(base_point) and compared against the known inverse
-    translation. The Newton Jacobian is the report's gradient rows, so the
-    report must come from flow1 and the same pairs.
+    through h(base_point), grid_n points of half-width PATCH_RADIUS along
+    each axis, and compared against the known inverse translation. The
+    Newton Jacobian is the report's gradient rows, so the report must come
+    from flow1 and the same pairs.
 
     The grid points' Newton solves run in lockstep: each iteration
     evaluates the chart at every point still moving in one batch, and each
@@ -514,7 +511,7 @@ def reconstruct_conjugacy_patch(
     origin = np.asarray(kernel.base_point)
     base2 = conjugacy.apply_base(origin)
 
-    axes = [np.linspace(-patch_radius, patch_radius, grid_n)] * n_u
+    axes = [np.linspace(-PATCH_RADIUS, PATCH_RADIUS, grid_n)] * n_u
     mesh = np.meshgrid(*axes, indexing="ij")
     offsets = np.stack([m.ravel() for m in mesh], axis=1)
 

@@ -34,10 +34,14 @@ CHART_RADIUS_Y = 0.45   # stable half-width, short of the torus half-period 1/2
 HETEROCLINIC_OFFSET_BOUND = 2        # translates q + m tried, m in [-2, 2]^d: 5^d per point
 HETEROCLINIC_Y_RANGE = (0.12, 0.45)  # |y_r| of a datum: off the fixed point, inside the box
 VERIFY_STEPS = 170      # backward steps of the exact integer check that a datum approaches q
-CONTAINMENT_TOL = 1e-8  # sweep subspace containment: the same 1e-8 as its E^u membership check
+APPROACH_TOL = 1e-8     # a datum's backward orbit must come this close to q within VERIFY_STEPS
+CONTAINMENT_TOL = 1e-8  # sweep: invariant subspace in a holonomy graph, and catalog subspace in E^u
 FIT_FLOOR = 1e-14       # errors at or under this are rounding noise, left out of order fits
 HAT_FACTOR = 1.25       # return-series rows within this many bump radii are recorded
 SCREEN_SLACK = 1e-9     # relative slack of the squared-distance screen over the scalar hypot
+KAPPA_Q_PERIOD = 4                  # kappa experiment: period of the heteroclinic orbit q
+KAPPA_NORM_RANGE = (1e-4, 1e-1)     # kappa experiment: least and greatest |x| of the fit
+KAPPA_AMPLITUDE = 0.1               # kappa experiment: bump amplitude
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +185,7 @@ def make_heteroclinic_datum(
     r_float = np.array([v / r_den for v in r])
     y_r = float(r_float @ chart.s_unit / (chart.s_unit @ chart.s_unit))
     dist = _verify_backward_approach(chart, target, q_orbit, VERIFY_STEPS)
-    if dist > 1e-8:
+    if dist > APPROACH_TOL:
         raise ArithmeticError(
             f"backward orbit only approached q to {dist:.3g}; datum rejected"
         )
@@ -341,11 +345,6 @@ class ReturnLedger:
     gaps: tuple[float, ...]
     terms: tuple[float, ...]
     total: float
-
-    def correction(self, from_step: int = 0) -> float:
-        return float(
-            sum(t for n, t in zip(self.steps, self.terms) if n >= from_step)
-        )
 
 
 def return_series(chart: SectionChart, bump: Bump | None, xs, y: float) -> list[ReturnLedger]:
@@ -538,7 +537,7 @@ def remainder_exponent(
     norms, residuals = [], []
     xs = [np.asarray(x, dtype=float) for x in x_sequence]
     for x, ledger in zip(xs, return_series(chart, bump, xs, datum.y_r)):
-        resid = abs(ledger.correction(from_step=2))
+        resid = abs(sum(t for n, t in zip(ledger.steps, ledger.terms) if n >= 2))
         if resid >= 1e-12:
             norms.append(float(np.linalg.norm(x)))
             residuals.append(resid)
@@ -595,7 +594,7 @@ def grassmannian_sweep(
     for sub in catalog.subspaces:
         coords = np.linalg.lstsq(chart.u_frame, sub, rcond=None)[0]
         resid = chart.u_frame @ coords - sub
-        if np.linalg.norm(resid) > 1e-8:
+        if np.linalg.norm(resid) > CONTAINMENT_TOL:
             raise ValueError("invariant subspace does not lie in E^u")
         f_coords.append(coords)
 
@@ -645,13 +644,7 @@ class KappaSetup:
     homoclinic_m: tuple[int, ...]
 
 
-def kappa_experiment(
-    flow: SuspensionFlow,
-    q_period: int = 4,
-    norm_range: tuple[float, float] = (1e-4, 1e-1),
-    n_points: int = 25,
-    amplitude: float = 0.1,
-) -> KappaSetup:
+def kappa_experiment(flow: SuspensionFlow, n_points: int) -> KappaSetup:
     """Configuration whose second returns are dense enough to measure kappa.
 
     The heteroclinic stable coordinate is tuned so that the bump ball sits
@@ -660,16 +653,12 @@ def kappa_experiment(
     the bump center, and the co-rotated displacements A^-j (x_m + delta)
     return to the ball at step j with gap lambda^j y_r, realizing the
     kappa-power law measurably at every scale. The steps j come from
-    n_points norms log-spaced over norm_range, so x_sequence holds at most
-    n_points distinct entries, in first-occurrence order. kappa is read off
+    n_points norms log-spaced over KAPPA_NORM_RANGE, so x_sequence holds at
+    most n_points distinct entries, in first-occurrence order. kappa is read off
     one unstable rate, so a non-conformal E^u (xi_min < xi_max) is refused.
     """
-    norm_min, norm_max = norm_range
-    if n_points < 2 or not 0.0 < norm_min < norm_max:
-        raise ValueError(
-            f"kappa fit needs n_points >= 2 and 0 < norm_min < norm_max, "
-            f"got n_points {n_points}, norm range {norm_range}"
-        )
+    if n_points < 2:
+        raise ValueError(f"kappa fit needs n_points >= 2, got {n_points}")
     xi_min, xi = flow.spectral.xi_min, flow.spectral.xi_max
     if xi_min != xi:
         raise ValueError(f"kappa needs a conformal E^u, unstable moduli {xi_min:.6g} to {xi:.6g}")
@@ -688,7 +677,7 @@ def kappa_experiment(
     if not homo:
         raise ValueError("no homoclinic-adjacent integer vector found")
 
-    candidates = find_heteroclinic_data(chart, q_period)
+    candidates = find_heteroclinic_data(chart, KAPPA_Q_PERIOD)
     best = None
     for datum in candidates:
         c_y = lam * datum.y_r
@@ -705,12 +694,13 @@ def kappa_experiment(
     datum = make_heteroclinic_datum(chart, datum.q_orbit, datum.q_index, datum.offset)
 
     direction = x_m / np.linalg.norm(x_m)
-    bump = make_bump(chart, datum, radius, amplitude, direction)
+    bump = make_bump(chart, datum, radius, KAPPA_AMPLITUDE, direction)
 
     delta = 0.45 * radius * direction
     target = x_m + delta
     a_inv = np.linalg.inv(chart.a_u)
     # norms that round to the same step j give the same x, which is kept once
+    norm_min, norm_max = KAPPA_NORM_RANGE
     steps = dict.fromkeys(
         max(int(round(math.log(np.linalg.norm(target) / nrm) / math.log(xi))), 1)
         for nrm in np.geomspace(norm_max, norm_min, n_points)

@@ -46,24 +46,18 @@ class BunchingReport:
         return self.stable_sups[self.nu_grid.index(nu)]
 
 
-def bunching_report(
-    data: SpectralData,
-    roof_mean: float,
-    t: float,
-) -> BunchingReport:
+def bunching_report(data: SpectralData, t: float) -> BunchingReport:
     """Closed-form sup-products for the linear suspension model, over NU_GRID.
 
-    Over flow time t the base map acts t / roof_mean times, so rates are
-    moduli raised to that exponent. Extremes over unit vectors sit on the
-    weakest/strongest spectral blocks; complex pairs are exact
+    The flow time t is counted in base returns: the base map acts t times,
+    so rates are moduli raised to the power t. Extremes over unit vectors
+    sit on the weakest/strongest spectral blocks; complex pairs are exact
     rotation-scalings, contributing their modulus. The volume identity
     J^s J^u = 1 needs dim E^s = 1, so other bases raise NotCodimensionOne.
     """
-    if roof_mean <= 0:
-        raise ValueError("roof_mean must be positive")
-    if t < roof_mean:
+    if t < 1:
         raise ValueError("t must cover at least one base return")
-    steps = t / roof_mean
+    steps = float(t)
     lam_max, xi_min, xi_max = data.lam, data.xi_min, data.xi_max
 
     weak, strong = [], []

@@ -575,7 +575,6 @@ def solve_coboundary(
     matrix: IntegerMatrix,
     trunc: int,
     obstructions: ObstructionReport,
-    obstruction_tol: float = OBSTRUCTION_TOL,
 ) -> CoboundarySolution:
     """Solve u o M - u = roof - c in frequency space.
 
@@ -584,14 +583,14 @@ def solve_coboundary(
     with max-norm <= trunc. The residual is re-evaluated on an independent
     equidistributed grid, never taken from the solver's own bookkeeping.
     `obstructions` is the caller's periodic_obstructions report for this
-    roof and matrix; a spread over obstruction_tol refuses the roof.
+    roof and matrix; a spread over OBSTRUCTION_TOL refuses the roof.
     """
     poly = roof.poly
     if trunc < poly.max_abs_freq:
         raise ValueError("trunc must cover the roof's frequency support")
-    if obstructions.spread > obstruction_tol:
+    if obstructions.spread > OBSTRUCTION_TOL:
         raise ObstructionNonzero(
-            f"periodic averages spread {obstructions.spread:.3g} exceeds {obstruction_tol:.1g}"
+            f"periodic averages spread {obstructions.spread:.3g} exceeds {OBSTRUCTION_TOL:.1g}"
         )
 
     solution_terms = _telescope_terms(poly, matrix, trunc)

@@ -42,7 +42,7 @@ def subspace_distance(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     return float(principal_angles(basis_a, basis_b).max(initial=0.0))
 
 
-def contains_subspace(big: np.ndarray, small: np.ndarray, tol: float = 1e-8) -> bool:
+def contains_subspace(big: np.ndarray, small: np.ndarray, tol: float) -> bool:
     """True when every column of `small` lies within `tol` of span(big).
 
     Distance is measured as the residual norm of the unit vector after

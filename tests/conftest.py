@@ -74,7 +74,7 @@ def per_point_series(monkeypatch):
 @pytest.fixture(scope="session")
 def kappa_setup(companion3):
     flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
-    return perturb.kappa_experiment(flow)
+    return perturb.kappa_experiment(flow, n_points=25)
 
 
 @pytest.fixture(scope="session")

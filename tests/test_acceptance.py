@@ -129,8 +129,8 @@ def test_06_spectral_gap_checker(companion3):
 
 
 def test_07_bunching_products(cat_map, companion3):
-    rep3 = bunching_report(spectral_data(companion3), 1.0, 1.0)
-    rep2 = bunching_report(spectral_data(cat_map), 1.0, 1.0)
+    rep3 = bunching_report(spectral_data(companion3), 1.0)
+    rep2 = bunching_report(spectral_data(cat_map), 1.0)
     ok = (
         abs(rep3.stable_sup(1.0) - 0.86885) <= 1e-4
         and rep3.stable_sup(1.0) < 1.0
@@ -146,7 +146,7 @@ def test_07_bunching_products(cat_map, companion3):
 
 def test_08_claim44_and_remainder(companion3):
     flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
-    setup = perturb.kappa_experiment(flow)
+    setup = perturb.kappa_experiment(flow, n_points=25)
     report = perturb.claim44_check(
         setup.chart, setup.datum, setup.bump, setup.claim_steps
     )
@@ -176,13 +176,13 @@ def test_09_matching_kernels_and_reconstruction(companion3):
     )
 
     flow = SuspensionFlow(companion3, cos_roof(3))
-    pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=5, budget=200)
+    pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=5)
     kern = pcf.matching_kernel_dimension(flow, bp, pairs)
     flow2, conj = pcf.translate_flow(
         flow, (Fraction(1, 7), Fraction(2, 7), Fraction(3, 7))
     )
     rec = pcf.reconstruct_conjugacy_patch(
-        flow, flow2, conj, kern, pairs, patch_radius=0.008, grid_n=3
+        flow, flow2, conj, kern, pairs, grid_n=3
     )
     ok = (
         full.kernel_dim == const_flow.dim_unstable == 2

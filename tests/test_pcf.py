@@ -132,11 +132,6 @@ class TestTemporalDistanceGeometric:
         with pytest.raises(NotCodimensionOne, match="dim E\\^s = 2"):
             SuspensionFlow(IntegerMatrix.companion([1, -3, -3, 3, 1]), cos_roof(4))
 
-    def test_tol_floor(self, companion3_flow):
-        quad = pcf.sample_quadrilaterals(companion3_flow, 1, seed=1)[0]
-        with pytest.raises(ValueError):
-            pcf.temporal_distance_geometric(companion3_flow, [quad], tol=1e-12)
-
     def test_horizon_cap_refuses(self, companion3_flow, monkeypatch):
         flow = companion3_flow
         forward, backward = flow.spectral.lam, 1.0 / flow.spectral.xi_min
@@ -314,7 +309,7 @@ class TestMatchingKernel:
     def test_two_independent_gradients_kill_kernel(self, companion3_flow):
         flow = companion3_flow
         bp = BASE_POINT
-        pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=5, budget=200)
+        pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=5)
         report = pcf.matching_kernel_dimension(flow, bp, pairs)
         assert report.kernel_dim == 0
 
@@ -329,11 +324,12 @@ class TestMatchingKernel:
         after = pcf.matching_kernel_dimension(flow, bp2, pairs2).kernel_dim
         assert before == after == 0
 
-    def test_budget_exhaustion(self, companion3_const_flow):
+    def test_budget_exhaustion(self, companion3_const_flow, monkeypatch):
         flow = companion3_const_flow
         bp = BASE_POINT
+        monkeypatch.setattr(pcf, "PAIR_BUDGET", 5)
         with pytest.raises(DegenerateGradients):
-            pcf.find_independent_pairs(flow, bp, count=1, seed=0, budget=5)
+            pcf.find_independent_pairs(flow, bp, count=1, seed=0)
 
 
 class TestConjugacy:
@@ -401,7 +397,7 @@ class TestReconstruction:
         kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
         flow2, conj = pcf.translate_flow(flow, (0, 0, 0))
         rec = pcf.reconstruct_conjugacy_patch(
-            flow, flow2, conj, kernel, pairs, patch_radius=0.008, grid_n=2
+            flow, flow2, conj, kernel, pairs, grid_n=2
         )
         assert rec.sup_error <= 1e-8
 
@@ -414,7 +410,7 @@ class TestReconstruction:
             flow, (Fraction(1, 7), Fraction(2, 7), Fraction(3, 7))
         )
         rec = pcf.reconstruct_conjugacy_patch(
-            flow, flow2, conj, kernel, pairs, patch_radius=0.008, grid_n=3
+            flow, flow2, conj, kernel, pairs, grid_n=3
         )
         assert rec.sup_error <= 1e-4
 
@@ -430,7 +426,7 @@ class TestReconstruction:
         monkeypatch.setattr(pcf, "NEWTON_MAX_STEPS", 1)
         with pytest.raises(TruncationInsufficient, match=r"grid offset \[-0.008, -0.008\].*last residual"):
             pcf.reconstruct_conjugacy_patch(
-                flow, flow2, conj, kernel, pairs, patch_radius=0.008, grid_n=3
+                flow, flow2, conj, kernel, pairs, grid_n=3
             )
 
     def test_lockstep_matches_per_point_newton(self):
@@ -445,7 +441,7 @@ class TestReconstruction:
         pairs = pcf.find_independent_pairs(flow, bp, count=2, seed=cfg.seed)
         kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
         rec = pcf.reconstruct_conjugacy_patch(
-            flow, flow2, conj, kernel, pairs, patch_radius=0.008, grid_n=3
+            flow, flow2, conj, kernel, pairs, grid_n=3
         )
         expected = patch_newton_reference(flow, flow2, conj, kernel, pairs, 0.008, 3)
         assert [[v.hex() for v in row] for row in rec.recovered.tolist()] == [
@@ -462,7 +458,7 @@ class TestReconstruction:
         kernel = pcf.matching_kernel_dimension(flow, bp, pairs)
         flow2, conj = pcf.translate_flow(flow, (0, 0, 0))
         with pytest.raises(DegenerateGradients):
-            pcf.reconstruct_conjugacy_patch(flow, flow2, conj, kernel, pairs)
+            pcf.reconstruct_conjugacy_patch(flow, flow2, conj, kernel, pairs, grid_n=3)
 
 
 class TestSampleExports:

@@ -443,7 +443,7 @@ class TestGrassmannianSweep:
 class TestKappaExperimentSetup:
     def test_deterministic(self, companion3, kappa_setup):
         flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
-        again = perturb.kappa_experiment(flow)
+        again = perturb.kappa_experiment(flow, n_points=25)
         assert again.datum.y_r == kappa_setup.datum.y_r
         assert again.bump == kappa_setup.bump
         assert again.x_sequence == kappa_setup.x_sequence
@@ -458,9 +458,3 @@ class TestKappaExperimentSetup:
         norms = [np.linalg.norm(x) for x in kappa_setup.x_sequence]
         assert 0.05 <= norms[0] <= 0.2
         assert 5e-5 <= norms[-1] <= 2e-4
-
-    @pytest.mark.parametrize("norm_range", [(0.1, 0.1), (0.2, 0.1), (0.0, 1e-1)])
-    def test_degenerate_norm_range_rejected(self, companion3_const_flow, norm_range):
-        # an empty, reversed or zero-based range leaves no scale to fit kappa
-        with pytest.raises(ValueError, match="kappa fit"):
-            perturb.kappa_experiment(companion3_const_flow, norm_range=norm_range)
