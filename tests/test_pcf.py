@@ -86,6 +86,18 @@ class TestQuadrilateral:
                 np.zeros(3),
             )
 
+    def test_one_scale_sets_both_draws(self, companion3_flow, monkeypatch):
+        # DISPLACEMENT_SCALE sizes the stable and the unstable draw alike:
+        # halving it halves both displacements and moves no base corner
+        full = pcf.sample_quadrilaterals(companion3_flow, 4, seed=7)
+        monkeypatch.setattr(pcf, "DISPLACEMENT_SCALE", pcf.DISPLACEMENT_SCALE / 2)
+        half = pcf.sample_quadrilaterals(companion3_flow, 4, seed=7)
+        for f, h in zip(full, half):
+            assert h.a == f.a and h.fiber == f.fiber
+            assert np.array(h.s_disp) == pytest.approx(0.5 * np.array(f.s_disp), rel=1e-15)
+            assert np.array(h.u_disp) == pytest.approx(0.5 * np.array(f.u_disp), rel=1e-15)
+            assert np.linalg.norm(f.s_disp) > 0.0 and np.linalg.norm(f.u_disp) > 0.0
+
 
 class TestTemporalDistanceGeometric:
     def test_constant_roof(self, companion3_const_flow):

@@ -458,3 +458,9 @@ class TestKappaExperimentSetup:
         norms = [np.linalg.norm(x) for x in kappa_setup.x_sequence]
         assert 0.05 <= norms[0] <= 0.2
         assert 5e-5 <= norms[-1] <= 2e-4
+
+    @pytest.mark.parametrize("n_points", [0, 1])
+    def test_too_few_points_rejected(self, companion3_const_flow, n_points):
+        # a slope needs two norms; the refusal comes before any search
+        with pytest.raises(ValueError, match="kappa fit"):
+            perturb.kappa_experiment(companion3_const_flow, n_points=n_points)
