@@ -3,10 +3,13 @@
 Matrices are tuples of tuples of Python ints, so results are exact
 regardless of entry growth under matrix powers. The one numpy routine,
 `orbit_segments`, stays exact too. It walks a batch of orbits over one
-denominator D on one of three branches: uint64 where D divides 2^64,
-int64 limbs of LIMB_BITS bits where D = 2^k with k > 64, and arrays of
-Python ints for every other D. The limb branch never wraps: its stack is
-checked, when built, to keep every limb sum under 2^62.
+denominator D on one of four branches: uint64 where D divides 2^64,
+int64 limbs of LIMB_BITS bits where D = 2^k with k > 64, int64 residues
+joined by the Chinese remainder theorem where D = 2^k q with q > 1 odd,
+D < 2^63 and 2d (q - 1)^2 < 2^63 for a d-dimensional map, and arrays of
+Python ints for every D past that bound. Neither int64 branch wraps: its
+stack is checked, when built, to keep every limb sum under 2^62 and every
+residue sum under 2^63.
 """
 
 from __future__ import annotations
@@ -166,6 +169,40 @@ def _segment_stack(a: IntMatrix, length: int) -> tuple[np.ndarray, np.ndarray, n
     return exact, wrapped, limbs
 
 
+def _twos(den: int) -> int:
+    """k with den = 2^k q, q odd."""
+    return (den & -den).bit_length() - 1
+
+
+def _walk_branch(den: int, d: int) -> str:
+    """The form `orbit_segments` walks den in for a d-dimensional map.
+
+    "uint64" where den divides 2^64, "limbs" for 2^k past it, "crt" for
+    den = 2^k q, q > 1 odd, with den < 2^63 and 2d (q - 1)^2 < 2^63, and
+    "object" for every other den. The CRT bound keeps each int64 residue
+    sum, 2d products of residues under q, from wrapping.
+    """
+    if not den & (den - 1):
+        return "uint64" if den <= 2**64 else "limbs"
+    q = den >> _twos(den)
+    return "crt" if den < 2**63 and 2 * d * (q - 1) ** 2 < 2**63 else "object"
+
+
+@functools.lru_cache(maxsize=None)
+def _residue_stack(a: IntMatrix, length: int, q: int) -> np.ndarray:
+    """The `_segment_stack` entries mod q as read-only int64, for the CRT walk.
+
+    Raises OverflowError when a residue walk could wrap int64: a sum of
+    residues under q times the entries of one stack row.
+    """
+    residues = (_segment_stack(a, length)[0] % q).astype(np.int64)
+    bound = int(residues.sum(axis=1).max()) * (q - 1)
+    if bound >= 2**63:
+        raise OverflowError(f"residue sums of this orbit stack could reach 2^{bound.bit_length() - 1}")
+    residues.flags.writeable = False
+    return residues
+
+
 def orbit_segments(a: IntMatrix, offset, starts, den: int, length: int, centred: bool = False):
     """The orbits of `orbit_numerators` from m starts, `length` points at a time.
 
@@ -173,7 +210,8 @@ def orbit_segments(a: IntMatrix, offset, starts, den: int, length: int, centred:
     of start i at [i, j]. Every row is reduced as the later points of
     `orbit_numerators` are (so row 0 is the start reduced). A segment is the
     stacked `_segment_stack` times [n; offset], whose last row starts the
-    next segment. The numerators come in one of three forms, by den:
+    next segment. The numerators come in one of four forms, chosen from den
+    by `_walk_branch`:
 
     * den divides 2^64: an (m, length, d) uint64 array, or int64 when
       centred. The matmul runs on uint64, and wrap-around mod 2^64 is exact
@@ -186,21 +224,29 @@ def orbit_segments(a: IntMatrix, offset, starts, den: int, length: int, centred:
       on the top limb. Every limb is in [0, 2^W) except the top one when
       centred, which is in [-2^(W-1), 2^(W-1)). `_segment_stack` checks
       that no limb sum can wrap int64.
-    * any other den: an (m, length, d) object array of Python ints.
+    * den = 2^k q with q > 1 odd, den < 2^63 and 2d (q - 1)^2 < 2^63: an
+      (m, length, d) int64 array. n mod 2^k walks as the uint64 form does
+      and n mod q walks in int64 on `_residue_stack`, which checks that no
+      residue sum can wrap; the two join by the Chinese remainder theorem.
+    * den past that bound: an (m, length, d) object array of Python ints.
 
     `segment_floats` turns each form into the floats n / den.
     """
     exact, wrapped, limbs = _segment_stack(a, length)
     d, m = len(a), len(starts)
-    if den & (den - 1):
+    branch = _walk_branch(den, d)
+    if branch == "object":
         lo = den // 2 if centred else 0
         vec = np.array([[*start, *offset] for start in starts], dtype=object)
         while True:
             block = ((vec @ exact.T + lo) % den - lo).reshape(m, length + 1, d)
             vec[:, :d] = block[:, length]
             yield block[:, :length]
-    if den > 2**64:
+    if branch == "limbs":
         yield from _limb_segments(limbs, offset, starts, den.bit_length() - 1, length, centred)
+    if branch == "crt":
+        residues = _residue_stack(a, length, den >> _twos(den))
+        yield from _crt_segments(wrapped, residues, offset, starts, den, length, centred)
     mask = np.uint64(den - 1)
     vec = np.array([[v % 2**64 for v in (*start, *offset)] for start in starts], dtype=np.uint64)
     while True:
@@ -214,6 +260,27 @@ def orbit_segments(a: IntMatrix, offset, starts, den: int, length: int, centred:
         else:
             half = den // 2
             yield ((points + np.uint64(half)) & mask).astype(np.int64) - half
+
+
+def _crt_segments(wrapped, residues, offset, starts, den: int, length: int, centred: bool):
+    """The CRT form of `orbit_segments` for den = 2^k q within the CRT bound."""
+    d, m = len(offset), len(starts)
+    k = _twos(den)
+    power, q = 1 << k, den >> k
+    mask, inverse = np.uint64(power - 1), pow(power, -1, q)
+    low = np.array([[v % power for v in (*start, *offset)] for start in starts], dtype=np.uint64)
+    odd = np.array([[v % q for v in (*start, *offset)] for start in starts], dtype=np.int64)
+    while True:
+        r = ((low @ wrapped.T) & mask).reshape(m, length + 1, d)
+        t = ((odd @ residues.T) % q).reshape(m, length + 1, d)
+        low[:, :d], odd[:, :d] = r[:, length], t[:, length]
+        r = r[:, :length].astype(np.int64)
+        # n = r + 2^k ((n - r) 2^-k mod q); the product before the mod is
+        # under max(q, 2^k) q = max(q^2, den) < 2^63
+        nums = r + power * ((t[:, :length] - r) * inverse % q)
+        if centred:
+            nums -= den * (nums >= den - den // 2)
+        yield nums
 
 
 def _limb_segments(limbs, offset, starts, bits: int, length: int, centred: bool):
@@ -257,12 +324,36 @@ def segment_floats(block: np.ndarray, den: int) -> np.ndarray:
 
     Returns a C-contiguous float array of shape (m, length, d).
     """
-    if den & (den - 1):
+    branch = _walk_branch(den, block.shape[-1])
+    if branch == "object":
         return (block / den).astype(float, order="C")
-    if den <= 2**64:
+    if branch == "crt":
+        return _crt_floats(block, den)
+    if branch == "uint64":
         # the cast rounds correctly and the power-of-two scale is exact
         return block.astype(float, order="C") * 2.0 ** (1 - den.bit_length())
     return _limb_floats(block)
+
+
+def _crt_floats(block: np.ndarray, den: int) -> np.ndarray:
+    """n / den of CRT numerators, correctly rounded, for den = 2^k q.
+
+    With s = 64 - bitlen(den), |n| 2^s < 2^64 splits into Q q + rest, so
+    |n| / den = (Q + rest / q) 2^-(k + s). As in `_limb_floats`, 2Q + sticky
+    for rest > 0 rounds correctly once Q >= 2^53; smaller inexact elements
+    go through Python ints.
+    """
+    k = _twos(den)
+    shift = 64 - den.bit_length()
+    scaled = np.abs(block).astype(np.uint64) << np.uint64(shift)
+    whole, rest = np.divmod(scaled, np.uint64(den >> k))
+    sticky = rest != 0
+    out = ((whole << np.uint64(1)) | sticky).astype(float, order="C") * 2.0 ** -(k + shift + 1)
+    np.negative(out, out=out, where=block < 0)
+    small = sticky & (whole < np.uint64(2**53))
+    if small.any():
+        out[small] = [v / den for v in block[small].tolist()]
+    return out
 
 
 def _limb_floats(block: np.ndarray) -> np.ndarray:

@@ -70,7 +70,7 @@ def _fractions_built(monkeypatch, runs: dict) -> dict:
 
 @pytest.fixture(scope="module")
 def translated3(companion3_flow):
-    # the x7 translation walks its orbits on Python ints
+    # the x7 translation walks its orbits on the CRT branch
     flow, _ = pcf.translate_flow(
         companion3_flow, [Fraction(1, 7), Fraction(2, 7), Fraction(3, 7)])
     return flow

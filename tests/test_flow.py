@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import chain, islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from oracles import (
 )
 
 from anosovlab import flow as flow_module
-from anosovlab import intlinalg, mpspec, pcf, perturb
+from anosovlab import experiments, intlinalg, mpspec, pcf, perturb
 from anosovlab.errors import OffLeaf, TruncationInsufficient
 from anosovlab.flow import SuspensionFlow, affine_orbit, exact_points, wrap_unit
 from anosovlab.roof import RoofFunction
 from anosovlab.spectral import IntegerMatrix
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestEvolve:
@@ -484,16 +487,20 @@ def translated3(companion3_flow):
 
 
 # the denominators the kernel has to handle: uint64 paths at 2^53 and at
-# 2^64 (where wrap-around is the reduction), Python-int paths just past it,
-# with the x7 of the planted translations and at the 2^160 of mpspec
-DENOMINATORS = [2**53, 2**64, 2**65, 7 * 2**53, 2**160]
+# 2^64 (where wrap-around is the reduction), limb paths just past it and at
+# the 2^160 of mpspec; CRT paths at the x7 of the planted translations, at
+# an odd den with no power of two, at a wide odd part and just under 2^63;
+# Python-int paths at 3 2^62, past 2^63, and at 7 2^70
+DENOMINATORS = [2**53, 2**64, 2**65, 7 * 2**53, 2**160,
+                3, 1000003 * 2**20, 5 * 2**60, 3 * 2**62, 7 * 2**70]
 
 
 def _starts_over(den):
-    # off the unit cube; the first numerator is prime to den, so den is the
-    # exact common denominator
+    # off the unit cube; the first numerator is 1 mod twice the odd part of
+    # den, so prime to den, and den is the exact common denominator
+    step = 2 * (den // (den & -den))
     return st.tuples(*[st.integers(-2 * den, 2 * den)] * 3).map(
-        lambda t: (Fraction(14 * (t[0] // 14) + 1, den), *(Fraction(v, den) for v in t[1:]))
+        lambda t: (Fraction(step * (t[0] // step) + 1, den), *(Fraction(v, den) for v in t[1:]))
     )
 
 
@@ -511,7 +518,7 @@ def test_exact_orbit_matches_fraction_maps(companion3_flow, translated3, start, 
     # every yielded float is float() of the Fraction reference, bit for bit,
     # at each segment length; w is a pcf_gradient backward gap: L^-n w
     # reduced into [-1/2, 1/2). The x7 of the translated flow puts its
-    # orbits on the Python-int path
+    # orbits on the CRT path, or on Python ints past 2^63
     for flow in (companion3_flow, translated3):
         inv = flow.inv_entries
         ahead, behind, gaps = [start], [start], [tuple(Fraction(v) for v in w)]
@@ -542,13 +549,24 @@ def _numerators(block, den):
     return [[tuple(int(v) for v in row) for row in rows] for rows in block]
 
 
-def _walks(blocks, den, count, points):
-    # the first `points` rows of each of `count` lockstep walks
-    walks = [[] for _ in range(count)]
+def _assert_walks(blocks, entries, offset, starts, den, centred, points):
+    # the first `points` rows of each lockstep walk against the one-step
+    # reference: row 0 is the start reduced, every later row as
+    # orbit_numerators has it, and every float is the exact n / den rounded
+    walks = [[] for _ in starts]
+    floats = [[] for _ in starts]
     while len(walks[0]) < points:
-        for walk, rows in zip(walks, _numerators(next(blocks), den)):
+        block = next(blocks)
+        for walk, rows in zip(walks, _numerators(block, den)):
             walk.extend(rows)
-    return [walk[:points] for walk in walks]
+        for out, rows in zip(floats, intlinalg.segment_floats(block, den).tolist()):
+            out.extend(tuple(v.hex() for v in row) for row in rows)
+    lo = den // 2 if centred else 0
+    for start, walk, out in zip(starts, walks, floats):
+        expected = list(islice(intlinalg.orbit_numerators(entries, offset, start, den, centred), points))
+        expected[0] = tuple((v + lo) % den - lo for v in start)
+        assert walk[:points] == expected
+        assert out[:points] == [tuple((v / den).hex() for v in row) for row in expected]
 
 
 @pytest.mark.parametrize("centred", [False, True])
@@ -556,19 +574,17 @@ def _walks(blocks, den, count, points):
 @settings(max_examples=10, deadline=None)
 @given(length=st.sampled_from(SEGMENTS), inverse=st.booleans(), data=st.data())
 def test_orbit_segments_match_orbit_numerators(companion3, den, centred, length, inverse, data):
-    # forward, backward and centred walks of a batch against the one-step
-    # reference; row 0 is the start reduced, every later row as
-    # orbit_numerators has it
+    # forward, backward and centred walks of a batch, numerators and floats,
+    # against the one-step reference. The last start is within 2^-30 of the
+    # fixed point 0, so its first floats fall below the windows of the
+    # float conversions
     entries = companion3.inverse_entries() if inverse else companion3.entries
     starts = data.draw(st.lists(st.tuples(*[st.integers(-2 * den, 2 * den)] * 3),
                                 min_size=1, max_size=3))
+    starts.append(tuple((-1) ** i * (den >> (30 + i)) + i for i in range(3)))
     offset = data.draw(st.tuples(*[st.integers(0, den - 1)] * 3))
-    lo = den // 2 if centred else 0
     blocks = intlinalg.orbit_segments(entries, offset, starts, den, length, centred)
-    for start, got in zip(starts, _walks(blocks, den, len(starts), 100)):
-        expected = list(islice(intlinalg.orbit_numerators(entries, offset, start, den, centred), 100))
-        expected[0] = tuple((v + lo) % den - lo for v in start)
-        assert got == expected
+    _assert_walks(blocks, entries, offset, starts, den, centred, 100)
 
 
 # the limb branch: just past 2^64, at the 2^160 of mpspec and at the 2^416
@@ -647,6 +663,53 @@ def test_limb_stack_refuses_a_width_that_could_wrap(companion3, monkeypatch):
         monkeypatch.setattr(intlinalg, name, value)
     with pytest.raises(OverflowError, match="limb sums"):
         intlinalg._segment_stack.__wrapped__(companion3.entries, flow_module.SEGMENT)
+
+
+# the two neighbouring odd q on either side of the CRT bound of a d = 3
+# walk, 6 (q - 1)^2 < 2^63
+CRT_BOUND_ODD_PARTS = {"crt": 1239850263, "object": 1239850265}
+
+
+@pytest.mark.parametrize("branch", sorted(CRT_BOUND_ODD_PARTS))
+def test_crt_bound_picks_the_branch(companion3, branch):
+    # q = den itself: the branch is the bound's alone, as den < 2^63 either
+    # way, and both walks match the reference, plain and centred
+    den = CRT_BOUND_ODD_PARTS[branch]
+    assert (6 * (den - 1) ** 2 < 2**63) == (branch == "crt")
+    assert intlinalg._walk_branch(den, 3) == branch
+    entries = companion3.entries
+    starts = [(den - 1, den // 2, 12345), (-7, 2 * den, den // 3)]
+    offset = (1, den - 2, den // 5)
+    for centred in (False, True):
+        blocks = intlinalg.orbit_segments(entries, offset, starts, den, 7, centred)
+        first = next(blocks)
+        assert first.dtype == (np.int64 if branch == "crt" else object)
+        _assert_walks(chain([first], blocks), entries, offset, starts, den, centred, 50)
+
+
+def test_residue_stack_refuses_a_modulus_that_could_wrap(companion3):
+    # residues under 2^40 summed over a stack row would pass 2^63
+    with pytest.raises(OverflowError, match="residue sums"):
+        intlinalg._residue_stack.__wrapped__(companion3.entries, flow_module.SEGMENT, 2**40 + 1)
+
+
+def test_bundled_subbundle_walks_no_python_ints(monkeypatch, tmp_path):
+    # the x7 translation of the bundled config walks on CRT residues: no
+    # orbit block of its run is an object array of Python ints
+    dtypes, dens = set(), set()
+    walk = intlinalg.orbit_segments
+
+    def checked(a, offset, starts, den, *args, **kwargs):
+        dens.add(den)
+        for block in walk(a, offset, starts, den, *args, **kwargs):
+            dtypes.add(block.dtype)
+            yield block
+
+    monkeypatch.setattr(intlinalg, "orbit_segments", checked)
+    config = experiments.load_config(CONFIGS / "subbundle_companion3.json")
+    experiments.run_experiment(config, tmp_path)
+    assert any(den % 7 == 0 for den in dens)
+    assert dtypes and np.dtype(object) not in dtypes
 
 
 def test_centred_walk_at_two_to_the_64(companion3):
