@@ -93,11 +93,7 @@ def load_config(path: Path) -> ExperimentConfig:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigInvalid(f"cannot read config: {err}") from err
-    cfg = ExperimentConfig.from_dict(payload)
-    round_trip = ExperimentConfig.from_dict(cfg.to_dict())
-    if round_trip.to_dict() != cfg.to_dict():
-        raise ConfigInvalid("config does not round-trip losslessly")
-    return cfg
+    return ExperimentConfig.from_dict(payload)
 
 
 def build_matrix(spec: dict | None) -> IntegerMatrix:

@@ -23,7 +23,7 @@ from .errors import OffLeaf, TruncationInsufficient
 from .roof import RoofFunction, row_products
 from .spectral import IntegerMatrix, SpectralData, spectral_data
 
-_LEAF_TOL = 1e-10        # transverse-component tolerance before OffLeaf
+LEAF_TOL = 1e-12       # largest transverse part `leaf_part` accepts; on-leaf inputs show ~2e-16
 
 # Tail thresholds of the certified series (absolute bound on what is left
 # out of the returned sum), the term cap they all share, and the length of
@@ -176,16 +176,6 @@ class SuspensionFlow:
         self._inv_translation = tuple(
             -v % 1 for v in intlinalg.mat_vec(self.inv_entries, self.translation)
         )
-        frame = np.hstack([self.spectral.unstable_basis, self.spectral.stable_basis])
-        if frame.shape[1] != base.dim:
-            raise ValueError("spectral splitting is not a full frame")
-        # block-adapted frame (unstable columns, then stable) and its inverse
-        self.frame = frame
-        self.frame_inv = np.linalg.inv(frame)
-        self._n_u = self.spectral.unstable_basis.shape[1]
-        nu = self._n_u
-        self.proj_u = frame[:, :nu] @ self.frame_inv[:nu, :]
-        self.proj_s = frame[:, nu:] @ self.frame_inv[nu:, :]
 
     # -- base-map plumbing ---------------------------------------------------
 
@@ -195,7 +185,7 @@ class SuspensionFlow:
 
     @property
     def dim_unstable(self) -> int:
-        return self._n_u
+        return self.spectral.unstable_basis.shape[1]
 
     def unstable_frame(self) -> np.ndarray:
         return self.spectral.unstable_basis.copy()
@@ -252,14 +242,25 @@ class SuspensionFlow:
             n -= width
         return totals
 
-    def split_displacement(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Decompose a base displacement into (unstable part, stable part)."""
-        coords = self.frame_inv @ np.asarray(v, dtype=float)
-        vu = self.frame[:, : self._n_u] @ coords[: self._n_u]
-        vs = self.frame[:, self._n_u:] @ coords[self._n_u:]
-        return vu, vs
-
     # -- leaf machinery ----------------------------------------------------------
+
+    def leaf_part(self, v, direction: str) -> np.ndarray:
+        """The part of a base displacement along its `direction` leaf.
+
+        The package's one leaf test: v is split in the spectral frame, and
+        a transverse part of norm over LEAF_TOL raises OffLeaf.
+        """
+        if direction not in ("stable", "unstable"):
+            raise ValueError("direction must be 'stable' or 'unstable'")
+        spectral, n_u = self.spectral, self.dim_unstable
+        coords = spectral.frame_inv @ np.asarray(v, dtype=float)
+        vu = spectral.frame[:, :n_u] @ coords[:n_u]
+        vs = spectral.frame[:, n_u:] @ coords[n_u:]
+        part, transverse = (vs, vu) if direction == "stable" else (vu, vs)
+        norm = np.linalg.norm(transverse)
+        if norm > LEAF_TOL:
+            raise OffLeaf(f"{direction} displacement has transverse part {norm:.2e}")
+        return part
 
     def time_adjustment(self, requests) -> list[float]:
         """Fiber offsets putting (y, offset) on the strong leaf of (x, 0).
@@ -272,11 +273,11 @@ class SuspensionFlow:
         unstable: offset = sum_{n>=1} roof(L^-n x) - roof(L^-n y), the
                   backward-asymptotic analogue.
 
-        Every request is checked before any series runs: a transverse
-        displacement raises OffLeaf, and a zero displacement or a constant
-        roof gives 0.0. Identical requests share one series. The series of
-        one direction run in lockstep (see `_leaf_series`), so each value is
-        bit-identical whatever else is in the batch and in what order.
+        Every request is checked by `leaf_part` before any series runs,
+        and a zero displacement or a constant roof gives 0.0. Identical
+        requests share one series. The series of one direction run in
+        lockstep (see `_leaf_series`), so each value is bit-identical
+        whatever else is in the batch and in what order.
         """
         values = [0.0] * len(requests)
         shared = {"stable": {}, "unstable": {}}   # (start, gap) bytes -> (start, gap, indices)
@@ -285,19 +286,11 @@ class SuspensionFlow:
             xa = np.asarray([float(v) for v in x], dtype=float) % 1.0
             ya = np.asarray([float(v) for v in y], dtype=float) % 1.0
             delta = wrap_unit(ya - xa)
-            if direction not in shared:
-                raise ValueError("direction must be 'stable' or 'unstable'")
-            vu, vs = self.split_displacement(delta)
-            transverse = np.linalg.norm(vu if direction == "stable" else vs)
-            if transverse > _LEAF_TOL:
-                raise OffLeaf(
-                    f"{direction} adjustment needs a {direction} displacement; "
-                    f"transverse part {transverse:.2e}"
-                )
+            self.leaf_part(delta, direction)
             if np.linalg.norm(delta) == 0.0 or constant:
                 continue
             if direction == "unstable":
-                delta = self.proj_u @ (self.lin_inv @ delta)
+                delta = self.spectral.proj_u @ (self.lin_inv @ delta)
             key = (xa.tobytes(), delta.tobytes())
             shared[direction].setdefault(key, (xa, delta, []))[2].append(i)
         for direction, series in shared.items():
@@ -320,9 +313,9 @@ class SuspensionFlow:
         (expanding) subspace from compounding.
         """
         if direction == "stable":
-            step, proj, sign, rate = self.lin, self.proj_s, 1.0, self.spectral.lam
+            step, proj, sign, rate = self.lin, self.spectral.proj_s, 1.0, self.spectral.lam
         else:
-            step, proj, sign, rate = self.lin_inv, self.proj_u, -1.0, self._q_unstable
+            step, proj, sign, rate = self.lin_inv, self.spectral.proj_u, -1.0, self._q_unstable
         poly = self.roof.poly
         lip = poly.lipschitz_bound()
         contraction = max(1.0 - rate, 1e-12)
@@ -361,7 +354,7 @@ class SuspensionFlow:
             )
         poly = self.roof.poly
         hess = poly.gradient_lipschitz_bound()
-        lin, proj = self.lin, self.proj_s
+        lin, proj = self.lin, self.spectral.proj_s
         gap, weight = np.array([delta]), self.unstable_frame()[None]
 
         def segment(points, active):
@@ -391,7 +384,7 @@ class SuspensionFlow:
         or 0.0.
         """
         lip = self.roof.poly.lipschitz_bound()
-        lin_inv, proj, q = self.lin_inv, self.proj_u, self._q_unstable
+        lin_inv, proj, q = self.lin_inv, self.spectral.proj_u, self._q_unstable
         weight = (proj @ (lin_inv @ self.unstable_frame()))[None]
 
         def segment(points, active):

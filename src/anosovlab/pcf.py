@@ -29,14 +29,11 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import default_rng
 
-from .errors import (
-    DegenerateGradients, NoIntersection, OffLeaf, TruncationInsufficient,
-)
+from .errors import DegenerateGradients, NoIntersection, TruncationInsufficient
 from .flow import CHART_RADIUS, SuspensionFlow, affine_orbit, exact_points, wrap_unit
 from .roof import RoofFunction
 from . import intlinalg, mpspec, util
 
-_MEMBERSHIP_TOL = 1e-12
 INDEPENDENCE_CUTOFF = 0.05  # least sv / largest sv a new pair must keep: a well-posed Newton
 NEWTON_TOL = 1e-12          # patch Newton stops here, 100x the VALUE_TOL of each PCF value
 NEWTON_MAX_STEPS = 60       # chart evaluations per grid point; the bundled grids need at most 6
@@ -70,10 +67,7 @@ class Quadrilateral:
         s_arr = np.asarray([float(v) for v in s_disp], dtype=float)
         u_arr = np.asarray([float(v) for v in u_disp], dtype=float)
         for arr, sub in ((s_arr, "stable"), (u_arr, "unstable")):
-            vu, vs = flow.split_displacement(arr)
-            bad = np.linalg.norm(vu if sub == "stable" else vs)
-            if bad > _MEMBERSHIP_TOL:
-                raise OffLeaf(f"{sub} displacement has transverse part {bad:.2e}")
+            flow.leaf_part(arr, sub)
             if np.linalg.norm(arr) > CHART_RADIUS + 1e-12:
                 raise NoIntersection(
                     f"{sub} displacement norm {np.linalg.norm(arr):.3g} exceeds "
@@ -296,18 +290,14 @@ def pcf_gradient(flow: SuspensionFlow, a, s_disp, u_disp) -> np.ndarray:
     """
     w = np.asarray([float(v) for v in s_disp], dtype=float)
     u = np.asarray([float(v) for v in u_disp], dtype=float)
-    vu, vs = flow.split_displacement(w)
-    if np.linalg.norm(vu) > _MEMBERSHIP_TOL:
-        raise OffLeaf("s_disp must lie in the stable subspace")
-    vu, vs = flow.split_displacement(u)
-    if np.linalg.norm(vs) > _MEMBERSHIP_TOL:
-        raise OffLeaf("u_disp must lie in the unstable subspace")
+    flow.leaf_part(w, "stable")
+    flow.leaf_part(u, "unstable")
 
     poly = flow.roof.poly
     if poly.is_constant():
         return np.zeros(flow.dim_unstable)
     [z0], den = exact_points([np.asarray(a, dtype=float) + u])
-    total = flow.stable_gradient(z0, den, flow.proj_s @ w)
+    total = flow.stable_gradient(z0, den, flow.spectral.proj_s @ w)
     # backward gaps L^-n w mod 1, exact and wrapped, one segment per call
     gaps = affine_orbit(flow.inv_entries, (0,) * flow.dim, *intlinalg.dyadic([w]),
                         centred=True, skip=1)
@@ -344,11 +334,7 @@ def matching_kernel_dimension(
     point = np.asarray(base_point, dtype=float)
     rows = []
     for a, s_disp in pairs:
-        offset = wrap_unit(point - a)
-        vu, vs = flow.split_displacement(offset)
-        if np.linalg.norm(vs) > 1e-9:
-            raise OffLeaf("base_point is not on the unstable leaf of a pair corner")
-        rows.append(pcf_gradient(flow, a, s_disp, vu))
+        rows.append(pcf_gradient(flow, a, s_disp, flow.leaf_part(wrap_unit(point - a), "unstable")))
     grad_rows = np.array(rows)
     kern = util.kernel_basis(grad_rows)
     kernel_dim = kern.shape[1]
@@ -466,9 +452,8 @@ def _pcf_map(flow, pairs, point_bases) -> np.ndarray:
     quads = []
     for point_base in point_bases:
         for a, s_disp in pairs:
-            offset = wrap_unit(point_base - a)
-            vu, vs = flow.split_displacement(offset)
-            quads.append(Quadrilateral(a=a, s_disp=tuple(s_disp), u_disp=tuple(vu)))
+            u_disp = flow.leaf_part(wrap_unit(point_base - a), "unstable")
+            quads.append(Quadrilateral(a=a, s_disp=tuple(s_disp), u_disp=tuple(u_disp)))
     return np.reshape(temporal_distance_series(flow, quads), (len(point_bases), len(pairs)))
 
 

@@ -64,8 +64,8 @@ class SectionChart:
         self.u_frame = flow.unstable_frame()
         self.s_unit = flow.stable_frame()[:, 0]
         self.lam = flow.spectral.stable_eigenvalue
-        # flow.frame is [u_frame | s_unit], so the last chart coordinate is y
-        block = flow.frame_inv @ flow.lin @ flow.frame
+        # the spectral frame is [u_frame | s_unit], so the last chart coordinate is y
+        block = flow.spectral.frame_inv @ flow.lin @ flow.spectral.frame
         self.a_u = block[: flow.dim_unstable, : flow.dim_unstable].copy()
         self.split = mpspec.splitting(flow.base)
 
@@ -83,7 +83,7 @@ class SectionChart:
 
         The unstable x is the first dim_unstable columns and the stable y the last.
         """
-        return row_products(self.flow.frame_inv, wrap_unit(points))
+        return row_products(self.flow.spectral.frame_inv, wrap_unit(points))
 
     def embed(self, x, y: float) -> np.ndarray:
         return self.u_frame @ np.asarray(x, dtype=float) + float(y) * self.s_unit
@@ -114,7 +114,7 @@ class SectionChart:
             nonlocal gap
             length, d = points.shape[1:]
             deltas, nexts = walk_states(
-                gap, lambda g: row_products(flow.proj_s, row_products(flow.lin, g)), length)
+                gap, lambda g: row_products(flow.spectral.proj_s, row_products(flow.lin, g)), length)
             gap = nexts[:, -1]
             rows = deltas.reshape(-1, d)
             terms = np.subtract(poly.eval_diff_rows(points.reshape(-1, d), rows),
@@ -238,7 +238,7 @@ def find_heteroclinic_data(chart: SectionChart, q_period: int) -> list[Heterocli
         for idx, point in enumerate(orbit.numerators):
             qv = np.array(point) / orbit.den
             for off in product(offsets, repeat=chart.flow.dim):
-                y_r = float(chart.flow.frame_inv[-1] @ (qv + np.array(off)))
+                y_r = float(chart.flow.spectral.frame_inv[-1] @ (qv + np.array(off)))
                 if not (low <= abs(y_r) <= high):
                     continue
                 out.append(
@@ -664,7 +664,7 @@ def kappa_experiment(flow: SuspensionFlow, n_points: int) -> KappaSetup:
         raise ValueError(f"kappa needs a conformal E^u, unstable moduli {xi_min:.6g} to {xi:.6g}")
     chart = SectionChart(flow)
     lam = chart.lam
-    finv = flow.frame_inv
+    finv = flow.spectral.frame_inv
 
     homo = []
     for m in product(range(-3, 4), repeat=flow.dim):

@@ -617,11 +617,6 @@ def _telescope_terms(poly: TrigPolynomial, matrix: IntegerMatrix, trunc: int) ->
     tmat = tuple(zip(*matrix.entries))
     tmat_inv = tuple(zip(*matrix.inverse_entries()))
     tdata = spectral_data(IntegerMatrix(tmat))
-    basis = np.hstack([tdata.stable_basis, tdata.unstable_basis])
-    binv = np.linalg.inv(basis)
-    n_s = tdata.stable_basis.shape[1]
-    proj_s = basis[:, :n_s] @ binv[:n_s, :]
-    proj_u = basis[:, n_s:] @ binv[n_s:, :]
 
     support = [k for k in poly.terms if any(k)]
     if not support:
@@ -633,7 +628,7 @@ def _telescope_terms(poly: TrigPolynomial, matrix: IntegerMatrix, trunc: int) ->
     for k0 in sorted(support):
         if k0 in visited:
             continue
-        segment = _orbit_segment(k0, tmat, tmat_inv, proj_s, proj_u, radius)
+        segment = _orbit_segment(k0, tmat, tmat_inv, tdata.proj_s, tdata.proj_u, radius)
         seg_set = set(segment)
         visited |= seg_set & set(support)
         b = [poly.terms.get(k, 0.0 + 0.0j) for k in segment]

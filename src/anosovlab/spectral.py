@@ -196,7 +196,7 @@ class SpectralBlock:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues, certified moduli, and real stable/unstable bases."""
+    """Eigenvalues, certified moduli, real stable/unstable bases and their float splitting."""
 
     matrix: IntegerMatrix
     char_poly: tuple[int, ...]              # monic, ascending coefficients
@@ -205,12 +205,12 @@ class SpectralData:
     blocks: tuple[SpectralBlock, ...]
     stable_basis: np.ndarray                # d x dim E^s
     unstable_basis: np.ndarray              # d x dim E^u
+    frame: np.ndarray                       # d x d, [unstable_basis | stable_basis]
+    frame_inv: np.ndarray
+    proj_u: np.ndarray                      # onto E^u along E^s
+    proj_s: np.ndarray                      # onto E^s along E^u
     codimension_one: bool
     complex_unstable_pair: bool
-
-    @property
-    def dim(self) -> int:
-        return len(self.moduli)
 
     @property
     def lam(self) -> float:
@@ -340,8 +340,14 @@ def spectral_data(matrix: IntegerMatrix) -> SpectralData:
     unstable_cols = [b.basis for b in blocks if not b.is_stable]
     stable_basis = np.hstack(stable_cols) if stable_cols else np.zeros((matrix.dim, 0))
     unstable_basis = np.hstack(unstable_cols) if unstable_cols else np.zeros((matrix.dim, 0))
+    frame = np.hstack([unstable_basis, stable_basis])
+    frame_inv = np.linalg.inv(frame)
+    n_u = unstable_basis.shape[1]
+    proj_u = frame[:, :n_u] @ frame_inv[:n_u, :]
+    proj_s = frame[:, n_u:] @ frame_inv[n_u:, :]
 
-    for array in (stable_basis, unstable_basis, *(b.basis for b in blocks)):
+    for array in (stable_basis, unstable_basis, frame, frame_inv, proj_u, proj_s,
+                  *(b.basis for b in blocks)):
         array.flags.writeable = False
     n_stable = sum(1 for m in moduli if m < 1.0)
     codim_one = n_stable == 1
@@ -354,6 +360,10 @@ def spectral_data(matrix: IntegerMatrix) -> SpectralData:
         blocks=tuple(blocks),
         stable_basis=stable_basis,
         unstable_basis=unstable_basis,
+        frame=frame,
+        frame_inv=frame_inv,
+        proj_u=proj_u,
+        proj_s=proj_s,
         codimension_one=codim_one,
         complex_unstable_pair=complex_unstable,
     )

@@ -125,7 +125,7 @@ def coords(chart, v):
     from anosovlab.flow import wrap_unit
 
     w = wrap_unit(np.asarray([float(c) for c in v], dtype=float))
-    co = chart.flow.frame_inv @ w
+    co = chart.flow.spectral.frame_inv @ w
     return co[: chart.dim_unstable].copy(), float(co[-1])
 
 
@@ -498,27 +498,21 @@ def time_adjustment_reference(flow, x, y, direction):
     """
     import numpy as np
 
-    from anosovlab.errors import OffLeaf
     from anosovlab.flow import VALUE_TOL, wrap_unit
 
     xa = np.asarray([float(v) for v in x], dtype=float) % 1.0
     ya = np.asarray([float(v) for v in y], dtype=float) % 1.0
     delta = wrap_unit(ya - xa)
-    if direction not in ("stable", "unstable"):
-        raise ValueError("direction must be 'stable' or 'unstable'")
-    vu, vs = flow.split_displacement(delta)
-    transverse = np.linalg.norm(vu if direction == "stable" else vs)
-    if transverse > 1e-10:
-        raise OffLeaf(f"transverse part {transverse:.2e}")
+    flow.leaf_part(delta, direction)
     poly = flow.roof.poly
     if np.linalg.norm(delta) == 0.0 or poly.is_constant():
         return 0.0
     lip = poly.lipschitz_bound()
     if direction == "stable":
-        step, proj, sign = flow.lin, flow.proj_s, 1.0
+        step, proj, sign = flow.lin, flow.spectral.proj_s, 1.0
         rate = flow.spectral.lam
     else:
-        step, proj, sign = flow.lin_inv, flow.proj_u, -1.0
+        step, proj, sign = flow.lin_inv, flow.spectral.proj_u, -1.0
         rate = 1.0 / flow.spectral.xi_min
         delta = proj @ (step @ delta)
     orbit = (block[0] for block in flow.exact_orbit(
@@ -551,7 +545,7 @@ def patch_newton_reference(flow1, flow2, conjugacy, kernel, pairs, patch_radius,
     def chart(flow, chart_pairs, point_base):
         values = []
         for a, s_disp in chart_pairs:
-            vu, _ = flow.split_displacement(wrap_unit(point_base - a))
+            vu = flow.leaf_part(wrap_unit(point_base - a), "unstable")
             quad = pcf.Quadrilateral(a=a, s_disp=tuple(s_disp), u_disp=tuple(vu))
             values.extend(pcf.temporal_distance_series(flow, [quad]))
         return np.array(values)

@@ -40,6 +40,15 @@ class TestConfigValidation:
         assert again.to_dict() == cfg.to_dict()
         assert again.content_hash() == cfg.content_hash()
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_every_bundled_config_round_trips(self, name):
+        # from_dict keeps the fields it checks as given, so load_config needs
+        # no round-trip refusal of its own
+        payload = json.loads((CONFIGS / name).read_text())
+        cfg = load_config(CONFIGS / name)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert cfg.to_dict() == {"params": {}, **payload}
+
     def test_unknown_top_level_field(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"kind": "catalog", "params": {}, "extra": 1}))
@@ -103,6 +112,19 @@ class TestConfigValidation:
     def test_negative_roof_constant_rejected(self):
         with pytest.raises(ConfigInvalid, match="positive"):
             build_roof({"constant": -1.0}, 2)
+
+    def test_int_amplitude_runs_as_its_float(self, tmp_path):
+        # _checked coerces an int where the table asks for a float
+        payload = json.loads((CONFIGS / "livshits_planted.json").read_text())
+        payload["roof"]["constant"] = 5.0
+        digests = []
+        for amplitude in (1, 1.0):
+            payload["params"]["plant_coboundary"]["amplitude"] = amplitude
+            run_experiment(ExperimentConfig.from_dict(payload), tmp_path / repr(amplitude))
+            manifest = json.loads((tmp_path / repr(amplitude) / "manifest.json").read_text())
+            digests.append(manifest["reports"])
+        assert digests[0] == digests[1]
+        assert json.loads((tmp_path / "1" / "livshits.json").read_text())["solved"]
 
 
 class TestCliExitCodes:
@@ -369,6 +391,7 @@ class TestCliExitCodes:
         ("bunching_companion3.json", "matrix", {"poly": [-1, 0, 1.2, 1]}),
         ("bunching_companion3.json", "matrix", {"poly": [-1, 0, True, 1]}),
         ("livshits_obstructed.json", "matrix", {"entries": [[2.9, 1], [1, True]]}),
+        ("livshits_obstructed.json", "matrix", {"entries": [[2, 1], 1]}),
         ("livshits_obstructed.json", "roof", {"terms": [{"k": [1.7, 0], "re": 0.05}]}),
         ("livshits_planted.json", "params",
          {"plant_coboundary": {"amplitude": 0.05, "freq": [1.7, 0]}}),
@@ -382,6 +405,33 @@ class TestCliExitCodes:
         result = run_cli([payload["kind"], "--config", str(bad), "--out", str(tmp_path / "out")])
         self.assert_refused(result, tmp_path / "out")
         assert "must be a non-empty list of integers" in result.stderr
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("matrix", {"entries": [[2, 1], [1, 1]], "rows": 2}, "matrix spec allows only"),
+        ("matrix", {"poly": [-1, -3, 1], "entries": [[2, 1], [1, 1]]}, "exactly one of"),
+        ("matrix", {}, "exactly one of"),
+        ("matrix", None, "this experiment needs a matrix spec"),
+        ("roof", {"constant": 1.0, "shift": [0, 0]}, "roof spec allows only"),
+        ("roof", None, "this experiment needs a roof spec"),
+        ("roof", {"constant": 1.0, "terms": [{"k": [1, 0], "re": 0.05, "phase": 0.1}]},
+         "unknown roof term fields: ['phase']"),
+        ("params", [8], "params must be an object"),
+    ])
+    def test_malformed_config_shape_exit_two(self, tmp_path, section, value, message):
+        payload = json.loads((CONFIGS / "livshits_obstructed.json").read_text())
+        payload[section] = value
+        bad = tmp_path / "livshits.json"
+        bad.write_text(json.dumps(payload))
+        result = run_cli(["livshits", "--config", str(bad), "--out", str(tmp_path / "out")])
+        self.assert_refused(result, tmp_path / "out")
+        assert message in result.stderr
+
+    def test_non_object_config_exit_two(self, tmp_path):
+        bad = tmp_path / "livshits.json"
+        bad.write_text(json.dumps([{"kind": "livshits"}]))
+        result = run_cli(["livshits", "--config", str(bad), "--out", str(tmp_path / "out")])
+        self.assert_refused(result, tmp_path / "out")
+        assert "config must be a JSON object" in result.stderr
 
     def test_missing_config_exit_two(self, tmp_path):
         result = run_cli([

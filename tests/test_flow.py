@@ -99,6 +99,11 @@ class TestTimeAdjustment:
         with pytest.raises(OffLeaf):
             cat_flow.time_adjustment([(x, x + np.array([0.01, 0.0]), "stable")])
 
+    def test_bad_direction_refused(self, cat_flow):
+        x = np.array([0.3, 0.55])
+        with pytest.raises(ValueError, match="direction must be 'stable' or 'unstable'"):
+            cat_flow.time_adjustment([(x, x, "weak")])
+
     def test_defining_property_stable(self, cat_flow, cat_map):
         # the adjusted point must track (x, 0) forward in time: distance at
         # t = 30 below 1e-6 with the adjustment, above 1e-2 without
@@ -158,6 +163,31 @@ def batch_cases(companion3_flow, companion3_const_flow, quartic_real):
         pool = _request_pool(flow, seed)
         cases[name] = flow, pool, [time_adjustment_reference(flow, *r).hex() for r in pool]
     return cases
+
+
+class TestLeafPart:
+    @pytest.mark.parametrize("direction", ["stable", "unstable"])
+    def test_returns_the_leaf_part(self, companion3_flow, direction):
+        flow = companion3_flow
+        frame = flow.stable_frame() if direction == "stable" else flow.unstable_frame()
+        v = frame @ np.full(frame.shape[1], 0.02)
+        assert np.max(np.abs(flow.leaf_part(v, direction) - v)) <= 1e-16
+
+    @pytest.mark.parametrize("direction", ["stable", "unstable"])
+    def test_one_tolerance_for_both_leaves(self, cat_flow, direction):
+        # the transverse frame column has unit norm, so its scale is the
+        # transverse part: under LEAF_TOL passes, over it refuses
+        flow = cat_flow
+        along, across = flow.stable_frame()[:, 0], flow.unstable_frame()[:, 0]
+        if direction == "unstable":
+            along, across = across, along
+        flow.leaf_part(0.02 * along + 0.5 * flow_module.LEAF_TOL * across, direction)
+        with pytest.raises(OffLeaf, match=f"{direction} displacement has transverse part 2.00e-12"):
+            flow.leaf_part(0.02 * along + 2.0 * flow_module.LEAF_TOL * across, direction)
+
+    def test_bad_direction_refused(self, cat_flow):
+        with pytest.raises(ValueError, match="direction must be 'stable' or 'unstable'"):
+            cat_flow.leaf_part(np.zeros(2), "weak")
 
 
 class TestBatch:
@@ -310,6 +340,12 @@ class TestStrongManifoldPoint:
             vn = lin @ vn
         rhs = leaf_point(make_point(cat_flow, x, s + t), vn)
         assert distance_mp(cat_flow, lhs, rhs) <= 1e-8
+
+
+class TestConstruction:
+    def test_roof_dimension_checked(self, companion3):
+        with pytest.raises(ValueError, match="roof dimension does not match the base map"):
+            SuspensionFlow(companion3, RoofFunction.constant(1.0, 2))
 
 
 class TestTranslation:

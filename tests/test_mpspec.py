@@ -47,6 +47,11 @@ def test_projection_matches_mp_reference_bit_for_bit(name):
             assert split.project(v, direction) == reference.project(v, direction)
 
 
+def test_project_refuses_a_bad_direction():
+    with pytest.raises(ValueError, match="direction must be 'stable' or 'unstable'"):
+        mpspec.splitting(BASES["cat_map"]).project([0.1, 0.2], "weak")
+
+
 def test_stable_root_needs_a_sign_change():
     coeffs = intlinalg.char_poly(BASES["companion3"].entries)
     with pytest.raises(ArithmeticError, match="sign change"):

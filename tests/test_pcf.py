@@ -287,6 +287,19 @@ class TestPcfGradient:
         with pytest.raises(ValueError, match=refusal):
             perturb.SectionChart(cat_flow).t_gradient_at_zero(0.1)
 
+    @pytest.mark.parametrize("tilted", ["stable", "unstable"])
+    def test_off_leaf_displacement_refused(self, companion3_flow, tilted):
+        # a 1e-10 tilt into the transverse subspace, before any series runs
+        flow = companion3_flow
+        w = 0.01 * flow.stable_frame()[:, 0]
+        u = flow.unstable_frame() @ [0.01, 0.0]
+        if tilted == "stable":
+            w = w + 1e-10 * flow.unstable_frame()[:, 0]
+        else:
+            u = u + 1e-10 * flow.stable_frame()[:, 0]
+        with pytest.raises(OffLeaf, match=f"{tilted} displacement has transverse part"):
+            pcf.pcf_gradient(flow, (0.1, 0.2, 0.3), w, u)
+
     def test_cat_map_constant_roof_zero(self, cat_map):
         # the temporal distance of a constant roof vanishes identically, so
         # its gradient is exactly zero even where the series would diverge
@@ -335,6 +348,14 @@ class TestMatchingKernel:
         pairs2 = [((np.asarray(a) + shift) % 1.0, w) for a, w in pairs]
         after = pcf.matching_kernel_dimension(flow, bp2, pairs2).kernel_dim
         assert before == after == 0
+
+    def test_base_point_off_a_pair_leaf_refused(self, companion3_const_flow):
+        # a stable offset of 1e-10 from the pair's corner, a hundred times LEAF_TOL
+        flow = companion3_const_flow
+        bp = (np.asarray(BASE_POINT) + 1e-10 * flow.stable_frame()[:, 0]) % 1.0
+        pairs = [(BASE_POINT, tuple(0.01 * flow.stable_frame()[:, 0]))]
+        with pytest.raises(OffLeaf, match="unstable displacement has transverse part"):
+            pcf.matching_kernel_dimension(flow, bp, pairs)
 
     def test_budget_exhaustion(self, companion3_const_flow, monkeypatch):
         flow = companion3_const_flow

@@ -117,10 +117,10 @@ class TestHeteroclinicDatum:
         assert kappa_setup.datum.backward_distance <= 1e-8
 
     def test_r_on_stable_line(self, kappa_setup):
+        # leaf_part raises OffLeaf on a transverse part over LEAF_TOL = 1e-12
         chart = kappa_setup.chart
         r = np.array(kappa_setup.datum.r_base)
-        vu, vs = chart.flow.split_displacement((r + 0.5) % 1.0 - 0.5)
-        assert np.linalg.norm(vu) <= 1e-10
+        chart.flow.leaf_part((r + 0.5) % 1.0 - 0.5, "stable")
 
     def test_candidates_sorted_and_bounded(self, cos_chart):
         data = perturb.find_heteroclinic_data(cos_chart, 4)

@@ -73,6 +73,18 @@ class TestTrigPolynomial:
         with pytest.raises(ValueError, match="Hermitian"):
             TrigPolynomial(2, {(1, 0): 1.0 + 0.0j})
 
+    def test_rejects_dimension_zero(self):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            TrigPolynomial(0, {})
+
+    def test_rejects_frequency_of_wrong_length(self):
+        with pytest.raises(ValueError, match=r"frequency \(1, 0, 0\) does not match dimension 2"):
+            TrigPolynomial(2, {(1, 0, 0): 0.5, (-1, 0, 0): 0.5})
+
+    def test_sum_across_dimensions_refused(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            TrigPolynomial.constant(1.0, 2) + TrigPolynomial.constant(1.0, 3)
+
     def test_eval_diff_matches_subtraction(self):
         p = TrigPolynomial.cosine(0.4, (2, 1), 2)
         x = np.array([0.21, 0.55])
@@ -323,6 +335,12 @@ class TestPeriodicPoints:
         rot = IntegerMatrix([[0, -1], [1, 0]])
         with pytest.raises(NonHyperbolicPeriod):
             periodic_points(rot, 4)
+
+    def test_period_zero_refused(self, cat_map):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            periodic_points(cat_map, 0)
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            periodic_obstructions(RoofFunction.constant(1.0, 2), cat_map, 0)
 
     def test_flow_periods_positive(self, cat_map):
         roof, _ = planted_coboundary_roof(cat_map)

@@ -61,6 +61,23 @@ class TestIntegerMatrix:
         with pytest.raises(ValueError):
             IntegerMatrix([[1]])
 
+    @pytest.mark.parametrize("rows", [[[2, 1]], [[2, 1], [1]], []])
+    def test_rejects_non_square_or_empty(self, rows):
+        with pytest.raises(ValueError, match="square and non-empty"):
+            intlinalg.as_int_matrix(rows)
+
+    def test_rejects_negative_power(self, cat_map):
+        with pytest.raises(ValueError, match="negative powers"):
+            intlinalg.mat_pow(cat_map.entries, -1)
+
+    @pytest.mark.parametrize("coeffs, message", [
+        ([-1, 0, 1, 2], "monic"),
+        ([1], "degree must be at least 1"),
+    ])
+    def test_companion_refusals(self, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            intlinalg.companion(coeffs)
+
     @pytest.mark.parametrize("name", list(BASES))
     def test_inverse_entries_match_gauss_jordan(self, name):
         matrix = BASES[name]
@@ -208,6 +225,10 @@ class TestCatalog:
 
     def test_d2_bound0_empty(self):
         assert enumerate_catalog(2, 0) == []
+
+    def test_d6_refused(self):
+        with pytest.raises(ValueError, match="d must be one of 2, 3, 4, 5"):
+            enumerate_catalog(6, 1)
 
     def test_ordering_is_lexicographic(self):
         entries = enumerate_catalog(2, 2)
