@@ -245,22 +245,28 @@ class SuspensionFlow:
     # -- leaf machinery ----------------------------------------------------------
 
     def leaf_part(self, v, direction: str) -> np.ndarray:
-        """The part of a base displacement along its `direction` leaf.
+        """The part of a base displacement, or of each row of a stack, along its `direction` leaf.
 
-        The package's one leaf test: v is split in the spectral frame, and
-        a transverse part of norm over LEAF_TOL raises OffLeaf.
+        The package's one leaf test: each row is split in the spectral
+        frame with one `row_products` gemv per row (bit-identical to the
+        product of that row alone), and a transverse part of norm over
+        LEAF_TOL raises OffLeaf, which names the largest one. Returns the
+        parts in the shape of v.
         """
         if direction not in ("stable", "unstable"):
             raise ValueError("direction must be 'stable' or 'unstable'")
         spectral, n_u = self.spectral, self.dim_unstable
-        coords = spectral.frame_inv @ np.asarray(v, dtype=float)
-        vu = spectral.frame[:, :n_u] @ coords[:n_u]
-        vs = spectral.frame[:, n_u:] @ coords[n_u:]
+        v = np.asarray(v, dtype=float)
+        coords = row_products(spectral.frame_inv, np.atleast_2d(v))
+        vu = row_products(spectral.frame[:, :n_u], coords[:, :n_u])
+        vs = row_products(spectral.frame[:, n_u:], coords[:, n_u:])
         part, transverse = (vs, vu) if direction == "stable" else (vu, vs)
-        norm = np.linalg.norm(transverse)
+        # one ddot per row, as np.linalg.norm takes it
+        squares = np.matmul(transverse[:, None, :], transverse[:, :, None])[:, 0, 0]
+        norm = math.sqrt(squares.max(initial=0.0))
         if norm > LEAF_TOL:
             raise OffLeaf(f"{direction} displacement has transverse part {norm:.2e}")
-        return part
+        return part.reshape(v.shape)
 
     def time_adjustment(self, requests) -> list[float]:
         """Fiber offsets putting (y, offset) on the strong leaf of (x, 0).
@@ -273,31 +279,43 @@ class SuspensionFlow:
         unstable: offset = sum_{n>=1} roof(L^-n x) - roof(L^-n y), the
                   backward-asymptotic analogue.
 
-        Every request is checked by `leaf_part` before any series runs,
-        and a zero displacement or a constant roof gives 0.0. Identical
-        requests share one series. The series of one direction run in
-        lockstep (see `_leaf_series`), so each value is bit-identical
-        whatever else is in the batch and in what order.
+        Every direction is checked, then every displacement by one
+        `leaf_part` call per direction, before any series runs; a zero
+        displacement or a constant roof gives 0.0. The requests are read
+        in one array pass, each row with the same float operations as it
+        has alone. Identical requests share one series. The series of one
+        direction run in lockstep (see `_leaf_series`), so each value is
+        bit-identical whatever else is in the batch and in what order.
         """
+        rows = {"stable": [], "unstable": []}   # the request indices of each direction
+        for i, (_, _, direction) in enumerate(requests):
+            if direction not in ("stable", "unstable"):
+                raise ValueError("direction must be 'stable' or 'unstable'")
+            rows[direction].append(i)
         values = [0.0] * len(requests)
-        shared = {"stable": {}, "unstable": {}}   # (start, gap) bytes -> (start, gap, indices)
-        constant = self.roof.poly.is_constant()
-        for i, (x, y, direction) in enumerate(requests):
-            xa = np.asarray([float(v) for v in x], dtype=float) % 1.0
-            ya = np.asarray([float(v) for v in y], dtype=float) % 1.0
-            delta = wrap_unit(ya - xa)
-            self.leaf_part(delta, direction)
-            if np.linalg.norm(delta) == 0.0 or constant:
-                continue
+        if not requests:
+            return values
+        xs = np.array([x for x, _, _ in requests], dtype=float) % 1.0
+        ys = np.array([y for _, y, _ in requests], dtype=float) % 1.0
+        deltas = wrap_unit(ys - xs)
+        # each row's own ddot, so a row is zero exactly when its norm is
+        squares = np.matmul(deltas[:, None, :], deltas[:, :, None])[:, 0, 0]
+        for direction, indices in rows.items():
+            self.leaf_part(deltas[indices], direction)
+        if self.roof.poly.is_constant():
+            return values
+        for direction, indices in rows.items():
+            indices = [i for i in indices if squares[i] != 0.0]
+            gaps = deltas[indices]
             if direction == "unstable":
-                delta = self.spectral.proj_u @ (self.lin_inv @ delta)
-            key = (xa.tobytes(), delta.tobytes())
-            shared[direction].setdefault(key, (xa, delta, []))[2].append(i)
-        for direction, series in shared.items():
+                gaps = row_products(self.spectral.proj_u, row_products(self.lin_inv, gaps))
+            series = {}   # (start, gap) bytes -> (start, gap, indices)
+            for i, x, gap in zip(indices, xs[indices], gaps):
+                series.setdefault((x.tobytes(), gap.tobytes()), (x, gap, []))[2].append(i)
             if series:
                 starts, gaps, owners = zip(*series.values())
-                for value, indices in zip(self._leaf_series(direction, starts, gaps), owners):
-                    for i in indices:
+                for value, shared in zip(self._leaf_series(direction, starts, gaps), owners):
+                    for i in shared:
                         values[i] = value
         return values
 
@@ -319,7 +337,7 @@ class SuspensionFlow:
         poly = self.roof.poly
         lip = poly.lipschitz_bound()
         contraction = max(1.0 - rate, 1e-12)
-        gap = np.array([proj @ g for g in gaps])
+        gap = row_products(proj, np.array(gaps))
 
         def segment(points, active):
             m, length, d = points.shape
@@ -335,16 +353,18 @@ class SuspensionFlow:
         orbit = self.exact_orbit(*exact_points(starts), direction == "unstable")
         return certified_sums(orbit, segment, VALUE_TOL, [0.0] * len(starts))[0]
 
-    def stable_gradient(self, start, den: int, delta) -> np.ndarray:
-        """Forward half of a PCF gradient, in unstable-frame coordinates.
+    def stable_gradient(self, starts, den: int, deltas) -> np.ndarray:
+        """Forward halves of PCF gradients at m starts, in unstable-frame coordinates.
 
-        sum_{n>=0} (L^n U)^T [grad roof(F^n z + L^n w) - grad roof(F^n z)]
-        over the exact orbit of the start z (a numerator row over den),
-        with delta = w on the stable subspace and U the unstable frame. The
-        weight L^n U grows like xi_max^n while the paired difference
-        shrinks like lambda^n, so the tail is geometric at
+        Row k is sum_{n>=0} (L^n U)^T [grad roof(F^n z + L^n w) - grad roof(F^n z)]
+        over the exact orbit of starts[k] = z (a numerator row over the
+        one den), with deltas[k] = w on the stable subspace and U the
+        unstable frame. The weight L^n U grows like xi_max^n while the
+        paired difference shrinks like lambda^n, so the tail is geometric at
         q = lambda * xi_max. Raises ValueError when q >= BUNCHING_CAP, as
-        for every 2-dimensional base (q = 1).
+        for every 2-dimensional base (q = 1). The m series run in lockstep
+        over one orbit walk and share the weights, which do not depend on
+        the start, so each row is bit-identical to its start run alone.
         """
         q = self._q_stable
         if q >= BUNCHING_CAP:
@@ -355,32 +375,36 @@ class SuspensionFlow:
         poly = self.roof.poly
         hess = poly.gradient_lipschitz_bound()
         lin, proj = self.lin, self.spectral.proj_s
-        gap, weight = np.array([delta]), self.unstable_frame()[None]
+        gap, weight = np.array(deltas, dtype=float), self.unstable_frame()[None]
 
         def segment(points, active):
-            nonlocal gap, weight
+            nonlocal weight
             length, d = points.shape[1:]
             deltas, nexts = walk_states(
-                gap, lambda g: row_products(proj, row_products(lin, g)), length)
+                gap[active], lambda g: row_products(proj, row_products(lin, g)), length)
             weights, ahead = walk_states(weight, lambda w: np.matmul(lin, w), length)
-            gap, weight = nexts[:, -1], ahead[:, -1]
+            gap[active], weight = nexts[:, -1], ahead[:, -1]
             grads = poly.gradient_diff_rows(points.reshape(-1, d), deltas.reshape(-1, d))
             terms = np.matmul(weights.swapaxes(-1, -2), np.reshape(grads, (*deltas.shape, 1)))
             squares = np.matmul(nexts[..., None, :], nexts[..., :, None])[..., 0, 0]
             norms = np.linalg.svd(ahead, compute_uv=False).max(axis=-1)
             return terms[..., 0], (hess * np.sqrt(squares) * norms * q / (1.0 - q)).tolist()
 
-        return certified_sums(self.exact_orbit([start], den), segment, GRADIENT_TOL, [0.0])[0][0]
+        orbit = self.exact_orbit(starts, den)
+        return np.array(certified_sums(orbit, segment, GRADIENT_TOL, [0.0] * len(starts))[0])
 
-    def unstable_gradient(self, start, den: int, grads, total: float) -> np.ndarray:
-        """Backward half of a PCF gradient, in unstable-frame coordinates.
+    def unstable_gradient(self, starts, den: int, grads, totals) -> np.ndarray:
+        """Backward halves of PCF gradients at m starts, in unstable-frame coordinates.
 
-        sum_{n>=1} (L^-n U)^T g_n along the exact backward orbit of the
-        start (a numerator row over den), where grads(points) returns the
-        rows g_n of one segment, each a roof gradient difference (bounded
-        by 2 lip). The weights L^-n U contract at q = 1 / xi_min,
-        re-projected onto E^u each step so stable float contamination does
-        not grow. `total` is the running sum to continue: the forward half,
+        Row k is sum_{n>=1} (L^-n U)^T g_n along the exact backward orbit
+        of starts[k] (a numerator row over the one den), where
+        grads(points, active) returns the rows g_n of one segment of the
+        open series `active`, their points stacked as (len(active) * length,
+        d) rows; each g_n is a roof gradient difference (bounded by 2 lip).
+        The weights L^-n U contract at q = 1 / xi_min, re-projected onto
+        E^u each step so stable float contamination does not grow, and are
+        shared by the m series, which run in lockstep over one orbit walk.
+        totals[k] is the running sum that row k continues: the forward half,
         or 0.0.
         """
         lip = self.roof.poly.lipschitz_bound()
@@ -392,10 +416,10 @@ class SuspensionFlow:
             weights, nexts = walk_states(
                 weight, lambda w: np.matmul(proj, np.matmul(lin_inv, w)), points.shape[1])
             weight = nexts[:, -1]
-            rows = np.reshape(grads(points.reshape(-1, points.shape[-1])), points.shape)
+            rows = np.reshape(grads(points.reshape(-1, points.shape[-1]), active), points.shape)
             norms = np.linalg.svd(nexts, compute_uv=False).max(axis=-1)
-            return (np.matmul(weights.swapaxes(-1, -2), rows[..., None])[..., 0],
-                    (2.0 * lip * norms * q / (1.0 - q)).tolist())
+            tails = np.broadcast_to(2.0 * lip * norms * q / (1.0 - q), points.shape[:2])
+            return np.matmul(weights.swapaxes(-1, -2), rows[..., None])[..., 0], tails.tolist()
 
-        orbit = self.exact_orbit([start], den, backward=True)
-        return certified_sums(orbit, segment, GRADIENT_TOL, [total])[0][0]
+        orbit = self.exact_orbit(starts, den, backward=True)
+        return np.array(certified_sums(orbit, segment, GRADIENT_TOL, list(totals))[0])

@@ -31,7 +31,7 @@ from numpy.random import default_rng
 
 from .errors import DegenerateGradients, NoIntersection, TruncationInsufficient
 from .flow import CHART_RADIUS, SuspensionFlow, affine_orbit, exact_points, wrap_unit
-from .roof import RoofFunction
+from .roof import RoofFunction, row_products
 from . import intlinalg, mpspec, util
 
 INDEPENDENCE_CUTOFF = 0.05  # least sv / largest sv a new pair must keep: a well-posed Newton
@@ -275,34 +275,44 @@ def sample_csv_header(dim: int) -> list[str]:
 # PCF gradients in the unstable parameter
 
 
-def pcf_gradient(flow: SuspensionFlow, a, s_disp, u_disp) -> np.ndarray:
-    """Derivative of the temporal distance in the unstable parameter.
+def pcf_gradient(flow: SuspensionFlow, quads) -> np.ndarray:
+    """Derivatives of the temporal distance in the unstable parameter, one row per quad.
 
-    Returns the covector components with respect to the columns of the
-    unstable frame, evaluated at the quadrilateral point x = a + u_disp,
-    for a base corner a.
+    Each of quads is (a, s_disp, u_disp) for a base corner a. Its row holds
+    the covector components with respect to the columns of the unstable
+    frame, evaluated at the quadrilateral point x = a + u_disp.
     Term-wise differentiation of the series route gives a two-sided sum of
     paired gradient differences: `SuspensionFlow.stable_gradient` forward,
     `unstable_gradient` backward. The forward side converges only under the
     bunching condition lambda * xi_max < 1, which holds automatically for
     volume-preserving codimension-one data with dim E^u >= 2; a constant
     roof has the zero gradient whatever the bunching.
+
+    Every displacement is checked before any series runs. All forward
+    halves walk one lockstep orbit and all backward halves another, so each
+    row is bit-identical to its quadrilateral run alone.
     """
-    w = np.asarray([float(v) for v in s_disp], dtype=float)
-    u = np.asarray([float(v) for v in u_disp], dtype=float)
+    quads = list(quads)
+    shape = (len(quads), flow.dim)
+    w = np.reshape(np.array([s_disp for _, s_disp, _ in quads], dtype=float), shape)
+    u = np.reshape(np.array([u_disp for _, _, u_disp in quads], dtype=float), shape)
     flow.leaf_part(w, "stable")
     flow.leaf_part(u, "unstable")
 
     poly = flow.roof.poly
-    if poly.is_constant():
-        return np.zeros(flow.dim_unstable)
-    [z0], den = exact_points([np.asarray(a, dtype=float) + u])
-    total = flow.stable_gradient(z0, den, flow.spectral.proj_s @ w)
+    if poly.is_constant() or not quads:
+        return np.zeros((len(quads), flow.dim_unstable))
+    corners = np.array([a for a, _, _ in quads], dtype=float)
+    starts, den = exact_points(corners + u)
+    totals = flow.stable_gradient(starts, den, row_products(flow.spectral.proj_s, w))
     # backward gaps L^-n w mod 1, exact and wrapped, one segment per call
-    gaps = affine_orbit(flow.inv_entries, (0,) * flow.dim, *intlinalg.dyadic([w]),
+    gaps = affine_orbit(flow.inv_entries, (0,) * flow.dim, *intlinalg.dyadic(w),
                         centred=True, skip=1)
     return flow.unstable_gradient(
-        z0, den, lambda points: poly.gradient_diff_rows(points, next(gaps)[0]), total
+        starts, den,
+        lambda points, active: poly.gradient_diff_rows(
+            points, np.reshape(next(gaps)[active], points.shape)),
+        totals,
     )
 
 
@@ -332,10 +342,10 @@ def matching_kernel_dimension(
     if not pairs:
         raise ValueError("at least one pair is required")
     point = np.asarray(base_point, dtype=float)
-    rows = []
-    for a, s_disp in pairs:
-        rows.append(pcf_gradient(flow, a, s_disp, flow.leaf_part(wrap_unit(point - a), "unstable")))
-    grad_rows = np.array(rows)
+    corners = np.array([a for a, _ in pairs], dtype=float)
+    u_disps = flow.leaf_part(wrap_unit(point - corners), "unstable")
+    grad_rows = pcf_gradient(
+        flow, [(a, s_disp, u) for (a, s_disp), u in zip(pairs, u_disps)])
     kern = util.kernel_basis(grad_rows)
     kernel_dim = kern.shape[1]
     ambient = flow.unstable_frame() @ kern if kernel_dim else np.zeros((flow.dim, 0))
@@ -358,28 +368,37 @@ def find_independent_pairs(
     Draws base corners a on the unstable leaf through base_point, reduced
     into [0, 1), and stable displacements, keeping draws that increase the
     gradient stack's rank (smallest singular value relative to the largest
-    above the cutoff).
-    Raises DegenerateGradients when PAIR_BUDGET draws find fewer than count.
+    above the cutoff). The draws come in rounds of as many as are still
+    missing, each round's gradients as one `pcf_gradient` batch, and are
+    tested in draw order, so the pairs are those of one draw at a time.
+    count must lie in [1, dim E^u], since no more gradient rows than that
+    can be independent. Raises DegenerateGradients when PAIR_BUDGET draws
+    find fewer than count.
     """
+    if not 1 <= count <= flow.dim_unstable:
+        raise ValueError(f"count must lie in [1, {flow.dim_unstable}] (dim E^u), got {count}")
     rng = default_rng(seed)
     u_frame = flow.unstable_frame()
     s_frame = flow.stable_frame()
     point = np.asarray(base_point, dtype=float)
     chosen: list[tuple[tuple, tuple]] = []
     rows: list[np.ndarray] = []
-    for _ in range(PAIR_BUDGET):
-        c = rng.uniform(-1.0, 1.0, u_frame.shape[1]) * DISPLACEMENT_SCALE
-        s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * DISPLACEMENT_SCALE
-        a = tuple(float(v) for v in (point - u_frame @ c) % 1.0)
-        s_disp = s_frame @ s_coef
-        grad = pcf_gradient(flow, a, s_disp, u_frame @ c)
-        cand = rows + [grad]
-        sv = np.linalg.svd(np.array(cand), compute_uv=False)
-        if sv[-1] > INDEPENDENCE_CUTOFF * sv[0] and sv[0] > 1e-12:
-            rows.append(grad)
-            chosen.append((a, tuple(float(v) for v in s_disp)))
-            if len(chosen) == count:
-                return chosen
+    drawn = 0
+    while drawn < PAIR_BUDGET:
+        draws = []
+        for _ in range(min(count - len(chosen), PAIR_BUDGET - drawn)):
+            c = rng.uniform(-1.0, 1.0, u_frame.shape[1]) * DISPLACEMENT_SCALE
+            s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * DISPLACEMENT_SCALE
+            a = tuple(float(v) for v in (point - u_frame @ c) % 1.0)
+            draws.append((a, s_frame @ s_coef, u_frame @ c))
+        drawn += len(draws)
+        for (a, s_disp, _), grad in zip(draws, pcf_gradient(flow, draws)):
+            sv = np.linalg.svd(np.array(rows + [grad]), compute_uv=False)
+            if sv[-1] > INDEPENDENCE_CUTOFF * sv[0] and sv[0] > 1e-12:
+                rows.append(grad)
+                chosen.append((a, tuple(float(v) for v in s_disp)))
+                if len(chosen) == count:
+                    return chosen
     raise DegenerateGradients(
         f"found only {len(chosen)} independent gradients within {PAIR_BUDGET} draws"
     )
@@ -449,11 +468,13 @@ class PatchReconstruction:
 
 def _pcf_map(flow, pairs, point_bases) -> np.ndarray:
     """(points, pairs) array of the PCF chart at each base point, in one batch."""
-    quads = []
-    for point_base in point_bases:
-        for a, s_disp in pairs:
-            u_disp = flow.leaf_part(wrap_unit(point_base - a), "unstable")
-            quads.append(Quadrilateral(a=a, s_disp=tuple(s_disp), u_disp=tuple(u_disp)))
+    corners = np.array([a for a, _ in pairs], dtype=float)
+    offsets = wrap_unit(np.reshape(point_bases, (-1, 1, flow.dim)) - corners)
+    u_disps = flow.leaf_part(offsets.reshape(-1, flow.dim), "unstable")
+    quads = [
+        Quadrilateral(a=a, s_disp=tuple(s_disp), u_disp=tuple(u))
+        for (a, s_disp), u in zip(pairs * len(point_bases), u_disps)
+    ]
     return np.reshape(temporal_distance_series(flow, quads), (len(point_bases), len(pairs)))
 
 
@@ -467,8 +488,9 @@ def reconstruct_conjugacy_patch(
 ) -> PatchReconstruction:
     """Invert the PCF chart to recover the conjugacy on an unstable patch.
 
-    With P1 = (rho^1_1, rho^1_2) built from two independent pairs at the
-    kernel report's base point and P2 the matched chart for the conjugated
+    With P1 = (rho^1_1, ..., rho^1_n) built from n = dim E^u independent
+    pairs at the kernel report's base point (any other number of pairs is
+    refused with DegenerateGradients) and P2 the matched chart for the conjugated
     flow, the map P1^{-1} o P2 is evaluated on a grid of the unstable patch
     through h(base_point), grid_n points of half-width PATCH_RADIUS along
     each axis, and compared against the known inverse translation. The
@@ -482,8 +504,9 @@ def reconstruct_conjugacy_patch(
     raises TruncationInsufficient.
     """
     n_u = flow1.dim_unstable
-    if len(pairs) < n_u:
-        raise DegenerateGradients(f"need {n_u} pairs for a {n_u}-dimensional patch")
+    if len(pairs) != n_u:
+        raise DegenerateGradients(
+            f"need {n_u} pairs for a {n_u}-dimensional patch, got {len(pairs)}")
     jac = np.array(kernel.gradients)
     sv = np.linalg.svd(jac, compute_uv=False)
     if sv[-1] <= 1e-9 * max(sv[0], 1e-30) or sv[0] < 1e-12:

@@ -132,7 +132,7 @@ class SectionChart:
             return np.zeros(self.dim_unstable)
         w, den = self.split.project(self.s_unit * float(y), "stable")
         # the origin is fixed, so its orbit repeats it
-        return self.flow.stable_gradient((0,) * self.flow.dim, 1, np.array([v / den for v in w]))
+        return self.flow.stable_gradient([(0,) * self.flow.dim], 1, [[v / den for v in w]])[0]
 
     def unstable_slope(self, y: float) -> np.ndarray:
         """Tangent slope of the unstable-leaf graph through (0, y) in the
@@ -146,8 +146,8 @@ class SectionChart:
         # the origin is fixed (no translation), so its gradient is too
         grad_origin = poly.gradient(np.zeros(flow.dim))
         return flow.unstable_gradient(
-            r, den, lambda pts: grad_origin - poly.gradient_rows(pts), 0.0
-        )
+            [r], den, lambda pts, active: grad_origin - poly.gradient_rows(pts), [0.0]
+        )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import oracles
 from anosovlab import flow as flow_module
-from anosovlab import perturb
+from anosovlab import pcf, perturb
 from anosovlab.flow import SuspensionFlow
 from anosovlab.roof import RoofFunction, TrigPolynomial
 from anosovlab.spectral import IntegerMatrix
@@ -90,6 +92,15 @@ def companion3_flow(companion3):
 @pytest.fixture(scope="session")
 def companion3_const_flow(companion3):
     return SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
+
+
+@pytest.fixture(scope="session")
+def translated3(companion3_flow):
+    # the x7 denominators of the planted subbundle translation: its orbits
+    # walk on the CRT branch, or on Python ints past 2^63
+    flow, _ = pcf.translate_flow(
+        companion3_flow, [Fraction(1, 7), Fraction(2, 7), Fraction(3, 7)])
+    return flow
 
 
 def assert_close(actual, expected, tol, label=""):

@@ -17,7 +17,9 @@ so a refactor of the series must keep every bit. `certified_sum` and
 loop that `perturb.return_series` replaced, kept on them as the reference
 it must equal; `time_adjustment_reference` and
 `patch_newton_reference` are likewise the one-request leaf series and the
-one-grid-point patch Newton that the lockstep batches replaced, and
+one-grid-point patch Newton that the lockstep batches replaced,
+`independent_pairs_reference` the one-draw-at-a-time pair search that
+the rounds of `pcf.find_independent_pairs` replaced, and
 `temporal_distance_geometric_reference` the one-quadrilateral geometric
 route. `python_int_segments` is the orbit walk on Python ints that the
 int64 limb branch of `intlinalg.orbit_segments` replaced for 2^k > 2^64,
@@ -406,7 +408,8 @@ def series_pins() -> dict:
                 hexed(rho) for rho in pcf.temporal_distance_series(flow, quads)
             ],
             "pcf_gradient": [
-                hexed(pcf.pcf_gradient(flow, q.a, q.s_disp, q.u_disp)) for q in quads
+                hexed(row) for row in pcf.pcf_gradient(
+                    flow, [(q.a, q.s_disp, q.u_disp) for q in quads])
             ],
         }
     return out
@@ -568,6 +571,42 @@ def patch_newton_reference(flow1, flow2, conjugacy, kernel, pairs, patch_radius,
             coef = coef - np.linalg.solve(jac, resid)
         recovered.append((origin + u_frame @ coef) % 1.0)
     return np.array(recovered)
+
+
+def independent_pairs_reference(flow, base_point, count, seed):
+    """The pair search one draw at a time: (pairs, index of each accepted draw).
+
+    The loop that `pcf.find_independent_pairs` replaced with rounds of
+    draws: each draw's gradient is its own one-quadrilateral
+    `pcf_gradient` call, tested before the next draw is made.
+    """
+    import numpy as np
+    from numpy.random import default_rng
+
+    from anosovlab import pcf
+    from anosovlab.errors import DegenerateGradients
+
+    rng = default_rng(seed)
+    u_frame = flow.unstable_frame()
+    s_frame = flow.stable_frame()
+    point = np.asarray(base_point, dtype=float)
+    chosen, rows, accepted = [], [], []
+    for draw in range(pcf.PAIR_BUDGET):
+        c = rng.uniform(-1.0, 1.0, u_frame.shape[1]) * pcf.DISPLACEMENT_SCALE
+        s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * pcf.DISPLACEMENT_SCALE
+        a = tuple(float(v) for v in (point - u_frame @ c) % 1.0)
+        s_disp = s_frame @ s_coef
+        [grad] = pcf.pcf_gradient(flow, [(a, s_disp, u_frame @ c)])
+        sv = np.linalg.svd(np.array(rows + [grad]), compute_uv=False)
+        if sv[-1] > pcf.INDEPENDENCE_CUTOFF * sv[0] and sv[0] > 1e-12:
+            rows.append(grad)
+            chosen.append((a, tuple(float(v) for v in s_disp)))
+            accepted.append(draw)
+            if len(chosen) == count:
+                return chosen, accepted
+    raise DegenerateGradients(
+        f"found only {len(chosen)} independent gradients within {pcf.PAIR_BUDGET} draws"
+    )
 
 
 def python_int_segments(a, offset, start, den, length, centred=False):

@@ -68,14 +68,6 @@ def _fractions_built(monkeypatch, runs: dict) -> dict:
     return counts
 
 
-@pytest.fixture(scope="module")
-def translated3(companion3_flow):
-    # the x7 translation walks its orbits on the CRT branch
-    flow, _ = pcf.translate_flow(
-        companion3_flow, [Fraction(1, 7), Fraction(2, 7), Fraction(3, 7)])
-    return flow
-
-
 @pytest.mark.parametrize("translated", [False, True])
 def test_pcf_routes_build_no_fraction(companion3_flow, translated3, translated, monkeypatch):
     flow = translated3 if translated else companion3_flow
@@ -84,8 +76,8 @@ def test_pcf_routes_build_no_fraction(companion3_flow, translated3, translated, 
     counts = _fractions_built(monkeypatch, {
         "series": lambda: pcf.temporal_distance_series(flow, quads),
         "geometric": lambda: pcf.temporal_distance_geometric(flow, quads),
-        "pcf_gradient": lambda: [pcf.pcf_gradient(flow, q.a, q.s_disp, q.u_disp)
-                                 for q in quads],
+        "pcf_gradient": lambda: pcf.pcf_gradient(
+            flow, [(q.a, q.s_disp, q.u_disp) for q in quads]),
     })
     assert counts == dict.fromkeys(counts, 0)
 

@@ -255,6 +255,47 @@ class TestBatch:
         flow.time_adjustment(requests)
         assert calls == [3, 3]
 
+    def test_mixed_batch_matches_one_call_per_request(self, companion3_flow):
+        # both directions interleaved, a repeat, a zero displacement, and
+        # corners given as Fractions, read in the one array pass
+        flow = companion3_flow
+        x = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11))
+        xf = np.array([float(v) for v in x])
+        s = flow.stable_frame() @ [0.02]
+        u = flow.unstable_frame() @ [0.01, -0.02]
+        requests = [
+            (x, tuple(v + Fraction(d) for v, d in zip(x, s)), "stable"),
+            (xf, xf + u, "unstable"),
+            (xf + u, xf + u + s, "stable"),
+            (x, x, "unstable"),
+            (xf, xf + u, "unstable"),
+            (list(xf), list(xf + s), "stable"),
+        ]
+        requests.append(requests[0])
+        alone = [flow.time_adjustment([r])[0].hex() for r in requests]
+        assert alone[3] == (0.0).hex() and alone[1] == alone[4] and alone[0] == alone[6]
+        assert [v.hex() for v in flow.time_adjustment(requests)] == alone
+        reference = [time_adjustment_reference(flow, *r).hex() for r in requests]
+        assert alone == reference
+
+    def test_bad_direction_refused_before_any_work(self, companion3_flow, monkeypatch):
+        # the direction is checked for every request before the leaf test
+        # of the off-leaf first request, and before any series runs
+        flow = companion3_flow
+        x = np.array([0.21, 0.47, 0.83])
+
+        def no_series(*args):
+            raise AssertionError("a series ran")
+
+        monkeypatch.setattr(flow_module, "certified_sums", no_series)
+        with pytest.raises(ValueError, match="direction must be 'stable' or 'unstable'"):
+            flow.time_adjustment([
+                (x, x + np.array([0.01, 0.0, 0.0]), "stable"),
+                (x, x + flow.stable_frame() @ [0.02], "stable"),
+                (x, x + flow.unstable_frame() @ [0.02, 0.01], "unstable"),
+                (x, x, "weak"),
+            ])
+
     def test_off_leaf_request_refuses_batch(self, companion3_flow):
         flow = companion3_flow
         x = np.array([0.21, 0.47, 0.83])
@@ -494,7 +535,7 @@ class TestSegments:
             u = flow.unstable_frame() @ np.full(2, 0.02)
 
             def compute():
-                return pcf.pcf_gradient(flow, x, w, u)
+                return pcf.pcf_gradient(flow, [(x, w, u)])
         elif series == "t_series":
             chart = perturb.SectionChart(flow)
 
@@ -511,15 +552,6 @@ class TestSegments:
         monkeypatch.setattr(flow_module, "MAX_TERMS", cap)
         with pytest.raises(TruncationInsufficient, match=f"within {cap} terms"):
             compute()
-
-
-@pytest.fixture(scope="module")
-def translated3(companion3_flow):
-    # the x7 denominators of the planted subbundle translation
-    flow, _ = pcf.translate_flow(
-        companion3_flow, [Fraction(1, 7), Fraction(2, 7), Fraction(3, 7)]
-    )
-    return flow
 
 
 # the denominators the kernel has to handle: uint64 paths at 2^53 and at
@@ -548,21 +580,42 @@ _starts = st.one_of(
 )
 
 
+def _apply(entries, row, offset, den):
+    # one exact affine step on a numerator row: (A n + offset) mod den
+    return tuple((sum(a * v for a, v in zip(line, row)) + c) % den
+                 for line, c in zip(entries, offset))
+
+
+def _centred(v, den):
+    # v - den * round(v / den), ties to even as Fraction.__round__ has them
+    q, r = divmod(v, den)
+    return v - den * (q + (2 * r > den or (2 * r == den and q & 1)))
+
+
 @settings(max_examples=20, deadline=None)
 @given(_starts, st.tuples(*[st.floats(-0.05, 0.05)] * 3))
 def test_exact_orbit_matches_fraction_maps(companion3_flow, translated3, start, w):
-    # every yielded float is float() of the Fraction reference, bit for bit,
-    # at each segment length; w is a pcf_gradient backward gap: L^-n w
-    # reduced into [-1/2, 1/2). The x7 of the translated flow puts its
-    # orbits on the CRT path, or on Python ints past 2^63
+    # every yielded float is the exact rational point correctly rounded, bit
+    # for bit, at each segment length; w is a pcf_gradient backward gap:
+    # L^-n w reduced into [-1/2, 1/2). The x7 of the translated flow puts
+    # its orbits on the CRT path, or on Python ints past 2^63. The
+    # reference is the affine map x -> L x + c mod 1 and its inverse
+    # x -> L^-1 (x - c) mod 1 on Python-int numerator rows over the lcm D of
+    # the start's and c's denominators; n / D is correctly rounded, as
+    # float() of the Fraction n / D is
     for flow in (companion3_flow, translated3):
         inv = flow.inv_entries
-        ahead, behind, gaps = [start], [start], [tuple(Fraction(v) for v in w)]
+        [row], over = numerators([start + flow.translation])
+        shift = row[3:]
+        ahead, behind = [row[:3]], [row[:3]]
+        [gap], gap_den = numerators([tuple(Fraction(v) for v in w)])
+        gaps = [gap]
         for _ in range(300):
-            ahead.append(flow.base_apply_exact(ahead[-1]))
-            behind.append(flow.base_apply_inv_exact(behind[-1]))
-            image = [sum(inv[i][j] * gaps[-1][j] for j in range(3)) for i in range(3)]
-            gaps.append(tuple(v - round(v) for v in image))
+            ahead.append(_apply(flow.base.entries, ahead[-1], shift, over))
+            back = tuple(v - c for v, c in zip(behind[-1], shift))
+            behind.append(_apply(inv, back, (0, 0, 0), over))
+            gaps.append(tuple(_centred(sum(a * v for a, v in zip(line, gaps[-1])), gap_den)
+                              for line in inv))
         for segment in SEGMENTS:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(flow_module, "SEGMENT", segment)
@@ -571,11 +624,11 @@ def test_exact_orbit_matches_fraction_maps(companion3_flow, translated3, start, 
                 bwd = chain.from_iterable(
                     b[0] for b in flow.exact_orbit(nums, den, backward=True))
                 walk = chain.from_iterable(b[0] for b in affine_orbit(
-                    inv, (0, 0, 0), *numerators([gaps[0]]), centred=True))
+                    inv, (0, 0, 0), [gap], gap_den, centred=True))
                 for n in range(300):
-                    assert tuple(next(fwd)) == tuple(float(v) for v in ahead[n])
-                    assert tuple(next(walk)) == tuple(float(v) for v in gaps[n])
-                    assert tuple(next(bwd)) == tuple(float(v) for v in behind[n + 1])
+                    assert tuple(next(fwd)) == tuple(v / over for v in ahead[n])
+                    assert tuple(next(walk)) == tuple(v / gap_den for v in gaps[n])
+                    assert tuple(next(bwd)) == tuple(v / over for v in behind[n + 1])
 
 
 def _numerators(block, den):

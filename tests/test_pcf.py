@@ -7,12 +7,12 @@ import pytest
 
 from conftest import cos_roof
 from oracles import (
-    distance_mp, evolve_mp, make_point, patch_newton_reference,
+    distance_mp, evolve_mp, independent_pairs_reference, make_point, patch_newton_reference,
     temporal_distance_geometric_reference,
 )
 
 from anosovlab import flow as flow_module
-from anosovlab import experiments, pcf, perturb
+from anosovlab import experiments, intlinalg, pcf, perturb
 from anosovlab.errors import (
     DegenerateGradients, NoIntersection, NotCodimensionOne, OffLeaf, TruncationInsufficient,
 )
@@ -220,10 +220,8 @@ class TestPcfGradient:
         flow = companion3_const_flow
         a = (0.1, 0.2, 0.3)
         g = pcf.pcf_gradient(
-            flow, a, 0.01 * flow.stable_frame()[:, 0],
-            flow.unstable_frame() @ [0.01, 0.0],
-        )
-        assert np.allclose(g, 0.0)
+            flow, [(a, 0.01 * flow.stable_frame()[:, 0], flow.unstable_frame() @ [0.01, 0.0])])
+        assert g.shape == (1, 2) and np.allclose(g, 0.0)
 
     def test_matches_finite_differences(self, companion3):
         flow = small_amp_flow(companion3, 0.02)
@@ -241,7 +239,7 @@ class TestPcfGradient:
             a = rng.random(3)
             w = s_frame @ (rng.uniform(-1, 1, 1) * 0.006)
             c = rng.uniform(-1, 1, 2) * 0.01
-            grad = pcf.pcf_gradient(flow, a, w, u_frame @ c)
+            [grad] = pcf.pcf_gradient(flow, [(a, w, u_frame @ c)])
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = h
@@ -256,7 +254,7 @@ class TestPcfGradient:
             a = rng.random(3)
             w = flow.stable_frame() @ (rng.uniform(-1, 1, 1) * 0.02)
             u = flow.unstable_frame() @ (rng.uniform(-1, 1, 2) * 0.015)
-            if np.linalg.norm(pcf.pcf_gradient(flow, a, w, u)) > 1e-4:
+            if np.linalg.norm(pcf.pcf_gradient(flow, [(a, w, u)])) > 1e-4:
                 return
         pytest.fail("no nonzero gradient within 20 draws")
 
@@ -267,10 +265,13 @@ class TestPcfGradient:
         quads = pcf.sample_quadrilaterals(segment_flow, 3, seed=23)
 
         def gradients():
-            return [pcf.pcf_gradient(segment_flow, q.a, q.s_disp, q.u_disp).tolist()
-                    for q in quads]
+            return pcf.pcf_gradient(
+                segment_flow, [(q.a, q.s_disp, q.u_disp) for q in quads]).tolist()
 
-        expected = per_point_series(gradients)
+        # each quadrilateral alone, against the batch
+        expected = per_point_series(lambda: [
+            pcf.pcf_gradient(segment_flow, [(q.a, q.s_disp, q.u_disp)])[0].tolist()
+            for q in quads])
         monkeypatch.setattr(flow_module, "SEGMENT", segment)
         assert gradients() == expected
 
@@ -280,10 +281,8 @@ class TestPcfGradient:
         refusal = r"bunching ratio lambda\*xi_max < 0\.98, got 1\.000"
         a = (0.3, 0.5)
         with pytest.raises(ValueError, match=refusal):
-            pcf.pcf_gradient(
-                cat_flow, a, 0.01 * cat_flow.stable_frame()[:, 0],
-                0.01 * cat_flow.unstable_frame()[:, 0],
-            )
+            pcf.pcf_gradient(cat_flow, [
+                (a, 0.01 * cat_flow.stable_frame()[:, 0], 0.01 * cat_flow.unstable_frame()[:, 0])])
         with pytest.raises(ValueError, match=refusal):
             perturb.SectionChart(cat_flow).t_gradient_at_zero(0.1)
 
@@ -298,7 +297,7 @@ class TestPcfGradient:
         else:
             u = u + 1e-10 * flow.stable_frame()[:, 0]
         with pytest.raises(OffLeaf, match=f"{tilted} displacement has transverse part"):
-            pcf.pcf_gradient(flow, (0.1, 0.2, 0.3), w, u)
+            pcf.pcf_gradient(flow, [((0.1, 0.2, 0.3), w, u)])
 
     def test_cat_map_constant_roof_zero(self, cat_map):
         # the temporal distance of a constant roof vanishes identically, so
@@ -306,9 +305,67 @@ class TestPcfGradient:
         flow = SuspensionFlow(cat_map, RoofFunction.constant(1.0, 2))
         a = (0.3, 0.5)
         g = pcf.pcf_gradient(
-            flow, a, 0.01 * flow.stable_frame()[:, 0], 0.01 * flow.unstable_frame()[:, 0],
-        )
-        assert g.tolist() == [0.0]
+            flow, [(a, 0.01 * flow.stable_frame()[:, 0], 0.01 * flow.unstable_frame()[:, 0])])
+        assert g.tolist() == [[0.0]]
+
+
+@pytest.fixture
+def gradient_batches(monkeypatch):
+    """The number of quadrilaterals of each `pcf.pcf_gradient` call, in turn."""
+    sizes = []
+    batch = pcf.pcf_gradient
+
+    def recording(flow, quads):
+        quads = list(quads)
+        sizes.append(len(quads))
+        return batch(flow, quads)
+
+    monkeypatch.setattr(pcf, "pcf_gradient", recording)
+    return sizes
+
+
+def _hexed(rows):
+    return [[v.hex() for v in row] for row in np.asarray(rows).tolist()]
+
+
+class TestBatchedGradients:
+    """A batch of quadrilaterals gives each the gradient it has alone, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["companion3", "translated3"])
+    def test_batch_matches_each_alone(self, companion3_flow, translated3, name):
+        # translated3 walks its x7 orbits on the CRT branch
+        flow = translated3 if name == "translated3" else companion3_flow
+        quads = [(q.a, q.s_disp, q.u_disp) for q in pcf.sample_quadrilaterals(flow, 5, seed=31)]
+        alone = [_hexed(pcf.pcf_gradient(flow, [q]))[0] for q in quads]
+        assert _hexed(pcf.pcf_gradient(flow, quads)) == alone
+        assert _hexed(pcf.pcf_gradient(flow, quads[::-1])) == alone[::-1]
+        assert pcf.pcf_gradient(flow, []).shape == (0, 2)
+
+    def test_one_walk_per_half(self, companion3_flow, monkeypatch):
+        # the forward starts, the backward gaps and the backward starts:
+        # one lockstep walk each for the whole batch
+        flow = companion3_flow
+        quads = [(q.a, q.s_disp, q.u_disp) for q in pcf.sample_quadrilaterals(flow, 4, seed=7)]
+        calls = []
+        walk = intlinalg.orbit_segments
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[2]))
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(intlinalg, "orbit_segments", counting)
+        pcf.pcf_gradient(flow, quads)
+        assert calls == [4, 4, 4]
+
+    def test_matching_kernel_makes_one_call(self, companion3_flow, gradient_batches):
+        flow = companion3_flow
+        pairs = pcf.find_independent_pairs(flow, BASE_POINT, count=2, seed=5)
+        alone = [pcf.matching_kernel_dimension(flow, BASE_POINT, [pair]).gradients[0]
+                 for pair in pairs]
+        gradient_batches.clear()
+        report = pcf.matching_kernel_dimension(flow, BASE_POINT, pairs)
+        assert gradient_batches == [2]
+        assert _hexed(report.gradients) == _hexed(alone)
 
 
 class TestMatchingKernel:
@@ -363,6 +420,47 @@ class TestMatchingKernel:
         monkeypatch.setattr(pcf, "PAIR_BUDGET", 5)
         with pytest.raises(DegenerateGradients):
             pcf.find_independent_pairs(flow, bp, count=1, seed=0)
+
+
+class TestPairSearch:
+    """The pair search in rounds of draws against the one-draw-at-a-time loop."""
+
+    # quartic_real has dim E^u = 3, so a round of 3 draws can reject a draw
+    # in its middle; at this seed the draws accepted are 0, 3 and 9, so the
+    # rounds are draws 0-2 (1 rejected mid-round), 3-4, then one at a time
+    SEED = 5
+    POINT = (0.31, 0.47, 0.59, 0.13)
+
+    def test_rounds_match_one_draw_at_a_time(self, quartic_real, gradient_batches):
+        flow = SuspensionFlow(quartic_real, cos_roof(4, amplitude=0.01))
+        expected, accepted = independent_pairs_reference(flow, self.POINT, 3, self.SEED)
+        assert accepted == [0, 3, 9]
+        gradient_batches.clear()
+        pairs = pcf.find_independent_pairs(flow, self.POINT, count=3, seed=self.SEED)
+        assert [(tuple(v.hex() for v in a), tuple(v.hex() for v in w)) for a, w in pairs] == [
+            (tuple(v.hex() for v in a), tuple(v.hex() for v in w)) for a, w in expected]
+        # no draw past the one-draw-at-a-time loop's last
+        assert gradient_batches == [3, 2, 1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_budget_counts_gradient_rows(
+            self, companion3_const_flow, gradient_batches, monkeypatch, count):
+        # every draw of the constant roof is rejected; the last round of
+        # the count of 2 is cut to the one draw the budget has left
+        monkeypatch.setattr(pcf, "PAIR_BUDGET", 5)
+        with pytest.raises(DegenerateGradients, match="found only 0 independent gradients within 5"):
+            pcf.find_independent_pairs(companion3_const_flow, BASE_POINT, count=count, seed=0)
+        assert gradient_batches == ([1] * 5 if count == 1 else [2, 2, 1])
+
+    @pytest.mark.parametrize("count", [0, 3, -1])
+    def test_count_outside_unstable_dimension_refused(self, companion3_flow, monkeypatch, count):
+        # dim E^u = 2: no draw is made for a count it cannot hold
+        def no_draw(*args):
+            raise AssertionError("a gradient was drawn")
+
+        monkeypatch.setattr(pcf, "pcf_gradient", no_draw)
+        with pytest.raises(ValueError, match=rf"count must lie in \[1, 2\] \(dim E\^u\), got {count}"):
+            pcf.find_independent_pairs(companion3_flow, BASE_POINT, count=count, seed=5)
 
 
 class TestConjugacy:
@@ -480,6 +578,22 @@ class TestReconstruction:
         assert [[v.hex() for v in row] for row in rec.recovered.tolist()] == [
             [v.hex() for v in row] for row in expected.tolist()
         ]
+
+    def test_more_pairs_than_unstable_dimension_refused(self, companion3_flow, monkeypatch):
+        # three pairs for a 2-dimensional patch: a typed refusal before any
+        # chart value, not a non-square Newton solve
+        flow = companion3_flow
+        pairs = pcf.find_independent_pairs(flow, BASE_POINT, count=2, seed=5)
+        pairs = pairs + [(pairs[0][0], tuple(0.5 * np.asarray(pairs[0][1])))]
+        kernel = pcf.matching_kernel_dimension(flow, BASE_POINT, pairs)
+        flow2, conj = pcf.translate_flow(flow, (0, 0, 0))
+
+        def no_chart(*args):
+            raise AssertionError("the chart was evaluated")
+
+        monkeypatch.setattr(pcf, "_pcf_map", no_chart)
+        with pytest.raises(DegenerateGradients, match="need 2 pairs for a 2-dimensional patch, got 3"):
+            pcf.reconstruct_conjugacy_patch(flow, flow2, conj, kernel, pairs, grid_n=2)
 
     def test_constant_roof_degenerate(self, companion3_const_flow):
         flow = companion3_const_flow
