@@ -2,7 +2,9 @@
 
 Each experiment kind maps onto one module's machinery and emits CSV/JSON
 reports plus a manifest with the config hash and content hashes of every
-report file. Identical configs produce byte-identical outputs, for any
+report file. This module formats every report: the numerics modules return
+numbers, each runner turns them into CSV rows and JSON payloads, and `util`
+only writes them. Identical configs produce byte-identical outputs, for any
 worker count, because all randomness derives from the single config seed
 and all aggregation is keyed by input index.
 """
@@ -222,7 +224,21 @@ def _check_bound(kind: str, quantity: str, value: float, bound: float) -> None:
 
 def _run_catalog(cfg, p, out):
     entries = spectral.enumerate_catalog(p["d"], p["coeff_bound"])
-    spectral.export_catalog_csv(entries, out / "catalog.csv")
+    rows = []
+    for e in entries:
+        rows.append([
+            " ".join(str(c) for c in e.coeffs),
+            len(e.coeffs) - 1,
+            " ".join(util.format_float(m) for m in e.data.moduli),
+            e.data.codimension_one,
+            e.data.complex_unstable_pair,
+            e.gap.mu, e.gap.xi_1, e.gap.xi_l, e.gap.lhs, e.gap.rhs,
+            e.gap.satisfied,
+        ])
+    util.write_csv(out / "catalog.csv", [
+        "poly_coeffs", "d", "moduli", "codim_one", "complex_pair",
+        "mu", "xi1", "xil", "lhs", "rhs", "satisfied",
+    ], rows)
     util.write_json(out / "catalog_summary.json", {
         "count": len(entries),
         "satisfied": sum(1 for e in entries if e.gap.satisfied),
@@ -254,15 +270,30 @@ def _run_livshits(cfg, p, out):
             "solved": True,
             "constant_c": sol.constant_c,
             "residual_sup": sol.residual_sup,
-            "transfer_terms": sol.transfer_u.to_json_dict(),
+            "transfer_terms": {
+                "dim": sol.transfer_u.dim,
+                "terms": [
+                    {"k": list(k), "re": c.real, "im": c.imag}
+                    for k, c in sol.transfer_u.terms.items()
+                ],
+            },
         })
     except roof.ObstructionNonzero as err:
         payload.update({"solved": False, "rejection": str(err)})
     # written only now, so a refused trunc leaves no report
-    util.write_csv(out / "obstructions.csv", roof.OBSTRUCTION_CSV_HEADER,
-                   roof.obstruction_csv_rows(report))
+    rows = []
+    for orbit, avg in zip(report.orbits, report.averages):
+        repr_str = ";".join(_lowest_terms(c, orbit.den) for c in orbit.representative())
+        rows.append([orbit.period_n, repr_str, float(avg)])
+    util.write_csv(out / "obstructions.csv", ["period_n", "orbit_repr", "average"], rows)
     util.write_json(out / "livshits.json", payload)
     return ["obstructions.csv", "livshits.json"]
+
+
+def _lowest_terms(c: int, den: int) -> str:
+    """c / den as "p/q" in lowest terms; gcd(0, den) = den writes 0 as 0/1."""
+    g = math.gcd(c, den)
+    return f"{c // g}/{den // g}"
 
 
 def _run_pcf(cfg, p, out):
@@ -270,8 +301,21 @@ def _run_pcf(cfg, p, out):
     flow = SuspensionFlow(matrix, build_roof(cfg.roof, matrix.dim))
     quads = pcf.sample_quadrilaterals(flow, p["n_samples"], cfg.seed)
     samples = pcf.temporal_distance_samples(flow, quads)
-    util.write_csv(out / "samples.csv", pcf.sample_csv_header(matrix.dim),
-                   pcf.sample_csv_rows(samples))
+    rows = []
+    for s in samples:
+        rows.append([
+            *[float(c) for c in s.quad.a], float(s.quad.fiber),
+            *[float(c) for c in s.quad.s_disp],
+            *[float(c) for c in s.quad.u_disp],
+            float(s.value_series), float(s.value_geometric), float(s.discrepancy),
+        ])
+    dim = matrix.dim
+    util.write_csv(out / "samples.csv", [
+        *[f"ax{i + 1}" for i in range(dim)], "as",
+        *[f"sdisp{i + 1}" for i in range(dim)],
+        *[f"udisp{i + 1}" for i in range(dim)],
+        "value_series", "value_geometric", "discrepancy",
+    ], rows)
     max_discrepancy = max(s.discrepancy for s in samples)
     util.write_json(out / "pcf_summary.json", {
         "n_samples": len(samples),
@@ -368,8 +412,11 @@ def _run_bunching(cfg, p, out):
     data = spectral.spectral_data(matrix)
     times = _numbers("t_multiples", p["t_multiples"])
     reports = [regularity.bunching_report(data, t) for t in times]
-    util.write_csv(out / "bunching.csv", regularity.BUNCHING_CSV_HEADER,
-                   regularity.bunching_csv_rows(reports))
+    rows = []
+    for rep in reports:
+        for nu, wk, st in zip(rep.nu_grid, rep.weak_stable_sups, rep.stable_sups):
+            rows.append([rep.t, nu, wk, st])
+    util.write_csv(out / "bunching.csv", ["t", "nu", "weak_sup", "stable_sup"], rows)
     first = reports[0]
     util.write_json(out / "bunching.json", {
         "stable_sup_nu1": first.stable_sup(1.0),

@@ -68,13 +68,18 @@ class Quadrilateral:
         u_arr = np.asarray([float(v) for v in u_disp], dtype=float)
         for arr, sub in ((s_arr, "stable"), (u_arr, "unstable")):
             flow.leaf_part(arr, sub)
-            if np.linalg.norm(arr) > CHART_RADIUS + 1e-12:
+            if not _in_chart(arr):
                 raise NoIntersection(
                     f"{sub} displacement norm {np.linalg.norm(arr):.3g} exceeds "
                     f"chart radius {CHART_RADIUS:.3g}"
                 )
         a = tuple(float(v) for v in a)
         return Quadrilateral(a=a, s_disp=tuple(s_arr), u_disp=tuple(u_arr))
+
+
+def _in_chart(disp: np.ndarray) -> bool:
+    """The one chart test of a leaf displacement, for `build` and the geometric route."""
+    return bool(np.linalg.norm(disp) <= CHART_RADIUS)
 
 
 def sample_quadrilaterals(flow: SuspensionFlow, n: int, seed: int) -> list[Quadrilateral]:
@@ -187,7 +192,7 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads) -> list[float]:
     for quad, alpha in zip(quads, alphas):
         w = np.asarray(quad.s_disp)
         u = np.asarray(quad.u_disp)
-        if np.linalg.norm(w) > CHART_RADIUS or np.linalg.norm(u) > CHART_RADIUS:
+        if not (_in_chart(w) and _in_chart(u)):
             raise NoIntersection("quadrilateral displacements exceed the chart radius")
         n_fwd = _horizon(flow, flow.spectral.lam, max(np.linalg.norm(w), 1e-6), target)
         n_bwd = _horizon(flow, 1.0 / flow.spectral.xi_min, max(np.linalg.norm(u), 1e-6), target)
@@ -247,27 +252,6 @@ def temporal_distance_samples(
     return [
         TemporalDistanceSample(quad=quad, value_series=rho_s, value_geometric=rho_g)
         for quad, rho_s, rho_g in zip(quads, series, geometric)
-    ]
-
-
-def sample_csv_rows(samples: list[TemporalDistanceSample]) -> list[list]:
-    rows = []
-    for s in samples:
-        rows.append([
-            *[float(c) for c in s.quad.a], float(s.quad.fiber),
-            *[float(c) for c in s.quad.s_disp],
-            *[float(c) for c in s.quad.u_disp],
-            float(s.value_series), float(s.value_geometric), float(s.discrepancy),
-        ])
-    return rows
-
-
-def sample_csv_header(dim: int) -> list[str]:
-    return [
-        *[f"ax{i + 1}" for i in range(dim)], "as",
-        *[f"sdisp{i + 1}" for i in range(dim)],
-        *[f"udisp{i + 1}" for i in range(dim)],
-        "value_series", "value_geometric", "discrepancy",
     ]
 
 
@@ -509,7 +493,7 @@ def reconstruct_conjugacy_patch(
             f"need {n_u} pairs for a {n_u}-dimensional patch, got {len(pairs)}")
     jac = np.array(kernel.gradients)
     sv = np.linalg.svd(jac, compute_uv=False)
-    if sv[-1] <= 1e-9 * max(sv[0], 1e-30) or sv[0] < 1e-12:
+    if sv[-1] <= util.KERNEL_CUTOFF * max(sv[0], 1e-30) or sv[0] < 1e-12:
         raise DegenerateGradients(
             f"PCF gradients are not independent at the base point (sv={sv})"
         )

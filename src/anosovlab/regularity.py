@@ -54,6 +54,8 @@ def bunching_report(data: SpectralData, t: float) -> BunchingReport:
     sit on the weakest/strongest spectral blocks; complex pairs are exact
     rotation-scalings, contributing their modulus. The volume identity
     J^s J^u = 1 needs dim E^s = 1, so other bases raise NotCodimensionOne.
+    A t so large that a rate power underflows to 0 or overflows to inf
+    leaves some sup-product 0 * inf = NaN, and raises ValueError.
     """
     if t < 1:
         raise ValueError("t must cover at least one base return")
@@ -61,9 +63,12 @@ def bunching_report(data: SpectralData, t: float) -> BunchingReport:
     lam_max, xi_min, xi_max = data.lam, data.xi_min, data.xi_max
 
     weak, strong = [], []
-    for nu in NU_GRID:
-        weak.append(lam_max**steps * xi_min ** (-steps) * xi_max ** (nu * steps))
-        strong.append(lam_max**steps * xi_max ** (nu * steps))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        for nu in NU_GRID:
+            weak.append(lam_max**steps * xi_min ** (-steps) * xi_max ** (nu * steps))
+            strong.append(lam_max**steps * xi_max ** (nu * steps))
+    if not np.isfinite(weak + strong).all():
+        raise ValueError(f"sup-products at t = {t:g} leave the float range")
 
     def grid_max(sups):
         best = None
@@ -82,14 +87,3 @@ def bunching_report(data: SpectralData, t: float) -> BunchingReport:
         nu_max_stable=grid_max(strong),
         volume_product=volume_product,
     )
-
-
-BUNCHING_CSV_HEADER = ["t", "nu", "weak_sup", "stable_sup"]
-
-
-def bunching_csv_rows(reports: list[BunchingReport]) -> list[list]:
-    rows = []
-    for rep in reports:
-        for nu, wk, st in zip(rep.nu_grid, rep.weak_stable_sups, rep.stable_sups):
-            rows.append([rep.t, nu, wk, st])
-    return rows

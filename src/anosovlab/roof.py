@@ -221,17 +221,6 @@ class TrigPolynomial:
     def is_constant(self) -> bool:
         return all(all(v == 0 for v in k) for k in self.terms)
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "terms": [
-                {"k": list(k), "re": c.real, "im": c.imag}
-                for k, c in self.terms.items()
-            ],
-        }
-
     def __repr__(self) -> str:
         return f"TrigPolynomial(dim={self.dim}, n_terms={len(self.terms)})"
 
@@ -333,10 +322,6 @@ class RoofFunction:
 
     def mean(self) -> float:
         return float(self.poly.terms.get((0,) * self.dim, 0.0).real)
-
-    @staticmethod
-    def constant(value: float, dim: int) -> "RoofFunction":
-        return RoofFunction(TrigPolynomial.constant(value, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -500,22 +485,6 @@ def periodic_obstructions(
     spread = float(max(averages) - min(averages)) if averages else 0.0
     return ObstructionReport(orbits=tuple(orbits), averages=averages, spread=spread)
 
-
-def _lowest_terms(c: int, den: int) -> str:
-    """c / den as "p/q" in lowest terms; gcd(0, den) = den writes 0 as 0/1."""
-    g = math.gcd(c, den)
-    return f"{c // g}/{den // g}"
-
-
-def obstruction_csv_rows(report: ObstructionReport) -> list[list]:
-    rows = []
-    for orbit, avg in zip(report.orbits, report.averages):
-        repr_str = ";".join(_lowest_terms(c, orbit.den) for c in orbit.representative())
-        rows.append([orbit.period_n, repr_str, float(avg)])
-    return rows
-
-
-OBSTRUCTION_CSV_HEADER = ["period_n", "orbit_repr", "average"]
 
 # Largest spread of the periodic orbit averages that still reads as a roof
 # cohomologous to a constant.

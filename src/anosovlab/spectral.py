@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from pathlib import Path
 
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
@@ -489,28 +488,3 @@ def enumerate_catalog(d: int, coeff_bound: int) -> list[CatalogEntry]:
             entries.append(CatalogEntry(coeffs=coeffs, matrix=matrix, data=data, gap=gap))
     entries.sort(key=lambda e: e.coeffs)
     return entries
-
-
-CATALOG_CSV_HEADER = [
-    "poly_coeffs", "d", "moduli", "codim_one", "complex_pair",
-    "mu", "xi1", "xil", "lhs", "rhs", "satisfied",
-]
-
-
-def catalog_csv_rows(entries: list[CatalogEntry]) -> list[list]:
-    rows = []
-    for e in entries:
-        rows.append([
-            " ".join(str(c) for c in e.coeffs),
-            len(e.coeffs) - 1,
-            " ".join(util.format_float(m) for m in e.data.moduli),
-            e.data.codimension_one,
-            e.data.complex_unstable_pair,
-            e.gap.mu, e.gap.xi_1, e.gap.xi_l, e.gap.lhs, e.gap.rhs,
-            e.gap.satisfied,
-        ])
-    return rows
-
-
-def export_catalog_csv(entries: list[CatalogEntry], path: Path) -> None:
-    util.write_csv(path, CATALOG_CSV_HEADER, catalog_csv_rows(entries))

@@ -28,6 +28,10 @@ def quartic_real():
     return IntegerMatrix.companion([1, 4, -4, -1, 1])
 
 
+def const_roof(dim: int, value: float = 1.0) -> RoofFunction:
+    return RoofFunction(TrigPolynomial.constant(value, dim))
+
+
 def cos_roof(dim: int, amplitude: float = 0.1) -> RoofFunction:
     return RoofFunction(
         TrigPolynomial.constant(1.0, dim)
@@ -75,7 +79,7 @@ def per_point_series(monkeypatch):
 
 @pytest.fixture(scope="session")
 def kappa_setup(companion3):
-    flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
+    flow = SuspensionFlow(companion3, const_roof(3))
     return perturb.kappa_experiment(flow, n_points=25)
 
 
@@ -91,7 +95,7 @@ def companion3_flow(companion3):
 
 @pytest.fixture(scope="session")
 def companion3_const_flow(companion3):
-    return SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
+    return SuspensionFlow(companion3, const_roof(3))
 
 
 @pytest.fixture(scope="session")

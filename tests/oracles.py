@@ -824,7 +824,7 @@ def return_pin_setups():
     cos = TrigPolynomial.constant(1.0, 3) + TrigPolynomial.cosine(0.05, (1, 0, 0), 3)
     return {
         "constant": perturb.kappa_experiment(
-            SuspensionFlow(companion3, RoofFunction.constant(1.0, 3)), n_points=25),
+            SuspensionFlow(companion3, RoofFunction(TrigPolynomial.constant(1.0, 3))), n_points=25),
         "cos": perturb.kappa_experiment(
             SuspensionFlow(companion3, RoofFunction(cos)), n_points=25),
     }

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import const_roof
+
 from anosovlab import intlinalg, pcf, perturb
 from anosovlab.errors import ObstructionNonzero
 from anosovlab.experiments import load_config, run_experiment
@@ -50,7 +52,7 @@ def cos_roof(dim):
 def test_01_pcf_vanishing_for_constant_roofs(cat_map, companion3):
     worst = 0.0
     for matrix in (cat_map, companion3):
-        flow = SuspensionFlow(matrix, RoofFunction.constant(1.0, matrix.dim))
+        flow = SuspensionFlow(matrix, const_roof(matrix.dim))
         quads = pcf.sample_quadrilaterals(flow, 100, seed=SEED)
         for rho in pcf.temporal_distance_series(flow, quads):
             worst = max(worst, abs(rho))
@@ -145,7 +147,7 @@ def test_07_bunching_products(cat_map, companion3):
 
 
 def test_08_claim44_and_remainder(companion3):
-    flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
+    flow = SuspensionFlow(companion3, const_roof(3))
     setup = perturb.kappa_experiment(flow, n_points=25)
     report = perturb.claim44_check(
         setup.chart, setup.datum, setup.bump, setup.claim_steps
@@ -168,7 +170,7 @@ def test_08_claim44_and_remainder(companion3):
 
 
 def test_09_matching_kernels_and_reconstruction(companion3):
-    const_flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
+    const_flow = SuspensionFlow(companion3, const_roof(3))
     bp = (0.37, 0.61, 0.22)
     s_dir = const_flow.stable_frame()[:, 0]
     full = pcf.matching_kernel_dimension(
@@ -201,7 +203,7 @@ def test_10_grassmannian_sweep(companion3, quartic_real):
     cat3 = invariant_unstable_subspaces(spectral_data(companion3))
     vacuous = len(cat3.subspaces) == 0
 
-    flow = SuspensionFlow(quartic_real, RoofFunction.constant(1.0, 4))
+    flow = SuspensionFlow(quartic_real, const_roof(4))
     chart = perturb.SectionChart(flow)
     cand = perturb.find_heteroclinic_data(chart, 2)[0]
     datum = perturb.make_heteroclinic_datum(

@@ -310,6 +310,10 @@ class TestCliExitCodes:
         ("catalog_d3.json", {"coeff_bound": -1}, "coeff_bound must be in [0, 10]"),
         # periodic_points would refuse period 0 without naming the config key
         ("sweep_quartic.json", {"q_period": 0}, "param q_period must be at least 1"),
+        # lam^t underflows and xi^(nu t) overflows: NaN once went into bunching.json
+        ("bunching_companion3.json", {"t_multiples": [10000]}, "leave the float range"),
+        # a later t refuses the run before the first t's report is written
+        ("bunching_companion3.json", {"t_multiples": [1, 3000]}, "leave the float range"),
     ])
     def test_refused_param_exit_two(self, tmp_path, name, params, message):
         payload = json.loads((CONFIGS / name).read_text())

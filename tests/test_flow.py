@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cos_roof
+from conftest import const_roof, cos_roof
 from oracles import (
     base_apply, certified_sum, distance_mp, evolve_mp, kahan_birkhoff, limb_numerators,
     make_point, numerators, projected, python_int_segments, rationalize,
@@ -18,7 +18,6 @@ from anosovlab import flow as flow_module
 from anosovlab import experiments, intlinalg, mpspec, pcf, perturb
 from anosovlab.errors import OffLeaf, TruncationInsufficient
 from anosovlab.flow import SuspensionFlow, affine_orbit, exact_points, wrap_unit
-from anosovlab.roof import RoofFunction
 from anosovlab.spectral import IntegerMatrix
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -31,7 +30,7 @@ class TestEvolve:
         assert distance_mp(cat_flow, make_point(cat_flow, *p), p) == 0.0
 
     def test_constant_roof_single_crossing(self, cat_map):
-        flow = SuspensionFlow(cat_map, RoofFunction.constant(1.0, 2))
+        flow = SuspensionFlow(cat_map, const_roof(2))
         x, s = make_point(flow, [0.3, 0.7], 1.0)
         expected = base_apply(flow, np.array([0.3, 0.7]))
         assert np.allclose(x, expected, atol=1e-14)
@@ -85,7 +84,7 @@ class TestDistance:
 
 class TestTimeAdjustment:
     def test_constant_roof_vanishes(self, cat_map):
-        flow = SuspensionFlow(cat_map, RoofFunction.constant(1.0, 2))
+        flow = SuspensionFlow(cat_map, const_roof(2))
         sdir = flow.stable_frame()[:, 0]
         x = np.array([0.3, 0.55])
         assert flow.time_adjustment([(x, x + 0.03 * sdir, "stable")]) == [0.0]
@@ -332,7 +331,7 @@ class TestBatch:
 class TestStrongManifoldPoint:
     # the point of W^s((x, s)) over x + v is (x + v, s + time_adjustment(x, x + v))
     def test_constant_roof_keeps_fiber(self, cat_map):
-        flow = SuspensionFlow(cat_map, RoofFunction.constant(1.0, 2))
+        flow = SuspensionFlow(cat_map, const_roof(2))
         x, s = make_point(flow, [0.3, 0.55], 0.4)
         v = 0.03 * flow.stable_frame()[:, 0]
         y = np.asarray(x) + v
@@ -386,7 +385,7 @@ class TestStrongManifoldPoint:
 class TestConstruction:
     def test_roof_dimension_checked(self, companion3):
         with pytest.raises(ValueError, match="roof dimension does not match the base map"):
-            SuspensionFlow(companion3, RoofFunction.constant(1.0, 2))
+            SuspensionFlow(companion3, const_roof(2))
 
 
 class TestTranslation:
@@ -395,7 +394,7 @@ class TestTranslation:
     def test_length_checked(self, companion3, length):
         translation = (Fraction(1, 5),) + (0,) * (length - 1)
         with pytest.raises(ValueError, match=f"translation has {length} entries"):
-            SuspensionFlow(companion3, RoofFunction.constant(1.0, 3), translation=translation)
+            SuspensionFlow(companion3, const_roof(3), translation=translation)
 
     @pytest.mark.parametrize("length", [2, 4])
     def test_translate_flow_length_checked(self, companion3_flow, length):

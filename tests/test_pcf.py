@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import cos_roof
+from conftest import const_roof, cos_roof
 from oracles import (
     distance_mp, evolve_mp, independent_pairs_reference, make_point, patch_newton_reference,
     temporal_distance_geometric_reference,
@@ -16,7 +16,7 @@ from anosovlab import experiments, intlinalg, pcf, perturb
 from anosovlab.errors import (
     DegenerateGradients, NoIntersection, NotCodimensionOne, OffLeaf, TruncationInsufficient,
 )
-from anosovlab.flow import SuspensionFlow
+from anosovlab.flow import CHART_RADIUS, SuspensionFlow
 from anosovlab.roof import RoofFunction, TrigPolynomial
 from anosovlab.spectral import IntegerMatrix, enumerate_catalog
 
@@ -85,6 +85,24 @@ class TestQuadrilateral:
                 companion3_flow, a, 0.4 * companion3_flow.stable_frame()[:, 0],
                 np.zeros(3),
             )
+
+    def test_chart_boundary_is_one_bound(self, companion3_flow):
+        # build and the geometric route make one chart test: an unstable
+        # displacement 5e-13 past CHART_RADIUS is refused by both, and one
+        # just inside it runs both routes to agreement
+        a = (0.1, 0.2, 0.3)
+        w = 0.01 * companion3_flow.stable_frame()[:, 0]
+        unit = companion3_flow.unstable_frame()[:, 0]
+        unit = unit / np.linalg.norm(unit)
+        over = (CHART_RADIUS + 5e-13) * unit
+        with pytest.raises(NoIntersection, match="exceeds chart radius"):
+            pcf.Quadrilateral.build(companion3_flow, a, w, over)
+        with pytest.raises(NoIntersection):
+            pcf.temporal_distance_geometric(
+                companion3_flow, [pcf.Quadrilateral(a=a, s_disp=tuple(w), u_disp=tuple(over))])
+        inside = pcf.Quadrilateral.build(companion3_flow, a, w, (CHART_RADIUS - 5e-13) * unit)
+        [sample] = pcf.temporal_distance_samples(companion3_flow, [inside])
+        assert sample.value_series != 0.0 and sample.discrepancy <= 1e-6
 
     def test_one_scale_sets_both_draws(self, companion3_flow, monkeypatch):
         # DISPLACEMENT_SCALE sizes the stable and the unstable draw alike:
@@ -302,7 +320,7 @@ class TestPcfGradient:
     def test_cat_map_constant_roof_zero(self, cat_map):
         # the temporal distance of a constant roof vanishes identically, so
         # its gradient is exactly zero even where the series would diverge
-        flow = SuspensionFlow(cat_map, RoofFunction.constant(1.0, 2))
+        flow = SuspensionFlow(cat_map, const_roof(2))
         a = (0.3, 0.5)
         g = pcf.pcf_gradient(
             flow, [(a, 0.01 * flow.stable_frame()[:, 0], 0.01 * flow.unstable_frame()[:, 0])])
@@ -609,12 +627,24 @@ class TestReconstruction:
 
 
 class TestSampleExports:
-    def test_csv_shapes(self, companion3_flow):
-        quads = pcf.sample_quadrilaterals(companion3_flow, 3, seed=0)
-        samples = pcf.temporal_distance_samples(companion3_flow, quads)
-        header = pcf.sample_csv_header(3)
-        rows = pcf.sample_csv_rows(samples)
-        assert len(rows) == 3
-        assert all(len(r) == len(header) for r in rows)
-        for s, row in zip(samples, rows):
-            assert row[-1] == s.discrepancy <= 1e-6
+    def test_csv_shapes(self, tmp_path):
+        cfg = experiments.ExperimentConfig.from_dict({
+            "kind": "pcf",
+            "matrix": {"poly": [-1, 0, 1, 1]},
+            "roof": {"constant": 1.0, "terms": [{"k": [1, 0, 0], "re": 0.05}]},
+            "params": {"n_samples": 3},
+        })
+        experiments.run_experiment(cfg, tmp_path)
+        header, *rows = (tmp_path / "samples.csv").read_text().splitlines()
+        assert header == (
+            "ax1,ax2,ax3,as,sdisp1,sdisp2,sdisp3,udisp1,udisp2,udisp3,"
+            "value_series,value_geometric,discrepancy"
+        )
+        flow = SuspensionFlow(experiments.build_matrix(cfg.matrix),
+                              experiments.build_roof(cfg.roof, 3))
+        samples = pcf.temporal_distance_samples(flow, pcf.sample_quadrilaterals(flow, 3, seed=0))
+        cells = [row.split(",") for row in rows]
+        assert len(cells) == 3
+        assert all(len(r) == len(header.split(",")) for r in cells)
+        for s, row in zip(samples, cells):
+            assert float(row[-1]) == s.discrepancy <= 1e-6

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import const_roof
 from oracles import base_apply, coords, section_roof
 
 from anosovlab import flow as flow_module
@@ -32,7 +33,7 @@ class TestSectionChart:
         from fractions import Fraction
 
         flow = SuspensionFlow(
-            companion3, RoofFunction.constant(1.0, 3),
+            companion3, const_roof(3),
             translation=(Fraction(1, 5), 0, 0),
         )
         with pytest.raises(ValueError, match="fixed point"):
@@ -231,7 +232,7 @@ class TestReturnSeries:
         # the per-point path runs on rows the segment screen lets through:
         # two bump evaluations per recorded step, where one per orbit point
         # would make about 12 800 on this sequence
-        flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
+        flow = SuspensionFlow(companion3, const_roof(3))
         setup = perturb.kappa_experiment(flow, n_points=60)
         calls = 0
         value_chart = perturb.Bump.value_chart
@@ -410,7 +411,7 @@ class TestGrassmannianSweep:
         assert report.vacuous and report.any_gradient_avoids_all
 
     def test_zero_gradient_single_point(self, quartic_real):
-        flow = SuspensionFlow(quartic_real, RoofFunction.constant(1.0, 4))
+        flow = SuspensionFlow(quartic_real, const_roof(4))
         chart = perturb.SectionChart(flow)
         cand = perturb.find_heteroclinic_data(chart, 2)[0]
         datum = perturb.make_heteroclinic_datum(
@@ -423,7 +424,7 @@ class TestGrassmannianSweep:
         assert report.entries[0].contained_indices == tuple(range(6))
 
     def test_real_quartic_sweep(self, quartic_real):
-        flow = SuspensionFlow(quartic_real, RoofFunction.constant(1.0, 4))
+        flow = SuspensionFlow(quartic_real, const_roof(4))
         chart = perturb.SectionChart(flow)
         cand = perturb.find_heteroclinic_data(chart, 2)[0]
         datum = perturb.make_heteroclinic_datum(
@@ -442,7 +443,7 @@ class TestGrassmannianSweep:
 
 class TestKappaExperimentSetup:
     def test_deterministic(self, companion3, kappa_setup):
-        flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
+        flow = SuspensionFlow(companion3, const_roof(3))
         again = perturb.kappa_experiment(flow, n_points=25)
         assert again.datum.y_r == kappa_setup.datum.y_r
         assert again.bump == kappa_setup.bump
@@ -450,7 +451,7 @@ class TestKappaExperimentSetup:
 
     def test_x_sequence_distinct(self, companion3):
         # at 60 log-spaced norms, 10 round to a step j already taken
-        flow = SuspensionFlow(companion3, RoofFunction.constant(1.0, 3))
+        flow = SuspensionFlow(companion3, const_roof(3))
         xs = perturb.kappa_experiment(flow, n_points=60).x_sequence
         assert len(set(xs)) == len(xs) == 50
 

@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from oracles import sampled_stable_sup
 
 from anosovlab.errors import NotCodimensionOne
-from anosovlab.regularity import BUNCHING_CSV_HEADER, bunching_csv_rows, bunching_report
+from anosovlab.experiments import ExperimentConfig, run_experiment
+from anosovlab.regularity import bunching_report
 from anosovlab.spectral import IntegerMatrix, spectral_data
 
 
@@ -76,9 +79,25 @@ def test_time_below_one_return_rejected(companion3):
         bunching_report(spectral_data(companion3), 0.5)
 
 
-def test_csv_rows(companion3):
+@pytest.mark.parametrize("t", [1263.0, 3000.0, 10000.0])
+def test_out_of_range_t_refused(companion3, t):
+    # xi^(4 t) overflows from t = 1263 on, and past t = 2650 lam^t is 0 too:
+    # the inf and 0 * inf = NaN sup-products once came back as a report
     data = spectral_data(companion3)
-    reports = [bunching_report(data, t) for t in (1.0, 2.0)]
-    rows = bunching_csv_rows(reports)
-    assert len(rows) == 2 * len(reports[0].nu_grid)
-    assert len(rows[0]) == len(BUNCHING_CSV_HEADER)
+    assert math.isfinite(bunching_report(data, 1262.0).stable_sup(4.0))
+    with pytest.raises(ValueError, match="leave the float range"):
+        bunching_report(data, t)
+
+
+def test_csv_rows(companion3, tmp_path):
+    cfg = ExperimentConfig.from_dict({
+        "kind": "bunching",
+        "matrix": {"poly": [-1, 0, 1, 1]},
+        "params": {"t_multiples": [1.0, 2.0]},
+    })
+    run_experiment(cfg, tmp_path)
+    header, *rows = (tmp_path / "bunching.csv").read_text().splitlines()
+    report = bunching_report(spectral_data(companion3), 1.0)
+    assert header == "t,nu,weak_sup,stable_sup"
+    assert len(rows) == 2 * len(report.nu_grid)
+    assert all(len(row.split(",")) == 4 for row in rows)

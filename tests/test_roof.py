@@ -1,29 +1,31 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import seven_term_roof
+from conftest import const_roof, seven_term_roof
 import oracles
 from oracles import periodic_points_reference, rationalize
 
 from anosovlab import roof as roof_module
 from anosovlab.errors import NonHyperbolicPeriod, ObstructionNonzero
 from anosovlab.flow import SuspensionFlow, exact_points
+from anosovlab.experiments import ExperimentConfig, load_config, run_experiment
 from anosovlab.roof import (
-    OBSTRUCTION_CSV_HEADER,
     RoofFunction,
     TrigPolynomial,
-    obstruction_csv_rows,
     periodic_obstructions,
     periodic_points,
     solve_coboundary,
 )
 from anosovlab.spectral import IntegerMatrix
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def planted_coboundary_roof(matrix, amplitude=0.05, freq=None):
@@ -136,9 +138,12 @@ class TestTrigPolynomial:
         x = np.array([0.6, 0.1])
         assert q.evaluate(x) == pytest.approx(p.evaluate(x - np.array(v)), abs=1e-12)
 
-    def test_json_round_trip(self):
-        p = TrigPolynomial.cosine(0.1, (1, -2), 2) + TrigPolynomial.constant(2.0, 2)
-        payload = json.loads(json.dumps(p.to_json_dict()))
+    def test_json_round_trip(self, cat_map, tmp_path):
+        # livshits.json carries the solved transfer function term for term
+        run_experiment(load_config(CONFIGS / "livshits_planted.json"), tmp_path)
+        payload = json.loads((tmp_path / "livshits.json").read_text())["transfer_terms"]
+        roof, _ = planted_coboundary_roof(cat_map)
+        p = solve(roof, cat_map, 8).transfer_u
         terms = {tuple(t["k"]): complex(t["re"], t["im"]) for t in payload["terms"]}
         assert payload["dim"] == p.dim and terms == p.terms
 
@@ -179,7 +184,7 @@ class TestRoofFunction:
             )
 
     def test_constant_short_circuit(self):
-        roof = RoofFunction.constant(2.5, 4)
+        roof = const_roof(4, 2.5)
         assert roof.positivity_margin == 2.5
         assert roof.mean() == 2.5
 
@@ -329,7 +334,7 @@ class TestPeriodicPoints:
         with pytest.raises(ValueError, match="MAX_PERIODIC_POINTS"):
             periodic_points(cat_map, 30)
         with pytest.raises(ValueError, match="MAX_PERIODIC_POINTS"):
-            periodic_obstructions(RoofFunction.constant(1.0, 2), cat_map, 30)
+            periodic_obstructions(const_roof(2), cat_map, 30)
 
     def test_root_of_unity_raises(self):
         rot = IntegerMatrix([[0, -1], [1, 0]])
@@ -340,7 +345,7 @@ class TestPeriodicPoints:
         with pytest.raises(ValueError, match="n must be at least 1"):
             periodic_points(cat_map, 0)
         with pytest.raises(ValueError, match="n_max must be at least 1"):
-            periodic_obstructions(RoofFunction.constant(1.0, 2), cat_map, 0)
+            periodic_obstructions(const_roof(2), cat_map, 0)
 
     def test_flow_periods_positive(self, cat_map):
         roof, _ = planted_coboundary_roof(cat_map)
@@ -396,7 +401,7 @@ class TestPeriodicPoints:
 
 class TestBirkhoffSums:
     def test_constant_roof(self, cat_map):
-        flow = SuspensionFlow(cat_map, RoofFunction.constant(2.5, 2))
+        flow = SuspensionFlow(cat_map, const_roof(2, 2.5))
         assert flow.birkhoff_exact(*exact_points([(0.3, 0.7)]), 4) == [pytest.approx(10.0)]
 
     def test_telescoping_on_periodic_orbits(self, cat_map):
@@ -422,7 +427,7 @@ class TestBirkhoffSums:
 
 class TestObstructions:
     def test_constant_roof_zero_spread(self, cat_map):
-        report = periodic_obstructions(RoofFunction.constant(1.0, 2), cat_map, 5)
+        report = periodic_obstructions(const_roof(2), cat_map, 5)
         assert report.spread == 0.0
         assert all(a == pytest.approx(1.0) for a in report.averages)
 
@@ -436,12 +441,12 @@ class TestObstructions:
         )
         assert periodic_obstructions(roof, cat_map, 6).spread > 1e-3
 
-    def test_csv_rows(self, cat_map):
-        roof = RoofFunction.constant(1.0, 2)
-        report = periodic_obstructions(roof, cat_map, 3)
-        rows = obstruction_csv_rows(report)
+    def test_csv_rows(self, cat_map, tmp_path):
+        report = periodic_obstructions(const_roof(2), cat_map, 3)
+        header, rows = obstruction_csv(cat_map, 3, tmp_path)
+        assert header == ["period_n", "orbit_repr", "average"]
         assert len(rows) == len(report.orbits)
-        assert len(OBSTRUCTION_CSV_HEADER) == len(rows[0])
+        assert all(len(row) == len(header) for row in rows)
         # period-3 points sit over den 4; (0, 2/4) is written reduced
         assert [row[1] for row in rows] == [
             "0/1;0/1", "1/5;2/5", "2/5;4/5",
@@ -449,14 +454,29 @@ class TestObstructions:
         ]
 
     @pytest.mark.parametrize("name,n_max", [("cat_map", 5), ("non_chain", 4)])
-    def test_csv_representative_is_least_reduced_point(self, request, name, n_max):
+    def test_csv_representative_is_least_reduced_point(self, request, tmp_path, name, n_max):
         # the orbit_repr text is the least point of the orbit as reduced
         # fractions n/d, even where d is 1 or divides the common denominator
         matrix = request.getfixturevalue(name)
-        report = periodic_obstructions(RoofFunction.constant(1.0, matrix.dim), matrix, n_max)
-        for orbit, row in zip(report.orbits, obstruction_csv_rows(report)):
+        report = periodic_obstructions(const_roof(matrix.dim), matrix, n_max)
+        _, rows = obstruction_csv(matrix, n_max, tmp_path)
+        assert len(rows) == len(report.orbits)
+        for orbit, row in zip(report.orbits, rows):
             least = min(tuple(Fraction(c, orbit.den) for c in p) for p in orbit.numerators)
             assert row[1] == ";".join(f"{v.numerator}/{v.denominator}" for v in least)
+
+
+def obstruction_csv(matrix, n_max, out):
+    """Header and rows of obstructions.csv from a constant-roof livshits run."""
+    cfg = ExperimentConfig.from_dict({
+        "kind": "livshits",
+        "matrix": {"entries": [list(row) for row in matrix.entries]},
+        "roof": {"constant": 1.0},
+        "params": {"trunc": 1, "n_max": n_max},
+    })
+    run_experiment(cfg, out)
+    header, *rows = (out / "obstructions.csv").read_text().splitlines()
+    return header.split(","), [row.split(",") for row in rows]
 
 
 def solve(roof, matrix, trunc):
@@ -476,7 +496,7 @@ class TestSolveCoboundary:
             assert sol.transfer_u.terms.get(k, 0.0) == pytest.approx(c, abs=1e-12)
 
     def test_constant_roof(self, cat_map):
-        sol = solve(RoofFunction.constant(1.0, 2), cat_map, 1)
+        sol = solve(const_roof(2), cat_map, 1)
         assert sol.constant_c == 1.0
         assert len(sol.transfer_u.terms) == 0
         assert sol.residual_sup == 0.0
@@ -541,7 +561,7 @@ class TestConstantEquivalence:
         return periodic_obstructions(roof, matrix, n_max).spread <= 1e-8
 
     def test_constant_roof(self, cat_map):
-        assert self.equivalent(RoofFunction.constant(1.0, 2), cat_map)
+        assert self.equivalent(const_roof(2), cat_map)
 
     def test_planted_coboundary(self, cat_map):
         roof, _ = planted_coboundary_roof(cat_map)

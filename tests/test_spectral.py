@@ -11,12 +11,10 @@ from test_mpspec import BASES
 
 from anosovlab import intlinalg
 from anosovlab.errors import NotCodimensionOne, NotHyperbolic
+from anosovlab.experiments import ExperimentConfig, run_experiment
 from anosovlab.spectral import (
-    CATALOG_CSV_HEADER,
     IntegerMatrix,
-    catalog_csv_rows,
     enumerate_catalog,
-    export_catalog_csv,
     invariant_unstable_subspaces,
     spectral_data,
     spectral_gap_condition,
@@ -249,12 +247,15 @@ class TestCatalog:
 
     def test_csv_export(self, tmp_path):
         entries = enumerate_catalog(2, 1)
-        path = tmp_path / "catalog.csv"
-        export_catalog_csv(entries, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(CATALOG_CSV_HEADER)
+        cfg = ExperimentConfig.from_dict({"kind": "catalog", "params": {"d": 2, "coeff_bound": 1}})
+        run_experiment(cfg, tmp_path)
+        lines = (tmp_path / "catalog.csv").read_text().strip().splitlines()
+        assert lines[0] == "poly_coeffs,d,moduli,codim_one,complex_pair,mu,xi1,xil,lhs,rhs,satisfied"
         assert len(lines) == 1 + len(entries)
-        assert len(catalog_csv_rows(entries)) == len(entries)
+        # one row per entry, in catalog order
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            " ".join(str(c) for c in e.coeffs) for e in entries
+        ]
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,6 +12,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "anosovlab"
 
 # (module.function, what it does) kept outside spectral.py, one reason each
 ALLOWED = {
+    ("experiments._run_catalog", "reads .moduli"):
+        "the catalog report prints every modulus, not a rate",
     ("regularity.bunching_report", "reads .moduli"):
         "the volume product J^s J^u multiplies every modulus, not just the rates",
 }
