@@ -25,7 +25,7 @@ from .errors import (
     TruncationInsufficient,
 )
 from .flow import SuspensionFlow
-from .pcf import Quadrilateral, TemporalDistanceSample, TranslationConjugacy
+from .pcf import Quadrilateral, TranslationConjugacy
 from .roof import PeriodicOrbitRecord, RoofFunction, TrigPolynomial
 from .spectral import IntegerMatrix, SpectralData, spectral_data
 
@@ -48,7 +48,6 @@ __all__ = [
     "RoofFunction",
     "SpectralData",
     "SuspensionFlow",
-    "TemporalDistanceSample",
     "TranslationConjugacy",
     "TrigPolynomial",
     "TruncationInsufficient",

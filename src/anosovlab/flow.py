@@ -230,17 +230,16 @@ class SuspensionFlow:
         each sum is bit-identical whatever else is in the batch and in what
         order.
         """
-        totals = [0.0] * len(starts)
+        totals = np.zeros(len(starts))
         orbit = self.exact_orbit([[v % den for v in x] for x in starts], den, backward)
         while n > 0:
             rows = next(orbit)[:, :n]
-            width = rows.shape[1]
             values = self.roof.poly.evaluate_rows(rows.reshape(-1, self.dim))
-            for k in range(len(totals)):
-                for value in values[k * width:(k + 1) * width]:
-                    totals[k] += value
-            n -= width
-        return totals
+            # cumsum adds left to right from each running total
+            totals = np.cumsum(
+                np.column_stack([totals, np.reshape(values, rows.shape[:2])]), axis=1)[:, -1]
+            n -= rows.shape[1]
+        return totals.tolist()
 
     # -- leaf machinery ----------------------------------------------------------
 

@@ -69,12 +69,25 @@ class Quadrilateral:
         for arr, sub in ((s_arr, "stable"), (u_arr, "unstable")):
             flow.leaf_part(arr, sub)
             if not _in_chart(arr):
-                raise NoIntersection(
-                    f"{sub} displacement norm {np.linalg.norm(arr):.3g} exceeds "
-                    f"chart radius {CHART_RADIUS:.3g}"
-                )
+                raise NoIntersection(f"{sub} displacement norm {float(np.linalg.norm(arr))!r} "
+                                     f"exceeds chart radius {CHART_RADIUS!r}")
         a = tuple(float(v) for v in a)
         return Quadrilateral(a=a, s_disp=tuple(s_arr), u_disp=tuple(u_arr))
+
+
+def pair_quads(flow: SuspensionFlow, pairs, points) -> list[Quadrilateral]:
+    """The quadrilateral of each PCF pair (a, s_disp) at each base point, point by point.
+
+    Its unstable displacement is the wrapped offset of the point from a; one
+    `leaf_part` checks every offset, so a point off a pair's leaf raises OffLeaf.
+    """
+    corners = np.array([a for a, _ in pairs], dtype=float)
+    offsets = wrap_unit(np.reshape(points, (-1, 1, flow.dim)) - corners)
+    u_disps = flow.leaf_part(offsets.reshape(-1, flow.dim), "unstable")
+    return [
+        Quadrilateral(a=a, s_disp=tuple(s_disp), u_disp=tuple(u))
+        for (a, s_disp), u in zip(pairs * len(offsets), u_disps)
+    ]
 
 
 def _in_chart(disp: np.ndarray) -> bool:
@@ -232,29 +245,6 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads) -> list[float]:
     return values
 
 
-@dataclass(frozen=True)
-class TemporalDistanceSample:
-    quad: Quadrilateral
-    value_series: float
-    value_geometric: float
-
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.value_series - self.value_geometric)
-
-
-def temporal_distance_samples(
-    flow: SuspensionFlow, quads: list[Quadrilateral],
-) -> list[TemporalDistanceSample]:
-    """Both routes at each quadrilateral, each route as one batch."""
-    series = temporal_distance_series(flow, quads)
-    geometric = temporal_distance_geometric(flow, quads)
-    return [
-        TemporalDistanceSample(quad=quad, value_series=rho_s, value_geometric=rho_g)
-        for quad, rho_s, rho_g in zip(quads, series, geometric)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # PCF gradients in the unstable parameter
 
@@ -262,11 +252,10 @@ def temporal_distance_samples(
 def pcf_gradient(flow: SuspensionFlow, quads) -> np.ndarray:
     """Derivatives of the temporal distance in the unstable parameter, one row per quad.
 
-    Each of quads is (a, s_disp, u_disp) for a base corner a. Its row holds
-    the covector components with respect to the columns of the unstable
-    frame, evaluated at the quadrilateral point x = a + u_disp.
-    Term-wise differentiation of the series route gives a two-sided sum of
-    paired gradient differences: `SuspensionFlow.stable_gradient` forward,
+    A row holds the covector components with respect to the columns of the
+    unstable frame, at the quadrilateral point x = a + u_disp. Term-wise
+    differentiation of the series route gives a two-sided sum of paired
+    gradient differences: `SuspensionFlow.stable_gradient` forward,
     `unstable_gradient` backward. The forward side converges only under the
     bunching condition lambda * xi_max < 1, which holds automatically for
     volume-preserving codimension-one data with dim E^u >= 2; a constant
@@ -278,15 +267,15 @@ def pcf_gradient(flow: SuspensionFlow, quads) -> np.ndarray:
     """
     quads = list(quads)
     shape = (len(quads), flow.dim)
-    w = np.reshape(np.array([s_disp for _, s_disp, _ in quads], dtype=float), shape)
-    u = np.reshape(np.array([u_disp for _, _, u_disp in quads], dtype=float), shape)
+    w = np.reshape(np.array([quad.s_disp for quad in quads], dtype=float), shape)
+    u = np.reshape(np.array([quad.u_disp for quad in quads], dtype=float), shape)
     flow.leaf_part(w, "stable")
     flow.leaf_part(u, "unstable")
 
     poly = flow.roof.poly
     if poly.is_constant() or not quads:
         return np.zeros((len(quads), flow.dim_unstable))
-    corners = np.array([a for a, _, _ in quads], dtype=float)
+    corners = np.array([quad.a for quad in quads], dtype=float)
     starts, den = exact_points(corners + u)
     totals = flow.stable_gradient(starts, den, row_products(flow.spectral.proj_s, w))
     # backward gaps L^-n w mod 1, exact and wrapped, one segment per call
@@ -326,10 +315,7 @@ def matching_kernel_dimension(
     if not pairs:
         raise ValueError("at least one pair is required")
     point = np.asarray(base_point, dtype=float)
-    corners = np.array([a for a, _ in pairs], dtype=float)
-    u_disps = flow.leaf_part(wrap_unit(point - corners), "unstable")
-    grad_rows = pcf_gradient(
-        flow, [(a, s_disp, u) for (a, s_disp), u in zip(pairs, u_disps)])
+    grad_rows = pcf_gradient(flow, pair_quads(flow, pairs, [point]))
     kern = util.kernel_basis(grad_rows)
     kernel_dim = kern.shape[1]
     ambient = flow.unstable_frame() @ kern if kernel_dim else np.zeros((flow.dim, 0))
@@ -374,13 +360,14 @@ def find_independent_pairs(
             c = rng.uniform(-1.0, 1.0, u_frame.shape[1]) * DISPLACEMENT_SCALE
             s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * DISPLACEMENT_SCALE
             a = tuple(float(v) for v in (point - u_frame @ c) % 1.0)
-            draws.append((a, s_frame @ s_coef, u_frame @ c))
+            s_disp = tuple(float(v) for v in s_frame @ s_coef)
+            draws.append(Quadrilateral(a=a, s_disp=s_disp, u_disp=tuple(u_frame @ c)))
         drawn += len(draws)
-        for (a, s_disp, _), grad in zip(draws, pcf_gradient(flow, draws)):
+        for quad, grad in zip(draws, pcf_gradient(flow, draws)):
             sv = np.linalg.svd(np.array(rows + [grad]), compute_uv=False)
             if sv[-1] > INDEPENDENCE_CUTOFF * sv[0] and sv[0] > 1e-12:
                 rows.append(grad)
-                chosen.append((a, tuple(float(v) for v in s_disp)))
+                chosen.append((quad.a, quad.s_disp))
                 if len(chosen) == count:
                     return chosen
     raise DegenerateGradients(
@@ -452,14 +439,8 @@ class PatchReconstruction:
 
 def _pcf_map(flow, pairs, point_bases) -> np.ndarray:
     """(points, pairs) array of the PCF chart at each base point, in one batch."""
-    corners = np.array([a for a, _ in pairs], dtype=float)
-    offsets = wrap_unit(np.reshape(point_bases, (-1, 1, flow.dim)) - corners)
-    u_disps = flow.leaf_part(offsets.reshape(-1, flow.dim), "unstable")
-    quads = [
-        Quadrilateral(a=a, s_disp=tuple(s_disp), u_disp=tuple(u))
-        for (a, s_disp), u in zip(pairs * len(point_bases), u_disps)
-    ]
-    return np.reshape(temporal_distance_series(flow, quads), (len(point_bases), len(pairs)))
+    values = temporal_distance_series(flow, pair_quads(flow, pairs, point_bases))
+    return np.reshape(values, (len(point_bases), len(pairs)))
 
 
 def reconstruct_conjugacy_patch(

@@ -408,8 +408,7 @@ def series_pins() -> dict:
                 hexed(rho) for rho in pcf.temporal_distance_series(flow, quads)
             ],
             "pcf_gradient": [
-                hexed(row) for row in pcf.pcf_gradient(
-                    flow, [(q.a, q.s_disp, q.u_disp) for q in quads])
+                hexed(row) for row in pcf.pcf_gradient(flow, quads)
             ],
         }
     return out
@@ -596,7 +595,7 @@ def independent_pairs_reference(flow, base_point, count, seed):
         s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * pcf.DISPLACEMENT_SCALE
         a = tuple(float(v) for v in (point - u_frame @ c) % 1.0)
         s_disp = s_frame @ s_coef
-        [grad] = pcf.pcf_gradient(flow, [(a, s_disp, u_frame @ c)])
+        [grad] = pcf.pcf_gradient(flow, [pcf.Quadrilateral(a, s_disp, u_frame @ c)])
         sv = np.linalg.svd(np.array(rows + [grad]), compute_uv=False)
         if sv[-1] > pcf.INDEPENDENCE_CUTOFF * sv[0] and sv[0] > 1e-12:
             rows.append(grad)

@@ -64,8 +64,9 @@ def test_02_dual_oracle_agreement(companion3):
     flow = SuspensionFlow(companion3, cos_roof(3))
     quads = pcf.sample_quadrilaterals(flow, 100, seed=SEED)
     worst = 0.0
-    for sample in pcf.temporal_distance_samples(flow, quads):
-        worst = max(worst, sample.discrepancy)
+    for rho_s, rho_g in zip(pcf.temporal_distance_series(flow, quads),
+                            pcf.temporal_distance_geometric(flow, quads)):
+        worst = max(worst, abs(rho_s - rho_g))
     _report(2, "series vs geometric temporal distance", worst <= 1e-6,
             f"max discrepancy = {worst:.3g} over 100 quadrilaterals (tol 1e-6)")
 

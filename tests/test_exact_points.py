@@ -76,8 +76,7 @@ def test_pcf_routes_build_no_fraction(companion3_flow, translated3, translated, 
     counts = _fractions_built(monkeypatch, {
         "series": lambda: pcf.temporal_distance_series(flow, quads),
         "geometric": lambda: pcf.temporal_distance_geometric(flow, quads),
-        "pcf_gradient": lambda: pcf.pcf_gradient(
-            flow, [(q.a, q.s_disp, q.u_disp) for q in quads]),
+        "pcf_gradient": lambda: pcf.pcf_gradient(flow, quads),
     })
     assert counts == dict.fromkeys(counts, 0)
 

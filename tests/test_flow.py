@@ -534,7 +534,7 @@ class TestSegments:
             u = flow.unstable_frame() @ np.full(2, 0.02)
 
             def compute():
-                return pcf.pcf_gradient(flow, [(x, w, u)])
+                return pcf.pcf_gradient(flow, [pcf.Quadrilateral(x, w, u)])
         elif series == "t_series":
             chart = perturb.SectionChart(flow)
 

@@ -16,7 +16,7 @@ from anosovlab import experiments, intlinalg, pcf, perturb
 from anosovlab.errors import (
     DegenerateGradients, NoIntersection, NotCodimensionOne, OffLeaf, TruncationInsufficient,
 )
-from anosovlab.flow import CHART_RADIUS, SuspensionFlow
+from anosovlab.flow import CHART_RADIUS, SuspensionFlow, wrap_unit
 from anosovlab.roof import RoofFunction, TrigPolynomial
 from anosovlab.spectral import IntegerMatrix, enumerate_catalog
 
@@ -95,14 +95,18 @@ class TestQuadrilateral:
         unit = companion3_flow.unstable_frame()[:, 0]
         unit = unit / np.linalg.norm(unit)
         over = (CHART_RADIUS + 5e-13) * unit
-        with pytest.raises(NoIntersection, match="exceeds chart radius"):
+        with pytest.raises(NoIntersection, match="exceeds chart radius") as refusal:
             pcf.Quadrilateral.build(companion3_flow, a, w, over)
+        # the message holds the unrounded norm, not one rounded onto the radius
+        assert repr(float(np.linalg.norm(over))) in str(refusal.value)
+        assert repr(float(np.linalg.norm(over))) != repr(CHART_RADIUS)
         with pytest.raises(NoIntersection):
             pcf.temporal_distance_geometric(
                 companion3_flow, [pcf.Quadrilateral(a=a, s_disp=tuple(w), u_disp=tuple(over))])
         inside = pcf.Quadrilateral.build(companion3_flow, a, w, (CHART_RADIUS - 5e-13) * unit)
-        [sample] = pcf.temporal_distance_samples(companion3_flow, [inside])
-        assert sample.value_series != 0.0 and sample.discrepancy <= 1e-6
+        [series] = pcf.temporal_distance_series(companion3_flow, [inside])
+        [geometric] = pcf.temporal_distance_geometric(companion3_flow, [inside])
+        assert series != 0.0 and abs(series - geometric) <= 1e-6
 
     def test_one_scale_sets_both_draws(self, companion3_flow, monkeypatch):
         # DISPLACEMENT_SCALE sizes the stable and the unstable draw alike:
@@ -125,7 +129,9 @@ class TestTemporalDistanceGeometric:
 
     def test_dual_oracle_agreement(self, companion3_flow):
         quads = pcf.sample_quadrilaterals(companion3_flow, 25, seed=SEED)
-        worst = max(s.discrepancy for s in pcf.temporal_distance_samples(companion3_flow, quads))
+        worst = max(abs(s - g) for s, g in zip(
+            pcf.temporal_distance_series(companion3_flow, quads),
+            pcf.temporal_distance_geometric(companion3_flow, quads)))
         assert worst <= 1e-6
 
     @pytest.mark.parametrize("name", ["companion3", "quartic"])
@@ -237,8 +243,8 @@ class TestPcfGradient:
     def test_constant_roof_zero(self, companion3_const_flow):
         flow = companion3_const_flow
         a = (0.1, 0.2, 0.3)
-        g = pcf.pcf_gradient(
-            flow, [(a, 0.01 * flow.stable_frame()[:, 0], flow.unstable_frame() @ [0.01, 0.0])])
+        g = pcf.pcf_gradient(flow, [pcf.Quadrilateral(
+            a, 0.01 * flow.stable_frame()[:, 0], flow.unstable_frame() @ [0.01, 0.0])])
         assert g.shape == (1, 2) and np.allclose(g, 0.0)
 
     def test_matches_finite_differences(self, companion3):
@@ -257,7 +263,7 @@ class TestPcfGradient:
             a = rng.random(3)
             w = s_frame @ (rng.uniform(-1, 1, 1) * 0.006)
             c = rng.uniform(-1, 1, 2) * 0.01
-            [grad] = pcf.pcf_gradient(flow, [(a, w, u_frame @ c)])
+            [grad] = pcf.pcf_gradient(flow, [pcf.Quadrilateral(a, w, u_frame @ c)])
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = h
@@ -272,7 +278,7 @@ class TestPcfGradient:
             a = rng.random(3)
             w = flow.stable_frame() @ (rng.uniform(-1, 1, 1) * 0.02)
             u = flow.unstable_frame() @ (rng.uniform(-1, 1, 2) * 0.015)
-            if np.linalg.norm(pcf.pcf_gradient(flow, [(a, w, u)])) > 1e-4:
+            if np.linalg.norm(pcf.pcf_gradient(flow, [pcf.Quadrilateral(a, w, u)])) > 1e-4:
                 return
         pytest.fail("no nonzero gradient within 20 draws")
 
@@ -283,12 +289,11 @@ class TestPcfGradient:
         quads = pcf.sample_quadrilaterals(segment_flow, 3, seed=23)
 
         def gradients():
-            return pcf.pcf_gradient(
-                segment_flow, [(q.a, q.s_disp, q.u_disp) for q in quads]).tolist()
+            return pcf.pcf_gradient(segment_flow, quads).tolist()
 
         # each quadrilateral alone, against the batch
         expected = per_point_series(lambda: [
-            pcf.pcf_gradient(segment_flow, [(q.a, q.s_disp, q.u_disp)])[0].tolist()
+            pcf.pcf_gradient(segment_flow, [q])[0].tolist()
             for q in quads])
         monkeypatch.setattr(flow_module, "SEGMENT", segment)
         assert gradients() == expected
@@ -299,8 +304,8 @@ class TestPcfGradient:
         refusal = r"bunching ratio lambda\*xi_max < 0\.98, got 1\.000"
         a = (0.3, 0.5)
         with pytest.raises(ValueError, match=refusal):
-            pcf.pcf_gradient(cat_flow, [
-                (a, 0.01 * cat_flow.stable_frame()[:, 0], 0.01 * cat_flow.unstable_frame()[:, 0])])
+            pcf.pcf_gradient(cat_flow, [pcf.Quadrilateral(
+                a, 0.01 * cat_flow.stable_frame()[:, 0], 0.01 * cat_flow.unstable_frame()[:, 0])])
         with pytest.raises(ValueError, match=refusal):
             perturb.SectionChart(cat_flow).t_gradient_at_zero(0.1)
 
@@ -315,15 +320,15 @@ class TestPcfGradient:
         else:
             u = u + 1e-10 * flow.stable_frame()[:, 0]
         with pytest.raises(OffLeaf, match=f"{tilted} displacement has transverse part"):
-            pcf.pcf_gradient(flow, [((0.1, 0.2, 0.3), w, u)])
+            pcf.pcf_gradient(flow, [pcf.Quadrilateral((0.1, 0.2, 0.3), w, u)])
 
     def test_cat_map_constant_roof_zero(self, cat_map):
         # the temporal distance of a constant roof vanishes identically, so
         # its gradient is exactly zero even where the series would diverge
         flow = SuspensionFlow(cat_map, const_roof(2))
         a = (0.3, 0.5)
-        g = pcf.pcf_gradient(
-            flow, [(a, 0.01 * flow.stable_frame()[:, 0], 0.01 * flow.unstable_frame()[:, 0])])
+        g = pcf.pcf_gradient(flow, [pcf.Quadrilateral(
+            a, 0.01 * flow.stable_frame()[:, 0], 0.01 * flow.unstable_frame()[:, 0])])
         assert g.tolist() == [[0.0]]
 
 
@@ -353,7 +358,7 @@ class TestBatchedGradients:
     def test_batch_matches_each_alone(self, companion3_flow, translated3, name):
         # translated3 walks its x7 orbits on the CRT branch
         flow = translated3 if name == "translated3" else companion3_flow
-        quads = [(q.a, q.s_disp, q.u_disp) for q in pcf.sample_quadrilaterals(flow, 5, seed=31)]
+        quads = pcf.sample_quadrilaterals(flow, 5, seed=31)
         alone = [_hexed(pcf.pcf_gradient(flow, [q]))[0] for q in quads]
         assert _hexed(pcf.pcf_gradient(flow, quads)) == alone
         assert _hexed(pcf.pcf_gradient(flow, quads[::-1])) == alone[::-1]
@@ -363,7 +368,7 @@ class TestBatchedGradients:
         # the forward starts, the backward gaps and the backward starts:
         # one lockstep walk each for the whole batch
         flow = companion3_flow
-        quads = [(q.a, q.s_disp, q.u_disp) for q in pcf.sample_quadrilaterals(flow, 4, seed=7)]
+        quads = pcf.sample_quadrilaterals(flow, 4, seed=7)
         calls = []
         walk = intlinalg.orbit_segments
 
@@ -425,12 +430,15 @@ class TestMatchingKernel:
         assert before == after == 0
 
     def test_base_point_off_a_pair_leaf_refused(self, companion3_const_flow):
-        # a stable offset of 1e-10 from the pair's corner, a hundred times LEAF_TOL
+        # a stable offset of 1e-10 from the pair's corner, a hundred times
+        # LEAF_TOL, refused by the kernel and by the quadrilaterals it reads
         flow = companion3_const_flow
         bp = (np.asarray(BASE_POINT) + 1e-10 * flow.stable_frame()[:, 0]) % 1.0
         pairs = [(BASE_POINT, tuple(0.01 * flow.stable_frame()[:, 0]))]
         with pytest.raises(OffLeaf, match="unstable displacement has transverse part"):
             pcf.matching_kernel_dimension(flow, bp, pairs)
+        with pytest.raises(OffLeaf, match="unstable displacement has transverse part"):
+            pcf.pair_quads(flow, pairs, [BASE_POINT, bp])
 
     def test_budget_exhaustion(self, companion3_const_flow, monkeypatch):
         flow = companion3_const_flow
@@ -438,6 +446,37 @@ class TestMatchingKernel:
         monkeypatch.setattr(pcf, "PAIR_BUDGET", 5)
         with pytest.raises(DegenerateGradients):
             pcf.find_independent_pairs(flow, bp, count=1, seed=0)
+
+
+def _hexed_quad(quad):
+    return tuple(tuple(float(v).hex() for v in part) for part in (quad.a, quad.s_disp, quad.u_disp))
+
+
+class TestPairQuads:
+    """The quadrilateral of each pair at each point, the one input the kernel and chart read."""
+
+    def test_point_major_and_each_alone(self, companion3_flow):
+        flow = companion3_flow
+        pairs = pcf.find_independent_pairs(flow, BASE_POINT, count=2, seed=5)
+        u_frame = flow.unstable_frame()
+        points = [(np.asarray(BASE_POINT) + u_frame @ c) % 1.0
+                  for c in ([0.0, 0.0], [0.003, -0.002], [-0.001, 0.004])]
+        quads = pcf.pair_quads(flow, pairs, points)
+        alone = [
+            pcf.Quadrilateral(a=a, s_disp=s_disp, u_disp=tuple(flow.leaf_part(
+                wrap_unit(point - np.asarray(a)), "unstable")))
+            for point in points for a, s_disp in pairs
+        ]
+        assert [_hexed_quad(q) for q in quads] == [_hexed_quad(q) for q in alone]
+        # the offsets differ point to point, so the order is seen
+        assert len({q.u_disp for q in quads}) == len(quads) == 6
+
+    def test_matching_kernel_reads_pair_quads(self, companion3_flow):
+        flow = companion3_flow
+        pairs = pcf.find_independent_pairs(flow, BASE_POINT, count=2, seed=5)
+        report = pcf.matching_kernel_dimension(flow, BASE_POINT, pairs)
+        expected = pcf.pcf_gradient(flow, pcf.pair_quads(flow, pairs, [BASE_POINT]))
+        assert _hexed(report.gradients) == _hexed(expected)
 
 
 class TestPairSearch:
@@ -642,9 +681,11 @@ class TestSampleExports:
         )
         flow = SuspensionFlow(experiments.build_matrix(cfg.matrix),
                               experiments.build_roof(cfg.roof, 3))
-        samples = pcf.temporal_distance_samples(flow, pcf.sample_quadrilaterals(flow, 3, seed=0))
+        quads = pcf.sample_quadrilaterals(flow, 3, seed=0)
+        discrepancies = [abs(s - g) for s, g in zip(pcf.temporal_distance_series(flow, quads),
+                                                    pcf.temporal_distance_geometric(flow, quads))]
         cells = [row.split(",") for row in rows]
         assert len(cells) == 3
         assert all(len(r) == len(header.split(",")) for r in cells)
-        for s, row in zip(samples, cells):
-            assert float(row[-1]) == s.discrepancy <= 1e-6
+        for discrepancy, row in zip(discrepancies, cells):
+            assert float(row[-1]) == discrepancy <= 1e-6
