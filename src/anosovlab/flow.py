@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
 from . import intlinalg
 from .errors import OffLeaf, TruncationInsufficient
-from .roof import RoofFunction, row_products
+from .roof import RoofFunction, row_products, row_squares
 from .spectral import IntegerMatrix, SpectralData, spectral_data
 
 LEAF_TOL = 1e-12       # largest transverse part `leaf_part` accepts; on-leaf inputs show ~2e-16
@@ -33,7 +32,7 @@ GRADIENT_TOL = 1e-15   # gradient series: a decade lower, as they feed 1e-9 rank
 RETURN_TOL = 1e-13     # bump return series: a decade under the 1e-12 noise floor of the kappa fit
 MAX_TERMS = 5000       # the bundled configs need at most ~260 terms
 SEGMENT = 32           # points per orbit matmul and roof evaluation: amortizes numpy calls; overshoot < 32
-BATCH_ORBITS = 32      # orbits per return-series walk: limb walk peak RSS ~0.3 MB over a 2-orbit walk
+BATCH_ORBITS = 32      # orbits per return-series or geometric-route walk: +0.3 MB RSS over 2 orbits
 CHART_RADIUS = 0.05    # largest leaf displacement a quadrilateral accepts
 BUNCHING_CAP = 0.98    # largest forward gradient rate lambda * xi_max: keeps 1 / (1 - q) <= 50
 
@@ -42,41 +41,40 @@ def certified_sums(orbit, segment_terms, tol: float, totals) -> tuple[list, list
     """Sum tail-certified series in lockstep, one segment of one orbit per round.
 
     Each block the orbit yields has one row per series on its leading axis,
-    so row k belongs to the series that continues totals[k] (0.0, or the
-    forward half of a two-sided series). A row is one start's exact-orbit
-    segment, or a group of points walked together, as the orbit pair of
-    each point of `perturb.return_series`. Each round calls
-    segment_terms(block[active], active), active being the open series in
-    order, which returns one row of terms and one row of tail bounds (each
-    bounding all that follows its term) per open series. Series k adds its
-    terms left to right, up to its first tail under tol, then leaves the
-    batch; one still open after MAX_TERMS terms raises
-    TruncationInsufficient. Returns the totals and the number of terms each
-    series took.
+    so row k belongs to the series that continues totals[k] (zeros of the
+    term shape, or the forward half of a two-sided series). A row is one
+    start's exact-orbit segment, or a group of points walked together, as
+    the orbit pair of each point of `perturb.return_series`. Each round
+    calls segment_terms(block[active], active), active being the open
+    series in order, which returns one row of terms and one row of tail
+    bounds (each bounding all that follows its term) per open series, as
+    arrays. Series k adds its terms left to right, up to its first tail
+    under tol, then leaves the batch; one still open after MAX_TERMS terms
+    raises TruncationInsufficient. A round is one array pass: one cumsum of
+    [running total | terms], which adds left to right as a loop over the
+    terms would, read at each row's stop column. Returns the totals and the
+    number of terms each series took, as lists.
     """
-    totals, counts = list(totals), [0] * len(totals)
-    active = list(range(len(totals)))
+    totals = np.array(totals, dtype=float)
+    counts = np.zeros(len(totals), dtype=int)
+    active = np.arange(len(totals))
     used = 0
-    while active:
+    while active.size:
         terms, tails = segment_terms(next(orbit)[active], active)
-        limit = min(len(tails[0]), MAX_TERMS - used)
-        still = []
-        for row, k in enumerate(active):
-            total = totals[k]
-            for n, (term, tail) in enumerate(zip(terms[row], tails[row][:limit]), 1):
-                total = total + term
-                if tail < tol:
-                    counts[k] = used + n
-                    break
-            else:
-                still.append(k)
-            totals[k] = total
+        limit = min(tails.shape[1], MAX_TERMS - used)
+        below = tails[:, :limit] < tol
+        stops = below.any(axis=1)
+        taken = np.where(stops, below.argmax(axis=1) + 1, limit)   # terms each row adds
+        sums = np.cumsum(np.concatenate(
+            [totals[active][:, None], terms[:, :limit]], axis=1), axis=1)
+        totals[active] = sums[np.arange(len(active)), taken]
+        counts[active[stops]] = used + taken[stops]
         used += limit
-        if still and used >= MAX_TERMS:
+        active = active[~stops]
+        if active.size and used >= MAX_TERMS:
             raise TruncationInsufficient(
                 f"series did not meet its tail bound {tol:g} within {MAX_TERMS} terms")
-        active = still
-    return totals, counts
+    return totals.tolist(), counts.tolist()
 
 
 def walk_states(state, step, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,21 +113,18 @@ def affine_orbit(entries, offset, starts, den: int, centred: bool = False, skip:
     every float is the correctly rounded rational point, whatever else is
     in the batch. Each start is yielded as given; later points are reduced
     into [0, 1), or into [-1/2, 1/2) when centred. The first `skip` points
-    are left out.
+    are sliced off the first block, which yields nothing if that leaves it
+    empty.
     """
     lift = math.lcm(den, *(v.denominator for v in offset)) // den
     nums = [[v * lift for v in start] for start in starts]
     den *= lift   # now D, the common denominator
     shift = [v.numerator * (den // v.denominator) for v in offset]
-    if skip:
-        nums = [
-            next(islice(intlinalg.orbit_numerators(entries, shift, n, den, centred), skip, None))
-            for n in nums
-        ]
     blocks = intlinalg.orbit_segments(entries, shift, nums, den, SEGMENT, centred)
     points = intlinalg.segment_floats(next(blocks), den)
     points[:, 0] = [[v / den for v in n] for n in nums]   # the starts as given, not reduced
-    yield points
+    if points.shape[1] > skip:
+        yield points[:, skip:]
     for block in blocks:
         yield intlinalg.segment_floats(block, den)
 
@@ -220,26 +215,26 @@ class SuspensionFlow:
             return affine_orbit(self.base.entries, self.translation, starts, den)
         return affine_orbit(self.inv_entries, self._inv_translation, starts, den, skip=1)
 
-    def birkhoff_exact(self, starts, den: int, n: int, backward: bool = False) -> list[float]:
-        """Roof Birkhoff sums along the exact orbits of a batch of starts over den.
+    def birkhoff_exact(self, starts, den: int, n: int, backward: bool = False) -> np.ndarray:
+        """Roof Birkhoff partial sums along the exact orbits of a batch of starts over den.
 
-        One n-term sum per start, in order, each added left to right:
-        forward sum_{k=0}^{n-1} roof(F^k x), backward sum_{k=1}^{n}
-        roof(F^-k x), with each start first reduced into [0, 1). The orbits
-        are walked in lockstep and evaluated in one call per segment, so
-        each sum is bit-identical whatever else is in the batch and in what
-        order.
+        An (m, n) array, one row per start, in order, each added left to
+        right: column j holds forward sum_{k=0}^{j} roof(F^k x), backward
+        sum_{k=1}^{j+1} roof(F^-k x), with each start first reduced into
+        [0, 1), so column n - 1 is the n-term sum. The orbits are walked in
+        lockstep and evaluated in one call per segment, so each sum is
+        bit-identical whatever else is in the batch and in what order.
         """
-        totals = np.zeros(len(starts))
+        values = np.empty((len(starts), n))
         orbit = self.exact_orbit([[v % den for v in x] for x in starts], den, backward)
-        while n > 0:
-            rows = next(orbit)[:, :n]
-            values = self.roof.poly.evaluate_rows(rows.reshape(-1, self.dim))
-            # cumsum adds left to right from each running total
-            totals = np.cumsum(
-                np.column_stack([totals, np.reshape(values, rows.shape[:2])]), axis=1)[:, -1]
-            n -= rows.shape[1]
-        return totals.tolist()
+        walked = 0
+        while walked < n:
+            rows = next(orbit)[:, :n - walked]
+            length = rows.shape[1]
+            values[:, walked:walked + length] = np.reshape(
+                self.roof.poly.evaluate_rows(rows.reshape(-1, self.dim)), rows.shape[:2])
+            walked += length
+        return np.cumsum(values, axis=1)   # adds left to right
 
     # -- leaf machinery ----------------------------------------------------------
 
@@ -248,9 +243,9 @@ class SuspensionFlow:
 
         The package's one leaf test: each row is split in the spectral
         frame with one `row_products` gemv per row (bit-identical to the
-        product of that row alone), and a transverse part of norm over
-        LEAF_TOL raises OffLeaf, which names the largest one. Returns the
-        parts in the shape of v.
+        product of that row alone), and a transverse part whose norm is not
+        within LEAF_TOL, NaN and infinity included, raises OffLeaf, which
+        names the largest one. Returns the parts in the shape of v.
         """
         if direction not in ("stable", "unstable"):
             raise ValueError("direction must be 'stable' or 'unstable'")
@@ -260,10 +255,8 @@ class SuspensionFlow:
         vu = row_products(spectral.frame[:, :n_u], coords[:, :n_u])
         vs = row_products(spectral.frame[:, n_u:], coords[:, n_u:])
         part, transverse = (vs, vu) if direction == "stable" else (vu, vs)
-        # one ddot per row, as np.linalg.norm takes it
-        squares = np.matmul(transverse[:, None, :], transverse[:, :, None])[:, 0, 0]
-        norm = math.sqrt(squares.max(initial=0.0))
-        if norm > LEAF_TOL:
+        norm = math.sqrt(row_squares(transverse).max(initial=0.0))
+        if not norm <= LEAF_TOL:   # a NaN or infinite row fails too
             raise OffLeaf(f"{direction} displacement has transverse part {norm:.2e}")
         return part.reshape(v.shape)
 
@@ -297,8 +290,7 @@ class SuspensionFlow:
         xs = np.array([x for x, _, _ in requests], dtype=float) % 1.0
         ys = np.array([y for _, y, _ in requests], dtype=float) % 1.0
         deltas = wrap_unit(ys - xs)
-        # each row's own ddot, so a row is zero exactly when its norm is
-        squares = np.matmul(deltas[:, None, :], deltas[:, :, None])[:, 0, 0]
+        squares = row_squares(deltas)   # zero exactly when the row's norm is
         for direction, indices in rows.items():
             self.leaf_part(deltas[indices], direction)
         if self.roof.poly.is_constant():
@@ -344,10 +336,7 @@ class SuspensionFlow:
                 gap[active], lambda g: row_products(proj, row_products(step, g)), length)
             gap[active] = nexts[:, -1]
             terms = poly.eval_diff_rows(points.reshape(-1, d), states.reshape(-1, d))
-            # the squared norm d @ d of each next gap, one ddot per row as well
-            squares = np.matmul(nexts[..., None, :], nexts[..., :, None])[..., 0, 0]
-            return ((sign * np.reshape(terms, (m, length))).tolist(),
-                    (lip * np.sqrt(squares) / contraction).tolist())
+            return sign * terms.reshape(m, length), lip * np.sqrt(row_squares(nexts)) / contraction
 
         orbit = self.exact_orbit(*exact_points(starts), direction == "unstable")
         return certified_sums(orbit, segment, VALUE_TOL, [0.0] * len(starts))[0]
@@ -385,12 +374,12 @@ class SuspensionFlow:
             gap[active], weight = nexts[:, -1], ahead[:, -1]
             grads = poly.gradient_diff_rows(points.reshape(-1, d), deltas.reshape(-1, d))
             terms = np.matmul(weights.swapaxes(-1, -2), np.reshape(grads, (*deltas.shape, 1)))
-            squares = np.matmul(nexts[..., None, :], nexts[..., :, None])[..., 0, 0]
             norms = np.linalg.svd(ahead, compute_uv=False).max(axis=-1)
-            return terms[..., 0], (hess * np.sqrt(squares) * norms * q / (1.0 - q)).tolist()
+            return terms[..., 0], hess * np.sqrt(row_squares(nexts)) * norms * q / (1.0 - q)
 
         orbit = self.exact_orbit(starts, den)
-        return np.array(certified_sums(orbit, segment, GRADIENT_TOL, [0.0] * len(starts))[0])
+        totals = np.zeros((len(starts), self.dim_unstable))
+        return np.array(certified_sums(orbit, segment, GRADIENT_TOL, totals)[0])
 
     def unstable_gradient(self, starts, den: int, grads, totals) -> np.ndarray:
         """Backward halves of PCF gradients at m starts, in unstable-frame coordinates.
@@ -404,7 +393,7 @@ class SuspensionFlow:
         E^u each step so stable float contamination does not grow, and are
         shared by the m series, which run in lockstep over one orbit walk.
         totals[k] is the running sum that row k continues: the forward half,
-        or 0.0.
+        or zeros.
         """
         lip = self.roof.poly.lipschitz_bound()
         lin_inv, proj, q = self.lin_inv, self.spectral.proj_u, self._q_unstable
@@ -418,7 +407,7 @@ class SuspensionFlow:
             rows = np.reshape(grads(points.reshape(-1, points.shape[-1]), active), points.shape)
             norms = np.linalg.svd(nexts, compute_uv=False).max(axis=-1)
             tails = np.broadcast_to(2.0 * lip * norms * q / (1.0 - q), points.shape[:2])
-            return np.matmul(weights.swapaxes(-1, -2), rows[..., None])[..., 0], tails.tolist()
+            return np.matmul(weights.swapaxes(-1, -2), rows[..., None])[..., 0], tails
 
         orbit = self.exact_orbit(starts, den, backward=True)
-        return np.array(certified_sums(orbit, segment, GRADIENT_TOL, list(totals))[0])
+        return np.array(certified_sums(orbit, segment, GRADIENT_TOL, totals)[0])

@@ -101,20 +101,17 @@ def sqrt_ratio(num: int, den: int) -> float:
     return math.ldexp(float(root), -s)
 
 
-def orbit_numerators(a: IntMatrix, offset, start, den: int, centred: bool = False):
+def orbit_numerators(a: IntMatrix, offset, start, den: int):
     """Exact orbit of start / den under x -> A x + offset / den mod 1.
 
     Points are integer numerators over the fixed denominator den, so a
     step is n <- (A n + offset) mod den, with no gcd. The start is yielded
-    as given; later points are reduced into [0, den), or into
-    [-den/2, den/2) when centred.
+    as given; later points are reduced into [0, den).
     """
-    lo = den // 2 if centred else 0
-    shift = [c + lo for c in offset]
     nums = tuple(start)
     while True:
         yield nums
-        nums = tuple([(v + c) % den - lo for v, c in zip(mat_vec(a, nums), shift)])
+        nums = tuple([(v + c) % den for v, c in zip(mat_vec(a, nums), offset)])
 
 
 # Limb width of the exact walks over 2^k > 2^64. A limb product is under
@@ -208,10 +205,10 @@ def orbit_segments(a: IntMatrix, offset, starts, den: int, length: int, centred:
 
     Walks the m orbits in lockstep and yields one block per segment, row j
     of start i at [i, j]. Every row is reduced as the later points of
-    `orbit_numerators` are (so row 0 is the start reduced). A segment is the
-    stacked `_segment_stack` times [n; offset], whose last row starts the
-    next segment. The numerators come in one of four forms, chosen from den
-    by `_walk_branch`:
+    `orbit_numerators` are, or into [-den/2, den/2) when centred (so row 0
+    is the start reduced). A segment is the stacked `_segment_stack` times
+    [n; offset], whose last row starts the next segment. The numerators
+    come in one of four forms, chosen from den by `_walk_branch`:
 
     * den divides 2^64: an (m, length, d) uint64 array, or int64 when
       centred. The matmul runs on uint64, and wrap-around mod 2^64 is exact

@@ -16,8 +16,9 @@ list of quadrilaterals and run it as lockstep batches, and each value is
 bit-identical to its quadrilateral run alone. The series route sends all
 the leaf adjustments to `SuspensionFlow.time_adjustment` at once. The
 geometric route sends its Birkhoff walks to
-`SuspensionFlow.birkhoff_exact`, one batch per direction and horizon. The
-patch reconstruction batches its chart values the same way and runs its
+`SuspensionFlow.birkhoff_exact`, BATCH_ORBITS walks of one direction per
+call, and reads each walk's partial sum at its own horizon. The patch
+reconstruction batches its chart values the same way and runs its
 grid points' Newton solves in lockstep.
 """
 
@@ -30,7 +31,9 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import DegenerateGradients, NoIntersection, TruncationInsufficient
-from .flow import CHART_RADIUS, SuspensionFlow, affine_orbit, exact_points, wrap_unit
+from .flow import (
+    BATCH_ORBITS, CHART_RADIUS, SuspensionFlow, affine_orbit, exact_points, wrap_unit,
+)
 from .roof import RoofFunction, row_products
 from . import intlinalg, mpspec, util
 
@@ -183,25 +186,20 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads) -> list[float]:
     Every quadrilateral is checked before any orbit is walked: one whose
     data leave the chart raises NoIntersection, and one whose horizon would
     pass MAX_HORIZON raises TruncationInsufficient, for the whole batch.
-    The walks of all quadrilaterals that share a direction and a horizon
-    run as one `birkhoff_exact` batch, so each value is bit-identical to the
-    quadrilateral's walks run alone. Returns one value per quadrilateral.
+    The walks of each direction run in `birkhoff_exact` batches of
+    BATCH_ORBITS starts, each walked to the batch's longest horizon and
+    read at its own, so each value is bit-identical to the quadrilateral's
+    walks run alone. Returns one value per quadrilateral.
     """
     target = 0.02 * GEOMETRIC_TOL
     split = mpspec.splitting(flow.base)
     alphas, den = exact_points([quad.a for quad in quads])
     big = max(den, mpspec.DYADIC_DEN)   # both powers of two, so their lcm
-    groups: dict[tuple[bool, int], list] = {}   # (backward, horizon) -> starts over big
-
-    def walk(backward: bool, n: int, start) -> tuple[tuple[bool, int], int]:
-        group = groups.setdefault((backward, n), [])
-        group.append(start)
-        return (backward, n), len(group) - 1
+    walks = {False: [], True: []}   # backward -> (start over big, horizon) of each walk
 
     def lifted(nums, over: int) -> list[int]:
         return [v * (big // over) for v in nums]
 
-    plans = []
     for quad, alpha in zip(quads, alphas):
         w = np.asarray(quad.s_disp)
         u = np.asarray(quad.u_disp)
@@ -222,27 +220,23 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads) -> list[float]:
         # base of Hol_{a,b}(x) on W^s(x), and of y on W^u(b): x + w = b + u
         hol = [a + b for a, b in zip(zeta, w_ex)]
         # forward sums over k < n_fwd, backward sums over k = 1..n_bwd
-        plans.append((
-            walk(False, n_fwd, beta), walk(False, n_fwd, alpha),
-            walk(True, n_bwd, alpha), walk(True, n_bwd, zeta),
-            walk(False, n_fwd, hol), walk(False, n_fwd, zeta),
-            walk(True, n_bwd, beta), walk(True, n_bwd, hol),
-        ))
-    sums = {
-        (backward, n): flow.birkhoff_exact(starts, big, n, backward=backward)
-        for (backward, n), starts in groups.items()
-    }
-    values = []
-    for plan in plans:
-        fwd_b, fwd_a, bwd_a, bwd_x, fwd_hol, fwd_x, bwd_b, bwd_hol = (
-            sums[key][index] for key, index in plan
-        )
-        fiber_b = fwd_b - fwd_a
-        fiber_x = bwd_a - bwd_x
-        fiber_hol = fiber_x + (fwd_hol - fwd_x)
-        fiber_y = fiber_b + (bwd_b - bwd_hol)
-        values.append(float(fiber_hol - fiber_y))
-    return values
+        walks[False] += [(beta, n_fwd), (alpha, n_fwd), (hol, n_fwd), (zeta, n_fwd)]
+        walks[True] += [(alpha, n_bwd), (zeta, n_bwd), (beta, n_bwd), (hol, n_bwd)]
+    sums = {backward: np.empty(len(plan)) for backward, plan in walks.items()}
+    for backward, plan in walks.items():
+        for lo in range(0, len(plan), BATCH_ORBITS):
+            starts, horizons = zip(*plan[lo:lo + BATCH_ORBITS])
+            partial = flow.birkhoff_exact(starts, big, max(horizons), backward=backward)
+            # each walk's sum is its partial sum at its own horizon
+            sums[backward][lo:lo + len(starts)] = partial[
+                np.arange(len(starts)), np.array(horizons) - 1]
+    (fwd_b, fwd_a, fwd_hol, fwd_x), (bwd_a, bwd_x, bwd_b, bwd_hol) = (
+        sums[backward].reshape(-1, 4).T for backward in (False, True))
+    fiber_b = fwd_b - fwd_a
+    fiber_x = bwd_a - bwd_x
+    fiber_hol = fiber_x + (fwd_hol - fwd_x)
+    fiber_y = fiber_b + (bwd_b - bwd_hol)
+    return (fiber_hol - fiber_y).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .flow import (
     BATCH_ORBITS, RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sums, exact_points, walk_states,
     wrap_unit,
 )
-from .roof import PeriodicOrbitRecord, periodic_points, row_products
+from .roof import PeriodicOrbitRecord, periodic_points, row_products, row_squares
 from .spectral import InvariantSubspaceCatalog
 
 # Fixed choices of the section chart, the heteroclinic search and the fits.
@@ -117,11 +117,9 @@ class SectionChart:
                 gap, lambda g: row_products(flow.spectral.proj_s, row_products(flow.lin, g)), length)
             gap = nexts[:, -1]
             rows = deltas.reshape(-1, d)
-            terms = np.subtract(poly.eval_diff_rows(points.reshape(-1, d), rows),
-                                poly.eval_diff_rows(np.zeros_like(rows), rows))
-            squares = np.matmul(nexts[..., None, :], nexts[..., :, None])[..., 0, 0]
-            return ([terms.tolist()],
-                    (2.0 * lip * np.sqrt(squares) / (1.0 - lam_abs)).tolist())
+            terms = (poly.eval_diff_rows(points.reshape(-1, d), rows)
+                     - poly.eval_diff_rows(np.zeros_like(rows), rows))
+            return terms[None], 2.0 * lip * np.sqrt(row_squares(nexts)) / (1.0 - lam_abs)
 
         return certified_sums(flow.exact_orbit(z, z_den), segment, VALUE_TOL, [0.0])[0][0]
 
@@ -146,7 +144,8 @@ class SectionChart:
         # the origin is fixed (no translation), so its gradient is too
         grad_origin = poly.gradient(np.zeros(flow.dim))
         return flow.unstable_gradient(
-            [r], den, lambda pts, active: grad_origin - poly.gradient_rows(pts), [0.0]
+            [r], den, lambda pts, active: grad_origin - poly.gradient_rows(pts),
+            np.zeros((1, self.dim_unstable)),
         )[0]
 
 
@@ -403,7 +402,7 @@ def return_series(chart: SectionChart, bump: Bump | None, xs, y: float) -> list[
                 gaps.append(float(ahead[j]))
                 row_terms.append(term)
         gap, walked = float(ahead[-1]), walked + length
-        return terms.tolist(), [(lip * ahead[1:] / (1.0 - lam_abs)).tolist()] * m
+        return terms, np.broadcast_to(lip * ahead[1:] / (1.0 - lam_abs), (m, length))
 
     ledgers = []
     for lo in range(0, len(xs), BATCH_ORBITS // 2):

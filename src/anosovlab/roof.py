@@ -33,6 +33,15 @@ def row_products(matrix, rows: np.ndarray) -> np.ndarray:
     return np.matmul(matrix, rows[:, :, None])[..., 0]
 
 
+def row_squares(rows: np.ndarray) -> np.ndarray:
+    """row @ row for each row on the last axis of an array.
+
+    One ddot per row, as np.linalg.norm takes it, so each result is
+    bit-identical to the squared norm of that row alone.
+    """
+    return np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # trigonometric polynomials
 
@@ -132,14 +141,14 @@ class TrigPolynomial:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x) -> float:
-        return self.evaluate_rows([x])[0]
+        return float(self.evaluate_rows([x])[0])
 
     def gradient(self, x) -> np.ndarray:
         return self.gradient_rows([x])[0]
 
     def eval_diff(self, x, delta) -> float:
         """p(x + delta) - p(x), accurate to machine precision in the gap."""
-        return self.eval_diff_rows([x], [delta])[0]
+        return float(self.eval_diff_rows([x], [delta])[0])
 
     def gradient_diff(self, x, delta) -> np.ndarray:
         """grad p(x + delta) - grad p(x), accurate like eval_diff."""
@@ -164,11 +173,11 @@ class TrigPolynomial:
     # so row i of each result would not equal the one-row call at row i bit
     # for bit, as it does here.
 
-    def evaluate_rows(self, points) -> list[float]:
+    def evaluate_rows(self, points) -> np.ndarray:
         """evaluate() at each row of an (N, d) array."""
         pts = np.asarray(points, dtype=float) % 1.0
         phases = np.exp(1j * TWO_PI * row_products(self._freqs, pts))
-        return np.real(row_products(self._coeffs, phases)).tolist()
+        return np.real(row_products(self._coeffs, phases))
 
     def gradient_rows(self, points) -> np.ndarray:
         """gradient() at each row of an (N, d) array."""
@@ -183,14 +192,14 @@ class TrigPolynomial:
         expm1 = -2.0 * np.sin(0.5 * beta) ** 2 + 1j * np.sin(beta)
         return np.exp(1j * theta), expm1
 
-    def eval_diff_rows(self, points, deltas) -> list[float]:
+    def eval_diff_rows(self, points, deltas) -> np.ndarray:
         """eval_diff() at each row pair of two (N, d) arrays.
 
         Uses e^{i a}(e^{i b} - 1) with the small factor computed from
         sin/cos of b directly, so tiny stable-leaf gaps do not cancel.
         """
         rotation, expm1 = self._diff_phases(points, deltas)
-        return np.real(row_products(self._coeffs, rotation * expm1)).tolist()
+        return np.real(row_products(self._coeffs, rotation * expm1))
 
     def gradient_diff_rows(self, points, deltas) -> np.ndarray:
         """gradient_diff() at each row pair of two (N, d) arrays, paired the same way."""
@@ -425,7 +434,7 @@ def periodic_points(
     values = None
     if roof is not None:
         # den <= MAX_PERIODIC_POINTS, so the int64 quotient rounds as c / den
-        values = np.array(roof.poly.evaluate_rows(points / den))
+        values = roof.poly.evaluate_rows(points / den)
     # one tuple per point, shared by its orbit's record
     rows = list(zip(*points.T.tolist()))
     orbits = []

@@ -718,7 +718,7 @@ def temporal_distance_geometric_reference(flow, quad, tol=1e-8):
     alpha_fr = rationalize(alpha)
 
     def birkhoff(z, n, backward=False):
-        return flow.birkhoff_exact(*numerators([z]), n, backward=backward)[0]
+        return flow.birkhoff_exact(*numerators([z]), n, backward=backward)[0, -1]
 
     def forward_diff(z0, z1):
         return birkhoff(z1, n_fwd) - birkhoff(z0, n_fwd)

@@ -188,6 +188,18 @@ class TestLeafPart:
         with pytest.raises(ValueError, match="direction must be 'stable' or 'unstable'"):
             cat_flow.leaf_part(np.zeros(2), "weak")
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("direction", ["stable", "unstable"])
+    def test_non_finite_rows_refused(self, companion3_flow, direction, bad):
+        # a NaN norm is not over LEAF_TOL either: the test fails closed
+        with pytest.raises(OffLeaf):
+            companion3_flow.leaf_part([bad, 0.0, 0.0], direction)
+        rows = np.zeros((3, 3))
+        rows[1, 2] = bad
+        with pytest.raises(OffLeaf):
+            companion3_flow.leaf_part(rows, direction)
+
 
 class TestBatch:
     """The batched leaf series equal the one-request reference, bit for bit."""
@@ -294,6 +306,13 @@ class TestBatch:
                 (x, x + flow.unstable_frame() @ [0.02, 0.01], "unstable"),
                 (x, x, "weak"),
             ])
+
+    def test_nan_request_refused_on_constant_roof(self, companion3_const_flow):
+        # the constant roof answers 0.0 without a series, but not before the
+        # leaf test has seen the NaN displacement
+        x = np.array([0.21, 0.47, 0.83])
+        with pytest.raises(OffLeaf):
+            companion3_const_flow.time_adjustment([(x, x + [np.nan, 0.0, 0.0], "stable")])
 
     def test_off_leaf_request_refuses_batch(self, companion3_flow):
         flow = companion3_flow
@@ -421,13 +440,77 @@ class TestExactOrbits:
         # the horizon stays short of the double-precision shadowing limit
         x = (0.37, 0.91)
         direct = kahan_birkhoff(cat_flow.roof, cat_map, x, 10)
-        assert cat_flow.birkhoff_exact(*exact_points([x]), 10)[0] == pytest.approx(
+        assert cat_flow.birkhoff_exact(*exact_points([x]), 10)[0, -1] == pytest.approx(
             direct, abs=1e-11)
 
 
 # segment sizes of the batched series: one point, a small size that ends
 # most series mid-segment, and the default
 SEGMENTS = [1, 7, flow_module.SEGMENT]
+
+
+def _check_lockstep_sums(monkeypatch, segment, vector):
+    # toy series in lockstep: term n of series k is g_n (n % 3 - 1), with
+    # g_{n+1} = r_k g_n carried by walk_states and the tail
+    # g_{n+1} / (1 - r_k) after it. The rates stop the series after 18,
+    # 31, 104 and 223 terms, so in different rounds and at different
+    # offsets inside a segment; the two series at rate 0.5 stop together.
+    # A vector series has the 2-column terms g_n (n % 3 - 1, n % 2 - 0.5),
+    # shaped like the gradient halves' terms, and zero totals of that shape
+    rates = np.array([0.5, 0.8, 0.3, 0.9, 0.5])
+    starts = np.array([1.0, 2.0, 0.7, 1.5, 1.0])
+    tol = 1e-9
+
+    def pattern(n):
+        return np.stack([n % 3 - 1.0, n % 2 - 0.5], axis=-1) if vector else n % 3 - 1.0
+
+    def one_series(k):
+        g, pairs = starts[k], []
+        while not pairs or pairs[-1][1] >= tol:
+            following = rates[k] * g
+            pairs.append((g * pattern(np.float64(len(pairs))), following / (1.0 - rates[k])))
+            g = following
+        return pairs
+
+    series = [one_series(k) for k in range(len(rates))]
+    expected = [certified_sum(iter(pairs), tol) for pairs in series]
+    counts = [len(pairs) for pairs in series]
+    assert sorted(set(counts)) == [18, 31, 104, 223]
+
+    def lockstep():
+        gap = starts[:, None].copy()
+
+        def segment_terms(points, active):
+            rate = rates[active][:, None]
+            states, nexts = flow_module.walk_states(
+                gap[active], lambda g: rate * g, points.shape[1])
+            gap[active] = nexts[:, -1]
+            g = states[..., 0, None] if vector else states[..., 0]
+            return g * pattern(points[..., 0]), nexts[..., 0] / (1.0 - rate)
+
+        # one synthetic orbit whose rows are the series: point n of every
+        # row is n, so a row's term pattern is that of term n alone
+        length = flow_module.SEGMENT
+        orbit = (np.broadcast_to(np.arange(n, n + length, dtype=float)[None, :, None],
+                                 (len(rates), length, 1))
+                 for n in range(0, 10**6, length))
+        totals = np.zeros((len(rates), 2)) if vector else [0.0] * len(rates)
+        return flow_module.certified_sums(orbit, segment_terms, tol, totals)
+
+    def check():
+        totals, taken = lockstep()
+        assert taken == counts
+        assert isinstance(totals, list) and np.array_equal(totals, expected)
+
+    monkeypatch.setattr(flow_module, "SEGMENT", segment)
+    check()
+    # the cap counts terms exactly: the longest series just fits, one
+    # term less refuses the batch
+    monkeypatch.setattr(flow_module, "MAX_TERMS", max(counts))
+    check()
+    monkeypatch.setattr(flow_module, "MAX_TERMS", max(counts) - 1)
+    with pytest.raises(TruncationInsufficient, match=f"within {max(counts) - 1} terms"):
+        lockstep()
 
 
 class TestSegments:
@@ -453,7 +536,7 @@ class TestSegments:
         x = (0.37, 0.91, 0.18)
 
         def sums():
-            return [segment_flow.birkhoff_exact(*exact_points([x]), n, backward=backward)[0]
+            return [segment_flow.birkhoff_exact(*exact_points([x]), n, backward=backward)[0, -1]
                     for n in (1, 45, 77) for backward in (False, True)]
 
         expected = per_point_series(sums)
@@ -462,56 +545,10 @@ class TestSegments:
 
     @pytest.mark.parametrize("segment", SEGMENTS)
     def test_lockstep_sums_match_one_series_sums(self, monkeypatch, segment):
-        # toy series in lockstep: term n of series k is g_n (n % 3 - 1), with
-        # g_{n+1} = r_k g_n carried by walk_states and the tail
-        # g_{n+1} / (1 - r_k) after it. The rates stop the series after 18,
-        # 31, 104 and 223 terms, so in different rounds and at different
-        # offsets inside a segment; the two series at rate 0.5 stop together
-        rates = np.array([0.5, 0.8, 0.3, 0.9, 0.5])
-        starts = np.array([1.0, 2.0, 0.7, 1.5, 1.0])
-        tol = 1e-9
-
-        def one_series(k):
-            g, pairs = starts[k], []
-            while not pairs or pairs[-1][1] >= tol:
-                following = rates[k] * g
-                pairs.append((g * (len(pairs) % 3 - 1.0), following / (1.0 - rates[k])))
-                g = following
-            return pairs
-
-        series = [one_series(k) for k in range(len(rates))]
-        expected = [certified_sum(iter(pairs), tol) for pairs in series]
-        counts = [len(pairs) for pairs in series]
-        assert sorted(set(counts)) == [18, 31, 104, 223]
-
-        def lockstep():
-            gap = starts[:, None].copy()
-
-            def segment_terms(points, active):
-                rate = rates[active][:, None]
-                states, nexts = flow_module.walk_states(
-                    gap[active], lambda g: rate * g, points.shape[1])
-                gap[active] = nexts[:, -1]
-                return ((states[..., 0] * (points[..., 0] % 3 - 1.0)).tolist(),
-                        (nexts[..., 0] / (1.0 - rate)).tolist())
-
-            # one synthetic orbit whose rows are the series: point n of every
-            # row is n, so a row's term pattern is n % 3 - 1 as alone
-            length = flow_module.SEGMENT
-            orbit = (np.broadcast_to(np.arange(n, n + length, dtype=float)[None, :, None],
-                                     (len(rates), length, 1))
-                     for n in range(0, 10**6, length))
-            return flow_module.certified_sums(orbit, segment_terms, tol, [0.0] * len(rates))
-
-        monkeypatch.setattr(flow_module, "SEGMENT", segment)
-        assert lockstep() == (expected, counts)
-        # the cap counts terms exactly: the longest series just fits, one
-        # term less refuses the batch
-        monkeypatch.setattr(flow_module, "MAX_TERMS", max(counts))
-        assert lockstep() == (expected, counts)
-        monkeypatch.setattr(flow_module, "MAX_TERMS", max(counts) - 1)
-        with pytest.raises(TruncationInsufficient, match=f"within {max(counts) - 1} terms"):
-            lockstep()
+        # a scalar series, and a vector one shaped like the gradient halves'
+        for vector in (False, True):
+            with monkeypatch.context() as patch:
+                _check_lockstep_sums(patch, segment, vector)
 
     # the cap counts terms, not segments: one term past the first segment
     # must raise. Here the leaf adjustments and t_series need 105-212 terms,
@@ -639,8 +676,8 @@ def _numerators(block, den):
 
 def _assert_walks(blocks, entries, offset, starts, den, centred, points):
     # the first `points` rows of each lockstep walk against the one-step
-    # reference: row 0 is the start reduced, every later row as
-    # orbit_numerators has it, and every float is the exact n / den rounded
+    # reference: every row, the start too, is the orbit_numerators row
+    # reduced (centred or not), and every float is the exact n / den rounded
     walks = [[] for _ in starts]
     floats = [[] for _ in starts]
     while len(walks[0]) < points:
@@ -651,8 +688,8 @@ def _assert_walks(blocks, entries, offset, starts, den, centred, points):
             out.extend(tuple(v.hex() for v in row) for row in rows)
     lo = den // 2 if centred else 0
     for start, walk, out in zip(starts, walks, floats):
-        expected = list(islice(intlinalg.orbit_numerators(entries, offset, start, den, centred), points))
-        expected[0] = tuple((v + lo) % den - lo for v in start)
+        expected = [tuple((v + lo) % den - lo for v in row) for row in
+                    islice(intlinalg.orbit_numerators(entries, offset, start, den), points)]
         assert walk[:points] == expected
         assert out[:points] == [tuple((v / den).hex() for v in row) for row in expected]
 
@@ -809,7 +846,8 @@ def test_centred_walk_at_two_to_the_64(companion3):
     blocks = intlinalg.orbit_segments(inv, (0, 0, 0), [start], den, 7, centred=True)
     first = next(blocks)
     assert first.dtype == np.int64
-    expected = list(islice(intlinalg.orbit_numerators(inv, (0, 0, 0), start, den, True), 70))
+    expected = [tuple((v + den // 2) % den - den // 2 for v in row)
+                for row in islice(intlinalg.orbit_numerators(inv, (0, 0, 0), start, den), 70)]
     rows = chain(first[0], chain.from_iterable(b[0] for b in blocks))
     got = [tuple(int(v) for v in row) for row in islice(rows, 70)]
     assert got == expected
@@ -834,8 +872,8 @@ def test_birkhoff_exact_ends_mid_segment(segment_flow, backward):
         expected += segment_flow.roof.poly.evaluate([float(v) for v in point])
         if not backward:
             point = segment_flow.base_apply_exact(point)
-    assert segment_flow.birkhoff_exact(
-        *exact_points([(0.37, 0.91, 0.18)]), n, backward=backward) == [expected]
+    assert np.array_equal(segment_flow.birkhoff_exact(
+        *exact_points([(0.37, 0.91, 0.18)]), n, backward=backward)[:, -1], [expected])
 
 
 @pytest.mark.parametrize("translated", [False, True])
@@ -855,8 +893,21 @@ def test_birkhoff_exact_batch_matches_single_starts(companion3_flow, translated3
     n = 77
     singles = [flow.birkhoff_exact(*numerators([x]), n, backward=backward)[0] for x in starts]
     nums, den = numerators(starts)
-    assert flow.birkhoff_exact(nums, den, n, backward=backward) == singles
-    assert flow.birkhoff_exact(nums[::-1], den, n, backward=backward) == singles[::-1]
+    assert np.array_equal(flow.birkhoff_exact(nums, den, n, backward=backward), singles)
+    assert np.array_equal(flow.birkhoff_exact(nums[::-1], den, n, backward=backward),
+                          singles[::-1])
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_birkhoff_exact_partial_sums(companion3_flow, backward):
+    # column j is the (j + 1)-term sum, whatever horizon the walk runs to,
+    # and a walk of no terms is an empty row per start
+    nums, den = numerators([rationalize((0.37, 0.91, 0.18)), rationalize((0.5, 0.25, 0.75))])
+    sums = companion3_flow.birkhoff_exact(nums, den, 77, backward=backward)
+    assert sums.shape == (2, 77)
+    for n in (1, 13, 45):
+        assert np.array_equal(sums[:, :n], companion3_flow.birkhoff_exact(nums, den, n, backward))
+    assert companion3_flow.birkhoff_exact(nums, den, 0, backward).shape == (2, 0)
 
 
 def test_wrap_unit():

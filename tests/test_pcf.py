@@ -148,6 +148,28 @@ class TestTemporalDistanceGeometric:
         reverse = pcf.temporal_distance_geometric(flow, quads[::-1])
         assert [v.hex() for v in reverse] == expected[::-1]
         assert [v.hex() for v in pcf.temporal_distance_geometric(flow, quads[2:4])] == expected[2:4]
+        assert pcf.temporal_distance_geometric(flow, []) == []
+
+    @pytest.mark.parametrize("batch", [5, 32])
+    def test_walks_in_batch_orbits_chunks(self, companion3_flow, monkeypatch, batch):
+        # 4 walks a quadrilateral and direction, so ceil(4 n / BATCH_ORBITS)
+        # birkhoff_exact calls a direction; a chunk that splits
+        # quadrilaterals changes no bit
+        flow = companion3_flow
+        quads = pcf.sample_quadrilaterals(flow, 9, seed=31)
+        expected = [v.hex() for v in pcf.temporal_distance_geometric(flow, quads)]
+        walk = SuspensionFlow.birkhoff_exact
+        calls = []
+
+        def counted(self, starts, den, n, backward=False):
+            calls.append((backward, len(starts)))
+            return walk(self, starts, den, n, backward)
+
+        monkeypatch.setattr(SuspensionFlow, "birkhoff_exact", counted)
+        monkeypatch.setattr(pcf, "BATCH_ORBITS", batch)
+        assert [v.hex() for v in pcf.temporal_distance_geometric(flow, quads)] == expected
+        sizes = [min(batch, 36 - lo) for lo in range(0, 36, batch)]
+        assert calls == [(False, m) for m in sizes] + [(True, m) for m in sizes]
 
     def test_oversized_displacement_raises(self, companion3_flow):
         a = (0.3, 0.4, 0.5)

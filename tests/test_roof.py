@@ -109,11 +109,11 @@ class TestTrigPolynomial:
         deltas = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-16, -1, (300, 1))
         # the per-point references and the package's one-row calls both
         values = [oracles.evaluate(poly, x) for x in points]
-        assert poly.evaluate_rows(points) == values == [poly.evaluate(x) for x in points]
+        assert np.array_equal(poly.evaluate_rows(points), values)
+        assert [poly.evaluate(x) for x in points] == values
         diffs = [oracles.eval_diff(poly, x, d) for x, d in zip(points, deltas)]
-        assert poly.eval_diff_rows(points, deltas) == diffs == [
-            poly.eval_diff(x, d) for x, d in zip(points, deltas)
-        ]
+        assert np.array_equal(poly.eval_diff_rows(points, deltas), diffs)
+        assert [poly.eval_diff(x, d) for x, d in zip(points, deltas)] == diffs
         grads = [oracles.gradient(poly, x) for x in points]
         assert np.array_equal(poly.gradient_rows(points), grads)
         assert np.array_equal([poly.gradient(x) for x in points], grads)
@@ -121,6 +121,17 @@ class TestTrigPolynomial:
         assert np.array_equal(poly.gradient_diff_rows(points, deltas), grad_diffs)
         assert np.array_equal([poly.gradient_diff(x, d) for x, d in zip(points, deltas)],
                               grad_diffs)
+
+    def test_row_kernels_return_arrays_and_one_row_calls_floats(self):
+        # no np.float64 reaches a report through evaluate or eval_diff
+        poly = seven_term_roof().poly
+        points = np.array([[0.1, 0.5, 0.9], [0.3, 0.2, 0.7]])
+        deltas = np.full_like(points, 1e-3)
+        assert type(poly.evaluate(points[0])) is float
+        assert type(poly.eval_diff(points[0], deltas[0])) is float
+        for rows in (poly.evaluate_rows(points), poly.gradient_rows(points),
+                     poly.eval_diff_rows(points, deltas), poly.gradient_diff_rows(points, deltas)):
+            assert isinstance(rows, np.ndarray) and len(rows) == len(points)
 
     def test_compose_matrix_pushes_frequencies(self, cat_map):
         p = TrigPolynomial.cosine(1.0, (1, 0), 2)
@@ -402,7 +413,7 @@ class TestPeriodicPoints:
 class TestBirkhoffSums:
     def test_constant_roof(self, cat_map):
         flow = SuspensionFlow(cat_map, const_roof(2, 2.5))
-        assert flow.birkhoff_exact(*exact_points([(0.3, 0.7)]), 4) == [pytest.approx(10.0)]
+        assert flow.birkhoff_exact(*exact_points([(0.3, 0.7)]), 4)[0, -1] == pytest.approx(10.0)
 
     def test_telescoping_on_periodic_orbits(self, cat_map):
         roof, _ = planted_coboundary_roof(cat_map)
@@ -421,7 +432,7 @@ class TestBirkhoffSums:
             for _ in range(n):
                 values.append(flow.roof(tuple(float(c) for c in point)))
                 point = flow.base_apply_exact(point)
-            assert flow.birkhoff_exact(*exact_points([x]), n)[0] == pytest.approx(
+            assert flow.birkhoff_exact(*exact_points([x]), n)[0, -1] == pytest.approx(
                 math.fsum(values), abs=1e-11)
 
 

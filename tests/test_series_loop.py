@@ -4,6 +4,11 @@ The loop adds each series up to its first tail under tol and applies the
 one term cap. So no function in `src/` but that loop reads `MAX_TERMS` or
 builds the term-cap `TruncationInsufficient` (a call of a `_truncation`
 message helper, or one whose message counts terms).
+
+The series pass arrays end to end: each round of the loop is one array
+pass, with no `for` statement over series or terms, and no segment
+closure (a nested function named `segment`) hands its terms or tails
+back as lists.
 """
 
 import ast
@@ -57,3 +62,27 @@ def test_term_cap_lives_only_in_the_series_loop():
 
 def test_allowlist_entries_are_still_needed():
     assert sorted(ALLOWED - set(_offences())) == []
+
+
+def _functions(name):
+    """(module, function) of every function in `src/` with the given name."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == name:
+                yield path.stem, node
+
+
+def test_series_loop_has_no_for_statement():
+    [loop] = [f for module, f in _functions("certified_sums") if module == "flow"]
+    assert not any(isinstance(node, (ast.For, ast.AsyncFor)) for node in ast.walk(loop))
+
+
+def test_segment_closures_return_arrays():
+    closures = list(_functions("segment"))
+    assert closures
+    offences = [
+        f"{module}:{node.lineno}"
+        for module, closure in closures for node in ast.walk(closure)
+        if isinstance(node, ast.Call) and _name(node.func) == "tolist"
+    ]
+    assert offences == []
