@@ -38,6 +38,7 @@ RECONSTRUCTION_BOUND = 1e-4     # subbundle: sup error of the recovered conjugac
 # configuration
 
 
+# A dataclass, not a NamedTuple: `params` takes a default factory.
 @dataclass(frozen=True)
 class ExperimentConfig:
     kind: str

@@ -24,8 +24,8 @@ grid points' Newton solves in lockstep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import default_rng
@@ -50,8 +50,7 @@ PATCH_RADIUS = 0.008        # half-width of the reconstruction grid along each u
 # quadrilaterals
 
 
-@dataclass(frozen=True)
-class Quadrilateral:
+class Quadrilateral(NamedTuple):
     """PCF input data: base corner a, stable displacement, unstable displacement.
 
     `fiber` is the corner's height above a. No route reads it, since a
@@ -110,7 +109,7 @@ def sample_quadrilaterals(flow: SuspensionFlow, n: int, seed: int) -> list[Quadr
         s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * DISPLACEMENT_SCALE
         u_coef = rng.uniform(-1.0, 1.0, u_frame.shape[1]) * DISPLACEMENT_SCALE
         quad = Quadrilateral.build(flow, base, s_frame @ s_coef, u_frame @ u_coef)
-        quads.append(replace(quad, fiber=fiber))
+        quads.append(quad._replace(fiber=fiber))
     return quads
 
 
@@ -287,8 +286,7 @@ def pcf_gradient(flow: SuspensionFlow, quads) -> np.ndarray:
 # matching kernels
 
 
-@dataclass(frozen=True)
-class MatchingKernelReport:
+class MatchingKernelReport(NamedTuple):
     base_point: tuple[float, ...]
     gradients: tuple[tuple[float, ...], ...]   # rows in unstable-frame coords
     kernel_dim: int
@@ -373,8 +371,7 @@ def find_independent_pairs(
 # planted conjugacies
 
 
-@dataclass(frozen=True)
-class TranslationConjugacy:
+class TranslationConjugacy(NamedTuple):
     """Torus translation lifted to the suspension: (x, s) -> (x + v, s)."""
 
     v: tuple[Fraction, ...]
@@ -412,7 +409,7 @@ def conjugacy_invariance_check(
     quads: list[Quadrilateral],
 ) -> float:
     """Max |rho_1(quad) - rho_2(image quad)| over the supplied quadrilaterals."""
-    images = [replace(quad, a=tuple(conjugacy.apply_base(quad.a))) for quad in quads]
+    images = [quad._replace(a=tuple(conjugacy.apply_base(quad.a))) for quad in quads]
     worst = 0.0
     for rho1, rho2 in zip(temporal_distance_series(flow1, quads),
                           temporal_distance_series(flow2, images)):
@@ -424,8 +421,7 @@ def conjugacy_invariance_check(
 # local conjugacy reconstruction on an unstable patch
 
 
-@dataclass(frozen=True)
-class PatchReconstruction:
+class PatchReconstruction(NamedTuple):
     grid_offsets: np.ndarray        # (n, dim_u) coordinates in the unstable frame
     recovered: np.ndarray           # (n, d) recovered h^{-1} images (base points)
     sup_error: float

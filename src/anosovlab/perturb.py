@@ -14,8 +14,8 @@ coordinate is the corner entry of the perturbed holonomy matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,8 +153,7 @@ class SectionChart:
 # heteroclinic data
 
 
-@dataclass(frozen=True)
-class HeteroclinicDatum:
+class HeteroclinicDatum(NamedTuple):
     """Point r on W^s_loc(p) whose backward orbit approaches the orbit of q."""
 
     q_orbit: PeriodicOrbitRecord
@@ -256,8 +255,7 @@ def find_heteroclinic_data(chart: SectionChart, q_period: int) -> list[Heterocli
 # bumps
 
 
-@dataclass(frozen=True)
-class Bump:
+class Bump(NamedTuple):
     """amplitude * <direction, x> * (1 - |(x, y) - center|^2 / radius^2)^4.
 
     Centered on the stable axis at (0, center_y); the linear factor makes
@@ -336,8 +334,7 @@ def make_bump(
 # return series and stable graph times
 
 
-@dataclass(frozen=True)
-class ReturnLedger:
+class ReturnLedger(NamedTuple):
     """Per-iterate bookkeeping of the bump corrections along the orbit pair."""
 
     steps: tuple[int, ...]
@@ -445,8 +442,7 @@ def stable_graph_time(chart: SectionChart, bump: Bump | None, xs, y: float) -> l
 # derivative checks
 
 
-@dataclass(frozen=True)
-class Claim44Report:
+class Claim44Report(NamedTuple):
     x_steps: tuple[float, ...]
     lhs_fd: tuple[tuple[float, ...], ...]
     rhs: tuple[float, ...]
@@ -514,8 +510,7 @@ def _fit_order(xs, ys) -> float:
     return slope
 
 
-@dataclass(frozen=True)
-class RemainderFit:
+class RemainderFit(NamedTuple):
     norms: tuple[float, ...]
     residuals: tuple[float, ...]
     exponent: float
@@ -555,15 +550,13 @@ def remainder_exponent(
 # Grassmannian sweep
 
 
-@dataclass(frozen=True)
-class SweepEntry:
+class SweepEntry(NamedTuple):
     gradient: tuple[float, ...]
     contained_indices: tuple[int, ...]
     avoids_all: bool
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     entries: tuple[SweepEntry, ...]
     diameter: float
     any_gradient_avoids_all: bool
@@ -633,8 +626,7 @@ def grassmannian_sweep(
 # the kappa experiment: engineered second returns
 
 
-@dataclass(frozen=True)
-class KappaSetup:
+class KappaSetup(NamedTuple):
     chart: SectionChart
     datum: HeteroclinicDatum
     bump: Bump

@@ -10,7 +10,7 @@ sphere sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .spectral import SpectralData
 NU_GRID = tuple(np.round(np.arange(0.0, 4.0 + 1e-9, 0.1), 10))
 
 
-@dataclass(frozen=True)
-class BunchingReport:
+class BunchingReport(NamedTuple):
     """Sup-products at time t and the largest grid nu keeping them below 1.
 
     weak_stable_sup(nu): sup |Dphi^t v_s| * |Dphi^-t v1_u| * |Dphi^t v2_u|^nu

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -298,6 +299,7 @@ def _branch_and_bound_margin(poly: TrigPolynomial) -> float:
     return margin
 
 
+# A dataclass, not a NamedTuple like the other records: __init__ certifies positivity.
 @dataclass(frozen=True)
 class RoofFunction:
     """Positive trig polynomial with a proven lower bound on its minimum.
@@ -337,8 +339,7 @@ class RoofFunction:
 # periodic orbits, exactly
 
 
-@dataclass(frozen=True)
-class PeriodicOrbitRecord:
+class PeriodicOrbitRecord(NamedTuple):
     """One orbit of the base automorphism; point i is numerators[i] / den."""
 
     numerators: tuple[tuple[int, ...], ...]
@@ -462,8 +463,7 @@ def periodic_points(
 # periodic obstructions and the coboundary criterion
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     orbits: tuple[PeriodicOrbitRecord, ...]
     averages: tuple[float, ...]
     spread: float
@@ -500,8 +500,7 @@ def periodic_obstructions(
 OBSTRUCTION_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class CoboundarySolution:
+class CoboundarySolution(NamedTuple):
     """Solution data for roof = c + u o M - u, truncated in frequency."""
 
     constant_c: float

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.polynomial import polyroots
 
 from . import intlinalg, util
 from .errors import NotCodimensionOne, NotHyperbolic
@@ -30,6 +30,8 @@ NULL_CUTOFF = 1e-8      # null dimensions: singular values at or under this shar
 # integer matrix wrapper
 
 
+# A dataclass, not a NamedTuple like the other records: __init__ validates,
+# and the instance is the lru_cache key of spectral_data.
 @dataclass(frozen=True)
 class IntegerMatrix:
     """Square integer matrix with |det| = 1, the base toral automorphism."""
@@ -126,6 +128,21 @@ def _poly_eval(coeffs, z: complex) -> complex:
     return acc
 
 
+def _companion_roots(cf) -> np.ndarray:
+    """Sorted eigenvalues of the companion matrix of ascending coefficients cf.
+
+    The matrix is numpy.polynomial's `polycompanion`: ones on the
+    subdiagonal, last column -cf[:-1] / cf[-1]. So the eigenvalues are
+    `polyroots(cf)` bit for bit, without importing numpy.polynomial.
+    """
+    c = np.asarray(cf, dtype=float)
+    n = len(c) - 1
+    mat = np.zeros((n, n))
+    mat.reshape(-1)[n::n + 1] = 1.0
+    mat[:, -1] -= c[:-1] / c[-1]
+    return np.sort(np.linalg.eigvals(mat))
+
+
 def _refine_roots(coeffs) -> list[tuple[complex, float]]:
     """Newton-polish roots of a square-free polynomial; return (root, bound).
 
@@ -133,8 +150,7 @@ def _refine_roots(coeffs) -> list[tuple[complex, float]]:
     for simple roots.
     """
     deg = len(coeffs) - 1
-    cf = [float(c) for c in coeffs]
-    comp = polyroots(cf)
+    comp = _companion_roots([float(c) for c in coeffs])
     deriv = [c * k for k, c in enumerate(coeffs)][1:]
     out = []
     for z0 in sorted(comp, key=lambda z: (round(abs(z), 12), z.real, z.imag)):
@@ -181,8 +197,7 @@ def _root_multiplicities(coeffs: list[int]) -> list[tuple[complex, float, int]]:
 # spectral data
 
 
-@dataclass(frozen=True)
-class SpectralBlock:
+class SpectralBlock(NamedTuple):
     """Irreducible real invariant block: an eigenline or a complex-pair plane."""
 
     eigenvalue: complex          # representative (Im >= 0)
@@ -193,8 +208,7 @@ class SpectralBlock:
     is_stable: bool
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Eigenvalues, certified moduli, real stable/unstable bases and their float splitting."""
 
     matrix: IntegerMatrix
@@ -372,8 +386,7 @@ def spectral_data(matrix: IntegerMatrix) -> SpectralData:
 # spectral inequality and subspace checks
 
 
-@dataclass(frozen=True)
-class SpectralGapReport:
+class SpectralGapReport(NamedTuple):
     """Log-eigenvalue inequality for codimension-one spectra.
 
     lhs = (log mu)^2 - (log xi_l)^2 and rhs = log mu * (log xi_l - log xi_1),
@@ -401,8 +414,7 @@ def spectral_gap_condition(data: SpectralData) -> SpectralGapReport:
     )
 
 
-@dataclass(frozen=True)
-class InvariantSubspaceCatalog:
+class InvariantSubspaceCatalog(NamedTuple):
     """Proper nontrivial invariant subspaces of the unstable restriction."""
 
     subspaces: tuple[np.ndarray, ...]      # each d x k column basis
@@ -454,8 +466,7 @@ def _complex_null_basis(m: np.ndarray, expect: int, realify: bool) -> np.ndarray
 # catalog enumeration
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     coeffs: tuple[int, ...]
     matrix: IntegerMatrix
     data: SpectralData

@@ -6,7 +6,10 @@ users. Every module under `src/anosovlab` is scanned for an `mpmath`
 import, and a fresh interpreter checks that importing the CLI does not
 load it through some other module. A periodic-orbit enumeration must not
 load `numpy.ma` either: `np.unique` imports it, at about 1 MB of RSS and
-10 ms per process.
+10 ms per process. Building a flow must not load `numpy.polynomial`
+(about 5 ms and 0.85 MB), and only the three records that need an
+`__init__` or a default factory are dataclasses, whose creation costs
+about 1 ms a class at import.
 """
 
 import ast
@@ -15,7 +18,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "anosovlab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "anosovlab"
+CONFIGS = ROOT / "configs"
 
 
 def _imports(tree):
@@ -58,3 +63,40 @@ def test_periodic_obstructions_leave_numpy_ma_unloaded():
         "print('numpy.ma' in sys.modules)"
     )
     assert _fresh_interpreter(code) == "False"
+
+
+def test_building_a_flow_leaves_numpy_polynomial_unloaded():
+    # numpy 1.x imports numpy.polynomial with numpy itself: compare against that
+    code = (
+        "import json, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "from anosovlab import experiments\n"
+        "from anosovlab.flow import SuspensionFlow\n"
+        f"cfg = json.load(open({str(CONFIGS / 'pcf_companion3.json')!r}))\n"
+        "matrix = experiments.build_matrix(cfg['matrix'])\n"
+        "SuspensionFlow(matrix, experiments.build_roof(cfg['roof'], matrix.dim))\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.polynomial')))"
+    )
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_only_validating_or_defaulting_records_are_dataclasses():
+    """Records are NamedTuples, which are cheaper to create; a dataclass is kept
+    only for an `__init__` that validates or a field with a default factory."""
+    decorated = sorted(
+        node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        for decorator in node.decorator_list
+        if "dataclass" in ast.unparse(decorator)
+    )
+    assert decorated == ["ExperimentConfig", "IntegerMatrix", "RoofFunction"]
+
+
+def test_every_export_resolves():
+    import anosovlab
+
+    assert len(set(anosovlab.__all__)) == len(anosovlab.__all__)
+    assert [name for name in anosovlab.__all__ if not hasattr(anosovlab, name)] == []

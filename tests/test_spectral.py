@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyroots
 
 from oracles import inverse_rational
 from test_mpspec import BASES
@@ -14,6 +16,7 @@ from anosovlab.errors import NotCodimensionOne, NotHyperbolic
 from anosovlab.experiments import ExperimentConfig, run_experiment
 from anosovlab.spectral import (
     IntegerMatrix,
+    _companion_roots,
     enumerate_catalog,
     invariant_unstable_subspaces,
     spectral_data,
@@ -277,3 +280,17 @@ def test_hyperbolic_companions_have_unit_modulus_product(mids, const):
         for _ in range(b.multiplicity)
     )
     assert total == matrix.dim
+
+
+@pytest.mark.parametrize("deg", [2, 3, 4, 5])
+def test_companion_roots_equal_polyroots_bit_for_bit(deg):
+    """The package's companion matrix is polycompanion's, so its eigenvalues
+    are the roots numpy.polynomial gives, to the last bit."""
+    mismatches = []
+    for const in (-1, 1):
+        for mids in itertools.product(range(-2, 3), repeat=deg - 1):
+            cf = [float(const), *map(float, mids), 1.0]
+            ours, theirs = _companion_roots(cf), polyroots(cf)
+            if ours.dtype != theirs.dtype or ours.tobytes() != theirs.tobytes():
+                mismatches.append(cf)
+    assert mismatches == []
