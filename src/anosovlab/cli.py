@@ -46,8 +46,8 @@ def _register(kind: str):
                   type=click.Path(), help="report output directory")
     @click.option("--seed", default=None, type=click.IntRange(0, 2**64 - 1),
                   help="override the config seed")
-    def _cmd(config_path: str, out: str, seed: int | None, _kind=kind):
-        _execute(_kind, config_path, out, seed)
+    def _cmd(config_path: str, out: str, seed: int | None):
+        _execute(kind, config_path, out, seed)
 
     return _cmd
 

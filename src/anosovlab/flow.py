@@ -7,7 +7,8 @@ Strong stable/unstable leaves through a point are graphs over the base
 subspaces; their fiber offsets come from convergent time-adjustment series
 with geometric tail control. Every tail-certified series of the package sums
 through `certified_sums`, which walks one lockstep orbit of a batch of
-starts and holds the one term cap.
+starts, holds the one term cap and forms every tail as a next-term bound
+over (1 - rate); `tail_horizon` solves that tail for the number of terms.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ RETURN_TOL = 1e-13     # bump return series: a decade under the 1e-12 noise floo
 MAX_TERMS = 5000       # the bundled configs need at most ~260 terms
 SEGMENT = 32           # points per orbit matmul and roof evaluation: amortizes numpy calls; overshoot < 32
 BATCH_ORBITS = 32      # orbits per return-series or geometric-route walk: +0.3 MB RSS over 2 orbits
+MAX_HORIZON = 500      # longest geometric-route walk: a longer tail is refused, not cut short
 CHART_RADIUS = 0.05    # largest leaf displacement a quadrilateral accepts
 BUNCHING_CAP = 0.98    # largest forward gradient rate lambda * xi_max: keeps 1 / (1 - q) <= 50
 
 
-def certified_sums(orbit, segment_terms, tol: float, totals) -> tuple[list, list[int]]:
+def certified_sums(orbit, segment_terms, tol: float, totals, rate) -> tuple[list, list[int]]:
     """Sum tail-certified series in lockstep, one segment of one orbit per round.
 
     Each block the orbit yields has one row per series on its leading axis,
@@ -46,21 +48,25 @@ def certified_sums(orbit, segment_terms, tol: float, totals) -> tuple[list, list
     start's exact-orbit segment, or a group of points walked together, as
     the orbit pair of each point of `perturb.return_series`. Each round
     calls segment_terms(block[active], active), active being the open
-    series in order, which returns one row of terms and one row of tail
-    bounds (each bounding all that follows its term) per open series, as
-    arrays. Series k adds its terms left to right, up to its first tail
-    under tol, then leaves the batch; one still open after MAX_TERMS terms
-    raises TruncationInsufficient. A round is one array pass: one cumsum of
+    series in order, which returns one row of terms and one row of bounds
+    on each next term (or one row for all) per open series, as arrays.
+    With rate, the geometric rate of each series (a float or one per
+    series), the tail after a term is its bound / (1 - rate). Series k adds
+    its terms left to right, up to its first tail under tol, then leaves
+    the batch; one still open after MAX_TERMS terms raises
+    TruncationInsufficient. A round is one array pass: one cumsum of
     [running total | terms], which adds left to right as a loop over the
     terms would, read at each row's stop column. Returns the totals and the
     number of terms each series took, as lists.
     """
     totals = np.array(totals, dtype=float)
+    rates = np.broadcast_to(rate, len(totals))
     counts = np.zeros(len(totals), dtype=int)
     active = np.arange(len(totals))
     used = 0
     while active.size:
-        terms, tails = segment_terms(next(orbit)[active], active)
+        terms, bounds = segment_terms(next(orbit)[active], active)
+        tails = bounds / (1.0 - rates[active, None])   # each bounds all that follows its term
         limit = min(tails.shape[1], MAX_TERMS - used)
         below = tails[:, :limit] < tol
         stops = below.any(axis=1)
@@ -77,11 +83,24 @@ def certified_sums(orbit, segment_terms, tol: float, totals) -> tuple[list, list
     return totals.tolist(), counts.tolist()
 
 
+def tail_horizon(lip: float, rate: float, scale: float, target: float) -> int:
+    """Terms a walk with term k under lip * scale * rate^k needs: 2 past the least n
+    whose tail lip * scale * rate^n / (1 - rate) is under target, and at least 8."""
+    if lip == 0.0 or scale == 0.0:
+        return 1
+    need = target * (1.0 - rate) / (lip * scale)
+    n = int(np.ceil(np.log(need) / np.log(rate))) + 2
+    if n > MAX_HORIZON:
+        raise TruncationInsufficient(
+            f"geometric route needs a horizon of {n} steps, above the cap {MAX_HORIZON}")
+    return max(n, 8)
+
+
 def walk_states(state, step, length: int) -> tuple[np.ndarray, np.ndarray]:
     """A stacked recurrence over one segment, one row per series: (states, nexts).
 
     Point j sees states[:, j], and nexts[:, j] = step(states[:, j]) is the
-    state of point j + 1, so the tail after term j reads nexts[:, j] and
+    state of point j + 1, so the bound after term j reads nexts[:, j] and
     nexts[:, -1] starts the next segment.
     """
     states = np.empty((len(state), length, *state.shape[1:]))
@@ -298,8 +317,8 @@ class SuspensionFlow:
         for direction, indices in rows.items():
             indices = [i for i in indices if squares[i] != 0.0]
             gaps = deltas[indices]
-            if direction == "unstable":
-                gaps = row_products(self.spectral.proj_u, row_products(self.lin_inv, gaps))
+            if direction == "unstable":   # the backward series starts one step back
+                gaps = self.walk_gaps(gaps, direction, 1)[1][:, 0]
             series = {}   # (start, gap) bytes -> (start, gap, indices)
             for i, x, gap in zip(indices, xs[indices], gaps):
                 series.setdefault((x.tobytes(), gap.tobytes()), (x, gap, []))[2].append(i)
@@ -310,37 +329,40 @@ class SuspensionFlow:
                         values[i] = value
         return values
 
+    def walk_gaps(self, gaps, direction: str, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """`walk_states` of stacked leaf gaps, stepped as proj @ (L^{+-1} @ g) per row: the
+        re-projection stops float noise in the expanding complement from compounding."""
+        if direction == "stable":
+            step, proj = self.lin, self.spectral.proj_s
+        else:
+            step, proj = self.lin_inv, self.spectral.proj_u
+        return walk_states(gaps, lambda g: row_products(proj, row_products(step, g)), length)
+
     def _leaf_series(self, direction: str, starts, gaps) -> list[float]:
         """The leaf series of one direction, summed by `certified_sums` over one orbit.
 
-        Each round advances the gaps of all open series with one
-        `row_products` pair per step (the gemv per row of
-        `proj @ (step @ d)`, so bit-identical to it) and evaluates every row
-        in one `eval_diff_rows` call. The tail after a term is geometric in
-        the next gap: the leaf displacement is invariant under the base map,
-        and re-projecting each step stops float noise in the complementary
-        (expanding) subspace from compounding.
+        Each round advances the gaps of all open series by `walk_gaps` and
+        evaluates every row in one `eval_diff_rows` call; the next term is
+        at most lip times the next gap.
         """
-        if direction == "stable":
-            step, proj, sign, rate = self.lin, self.spectral.proj_s, 1.0, self.spectral.lam
-        else:
-            step, proj, sign, rate = self.lin_inv, self.spectral.proj_u, -1.0, self._q_unstable
+        proj = self.spectral.proj_s if direction == "stable" else self.spectral.proj_u
+        sign, rate = (1.0, self.spectral.lam) if direction == "stable" else (-1.0, self._q_unstable)
         poly = self.roof.poly
         lip = poly.lipschitz_bound()
-        contraction = max(1.0 - rate, 1e-12)
         gap = row_products(proj, np.array(gaps))
 
         def segment(points, active):
             m, length, d = points.shape
-            states, nexts = walk_states(
-                gap[active], lambda g: row_products(proj, row_products(step, g)), length)
+            states, nexts = self.walk_gaps(gap[active], direction, length)
             gap[active] = nexts[:, -1]
             terms = poly.eval_diff_rows(points.reshape(-1, d), states.reshape(-1, d))
-            return sign * terms.reshape(m, length), lip * np.sqrt(row_squares(nexts)) / contraction
+            return sign * terms.reshape(m, length), lip * np.sqrt(row_squares(nexts))
 
         orbit = self.exact_orbit(*exact_points(starts), direction == "unstable")
-        return certified_sums(orbit, segment, VALUE_TOL, [0.0] * len(starts))[0]
+        return certified_sums(orbit, segment, VALUE_TOL, [0.0] * len(starts), rate)[0]
 
+    # The gradient halves hand over a next-term bound times q, so their tails
+    # are short by the next term (CHANGES.md FOUND); dropping `* q` moves digits.
     def stable_gradient(self, starts, den: int, deltas) -> np.ndarray:
         """Forward halves of PCF gradients at m starts, in unstable-frame coordinates.
 
@@ -362,24 +384,22 @@ class SuspensionFlow:
             )
         poly = self.roof.poly
         hess = poly.gradient_lipschitz_bound()
-        lin, proj = self.lin, self.spectral.proj_s
         gap, weight = np.array(deltas, dtype=float), self.unstable_frame()[None]
 
         def segment(points, active):
             nonlocal weight
             length, d = points.shape[1:]
-            deltas, nexts = walk_states(
-                gap[active], lambda g: row_products(proj, row_products(lin, g)), length)
-            weights, ahead = walk_states(weight, lambda w: np.matmul(lin, w), length)
+            deltas, nexts = self.walk_gaps(gap[active], "stable", length)
+            weights, ahead = walk_states(weight, lambda w: np.matmul(self.lin, w), length)
             gap[active], weight = nexts[:, -1], ahead[:, -1]
             grads = poly.gradient_diff_rows(points.reshape(-1, d), deltas.reshape(-1, d))
             terms = np.matmul(weights.swapaxes(-1, -2), np.reshape(grads, (*deltas.shape, 1)))
             norms = np.linalg.svd(ahead, compute_uv=False).max(axis=-1)
-            return terms[..., 0], hess * np.sqrt(row_squares(nexts)) * norms * q / (1.0 - q)
+            return terms[..., 0], hess * np.sqrt(row_squares(nexts)) * norms * q
 
         orbit = self.exact_orbit(starts, den)
         totals = np.zeros((len(starts), self.dim_unstable))
-        return np.array(certified_sums(orbit, segment, GRADIENT_TOL, totals)[0])
+        return np.array(certified_sums(orbit, segment, GRADIENT_TOL, totals, q)[0])
 
     def unstable_gradient(self, starts, den: int, grads, totals) -> np.ndarray:
         """Backward halves of PCF gradients at m starts, in unstable-frame coordinates.
@@ -405,9 +425,8 @@ class SuspensionFlow:
                 weight, lambda w: np.matmul(proj, np.matmul(lin_inv, w)), points.shape[1])
             weight = nexts[:, -1]
             rows = np.reshape(grads(points.reshape(-1, points.shape[-1]), active), points.shape)
-            norms = np.linalg.svd(nexts, compute_uv=False).max(axis=-1)
-            tails = np.broadcast_to(2.0 * lip * norms * q / (1.0 - q), points.shape[:2])
-            return np.matmul(weights.swapaxes(-1, -2), rows[..., None])[..., 0], tails
+            bounds = 2.0 * lip * np.linalg.svd(nexts, compute_uv=False).max(axis=-1) * q
+            return np.matmul(weights.swapaxes(-1, -2), rows[..., None])[..., 0], bounds
 
         orbit = self.exact_orbit(starts, den, backward=True)
-        return np.array(certified_sums(orbit, segment, GRADIENT_TOL, totals)[0])
+        return np.array(certified_sums(orbit, segment, GRADIENT_TOL, totals, q)[0])

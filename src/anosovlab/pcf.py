@@ -32,7 +32,7 @@ from numpy.random import default_rng
 
 from .errors import DegenerateGradients, NoIntersection, TruncationInsufficient
 from .flow import (
-    BATCH_ORBITS, CHART_RADIUS, SuspensionFlow, affine_orbit, exact_points, wrap_unit,
+    BATCH_ORBITS, CHART_RADIUS, SuspensionFlow, affine_orbit, exact_points, tail_horizon, wrap_unit,
 )
 from .roof import RoofFunction, row_products
 from . import intlinalg, mpspec, util
@@ -151,24 +151,6 @@ def temporal_distance_series(flow: SuspensionFlow, quads) -> list[float]:
 # temporal distance, geometric route
 
 
-# Longest Birkhoff difference the geometric route will walk; a tail that
-# needs more terms is refused instead of cut short.
-MAX_HORIZON = 500
-
-
-def _horizon(flow: SuspensionFlow, rate: float, scale: float, target: float) -> int:
-    lip = flow.roof.poly.lipschitz_bound()
-    if lip == 0.0 or scale == 0.0:
-        return 1
-    need = target * (1.0 - rate) / (lip * scale)
-    n = int(np.ceil(np.log(need) / np.log(rate))) + 2
-    if n > MAX_HORIZON:
-        raise TruncationInsufficient(
-            f"geometric route needs a horizon of {n} steps, above the cap {MAX_HORIZON}"
-        )
-    return max(n, 8)
-
-
 def temporal_distance_geometric(flow: SuspensionFlow, quads) -> list[float]:
     """Fiber gap between Hol_{a,b}(x) and y for each quadrilateral, from exact corners.
 
@@ -178,8 +160,8 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads) -> list[float]:
     integer numerators over one den, the larger of 2^160 and that of the
     floats a; the last two are one point. Leaf fibers come from
     finite Birkhoff differences along exact rational orbits (forward for
-    stable leaves, backward for unstable ones), with horizons chosen so
-    tails sit well under GEOMETRIC_TOL. The forward horizon takes
+    stable leaves, backward for unstable ones), with `tail_horizon` horizons
+    so tails sit well under GEOMETRIC_TOL. The forward horizon takes
     |L^n w| = lambda^n |w|, which holds because every flow has dim E^s = 1.
 
     Every quadrilateral is checked before any orbit is walked: one whose
@@ -191,6 +173,7 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads) -> list[float]:
     walks run alone. Returns one value per quadrilateral.
     """
     target = 0.02 * GEOMETRIC_TOL
+    lip = flow.roof.poly.lipschitz_bound()
     split = mpspec.splitting(flow.base)
     alphas, den = exact_points([quad.a for quad in quads])
     big = max(den, mpspec.DYADIC_DEN)   # both powers of two, so their lcm
@@ -204,8 +187,8 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads) -> list[float]:
         u = np.asarray(quad.u_disp)
         if not (_in_chart(w) and _in_chart(u)):
             raise NoIntersection("quadrilateral displacements exceed the chart radius")
-        n_fwd = _horizon(flow, flow.spectral.lam, max(np.linalg.norm(w), 1e-6), target)
-        n_bwd = _horizon(flow, 1.0 / flow.spectral.xi_min, max(np.linalg.norm(u), 1e-6), target)
+        n_fwd = tail_horizon(lip, flow.spectral.lam, max(np.linalg.norm(w), 1e-6), target)
+        n_bwd = tail_horizon(lip, 1.0 / flow.spectral.xi_min, max(np.linalg.norm(u), 1e-6), target)
 
         # Exact hyperbolic orbits amplify any off-leaf defect of the inputs by
         # lambda^-n backward; project the displacements onto their subspaces

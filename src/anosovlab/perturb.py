@@ -22,8 +22,7 @@ import numpy as np
 from . import intlinalg, mpspec, util
 from .errors import ChartExit, ResidualBelowNoise
 from .flow import (
-    BATCH_ORBITS, RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sums, exact_points, walk_states,
-    wrap_unit,
+    BATCH_ORBITS, RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sums, exact_points, wrap_unit,
 )
 from .roof import PeriodicOrbitRecord, periodic_points, row_products, row_squares
 from .spectral import InvariantSubspaceCatalog
@@ -113,15 +112,14 @@ class SectionChart:
         def segment(points, active):
             nonlocal gap
             length, d = points.shape[1:]
-            deltas, nexts = walk_states(
-                gap, lambda g: row_products(flow.spectral.proj_s, row_products(flow.lin, g)), length)
+            deltas, nexts = flow.walk_gaps(gap, "stable", length)
             gap = nexts[:, -1]
             rows = deltas.reshape(-1, d)
             terms = (poly.eval_diff_rows(points.reshape(-1, d), rows)
                      - poly.eval_diff_rows(np.zeros_like(rows), rows))
-            return terms[None], 2.0 * lip * np.sqrt(row_squares(nexts)) / (1.0 - lam_abs)
+            return terms[None], 2.0 * lip * np.sqrt(row_squares(nexts))
 
-        return certified_sums(flow.exact_orbit(z, z_den), segment, VALUE_TOL, [0.0])[0][0]
+        return certified_sums(flow.exact_orbit(z, z_den), segment, VALUE_TOL, [0.0], lam_abs)[0][0]
 
     def t_gradient_at_zero(self, y: float) -> np.ndarray:
         """D_x T(0, y): the forward PCF gradient half along the stable axis orbit."""
@@ -399,7 +397,7 @@ def return_series(chart: SectionChart, bump: Bump | None, xs, y: float) -> list[
                 gaps.append(float(ahead[j]))
                 row_terms.append(term)
         gap, walked = float(ahead[-1]), walked + length
-        return terms, np.broadcast_to(lip * ahead[1:] / (1.0 - lam_abs), (m, length))
+        return terms, lip * ahead[1:]   # one row of bounds, shared by every pair
 
     ledgers = []
     for lo in range(0, len(xs), BATCH_ORBITS // 2):
@@ -414,7 +412,7 @@ def return_series(chart: SectionChart, bump: Bump | None, xs, y: float) -> list[
         records = [([], [], []) for _ in batch]   # steps, gaps, terms of each row
         # two points a row, the pair of one x
         pairs = (block.reshape(-1, 2, *block.shape[1:]) for block in flow.exact_orbit(starts, den))
-        totals, counts = certified_sums(pairs, segment, RETURN_TOL, [0.0] * len(batch))
+        totals, counts = certified_sums(pairs, segment, RETURN_TOL, [0.0] * len(batch), lam_abs)
         for (steps, gaps, terms), total, count in zip(records, totals, counts):
             kept = sum(1 for n in steps if n < count)   # no step past the stop
             ledgers.append(ReturnLedger(

@@ -519,10 +519,9 @@ def time_adjustment_reference(flow, x, y, direction):
         delta = proj @ (step @ delta)
     orbit = (block[0] for block in flow.exact_orbit(
         *numerators([rationalize(xa)]), backward=direction == "unstable"))
-    contraction = max(1.0 - rate, 1e-12)
     return certified_sum(
         (
-            (sign * term, lip * math.sqrt(d @ d) / contraction)
+            (sign * term, lip * math.sqrt(d @ d) / (1.0 - rate))
             for points, deltas, nexts in carried(
                 orbit, proj @ delta, lambda d: proj @ (step @ d))
             for term, d in zip(poly.eval_diff_rows(points, deltas), nexts)
@@ -704,14 +703,16 @@ def temporal_distance_geometric_reference(flow, quad, tol=1e-8):
     """
     import numpy as np
 
-    from anosovlab import mpspec, pcf
+    from anosovlab import mpspec
+    from anosovlab.flow import tail_horizon
 
     alpha = np.asarray(quad.a)
     w = np.asarray(quad.s_disp)
     u = np.asarray(quad.u_disp)
     target = 0.02 * tol
-    n_fwd = pcf._horizon(flow, flow.spectral.lam, max(np.linalg.norm(w), 1e-6), target)
-    n_bwd = pcf._horizon(flow, 1.0 / flow.spectral.xi_min, max(np.linalg.norm(u), 1e-6), target)
+    lip = flow.roof.poly.lipschitz_bound()
+    n_fwd = tail_horizon(lip, flow.spectral.lam, max(np.linalg.norm(w), 1e-6), target)
+    n_bwd = tail_horizon(lip, 1.0 / flow.spectral.xi_min, max(np.linalg.norm(u), 1e-6), target)
     split = mpspec.splitting(flow.base)
     w_fr = projected(split, w, "stable")
     u_fr = projected(split, u, "unstable")

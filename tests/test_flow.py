@@ -451,10 +451,11 @@ SEGMENTS = [1, 7, flow_module.SEGMENT]
 
 def _check_lockstep_sums(monkeypatch, segment, vector):
     # toy series in lockstep: term n of series k is g_n (n % 3 - 1), with
-    # g_{n+1} = r_k g_n carried by walk_states and the tail
-    # g_{n+1} / (1 - r_k) after it. The rates stop the series after 18,
-    # 31, 104 and 223 terms, so in different rounds and at different
-    # offsets inside a segment; the two series at rate 0.5 stop together.
+    # g_{n+1} = r_k g_n carried by walk_states as the next-term bound, so
+    # the loop's tail after the term is g_{n+1} / (1 - r_k). The rates stop
+    # the series after 18, 31, 104 and 223 terms, so in different rounds
+    # and at different offsets inside a segment; the two series at rate
+    # 0.5 stop together.
     # A vector series has the 2-column terms g_n (n % 3 - 1, n % 2 - 0.5),
     # shaped like the gradient halves' terms, and zero totals of that shape
     rates = np.array([0.5, 0.8, 0.3, 0.9, 0.5])
@@ -486,7 +487,7 @@ def _check_lockstep_sums(monkeypatch, segment, vector):
                 gap[active], lambda g: rate * g, points.shape[1])
             gap[active] = nexts[:, -1]
             g = states[..., 0, None] if vector else states[..., 0]
-            return g * pattern(points[..., 0]), nexts[..., 0] / (1.0 - rate)
+            return g * pattern(points[..., 0]), nexts[..., 0]
 
         # one synthetic orbit whose rows are the series: point n of every
         # row is n, so a row's term pattern is that of term n alone
@@ -495,7 +496,7 @@ def _check_lockstep_sums(monkeypatch, segment, vector):
                                  (len(rates), length, 1))
                  for n in range(0, 10**6, length))
         totals = np.zeros((len(rates), 2)) if vector else [0.0] * len(rates)
-        return flow_module.certified_sums(orbit, segment_terms, tol, totals)
+        return flow_module.certified_sums(orbit, segment_terms, tol, totals, rates)
 
     def check():
         totals, taken = lockstep()

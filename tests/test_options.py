@@ -13,9 +13,7 @@ import ast
 from test_callers import PACKAGE, ROOT, _trees
 
 # parameter defaults kept although no caller passes them, one reason each
-ALLOWED = {
-    "cli._cmd._kind": "binds the loop variable of `_register`; click passes only the options",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _calls() -> dict[str, list[ast.Call]]:

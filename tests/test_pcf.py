@@ -193,14 +193,15 @@ class TestTemporalDistanceGeometric:
     def test_horizon_cap_refuses(self, companion3_flow, monkeypatch):
         flow = companion3_flow
         forward, backward = flow.spectral.lam, 1.0 / flow.spectral.xi_min
-        assert pcf._horizon(flow, forward, 1e-6, 1.0) == 8
+        lip = flow.roof.poly.lipschitz_bound()
+        assert flow_module.tail_horizon(lip, forward, 1e-6, 1.0) == 8
         for rate in (forward, backward):
             with pytest.raises(TruncationInsufficient, match="horizon"):
-                pcf._horizon(flow, rate, 0.02, 1e-300)
+                flow_module.tail_horizon(lip, rate, 0.02, 1e-300)
         # the backward horizon here is about 145 steps: under a lower cap the
         # route must refuse instead of returning an uncertified tail
         quad = pcf.sample_quadrilaterals(flow, 1, seed=1)[0]
-        monkeypatch.setattr(pcf, "MAX_HORIZON", 100)
+        monkeypatch.setattr(flow_module, "MAX_HORIZON", 100)
         with pytest.raises(TruncationInsufficient):
             pcf.temporal_distance_geometric(flow, [quad])
 
@@ -212,7 +213,7 @@ class TestTemporalDistanceGeometric:
         quads = pcf.sample_quadrilaterals(flow, 4, seed=1)
         short = [pcf.Quadrilateral(a=q.a, s_disp=q.s_disp, u_disp=tuple(1e-3 * np.asarray(q.u_disp)))
                  for q in quads]
-        monkeypatch.setattr(pcf, "MAX_HORIZON", 120)
+        monkeypatch.setattr(flow_module, "MAX_HORIZON", 120)
         assert len(pcf.temporal_distance_geometric(flow, short)) == 4
         calls = []
         monkeypatch.setattr(SuspensionFlow, "birkhoff_exact",

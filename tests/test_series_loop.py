@@ -7,18 +7,32 @@ message helper, or one whose message counts terms).
 
 The series pass arrays end to end: each round of the loop is one array
 pass, with no `for` statement over series or terms, and no segment
-closure (a nested function named `segment`) hands its terms or tails
+closure (a nested function named `segment`) hands its terms or bounds
 back as lists.
+
+The loop also holds the one tail rule: a series hands over next-term
+bounds and its rate, and the loop divides by 1 - rate. So a function
+that divides by, or multiplies with, `1 - <expr>` is the loop, the same
+rule solved for a horizon, or listed here with its reason.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from anosovlab import flow
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "anosovlab"
 
 ALLOWED = {
     ("flow.certified_sums", "reads MAX_TERMS"),
     ("flow.certified_sums", "builds the term cap"),
+    ("flow.certified_sums", "forms a geometric tail"),
+    ("flow.tail_horizon", "forms a geometric tail"),
+    # its early exit tests the tail before term 0, when no series has run
+    ("perturb.return_series", "forms a geometric tail"),
 }
 
 
@@ -36,6 +50,22 @@ def _builds_cap(call):
     )
 
 
+def _one_minus(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1)
+
+
+def _forms_tail(node):
+    """A division by 1 - <expr>, or a product with it as one factor."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        return _one_minus(node.right)
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+        return _one_minus(node.value)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _one_minus(node.left) or _one_minus(node.right)
+    return False
+
+
 def _scan(where, scope):
     """(qualified function, what it does) for the nodes each function owns."""
     stack = list(ast.iter_child_nodes(scope))
@@ -48,6 +78,8 @@ def _scan(where, scope):
             yield where, "reads MAX_TERMS"
         elif isinstance(node, ast.Call) and _builds_cap(node):
             yield where, "builds the term cap"
+        elif _forms_tail(node):
+            yield where, "forms a geometric tail"
         stack.extend(ast.iter_child_nodes(node))
 
 
@@ -86,3 +118,26 @@ def test_segment_closures_return_arrays():
         if isinstance(node, ast.Call) and _name(node.func) == "tolist"
     ]
     assert offences == []
+
+
+@pytest.mark.parametrize("rate", [0.3, 0.5, 0.8, 0.9])
+def test_geometric_series_stops_where_its_horizon_says(rate):
+    # terms g rate^n, each handing over the next term g rate^(n+1) as its
+    # bound: the loop stops at the first n whose bound / (1 - rate) < tol,
+    # and the horizon is the same rule solved for n, plus its margin of 2
+    g, tol = 1.5, 1e-9
+
+    def segment_terms(points, active):
+        n = points[..., 0]
+        return g * rate**n, g * rate ** (n + 1.0)
+
+    length = flow.SEGMENT
+    orbit = (np.arange(n, n + length, dtype=float)[None, :, None] for n in range(0, 10**6, length))
+    [total], [count] = flow.certified_sums(orbit, segment_terms, tol, [0.0], rate)
+    tails = [g * rate ** (n + 1.0) / (1.0 - rate) for n in range(count)]
+    assert tails[-1] < tol <= min(tails[:-1])
+    assert abs(total - g / (1.0 - rate)) < tol
+
+    horizon = flow.tail_horizon(g, rate, 1.0, tol)   # lip g, scale 1
+    assert g * rate**horizon / (1.0 - rate) <= tol
+    assert horizon == max(count + 2, 8)
