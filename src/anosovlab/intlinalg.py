@@ -7,9 +7,10 @@ denominator D on one of four branches: uint64 where D divides 2^64,
 int64 limbs of LIMB_BITS bits where D = 2^k with k > 64, int64 residues
 joined by the Chinese remainder theorem where D = 2^k q with q > 1 odd,
 D < 2^63 and 2d (q - 1)^2 < 2^63 for a d-dimensional map, and arrays of
-Python ints for every D past that bound. Neither int64 branch wraps: its
-stack is checked, when built, to keep every limb sum under 2^62 and every
-residue sum under 2^63.
+Python ints for every D past that bound. Neither integer branch wraps or
+rounds: its stack is checked, when built, to keep every limb sum under
+2^53, where the float64 limb product is exact, and every residue sum under
+2^63.
 """
 
 from __future__ import annotations
@@ -116,8 +117,9 @@ def orbit_numerators(a: IntMatrix, offset, start, den: int):
 
 # Limb width of the exact walks over 2^k > 2^64. A limb product is under
 # 2^(2W - 1) and a segment sums 2d of them per stack limb, so a limb sum
-# stays near 2^46 for d = 4, far inside int64 (`_segment_stack` checks the
-# bound); three limbs make one 63-bit window for the float conversion.
+# stays near 2^46 for d = 4, inside the 2^53 where float64 sums of integers
+# are exact (`_segment_stack` checks the bound); three limbs make one
+# 63-bit window for the float conversion.
 LIMB_BITS = 21
 _LIMB_MASK = (1 << LIMB_BITS) - 1
 _LIMB_HALF = 1 << (LIMB_BITS - 1)
@@ -140,8 +142,10 @@ def _segment_stack(a: IntMatrix, length: int) -> tuple[np.ndarray, np.ndarray, n
     Row block j maps [n; offset] to the j-th orbit point of n before
     reduction. Returned three ways, all read-only as every caller shares
     them: with Python-int entries (object), with their residues mod 2^64
-    (uint64), and as signed LIMB_BITS-bit limbs, one (rows, 2d) int64 layer
-    per limb. Raises OverflowError when a limb walk could wrap int64.
+    (uint64), and as signed LIMB_BITS-bit limbs in float64, one (2d, rows)
+    layer per limb, so that [n; offset] @ layer. Raises OverflowError when
+    a limb sum of a walk could reach 2^53, past which float64 sums of
+    integers may round.
     """
     n = len(a)
     power, partial = identity(n), tuple((0,) * n for _ in range(n))
@@ -154,16 +158,16 @@ def _segment_stack(a: IntMatrix, length: int) -> tuple[np.ndarray, np.ndarray, n
     wrapped = np.array([[v % 2**64 for v in row] for row in rows], dtype=np.uint64)
     split = [[_signed_limbs(v) for v in row] for row in rows]
     depth = max(1, *(len(limbs) for row in split for limbs in row))
-    limbs = np.array([[[(limbs[t] if t < len(limbs) else 0) for limbs in row] for row in split]
-                      for t in range(depth)], dtype=np.int64)
-    # a limb of the sum gathers |stack limb| * (2^W - 1) over every layer and
-    # column; the carry it takes in adds under half as much again
-    bound = int(np.abs(limbs).sum(axis=(0, 2)).max()) * _LIMB_MASK
-    if 2 * bound + 2 >= 2**63:
-        raise OverflowError(f"limb sums of this orbit stack could reach 2^{bound.bit_length()}")
-    for array in (exact, wrapped, limbs):
+    layers = np.array([[[(limbs[t] if t < len(limbs) else 0) for limbs in column]
+                        for column in zip(*split)] for t in range(depth)], dtype=float)
+    # a limb of the product gathers |stack limb| * (2^W - 1) over every layer
+    # and column; the carry it takes in afterwards is int64 arithmetic
+    bound = int(np.abs(layers).sum(axis=(0, 1)).max()) * _LIMB_MASK
+    if bound >= 2**53:
+        raise OverflowError(f"limb sums of this orbit stack could reach 2^{bound.bit_length() - 1}")
+    for array in (exact, wrapped, layers):
         array.flags.writeable = False
-    return exact, wrapped, limbs
+    return exact, wrapped, layers
 
 
 def _twos(den: int) -> int:
@@ -216,11 +220,14 @@ def orbit_segments(a: IntMatrix, offset, starts, den: int, length: int, centred:
     * den = 2^k with k > 64: an (L, m, length, d) int64 array, the L
       limbs of W = LIMB_BITS bits of n 2^(K - k), least significant first,
       for K = L W the least multiple of W from k on. Scaling by 2^(K - k)
-      commutes with the map, so the walk runs mod 2^K: one int64 matmul per
-      limb layer of the stack, a carry pass by arithmetic shift, and a mask
-      on the top limb. Every limb is in [0, 2^W) except the top one when
-      centred, which is in [-2^(W-1), 2^(W-1)). `_segment_stack` checks
-      that no limb sum can wrap int64.
+      commutes with the map, so the walk runs mod 2^K: one float64 matmul
+      of the limbs of [n; offset] against the stack's limb layers, truncated
+      at limb L, then a carry pass by arithmetic shift and a mask on the top
+      limb. `_segment_stack` keeps every limb sum an integer under 2^53, so
+      the product is exact whatever the BLAS kernel. Every limb is in
+      [0, 2^W) except the top one when centred, which is in
+      [-2^(W-1), 2^(W-1)). The walk writes each segment into one buffer,
+      so a limb block is valid until the next block is drawn.
     * den = 2^k q with q > 1 odd, den < 2^63 and 2d (q - 1)^2 < 2^63: an
       (m, length, d) int64 array. n mod 2^k walks as the uint64 form does
       and n mod q walks in int64 on `_residue_stack`, which checks that no
@@ -229,7 +236,7 @@ def orbit_segments(a: IntMatrix, offset, starts, den: int, length: int, centred:
 
     `segment_floats` turns each form into the floats n / den.
     """
-    exact, wrapped, limbs = _segment_stack(a, length)
+    exact, wrapped, layers = _segment_stack(a, length)
     d, m = len(a), len(starts)
     branch = _walk_branch(den, d)
     if branch == "object":
@@ -240,7 +247,7 @@ def orbit_segments(a: IntMatrix, offset, starts, den: int, length: int, centred:
             vec[:, :d] = block[:, length]
             yield block[:, :length]
     if branch == "limbs":
-        yield from _limb_segments(limbs, offset, starts, den.bit_length() - 1, length, centred)
+        yield from _limb_segments(layers, offset, starts, den.bit_length() - 1, length, centred)
     if branch == "crt":
         residues = _residue_stack(a, length, den >> _twos(den))
         yield from _crt_segments(wrapped, residues, offset, starts, den, length, centred)
@@ -280,40 +287,58 @@ def _crt_segments(wrapped, residues, offset, starts, den: int, length: int, cent
         yield nums
 
 
-def _limb_segments(limbs, offset, starts, bits: int, length: int, centred: bool):
+def _limb_split(rows, bits: int, count: int) -> np.ndarray:
+    """(count, len(rows), k) int64 limbs of the k-entry rows of Python ints.
+
+    Limb t of v holds bits W t to W t + W - 1 of v 2^(K - bits) mod 2^K,
+    K = count W: the little-endian bytes of every entry, unpacked to bits
+    and regrouped W at a time.
+    """
+    total = count * LIMB_BITS
+    size = -(-total // 8)
+    raw = b"".join(((v << (total - bits)) % (1 << total)).to_bytes(size, "little")
+                   for row in rows for v in row)
+    digits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    digits = digits.reshape(len(rows), -1, size * 8)[..., :total]
+    weights = np.left_shift(1, np.arange(LIMB_BITS, dtype=np.int64))
+    return np.moveaxis(digits.reshape(len(rows), -1, count, LIMB_BITS) @ weights, -1, 0)
+
+
+def _limb_segments(layers, offset, starts, bits: int, length: int, centred: bool):
     """The limb form of `orbit_segments` for den = 2^bits."""
     count = -(-bits // LIMB_BITS)
-    total = count * LIMB_BITS
     d, m = len(offset), len(starts)
-    layers = limbs.transpose(0, 2, 1)   # (depth, 2d, rows), so that [n; offset] @ layer
-
-    def split(rows):
-        # (count, len(rows), k) limbs of the k-entry rows, scaled to 2^total
-        scaled = [[(v << (total - bits)) % (1 << total) for v in row] for row in rows]
-        return np.array([[[(v >> (LIMB_BITS * t)) & _LIMB_MASK for v in row] for row in scaled]
-                         for t in range(count)], dtype=np.int64)
-
-    def convolve(vec, columns):
-        # the truncated product: stack limb t moves state limb s to s + t < count
-        acc = np.matmul(vec, layers[0, columns])
-        for t in range(1, min(len(layers), count)):
-            acc[t:] += np.matmul(vec[: count - t], layers[t, columns])
-        return acc
-
-    vec = split(starts)
-    # the offset's share of every segment is the same, so it is made once
-    constant = convolve(split([offset]), slice(d, None))
+    depth = min(len(layers), count)
+    rows = (length + 1) * d
+    # the truncated product: stack limb t moves state limb s to s + t < count,
+    # so limb s' of the product is [limb s' - t of n; of offset] @ layer t
+    # summed over t, one row of `shifted` against the layers stacked
+    stacked = layers[:depth].reshape(depth * 2 * d, rows)
+    shifted = np.zeros((count, m, depth, 2 * d))
+    product = np.empty((count * m, rows))
+    acc = np.empty((count, m, rows), dtype=np.int64)
+    carry = np.empty((m, rows), dtype=np.int64)
+    blocks = acc.reshape(count, m, length + 1, d)
+    state, constant = _limb_split(starts, bits, count), _limb_split([offset], bits, count)
+    for t in range(depth):
+        shifted[t:, :, t, d:] = constant[: count - t]
     top = count - 1
     while True:
-        acc = convolve(vec, slice(d)) + constant
+        for t in range(depth):
+            shifted[t:, :, t, :d] = state[: count - t]
+        np.matmul(shifted.reshape(count * m, -1), stacked, out=product)
+        acc.reshape(count * m, rows)[...] = product
         for t in range(top):
-            acc[t + 1] += acc[t] >> LIMB_BITS
+            np.right_shift(acc[t], LIMB_BITS, out=carry)
+            acc[t + 1] += carry
         acc &= _LIMB_MASK
         if centred:
-            acc[top] = ((acc[top] + _LIMB_HALF) & _LIMB_MASK) - _LIMB_HALF
-        acc = acc.reshape(count, m, length + 1, d)
-        vec = acc[:, :, length]
-        yield acc[:, :, :length]
+            # (x + 2^(W-1)) mod 2^W flips the top bit of x, so this is
+            # ((x + 2^(W-1)) & mask) - 2^(W-1)
+            acc[top] ^= _LIMB_HALF
+            acc[top] -= _LIMB_HALF
+        state = blocks[:, :, length]
+        yield blocks[:, :, :length]
 
 
 def segment_floats(block: np.ndarray, den: int) -> np.ndarray:
@@ -360,7 +385,9 @@ def _limb_floats(block: np.ndarray) -> np.ndarray:
     f in [0, 1) from the lower limbs. Rounding |w + f| needs only |w| and a
     sticky bit for f > 0: 2|w| + sticky has a bit below the rounding point
     once |w| >= 2^53, and the uint64 -> float64 cast then rounds it
-    correctly. Smaller elements (|n / 2^K| < 2^-10) go through Python ints.
+    correctly. Smaller elements (|n / 2^K| < 2^-10) are put together as
+    Python ints, by one object-array dot of their limbs with the powers
+    2^(W t), and each is divided by 2^K once, which rounds correctly.
     """
     w = LIMB_BITS
     window = (block[-1] << (2 * w)) + (block[-2] << w) + block[-3]
@@ -373,9 +400,8 @@ def _limb_floats(block: np.ndarray) -> np.ndarray:
     np.negative(out, out=out, where=negative)
     small = magnitude < 2**53
     if small.any():
-        scale = 1 << (w * len(block))
-        out[small] = [sum(v << (w * t) for t, v in enumerate(limbs)) / scale
-                      for limbs in block[:, small].T.tolist()]
+        powers = np.array([1 << (w * t) for t in range(len(block))], dtype=object)
+        out[small] = block[:, small].T.astype(object).dot(powers) / (1 << (w * len(block)))
     return out
 
 

@@ -209,13 +209,17 @@ def _verify_backward_approach(chart, target, q_orbit, steps: int) -> float:
     den = q_orbit.den
     start, big = chart.split.stable_numerators(target, den)
     lift, half = big // den, big // 2
-    q_pts = [[c * lift for c in pt] for pt in q_orbit.numerators]
+    q_pts = np.array(q_orbit.numerators, dtype=object) * lift
     orbit = intlinalg.orbit_numerators(chart.flow.inv_entries, (0,) * chart.flow.dim, start, big)
-    dist_sq = min(
-        sum(((p - q + half) % big - half) ** 2 for p, q in zip(point, qp))
-        for point in islice(orbit, 1, steps + 1) for qp in q_pts
-    )
-    return intlinalg.sqrt_ratio(dist_sq, big * big)
+    points = np.array(list(islice(orbit, 1, steps + 1)), dtype=object)
+    # every backward point against every point of q, in Python ints; in
+    # place, so that one array of them is alive at a time
+    gaps = points[:, None] - q_pts
+    gaps += half
+    gaps %= big
+    gaps -= half
+    gaps *= gaps
+    return intlinalg.sqrt_ratio(gaps.sum(axis=2).min(), big * big)
 
 
 def find_heteroclinic_data(chart: SectionChart, q_period: int) -> list[HeteroclinicDatum]:
@@ -228,23 +232,25 @@ def find_heteroclinic_data(chart: SectionChart, q_period: int) -> list[Heterocli
     if not orbits:
         raise ValueError(f"no orbit of period {q_period}")
     low, high = HETEROCLINIC_Y_RANGE
-    offsets = range(-HETEROCLINIC_OFFSET_BOUND, HETEROCLINIC_OFFSET_BOUND + 1)
+    bound = HETEROCLINIC_OFFSET_BOUND
+    offsets = np.array(list(product(range(-bound, bound + 1), repeat=chart.flow.dim)))
     out = []
     for orbit in orbits:
-        for idx, point in enumerate(orbit.numerators):
-            qv = np.array(point) / orbit.den
-            for off in product(offsets, repeat=chart.flow.dim):
-                y_r = float(chart.flow.spectral.frame_inv[-1] @ (qv + np.array(off)))
-                if not (low <= abs(y_r) <= high):
-                    continue
-                out.append(
-                    HeteroclinicDatum(
-                        q_orbit=orbit, q_index=idx,
-                        offset=tuple(int(v) for v in off),
-                        y_r=y_r,
-                        r_base=tuple(float(v % 1.0) for v in chart.s_unit * y_r),
-                    )
+        # every point q against every offset m: the stable coordinate of q + m
+        points = np.array(orbit.numerators) / orbit.den
+        rows = (points[:, None] + offsets).reshape(-1, chart.flow.dim)
+        y_rs = row_products(chart.flow.spectral.frame_inv[-1], rows).reshape(len(points), -1)
+        sizes = np.abs(y_rs)
+        for idx, k in zip(*np.nonzero((low <= sizes) & (sizes <= high))):
+            y_r = float(y_rs[idx, k])
+            out.append(
+                HeteroclinicDatum(
+                    q_orbit=orbit, q_index=int(idx),
+                    offset=tuple(int(v) for v in offsets[k]),
+                    y_r=y_r,
+                    r_base=tuple(float(v % 1.0) for v in chart.s_unit * y_r),
                 )
+            )
     out.sort(key=lambda d: (-abs(d.y_r), d.q_index, d.offset))
     return out
 
@@ -359,7 +365,8 @@ def return_series(chart: SectionChart, bump: Bump | None, xs, y: float) -> list[
     the hat, with SCREEN_SLACK to spare, has term exactly 0.0, since the
     bump vanishes from one radius on, and is not recorded; only the other
     rows run the hat test and `Bump.value_chart`, on the chart coordinates
-    the screen already holds.
+    the screen already holds and with every |x| of the hat test from one
+    `row_squares` pass over them.
     """
     empty = ReturnLedger(steps=(), gaps=(), terms=(), total=0.0)
     if bump is None:
@@ -385,10 +392,13 @@ def return_series(chart: SectionChart, bump: Bump | None, xs, y: float) -> list[
         # the gap at each point and after the segment, multiplied in turn
         ahead = np.multiply.accumulate([gap] + [lam_abs] * length)
         terms = np.zeros((m, length))
-        for k, j in zip(*np.nonzero(near)):
+        rows, cols = np.nonzero(near)
+        # |x| of both points of every near row, each the square root of its own ddot
+        norms = np.sqrt(row_squares(np.ascontiguousarray(co[rows, :, cols, :-1])))
+        for k, j, (n0, n1) in zip(rows, cols, norms):
             (x0c, y0c), (x1, y1) = ((c[:-1], float(c[-1])) for c in co[k, :, j])
-            d1 = math.hypot(float(np.linalg.norm(x1)), y1 - bump.center_y)
-            d0 = math.hypot(float(np.linalg.norm(x0c)), y0c - bump.center_y)
+            d1 = math.hypot(n1, y1 - bump.center_y)
+            d0 = math.hypot(n0, y0c - bump.center_y)
             term = bump.value_chart(x1, y1) - bump.value_chart(x0c, y0c)
             terms[k, j] = term
             if min(d0, d1) <= hat_radius or term != 0.0:
@@ -624,6 +634,23 @@ def grassmannian_sweep(
 # the kappa experiment: engineered second returns
 
 
+def homoclinic_vectors(flow: SuspensionFlow) -> list[tuple[tuple[int, ...], np.ndarray, float]]:
+    """(m, x_m, y_m) for the nonzero m in [-3, 3]^d near the unstable leaf of p.
+
+    x_m and y_m are the chart coordinates of the integer vector m; it is
+    kept when |y_m| <= 0.4 and 0.3 <= |x_m| <= 3, in `product` order.
+    All 7^d - 1 vectors take one pass for the coordinates and one for the
+    squared norms.
+    """
+    ms = np.array([m for m in product(range(-3, 4), repeat=flow.dim) if any(m)])
+    co = row_products(flow.spectral.frame_inv, ms.astype(float))
+    x_ms = np.ascontiguousarray(co[:, :-1])
+    norms = np.sqrt(row_squares(x_ms))
+    keep = (np.abs(co[:, -1]) <= 0.40) & (0.3 <= norms) & (norms <= 3.0)
+    return [(tuple(int(v) for v in m), x_m, float(y_m))
+            for m, x_m, y_m in zip(ms[keep], x_ms[keep], co[keep, -1])]
+
+
 class KappaSetup(NamedTuple):
     chart: SectionChart
     datum: HeteroclinicDatum
@@ -653,16 +680,7 @@ def kappa_experiment(flow: SuspensionFlow, n_points: int) -> KappaSetup:
         raise ValueError(f"kappa needs a conformal E^u, unstable moduli {xi_min:.6g} to {xi:.6g}")
     chart = SectionChart(flow)
     lam = chart.lam
-    finv = flow.spectral.frame_inv
-
-    homo = []
-    for m in product(range(-3, 4), repeat=flow.dim):
-        if all(v == 0 for v in m):
-            continue
-        co = finv @ np.array(m, dtype=float)
-        x_m, y_m = co[:-1], float(co[-1])
-        if abs(y_m) <= 0.40 and 0.3 <= np.linalg.norm(x_m) <= 3.0:
-            homo.append((m, x_m, y_m))
+    homo = homoclinic_vectors(flow)
     if not homo:
         raise ValueError("no homoclinic-adjacent integer vector found")
 

@@ -26,6 +26,12 @@ int64 limb branch of `intlinalg.orbit_segments` replaced for 2^k > 2^64,
 and `limb_numerators` reads that branch's limbs back as Python ints.
 `periodic_points_reference` is the Python-int enumeration and orbit walk
 that the int64 arrays of `roof.periodic_points` replaced.
+`heteroclinic_data_reference`, `homoclinic_vectors_reference` and
+`backward_approach_reference` are the per-offset, per-vector and
+per-point-pair loops of the kappa set-up that the array passes of
+`perturb.find_heteroclinic_data`, `perturb.homoclinic_vectors` and
+`perturb._verify_backward_approach` replaced, one BLAS dot or one
+Python-int sum at a time.
 `make_point` is the float normalisation into the fundamental domain, with
 the float base maps `base_apply` and `base_apply_inv` it steps with, that
 left the package when points became base points; the flow-geometry tests
@@ -692,6 +698,69 @@ def periodic_points_reference(matrix, n, roof=None):
         orbits.append(PeriodicOrbitRecord(tuple(cycle), den, len(cycle), flow))
     orbits.sort(key=lambda o: o.period_n)
     return orbits
+
+
+def heteroclinic_data_reference(chart, q_period):
+    """`perturb.find_heteroclinic_data` one orbit point and one offset at a time."""
+    from itertools import product
+
+    import numpy as np
+
+    from anosovlab import perturb
+    from anosovlab.roof import periodic_points
+
+    orbits = [o for o in periodic_points(chart.flow.base, q_period) if o.period_n == q_period]
+    low, high = perturb.HETEROCLINIC_Y_RANGE
+    offsets = range(-perturb.HETEROCLINIC_OFFSET_BOUND, perturb.HETEROCLINIC_OFFSET_BOUND + 1)
+    out = []
+    for orbit in orbits:
+        for idx, point in enumerate(orbit.numerators):
+            qv = np.array(point) / orbit.den
+            for off in product(offsets, repeat=chart.flow.dim):
+                y_r = float(chart.flow.spectral.frame_inv[-1] @ (qv + np.array(off)))
+                if not (low <= abs(y_r) <= high):
+                    continue
+                out.append(perturb.HeteroclinicDatum(
+                    q_orbit=orbit, q_index=idx,
+                    offset=tuple(int(v) for v in off),
+                    y_r=y_r,
+                    r_base=tuple(float(v % 1.0) for v in chart.s_unit * y_r),
+                ))
+    out.sort(key=lambda d: (-abs(d.y_r), d.q_index, d.offset))
+    return out
+
+
+def homoclinic_vectors_reference(flow):
+    """`perturb.homoclinic_vectors` one integer vector at a time."""
+    from itertools import product
+
+    import numpy as np
+
+    homo = []
+    for m in product(range(-3, 4), repeat=flow.dim):
+        if all(v == 0 for v in m):
+            continue
+        co = flow.spectral.frame_inv @ np.array(m, dtype=float)
+        x_m, y_m = co[:-1], float(co[-1])
+        if abs(y_m) <= 0.40 and 0.3 <= np.linalg.norm(x_m) <= 3.0:
+            homo.append((m, x_m, y_m))
+    return homo
+
+
+def backward_approach_reference(chart, target, q_orbit, steps):
+    """`perturb._verify_backward_approach` with one Python-int sum per pair of points."""
+    from anosovlab import intlinalg
+
+    den = q_orbit.den
+    start, big = chart.split.stable_numerators(target, den)
+    lift, half = big // den, big // 2
+    q_pts = [[c * lift for c in pt] for pt in q_orbit.numerators]
+    orbit = intlinalg.orbit_numerators(chart.flow.inv_entries, (0,) * chart.flow.dim, start, big)
+    dist_sq = min(
+        sum(((p - q + half) % big - half) ** 2 for p, q in zip(point, qp))
+        for point in islice(orbit, 1, steps + 1) for qp in q_pts
+    )
+    return intlinalg.sqrt_ratio(dist_sq, big * big)
 
 
 def temporal_distance_geometric_reference(flow, quad, tol=1e-8):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import chain, islice
 from pathlib import Path
@@ -789,6 +790,73 @@ def test_limb_stack_refuses_a_width_that_could_wrap(companion3, monkeypatch):
         monkeypatch.setattr(intlinalg, name, value)
     with pytest.raises(OverflowError, match="limb sums"):
         intlinalg._segment_stack.__wrapped__(companion3.entries, flow_module.SEGMENT)
+
+
+def test_limb_stack_refuses_sums_past_float_exactness(companion3, monkeypatch):
+    # 40-bit limbs keep the inverse companion3 stack's limb sums under the
+    # 2^62 that int64 products allowed, but not under 2^53, past which
+    # float64 sums of integers may round
+    inverse = companion3.inverse_entries()
+    exact = intlinalg._segment_stack(inverse, flow_module.SEGMENT)[0]
+    for name, value in (("LIMB_BITS", 40), ("_LIMB_MASK", 2**40 - 1), ("_LIMB_HALF", 2**39)):
+        monkeypatch.setattr(intlinalg, name, value)
+    bound = max(sum(abs(limb) for v in row for limb in intlinalg._signed_limbs(v))
+                for row in exact.tolist()) * intlinalg._LIMB_MASK
+    assert 2**53 <= bound < 2**62
+    with pytest.raises(OverflowError, match="limb sums"):
+        intlinalg._segment_stack.__wrapped__(inverse, flow_module.SEGMENT)
+
+
+@pytest.mark.parametrize("den", LIMB_DENOMINATORS)
+def test_limb_split_matches_python_ints(den):
+    # rows of single entries and of 3 and 4 entries, as the starts and the
+    # offset of companion3 and the quartic, split by bytes and bit arrays,
+    # against the Python-int limbs of
+    # n 2^(K - k) mod 2^K: zero, negative, unreduced and extreme numerators
+    w, bits = intlinalg.LIMB_BITS, den.bit_length() - 1
+    count = -(-bits // w)
+    total = count * w
+    rng = random.Random(bits)
+    values = [0, 1, -1, den - 1, den, -den, den // 2, -(den // 2) - 1, 3 * den + 5, -2 * den - 7]
+    values += [rng.randrange(-2 * den, 2 * den) for _ in range(26)]
+    for k in (1, 3, 4):
+        rows = [tuple(values[i:i + k]) for i in range(0, len(values), k)]
+        expected = [[[((v << (total - bits)) % (1 << total)) >> (w * t) & ((1 << w) - 1)
+                      for v in row] for row in rows] for t in range(count)]
+        got = intlinalg._limb_split(rows, bits, count)
+        assert got.dtype == np.int64 and got.tolist() == expected
+
+
+@pytest.mark.parametrize("centred", [False, True])
+@pytest.mark.parametrize("smalls", [1, 150])
+def test_limb_floats_match_exact_division(centred, smalls):
+    # one block of zeros, elements on both sides of 2^-10, large elements
+    # and `smalls` elements under 2^-10 (each negative with odds 1/2 when
+    # centred): every float is n / 2^K correctly rounded
+    w, count = intlinalg.LIMB_BITS, 8
+    total = count * w
+    rng = random.Random(smalls + centred)
+    edge = 1 << (total - 10)   # n / 2^K = 2^-10
+    nums = [0] * 30 + [edge - 1, edge]
+    if centred:
+        nums += [-edge, -edge - 1]
+    while len(nums) < 240 - smalls:
+        if centred:
+            nums.append(rng.choice((-1, 1)) * rng.randrange(edge, 1 << (total - 1)))
+        else:
+            nums.append(rng.randrange(edge, 1 << total))
+    for _ in range(smalls):
+        b = rng.randrange(1, total - 10)
+        v = rng.getrandbits(b) | 1 << (b - 1)
+        nums.append(-v if centred and rng.random() < 0.5 else v)
+    rng.shuffle(nums)
+    # limbs below the top in [0, 2^W); the top one signed when centred
+    limbs = [[v >> (w * t) & ((1 << w) - 1) for v in nums] for t in range(count - 1)]
+    limbs.append([v >> (w * (count - 1)) for v in nums])
+    block = np.array(limbs, dtype=np.int64).reshape(count, 2, 40, 3)
+    assert sum(0 < abs(v) < edge for v in nums) == smalls + 1
+    out = intlinalg._limb_floats(block)
+    assert [v.hex() for v in out.ravel().tolist()] == [(v / 2**total).hex() for v in nums]
 
 
 # the two neighbouring odd q on either side of the CRT bound of a d = 3

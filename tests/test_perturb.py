@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import const_roof
-from oracles import base_apply, coords, section_roof
+from oracles import (
+    backward_approach_reference, base_apply, coords, heteroclinic_data_reference,
+    homoclinic_vectors_reference, section_roof,
+)
 
 from anosovlab import flow as flow_module
 from anosovlab import perturb
@@ -128,6 +131,46 @@ class TestHeteroclinicDatum:
         ys = [abs(d.y_r) for d in data]
         assert ys == sorted(ys, reverse=True)
         assert all(0.12 <= y <= 0.45 for y in ys)
+
+
+def _datum_bits(datum):
+    return (datum.q_orbit, datum.q_index, datum.offset, datum.y_r.hex(),
+            tuple(v.hex() for v in datum.r_base), datum.backward_distance)
+
+
+class TestKappaSetupMatchesLoops:
+    # the array passes of the kappa set-up on the bundled claim44 flow
+    # (companion3, constant roof) against the loops they replaced, bit for bit
+
+    @pytest.mark.parametrize("period", [perturb.KAPPA_Q_PERIOD, 7])
+    def test_heteroclinic_data(self, kappa_setup, period):
+        chart = kappa_setup.chart
+        got = perturb.find_heteroclinic_data(chart, period)
+        expected = heteroclinic_data_reference(chart, period)
+        assert len(got) > 10
+        assert [_datum_bits(d) for d in got] == [_datum_bits(d) for d in expected]
+
+    def test_homoclinic_vectors(self, kappa_setup):
+        got = perturb.homoclinic_vectors(kappa_setup.chart.flow)
+        expected = homoclinic_vectors_reference(kappa_setup.chart.flow)
+        assert len(got) > 10
+        assert [(m, [v.hex() for v in x_m.tolist()], y_m.hex()) for m, x_m, y_m in got] == [
+            (m, [v.hex() for v in x_m.tolist()], y_m.hex()) for m, x_m, y_m in expected]
+        assert kappa_setup.homoclinic_m in [m for m, _, _ in got]
+
+    def test_backward_approach(self, kappa_setup):
+        # the chosen datum and the first candidates of its period
+        chart = kappa_setup.chart
+        data = [kappa_setup.datum, *perturb.find_heteroclinic_data(chart, perturb.KAPPA_Q_PERIOD)[:6]]
+        distances = []
+        for datum in data:
+            orbit, den = datum.q_orbit, datum.q_orbit.den
+            target = [c + m * den for c, m in zip(orbit.numerators[datum.q_index], datum.offset)]
+            got = perturb._verify_backward_approach(chart, target, orbit, perturb.VERIFY_STEPS)
+            expected = backward_approach_reference(chart, target, orbit, perturb.VERIFY_STEPS)
+            assert got.hex() == expected.hex()
+            distances.append(got)
+        assert distances[0] == kappa_setup.datum.backward_distance
 
 
 class TestBump:
