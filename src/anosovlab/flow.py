@@ -9,6 +9,10 @@ with geometric tail control. Every tail-certified series of the package sums
 through `certified_sums`, which walks one lockstep orbit of a batch of
 starts, holds the one term cap and forms every tail as a next-term bound
 over (1 - rate); `tail_horizon` solves that tail for the number of terms.
+`walk_states` steps every float recurrence of a segment by a tuple of
+matrices, in place. One `time_adjustment` call sums the leaf series of
+both directions as one batch, each direction on its own orbit, and the
+PCF gradient weights are walked once per flow and direction.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ GRADIENT_TOL = 1e-15   # gradient series: a decade lower, as they feed 1e-9 rank
 RETURN_TOL = 1e-13     # bump return series: a decade under the 1e-12 noise floor of the kappa fit
 MAX_TERMS = 5000       # the bundled configs need at most ~260 terms
 SEGMENT = 32           # points per orbit matmul and roof evaluation: amortizes numpy calls; overshoot < 32
-BATCH_ORBITS = 32      # orbits per return-series or geometric-route walk: +0.3 MB RSS over 2 orbits
+BATCH_ORBITS = 32      # orbits per return-series or geometric-route walk, and leaf series per
+                       # `eval_diff_rows` block: +0.3 MB RSS over 2 orbits
 MAX_HORIZON = 500      # longest geometric-route walk: a longer tail is refused, not cut short
 CHART_RADIUS = 0.05    # largest leaf displacement a quadrilateral accepts
 BUNCHING_CAP = 0.98    # largest forward gradient rate lambda * xi_max: keeps 1 / (1 - q) <= 50
@@ -96,20 +101,57 @@ def tail_horizon(lip: float, rate: float, scale: float, target: float) -> int:
     return max(n, 8)
 
 
-def walk_states(state, step, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """A stacked recurrence over one segment, one row per series: (states, nexts).
+def walk_states(state, matrices, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """A stacked linear recurrence over one segment, one row per series: (states, nexts).
 
-    Point j sees states[:, j], and nexts[:, j] = step(states[:, j]) is the
-    state of point j + 1, so the bound after term j reads nexts[:, j] and
-    nexts[:, -1] starts the next segment.
+    A row of state is a vector, or a matrix on the last two axes. A step
+    applies the matrices in turn, each shared by every row or an (m, k, k)
+    stack with one per row, by one `np.matmul` each, so a vector row makes
+    the gemv of `row_products` and every row the BLAS calls it makes alone.
+    Point j sees states[:, j], and nexts[:, j] is the state of point j + 1,
+    so the bound after term j reads nexts[:, j] and nexts[:, -1] starts the
+    next segment. Both are views of one (m, length + 1, ...) buffer that
+    the walk writes in place.
     """
-    states = np.empty((len(state), length, *state.shape[1:]))
-    nexts = np.empty_like(states)
+    vectors = state.ndim == 2
+    if vectors:
+        state = state[..., None]
+    walk = np.empty((len(state), length + 1, *state.shape[1:]))
+    walk[:, 0] = state
+    between = [np.empty(state.shape) for _ in matrices[1:]]
     for j in range(length):
-        states[:, j] = state
-        state = step(state)
-        nexts[:, j] = state
-    return states, nexts
+        current = walk[:, j]
+        for matrix, out in zip(matrices, [*between, walk[:, j + 1]]):
+            current = np.matmul(matrix, current, out=out)
+    if vectors:
+        walk = walk[..., 0]
+    return walk[:, :length], walk[:, 1:]
+
+
+class _JoinedOrbit:
+    """Lockstep orbits of consecutive row ranges, read by `certified_sums` as one orbit.
+
+    Each `next` returns the orbit itself, and indexing it with the open
+    rows draws the next block of every orbit that owns one of them, and of
+    no other, with the rows stacked in order. An orbit of no rows is never
+    drawn.
+    """
+
+    def __init__(self, orbits, sizes):
+        self.orbits = orbits
+        self.ends = np.cumsum(sizes)
+
+    def __next__(self):
+        return self
+
+    def __getitem__(self, active):
+        blocks, start = [], 0
+        for orbit, end in zip(self.orbits, self.ends):
+            own = active[(active >= start) & (active < end)]
+            if own.size:
+                blocks.append(next(orbit)[own - start])
+            start = end
+        return np.concatenate(blocks)
 
 
 def exact_points(rows) -> tuple[list[tuple[int, ...]], int]:
@@ -123,7 +165,30 @@ def exact_points(rows) -> tuple[list[tuple[int, ...]], int]:
     return [tuple(v % den for v in row) for row in nums], den
 
 
-def affine_orbit(entries, offset, starts, den: int, centred: bool = False, skip: int = 0):
+def _over_lcm(offset, starts, den: int):
+    """The starts and the offset as numerators over D, the lcm of den and the
+    offset's denominators: (rows, shift, D)."""
+    lift = math.lcm(den, *(v.denominator for v in offset)) // den
+    den *= lift
+    shift = [v.numerator * (den // v.denominator) for v in offset]
+    return [[v * lift for v in start] for start in starts], shift, den
+
+
+def affine_step(entries, offset, starts, den: int, centred: bool = False):
+    """One exact step of x -> A x + c mod 1 from m starts over den: (rows, D).
+
+    The images are numerator rows over D, the lcm of den and the offset's
+    denominators, reduced into [0, 1), or into [-1/2, 1/2) when centred,
+    as `intlinalg.orbit_segments` reduces every later point. With the
+    inverse map, they start a backward orbit at F^-1 x.
+    """
+    nums, shift, den = _over_lcm(offset, starts, den)
+    lo = den // 2 if centred else 0
+    return [tuple((v + c + lo) % den - lo for v, c in zip(intlinalg.mat_vec(entries, n), shift))
+            for n in nums], den
+
+
+def affine_orbit(entries, offset, starts, den: int, centred: bool = False):
     """Exact orbits of m starts under x -> A x + c mod 1, in lockstep.
 
     The starts are numerator rows over den and c is rational. The points
@@ -131,19 +196,13 @@ def affine_orbit(entries, offset, starts, den: int, centred: bool = False, skip:
     denominators, are yielded as (m, SEGMENT, d) float arrays of n / D, so
     every float is the correctly rounded rational point, whatever else is
     in the batch. Each start is yielded as given; later points are reduced
-    into [0, 1), or into [-1/2, 1/2) when centred. The first `skip` points
-    are sliced off the first block, which yields nothing if that leaves it
-    empty.
+    into [0, 1), or into [-1/2, 1/2) when centred.
     """
-    lift = math.lcm(den, *(v.denominator for v in offset)) // den
-    nums = [[v * lift for v in start] for start in starts]
-    den *= lift   # now D, the common denominator
-    shift = [v.numerator * (den // v.denominator) for v in offset]
+    nums, shift, den = _over_lcm(offset, starts, den)
     blocks = intlinalg.orbit_segments(entries, shift, nums, den, SEGMENT, centred)
     points = intlinalg.segment_floats(next(blocks), den)
     points[:, 0] = [[v / den for v in n] for n in nums]   # the starts as given, not reduced
-    if points.shape[1] > skip:
-        yield points[:, skip:]
+    yield points
     for block in blocks:
         yield intlinalg.segment_floats(block, den)
 
@@ -190,6 +249,7 @@ class SuspensionFlow:
         self._inv_translation = tuple(
             -v % 1 for v in intlinalg.mat_vec(self.inv_entries, self.translation)
         )
+        self._weights = {}   # direction -> the PCF gradient weights walked so far, and their bounds
 
     # -- base-map plumbing ---------------------------------------------------
 
@@ -227,12 +287,14 @@ class SuspensionFlow:
         """Float points of the exact orbits of m starts over den, in lockstep.
 
         Forward: x, F x, F^2 x, ... Backward: F^-1 x, F^-2 x, ... (the
-        start left out, as in every backward series). Yields (m, SEGMENT, d)
-        arrays, one orbit segment of each of the m starts.
+        start left out, as in every backward series), walked from the exact
+        preimage F^-1 x. Yields (m, SEGMENT, d) arrays, one orbit segment of
+        each of the m starts.
         """
         if not backward:
             return affine_orbit(self.base.entries, self.translation, starts, den)
-        return affine_orbit(self.inv_entries, self._inv_translation, starts, den, skip=1)
+        entries, offset = self.inv_entries, self._inv_translation
+        return affine_orbit(entries, offset, *affine_step(entries, offset, starts, den))
 
     def birkhoff_exact(self, starts, den: int, n: int, backward: bool = False) -> np.ndarray:
         """Roof Birkhoff partial sums along the exact orbits of a batch of starts over den.
@@ -294,9 +356,10 @@ class SuspensionFlow:
         `leaf_part` call per direction, before any series runs; a zero
         displacement or a constant roof gives 0.0. The requests are read
         in one array pass, each row with the same float operations as it
-        has alone. Identical requests share one series. The series of one
-        direction run in lockstep (see `_leaf_series`), so each value is
-        bit-identical whatever else is in the batch and in what order.
+        has alone. Identical requests share one series. The series of both
+        directions run as one lockstep batch (see `_leaf_series`), so each
+        value is bit-identical whatever else is in the batch and in what
+        order.
         """
         rows = {"stable": [], "unstable": []}   # the request indices of each direction
         for i, (_, _, direction) in enumerate(requests):
@@ -314,52 +377,92 @@ class SuspensionFlow:
             self.leaf_part(deltas[indices], direction)
         if self.roof.poly.is_constant():
             return values
+        series = {}   # (direction, start, gap) bytes -> (start, gap, indices), stable first
         for direction, indices in rows.items():
             indices = [i for i in indices if squares[i] != 0.0]
             gaps = deltas[indices]
             if direction == "unstable":   # the backward series starts one step back
                 gaps = self.walk_gaps(gaps, direction, 1)[1][:, 0]
-            series = {}   # (start, gap) bytes -> (start, gap, indices)
             for i, x, gap in zip(indices, xs[indices], gaps):
-                series.setdefault((x.tobytes(), gap.tobytes()), (x, gap, []))[2].append(i)
-            if series:
-                starts, gaps, owners = zip(*series.values())
-                for value, shared in zip(self._leaf_series(direction, starts, gaps), owners):
-                    for i in shared:
-                        values[i] = value
+                key = (direction, x.tobytes(), gap.tobytes())
+                series.setdefault(key, (x, gap, []))[2].append(i)
+        if series:
+            n_stable = sum(direction == "stable" for direction, _, _ in series)
+            starts, gaps, owners = zip(*series.values())
+            for value, shared in zip(self._leaf_series(starts, gaps, n_stable), owners):
+                for i in shared:
+                    values[i] = value
         return values
 
     def walk_gaps(self, gaps, direction: str, length: int) -> tuple[np.ndarray, np.ndarray]:
         """`walk_states` of stacked leaf gaps, stepped as proj @ (L^{+-1} @ g) per row: the
         re-projection stops float noise in the expanding complement from compounding."""
         if direction == "stable":
-            step, proj = self.lin, self.spectral.proj_s
-        else:
-            step, proj = self.lin_inv, self.spectral.proj_u
-        return walk_states(gaps, lambda g: row_products(proj, row_products(step, g)), length)
+            return walk_states(gaps, (self.lin, self.spectral.proj_s), length)
+        return walk_states(gaps, (self.lin_inv, self.spectral.proj_u), length)
 
-    def _leaf_series(self, direction: str, starts, gaps) -> list[float]:
-        """The leaf series of one direction, summed by `certified_sums` over one orbit.
+    def _leaf_series(self, starts, gaps, n_stable: int) -> list[float]:
+        """The leaf series of both directions, summed by `certified_sums` as one batch.
 
-        Each round advances the gaps of all open series by `walk_gaps` and
-        evaluates every row in one `eval_diff_rows` call; the next term is
-        at most lip times the next gap.
+        The first n_stable series are stable and the rest unstable. Each
+        direction walks its own exact orbit, forward or backward, drawn only
+        while it has an open series. Each round advances the gaps of all
+        open series with one `walk_states` call on per-row stacks of the
+        step and the projection, and evaluates them in `eval_diff_rows`
+        blocks of at most BATCH_ORBITS series; each series has its own sign
+        and rate, and its next term is at most lip times its next gap.
         """
-        proj = self.spectral.proj_s if direction == "stable" else self.spectral.proj_u
-        sign, rate = (1.0, self.spectral.lam) if direction == "stable" else (-1.0, self._q_unstable)
+        spectral = self.spectral
+        forward = np.arange(len(starts)) < n_stable
+        steps = np.where(forward[:, None, None], self.lin, self.lin_inv)
+        projs = np.where(forward[:, None, None], spectral.proj_s, spectral.proj_u)
+        signs = np.where(forward, 1.0, -1.0)
+        rates = np.where(forward, spectral.lam, self._q_unstable)
         poly = self.roof.poly
         lip = poly.lipschitz_bound()
-        gap = row_products(proj, np.array(gaps))
+        gap = np.matmul(projs, np.array(gaps)[..., None])[..., 0]
 
         def segment(points, active):
             m, length, d = points.shape
-            states, nexts = self.walk_gaps(gap[active], direction, length)
+            states, nexts = walk_states(gap[active], (steps[active], projs[active]), length)
             gap[active] = nexts[:, -1]
-            terms = poly.eval_diff_rows(points.reshape(-1, d), states.reshape(-1, d))
-            return sign * terms.reshape(m, length), lip * np.sqrt(row_squares(nexts))
+            points, states = points.reshape(-1, d), states.reshape(-1, d)
+            block = BATCH_ORBITS * length
+            terms = np.concatenate([
+                poly.eval_diff_rows(points[lo:lo + block], states[lo:lo + block])
+                for lo in range(0, m * length, block)
+            ])
+            return signs[active, None] * terms.reshape(m, length), lip * np.sqrt(row_squares(nexts))
 
-        orbit = self.exact_orbit(*exact_points(starts), direction == "unstable")
-        return certified_sums(orbit, segment, VALUE_TOL, [0.0] * len(starts), rate)[0]
+        orbits = [self.exact_orbit(*exact_points(rows), backward) if rows else None
+                  for rows, backward in ((starts[:n_stable], False), (starts[n_stable:], True))]
+        orbit = _JoinedOrbit(orbits, [n_stable, len(starts) - n_stable])
+        return certified_sums(orbit, segment, VALUE_TOL, [0.0] * len(starts), rates)[0]
+
+    def _gradient_weights(self, direction: str, lo: int, hi: int):
+        """Weights lo to hi - 1 of a PCF gradient half and the norm bound of each next weight.
+
+        Stable: L^n U from n = 0. Unstable: the projected L^-n U from n = 1,
+        each step re-projected onto E^u so stable float contamination does
+        not grow. The bound after weight n is the largest singular value of
+        weight n + 1. Both depend only on the flow, so each direction is
+        walked once per flow, extended when a longer series needs more, and
+        read by every later call. Returned as (1, hi - lo, d, dim E^u) and
+        (1, hi - lo) arrays, to broadcast against the rows of a segment.
+        """
+        proj = self.spectral.proj_u
+        if direction not in self._weights:
+            u = self.unstable_frame()
+            first = u if direction == "stable" else proj @ (self.lin_inv @ u)
+            self._weights[direction] = (first[None], np.empty(0))
+        weights, norms = self._weights[direction]
+        if len(norms) < hi:
+            matrices = (self.lin,) if direction == "stable" else (self.lin_inv, proj)
+            ahead = walk_states(weights[-1:], matrices, hi - len(norms))[1][0]
+            weights = np.concatenate([weights, ahead])
+            norms = np.concatenate([norms, np.linalg.svd(ahead, compute_uv=False).max(axis=-1)])
+            self._weights[direction] = (weights, norms)   # whole, in one assignment
+        return weights[None, lo:hi], norms[None, lo:hi]
 
     # The gradient halves hand over a next-term bound times q, so their tails
     # are short by the next term (CHANGES.md FOUND); dropping `* q` moves digits.
@@ -373,8 +476,9 @@ class SuspensionFlow:
         paired difference shrinks like lambda^n, so the tail is geometric at
         q = lambda * xi_max. Raises ValueError when q >= BUNCHING_CAP, as
         for every 2-dimensional base (q = 1). The m series run in lockstep
-        over one orbit walk and share the weights, which do not depend on
-        the start, so each row is bit-identical to its start run alone.
+        over one orbit walk and share the weights of `_gradient_weights`,
+        which do not depend on the start, so each row is bit-identical to
+        its start run alone.
         """
         q = self._q_stable
         if q >= BUNCHING_CAP:
@@ -384,17 +488,17 @@ class SuspensionFlow:
             )
         poly = self.roof.poly
         hess = poly.gradient_lipschitz_bound()
-        gap, weight = np.array(deltas, dtype=float), self.unstable_frame()[None]
+        gap, walked = np.array(deltas, dtype=float), 0
 
         def segment(points, active):
-            nonlocal weight
+            nonlocal walked
             length, d = points.shape[1:]
             deltas, nexts = self.walk_gaps(gap[active], "stable", length)
-            weights, ahead = walk_states(weight, lambda w: np.matmul(self.lin, w), length)
-            gap[active], weight = nexts[:, -1], ahead[:, -1]
+            gap[active] = nexts[:, -1]
+            weights, norms = self._gradient_weights("stable", walked, walked + length)
+            walked += length
             grads = poly.gradient_diff_rows(points.reshape(-1, d), deltas.reshape(-1, d))
             terms = np.matmul(weights.swapaxes(-1, -2), np.reshape(grads, (*deltas.shape, 1)))
-            norms = np.linalg.svd(ahead, compute_uv=False).max(axis=-1)
             return terms[..., 0], hess * np.sqrt(row_squares(nexts)) * norms * q
 
         orbit = self.exact_orbit(starts, den)
@@ -409,24 +513,22 @@ class SuspensionFlow:
         grads(points, active) returns the rows g_n of one segment of the
         open series `active`, their points stacked as (len(active) * length,
         d) rows; each g_n is a roof gradient difference (bounded by 2 lip).
-        The weights L^-n U contract at q = 1 / xi_min, re-projected onto
-        E^u each step so stable float contamination does not grow, and are
-        shared by the m series, which run in lockstep over one orbit walk.
-        totals[k] is the running sum that row k continues: the forward half,
-        or zeros.
+        The weights L^-n U of `_gradient_weights` contract at q = 1 / xi_min
+        and are shared by the m series, which run in lockstep over one
+        orbit walk. totals[k] is the running sum that row k continues: the
+        forward half, or zeros.
         """
         lip = self.roof.poly.lipschitz_bound()
-        lin_inv, proj, q = self.lin_inv, self.spectral.proj_u, self._q_unstable
-        weight = (proj @ (lin_inv @ self.unstable_frame()))[None]
+        q, walked = self._q_unstable, 0
 
         def segment(points, active):
-            nonlocal weight
-            weights, nexts = walk_states(
-                weight, lambda w: np.matmul(proj, np.matmul(lin_inv, w)), points.shape[1])
-            weight = nexts[:, -1]
+            nonlocal walked
+            length = points.shape[1]
+            weights, norms = self._gradient_weights("unstable", walked, walked + length)
+            walked += length
             rows = np.reshape(grads(points.reshape(-1, points.shape[-1]), active), points.shape)
-            bounds = 2.0 * lip * np.linalg.svd(nexts, compute_uv=False).max(axis=-1) * q
-            return np.matmul(weights.swapaxes(-1, -2), rows[..., None])[..., 0], bounds
+            terms = np.matmul(weights.swapaxes(-1, -2), rows[..., None])
+            return terms[..., 0], 2.0 * lip * norms * q
 
         orbit = self.exact_orbit(starts, den, backward=True)
         return np.array(certified_sums(orbit, segment, GRADIENT_TOL, totals, q)[0])

@@ -102,19 +102,6 @@ def sqrt_ratio(num: int, den: int) -> float:
     return math.ldexp(float(root), -s)
 
 
-def orbit_numerators(a: IntMatrix, offset, start, den: int):
-    """Exact orbit of start / den under x -> A x + offset / den mod 1.
-
-    Points are integer numerators over the fixed denominator den, so a
-    step is n <- (A n + offset) mod den, with no gcd. The start is yielded
-    as given; later points are reduced into [0, den).
-    """
-    nums = tuple(start)
-    while True:
-        yield nums
-        nums = tuple([(v + c) % den for v, c in zip(mat_vec(a, nums), offset)])
-
-
 # Limb width of the exact walks over 2^k > 2^64. A limb product is under
 # 2^(2W - 1) and a segment sums 2d of them per stack limb, so a limb sum
 # stays near 2^46 for d = 4, inside the 2^53 where float64 sums of integers
@@ -205,14 +192,16 @@ def _residue_stack(a: IntMatrix, length: int, q: int) -> np.ndarray:
 
 
 def orbit_segments(a: IntMatrix, offset, starts, den: int, length: int, centred: bool = False):
-    """The orbits of `orbit_numerators` from m starts, `length` points at a time.
+    """Exact orbits of m starts under x -> A x + offset / den, `length` points at a time.
 
-    Walks the m orbits in lockstep and yields one block per segment, row j
-    of start i at [i, j]. Every row is reduced as the later points of
-    `orbit_numerators` are, or into [-den/2, den/2) when centred (so row 0
-    is the start reduced). A segment is the stacked `_segment_stack` times
-    [n; offset], whose last row starts the next segment. The numerators
-    come in one of four forms, chosen from den by `_walk_branch`:
+    Points are integer numerators over the fixed den, reduced mod 1, so a
+    step is n <- (A n + offset) mod den, with no gcd. Walks the m orbits in
+    lockstep and yields one block per segment, row j of start i at [i, j].
+    Every row, the start's too, is reduced into [0, den), or into
+    [-den/2, den/2) when centred. A segment is the stacked
+    `_segment_stack` times [n; offset], whose last row starts the next
+    segment. The numerators come in one of four forms, chosen from den by
+    `_walk_branch`:
 
     * den divides 2^64: an (m, length, d) uint64 array, or int64 when
       centred. The matmul runs on uint64, and wrap-around mod 2^64 is exact
@@ -234,7 +223,8 @@ def orbit_segments(a: IntMatrix, offset, starts, den: int, length: int, centred:
       residue sum can wrap; the two join by the Chinese remainder theorem.
     * den past that bound: an (m, length, d) object array of Python ints.
 
-    `segment_floats` turns each form into the floats n / den.
+    `segment_floats` turns each form into the floats n / den, and
+    `segment_numerators` into Python ints.
     """
     exact, wrapped, layers = _segment_stack(a, length)
     d, m = len(a), len(starts)
@@ -357,13 +347,28 @@ def segment_floats(block: np.ndarray, den: int) -> np.ndarray:
     return _limb_floats(block)
 
 
+def segment_numerators(block: np.ndarray, den: int) -> np.ndarray:
+    """The numerators n of an `orbit_segments` block as Python ints, in an
+    (m, length, d) object array.
+
+    A limb block's limbs are put together by one object-array dot with the
+    powers 2^(W t) and shifted back from 2^K to den.
+    """
+    if _walk_branch(den, block.shape[-1]) != "limbs":
+        return block.astype(object)
+    powers = np.array([1 << (LIMB_BITS * t) for t in range(len(block))], dtype=object)
+    return np.moveaxis(block, 0, -1).astype(object).dot(powers) >> (
+        LIMB_BITS * len(block) + 1 - den.bit_length())
+
+
 def _crt_floats(block: np.ndarray, den: int) -> np.ndarray:
     """n / den of CRT numerators, correctly rounded, for den = 2^k q.
 
     With s = 64 - bitlen(den), |n| 2^s < 2^64 splits into Q q + rest, so
     |n| / den = (Q + rest / q) 2^-(k + s). As in `_limb_floats`, 2Q + sticky
     for rest > 0 rounds correctly once Q >= 2^53; smaller inexact elements
-    go through Python ints.
+    are divided by den as Python ints, in one object-array pass, which
+    rounds correctly.
     """
     k = _twos(den)
     shift = 64 - den.bit_length()
@@ -374,7 +379,7 @@ def _crt_floats(block: np.ndarray, den: int) -> np.ndarray:
     np.negative(out, out=out, where=block < 0)
     small = sticky & (whole < np.uint64(2**53))
     if small.any():
-        out[small] = [v / den for v in block[small].tolist()]
+        out[small] = block[small].astype(object) / den
     return out
 
 

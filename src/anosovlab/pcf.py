@@ -32,7 +32,8 @@ from numpy.random import default_rng
 
 from .errors import DegenerateGradients, NoIntersection, TruncationInsufficient
 from .flow import (
-    BATCH_ORBITS, CHART_RADIUS, SuspensionFlow, affine_orbit, exact_points, tail_horizon, wrap_unit,
+    BATCH_ORBITS, CHART_RADIUS, SuspensionFlow, affine_orbit, affine_step, exact_points,
+    tail_horizon, wrap_unit,
 )
 from .roof import RoofFunction, row_products
 from . import intlinalg, mpspec, util
@@ -254,9 +255,10 @@ def pcf_gradient(flow: SuspensionFlow, quads) -> np.ndarray:
     corners = np.array([quad.a for quad in quads], dtype=float)
     starts, den = exact_points(corners + u)
     totals = flow.stable_gradient(starts, den, row_products(flow.spectral.proj_s, w))
-    # backward gaps L^-n w mod 1, exact and wrapped, one segment per call
-    gaps = affine_orbit(flow.inv_entries, (0,) * flow.dim, *intlinalg.dyadic(w),
-                        centred=True, skip=1)
+    # backward gaps L^-n w mod 1 from n = 1, exact and wrapped, one segment per call
+    inv, zero = flow.inv_entries, (0,) * flow.dim
+    gaps = affine_orbit(inv, zero, *affine_step(inv, zero, *intlinalg.dyadic(w), centred=True),
+                        centred=True)
     return flow.unstable_gradient(
         starts, den,
         lambda points, active: poly.gradient_diff_rows(

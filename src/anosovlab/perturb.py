@@ -22,7 +22,8 @@ import numpy as np
 from . import intlinalg, mpspec, util
 from .errors import ChartExit, ResidualBelowNoise
 from .flow import (
-    BATCH_ORBITS, RETURN_TOL, VALUE_TOL, SuspensionFlow, certified_sums, exact_points, wrap_unit,
+    BATCH_ORBITS, RETURN_TOL, SEGMENT, VALUE_TOL, SuspensionFlow, certified_sums, exact_points,
+    wrap_unit,
 )
 from .roof import PeriodicOrbitRecord, periodic_points, row_products, row_squares
 from .spectral import InvariantSubspaceCatalog
@@ -202,16 +203,20 @@ def _verify_backward_approach(chart, target, q_orbit, steps: int) -> float:
     must approach the orbit of q at the unstable contraction rate; float
     iteration would destroy this beyond ~40 steps. target holds the
     numerators of q + m over q.den; `stable_numerators` gives r over
-    D = lcm(2^K, q.den), and the walk runs on integers for `steps`
-    backward steps. The squared torus distances and their minimum are
-    exact; only the square root rounds, once, correctly.
+    D = lcm(2^K, q.den), and `intlinalg.orbit_segments` walks it on
+    integers for `steps` backward steps, one segment per SEGMENT steps.
+    The squared torus distances and their minimum are exact; only the
+    square root rounds, once, correctly.
     """
     den = q_orbit.den
     start, big = chart.split.stable_numerators(target, den)
     lift, half = big // den, big // 2
     q_pts = np.array(q_orbit.numerators, dtype=object) * lift
-    orbit = intlinalg.orbit_numerators(chart.flow.inv_entries, (0,) * chart.flow.dim, start, big)
-    points = np.array(list(islice(orbit, 1, steps + 1)), dtype=object)
+    blocks = intlinalg.orbit_segments(chart.flow.inv_entries, (0,) * chart.flow.dim, [start], big,
+                                      SEGMENT)
+    walk = [intlinalg.segment_numerators(block, big)[0]
+            for block in islice(blocks, steps // SEGMENT + 1)]
+    points = np.concatenate(walk)[1:steps + 1]
     # every backward point against every point of q, in Python ints; in
     # place, so that one array of them is alive at a time
     gaps = points[:, None] - q_pts

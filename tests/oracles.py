@@ -24,6 +24,9 @@ the rounds of `pcf.find_independent_pairs` replaced, and
 route. `python_int_segments` is the orbit walk on Python ints that the
 int64 limb branch of `intlinalg.orbit_segments` replaced for 2^k > 2^64,
 and `limb_numerators` reads that branch's limbs back as Python ints.
+`orbit_numerators` is the one-step walk on Python ints that
+`orbit_segments` replaced in every package orbit, and the reference of
+the orbit tests.
 `periodic_points_reference` is the Python-int enumeration and orbit walk
 that the int64 arrays of `roof.periodic_points` replaced.
 `heteroclinic_data_reference`, `homoclinic_vectors_reference` and
@@ -59,6 +62,23 @@ from itertools import chain, islice
 from pprint import pprint
 
 import mpmath as mp
+
+
+def orbit_numerators(a, offset, start, den):
+    """Exact orbit of start / den under x -> A x + offset / den mod 1, one step at a time.
+
+    The one-step walk that `intlinalg.orbit_segments` replaced, kept as the
+    reference its rows must equal. Points are integer numerators over the
+    fixed denominator den, so a step is n <- (A n + offset) mod den, with
+    no gcd. The start is yielded as given; later points are reduced into
+    [0, den).
+    """
+    from anosovlab.intlinalg import mat_vec
+
+    nums = tuple(start)
+    while True:
+        yield nums
+        nums = tuple([(v + c) % den for v, c in zip(mat_vec(a, nums), offset)])
 
 
 def rationalize(x):
@@ -661,7 +681,7 @@ def periodic_points_reference(matrix, n, roof=None):
 
     Every point of Fix(M^n) is one `intlinalg.mat_vec` of the scaled V with
     a lattice step, reduced mod den into a set; each orbit is walked from
-    its least point with `intlinalg.orbit_numerators`, and its flow period
+    its least point with `orbit_numerators`, and its flow period
     is the `sum()` of one row evaluation of the cycle. The refusals are the
     package's.
     """
@@ -688,7 +708,7 @@ def periodic_points_reference(matrix, n, roof=None):
     for start in sorted(points):
         if start in visited:
             continue
-        walk = intlinalg.orbit_numerators(matrix.entries, (0,) * d, start, den)
+        walk = orbit_numerators(matrix.entries, (0,) * d, start, den)
         cycle = [next(walk)]
         cycle.extend(itertools.takewhile(lambda p: p != start, walk))
         visited.update(cycle)
@@ -755,7 +775,7 @@ def backward_approach_reference(chart, target, q_orbit, steps):
     start, big = chart.split.stable_numerators(target, den)
     lift, half = big // den, big // 2
     q_pts = [[c * lift for c in pt] for pt in q_orbit.numerators]
-    orbit = intlinalg.orbit_numerators(chart.flow.inv_entries, (0,) * chart.flow.dim, start, big)
+    orbit = orbit_numerators(chart.flow.inv_entries, (0,) * chart.flow.dim, start, big)
     dist_sq = min(
         sum(((p - q + half) % big - half) ** 2 for p, q in zip(point, qp))
         for point in islice(orbit, 1, steps + 1) for qp in q_pts

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import const_roof, cos_roof
 from oracles import (
     base_apply, certified_sum, distance_mp, evolve_mp, kahan_birkhoff, limb_numerators,
-    make_point, numerators, projected, python_int_segments, rationalize,
+    make_point, numerators, orbit_numerators, projected, python_int_segments, rationalize,
     time_adjustment_reference,
 )
 
@@ -19,9 +19,15 @@ from anosovlab import flow as flow_module
 from anosovlab import experiments, intlinalg, mpspec, pcf, perturb
 from anosovlab.errors import OffLeaf, TruncationInsufficient
 from anosovlab.flow import SuspensionFlow, affine_orbit, exact_points, wrap_unit
+from anosovlab.roof import TrigPolynomial
 from anosovlab.spectral import IntegerMatrix
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# segment sizes of the batched series: one point, a small size that ends
+# most series mid-segment, and the default
+SEGMENTS = [1, 7, flow_module.SEGMENT]
+
 
 
 class TestEvolve:
@@ -348,6 +354,108 @@ class TestBatch:
             flow.time_adjustment([request(*short), request(*long), request(*short)])
 
 
+    @staticmethod
+    def _mixed_requests(flow, seed):
+        # both directions interleaved, with repeated gaps from different
+        # starts; the stable series, at rate lambda ~ 0.75, close rounds
+        # before the unstable ones, at 1 / xi_min ~ 0.87
+        rng = np.random.default_rng(seed)
+        s = flow.stable_frame() @ [0.02]
+        u = flow.unstable_frame() @ [0.01, -0.015]
+        starts = [rng.random(3) for _ in range(4)]
+        stable = [(x, x + s, "stable") for x in starts]
+        stable.append((starts[0], starts[0] + s / 2, "stable"))
+        unstable = [(x, x + u, "unstable") for x in starts]
+        unstable.append((starts[1], starts[1] - u, "unstable"))
+        return stable, unstable, [r for pair in zip(stable, unstable) for r in pair]
+
+    @pytest.mark.parametrize("segment", SEGMENTS)
+    def test_both_directions_in_one_batch_match_alone(self, companion3_flow, monkeypatch, segment):
+        # one lockstep batch of both directions gives each request its value
+        # alone, bit for bit. Each round draws one block of each direction's
+        # orbit while that direction has an open series: as many blocks as
+        # that direction alone, in turn with the other direction's
+        flow = companion3_flow
+        monkeypatch.setattr(flow_module, "SEGMENT", segment)
+        stable, unstable, requests = self._mixed_requests(flow, 29)
+        alone = [flow.time_adjustment([r])[0].hex() for r in requests]
+        walks, draws = [], []   # draws: the walk index of each block drawn, in turn
+        walk = intlinalg.orbit_segments
+
+        def recording(*args, **kwargs):
+            index = len(walks)
+            walks.append(index)
+            for block in walk(*args, **kwargs):
+                draws.append(index)
+                yield block
+
+        monkeypatch.setattr(intlinalg, "orbit_segments", recording)
+        flow.time_adjustment(stable)
+        short = len(draws)
+        draws.clear()
+        flow.time_adjustment(unstable)
+        long = len(draws)
+        assert short < long
+        walks.clear()
+        draws.clear()
+        assert [v.hex() for v in flow.time_adjustment(requests)] == alone
+        assert len(walks) == 2
+        assert draws == [0, 1] * short + [1] * (long - short)
+
+    def test_one_walk_per_round_serves_both_directions(self, companion3_flow, monkeypatch):
+        # each round advances the gaps of every open series, of both
+        # directions, with one walk_states call; the unstable requests' one
+        # backward step before the rounds is one call more
+        flow = companion3_flow
+        stable, unstable, requests = self._mixed_requests(flow, 31)
+        calls = []
+        walk = flow_module.walk_states
+
+        def recording(state, matrices, length):
+            calls.append((len(state), length))
+            return walk(state, matrices, length)
+
+        monkeypatch.setattr(flow_module, "walk_states", recording)
+
+        def rounds(batch):
+            calls.clear()
+            flow.time_adjustment(batch)
+            return [rows for rows, length in calls if length == flow_module.SEGMENT]
+
+        stable_rounds, unstable_rounds = len(rounds(stable)), len(rounds(unstable))
+        assert calls[0] == (len(unstable), 1)
+        walks = rounds(requests)
+        assert len(calls) == len(walks) + 1
+        assert len(walks) == max(stable_rounds, unstable_rounds) < stable_rounds + unstable_rounds
+        assert walks[0] == len(stable) + len(unstable)
+
+    @pytest.mark.parametrize("batch", [2, 5, flow_module.BATCH_ORBITS])
+    def test_eval_blocks_hold_at_most_batch_orbits_series(
+            self, companion3_flow, monkeypatch, batch):
+        # every eval_diff_rows call of a batch takes at most BATCH_ORBITS
+        # series of one segment each, and the values are those alone
+        flow = companion3_flow
+        rng = np.random.default_rng(43)
+        s, u = flow.stable_frame(), flow.unstable_frame()
+        requests = []
+        for _ in range(20):
+            x = rng.random(3)
+            requests += [(x, x + s @ rng.uniform(-0.02, 0.02, 1), "stable"),
+                         (x, x + u @ rng.uniform(-0.02, 0.02, 2), "unstable")]
+        alone = [flow.time_adjustment([r])[0].hex() for r in requests]
+        sizes = []
+        evaluate = TrigPolynomial.eval_diff_rows
+
+        def recording(poly, points, deltas):
+            sizes.append(len(points))
+            return evaluate(poly, points, deltas)
+
+        monkeypatch.setattr(TrigPolynomial, "eval_diff_rows", recording)
+        monkeypatch.setattr(flow_module, "BATCH_ORBITS", batch)
+        assert [v.hex() for v in flow.time_adjustment(requests)] == alone
+        assert max(sizes) == min(batch, len(requests)) * flow_module.SEGMENT
+
+
 class TestStrongManifoldPoint:
     # the point of W^s((x, s)) over x + v is (x + v, s + time_adjustment(x, x + v))
     def test_constant_roof_keeps_fiber(self, cat_map):
@@ -445,15 +553,11 @@ class TestExactOrbits:
             direct, abs=1e-11)
 
 
-# segment sizes of the batched series: one point, a small size that ends
-# most series mid-segment, and the default
-SEGMENTS = [1, 7, flow_module.SEGMENT]
-
-
 def _check_lockstep_sums(monkeypatch, segment, vector):
     # toy series in lockstep: term n of series k is g_n (n % 3 - 1), with
-    # g_{n+1} = r_k g_n carried by walk_states as the next-term bound, so
-    # the loop's tail after the term is g_{n+1} / (1 - r_k). The rates stop
+    # g_{n+1} = r_k g_n carried by walk_states, on an (m, 1, 1) stack of the
+    # rates, as the next-term bound, so the loop's tail after the term is
+    # g_{n+1} / (1 - r_k). The rates stop
     # the series after 18, 31, 104 and 223 terms, so in different rounds
     # and at different offsets inside a segment; the two series at rate
     # 0.5 stop together.
@@ -483,9 +587,8 @@ def _check_lockstep_sums(monkeypatch, segment, vector):
         gap = starts[:, None].copy()
 
         def segment_terms(points, active):
-            rate = rates[active][:, None]
             states, nexts = flow_module.walk_states(
-                gap[active], lambda g: rate * g, points.shape[1])
+                gap[active], (rates[active][:, None, None],), points.shape[1])
             gap[active] = nexts[:, -1]
             g = states[..., 0, None] if vector else states[..., 0]
             return g * pattern(points[..., 0]), nexts[..., 0]
@@ -691,7 +794,7 @@ def _assert_walks(blocks, entries, offset, starts, den, centred, points):
     lo = den // 2 if centred else 0
     for start, walk, out in zip(starts, walks, floats):
         expected = [tuple((v + lo) % den - lo for v in row) for row in
-                    islice(intlinalg.orbit_numerators(entries, offset, start, den), points)]
+                    islice(orbit_numerators(entries, offset, start, den), points)]
         assert walk[:points] == expected
         assert out[:points] == [tuple((v / den).hex() for v in row) for row in expected]
 
@@ -712,6 +815,79 @@ def test_orbit_segments_match_orbit_numerators(companion3, den, centred, length,
     offset = data.draw(st.tuples(*[st.integers(0, den - 1)] * 3))
     blocks = intlinalg.orbit_segments(entries, offset, starts, den, length, centred)
     _assert_walks(blocks, entries, offset, starts, den, centred, 100)
+
+
+@pytest.mark.parametrize("segment", SEGMENTS)
+def test_backward_blocks_start_at_the_preimage(companion3_flow, translated3, monkeypatch, segment):
+    # a backward orbit is walked from the exact preimage F^-1 x, so every
+    # block, the first too, is SEGMENT points long, and the points are the
+    # Fraction iterates F^-1 x, F^-2 x, ...; the centred gap walk of
+    # pcf_gradient likewise from L^-1 w, reduced into [-1/2, 1/2)
+    monkeypatch.setattr(flow_module, "SEGMENT", segment)
+    for flow in (companion3_flow, translated3):
+        points = [rationalize(x) for x in ((0.37, 0.91, 0.18), (0.05, 0.5, 0.77))]
+        nums, den = numerators(points)
+        blocks = list(islice(flow.exact_orbit(nums, den, backward=True), 3))
+        assert [block.shape for block in blocks] == [(2, segment, 3)] * 3
+        for row, point in zip(np.concatenate(blocks, axis=1), points):
+            for got in row.tolist():
+                point = flow.base_apply_inv_exact(point)
+                assert got == [float(v) for v in point]
+    inv, zero = companion3_flow.inv_entries, (0, 0, 0)
+    [gap], den = intlinalg.dyadic([(0.013, -0.02, 0.007)])
+    start = flow_module.affine_step(inv, zero, [gap], den, centred=True)
+    blocks = list(islice(affine_orbit(inv, zero, *start, centred=True), 3))
+    assert [block.shape for block in blocks] == [(1, segment, 3)] * 3
+    for got in np.concatenate(blocks, axis=1)[0].tolist():
+        gap = tuple(_centred(sum(a * v for a, v in zip(line, gap)), den) for line in inv)
+        assert got == [v / den for v in gap]
+
+
+@pytest.mark.parametrize("centred", [False, True])
+@pytest.mark.parametrize("den", DENOMINATORS + [2**416])
+def test_segment_numerators_are_the_walk(companion3, den, centred):
+    # each branch's block read back as Python ints is the one-step walk
+    entries = companion3.inverse_entries()
+    starts = [(1, den // 3, den - 5), (-7, 2 * den, den // 7 + 1)]
+    offset = (0, den // 5, 3)
+    blocks = intlinalg.orbit_segments(entries, offset, starts, den, 7, centred)
+    walks = [[] for _ in starts]
+    for block in islice(blocks, 3):
+        got = intlinalg.segment_numerators(block, den)
+        assert got.dtype == object and got.shape == (len(starts), 7, 3)
+        for walk, rows in zip(walks, got.tolist()):
+            walk.extend(tuple(row) for row in rows)
+    lo = den // 2 if centred else 0
+    for start, walk in zip(starts, walks):
+        assert walk == [tuple((v + lo) % den - lo for v in row)
+                        for row in islice(orbit_numerators(entries, offset, start, den), 21)]
+
+
+@pytest.mark.parametrize("centred", [False, True])
+@pytest.mark.parametrize("k", [10, 30, 53, 59])
+def test_crt_floats_match_exact_division(k, centred):
+    # D = 7 * 2^k on the CRT branch. An element under D / 2^8 that 7 does
+    # not divide has a quotient under 2^53 and a remainder, so it takes the
+    # small path: rows mix zeros, such tiny elements, elements either side
+    # of that edge and large ones, signed when centred; every float is n / D
+    # correctly rounded
+    den = 7 << k
+    assert intlinalg._walk_branch(den, 3) == "crt"
+    half = den // 2 if centred else 0   # elements in [-half, den - half)
+    rng = random.Random(k + centred)
+    edge = den >> 8
+    nums = [0] * 11 + [edge - 1, edge, edge + 1]
+    while len(nums) < 240:
+        b = rng.randrange(1, edge.bit_length() + 1)
+        nums.append(rng.getrandbits(b) | 1 << (b - 1))
+        nums.append(rng.randrange(edge, den - half))
+    if centred:
+        nums = [-v if rng.random() < 0.5 else v for v in nums]
+    rng.shuffle(nums)
+    assert sum(0 < abs(v) < edge and v % 7 != 0 for v in nums) > 80
+    block = np.array(nums, dtype=np.int64).reshape(2, 40, 3)
+    out = intlinalg.segment_floats(block, den)
+    assert [v.hex() for v in out.ravel().tolist()] == [(v / den).hex() for v in nums]
 
 
 # the limb branch: just past 2^64, at the 2^160 of mpspec and at the 2^416
@@ -916,7 +1092,7 @@ def test_centred_walk_at_two_to_the_64(companion3):
     first = next(blocks)
     assert first.dtype == np.int64
     expected = [tuple((v + den // 2) % den - den // 2 for v in row)
-                for row in islice(intlinalg.orbit_numerators(inv, (0, 0, 0), start, den), 70)]
+                for row in islice(orbit_numerators(inv, (0, 0, 0), start, den), 70)]
     rows = chain(first[0], chain.from_iterable(b[0] for b in blocks))
     got = [tuple(int(v) for v in row) for row in islice(rows, 70)]
     assert got == expected

@@ -403,6 +403,31 @@ class TestBatchedGradients:
         pcf.pcf_gradient(flow, quads)
         assert calls == [4, 4, 4]
 
+    def test_weights_walked_once_per_flow(self, companion3, monkeypatch):
+        # the gradient weights and their bounds depend only on the flow: a
+        # second call on it walks none and is bit-identical to the first,
+        # and weights walked at another segment length give the same bits
+        flow = SuspensionFlow(companion3, cos_roof(3))
+        quads = pcf.sample_quadrilaterals(flow, 3, seed=37)
+        first = _hexed(pcf.pcf_gradient(flow, quads))
+        states = []
+        walk = flow_module.walk_states
+
+        def recording(state, matrices, length):
+            states.append(state.ndim)   # 2 for stacked gaps, 3 for weights
+            return walk(state, matrices, length)
+
+        monkeypatch.setattr(flow_module, "walk_states", recording)
+        assert _hexed(pcf.pcf_gradient(flow, quads)) == first
+        assert states and set(states) == {2}
+        other = SuspensionFlow(companion3, cos_roof(3))
+        with monkeypatch.context() as patch:
+            patch.setattr(flow_module, "SEGMENT", 7)
+            pcf.pcf_gradient(other, quads[:1])
+        states.clear()
+        assert _hexed(pcf.pcf_gradient(other, quads)) == first
+        assert 3 in states   # its longer series extend the walk
+
     def test_matching_kernel_makes_one_call(self, companion3_flow, gradient_batches):
         flow = companion3_flow
         pairs = pcf.find_independent_pairs(flow, BASE_POINT, count=2, seed=5)

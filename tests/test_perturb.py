@@ -159,9 +159,11 @@ class TestKappaSetupMatchesLoops:
         assert kappa_setup.homoclinic_m in [m for m, _, _ in got]
 
     def test_backward_approach(self, kappa_setup):
-        # the chosen datum and the first candidates of its period
+        # the chosen datum and the first candidates of its period, walked on
+        # Python ints, and of period 1, whose den 1 puts the walk on limbs
         chart = kappa_setup.chart
-        data = [kappa_setup.datum, *perturb.find_heteroclinic_data(chart, perturb.KAPPA_Q_PERIOD)[:6]]
+        data = [kappa_setup.datum, *perturb.find_heteroclinic_data(chart, perturb.KAPPA_Q_PERIOD)[:6],
+                *perturb.find_heteroclinic_data(chart, 1)[:3]]
         distances = []
         for datum in data:
             orbit, den = datum.q_orbit, datum.q_orbit.den

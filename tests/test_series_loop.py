@@ -14,6 +14,10 @@ The loop also holds the one tail rule: a series hands over next-term
 bounds and its rate, and the loop divides by 1 - rate. So a function
 that divides by, or multiplies with, `1 - <expr>` is the loop, the same
 rule solved for a horizon, or listed here with its reason.
+
+`flow.walk_states` steps a recurrence by a tuple of matrices, applied in
+place, so no call in `src/` or `tests/` hands it a lambda or a function,
+and no per-step closure comes back.
 """
 
 import ast
@@ -25,6 +29,7 @@ import pytest
 from anosovlab import flow
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "anosovlab"
+TESTS = Path(__file__).resolve().parent
 
 ALLOWED = {
     ("flow.certified_sums", "reads MAX_TERMS"),
@@ -141,3 +146,22 @@ def test_geometric_series_stops_where_its_horizon_says(rate):
     horizon = flow.tail_horizon(g, rate, 1.0, tol)   # lip g, scale 1
     assert g * rate**horizon / (1.0 - rate) <= tol
     assert horizon == max(count + 2, 8)
+
+
+def test_walk_states_takes_matrices_not_callables():
+    # no argument of a walk_states call is a lambda, or names a function
+    # defined in its file
+    calls, offences = 0, []
+    for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = {node.name for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and _name(node.func) == "walk_states"):
+                continue
+            calls += 1
+            for arg in [*node.args, *(keyword.value for keyword in node.keywords)]:
+                if any(isinstance(sub, ast.Lambda) for sub in ast.walk(arg)) or (
+                        isinstance(arg, (ast.Name, ast.Attribute)) and _name(arg) in functions):
+                    offences.append(f"{path.name}:{node.lineno}")
+    assert calls and offences == []
