@@ -11,7 +11,8 @@ starts, holds the one term cap and forms every tail as a next-term bound
 over (1 - rate); `tail_horizon` solves that tail for the number of terms.
 `walk_states` steps every float recurrence of a segment by a tuple of
 matrices, in place. One `time_adjustment` call sums the leaf series of
-both directions as one batch, each direction on its own orbit, and the
+both directions as one batch, each direction on its own orbit, which has
+one row per distinct start, while each distinct gap is walked once; the
 PCF gradient weights are walked once per flow and direction.
 """
 
@@ -37,8 +38,8 @@ GRADIENT_TOL = 1e-15   # gradient series: a decade lower, as they feed 1e-9 rank
 RETURN_TOL = 1e-13     # bump return series: a decade under the 1e-12 noise floor of the kappa fit
 MAX_TERMS = 5000       # the bundled configs need at most ~260 terms
 SEGMENT = 32           # points per orbit matmul and roof evaluation: amortizes numpy calls; overshoot < 32
-BATCH_ORBITS = 32      # orbits per return-series or geometric-route walk, and leaf series per
-                       # `eval_diff_rows` block: +0.3 MB RSS over 2 orbits
+BATCH_ORBITS = 32      # orbits per return-series or geometric-route walk, and starts, gaps or
+                       # series per leaf-series factor block: +0.3 MB RSS over 2 orbits
 MAX_HORIZON = 500      # longest geometric-route walk: a longer tail is refused, not cut short
 CHART_RADIUS = 0.05    # largest leaf displacement a quadrilateral accepts
 BUNCHING_CAP = 0.98    # largest forward gradient rate lambda * xi_max: keeps 1 / (1 - q) <= 50
@@ -51,7 +52,8 @@ def certified_sums(orbit, segment_terms, tol: float, totals, rate) -> tuple[list
     so row k belongs to the series that continues totals[k] (zeros of the
     term shape, or the forward half of a two-sided series). A row is one
     start's exact-orbit segment, or a group of points walked together, as
-    the orbit pair of each point of `perturb.return_series`. Each round
+    the orbit pair of each point of `perturb.return_series`; the leaf
+    series draw one row per distinct start from `_JoinedOrbit`. Each round
     calls segment_terms(block[active], active), active being the open
     series in order, which returns one row of terms and one row of bounds
     on each next term (or one row for all) per open series, as arrays.
@@ -128,30 +130,40 @@ def walk_states(state, matrices, length: int) -> tuple[np.ndarray, np.ndarray]:
     return walk[:, :length], walk[:, 1:]
 
 
-class _JoinedOrbit:
-    """Lockstep orbits of consecutive row ranges, read by `certified_sums` as one orbit.
+def _distinct(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct entries of an index array into range(n), and each entry's place."""
+    seen = np.zeros(n, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen), np.cumsum(seen)[ids] - 1
 
-    Each `next` returns the orbit itself, and indexing it with the open
-    rows draws the next block of every orbit that owns one of them, and of
-    no other, with the rows stacked in order. An orbit of no rows is never
-    drawn.
+
+class _JoinedOrbit:
+    """Lockstep orbits of consecutive start ranges, read by `certified_sums` as one orbit.
+
+    Series k walks start start_of[k]. Each `next` returns the orbit itself,
+    and indexing it with the open series draws the next block of every
+    orbit that owns one of their starts, and of no other: (points, at),
+    one row of points per distinct open start, in start order, and at[k]
+    the row of open series k. An orbit of no open start is never drawn.
     """
 
-    def __init__(self, orbits, sizes):
+    def __init__(self, orbits, sizes, start_of):
         self.orbits = orbits
         self.ends = np.cumsum(sizes)
+        self.start_of = start_of
 
     def __next__(self):
         return self
 
     def __getitem__(self, active):
+        opened, at = _distinct(self.start_of[active], self.ends[-1])
         blocks, start = [], 0
         for orbit, end in zip(self.orbits, self.ends):
-            own = active[(active >= start) & (active < end)]
+            own = opened[(opened >= start) & (opened < end)]
             if own.size:
                 blocks.append(next(orbit)[own - start])
             start = end
-        return np.concatenate(blocks)
+        return np.concatenate(blocks), at
 
 
 def exact_points(rows) -> tuple[list[tuple[int, ...]], int]:
@@ -356,8 +368,10 @@ class SuspensionFlow:
         `leaf_part` call per direction, before any series runs; a zero
         displacement or a constant roof gives 0.0. The requests are read
         in one array pass, each row with the same float operations as it
-        has alone. Identical requests share one series. The series of both
-        directions run as one lockstep batch (see `_leaf_series`), so each
+        has alone. Identical requests share one series, and series of one
+        direction share the orbit row of an equal start and the gap walk of
+        an equal gap. The series of both directions run as one lockstep
+        batch (see `_leaf_series`), so each
         value is bit-identical whatever else is in the batch and in what
         order.
         """
@@ -377,19 +391,18 @@ class SuspensionFlow:
             self.leaf_part(deltas[indices], direction)
         if self.roof.poly.is_constant():
             return values
-        series = {}   # (direction, start, gap) bytes -> (start, gap, indices), stable first
+        series = {}   # (start, gap) keys -> requests; a key is (direction, row bytes)
         for direction, indices in rows.items():
-            indices = [i for i in indices if squares[i] != 0.0]
-            gaps = deltas[indices]
-            if direction == "unstable":   # the backward series starts one step back
-                gaps = self.walk_gaps(gaps, direction, 1)[1][:, 0]
-            for i, x, gap in zip(indices, xs[indices], gaps):
-                key = (direction, x.tobytes(), gap.tobytes())
-                series.setdefault(key, (x, gap, []))[2].append(i)
+            for i in indices:
+                if squares[i] != 0.0:
+                    key = (direction, xs[i].tobytes()), (direction, deltas[i].tobytes())
+                    series.setdefault(key, []).append(i)
         if series:
-            n_stable = sum(direction == "stable" for direction, _, _ in series)
-            starts, gaps, owners = zip(*series.values())
-            for value, shared in zip(self._leaf_series(starts, gaps, n_stable), owners):
+            starts, gaps = {}, {}   # the distinct keys, numbered in first use, stable first
+            start_of = np.array([starts.setdefault(start, len(starts)) for start, _ in series])
+            gap_of = np.array([gaps.setdefault(gap, len(gaps)) for _, gap in series])
+            sums = self._leaf_series(list(starts), list(gaps), start_of, gap_of)
+            for value, shared in zip(sums, series.values()):
                 for i in shared:
                     values[i] = value
         return values
@@ -401,43 +414,66 @@ class SuspensionFlow:
             return walk_states(gaps, (self.lin, self.spectral.proj_s), length)
         return walk_states(gaps, (self.lin_inv, self.spectral.proj_u), length)
 
-    def _leaf_series(self, starts, gaps, n_stable: int) -> list[float]:
+    def _leaf_series(self, starts, gaps, start_of, gap_of) -> list[float]:
         """The leaf series of both directions, summed by `certified_sums` as one batch.
 
-        The first n_stable series are stable and the rest unstable. Each
-        direction walks its own exact orbit, forward or backward, drawn only
-        while it has an open series. Each round advances the gaps of all
-        open series with one `walk_states` call on per-row stacks of the
-        step and the projection, and evaluates them in `eval_diff_rows`
-        blocks of at most BATCH_ORBITS series; each series has its own sign
-        and rate, and its next term is at most lip times its next gap.
+        Series k starts at starts[start_of[k]] with gap gaps[gap_of[k]], both
+        distinct (direction, row bytes) keys, stable first. Its term
+        roof(x_n + g_n) - roof(x_n) is an orbit factor, set by its start,
+        times a gap factor, set by its gap (`TrigPolynomial.orbit_factors`),
+        so a round computes each once per distinct open start or gap: each
+        direction's exact orbit has one row per start, and the open gaps
+        advance by one `walk_states` call on per-row step and projection
+        stacks, the unstable ones after one step back. The factors, and the
+        products that pair them per series, run in blocks of BATCH_ORBITS
+        rows. Each series has its own sign and rate, and its next term is
+        at most lip times its next gap.
         """
-        spectral = self.spectral
-        forward = np.arange(len(starts)) < n_stable
+        n_starts, n_gaps = (sum(direction == "stable" for direction, _ in keys)
+                            for keys in (starts, gaps))
+        # the float rows, read back from their key bytes
+        starts, gaps = (np.frombuffer(b"".join(row for _, row in keys)).reshape(-1, self.dim)
+                        for keys in (starts, gaps))
+        spectral, poly = self.spectral, self.roof.poly
+        forward = np.arange(len(gaps)) < n_gaps
         steps = np.where(forward[:, None, None], self.lin, self.lin_inv)
         projs = np.where(forward[:, None, None], spectral.proj_s, spectral.proj_u)
-        signs = np.where(forward, 1.0, -1.0)
-        rates = np.where(forward, spectral.lam, self._q_unstable)
-        poly = self.roof.poly
+        signs = np.where(forward[gap_of], 1.0, -1.0)
+        rates = np.where(forward[gap_of], spectral.lam, self._q_unstable)
         lip = poly.lipschitz_bound()
-        gap = np.matmul(projs, np.array(gaps)[..., None])[..., 0]
+        gap = np.array(gaps)
+        if n_gaps < len(gap):   # the backward series starts one step back
+            gap[n_gaps:] = self.walk_gaps(gap[n_gaps:], "unstable", 1)[1][:, 0]
+        gap = np.matmul(projs, gap[..., None])[..., 0]
 
-        def segment(points, active):
-            m, length, d = points.shape
-            states, nexts = walk_states(gap[active], (steps[active], projs[active]), length)
-            gap[active] = nexts[:, -1]
-            points, states = points.reshape(-1, d), states.reshape(-1, d)
-            block = BATCH_ORBITS * length
+        def segment(drawn, active):
+            points, at = drawn
+            length, d = points.shape[1:]
+            opened, own = _distinct(gap_of[active], len(gap))
+            states, nexts = walk_states(gap[opened], (steps[opened], projs[opened]), length)
+            gap[opened] = nexts[:, -1]
+
+            def blocks(kernel, rows):   # kernel on BATCH_ORBITS rows of the segment at a time
+                return np.concatenate([
+                    kernel(rows[lo:lo + BATCH_ORBITS].reshape(-1, d))
+                    for lo in range(0, len(rows), BATCH_ORBITS)
+                ]).reshape(len(rows), length, -1)
+
+            rotations = blocks(poly.orbit_factors, points)
+            factors = blocks(poly.gap_factors, states)
+            k = factors.shape[-1]
             terms = np.concatenate([
-                poly.eval_diff_rows(points[lo:lo + block], states[lo:lo + block])
-                for lo in range(0, m * length, block)
+                poly.factor_diff_rows(rotations[at[lo:lo + BATCH_ORBITS]].reshape(-1, k),
+                                      factors[own[lo:lo + BATCH_ORBITS]].reshape(-1, k))
+                for lo in range(0, len(active), BATCH_ORBITS)
             ])
-            return signs[active, None] * terms.reshape(m, length), lip * np.sqrt(row_squares(nexts))
+            bounds = lip * np.sqrt(row_squares(nexts))
+            return signs[active, None] * terms.reshape(len(active), length), bounds[own]
 
-        orbits = [self.exact_orbit(*exact_points(rows), backward) if rows else None
-                  for rows, backward in ((starts[:n_stable], False), (starts[n_stable:], True))]
-        orbit = _JoinedOrbit(orbits, [n_stable, len(starts) - n_stable])
-        return certified_sums(orbit, segment, VALUE_TOL, [0.0] * len(starts), rates)[0]
+        orbits = [self.exact_orbit(*exact_points(rows), backward) if len(rows) else None
+                  for rows, backward in ((starts[:n_starts], False), (starts[n_starts:], True))]
+        orbit = _JoinedOrbit(orbits, [n_starts, len(starts) - n_starts], start_of)
+        return certified_sums(orbit, segment, VALUE_TOL, [0.0] * len(start_of), rates)[0]
 
     def _gradient_weights(self, direction: str, lo: int, hi: int):
         """Weights lo to hi - 1 of a PCF gradient half and the norm bound of each next weight.

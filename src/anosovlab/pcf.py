@@ -35,7 +35,7 @@ from .flow import (
     BATCH_ORBITS, CHART_RADIUS, SuspensionFlow, affine_orbit, affine_step, exact_points,
     tail_horizon, wrap_unit,
 )
-from .roof import RoofFunction, row_products
+from .roof import RoofFunction, row_products, row_squares
 from . import intlinalg, mpspec, util
 
 INDEPENDENCE_CUTOFF = 0.05  # least sv / largest sv a new pair must keep: a well-posed Newton
@@ -65,17 +65,22 @@ class Quadrilateral(NamedTuple):
     fiber: float = 0.0
 
     @staticmethod
-    def build(flow: SuspensionFlow, a, s_disp, u_disp) -> "Quadrilateral":
-        """Validate displacements against the flow's splitting and chart."""
-        s_arr = np.asarray([float(v) for v in s_disp], dtype=float)
-        u_arr = np.asarray([float(v) for v in u_disp], dtype=float)
-        for arr, sub in ((s_arr, "stable"), (u_arr, "unstable")):
-            flow.leaf_part(arr, sub)
-            if not _in_chart(arr):
-                raise NoIntersection(f"{sub} displacement norm {float(np.linalg.norm(arr))!r} "
+    def build(flow: SuspensionFlow, a, s_disp, u_disp):
+        """Validate displacements against the flow's splitting and chart: one
+        quadrilateral, or a list from stacks with one row per quadrilateral,
+        each direction's rows checked by one `leaf_part` and one chart test."""
+        stacked = np.ndim(a) == 2
+        corners, s_rows, u_rows = (np.array(rows, dtype=float).reshape(-1, flow.dim)
+                                   for rows in (a, s_disp, u_disp))
+        for rows, sub in ((s_rows, "stable"), (u_rows, "unstable")):
+            flow.leaf_part(rows, sub)
+            if not _in_chart(rows):
+                norm = float(np.sqrt(row_squares(rows)).max())
+                raise NoIntersection(f"{sub} displacement norm {norm!r} "
                                      f"exceeds chart radius {CHART_RADIUS!r}")
-        a = tuple(float(v) for v in a)
-        return Quadrilateral(a=a, s_disp=tuple(s_arr), u_disp=tuple(u_arr))
+        quads = [Quadrilateral(a=tuple(corner), s_disp=tuple(s), u_disp=tuple(u))
+                 for corner, s, u in zip(corners.tolist(), s_rows, u_rows)]
+        return quads if stacked else quads[0]
 
 
 def pair_quads(flow: SuspensionFlow, pairs, points) -> list[Quadrilateral]:
@@ -94,24 +99,25 @@ def pair_quads(flow: SuspensionFlow, pairs, points) -> list[Quadrilateral]:
 
 
 def _in_chart(disp: np.ndarray) -> bool:
-    """The one chart test of a leaf displacement, for `build` and the geometric route."""
-    return bool(np.linalg.norm(disp) <= CHART_RADIUS)
+    """The one chart test of a leaf displacement, or of every row of a stack,
+    for `build` and the geometric route."""
+    return bool((np.sqrt(row_squares(disp)) <= CHART_RADIUS).all())
 
 
 def sample_quadrilaterals(flow: SuspensionFlow, n: int, seed: int) -> list[Quadrilateral]:
-    """Deterministic random quadrilaterals with displacements in the frames."""
+    """Deterministic random quadrilaterals with displacements in the frames,
+    every draw checked at once by one `Quadrilateral.build`."""
     rng = default_rng(seed)
     s_frame = flow.stable_frame()
     u_frame = flow.unstable_frame()
-    quads = []
+    bases, fibers, s_disps, u_disps = [], [], [], []
     for _ in range(n):
-        base = rng.random(flow.dim)
-        fiber = float(rng.uniform(0.0, flow.roof(base)))
-        s_coef = rng.uniform(-1.0, 1.0, s_frame.shape[1]) * DISPLACEMENT_SCALE
-        u_coef = rng.uniform(-1.0, 1.0, u_frame.shape[1]) * DISPLACEMENT_SCALE
-        quad = Quadrilateral.build(flow, base, s_frame @ s_coef, u_frame @ u_coef)
-        quads.append(quad._replace(fiber=fiber))
-    return quads
+        bases.append(rng.random(flow.dim))
+        fibers.append(float(rng.uniform(0.0, flow.roof(bases[-1]))))
+        s_disps.append(s_frame @ (rng.uniform(-1.0, 1.0, s_frame.shape[1]) * DISPLACEMENT_SCALE))
+        u_disps.append(u_frame @ (rng.uniform(-1.0, 1.0, u_frame.shape[1]) * DISPLACEMENT_SCALE))
+    quads = Quadrilateral.build(flow, np.reshape(bases, (n, flow.dim)), s_disps, u_disps)
+    return [quad._replace(fiber=fiber) for quad, fiber in zip(quads, fibers)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +189,11 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads) -> list[float]:
     def lifted(nums, over: int) -> list[int]:
         return [v * (big // over) for v in nums]
 
-    for quad, alpha in zip(quads, alphas):
-        w = np.asarray(quad.s_disp)
-        u = np.asarray(quad.u_disp)
-        if not (_in_chart(w) and _in_chart(u)):
-            raise NoIntersection("quadrilateral displacements exceed the chart radius")
+    ws = np.array([quad.s_disp for quad in quads], dtype=float).reshape(-1, flow.dim)
+    us = np.array([quad.u_disp for quad in quads], dtype=float).reshape(-1, flow.dim)
+    if not (_in_chart(ws) and _in_chart(us)):
+        raise NoIntersection("quadrilateral displacements exceed the chart radius")
+    for w, u, alpha in zip(ws, us, alphas):
         n_fwd = tail_horizon(lip, flow.spectral.lam, max(np.linalg.norm(w), 1e-6), target)
         n_bwd = tail_horizon(lip, 1.0 / flow.spectral.xi_min, max(np.linalg.norm(u), 1e-6), target)
 

@@ -116,8 +116,9 @@ class SectionChart:
             deltas, nexts = flow.walk_gaps(gap, "stable", length)
             gap = nexts[:, -1]
             rows = deltas.reshape(-1, d)
-            terms = (poly.eval_diff_rows(points.reshape(-1, d), rows)
-                     - poly.eval_diff_rows(np.zeros_like(rows), rows))
+            factors = poly.gap_factors(rows)   # shared by both differences
+            terms = (poly.factor_diff_rows(poly.orbit_factors(points.reshape(-1, d)), factors)
+                     - poly.factor_diff_rows(poly.orbit_factors(np.zeros_like(rows)), factors))
             return terms[None], 2.0 * lip * np.sqrt(row_squares(nexts))
 
         return certified_sums(flow.exact_orbit(z, z_den), segment, VALUE_TOL, [0.0], lam_abs)[0][0]

@@ -168,7 +168,11 @@ class TrigPolynomial:
     # -- row kernels -----------------------------------------------------------
     # The methods above are one-row calls of these kernels, which every
     # series runs on a whole segment of orbit points. The phase work (theta,
-    # beta, sin, exp) runs as one numpy call per stage. Every dot product is
+    # beta, sin, exp) runs as one numpy call per stage. A paired difference
+    # is the product of an orbit factor, set by its point, and a gap factor,
+    # set by its gap, so a caller whose rows repeat a point or a gap can
+    # compute each factor once and pair the rows in `factor_diff_rows`,
+    # with the float operations of `eval_diff_rows`. Every dot product is
     # one BLAS call per row, made by `row_products`: one gemm over the
     # segment accumulates in another order and with other FMA contractions,
     # so row i of each result would not equal the one-row call at row i bit
@@ -186,26 +190,28 @@ class TrigPolynomial:
         phases = np.exp(1j * TWO_PI * row_products(self._freqs, pts))
         return np.real(row_products(1j * TWO_PI * self._freqs.T, self._coeffs * phases))
 
-    def _diff_phases(self, points, deltas) -> tuple[np.ndarray, np.ndarray]:
-        pts = np.asarray(points, dtype=float) % 1.0
-        theta = TWO_PI * row_products(self._freqs, pts)
+    def orbit_factors(self, points) -> np.ndarray:
+        """e^{i theta}, theta_k = 2 pi k.x, at each row x of an (N, d) array."""
+        theta = TWO_PI * row_products(self._freqs, np.asarray(points, dtype=float) % 1.0)
+        return np.exp(1j * theta)
+
+    def gap_factors(self, deltas) -> np.ndarray:
+        """e^{i beta} - 1, beta_k = 2 pi k.delta, at each row delta of an (N, d) array,
+        from sin(beta) and sin(beta / 2), so tiny stable-leaf gaps do not cancel."""
         beta = TWO_PI * row_products(self._freqs, np.asarray(deltas, dtype=float))
-        expm1 = -2.0 * np.sin(0.5 * beta) ** 2 + 1j * np.sin(beta)
-        return np.exp(1j * theta), expm1
+        return -2.0 * np.sin(0.5 * beta) ** 2 + 1j * np.sin(beta)
+
+    def factor_diff_rows(self, rotations, factors) -> np.ndarray:
+        """p(x + delta) - p(x) at each row pair of `orbit_factors` and `gap_factors`."""
+        return np.real(row_products(self._coeffs, rotations * factors))
 
     def eval_diff_rows(self, points, deltas) -> np.ndarray:
-        """eval_diff() at each row pair of two (N, d) arrays.
-
-        Uses e^{i a}(e^{i b} - 1) with the small factor computed from
-        sin/cos of b directly, so tiny stable-leaf gaps do not cancel.
-        """
-        rotation, expm1 = self._diff_phases(points, deltas)
-        return np.real(row_products(self._coeffs, rotation * expm1))
+        """eval_diff() at each row pair of two (N, d) arrays."""
+        return self.factor_diff_rows(self.orbit_factors(points), self.gap_factors(deltas))
 
     def gradient_diff_rows(self, points, deltas) -> np.ndarray:
         """gradient_diff() at each row pair of two (N, d) arrays, paired the same way."""
-        rotation, expm1 = self._diff_phases(points, deltas)
-        weights = self._coeffs * rotation * expm1
+        weights = self._coeffs * self.orbit_factors(points) * self.gap_factors(deltas)
         return np.real(row_products(1j * TWO_PI * self._freqs.T, weights))
 
     # -- bounds and bookkeeping ----------------------------------------------

@@ -9,7 +9,8 @@ load `numpy.ma` either: `np.unique` imports it, at about 1 MB of RSS and
 10 ms per process. Building a flow must not load `numpy.polynomial`
 (about 5 ms and 0.85 MB), and only the three records that need an
 `__init__` or a default factory are dataclasses, whose creation costs
-about 1 ms a class at import.
+about 1 ms a class at import. Running the bundled `pcf` and `subbundle`
+configs loads no module that building their flows has not loaded.
 """
 
 import ast
@@ -77,6 +78,28 @@ def test_building_a_flow_leaves_numpy_polynomial_unloaded():
         "matrix = experiments.build_matrix(cfg['matrix'])\n"
         "SuspensionFlow(matrix, experiments.build_roof(cfg['roof'], matrix.dim))\n"
         "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.polynomial')))"
+    )
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_running_the_configs_loads_no_module_past_set_up():
+    # a module first imported by a run counts in its time: every import the
+    # bundled pcf and subbundle configs need is made by building their flows
+    code = (
+        "import sys, tempfile\n"
+        "from anosovlab import experiments\n"
+        "from anosovlab.flow import SuspensionFlow\n"
+        f"paths = [{str(CONFIGS / 'pcf_companion3.json')!r}, "
+        f"{str(CONFIGS / 'subbundle_companion3.json')!r}]\n"
+        "configs = [experiments.load_config(path) for path in paths]\n"
+        "for cfg in configs:\n"
+        "    matrix = experiments.build_matrix(cfg.matrix)\n"
+        "    SuspensionFlow(matrix, experiments.build_roof(cfg.roof, matrix.dim))\n"
+        "before = set(sys.modules)\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    for k, cfg in enumerate(configs):\n"
+        "        experiments.run_experiment(cfg, f'{out}/{k}')\n"
+        "print(sorted(set(sys.modules) - before))"
     )
     assert _fresh_interpreter(code) == "[]"
 

@@ -402,9 +402,16 @@ class TestBatch:
         assert len(walks) == 2
         assert draws == [0, 1] * short + [1] * (long - short)
 
+    @staticmethod
+    def _distinct_gaps(requests):
+        # the (direction, gap) rows of a batch, gap bytes as time_adjustment reads them
+        return {(direction, wrap_unit(np.asarray(y, dtype=float) % 1.0
+                                      - np.asarray(x, dtype=float) % 1.0).tobytes())
+                for x, y, direction in requests}
+
     def test_one_walk_per_round_serves_both_directions(self, companion3_flow, monkeypatch):
-        # each round advances the gaps of every open series, of both
-        # directions, with one walk_states call; the unstable requests' one
+        # each round advances every distinct open gap, of both directions,
+        # with one walk_states call; the distinct unstable gaps' one
         # backward step before the rounds is one call more
         flow = companion3_flow
         stable, unstable, requests = self._mixed_requests(flow, 31)
@@ -423,17 +430,17 @@ class TestBatch:
             return [rows for rows, length in calls if length == flow_module.SEGMENT]
 
         stable_rounds, unstable_rounds = len(rounds(stable)), len(rounds(unstable))
-        assert calls[0] == (len(unstable), 1)
+        assert calls[0] == (len(self._distinct_gaps(unstable)), 1)
         walks = rounds(requests)
         assert len(calls) == len(walks) + 1
         assert len(walks) == max(stable_rounds, unstable_rounds) < stable_rounds + unstable_rounds
-        assert walks[0] == len(stable) + len(unstable)
+        assert walks[0] == len(self._distinct_gaps(requests)) < len(requests)
 
     @pytest.mark.parametrize("batch", [2, 5, flow_module.BATCH_ORBITS])
     def test_eval_blocks_hold_at_most_batch_orbits_series(
             self, companion3_flow, monkeypatch, batch):
-        # every eval_diff_rows call of a batch takes at most BATCH_ORBITS
-        # series of one segment each, and the values are those alone
+        # every orbit-factor block of a batch takes at most BATCH_ORBITS
+        # distinct starts of one segment each, and the values are those alone
         flow = companion3_flow
         rng = np.random.default_rng(43)
         s, u = flow.stable_frame(), flow.unstable_frame()
@@ -444,16 +451,58 @@ class TestBatch:
                          (x, x + u @ rng.uniform(-0.02, 0.02, 2), "unstable")]
         alone = [flow.time_adjustment([r])[0].hex() for r in requests]
         sizes = []
-        evaluate = TrigPolynomial.eval_diff_rows
+        evaluate = TrigPolynomial.orbit_factors
 
-        def recording(poly, points, deltas):
+        def recording(poly, points):
             sizes.append(len(points))
-            return evaluate(poly, points, deltas)
+            return evaluate(poly, points)
 
-        monkeypatch.setattr(TrigPolynomial, "eval_diff_rows", recording)
+        monkeypatch.setattr(TrigPolynomial, "orbit_factors", recording)
         monkeypatch.setattr(flow_module, "BATCH_ORBITS", batch)
         assert [v.hex() for v in flow.time_adjustment(requests)] == alone
-        assert max(sizes) == min(batch, len(requests)) * flow_module.SEGMENT
+        starts = {(direction, x.tobytes()) for x, _, direction in requests}
+        assert max(sizes) == min(batch, len(starts)) * flow_module.SEGMENT
+
+    def test_repeated_starts_and_gaps_are_walked_once(self, companion3_flow, monkeypatch):
+        # one start with 12 unstable gaps, 12 starts sharing one stable gap,
+        # and mixed repeats: each distinct (direction, start) is one row of
+        # its direction's orbit walk and each distinct (direction, gap) one
+        # row of each gap walk, and every value is that of its request alone
+        flow = companion3_flow
+        rng = np.random.default_rng(47)
+        # corners in [0.55, 0.9) and gaps under 0.02 keep x and x + gap in
+        # one binade, so y - x carries the same bytes from every corner
+        corners = [rng.uniform(0.55, 0.9, 3) for _ in range(12)]
+        s = flow.stable_frame() @ [0.015]
+        us = [flow.unstable_frame() @ rng.uniform(-0.01, 0.01, 2) for _ in range(12)]
+        x0 = corners[0]
+        stable = [(x, x + s, "stable") for x in corners]
+        unstable = [(x0, x0 + u, "unstable") for u in us]
+        mixed = [(x0, x0 + s / 2, "stable"), stable[3], unstable[5],
+                 (corners[1], corners[1] + us[0], "unstable")]
+        requests = [r for pair in zip(stable, unstable) for r in pair] + mixed
+        gaps = self._distinct_gaps(requests)
+        assert len(gaps) == 2 + 12
+        assert len(self._distinct_gaps(stable + unstable)) == 1 + 12
+        alone = [flow.time_adjustment([r])[0].hex() for r in requests]
+        walked, rows = [], []
+        orbit_walk, gap_walk = intlinalg.orbit_segments, flow_module.walk_states
+
+        def orbit_spy(a, offset, starts, den, *args, **kwargs):
+            walked.append(len(starts))
+            return orbit_walk(a, offset, starts, den, *args, **kwargs)
+
+        def gap_spy(state, matrices, length):
+            rows.append((len(state), length))
+            return gap_walk(state, matrices, length)
+
+        monkeypatch.setattr(intlinalg, "orbit_segments", orbit_spy)
+        monkeypatch.setattr(flow_module, "walk_states", gap_spy)
+        assert [v.hex() for v in flow.time_adjustment(requests)] == alone
+        assert walked == [12, 2]   # the stable corners, and x0 and corners[1]
+        assert rows[0] == (12, 1)  # the unstable gaps' step back
+        assert rows[1] == (len(gaps), flow_module.SEGMENT)
+        assert all(n <= len(gaps) for n, _ in rows[1:])
 
 
 class TestStrongManifoldPoint:
