@@ -6,14 +6,15 @@ Points are base points: a leaf's fiber offset does not depend on the fiber.
 Strong stable/unstable leaves through a point are graphs over the base
 subspaces; their fiber offsets come from convergent time-adjustment series
 with geometric tail control. Every tail-certified series of the package sums
-through `certified_sums`, which walks one lockstep orbit of a batch of
-starts, holds the one term cap and forms every tail as a next-term bound
-over (1 - rate); `tail_horizon` solves that tail for the number of terms.
-`walk_states` steps every float recurrence of a segment by a tuple of
-matrices, in place. One `time_adjustment` call sums the leaf series of
-both directions as one batch, each direction on its own orbit, which has
-one row per distinct start, while each distinct gap is walked once; the
-PCF gradient weights are walked once per flow and direction.
+through `certified_sums`, which sums a lockstep batch of series, holds the
+one term cap and forms every tail as a next-term bound over (1 - rate);
+each series' closure draws its own orbit rows. `tail_horizon` solves that
+tail for the number of terms. `walk_states` steps every float recurrence
+of a segment by a tuple of matrices, in place. One `time_adjustment` call
+sums the leaf series of both directions as one batch, each direction on
+its own orbit, which has one row per distinct start, while each distinct
+gap is walked once; the PCF gradient weights are walked once per flow and
+direction.
 """
 
 from __future__ import annotations
@@ -45,26 +46,24 @@ CHART_RADIUS = 0.05    # largest leaf displacement a quadrilateral accepts
 BUNCHING_CAP = 0.98    # largest forward gradient rate lambda * xi_max: keeps 1 / (1 - q) <= 50
 
 
-def certified_sums(orbit, segment_terms, tol: float, totals, rate) -> tuple[list, list[int]]:
-    """Sum tail-certified series in lockstep, one segment of one orbit per round.
+def certified_sums(segment_terms, tol: float, totals, rate) -> tuple[list, list[int]]:
+    """Sum tail-certified series in lockstep, one segment of every open series per round.
 
-    Each block the orbit yields has one row per series on its leading axis,
-    so row k belongs to the series that continues totals[k] (zeros of the
-    term shape, or the forward half of a two-sided series). A row is one
-    start's exact-orbit segment, or a group of points walked together, as
-    the orbit pair of each point of `perturb.return_series`; the leaf
-    series draw one row per distinct start from `_JoinedOrbit`. Each round
-    calls segment_terms(block[active], active), active being the open
-    series in order, which returns one row of terms and one row of bounds
-    on each next term (or one row for all) per open series, as arrays.
-    With rate, the geometric rate of each series (a float or one per
-    series), the tail after a term is its bound / (1 - rate). Series k adds
-    its terms left to right, up to its first tail under tol, then leaves
-    the batch; one still open after MAX_TERMS terms raises
-    TruncationInsufficient. A round is one array pass: one cumsum of
-    [running total | terms], which adds left to right as a loop over the
-    terms would, read at each row's stop column. Returns the totals and the
-    number of terms each series took, as lists.
+    Series k continues totals[k] (zeros of the term shape, or the forward
+    half of a two-sided series). Each round calls segment_terms(active),
+    active being the open series in order. The closure draws the next
+    segment of its own orbit rows once per call, rows in active order (a
+    start's exact orbit, or a group of points walked together), and draws
+    nothing from an orbit that has no open series. It returns one row of
+    terms and one row of bounds on each next term (or one row for all) per
+    open series, as arrays. With rate, the geometric rate of each series
+    (a float or one per series), the tail after a term is its
+    bound / (1 - rate). Series k adds its terms left to right, up to its
+    first tail under tol, then leaves the batch; one still open after
+    MAX_TERMS terms raises TruncationInsufficient. A round is one array
+    pass: one cumsum of [running total | terms], which adds left to right
+    as a loop over the terms would, read at each row's stop column.
+    Returns the totals and the number of terms each series took, as lists.
     """
     totals = np.array(totals, dtype=float)
     rates = np.broadcast_to(rate, len(totals))
@@ -72,7 +71,7 @@ def certified_sums(orbit, segment_terms, tol: float, totals, rate) -> tuple[list
     active = np.arange(len(totals))
     used = 0
     while active.size:
-        terms, bounds = segment_terms(next(orbit)[active], active)
+        terms, bounds = segment_terms(active)
         tails = bounds / (1.0 - rates[active, None])   # each bounds all that follows its term
         limit = min(tails.shape[1], MAX_TERMS - used)
         below = tails[:, :limit] < tol
@@ -135,35 +134,6 @@ def _distinct(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
     seen = np.zeros(n, dtype=bool)
     seen[ids] = True
     return np.flatnonzero(seen), np.cumsum(seen)[ids] - 1
-
-
-class _JoinedOrbit:
-    """Lockstep orbits of consecutive start ranges, read by `certified_sums` as one orbit.
-
-    Series k walks start start_of[k]. Each `next` returns the orbit itself,
-    and indexing it with the open series draws the next block of every
-    orbit that owns one of their starts, and of no other: (points, at),
-    one row of points per distinct open start, in start order, and at[k]
-    the row of open series k. An orbit of no open start is never drawn.
-    """
-
-    def __init__(self, orbits, sizes, start_of):
-        self.orbits = orbits
-        self.ends = np.cumsum(sizes)
-        self.start_of = start_of
-
-    def __next__(self):
-        return self
-
-    def __getitem__(self, active):
-        opened, at = _distinct(self.start_of[active], self.ends[-1])
-        blocks, start = [], 0
-        for orbit, end in zip(self.orbits, self.ends):
-            own = opened[(opened >= start) & (opened < end)]
-            if own.size:
-                blocks.append(next(orbit)[own - start])
-            start = end
-        return np.concatenate(blocks), at
 
 
 def exact_points(rows) -> tuple[list[tuple[int, ...]], int]:
@@ -422,12 +392,13 @@ class SuspensionFlow:
         roof(x_n + g_n) - roof(x_n) is an orbit factor, set by its start,
         times a gap factor, set by its gap (`TrigPolynomial.orbit_factors`),
         so a round computes each once per distinct open start or gap: each
-        direction's exact orbit has one row per start, and the open gaps
-        advance by one `walk_states` call on per-row step and projection
-        stacks, the unstable ones after one step back. The factors, and the
-        products that pair them per series, run in blocks of BATCH_ORBITS
-        rows. Each series has its own sign and rate, and its next term is
-        at most lip times its next gap.
+        direction's exact orbit has one row per start, and a round draws a
+        block of each orbit that owns an open start, and of no other. The
+        open gaps advance by one `walk_states` call on per-row step and
+        projection stacks, the unstable ones after one step back. The
+        factors, and the products that pair them per series, run in blocks
+        of BATCH_ORBITS rows. Each series has its own sign and rate, and its
+        next term is at most lip times its next gap.
         """
         n_starts, n_gaps = (sum(direction == "stable" for direction, _ in keys)
                             for keys in (starts, gaps))
@@ -446,8 +417,16 @@ class SuspensionFlow:
             gap[n_gaps:] = self.walk_gaps(gap[n_gaps:], "unstable", 1)[1][:, 0]
         gap = np.matmul(projs, gap[..., None])[..., 0]
 
-        def segment(drawn, active):
-            points, at = drawn
+        # both directions share one batch: two batches measured 13% slower on
+        # the conjugacy_d3 benchmark and 7% on pcf_d3 (2-core machine)
+        orbits = [self.exact_orbit(*exact_points(rows), backward) if len(rows) else None
+                  for rows, backward in ((starts[:n_starts], False), (starts[n_starts:], True))]
+
+        def segment(active):
+            opened, at = _distinct(start_of[active], len(starts))
+            split = np.searchsorted(opened, n_starts)   # the open forward starts, then backward
+            points = np.concatenate([next(orbit)[own - lo] for orbit, own, lo in zip(
+                orbits, (opened[:split], opened[split:]), (0, n_starts)) if own.size])
             length, d = points.shape[1:]
             opened, own = _distinct(gap_of[active], len(gap))
             states, nexts = walk_states(gap[opened], (steps[opened], projs[opened]), length)
@@ -470,10 +449,7 @@ class SuspensionFlow:
             bounds = lip * np.sqrt(row_squares(nexts))
             return signs[active, None] * terms.reshape(len(active), length), bounds[own]
 
-        orbits = [self.exact_orbit(*exact_points(rows), backward) if len(rows) else None
-                  for rows, backward in ((starts[:n_starts], False), (starts[n_starts:], True))]
-        orbit = _JoinedOrbit(orbits, [n_starts, len(starts) - n_starts], start_of)
-        return certified_sums(orbit, segment, VALUE_TOL, [0.0] * len(start_of), rates)[0]
+        return certified_sums(segment, VALUE_TOL, [0.0] * len(start_of), rates)[0]
 
     def _gradient_weights(self, direction: str, lo: int, hi: int):
         """Weights lo to hi - 1 of a PCF gradient half and the norm bound of each next weight.
@@ -525,9 +501,11 @@ class SuspensionFlow:
         poly = self.roof.poly
         hess = poly.gradient_lipschitz_bound()
         gap, walked = np.array(deltas, dtype=float), 0
+        orbit = self.exact_orbit(starts, den)
 
-        def segment(points, active):
+        def segment(active):
             nonlocal walked
+            points = next(orbit)[active]
             length, d = points.shape[1:]
             deltas, nexts = self.walk_gaps(gap[active], "stable", length)
             gap[active] = nexts[:, -1]
@@ -537,9 +515,8 @@ class SuspensionFlow:
             terms = np.matmul(weights.swapaxes(-1, -2), np.reshape(grads, (*deltas.shape, 1)))
             return terms[..., 0], hess * np.sqrt(row_squares(nexts)) * norms * q
 
-        orbit = self.exact_orbit(starts, den)
         totals = np.zeros((len(starts), self.dim_unstable))
-        return np.array(certified_sums(orbit, segment, GRADIENT_TOL, totals, q)[0])
+        return np.array(certified_sums(segment, GRADIENT_TOL, totals, q)[0])
 
     def unstable_gradient(self, starts, den: int, grads, totals) -> np.ndarray:
         """Backward halves of PCF gradients at m starts, in unstable-frame coordinates.
@@ -556,9 +533,11 @@ class SuspensionFlow:
         """
         lip = self.roof.poly.lipschitz_bound()
         q, walked = self._q_unstable, 0
+        orbit = self.exact_orbit(starts, den, backward=True)
 
-        def segment(points, active):
+        def segment(active):
             nonlocal walked
+            points = next(orbit)[active]
             length = points.shape[1]
             weights, norms = self._gradient_weights("unstable", walked, walked + length)
             walked += length
@@ -566,5 +545,4 @@ class SuspensionFlow:
             terms = np.matmul(weights.swapaxes(-1, -2), rows[..., None])
             return terms[..., 0], 2.0 * lip * norms * q
 
-        orbit = self.exact_orbit(starts, den, backward=True)
-        return np.array(certified_sums(orbit, segment, GRADIENT_TOL, totals, q)[0])
+        return np.array(certified_sums(segment, GRADIENT_TOL, totals, q)[0])

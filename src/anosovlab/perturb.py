@@ -109,9 +109,11 @@ class SectionChart:
         lam_abs = abs(self.lam)
         w, den = self.split.project(self.s_unit * float(y), "stable")
         gap = np.array([[v / den for v in w]])
+        orbit = flow.exact_orbit(z, z_den)
 
-        def segment(points, active):
+        def segment(active):
             nonlocal gap
+            points = next(orbit)[active]
             length, d = points.shape[1:]
             deltas, nexts = flow.walk_gaps(gap, "stable", length)
             gap = nexts[:, -1]
@@ -121,7 +123,7 @@ class SectionChart:
                      - poly.factor_diff_rows(poly.orbit_factors(np.zeros_like(rows)), factors))
             return terms[None], 2.0 * lip * np.sqrt(row_squares(nexts))
 
-        return certified_sums(flow.exact_orbit(z, z_den), segment, VALUE_TOL, [0.0], lam_abs)[0][0]
+        return certified_sums(segment, VALUE_TOL, [0.0], lam_abs)[0][0]
 
     def t_gradient_at_zero(self, y: float) -> np.ndarray:
         """D_x T(0, y): the forward PCF gradient half along the stable axis orbit."""
@@ -362,17 +364,17 @@ def return_series(chart: SectionChart, bump: Bump | None, xs, y: float) -> list[
     (within HAT_FACTOR radii of the bump centre) or with a nonzero term are
     recorded.
 
-    `certified_sums` takes the pairs of BATCH_ORBITS // 2 points at a
-    time, row k the pair of point k. The gaps depend on y alone, so one gap
-    serves every row and the rows stop together; each ledger is
-    bit-identical whatever else is in the batch. Row k of a segment
-    records into the ledger of the open series active[k]. Each segment is
-    screened in one array pass. A row whose two points both lie outside
-    the hat, with SCREEN_SLACK to spare, has term exactly 0.0, since the
-    bump vanishes from one radius on, and is not recorded; only the other
-    rows run the hat test and `Bump.value_chart`, on the chart coordinates
-    the screen already holds and with every |x| of the hat test from one
-    `row_squares` pass over them.
+    `certified_sums` takes BATCH_ORBITS // 2 points at a time, and the
+    closure draws row k, the orbit pair of point k. The gaps depend on y
+    alone, so one gap serves every row and the rows stop together; each
+    ledger is bit-identical whatever else is in the batch. Row k of a
+    segment records into the ledger of the open series active[k]. Each
+    segment is screened in one array pass. A row whose two points both lie
+    outside the hat, with SCREEN_SLACK to spare, has term exactly 0.0, since
+    the bump vanishes from one radius on, and is not recorded; only the
+    other rows run the hat test and `Bump.value_chart`, on the chart
+    coordinates the screen already holds and with every |x| of the hat test
+    from one `row_squares` pass over them.
     """
     empty = ReturnLedger(steps=(), gaps=(), terms=(), total=0.0)
     if bump is None:
@@ -389,8 +391,9 @@ def return_series(chart: SectionChart, bump: Bump | None, xs, y: float) -> list[
     if lip * first_gap / (1.0 - lam_abs) < RETURN_TOL:   # every series is already below tol
         return [empty] * len(xs)
 
-    def segment(points, active):
+    def segment(active):
         nonlocal gap, walked
+        points = next(pairs)[active]
         m, _, length, d = points.shape
         co = chart.coords_rows(points.reshape(-1, d)).reshape(m, 2, length, d)
         off = co - centre
@@ -428,7 +431,7 @@ def return_series(chart: SectionChart, bump: Bump | None, xs, y: float) -> list[
         records = [([], [], []) for _ in batch]   # steps, gaps, terms of each row
         # two points a row, the pair of one x
         pairs = (block.reshape(-1, 2, *block.shape[1:]) for block in flow.exact_orbit(starts, den))
-        totals, counts = certified_sums(pairs, segment, RETURN_TOL, [0.0] * len(batch), lam_abs)
+        totals, counts = certified_sums(segment, RETURN_TOL, [0.0] * len(batch), lam_abs)
         for (steps, gaps, terms), total, count in zip(records, totals, counts):
             kept = sum(1 for n in steps if n < count)   # no step past the stop
             ledgers.append(ReturnLedger(

@@ -634,22 +634,23 @@ def _check_lockstep_sums(monkeypatch, segment, vector):
 
     def lockstep():
         gap = starts[:, None].copy()
-
-        def segment_terms(points, active):
-            states, nexts = flow_module.walk_states(
-                gap[active], (rates[active][:, None, None],), points.shape[1])
-            gap[active] = nexts[:, -1]
-            g = states[..., 0, None] if vector else states[..., 0]
-            return g * pattern(points[..., 0]), nexts[..., 0]
-
         # one synthetic orbit whose rows are the series: point n of every
         # row is n, so a row's term pattern is that of term n alone
         length = flow_module.SEGMENT
         orbit = (np.broadcast_to(np.arange(n, n + length, dtype=float)[None, :, None],
                                  (len(rates), length, 1))
                  for n in range(0, 10**6, length))
+
+        def segment_terms(active):
+            points = next(orbit)[active]
+            states, nexts = flow_module.walk_states(
+                gap[active], (rates[active][:, None, None],), points.shape[1])
+            gap[active] = nexts[:, -1]
+            g = states[..., 0, None] if vector else states[..., 0]
+            return g * pattern(points[..., 0]), nexts[..., 0]
+
         totals = np.zeros((len(rates), 2)) if vector else [0.0] * len(rates)
-        return flow_module.certified_sums(orbit, segment_terms, tol, totals, rates)
+        return flow_module.certified_sums(segment_terms, tol, totals, rates)
 
     def check():
         totals, taken = lockstep()

@@ -8,7 +8,8 @@ message helper, or one whose message counts terms).
 The series pass arrays end to end: each round of the loop is one array
 pass, with no `for` statement over series or terms, and no segment
 closure (a nested function named `segment`) hands its terms or bounds
-back as lists.
+back as lists. Each closure draws its own orbit rows, so no class in
+`src/` defines `__next__` or `__getitem__` to stand in for an orbit.
 
 The loop also holds the one tail rule: a series hands over next-term
 bounds and its rate, and the loop divides by 1 - rate. So a function
@@ -114,6 +115,21 @@ def test_series_loop_has_no_for_statement():
     assert not any(isinstance(node, (ast.For, ast.AsyncFor)) for node in ast.walk(loop))
 
 
+def test_no_class_in_src_is_an_orbit_proxy():
+    # each series closure draws its own orbit rows; no class stands in for an
+    # orbit by returning itself from `next` and walking orbits when indexed
+    offences = [
+        f"{path.stem}.{node.name}.{method.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and method.name in ("__next__", "__getitem__")
+    ]
+    assert offences == []
+
+
 def test_segment_closures_return_arrays():
     closures = list(_functions("segment"))
     assert closures
@@ -132,13 +148,14 @@ def test_geometric_series_stops_where_its_horizon_says(rate):
     # and the horizon is the same rule solved for n, plus its margin of 2
     g, tol = 1.5, 1e-9
 
-    def segment_terms(points, active):
-        n = points[..., 0]
-        return g * rate**n, g * rate ** (n + 1.0)
-
     length = flow.SEGMENT
     orbit = (np.arange(n, n + length, dtype=float)[None, :, None] for n in range(0, 10**6, length))
-    [total], [count] = flow.certified_sums(orbit, segment_terms, tol, [0.0], rate)
+
+    def segment_terms(active):
+        n = next(orbit)[active][..., 0]
+        return g * rate**n, g * rate ** (n + 1.0)
+
+    [total], [count] = flow.certified_sums(segment_terms, tol, [0.0], rate)
     tails = [g * rate ** (n + 1.0) / (1.0 - rate) for n in range(count)]
     assert tails[-1] < tol <= min(tails[:-1])
     assert abs(total - g / (1.0 - rate)) < tol
