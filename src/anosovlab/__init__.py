@@ -9,6 +9,8 @@ holonomy-derivative checks, closed-form bunching regularity, and a
 deterministic experiment CLI.
 """
 
+import importlib
+
 from .errors import (
     AnosovLabError,
     ChartExit,
@@ -24,10 +26,12 @@ from .errors import (
     ResidualBelowNoise,
     TruncationInsufficient,
 )
-from .flow import SuspensionFlow
-from .pcf import Quadrilateral, TranslationConjugacy
-from .roof import PeriodicOrbitRecord, RoofFunction, TrigPolynomial
-from .spectral import IntegerMatrix, SpectralData, spectral_data
+
+_HOMES = {  # every other export -> its home module, imported on first access (PEP 562)
+    "SuspensionFlow": "flow", "Quadrilateral": "pcf", "TranslationConjugacy": "pcf",
+    "PeriodicOrbitRecord": "roof", "RoofFunction": "roof", "TrigPolynomial": "roof",
+    "IntegerMatrix": "spectral", "SpectralData": "spectral", "spectral_data": "spectral",
+}
 
 __all__ = [
     "AnosovLabError",
@@ -55,3 +59,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)

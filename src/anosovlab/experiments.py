@@ -1,17 +1,19 @@
 """Batch experiment driver: strict JSON configs, deterministic reports.
 
-Each experiment kind maps onto one module's machinery and emits CSV/JSON
-reports plus a manifest with the config hash and content hashes of every
-report file. This module formats every report: the numerics modules return
-numbers, each runner turns them into CSV rows and JSON payloads, and `util`
-only writes them. Identical configs produce byte-identical outputs, for any
-worker count, because all randomness derives from the single config seed
-and all aggregation is keyed by input index.
+Each kind's runner uses only the modules that `KINDS` names for it, and
+`from_dict` imports those as it checks the kind, so they load in set-up.
+A run writes CSV/JSON reports and a manifest with the config hash and the
+content hash of every report file. This module formats every report: the
+numerics modules return numbers, each runner turns them into CSV rows and
+JSON payloads, and `util` only writes them. Identical configs produce
+byte-identical outputs for any worker count: all randomness derives from
+the single config seed and all aggregation is keyed by input index.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,15 +21,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from numpy.random import default_rng
 
-from . import pcf, perturb, regularity, roof, spectral, util
+from . import roof, spectral, util
 from .errors import AnosovLabError, ConfigInvalid, ExperimentFailed
-from .flow import SuspensionFlow
 from .roof import RoofFunction, TrigPolynomial
 from .spectral import IntegerMatrix
 
-KINDS = ("catalog", "livshits", "pcf", "subbundle", "claim44", "sweep", "bunching")
+KINDS = {  # kind -> the modules its runner imports beyond this module's own
+    "catalog": (), "livshits": (), "pcf": (".flow", ".pcf"), "subbundle": (".flow", ".pcf"),
+    "claim44": (".flow", ".perturb"), "sweep": (".flow", ".perturb", "numpy.random"),
+    "bunching": (".regularity",),
+}
 
 # Acceptance bounds a run must meet before its manifest is written.
 MAX_DISCREPANCY_BOUND = 1e-6    # pcf: worst |series - geometric| of the two PCF routes
@@ -56,8 +60,10 @@ class ExperimentConfig:
         if unknown:
             raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
         kind = payload.get("kind")
-        if kind not in KINDS:
-            raise ConfigInvalid(f"kind must be one of {KINDS}, got {kind!r}")
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise ConfigInvalid(f"kind must be one of {tuple(KINDS)}, got {kind!r}")
+        for module in KINDS[kind]:
+            importlib.import_module(module, __package__)
         seed = payload.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
             raise ConfigInvalid("seed must be an unsigned 64-bit integer")
@@ -298,6 +304,8 @@ def _lowest_terms(c: int, den: int) -> str:
 
 
 def _run_pcf(cfg, p, out):
+    from . import pcf
+    from .flow import SuspensionFlow
     matrix = build_matrix(cfg.matrix)
     flow = SuspensionFlow(matrix, build_roof(cfg.roof, matrix.dim))
     quads = pcf.sample_quadrilaterals(flow, p["n_samples"], cfg.seed)
@@ -329,6 +337,8 @@ def _run_pcf(cfg, p, out):
 
 
 def _run_subbundle(cfg, p, out):
+    from . import pcf
+    from .flow import SuspensionFlow
     matrix = build_matrix(cfg.matrix)
     bp = np.array(_numbers("base_point", p["base_point"])) % 1.0
     if len(bp) != matrix.dim:
@@ -352,6 +362,8 @@ def _run_subbundle(cfg, p, out):
 
 
 def _run_claim44(cfg, p, out):
+    from . import perturb
+    from .flow import SuspensionFlow
     matrix = build_matrix(cfg.matrix)
     flow = SuspensionFlow(matrix, build_roof(cfg.roof, matrix.dim))
     setup = perturb.kappa_experiment(flow, n_points=p["n_points"])
@@ -378,6 +390,8 @@ def _run_claim44(cfg, p, out):
 
 
 def _run_sweep(cfg, p, out):
+    from . import perturb
+    from .flow import SuspensionFlow
     matrix = build_matrix(cfg.matrix)
     data = spectral.spectral_data(matrix)
     catalog = spectral.invariant_unstable_subspaces(data)
@@ -387,7 +401,7 @@ def _run_sweep(cfg, p, out):
     datum = perturb.make_heteroclinic_datum(
         chart, cands[0].q_orbit, cands[0].q_index, cands[0].offset
     )
-    rng = default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     dirs = rng.normal(size=(SWEEP_DIRECTIONS, chart.dim_unstable))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     grid = [a * d for d in dirs for a in SWEEP_AMPLITUDES]
@@ -410,6 +424,7 @@ def _run_sweep(cfg, p, out):
 
 
 def _run_bunching(cfg, p, out):
+    from . import regularity
     matrix = build_matrix(cfg.matrix)
     data = spectral.spectral_data(matrix)
     times = _numbers("t_multiples", p["t_multiples"])

@@ -64,9 +64,11 @@ class TestConfigValidation:
 
     def test_bad_kind(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"kind": "nope", "params": {}}))
-        with pytest.raises(ConfigInvalid, match="kind"):
-            load_config(bad)
+        # a list is no key of the kind table: it is refused, not a TypeError
+        for kind in ("nope", ["pcf"]):
+            bad.write_text(json.dumps({"kind": kind, "params": {}}))
+            with pytest.raises(ConfigInvalid, match="kind"):
+                load_config(bad)
 
     def test_short_translation_rejected_before_pair_search(self, tmp_path, monkeypatch):
         payload = json.loads((CONFIGS / "subbundle_companion3.json").read_text())

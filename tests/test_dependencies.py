@@ -9,11 +9,21 @@ load `numpy.ma` either: `np.unique` imports it, at about 1 MB of RSS and
 10 ms per process. Building a flow must not load `numpy.polynomial`
 (about 5 ms and 0.85 MB), and only the three records that need an
 `__init__` or a default factory are dataclasses, whose creation costs
-about 1 ms a class at import. Running the bundled `pcf` and `subbundle`
-configs loads no module that building their flows has not loaded.
+about 1 ms a class at import.
+
+Set-up loads only what a config's kind runs. `import anosovlab.errors`
+loads no numpy, since the package resolves its other exports on first
+access. Each bundled config, loaded and run in its own fresh interpreter,
+loads none of the modules that only other kinds use, and its run loads no
+module that its set-up (loading the config and building its flow) has not:
+so a module missing from `experiments.KINDS` fails here, instead of being
+imported inside the run.
 """
 
 import ast
+import functools
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +32,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "anosovlab"
 CONFIGS = ROOT / "configs"
+BUNDLED = sorted(path.name for path in CONFIGS.glob("*.json"))
+
+# kind -> modules that only other kinds use, which a run of it must not load
+FOREIGN = {
+    "catalog": ("anosovlab.pcf", "anosovlab.perturb", "anosovlab.mpspec",
+                "anosovlab.regularity", "numpy.random"),
+    "livshits": ("anosovlab.pcf", "anosovlab.perturb", "anosovlab.mpspec",
+                 "anosovlab.regularity", "numpy.random"),
+    "bunching": ("anosovlab.pcf", "anosovlab.perturb", "anosovlab.mpspec", "numpy.random"),
+    "claim44": ("anosovlab.pcf", "anosovlab.regularity", "numpy.random"),
+    "sweep": ("anosovlab.pcf", "anosovlab.regularity"),
+    "pcf": ("anosovlab.perturb", "anosovlab.regularity"),
+    "subbundle": ("anosovlab.perturb", "anosovlab.regularity"),
+}
 
 
 def _imports(tree):
@@ -48,6 +72,10 @@ def _fresh_interpreter(code):
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
     return result.stdout.strip()
+
+
+def test_importing_the_errors_leaves_numpy_unloaded():
+    assert _fresh_interpreter("import sys, anosovlab.errors; print('numpy' in sys.modules)") == "False"
 
 
 def test_importing_the_cli_leaves_mpmath_unloaded():
@@ -82,26 +110,43 @@ def test_building_a_flow_leaves_numpy_polynomial_unloaded():
     assert _fresh_interpreter(code) == "[]"
 
 
-def test_running_the_configs_loads_no_module_past_set_up():
-    # a module first imported by a run counts in its time: every import the
-    # bundled pcf and subbundle configs need is made by building their flows
+@functools.cache
+def _loads(name):
+    """The modules a fresh interpreter has after the set-up of one bundled
+    config, and those its run loads after that.
+
+    Set-up is what `bench/child.py` times: loading the config and building
+    its flow, which a config without a roof skips."""
     code = (
-        "import sys, tempfile\n"
+        "import json, sys, tempfile\n"
         "from anosovlab import experiments\n"
         "from anosovlab.flow import SuspensionFlow\n"
-        f"paths = [{str(CONFIGS / 'pcf_companion3.json')!r}, "
-        f"{str(CONFIGS / 'subbundle_companion3.json')!r}]\n"
-        "configs = [experiments.load_config(path) for path in paths]\n"
-        "for cfg in configs:\n"
+        f"cfg = experiments.load_config({str(CONFIGS / name)!r})\n"
+        "if cfg.roof is not None:\n"
         "    matrix = experiments.build_matrix(cfg.matrix)\n"
         "    SuspensionFlow(matrix, experiments.build_roof(cfg.roof, matrix.dim))\n"
-        "before = set(sys.modules)\n"
+        "set_up = set(sys.modules)\n"
         "with tempfile.TemporaryDirectory() as out:\n"
-        "    for k, cfg in enumerate(configs):\n"
-        "        experiments.run_experiment(cfg, f'{out}/{k}')\n"
-        "print(sorted(set(sys.modules) - before))"
+        "    experiments.run_experiment(cfg, out)\n"
+        "print(json.dumps([sorted(set_up), sorted(set(sys.modules) - set_up)]))"
     )
-    assert _fresh_interpreter(code) == "[]"
+    return json.loads(_fresh_interpreter(code))
+
+
+def test_running_the_configs_loads_no_module_past_set_up():
+    # a module first imported by a run counts in its time: every import a
+    # bundled config needs is made by loading it and building its flow
+    assert {name: _loads(name)[1] for name in BUNDLED} == dict.fromkeys(BUNDLED, [])
+
+
+def test_each_kind_loads_only_its_own_modules():
+    kinds = {name: json.loads((CONFIGS / name).read_text())["kind"] for name in BUNDLED}
+    assert sorted(set(kinds.values())) == sorted(FOREIGN)
+    foreign = {
+        name: sorted(set().union(*_loads(name)) & set(FOREIGN[kind]))
+        for name, kind in kinds.items()
+    }
+    assert foreign == dict.fromkeys(BUNDLED, [])
 
 
 def test_only_validating_or_defaulting_records_are_dataclasses():
@@ -123,3 +168,10 @@ def test_every_export_resolves():
 
     assert len(set(anosovlab.__all__)) == len(anosovlab.__all__)
     assert [name for name in anosovlab.__all__ if not hasattr(anosovlab, name)] == []
+    assert not hasattr(anosovlab, "no_such_export")
+    # a lazily resolved export is the very object its defining module holds
+    exports = {name: getattr(anosovlab, name) for name in anosovlab.__all__}
+    assert [
+        name for name, obj in exports.items()
+        if getattr(importlib.import_module(obj.__module__), name) is not obj
+    ] == []
