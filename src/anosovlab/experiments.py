@@ -99,8 +99,8 @@ class ExperimentConfig:
 
 def load_config(path: Path) -> ExperimentConfig:
     try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigInvalid(f"cannot read config: {err}") from err
     return ExperimentConfig.from_dict(payload)
 
@@ -126,6 +126,8 @@ def build_roof(spec: dict | None, dim: int) -> RoofFunction:
             if unknown:
                 raise ConfigInvalid(f"unknown roof term fields: {sorted(unknown)}")
             k = tuple(_integers("roof term k", term["k"]))
+            if not any(k):
+                raise ConfigInvalid("roof term k must be nonzero; use constant for the mean")
             coeff = complex(_finite("roof term re", term.get("re", 0.0)),
                             _finite("roof term im", term.get("im", 0.0)))
             neg = tuple(-v for v in k)

@@ -136,17 +136,6 @@ def _distinct(ids, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(seen), np.cumsum(seen)[ids] - 1
 
 
-def exact_points(rows) -> tuple[list[tuple[int, ...]], int]:
-    """Float points as exact numerator rows over one den, reduced into [0, 1).
-
-    The starts of every exact orbit that begins at a float point: the
-    numerators of `intlinalg.dyadic`, each taken mod den. den stays the
-    least power of two that holds every float of the batch.
-    """
-    nums, den = intlinalg.dyadic(rows)
-    return [tuple(v % den for v in row) for row in nums], den
-
-
 def _over_lcm(offset, starts, den: int):
     """The starts and the offset as numerators over D, the lcm of den and the
     offset's denominators: (rows, shift, D)."""
@@ -156,36 +145,30 @@ def _over_lcm(offset, starts, den: int):
     return [[v * lift for v in start] for start in starts], shift, den
 
 
-def affine_step(entries, offset, starts, den: int, centred: bool = False):
-    """One exact step of x -> A x + c mod 1 from m starts over den: (rows, D).
+def affine_step(entries, offset, starts, den: int):
+    """One exact step of x -> A x + c from m starts over den: (rows, D).
 
     The images are numerator rows over D, the lcm of den and the offset's
-    denominators, reduced into [0, 1), or into [-1/2, 1/2) when centred,
-    as `intlinalg.orbit_segments` reduces every later point. With the
-    inverse map, they start a backward orbit at F^-1 x.
+    denominators, not reduced mod 1: they only ever start a walk, and
+    `intlinalg.orbit_segments` reduces every start. With the inverse map,
+    they start a backward orbit at F^-1 x.
     """
     nums, shift, den = _over_lcm(offset, starts, den)
-    lo = den // 2 if centred else 0
-    return [tuple((v + c + lo) % den - lo for v, c in zip(intlinalg.mat_vec(entries, n), shift))
-            for n in nums], den
+    return [[v + c for v, c in zip(intlinalg.mat_vec(entries, n), shift)] for n in nums], den
 
 
 def affine_orbit(entries, offset, starts, den: int, centred: bool = False):
     """Exact orbits of m starts under x -> A x + c mod 1, in lockstep.
 
-    The starts are numerator rows over den and c is rational. The points
-    of `intlinalg.orbit_segments` over D, the lcm of den and the offset's
-    denominators, are yielded as (m, SEGMENT, d) float arrays of n / D, so
-    every float is the correctly rounded rational point, whatever else is
-    in the batch. Each start is yielded as given; later points are reduced
-    into [0, 1), or into [-1/2, 1/2) when centred.
+    The starts are numerator rows over den, in any range, and c is
+    rational. The points of `intlinalg.orbit_segments` over D, the lcm of
+    den and the offset's denominators, every start included, are reduced
+    into [0, 1), or into [-1/2, 1/2) when centred, and yielded as
+    (m, SEGMENT, d) float arrays of n / D, so every float is the correctly
+    rounded rational point, whatever else is in the batch.
     """
     nums, shift, den = _over_lcm(offset, starts, den)
-    blocks = intlinalg.orbit_segments(entries, shift, nums, den, SEGMENT, centred)
-    points = intlinalg.segment_floats(next(blocks), den)
-    points[:, 0] = [[v / den for v in n] for n in nums]   # the starts as given, not reduced
-    yield points
-    for block in blocks:
+    for block in intlinalg.orbit_segments(entries, shift, nums, den, SEGMENT, centred):
         yield intlinalg.segment_floats(block, den)
 
 
@@ -283,13 +266,13 @@ class SuspensionFlow:
 
         An (m, n) array, one row per start, in order, each added left to
         right: column j holds forward sum_{k=0}^{j} roof(F^k x), backward
-        sum_{k=1}^{j+1} roof(F^-k x), with each start first reduced into
-        [0, 1), so column n - 1 is the n-term sum. The orbits are walked in
-        lockstep and evaluated in one call per segment, so each sum is
+        sum_{k=1}^{j+1} roof(F^-k x), each start reduced by the walk, so
+        column n - 1 is the n-term sum. The orbits are walked in lockstep
+        and evaluated in one call per segment, so each sum is
         bit-identical whatever else is in the batch and in what order.
         """
         values = np.empty((len(starts), n))
-        orbit = self.exact_orbit([[v % den for v in x] for x in starts], den, backward)
+        orbit = self.exact_orbit(starts, den, backward)
         walked = 0
         while walked < n:
             rows = next(orbit)[:, :n - walked]
@@ -419,7 +402,7 @@ class SuspensionFlow:
 
         # both directions share one batch: two batches measured 13% slower on
         # the conjugacy_d3 benchmark and 7% on pcf_d3 (2-core machine)
-        orbits = [self.exact_orbit(*exact_points(rows), backward) if len(rows) else None
+        orbits = [self.exact_orbit(*intlinalg.dyadic(rows), backward) if len(rows) else None
                   for rows, backward in ((starts[:n_starts], False), (starts[n_starts:], True))]
 
         def segment(active):

@@ -32,8 +32,7 @@ from numpy.random import default_rng
 
 from .errors import DegenerateGradients, NoIntersection, TruncationInsufficient
 from .flow import (
-    BATCH_ORBITS, CHART_RADIUS, SuspensionFlow, affine_orbit, affine_step, exact_points,
-    tail_horizon, wrap_unit,
+    BATCH_ORBITS, CHART_RADIUS, SuspensionFlow, affine_orbit, affine_step, tail_horizon, wrap_unit,
 )
 from .roof import RoofFunction, row_products, row_squares
 from . import intlinalg, mpspec, util
@@ -182,7 +181,7 @@ def temporal_distance_geometric(flow: SuspensionFlow, quads) -> list[float]:
     target = 0.02 * GEOMETRIC_TOL
     lip = flow.roof.poly.lipschitz_bound()
     split = mpspec.splitting(flow.base)
-    alphas, den = exact_points([quad.a for quad in quads])
+    alphas, den = intlinalg.dyadic([quad.a for quad in quads])
     big = max(den, mpspec.DYADIC_DEN)   # both powers of two, so their lcm
     walks = {False: [], True: []}   # backward -> (start over big, horizon) of each walk
 
@@ -259,12 +258,11 @@ def pcf_gradient(flow: SuspensionFlow, quads) -> np.ndarray:
     if poly.is_constant() or not quads:
         return np.zeros((len(quads), flow.dim_unstable))
     corners = np.array([quad.a for quad in quads], dtype=float)
-    starts, den = exact_points(corners + u)
+    starts, den = intlinalg.dyadic(corners + u)
     totals = flow.stable_gradient(starts, den, row_products(flow.spectral.proj_s, w))
     # backward gaps L^-n w mod 1 from n = 1, exact and wrapped, one segment per call
     inv, zero = flow.inv_entries, (0,) * flow.dim
-    gaps = affine_orbit(inv, zero, *affine_step(inv, zero, *intlinalg.dyadic(w), centred=True),
-                        centred=True)
+    gaps = affine_orbit(inv, zero, *affine_step(inv, zero, *intlinalg.dyadic(w)), centred=True)
     return flow.unstable_gradient(
         starts, den,
         lambda points, active: poly.gradient_diff_rows(

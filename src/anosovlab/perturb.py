@@ -22,7 +22,7 @@ import numpy as np
 from . import intlinalg, mpspec, util
 from .errors import ChartExit, ResidualBelowNoise
 from .flow import (
-    BATCH_ORBITS, RETURN_TOL, SEGMENT, VALUE_TOL, SuspensionFlow, certified_sums, exact_points,
+    BATCH_ORBITS, RETURN_TOL, SEGMENT, VALUE_TOL, SuspensionFlow, certified_sums,
     wrap_unit,
 )
 from .roof import PeriodicOrbitRecord, periodic_points, row_products, row_squares
@@ -104,7 +104,7 @@ class SectionChart:
         if poly.is_constant() or float(y) == 0.0 or not np.any(x):
             return 0.0
         flow = self.flow
-        z, z_den = exact_points([self.embed(x, 0.0)])
+        z, z_den = intlinalg.dyadic([self.embed(x, 0.0)])
         lip = poly.lipschitz_bound()
         lam_abs = abs(self.lam)
         w, den = self.split.project(self.s_unit * float(y), "stable")
@@ -421,12 +421,12 @@ def return_series(chart: SectionChart, bump: Bump | None, xs, y: float) -> list[
     ledgers = []
     for lo in range(0, len(xs), BATCH_ORBITS // 2):
         batch = xs[lo:lo + BATCH_ORBITS // 2]
-        z_rows, z_den = exact_points([chart.embed(x, 0.0) for x in batch])
+        z_rows, z_den = intlinalg.dyadic([chart.embed(x, 0.0) for x in batch])
         den = max(z_den, w_den)   # both powers of two, so their lcm
         starts = []
         for row in z_rows:
             z0 = [v * (den // z_den) for v in row]
-            starts += [z0, [a + b * (den // w_den) for a, b in zip(z0, w)]]   # z1 left unreduced
+            starts += [z0, [a + b * (den // w_den) for a, b in zip(z0, w)]]   # z1 unreduced
         gap, walked = first_gap, 0   # walked: orbit points before the current segment
         records = [([], [], []) for _ in batch]   # steps, gaps, terms of each row
         # two points a row, the pair of one x

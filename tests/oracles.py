@@ -42,16 +42,17 @@ follow flow orbits with it against `evolve_mp`.
 `MPSplittingReference` is the 60-digit mpmath splitting that the exact
 integer projector of `mpspec` replaced, and `tests/test_mpspec.py` holds
 the projector's roundings to it bit for bit. `rationalize` is the
-Fraction form of the orbit starts that `flow.exact_points` replaced, and
-the references above build their corners with it and Fraction sums;
-`numerators` hands such points to the package's exact orbits as integer
-numerators over their lcm. `evaluate`, `gradient`, `eval_diff`,
-`gradient_diff` and `coords` are the per-point roof and chart code that
-the row kernels of `TrigPolynomial` and `SectionChart.coords_rows`
-replaced, each dot product one BLAS call per point; the package's rows
-must equal them bit for bit. `inverse_rational` is the Gauss-Jordan
-inverse over Q that `IntegerMatrix.inverse_entries`, now V U from the
-unimodular diagonalization, replaced. Print the literals with
+Fraction form of a float start reduced into [0, 1), as the exact walk
+reduces every start, and the references above build their corners with
+it and Fraction sums; `numerators` hands such points to the package's
+exact orbits as integer numerators over their lcm. `evaluate`,
+`gradient`, `eval_diff`, `gradient_diff` and `coords` are the per-point
+roof and chart code that the row kernels of `TrigPolynomial` and
+`SectionChart.coords_rows` replaced, each dot product one BLAS call per
+point; the package's rows must equal them bit for bit.
+`inverse_rational` is the Gauss-Jordan inverse over Q that
+`IntegerMatrix.inverse_entries`, now V U from the unimodular
+diagonalization, replaced. Print the literals with
 
     PYTHONPATH=src python tests/oracles.py
 """

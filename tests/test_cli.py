@@ -421,6 +421,7 @@ class TestCliExitCodes:
         ("roof", None, "this experiment needs a roof spec"),
         ("roof", {"constant": 1.0, "terms": [{"k": [1, 0], "re": 0.05, "phase": 0.1}]},
          "unknown roof term fields: ['phase']"),
+        ("roof", {"constant": 1.0, "terms": [{"k": [0, 0], "re": 0.5}]}, "use constant"),
         ("params", [8], "params must be an object"),
     ])
     def test_malformed_config_shape_exit_two(self, tmp_path, section, value, message):
@@ -438,6 +439,13 @@ class TestCliExitCodes:
         result = run_cli(["livshits", "--config", str(bad), "--out", str(tmp_path / "out")])
         self.assert_refused(result, tmp_path / "out")
         assert "config must be a JSON object" in result.stderr
+
+    def test_non_utf8_config_exit_two(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff" + json.dumps({"kind": "pcf"}).encode())
+        result = run_cli(["pcf", "--config", str(bad), "--out", str(tmp_path / "out")])
+        self.assert_refused(result, tmp_path / "out")
+        assert "config invalid: cannot read config:" in result.stderr
 
     def test_missing_config_exit_two(self, tmp_path):
         result = run_cli([

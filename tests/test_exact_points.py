@@ -1,17 +1,20 @@
 """Exact points are integer numerators over one den, and no orbit path builds a Fraction.
 
-`flow.exact_points` turns float starts into numerator rows reduced mod
-den, as the Fraction form `rationalize` in `tests/oracles.py` reduces them
-mod 1, and keeps den the least power of two of the batch, so floats alone
-stay on the uint64 walk. Corners are integer sums of such rows and the
-numerators of `MPSplitting.project`. So, on a built flow whose projector
-is built, both temporal-distance routes, the PCF gradient, the three
-leaf-graph series of `SectionChart` and the bump return series call
+`intlinalg.dyadic` turns float starts into numerator rows over den, each
+float exactly and unreduced, and keeps den the least power of two of the
+batch, so floats alone stay on the uint64 walk. `intlinalg.orbit_segments`
+reduces every start once, as the Fraction form `rationalize` in
+`tests/oracles.py` reduces it mod 1, so a start given in any range walks
+the orbit of its reduced point. Corners are integer sums of such rows and
+the numerators of `MPSplitting.project`. So, on a built flow whose
+projector is built, both temporal-distance routes, the PCF gradient, the
+three leaf-graph series of `SectionChart` and the bump return series call
 `Fraction.__new__` zero times.
 """
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 from oracles import PIN_CHART_POINTS, rationalize
 
 from anosovlab import intlinalg, mpspec, pcf, perturb
-from anosovlab.flow import exact_points
+from anosovlab.flow import affine_orbit, affine_step
 
 # -0.0, the least subnormal of either sign, the least normal, two x with
 # x % 1.0 == 1.0 (the exact point is just under 1), and the largest float under 1
@@ -32,21 +35,51 @@ _floats = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_floats, _floats, _floats), min_size=1, max_size=4))
 @example([tuple(SPECIAL[:3]), tuple(SPECIAL[3:6]), (SPECIAL[6], 0.5, 2.5)])
-def test_exact_points_match_rationalize(rows):
-    nums, den = exact_points(rows)
-    expected = [rationalize(row) for row in rows]
-    assert [tuple(Fraction(n, den) for n in row) for row in nums] == expected
-    assert all(0 <= n < den for row in nums for n in row)
+def test_dyadic_is_each_float_exactly(rows):
+    nums, den = intlinalg.dyadic(rows)
+    assert [tuple(Fraction(n, den) for n in row) for row in nums] == [
+        tuple(Fraction(v) for v in row) for row in rows]
     # the least common denominator of the batch, a power of two
-    assert den == math.lcm(*(v.denominator for row in expected for v in row))
+    assert den == math.lcm(*(Fraction(v).denominator for row in rows for v in row))
     assert den & (den - 1) == 0
 
 
 def test_float_starts_stay_on_the_uint64_walk(companion3):
-    nums, den = exact_points([(0.37, 0.91, 0.18), (0.5, 0.25, 0.0)])
+    nums, den = intlinalg.dyadic([(0.37, 0.91, 0.18), (0.5, 0.25, 0.0)])
     assert den <= 2**64
     block = next(intlinalg.orbit_segments(companion3.entries, (0, 0, 0), nums, den, 4))
     assert block.dtype == np.uint64
+
+
+@pytest.mark.parametrize("branch, translated, rows", [
+    ("uint64", False, [(0.37, 0.91, 0.18), (-(2.0**-60), 0.5, 0.25)]),
+    ("limbs", False, [(0.37, 3e-5, 0.18), (-1e-20, 0.91, 0.5)]),
+    ("crt", True, [(0.37, 0.91, 0.18), (-(2.0**-60), 0.5, 0.25)]),
+    ("object", True, [(0.37, 3e-5, 0.18), (-1e-20, 0.91, 0.5)]),
+])
+def test_unreduced_starts_walk_as_reduced(companion3_flow, translated3, branch, translated, rows):
+    # the walk reduces every start, so starts that are negative, at or past
+    # den, or -1e-20 and -2^-60 (x % 1.0 == 1.0) give the float blocks of
+    # their reduction bit for bit: forward, backward, and the centred walk
+    # of the pcf_gradient gaps, here with the flow's backward offset, so
+    # the translated flow's reaches CRT and object too
+    flow = translated3 if translated else companion3_flow
+    nums, den = intlinalg.dyadic(rows)
+    inv, offset = flow.inv_entries, flow._inv_translation
+    assert intlinalg._walk_branch(math.lcm(den, *(v.denominator for v in offset)), 3) == branch
+    reduced = [[v % den for v in row] for row in nums]
+    shifts = [(-1, 1, 3), (2, -3, 0)]   # multiples of den added to each coordinate
+    shifted = [[v + k * den for v, k in zip(row, ks)] for row, ks in zip(reduced, shifts)]
+
+    def walks(starts):
+        orbits = (flow.exact_orbit(starts, den), flow.exact_orbit(starts, den, backward=True),
+                  affine_orbit(inv, offset, *affine_step(inv, offset, starts, den), centred=True))
+        return [block.tobytes() for orbit in orbits for block in islice(orbit, 3)]
+
+    expected = walks(reduced)
+    assert walks(nums) == expected and walks(shifted) == expected
+    first = next(flow.exact_orbit(nums, den))[:, 0]
+    assert first.tolist() == [[float(v) for v in rationalize(row)] for row in rows]
 
 
 def _fractions_built(monkeypatch, runs: dict) -> dict:

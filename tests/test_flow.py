@@ -18,7 +18,7 @@ from oracles import (
 from anosovlab import flow as flow_module
 from anosovlab import experiments, intlinalg, mpspec, pcf, perturb
 from anosovlab.errors import OffLeaf, TruncationInsufficient
-from anosovlab.flow import SuspensionFlow, affine_orbit, exact_points, wrap_unit
+from anosovlab.flow import SuspensionFlow, affine_orbit, wrap_unit
 from anosovlab.roof import TrigPolynomial
 from anosovlab.spectral import IntegerMatrix
 
@@ -598,7 +598,7 @@ class TestExactOrbits:
         # the horizon stays short of the double-precision shadowing limit
         x = (0.37, 0.91)
         direct = kahan_birkhoff(cat_flow.roof, cat_map, x, 10)
-        assert cat_flow.birkhoff_exact(*exact_points([x]), 10)[0, -1] == pytest.approx(
+        assert cat_flow.birkhoff_exact(*intlinalg.dyadic([x]), 10)[0, -1] == pytest.approx(
             direct, abs=1e-11)
 
 
@@ -691,7 +691,8 @@ class TestSegments:
         x = (0.37, 0.91, 0.18)
 
         def sums():
-            return [segment_flow.birkhoff_exact(*exact_points([x]), n, backward=backward)[0, -1]
+            start = intlinalg.dyadic([x])
+            return [segment_flow.birkhoff_exact(*start, n, backward=backward)[0, -1]
                     for n in (1, 45, 77) for backward in (False, True)]
 
         expected = per_point_series(sums)
@@ -798,7 +799,7 @@ def test_exact_orbit_matches_fraction_maps(companion3_flow, translated3, start, 
         inv = flow.inv_entries
         [row], over = numerators([start + flow.translation])
         shift = row[3:]
-        ahead, behind = [row[:3]], [row[:3]]
+        ahead, behind = [tuple(v % over for v in row[:3])], [row[:3]]
         [gap], gap_den = numerators([tuple(Fraction(v) for v in w)])
         gaps = [gap]
         for _ in range(300):
@@ -885,7 +886,7 @@ def test_backward_blocks_start_at_the_preimage(companion3_flow, translated3, mon
                 assert got == [float(v) for v in point]
     inv, zero = companion3_flow.inv_entries, (0, 0, 0)
     [gap], den = intlinalg.dyadic([(0.013, -0.02, 0.007)])
-    start = flow_module.affine_step(inv, zero, [gap], den, centred=True)
+    start = flow_module.affine_step(inv, zero, [gap], den)
     blocks = list(islice(affine_orbit(inv, zero, *start, centred=True), 3))
     assert [block.shape for block in blocks] == [(1, segment, 3)] * 3
     for got in np.concatenate(blocks, axis=1)[0].tolist():
@@ -1168,7 +1169,7 @@ def test_birkhoff_exact_ends_mid_segment(segment_flow, backward):
         if not backward:
             point = segment_flow.base_apply_exact(point)
     assert np.array_equal(segment_flow.birkhoff_exact(
-        *exact_points([(0.37, 0.91, 0.18)]), n, backward=backward)[:, -1], [expected])
+        *intlinalg.dyadic([(0.37, 0.91, 0.18)]), n, backward=backward)[:, -1], [expected])
 
 
 @pytest.mark.parametrize("translated", [False, True])

@@ -14,7 +14,8 @@ from oracles import periodic_points_reference, rationalize
 
 from anosovlab import roof as roof_module
 from anosovlab.errors import NonHyperbolicPeriod, ObstructionNonzero
-from anosovlab.flow import SuspensionFlow, exact_points
+from anosovlab.flow import SuspensionFlow
+from anosovlab.intlinalg import dyadic
 from anosovlab.experiments import ExperimentConfig, load_config, run_experiment
 from anosovlab.roof import (
     RoofFunction,
@@ -413,7 +414,7 @@ class TestPeriodicPoints:
 class TestBirkhoffSums:
     def test_constant_roof(self, cat_map):
         flow = SuspensionFlow(cat_map, const_roof(2, 2.5))
-        assert flow.birkhoff_exact(*exact_points([(0.3, 0.7)]), 4)[0, -1] == pytest.approx(10.0)
+        assert flow.birkhoff_exact(*dyadic([(0.3, 0.7)]), 4)[0, -1] == pytest.approx(10.0)
 
     def test_telescoping_on_periodic_orbits(self, cat_map):
         roof, _ = planted_coboundary_roof(cat_map)
@@ -432,7 +433,7 @@ class TestBirkhoffSums:
             for _ in range(n):
                 values.append(flow.roof(tuple(float(c) for c in point)))
                 point = flow.base_apply_exact(point)
-            assert flow.birkhoff_exact(*exact_points([x]), n)[0, -1] == pytest.approx(
+            assert flow.birkhoff_exact(*dyadic([x]), n)[0, -1] == pytest.approx(
                 math.fsum(values), abs=1e-11)
 
 
