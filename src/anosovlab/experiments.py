@@ -403,6 +403,7 @@ def _run_sweep(cfg, p, out):
     datum = perturb.make_heteroclinic_datum(
         chart, cands[0].q_orbit, cands[0].q_index, cands[0].offset
     )
+    # numpy's ziggurat normals, which pcf.SeededStream does not reproduce
     rng = np.random.default_rng(cfg.seed)
     dirs = rng.normal(size=(SWEEP_DIRECTIONS, chart.dim_unstable))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -479,7 +480,8 @@ def run_experiment(
     """Dispatch one experiment; returns the written report paths.
 
     The params are checked against the kind's PARAMS table before any
-    work. Raises ConfigInvalid for bad configs and ExperimentFailed when a module
+    work. Raises ConfigInvalid for bad configs and for an out_dir that is a file
+    or lies under one, and ExperimentFailed when a module
     operation aborts or a reported quantity misses its acceptance bound; the
     manifest with content hashes is written only on success. `workers` is
     accepted for existing callers and changes nothing: every run is one
@@ -487,7 +489,10 @@ def run_experiment(
     """
     params = _checked(config.params, PARAMS[config.kind])
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as err:
+        raise ConfigInvalid(f"out directory {str(out)!r} cannot be made: {err.strerror}") from err
     try:
         names = _RUNNERS[config.kind](config, params, out)
     except (ConfigInvalid, ExperimentFailed):

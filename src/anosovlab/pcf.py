@@ -24,11 +24,11 @@ grid points' Newton solves in lockstep.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import DegenerateGradients, NoIntersection, TruncationInsufficient
 from .flow import (
@@ -44,6 +44,87 @@ DISPLACEMENT_SCALE = 0.02   # largest frame coefficient of a drawn quadrilateral
 GEOMETRIC_TOL = 1e-8        # geometric route: each Birkhoff tail is cut at 0.02 of this
 PAIR_BUDGET = 200           # draws the pair search makes before it refuses
 PATCH_RADIUS = 0.008        # half-width of the reconstruction grid along each unstable direction
+
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's 128-bit LCG multiplier
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+# ---------------------------------------------------------------------------
+# seeded draws
+
+
+def _hashmix(const: int, mult: int):
+    """numpy SeedSequence's `hashmix` on 32-bit words: each call xors in the
+    running constant, advances it by `mult` and multiplies by the new one."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    """numpy SeedSequence's `mix` of two pool words (MIX_MULT_L, MIX_MULT_R)."""
+    word = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return word ^ word >> 16
+
+
+class SeededStream:
+    """The uniform draws of `numpy.random.default_rng(seed)`, bit for bit, on Python ints.
+
+    The seed's 32-bit words, least significant first, are hashed into a
+    pool of 4 words and then into PCG64's 128-bit state and increment, as
+    numpy's SeedSequence does. Each draw steps the LCG and outputs its
+    XSL-RR 64-bit word; `random` maps a word to (word >> 11) * 2^-53 and
+    `uniform` to lo + (hi - lo) times that. Owning the stream keeps
+    `numpy.random` out of set-up, and ties the report bytes to this code:
+    NEP 19 keeps numpy's bit streams stable but not its `Generator` methods.
+    Any non-negative int seed is taken, those past 2^64 too; a negative one
+    raises ValueError and a non-int, None included, TypeError.
+    """
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _hashmix(0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A: entropy into the pool
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        hashmix = _hashmix(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B: `generate_state(4, uint64)`
+        state = [hashmix(pool[i % 4]) for i in range(8)]
+        state_hi, state_lo, inc_hi, inc_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+        self._inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        self._state = (self._inc + (state_hi << 64 | state_lo)) & _MASK128
+        self._next64()
+
+    def _next64(self) -> int:
+        self._state = (self._state * _PCG64_MULTIPLIER + self._inc) & _MASK128
+        word = (self._state >> 64 ^ self._state) & _MASK64
+        rot = self._state >> 122
+        return (word >> rot | word << (64 - rot)) & _MASK64
+
+    def _double(self) -> float:
+        return (self._next64() >> 11) * 2.0**-53
+
+    def random(self, n: int) -> np.ndarray:
+        """n doubles in [0, 1), as `Generator.random(n)`."""
+        return np.array([self._double() for _ in range(n)])
+
+    def uniform(self, lo: float, hi: float, n: int | None = None):
+        """One float in [lo, hi), or n of them as an array, as `Generator.uniform`."""
+        lo, span = float(lo), float(hi) - float(lo)
+        if n is None:
+            return lo + span * self._double()
+        return np.array([lo + span * self._double() for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +186,18 @@ def _in_chart(disp: np.ndarray) -> bool:
 
 def sample_quadrilaterals(flow: SuspensionFlow, n: int, seed: int) -> list[Quadrilateral]:
     """Deterministic random quadrilaterals with displacements in the frames,
-    every draw checked at once by one `Quadrilateral.build`."""
-    rng = default_rng(seed)
+    every draw checked at once by one `Quadrilateral.build`.
+
+    The draws come from `SeededStream(seed)`, which equals numpy's
+    `default_rng(seed)`: per quadrilateral a base point, a fiber height
+    under the roof, and stable then unstable frame coefficients."""
+    rng = SeededStream(seed)
     s_frame = flow.stable_frame()
     u_frame = flow.unstable_frame()
     bases, fibers, s_disps, u_disps = [], [], [], []
     for _ in range(n):
         bases.append(rng.random(flow.dim))
-        fibers.append(float(rng.uniform(0.0, flow.roof(bases[-1]))))
+        fibers.append(rng.uniform(0.0, flow.roof(bases[-1])))
         s_disps.append(s_frame @ (rng.uniform(-1.0, 1.0, s_frame.shape[1]) * DISPLACEMENT_SCALE))
         u_disps.append(u_frame @ (rng.uniform(-1.0, 1.0, u_frame.shape[1]) * DISPLACEMENT_SCALE))
     quads = Quadrilateral.build(flow, np.reshape(bases, (n, flow.dim)), s_disps, u_disps)
@@ -324,11 +409,12 @@ def find_independent_pairs(
     tested in draw order, so the pairs are those of one draw at a time.
     count must lie in [1, dim E^u], since no more gradient rows than that
     can be independent. Raises DegenerateGradients when PAIR_BUDGET draws
-    find fewer than count.
+    find fewer than count. The draws come from `SeededStream(seed)`, which
+    equals numpy's `default_rng(seed)`.
     """
     if not 1 <= count <= flow.dim_unstable:
         raise ValueError(f"count must lie in [1, {flow.dim_unstable}] (dim E^u), got {count}")
-    rng = default_rng(seed)
+    rng = SeededStream(seed)
     u_frame = flow.unstable_frame()
     s_frame = flow.stable_frame()
     point = np.asarray(base_point, dtype=float)

@@ -164,6 +164,21 @@ class TestCliExitCodes:
         ])
         self.assert_refused(result, tmp_path / "out")
 
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_file_exit_two(self, tmp_path, under):
+        # an out path that is a file, or lies under one, is refused in one
+        # line naming it, and the file is left as it was
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"kept")
+        out = blocker / "out" if under else blocker
+        result = run_cli([
+            "catalog", "--config", str(CONFIGS / "catalog_d3.json"), "--out", str(out),
+        ])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.count("\n") == 1 and repr(str(out)) in result.stderr
+        assert blocker.read_bytes() == b"kept"
+
     def test_module_error_exit_one(self, tmp_path, monkeypatch):
         # a pair search that finds no two independent gradients
         def starved(*args, **kwargs):

@@ -4,6 +4,8 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import const_roof, cos_roof
 from oracles import (
@@ -119,6 +121,46 @@ class TestQuadrilateral:
             assert np.array(h.s_disp) == pytest.approx(0.5 * np.array(f.s_disp), rel=1e-15)
             assert np.array(h.u_disp) == pytest.approx(0.5 * np.array(f.u_disp), rel=1e-15)
             assert np.linalg.norm(f.s_disp) > 0.0 and np.linalg.norm(f.u_disp) > 0.0
+
+
+def _stream_draws(rng, dim=3, frames=(1, 2)):
+    """Draws in the order `sample_quadrilaterals` makes them, as exact bytes:
+    a base point, a scalar fiber height, then each frame's coefficients."""
+    draws = []
+    for _ in range(5):
+        base = rng.random(dim)
+        draws += [base.tobytes(), float.hex(rng.uniform(0.0, 1.0 + base.sum()))]
+        draws += [rng.uniform(-1.0, 1.0, k).tobytes() for k in frames]
+    return draws
+
+
+class TestSeededStream:
+    """`pcf.SeededStream(seed)` is numpy's `default_rng(seed)`, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1))
+    @example(0)
+    @example(2**32 - 1)
+    @example(2**32)
+    @example(2**63)
+    @example(2**64 - 1)
+    @example(2**64 + 12345)
+    @example(3**200)
+    def test_equals_numpy_default_rng(self, seed):
+        assert _stream_draws(pcf.SeededStream(seed)) == _stream_draws(np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (-(2**70), ValueError),
+                                             (1.0, TypeError), ("3", TypeError)])
+    def test_refuses_as_numpy(self, seed, error):
+        with pytest.raises(error):
+            np.random.default_rng(seed)
+        with pytest.raises(error):
+            pcf.SeededStream(seed)
+
+    def test_refuses_none(self):
+        # numpy draws fresh entropy for None; a report must not
+        with pytest.raises(TypeError):
+            pcf.SeededStream(None)
 
 
 class TestTemporalDistanceGeometric:
