@@ -12,13 +12,23 @@ the single config seed and all aggregation is keyed by input index.
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+
+# The interpreter's own SHA-256, as `random` takes its _sha512: `hashlib`
+# loads OpenSSL's libcrypto, about 3.6 MB of RSS and 3 ms per process.
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:  # a build without the builtin hash modules
+        from hashlib import sha256
 
 import numpy as np
 
@@ -94,7 +104,7 @@ class ExperimentConfig:
 
     def content_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return sha256(canon.encode()).hexdigest()
 
 
 def load_config(path: Path) -> ExperimentConfig:
@@ -140,10 +150,12 @@ def build_roof(spec: dict | None, dim: int) -> RoofFunction:
 
 
 def _finite(name: str, value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigInvalid(f"{name} must be a finite number, got {value}")
-    return value
+    """A JSON number as a finite float; strings, bools and ints past float's range are refused."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    if type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigInvalid(f"{name} must be a finite number, got {value!r}")
 
 
 def _parse_fraction(text) -> Fraction:
@@ -210,12 +222,10 @@ def _checked(params: dict, table: dict) -> dict:
                 raise ConfigInvalid(f"param {key} has wrong type")
             out[key] = _checked(value, typ)
             continue
-        if typ is float and type(value) is int:
-            value = out[key] = float(value)
+        if typ is float and type(value) in (int, float):
+            value = out[key] = _finite(f"param {key}", value)
         if type(value) is not typ:
             raise ConfigInvalid(f"param {key} has wrong type")
-        if typ is float:
-            _finite(f"param {key}", value)
         if least is not None and value < least:
             raise ConfigInvalid(f"param {key} must be at least {least}")
     return out
@@ -508,7 +518,7 @@ def run_experiment(
         "reports": [
             {
                 "name": name,
-                "sha256": hashlib.sha256((out / name).read_bytes()).hexdigest(),
+                "sha256": sha256((out / name).read_bytes()).hexdigest(),
             }
             for name in sorted(names)
         ],

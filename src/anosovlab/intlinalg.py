@@ -122,7 +122,8 @@ def _signed_limbs(value: int) -> list[int]:
     return limbs
 
 
-@functools.lru_cache(maxsize=None)
+# one entry per (matrix, segment length), bounded as spectral_data is: runs in one process add up
+@functools.lru_cache(maxsize=64)
 def _segment_stack(a: IntMatrix, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """[A^j | sum_{i<j} A^i] for j = 0..length, stacked into one array.
 
@@ -176,7 +177,8 @@ def _walk_branch(den: int, d: int) -> str:
     return "crt" if den < 2**63 and 2 * d * (q - 1) ** 2 < 2**63 else "object"
 
 
-@functools.lru_cache(maxsize=None)
+# one entry per (matrix, segment length, odd part of a denominator): bounded as _segment_stack is
+@functools.lru_cache(maxsize=64)
 def _residue_stack(a: IntMatrix, length: int, q: int) -> np.ndarray:
     """The `_segment_stack` entries mod q as read-only int64, for the CRT walk.
 

@@ -90,7 +90,7 @@ class MPSplitting:
         return [round_shift(s, shift) for s in out], DYADIC_DEN
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)  # one entry per matrix: bounded as the spectral_data it reads
 def splitting(matrix: IntegerMatrix) -> MPSplitting:
-    """The projector of a matrix, built once per process."""
+    """The projector of a matrix, built once per process while it stays cached."""
     return MPSplitting(matrix)

@@ -397,6 +397,14 @@ class TestCliExitCodes:
         ("bunching_companion3.json", "params", {"t_multiples": [float("inf")]}),
         ("livshits_planted.json", "params",
          {"plant_coboundary": {"amplitude": float("nan"), "freq": [1, 0]}}),
+        # a roof number must be a JSON number, as every float param is
+        ("livshits_obstructed.json", "roof", {"constant": "2"}),
+        ("livshits_obstructed.json", "roof", {"terms": [{"k": [1, 0], "re": "0.1"}]}),
+        ("livshits_obstructed.json", "roof", {"constant": True}),
+        # an integer past float's range once escaped as an OverflowError traceback
+        ("livshits_planted.json", "params",
+         {"plant_coboundary": {"amplitude": 10**400, "freq": [1, 0]}}),
+        ("livshits_obstructed.json", "roof", {"constant": -10**400}),
     ])
     def test_non_finite_number_exit_two(self, tmp_path, name, section, update):
         # json reads NaN, Infinity and 1e400; a NaN roof once passed as certified

@@ -18,7 +18,13 @@ loads none of the modules that only other kinds use, and its run loads no
 module that its set-up (loading the config and building its flow) has not:
 so a module missing from `experiments.KINDS` fails here, instead of being
 imported inside the run. Only `sweep` loads `numpy.random`: `pcf` and
-`subbundle` draw from `pcf.SeededStream`.
+`subbundle` draw from `pcf.SeededStream`. The manifest's SHA-256 comes
+from the interpreter's builtin hash module, not `hashlib`, whose
+`_hashlib` loads OpenSSL's libcrypto (about 3.6 MB and 3 ms): so only
+`sweep` loads OpenSSL, through `numpy.random`.
+
+Every `functools` cache in the package is process-wide, so each states a
+finite `maxsize`: many runs in one process must not grow it without end.
 """
 
 import ast
@@ -26,6 +32,7 @@ import functools
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +88,10 @@ def test_importing_the_errors_leaves_numpy_unloaded():
 
 def test_importing_the_cli_leaves_mpmath_unloaded():
     assert _fresh_interpreter("import sys, anosovlab.cli; print('mpmath' in sys.modules)") == "False"
+
+
+def test_importing_the_cli_leaves_openssl_unloaded():
+    assert _fresh_interpreter("import sys, anosovlab.cli; print('_hashlib' in sys.modules)") == "False"
 
 
 def test_periodic_obstructions_leave_numpy_ma_unloaded():
@@ -148,6 +159,39 @@ def test_each_kind_loads_only_its_own_modules():
         for name, kind in kinds.items()
     }
     assert foreign == dict.fromkeys(BUNDLED, [])
+
+
+# numpy.random imports secrets, hmac and then hashlib; moving sweep off it
+# would move its digest
+LOADS_OPENSSL = {"sweep_quartic.json"}
+
+
+def test_no_config_but_sweep_loads_openssl():
+    loaded = {name: "_hashlib" in set().union(*_loads(name)) for name in BUNDLED}
+    assert loaded == {name: name in LOADS_OPENSSL for name in BUNDLED}
+
+
+CACHES = ("cache", "lru_cache")
+BOUNDED_CACHE = re.compile(r"functools\.lru_cache\(maxsize=[1-9][0-9]*\)")
+
+
+def test_every_cache_is_bounded():
+    """Each `functools` cache is spelled `functools.lru_cache(maxsize=<n>)`, n > 0:
+    `functools.cache`, a bare `lru_cache`, `maxsize=None` and
+    importing either by name are refused."""
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), filename=str(path))))
+        bounded = {id(node.func) for node in nodes
+                   if isinstance(node, ast.Call) and BOUNDED_CACHE.fullmatch(ast.unparse(node))}
+        offences += [
+            (path.name, node.lineno) for node in nodes
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "functools"
+            and node.attr in CACHES and id(node) not in bounded
+            or isinstance(node, ast.ImportFrom) and node.module == "functools"
+            and any(alias.name in CACHES for alias in node.names)
+        ]
+    assert offences == []
 
 
 def test_only_validating_or_defaulting_records_are_dataclasses():
